@@ -220,8 +220,7 @@ class Tile:
         self.ckpt_len = 0
 
     def scrub(self) -> None:
-        for i in range(len(self.memory)):
-            self.memory[i] = 0
+        self.memory[:] = bytes(len(self.memory))
         self.program = None
         self.pc = 0
         self.epoch = 0

@@ -66,14 +66,6 @@ class ContextBusy(ItxError):
     """Key context operation attempted while a frame is in flight."""
 
 
-class KeyNotLoaded(ItxError):
-    """Encrypted packet routed to a context with no key material."""
-
-
-class FrameInterleavingViolation(ItxError):
-    """A second tile touched a key context before the current frame finished."""
-
-
 class SecurityException(ItxError):
     """Integrity or policy violation detected by a hardware model.
 
@@ -84,6 +76,14 @@ class SecurityException(ItxError):
     def __init__(self, reason: str) -> None:
         self.reason = reason
         super().__init__(reason)
+
+
+class KeyNotLoaded(SecurityException):
+    """Encrypted packet routed to a context with no key material."""
+
+
+class FrameInterleavingViolation(SecurityException):
+    """A second tile touched a key context before the current frame finished."""
 
 
 # ---------------------------------------------------------------------------

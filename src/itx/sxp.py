@@ -2,18 +2,22 @@
 
 The SXP sits between the on-chip exchange and the PCIe complex and applies
 AES-256-GCM to DMA traffic one packet at a time.  Unlike the frame codec,
-which seals whole frames with a library AEAD, this model reproduces the
+which seals whole frames with a library AEAD, this model keeps the
 hardware's *incremental* pipeline so that context state, key selection, and
 mid-frame violations behave like the real engine:
 
-* per-context state is exactly (AK, EK, IV, H): the hash subkey, the
-  encrypted initial counter block, the running counter, and the partial GHASH;
-* the first 16-byte block of a frame is consumed as the IV block;
-* data blocks are encrypted/decrypted in counter mode while GHASH absorbs
-  the ciphertext;
+* per-context state is the key plus one streaming library GCM context for
+  the frame in flight (and the tile that opened it);
+* the first 16-byte block of a frame is consumed as the IV block, which
+  opens the GCM context; a CC flag on that block is a violation;
+* each packet's data blocks pass through the context in one update, so
+  ingress releases a packet's plaintext before the frame's tag is checked;
 * the block arriving with the CC (frame-close) flag is the MAC slot: on
-  egress the computed tag replaces it, on ingress it is compared with the
-  computed tag.
+  egress the computed tag replaces it, on ingress it is checked against
+  the computed tag;
+* a violation raises on the packet that commits it and latches the engine,
+  which then drops encrypted traffic until reset; loading or invalidating a
+  key mid-frame raises ``ContextBusy``.
 
 Key selection is register-driven: ``kxbctxmap`` maps the source tile's
 exchange-block context to a physical key context, ``kphysmap`` binds each
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import (
@@ -47,32 +52,6 @@ NUM_CONTEXTS = 16
 NUM_REGIONS = 17
 CLEARTEXT_REGION = 0
 BLOCK_BYTES = 16
-
-_R = 0xE1 << 120  # GHASH reduction polynomial, bit-reflected
-
-
-# ---------------------------------------------------------------------------
-# GHASH helpers
-# ---------------------------------------------------------------------------
-
-
-def _ghash_table(h: int) -> list[int]:
-    """Per-key multiplication table: table[p] = H shifted for integer bit p."""
-    table = [0] * 128
-    v = h
-    for i in range(128):
-        table[127 - i] = v
-        v = (v >> 1) ^ _R if v & 1 else v >> 1
-    return table
-
-
-def _ghash_mul(x: int, table: list[int]) -> int:
-    z = 0
-    while x:
-        low = x & -x
-        z ^= table[low.bit_length() - 1]
-        x ^= low
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -173,102 +152,44 @@ CLEARTEXT = "cleartext"
 
 
 class _KeyContext:
-    """One of the 16 physical key slots with its in-flight GCM state."""
+    """One of the 16 physical key slots and the frame in flight through it."""
 
-    __slots__ = (
-        "index",
-        "key",
-        "active",
-        "owner_tile",
-        "_encrypt",
-        "_table",
-        "_ek",
-        "_iv",
-        "_counter",
-        "_hash",
-        "_ct_len",
-    )
+    __slots__ = ("index", "aes", "generation", "gcm", "owner_tile")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.key: Optional[bytes] = None
-        self._encrypt: Optional[Callable[[bytes], bytes]] = None
-        self._table: Optional[list[int]] = None
+        self.generation = 0  # counts loads; traces name a key by it
         self.zeroize()
 
-    def zeroize(self) -> None:
-        self.key = None
-        self._encrypt = None
-        self._table = None
-        self._reset_frame()
+    @property
+    def active(self) -> bool:
+        return self.gcm is not None
 
-    def _reset_frame(self) -> None:
-        self.active = False
+    def zeroize(self) -> None:
+        self.aes: Optional[algorithms.AES] = None
+        self.end_frame()
+
+    def end_frame(self) -> None:
+        self.gcm = None
         self.owner_tile: Optional[int] = None
-        self._ek = b""
-        self._iv = b""
-        self._counter = 0
-        self._hash = 0
-        self._ct_len = 0
 
     def load(self, key: bytes) -> None:
         if self.active:
             raise ContextBusy(f"context {self.index} has a frame in flight")
         if len(key) != 32:
             raise InvalidRegisterProgram("SXP keys are 256 bits")
-        cipher = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-        self.key = key
-        self._encrypt = cipher.update
-        # AK: hash subkey, the encryption of the zero block, precomputed at load.
-        self._table = _ghash_table(int.from_bytes(self._encrypt(b"\x00" * BLOCK_BYTES), "big"))
-        self._reset_frame()
+        self.aes = algorithms.AES(key)
+        self.generation += 1
 
     def invalidate(self) -> None:
         if self.active:
             raise ContextBusy(f"context {self.index} has a frame in flight")
         self.zeroize()
 
-    # -- frame processing ---------------------------------------------------
-
-    def begin_frame(self, iv_block: bytes, owner_tile: int) -> None:
-        if self._encrypt is None:
-            raise KeyNotLoaded(f"context {self.index} has no key")
-        self.active = True
+    def begin_frame(self, iv_block: bytes, owner_tile: int, encrypt: bool) -> None:
+        cipher = Cipher(self.aes, modes.GCM(iv_block[:12]))
+        self.gcm = cipher.encryptor() if encrypt else cipher.decryptor()
         self.owner_tile = owner_tile
-        self._iv = iv_block[:12]
-        # EK: encryption of the initial counter block IV ‖ 1, kept for the tag.
-        self._ek = self._encrypt(self._iv + (1).to_bytes(4, "big"))
-        self._counter = 2
-        self._hash = 0
-        self._ct_len = 0
-
-    def _keystream(self) -> bytes:
-        block = self._encrypt(self._iv + self._counter.to_bytes(4, "big"))
-        self._counter += 1
-        return block
-
-    def _absorb(self, ciphertext_block: bytes) -> None:
-        self._hash = _ghash_mul(
-            self._hash ^ int.from_bytes(ciphertext_block, "big"), self._table
-        )
-        self._ct_len += len(ciphertext_block)
-
-    def encrypt_block(self, plaintext_block: bytes) -> bytes:
-        ct = bytes(a ^ b for a, b in zip(plaintext_block, self._keystream()))
-        self._absorb(ct)
-        return ct
-
-    def decrypt_block(self, ciphertext_block: bytes) -> bytes:
-        self._absorb(ciphertext_block)
-        return bytes(a ^ b for a, b in zip(ciphertext_block, self._keystream()))
-
-    def finish_frame(self) -> bytes:
-        """Close the frame and return the authentication tag."""
-        lengths = (0).to_bytes(8, "big") + (self._ct_len * 8).to_bytes(8, "big")
-        s = _ghash_mul(self._hash ^ int.from_bytes(lengths, "big"), self._table)
-        tag = bytes(a ^ b for a, b in zip(s.to_bytes(BLOCK_BYTES, "big"), self._ek))
-        self._reset_frame()
-        return tag
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +309,7 @@ class SxpEngine:
             ctx.zeroize()
 
     def key_loaded(self, ctx_index: int) -> bool:
-        return self._context(ctx_index).key is not None
+        return self._context(ctx_index).aes is not None
 
     def reset(self) -> None:
         """Device reset: clears the latch, all key material, and registers."""
@@ -401,6 +322,12 @@ class SxpEngine:
         if not 0 <= index < NUM_CONTEXTS:
             raise IndexOutOfRange(f"key context {index} outside 0..{NUM_CONTEXTS - 1}")
         return self.contexts[index]
+
+    def _keyed_context(self, index: int) -> _KeyContext:
+        ctx = self._context(index)
+        if ctx.aes is None:
+            raise self._security_exception(f"context {index} has no key", KeyNotLoaded)
+        return ctx
 
     # -- key selection ------------------------------------------------------
 
@@ -429,11 +356,14 @@ class SxpEngine:
             )
         return ctx
 
-    def _security_exception(self, reason: str) -> SecurityException:
+    def _security_exception(
+        self, reason: str, kind: type[SecurityException] = SecurityException
+    ) -> SecurityException:
+        """Latch the engine and return the ``kind`` exception to raise."""
         self.latched = True
         self.latch_reason = reason
         self._trace({"event": "security_exception", "sxp": self.name, "reason": reason})
-        return SecurityException(f"{self.name}: {reason}")
+        return kind(f"{self.name}: {reason}")
 
     def _trace(self, record: dict) -> None:
         if self.trace is not None:
@@ -481,46 +411,15 @@ class SxpEngine:
             self._trace_packet("egress", out)
             return out
 
-        ctx = self.contexts[selection]
-        if ctx.key is None:
-            raise KeyNotLoaded(f"context {selection} has no key")
-        out_blocks = []
-        view = memoryview(pkt.payload)
-        n_blocks = len(view) // BLOCK_BYTES
-        for i in range(n_blocks):
-            block = bytes(view[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES])
-            last_block = pkt.cc and i == n_blocks - 1
-            if not ctx.active:
-                if any(block[12:]):
-                    raise self._security_exception(
-                        f"context {selection}: nonzero counter area in the IV block"
-                    )
-                ctx.begin_frame(block, pkt.src_tile)
-                if self.trace is not None:
-                    self._trace(
-                        {
-                            "event": "frame_start",
-                            "sxp": self.name,
-                            "dir": "egress",
-                            "key_index": selection,
-                            "key_digest": hashlib.sha256(ctx.key).hexdigest()[:16],
-                            "iv": block[:12].hex(),
-                        }
-                    )
-                out_blocks.append(block)
-                continue
-            if ctx.owner_tile != pkt.src_tile:
-                ctx_owner = ctx.owner_tile
-                ctx._reset_frame()
-                raise FrameInterleavingViolation(
-                    f"tile {pkt.src_tile} intruded on context {selection} "
-                    f"owned by tile {ctx_owner}"
-                )
-            if last_block:
-                out_blocks.append(ctx.finish_frame())
-            else:
-                out_blocks.append(ctx.encrypt_block(block))
-        out = replace(pkt, payload=b"".join(out_blocks), key_index=selection)
+        ctx = self._keyed_context(selection)
+        if ctx.active and ctx.owner_tile != pkt.src_tile:
+            owner = ctx.owner_tile
+            ctx.end_frame()
+            raise self._security_exception(
+                f"tile {pkt.src_tile} intruded on context {selection} owned by tile {owner}",
+                FrameInterleavingViolation,
+            )
+        out = replace(pkt, payload=self._run_frame(ctx, pkt, "egress"), key_index=selection)
         self._trace_packet("egress", out)
         return out
 
@@ -537,49 +436,61 @@ class SxpEngine:
             return pkt
         if pkt.key_index is None:
             raise self._security_exception("aes completion without a key index")
-        ctx = self._context(pkt.key_index)
-        if ctx.key is None:
-            raise KeyNotLoaded(f"context {pkt.key_index} has no key")
-
-        out_blocks = []
-        view = memoryview(pkt.payload)
-        n_blocks = len(view) // BLOCK_BYTES
-        for i in range(n_blocks):
-            block = bytes(view[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES])
-            last_block = pkt.cc and i == n_blocks - 1
-            if not ctx.active:
-                if last_block:
-                    ctx._reset_frame()
-                    raise self._security_exception(
-                        f"context {pkt.key_index}: frame closed on its IV block"
-                    )
-                if any(block[12:]):
-                    raise self._security_exception(
-                        f"context {pkt.key_index}: nonzero counter area in the IV block"
-                    )
-                ctx.begin_frame(block, pkt.src_tile)
-                if self.trace is not None:
-                    self._trace(
-                        {
-                            "event": "frame_start",
-                            "sxp": self.name,
-                            "dir": "ingress",
-                            "key_index": pkt.key_index,
-                            "key_digest": hashlib.sha256(ctx.key).hexdigest()[:16],
-                            "iv": block[:12].hex(),
-                        }
-                    )
-                out_blocks.append(block)
-                continue
-            if last_block:
-                tag = ctx.finish_frame()
-                if tag != block:
-                    raise self._security_exception(
-                        f"context {pkt.key_index}: frame tag mismatch"
-                    )
-                out_blocks.append(tag)
-            else:
-                out_blocks.append(ctx.decrypt_block(block))
-        out = replace(pkt, payload=b"".join(out_blocks))
+        ctx = self._keyed_context(pkt.key_index)
+        out = replace(pkt, payload=self._run_frame(ctx, pkt, "ingress"))
         self._trace_packet("ingress", out)
         return out
+
+    # -- the frame pipeline shared by both directions --------------------------
+
+    def _run_frame(self, ctx: _KeyContext, pkt: ExchangePacket, direction: str) -> bytes:
+        """Pass one packet's blocks through the frame in flight on ``ctx``.
+
+        A packet that finds the context idle opens a frame with its first
+        block; the CC flag makes its last block the MAC slot.  Plaintext
+        leaves ingress before the frame's tag is checked, as in hardware.
+        """
+        payload = pkt.payload
+        if not payload:
+            return payload
+        head = b""
+        if not ctx.active:
+            head = self._open_frame(ctx, pkt, direction)
+            payload = payload[BLOCK_BYTES:]
+        if not pkt.cc:
+            return head + ctx.gcm.update(payload)
+        gcm = ctx.gcm
+        ctx.end_frame()
+        body = gcm.update(payload[:-BLOCK_BYTES])
+        if direction == "egress":
+            gcm.finalize()
+            return head + body + gcm.tag
+        tag = payload[-BLOCK_BYTES:]
+        try:
+            gcm.finalize_with_tag(tag)
+        except InvalidTag:
+            raise self._security_exception(f"context {ctx.index}: frame tag mismatch") from None
+        return head + body + tag
+
+    def _open_frame(self, ctx: _KeyContext, pkt: ExchangePacket, direction: str) -> bytes:
+        """Check the packet's leading IV block and open a frame with it."""
+        iv_block = pkt.payload[:BLOCK_BYTES]
+        if pkt.cc and len(pkt.payload) == BLOCK_BYTES:
+            raise self._security_exception(f"context {ctx.index}: frame closed on its IV block")
+        if any(iv_block[12:]):
+            raise self._security_exception(
+                f"context {ctx.index}: nonzero counter area in the IV block"
+            )
+        ctx.begin_frame(iv_block, pkt.src_tile, encrypt=direction == "egress")
+        if self.trace is not None:
+            self._trace(
+                {
+                    "event": "frame_start",
+                    "sxp": self.name,
+                    "dir": direction,
+                    "key_index": ctx.index,
+                    "key_gen": ctx.generation,
+                    "iv": iv_block[:12].hex(),
+                }
+            )
+        return iv_block

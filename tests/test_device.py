@@ -1,9 +1,11 @@
 """Device model: host access gates, tile programs, resets, ring buffer."""
 
+import hashlib
 import random
 
 import pytest
 
+from itx.compiler import JobDescription, compile_job
 from itx.device import (
     BOOT_RESERVED,
     ComputePhase,
@@ -21,7 +23,13 @@ from itx.device import (
     TileProgram,
     trusted_registers_digest,
 )
-from itx.errors import AccessDenied, ImageTooLarge, IndexOutOfRange, InvalidPhase
+from itx.errors import (
+    AccessDenied,
+    ImageTooLarge,
+    IndexOutOfRange,
+    InvalidPhase,
+    KeyNotLoaded,
+)
 
 
 def device() -> IpuDevice:
@@ -200,6 +208,16 @@ class TestMemoryAndReset:
         dev.scrub()
         assert all(not any(t.memory) for t in dev.tiles)
 
+    def test_tile_scrub_zeroes_memory_in_place(self):
+        tile = device().tiles[0]
+        memory = tile.memory
+        size = len(memory)
+        memory[:] = b"\xff" * size
+        tile.scrub()
+        assert tile.memory is memory
+        assert len(memory) == size
+        assert memory == bytes(size)
+
     def test_reset_scrubs_and_clears_engines(self):
         dev = device()
         dev.host_write_tile(0, 0x3000, b"leftover")
@@ -217,3 +235,25 @@ class TestMemoryAndReset:
         dev.on_reset = lambda: calls.append(True)
         dev.reset("newmanry")
         assert calls == [True]
+
+
+# ---------------------------------------------------------------------------
+# DMA datapath
+# ---------------------------------------------------------------------------
+
+
+class TestDmaPath:
+    def test_read_through_unkeyed_context_reaches_control_unit(self):
+        job = JobDescription(kind="sgd", model_party="modelco", data_parties=("alpha", "beta"))
+        manifest = compile_job(
+            job, bootloader_measurement=hashlib.sha256(b"tile bootloader").hexdigest()
+        ).manifest
+        dev = device()
+        seen = []
+        dev.on_security = seen.append
+        dev.install_boot_params(manifest, epoch=0, checkpoint_id=0)
+        dev.apply_sync_plan(manifest.boot_plan)  # registers only; no key is loaded
+        with pytest.raises(KeyNotLoaded):
+            dev.run_bootloader(0)
+        assert dev.ingress.latched
+        assert len(seen) == 1 and "no key" in seen[0]

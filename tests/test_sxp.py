@@ -1,8 +1,12 @@
 """Exchange-pipe engine: contexts, key selection, packet crypto, latching."""
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcm_oracle
 from itx import frame_codec as fc
@@ -250,6 +254,19 @@ class TestEgress:
             eng.process_egress(pkt)
 
 
+    def test_frame_closed_on_iv_block_rejected(self):
+        eng = engine()
+        eng.load_key(3, bytes(32))
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        pkt = ExchangePacket(
+            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            address=0x1000, payload=iv.iv_block(), aes=True, cc=True,
+        )
+        with pytest.raises(SecurityException):
+            eng.process_egress(pkt)
+        assert eng.latched and not eng.contexts[3].active
+
+
 # ---------------------------------------------------------------------------
 # ingress
 # ---------------------------------------------------------------------------
@@ -346,6 +363,57 @@ class TestLatching:
         assert not eng.key_loaded(3)
 
 
+    def test_intrusion_mid_frame_latches(self):
+        eng = engine()
+        eng.load_key(3, bytes(32))
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        opening = write_packets(iv.iv_block() + bytes(64) + bytes(16), 0, 0x1000)[0]
+        eng.process_egress(opening)
+        intruder = ExchangePacket(
+            PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
+            address=0x1040, payload=bytes(16), aes=True, cc=False,
+        )
+        with pytest.raises(SecurityException):
+            eng.process_egress(intruder)
+        assert eng.latched
+        assert eng.process_egress(opening) is None  # dropped while latched
+
+    def test_missing_key_latches(self):
+        eng = engine()
+        pkt = completions_for(bytes(128), 7)[0]
+        with pytest.raises(SecurityException):
+            eng.process_ingress(pkt)
+        assert eng.latched
+
+
+# ---------------------------------------------------------------------------
+# tracing
+# ---------------------------------------------------------------------------
+
+
+class TestTrace:
+    def test_records_carry_key_generation_not_key_material(self):
+        records = []
+        eng = engine(trace=records.append)
+        rng = random.Random(11)
+        keys = [bytes(rng.randrange(256) for _ in range(32)) for _ in range(3)]
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        for key in keys:
+            eng.load_key(3, key)
+            frame = egress_frame(eng, key, iv, bytes(96))
+            for pkt in completions_for(frame, 3):
+                eng.process_ingress(pkt)
+        starts = [r for r in records if r["event"] == "frame_start"]
+        assert [(r["dir"], r["key_gen"]) for r in starts] == [
+            (direction, gen) for gen in (1, 2, 3) for direction in ("egress", "ingress")
+        ]
+        text = json.dumps(records)
+        for key in keys:
+            digest = hashlib.sha256(key).hexdigest()
+            for secret in (key.hex(), digest, digest[:16]):
+                assert secret not in text
+
+
 # ---------------------------------------------------------------------------
 # pending read table
 # ---------------------------------------------------------------------------
@@ -430,3 +498,72 @@ class TestEquivalence:
             out = egress_frame(eng, key, iv, payload)
             ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
             assert out == iv.iv_block() + ct + tag
+
+
+# ---------------------------------------------------------------------------
+# frames split into packets of every size
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def split_frames(draw):
+    key = draw(st.binary(min_size=32, max_size=32))
+    iv = StreamIV(
+        StreamType.DATA,
+        stream_id=draw(st.integers(0, 0xFFFF)),
+        frame_index=draw(st.integers(0, 0xFFFFFFFF)),
+    )
+    blocks = draw(st.integers(0, 30))
+    payload = draw(st.binary(min_size=16 * blocks, max_size=16 * blocks))
+    step = draw(st.sampled_from([16, 32, 48, 64, 128, None]))  # None: whole frame
+    return key, iv, payload, step or len(payload) + 32
+
+
+class TestPacketSplits:
+    @settings(max_examples=60, deadline=None)
+    @given(split_frames())
+    def test_egress_matches_codec_and_oracle(self, case):
+        key, iv, payload, step = case
+        eng = engine()
+        eng.load_key(3, key)
+        plain = iv.iv_block() + payload + bytes(16)
+        out = b"".join(
+            eng.process_egress(pkt).payload for pkt in write_packets(plain, 0, 0x1000, step)
+        )
+        ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
+        assert out == iv.iv_block() + ct + tag
+        if payload:  # the codec seals non-empty payloads only
+            assert out == fc.encrypt_frame(key, iv, payload).to_bytes()
+        assert not eng.contexts[3].active
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_frames())
+    def test_ingress_releases_iv_plaintext_then_tag(self, case):
+        key, iv, payload, step = case
+        ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
+        eng = engine()
+        eng.load_key(3, key)
+        frame = iv.iv_block() + ct + tag
+        out = b"".join(
+            eng.process_ingress(pkt).payload for pkt in completions_for(frame, 3, step)
+        )
+        plain = gcm_oracle.gcm_decrypt(key, iv.to_bytes(), ct, tag)
+        assert out == iv.iv_block() + plain + tag
+        assert not eng.contexts[3].active
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_frames(), st.data())
+    def test_any_flipped_bit_fails_the_closing_packet(self, case, data):
+        key, iv, payload, step = case
+        ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
+        frame = bytearray(iv.iv_block() + ct + tag)
+        bit = data.draw(st.integers(16 * 8, len(frame) * 8 - 1))
+        frame[bit // 8] ^= 0x80 >> (bit % 8)
+        eng = engine()
+        eng.load_key(3, key)
+        *opening, closing = completions_for(bytes(frame), 3, step)
+        for pkt in opening:
+            eng.process_ingress(pkt)
+        with pytest.raises(SecurityException):
+            eng.process_ingress(closing)
+        assert eng.latched
