@@ -11,9 +11,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from . import crypto
-from .encoding import canonical_bytes, digest_hex
-from .errors import KeyExchangeFailure
+from .certs import Signed
+from .encoding import canonical_bytes, decode, digest_hex
+from .errors import InvalidEncoding, KeyExchangeFailure
 
 
 def run_attributes_digest(
@@ -38,7 +38,7 @@ def run_attributes_digest(
 
 
 @dataclass(frozen=True)
-class AttestationReport:
+class AttestationReport(Signed):
     """Signed evidence of what the root of trust is about to run.
 
     The report carries the attribute values themselves (keyshare, counters,
@@ -57,45 +57,6 @@ class AttestationReport:
     run_attributes_digest: str
     signature: bytes = b""
 
-    def body(self) -> dict[str, Any]:
-        return {
-            "register_measurement": self.register_measurement,
-            "bootloader_measurement": self.bootloader_measurement,
-            "manifest_measurement": self.manifest_measurement,
-            "ccu_keyshare": self.ccu_keyshare,
-            "epoch": self.epoch,
-            "checkpoint_id": self.checkpoint_id,
-            "party_fingerprints": list(self.party_fingerprints),
-            "stream_assignment": self.stream_assignment,
-            "run_attributes_digest": self.run_attributes_digest,
-        }
-
-    def body_bytes(self) -> bytes:
-        return canonical_bytes(self.body())
-
-    def verify(self, ak_public: bytes) -> bool:
-        return crypto.verify(ak_public, self.signature, self.body_bytes())
-
-    def to_dict(self) -> dict[str, Any]:
-        d = self.body()
-        d["signature"] = self.signature
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "AttestationReport":
-        return cls(
-            register_measurement=d["register_measurement"],
-            bootloader_measurement=d["bootloader_measurement"],
-            manifest_measurement=d["manifest_measurement"],
-            ccu_keyshare=bytes.fromhex(d["ccu_keyshare"]),
-            epoch=d["epoch"],
-            checkpoint_id=d["checkpoint_id"],
-            party_fingerprints=tuple(d["party_fingerprints"]),
-            stream_assignment=d["stream_assignment"],
-            run_attributes_digest=d["run_attributes_digest"],
-            signature=bytes.fromhex(d["signature"]),
-        )
-
 
 @dataclass(frozen=True)
 class KeyPackage:
@@ -110,26 +71,13 @@ class KeyPackage:
     prior_run_nonce: Optional[bytes] = None
 
     def to_bytes(self) -> bytes:
-        return canonical_bytes(
-            {
-                "stream_keys": {str(sid): key for sid, key in self.stream_keys.items()},
-                "run_nonce": self.run_nonce,
-                "prior_run_nonce": self.prior_run_nonce,
-            }
-        )
+        return canonical_bytes(self)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "KeyPackage":
         try:
-            d = json.loads(blob.decode("ascii"))
-            return cls(
-                stream_keys={int(sid): bytes.fromhex(k) for sid, k in d["stream_keys"].items()},
-                run_nonce=bytes.fromhex(d["run_nonce"]),
-                prior_run_nonce=(
-                    None if d["prior_run_nonce"] is None else bytes.fromhex(d["prior_run_nonce"])
-                ),
-            )
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            return decode(cls, json.loads(blob.decode("ascii")))
+        except (ValueError, RecursionError, InvalidEncoding) as exc:
             raise KeyExchangeFailure(f"malformed key package: {exc}") from None
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import crypto
@@ -336,7 +336,7 @@ class Ccu:
         attrs = run_attributes_digest(
             y_public, epoch, checkpoint_id, fingerprints, manifest.stream_assignment
         )
-        unsigned = AttestationReport(
+        report = AttestationReport(
             register_measurement=register_measurement,
             bootloader_measurement=self.measurements["tile_bootloader"],
             manifest_measurement=manifest.measurement(),
@@ -346,8 +346,7 @@ class Ccu:
             party_fingerprints=fingerprints,
             stream_assignment=manifest.stream_assignment,
             run_attributes_digest=attrs,
-        )
-        report = replace(unsigned, signature=crypto.sign(self._ak_private, unsigned.body_bytes()))
+        ).signed(self._ak_private)
 
         self.tee = TeeState(
             phase=INITIALIZED,

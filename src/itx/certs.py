@@ -8,52 +8,50 @@ stable for identical inputs.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import crypto
-from .encoding import canonical_bytes, digest_hex
+from .encoding import Record, canonical_bytes, digest_hex
 
 
-@dataclass(frozen=True)
-class Certificate:
-    subject_public_key: bytes
-    issuer_id: str
-    extensions: dict[str, Any] = field(default_factory=dict)
-    signature: bytes = b""
+S = TypeVar("S", bound="Signed")
+
+
+class Signed(Record):
+    """A record whose ``signature`` field signs the canonical encoding of
+    every other field (its body)."""
+
+    signature: bytes
 
     def body(self) -> dict[str, Any]:
         return {
-            "subject_public_key": self.subject_public_key,
-            "issuer_id": self.issuer_id,
-            "extensions": self.extensions,
+            f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "signature"
         }
 
     def body_bytes(self) -> bytes:
         return canonical_bytes(self.body())
 
-    def verify(self, issuer_public: bytes) -> bool:
-        return crypto.verify(issuer_public, self.signature, self.body_bytes())
+    def signed(self: S, private: Ed25519PrivateKey) -> S:
+        return dataclasses.replace(self, signature=crypto.sign(private, self.body_bytes()))
+
+    def verify(self, public: bytes) -> bool:
+        return crypto.verify(public, self.signature, self.body_bytes())
+
+
+@dataclass(frozen=True)
+class Certificate(Signed):
+    subject_public_key: bytes
+    issuer_id: str
+    extensions: dict[str, Any] = field(default_factory=dict)
+    signature: bytes = b""
 
     @property
     def fingerprint(self) -> str:
-        return digest_hex(canonical_bytes(self.to_dict()))
-
-    def to_dict(self) -> dict[str, Any]:
-        d = self.body()
-        d["signature"] = self.signature
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Certificate":
-        return cls(
-            subject_public_key=bytes.fromhex(d["subject_public_key"]),
-            issuer_id=d["issuer_id"],
-            extensions=d["extensions"],
-            signature=bytes.fromhex(d["signature"]),
-        )
+        return digest_hex(canonical_bytes(self))
 
 
 def issue(
@@ -62,13 +60,7 @@ def issue(
     issuer_private: Ed25519PrivateKey,
     extensions: dict[str, Any] | None = None,
 ) -> Certificate:
-    cert = Certificate(subject_public_key, issuer_id, dict(extensions or {}))
-    return Certificate(
-        cert.subject_public_key,
-        cert.issuer_id,
-        cert.extensions,
-        crypto.sign(issuer_private, cert.body_bytes()),
-    )
+    return Certificate(subject_public_key, issuer_id, dict(extensions or {})).signed(issuer_private)
 
 
 def self_signed(private: Ed25519PrivateKey, subject_id: str, extensions: dict[str, Any] | None = None) -> Certificate:

@@ -20,6 +20,7 @@ internal-exchange moves at the next barrier instead of shared contexts.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -601,20 +602,6 @@ def _sum_moves(w: int, n: int, n_ebcs: int, ints: int) -> tuple:
 
 def _finalize(compiled: CompiledJob, ipu_id: int) -> JobManifest:
     """Fill in the binary hash chain and run the manifest validator."""
-    m = compiled.manifest
-    manifest = JobManifest(
-        ipu_id=m.ipu_id,
-        binary_hashes={ipu_id: compiled.binary_hash_chain()},
-        bootloader_measurement=m.bootloader_measurement,
-        stream_table=m.stream_table,
-        tile_layouts=m.tile_layouts,
-        boot_plan=m.boot_plan,
-        sync_plans=m.sync_plans,
-        checkpoint_plan=m.checkpoint_plan,
-        restore_plan=m.restore_plan,
-        stream_assignment=m.stream_assignment,
-        device_config=m.device_config,
-        metadata_base=m.metadata_base,
-        metadata_slot=m.metadata_slot,
-    )
-    return manifest.validate()
+    return dataclasses.replace(
+        compiled.manifest, binary_hashes={ipu_id: compiled.binary_hash_chain()}
+    ).validate()

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .encoding import Record
 from .errors import (
     AccessDenied,
     ImageTooLarge,
@@ -69,27 +70,13 @@ def trusted_registers_digest() -> str:
 
 
 @dataclass(frozen=True)
-class DeviceConfig:
+class DeviceConfig(Record):
     tile_count: int = 16
     tile_memory: int = TILE_MEMORY
     sxp_lanes: int = 2  # one ingress + one egress pipe pair modeled
     tiles_per_exchange_context: int = 4
     ring_buffer_size: int = 1 << 20
     packet_payload: int = 64
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "tile_count": self.tile_count,
-            "tile_memory": self.tile_memory,
-            "sxp_lanes": self.sxp_lanes,
-            "tiles_per_exchange_context": self.tiles_per_exchange_context,
-            "ring_buffer_size": self.ring_buffer_size,
-            "packet_payload": self.packet_payload,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "DeviceConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +317,8 @@ class IpuDevice:
         self.manifest: Optional[JobManifest] = None
         self.stream_meta: dict[int, _StreamMeta] = {}
         self.windows: dict[int, int] = {}
+        # The clear reference run changes only read_stream_frame and
+        # write_stream_frame; it never boots, checkpoints or restores.
         self.clear_mode = False
         self.clear_sources: dict[int, bytes] = {}
         self.clear_sinks: dict[int, bytearray] = {}
@@ -621,18 +610,12 @@ class IpuDevice:
             raise self._security("no code stream in the installed job")
         blob = bytearray()
         for f in range(tile.code_frames):
-            if self.clear_mode:
-                payload = self._clear_frame(meta, (tile.code_offset // meta.frame_size) + f)
-            else:
-                address = meta.region_base + tile.code_offset + f * meta.frame_size
-                raw = self._dma_read(tile_id, address, meta.frame_size, aes=True)
-                expected = StreamIV(
-                    StreamType.CODE, ipu_id=self.ipu_id, tile_id=tile_id, frame_index=f
-                )
-                if raw[:IV_BYTES] != expected.to_bytes():
-                    raise self._security(f"tile {tile_id}: bootloader frame {f} has wrong IV")
-                payload = raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
-            blob += payload
+            address = meta.region_base + tile.code_offset + f * meta.frame_size
+            raw = self._dma_read(tile_id, address, meta.frame_size, aes=True)
+            expected = StreamIV(StreamType.CODE, ipu_id=self.ipu_id, tile_id=tile_id, frame_index=f)
+            if raw[:IV_BYTES] != expected.to_bytes():
+                raise self._security(f"tile {tile_id}: bootloader frame {f} has wrong IV")
+            blob += raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
         binary = bytes(blob[: tile.binary_length])
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
         tile.program = TileProgram.unpack(binary)
@@ -772,30 +755,21 @@ class IpuDevice:
             base = meta.region_base + tile.tile_id * slot * meta.frame_size
             for f in range(frames):
                 chunk = payload[f * size : (f + 1) * size]
-                address = base + f * meta.frame_size
-                if self.clear_mode:
-                    self.ring_buffer.write(
-                        address, b"\x00" * IV_BLOCK_BYTES + chunk + b"\x00" * TAG_BYTES
-                    )
-                else:
-                    iv = StreamIV(
-                        StreamType.CHECKPOINT,
-                        ipu_id=self.ipu_id,
-                        tile_id=tile.tile_id,
-                        epoch=tile.epoch,
-                        checkpoint_id=tile.checkpoint_id,
-                        frame_index=f,
-                    )
-                    frame = iv.iv_block() + chunk + b"\x00" * TAG_BYTES
-                    self._dma_write(tile.tile_id, address, frame, aes=True)
+                iv = StreamIV(
+                    StreamType.CHECKPOINT,
+                    ipu_id=self.ipu_id,
+                    tile_id=tile.tile_id,
+                    epoch=tile.epoch,
+                    checkpoint_id=tile.checkpoint_id,
+                    frame_index=f,
+                )
+                frame = iv.iv_block() + chunk + b"\x00" * TAG_BYTES
+                self._dma_write(tile.tile_id, base + f * meta.frame_size, frame, aes=True)
             record = pack_checkpoint_metadata(
                 tile.epoch, tile.checkpoint_id, tile.pc, tile.cursors
             )
             slot_addr = manifest.metadata_base + tile.tile_id * manifest.metadata_slot
-            if self.clear_mode:
-                self.ring_buffer.write(slot_addr, record)
-            else:
-                self._dma_write(tile.tile_id, slot_addr, record, aes=False)
+            self._dma_write(tile.tile_id, slot_addr, record, aes=False)
             tile.checkpoint_id += 1
         self._trace({"event": "checkpoint_save", "epoch": self.tiles[0].epoch})
 
@@ -811,10 +785,6 @@ class IpuDevice:
             payload = bytearray()
             for f in range(frames):
                 address = base + f * meta.frame_size
-                if self.clear_mode:
-                    raw = self.ring_buffer.read(address, meta.frame_size)
-                    payload += raw[IV_BLOCK_BYTES : meta.frame_size - TAG_BYTES]
-                    continue
                 raw = self._dma_read(tile.tile_id, address, meta.frame_size, aes=True)
                 expected = StreamIV(
                     StreamType.CHECKPOINT,

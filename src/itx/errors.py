@@ -12,6 +12,10 @@ class ItxError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidEncoding(ItxError):
+    """Serialized record data does not decode to the expected type."""
+
+
 # ---------------------------------------------------------------------------
 # frame codec
 # ---------------------------------------------------------------------------

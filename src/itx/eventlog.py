@@ -4,7 +4,7 @@ Every orchestration step lands here as one line with a fixed shape:
 
     0007 verdict party=alpha accepted=True reason=ok
 
-so a log can be replayed, grepped, or diffed.  The log is the audit record
+so a log can be grepped or diffed.  The log is the audit record
 the tests and the CLI lean on: key releases must appear after the verdict
 that authorized them, and every abort names its cause.
 """
@@ -49,28 +49,8 @@ class EventLog:
     def of_kind(self, kind: str) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
 
-    def first_index(self, kind: str, **match) -> int:
-        """Index of the first event of ``kind`` whose fields cover ``match``;
-        -1 when absent."""
-        for e in self.events:
-            if e.kind == kind and all(e.get(k) == str(v) for k, v in match.items()):
-                return e.seq
-        return -1
-
     def lines(self) -> list[str]:
         return [e.line() for e in self.events]
 
     def dump(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.events else "")
-
-    @classmethod
-    def parse(cls, text: str) -> "EventLog":
-        log = cls()
-        for raw in text.splitlines():
-            if not raw.strip():
-                continue
-            tokens = shlex.split(raw)
-            seq, kind, rest = int(tokens[0]), tokens[1], tokens[2:]
-            fields = tuple(tuple(t.split("=", 1)) for t in rest)
-            log.events.append(Event(seq=seq, kind=kind, fields=fields))  # type: ignore[arg-type]
-        return log

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .encoding import canonical_bytes, digest_hex
+from .encoding import Record, canonical_bytes, digest_hex
 from .errors import InvalidRegisterProgram
 from .frame_codec import FRAME_ALIGN, MAX_FRAME_BYTES
 from .sxp import NUM_CONTEXTS, NUM_REGIONS, AddressRegion, SxpRegisters
@@ -35,7 +35,7 @@ DIR_OUT = "out"
 
 
 @dataclass(frozen=True)
-class StreamTableEntry:
+class StreamTableEntry(Record):
     stream_id: int
     party: str  # empty for streams keyed by the control unit itself
     direction: str
@@ -44,24 +44,9 @@ class StreamTableEntry:
     frame_total_size: int
     region_base: int  # base tile-PCI address of the stream's buffer region
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stream_id": self.stream_id,
-            "party": self.party,
-            "direction": self.direction,
-            "kind": self.kind,
-            "plaintext_length": self.plaintext_length,
-            "frame_total_size": self.frame_total_size,
-            "region_base": self.region_base,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "StreamTableEntry":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class BindingSpec:
+class BindingSpec(Record):
     """How one tile walks one stream: global index of the k-th access is
     start_index + (k // block_len) * stride + (k % block_len)."""
 
@@ -75,23 +60,9 @@ class BindingSpec:
     def frame_index(self, k: int) -> int:
         return self.start_index + (k // self.block_len) * self.stride + (k % self.block_len)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stream_id": self.stream_id,
-            "buf_off": self.buf_off,
-            "start_index": self.start_index,
-            "stride": self.stride,
-            "block_len": self.block_len,
-            "total_frames": self.total_frames,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "BindingSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class TileLayout:
+class TileLayout(Record):
     tile_id: int
     code_offset: int  # byte offset of this tile's frames inside the code region
     code_frames: int
@@ -100,32 +71,9 @@ class TileLayout:
     ckpt_buf_off: int = 0  # tile-memory range covered by checkpoints
     ckpt_len: int = 0
 
-    def binding(self, stream_id: int) -> BindingSpec:
-        for b in self.bindings:
-            if b.stream_id == stream_id:
-                return b
-        raise KeyError(f"tile {self.tile_id} has no binding for stream {stream_id}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tile_id": self.tile_id,
-            "code_offset": self.code_offset,
-            "code_frames": self.code_frames,
-            "binary_length": self.binary_length,
-            "bindings": [b.to_dict() for b in self.bindings],
-            "ckpt_buf_off": self.ckpt_buf_off,
-            "ckpt_len": self.ckpt_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TileLayout":
-        d = dict(d)
-        d["bindings"] = tuple(BindingSpec.from_dict(b) for b in d["bindings"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class SyncPlan:
+class SyncPlan(Record):
     """Register state and host actions for one synchronization point.
 
     ``frame_serial`` marks phases whose encrypted traffic is issued strictly
@@ -155,44 +103,9 @@ class SyncPlan:
             kphysmap=dict(self.kphysmap),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sync_id": self.sync_id,
-            "regions": {str(k): list(v) for k, v in sorted(self.regions.items())},
-            "stream_regions": {str(k): v for k, v in sorted(self.stream_regions.items())},
-            "stream_offsets": {str(k): v for k, v in sorted(self.stream_offsets.items())},
-            "fills": list(self.fills),
-            "ctxmap": {str(k): v for k, v in sorted(self.ctxmap.items())},
-            "kphysmap": {str(k): v for k, v in sorted(self.kphysmap.items())},
-            "ingress_loads": [list(x) for x in self.ingress_loads],
-            "egress_loads": [list(x) for x in self.egress_loads],
-            "invalidate": list(self.invalidate),
-            "checkpoint": self.checkpoint,
-            "moves": [list(m) for m in self.moves],
-            "frame_serial": self.frame_serial,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SyncPlan":
-        return cls(
-            sync_id=d["sync_id"],
-            regions={int(k): tuple(v) for k, v in d["regions"].items()},
-            stream_regions={int(k): v for k, v in d["stream_regions"].items()},
-            stream_offsets={int(k): v for k, v in d["stream_offsets"].items()},
-            fills=tuple(d["fills"]),
-            ctxmap={int(k): v for k, v in d["ctxmap"].items()},
-            kphysmap={int(k): v for k, v in d["kphysmap"].items()},
-            ingress_loads=tuple(tuple(x) for x in d["ingress_loads"]),
-            egress_loads=tuple(tuple(x) for x in d["egress_loads"]),
-            invalidate=tuple(d["invalidate"]),
-            checkpoint=d["checkpoint"],
-            moves=tuple(tuple(m) for m in d["moves"]),
-            frame_serial=d["frame_serial"],
-        )
-
 
 @dataclass(frozen=True)
-class JobManifest:
+class JobManifest(Record):
     ipu_id: int
     binary_hashes: dict[int, str]  # per device: hex digest of the chained tile binaries
     bootloader_measurement: str
@@ -207,51 +120,8 @@ class JobManifest:
     metadata_base: int  # cleartext address of per-tile checkpoint metadata
     metadata_slot: int = 256  # bytes reserved per tile for plaintext metadata
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ipu_id": self.ipu_id,
-            "binary_hashes": {str(k): v for k, v in sorted(self.binary_hashes.items())},
-            "bootloader_measurement": self.bootloader_measurement,
-            "stream_table": {str(k): v.to_dict() for k, v in sorted(self.stream_table.items())},
-            "tile_layouts": [t.to_dict() for t in self.tile_layouts],
-            "boot_plan": self.boot_plan.to_dict(),
-            "sync_plans": [p.to_dict() for p in self.sync_plans],
-            "checkpoint_plan": (
-                None if self.checkpoint_plan is None else self.checkpoint_plan.to_dict()
-            ),
-            "restore_plan": None if self.restore_plan is None else self.restore_plan.to_dict(),
-            "stream_assignment": self.stream_assignment,
-            "device_config": dict(sorted(self.device_config.items())),
-            "metadata_base": self.metadata_base,
-            "metadata_slot": self.metadata_slot,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "JobManifest":
-        return cls(
-            ipu_id=d["ipu_id"],
-            binary_hashes={int(k): v for k, v in d["binary_hashes"].items()},
-            bootloader_measurement=d["bootloader_measurement"],
-            stream_table={
-                int(k): StreamTableEntry.from_dict(v) for k, v in d["stream_table"].items()
-            },
-            tile_layouts=tuple(TileLayout.from_dict(t) for t in d["tile_layouts"]),
-            boot_plan=SyncPlan.from_dict(d["boot_plan"]),
-            sync_plans=tuple(SyncPlan.from_dict(p) for p in d["sync_plans"]),
-            checkpoint_plan=(
-                None if d["checkpoint_plan"] is None else SyncPlan.from_dict(d["checkpoint_plan"])
-            ),
-            restore_plan=(
-                None if d["restore_plan"] is None else SyncPlan.from_dict(d["restore_plan"])
-            ),
-            stream_assignment=d["stream_assignment"],
-            device_config=d["device_config"],
-            metadata_base=d["metadata_base"],
-            metadata_slot=d.get("metadata_slot", 256),
-        )
-
     def canonical(self) -> bytes:
-        return canonical_bytes(self.to_dict())
+        return canonical_bytes(self)
 
     def measurement(self) -> str:
         return digest_hex(self.canonical())
@@ -267,9 +137,6 @@ class JobManifest:
             if p.sync_id == sync_id:
                 return p
         return None
-
-    def streams_of_kind(self, kind: str) -> list[StreamTableEntry]:
-        return [e for e in self.stream_table.values() if e.kind == kind]
 
     # -- validation ----------------------------------------------------------
 

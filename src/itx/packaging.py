@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import crypto
 from .certs import Certificate
-from .encoding import jsonable
 from .errors import InvalidFrame, KeyExchangeFailure
 from .frame_codec import (
     Frame,
@@ -267,7 +266,7 @@ def save_package(package: StreamPackage, manifest: JobManifest, path: str | Path
             stream_files[str(sid)] = {"kind": entry.kind, "file": name}
     meta = {
         "party": package.party,
-        "certificate": jsonable(package.certificate.to_dict()),
+        "certificate": package.certificate.to_dict(),
         "keyshare": package.keyshare.hex(),
         "share_signature": package.share_signature.hex(),
         "manifest_measurement": package.manifest_measurement,

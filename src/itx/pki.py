@@ -21,9 +21,9 @@ from typing import Any, Optional
 
 from . import crypto
 from .attestation import AttestationReport, KeyPackage, Verdict, run_attributes_digest
-from .certs import Certificate, issue, self_signed
+from .certs import Certificate, Signed, issue, self_signed
 from .ccu import SignedImage
-from .encoding import canonical_bytes, digest_hex, jsonable
+from .encoding import canonical_bytes, digest_hex
 from .errors import InvalidShare, PartyAuthFailure, SupplyChainReject
 
 COMPONENT_BOOTLOADER = "secondary_bootloader"
@@ -36,40 +36,11 @@ COMPONENT_ICU = "icu_firmware"
 
 
 @dataclass(frozen=True)
-class TcbUpdateCertificate:
+class TcbUpdateCertificate(Signed):
     component: str
     old_measurement: str  # "genesis" for the initially provisioned version
     new_measurement: str
     signature: bytes = b""
-
-    def body_bytes(self) -> bytes:
-        return canonical_bytes(
-            {
-                "component": self.component,
-                "old_measurement": self.old_measurement,
-                "new_measurement": self.new_measurement,
-            }
-        )
-
-    def verify(self, firmware_ca_public: bytes) -> bool:
-        return crypto.verify(firmware_ca_public, self.signature, self.body_bytes())
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "component": self.component,
-            "old_measurement": self.old_measurement,
-            "new_measurement": self.new_measurement,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TcbUpdateCertificate":
-        return cls(
-            component=d["component"],
-            old_measurement=d["old_measurement"],
-            new_measurement=d["new_measurement"],
-            signature=bytes.fromhex(d["signature"]) if isinstance(d["signature"], str) else d["signature"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +141,8 @@ class CaState:
         new_measurement: str,
         revoke_old: bool = False,
     ) -> TcbUpdateCertificate:
-        body = TcbUpdateCertificate(component, old_measurement, new_measurement)
-        cert = TcbUpdateCertificate(
-            component,
-            old_measurement,
-            new_measurement,
-            crypto.sign(self.firmware_ca, body.body_bytes()),
+        cert = TcbUpdateCertificate(component, old_measurement, new_measurement).signed(
+            self.firmware_ca
         )
         if revoke_old and old_measurement != "genesis":
             self.revoked_tcb.add((component, old_measurement))
@@ -340,7 +307,7 @@ class PartyIdentity:
         return {
             "name": self.name,
             "signing_seed": crypto.private_bytes(self._signing).hex(),
-            "certificate": jsonable(self.certificate.to_dict()),
+            "certificate": self.certificate.to_dict(),
         }
 
     @classmethod

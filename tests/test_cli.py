@@ -1,0 +1,68 @@
+"""The offline CLI workflow end to end: compile, package, run, verify, and
+recover the model, on a 2-step SGD job."""
+
+import json
+import random
+import struct
+
+from itx.cli import EXIT_OK, EXIT_REJECTED, main
+from itx.manifest import JobManifest
+from itx.runtime import run_clear_reference
+
+STEPS = 2
+MODEL_INTS = 192
+
+
+def ints(rng: random.Random, count: int, lo: int, hi: int) -> bytes:
+    return struct.pack(f"<{count}i", *(rng.randint(lo, hi) for _ in range(count)))
+
+
+def test_sgd_job_from_compile_to_model(tmp_path, capsys):
+    rng = random.Random(5)
+    plaintexts = {
+        2: ints(rng, MODEL_INTS, -9999, 9999),
+        3: ints(rng, STEPS * MODEL_INTS, -500, 500),
+        4: ints(rng, STEPS * MODEL_INTS, -500, 500),
+    }
+    for sid, blob in plaintexts.items():
+        (tmp_path / f"s{sid}.bin").write_bytes(blob)
+    job = {"kind": "sgd", "model_party": "modelco", "data_parties": ["alpha", "beta"],
+           "steps": STEPS}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    build, run = tmp_path / "build", tmp_path / "run"
+
+    assert main(["compile", "--job", str(tmp_path / "job.json"), "--out", str(build)]) == EXIT_OK
+    for command, party, sid in (
+        ("package-model", "modelco", 2),
+        ("package-data", "alpha", 3),
+        ("package-data", "beta", 4),
+    ):
+        assert main([
+            command, "--build", str(build), "--party", party,
+            "--data", f"{sid}={tmp_path / f's{sid}.bin'}",
+            "--package", str(tmp_path / f"pkg-{party}"),
+            "--clean-room", str(tmp_path / f"room-{party}"),
+        ]) == EXIT_OK
+    run_args = ["run", "--build", str(build), "--out", str(run)]
+    for party in ("modelco", "alpha", "beta"):
+        run_args += ["--package", str(tmp_path / f"pkg-{party}"),
+                     "--clean-room", str(tmp_path / f"room-{party}")]
+    assert main(run_args) == EXIT_OK
+    assert main(["verify", "--run", str(run)]) == EXIT_OK
+    model = tmp_path / "model.bin"
+    assert main(["decrypt-model", "--run", str(run), "--out", str(model)]) == EXIT_OK
+
+    compiled_measurement = next(
+        line.split()[-1] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("manifest measurement")
+    )
+    manifest = JobManifest.from_dict(json.loads((build / "manifest.json").read_text()))
+    assert manifest.measurement() == compiled_measurement
+    binaries = {int(f.stem[1:]): f.read_bytes() for f in (build / "binaries").glob("t*.bin")}
+    expected = run_clear_reference(manifest, binaries, plaintexts)
+    assert model.read_bytes() == expected
+
+    report = json.loads((run / "report.json").read_text())
+    del report["epoch"]
+    (run / "report.json").write_text(json.dumps(report))
+    assert main(["verify", "--run", str(run)]) == EXIT_REJECTED

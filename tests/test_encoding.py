@@ -1,0 +1,121 @@
+"""Golden canonical encodings.
+
+Manifest measurements, signed report and certificate bodies, fingerprints and
+key packages are bytes that the root of trust and every relying party must
+compute identically.  These digests pin them, so a change to how records are
+serialized cannot silently move a measurement.
+"""
+
+import hashlib
+
+import pytest
+
+from itx.attestation import AttestationReport, KeyPackage
+from itx.certs import Certificate
+from itx.device import DeviceConfig
+from itx.pki import COMPONENT_BOOTLOADER, TcbUpdateCertificate
+from itx.sandbox import make_sgd_fixture, make_sum_fixture
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+REPORT = AttestationReport(
+    register_measurement="11" * 32,
+    bootloader_measurement="22" * 32,
+    manifest_measurement="33" * 32,
+    ccu_keyshare=bytes(range(32)),
+    epoch=1,
+    checkpoint_id=2,
+    party_fingerprints=("44" * 32, "55" * 32),
+    stream_assignment={"inputs": {"2": "modelco", "3": "alpha"}, "model_receivers": ["modelco"]},
+    run_attributes_digest="66" * 32,
+    signature=b"\x77" * 64,
+)
+
+CERT = Certificate(
+    subject_public_key=bytes(range(32, 64)),
+    issuer_id="ca-cik",
+    extensions={"role": "party", "name": "alpha", "serial": 7},
+    signature=b"\x88" * 64,
+)
+
+TCB = TcbUpdateCertificate(COMPONENT_BOOTLOADER, "genesis", "99" * 32, b"\xaa" * 64)
+
+
+class TestManifestMeasurements:
+    def test_sgd_fixture(self):
+        manifest = make_sgd_fixture().compiled.manifest
+        assert manifest.measurement() == (
+            "1018b252d6d8e2de0ffb8d62cce50d10e15ca995e9a6c696e90cfca3c6775991"
+        )
+
+    def test_sum_fixture(self):
+        manifest = make_sum_fixture().compiled.manifest
+        assert manifest.measurement() == (
+            "cb23263d4bdb270ce5877957a929f2cee771b52ad80aa802da4b8c5dfe44ef8c"
+        )
+
+    def test_long_sgd_job(self):
+        manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
+        assert manifest.measurement() == (
+            "eb1a9c069c00d041e90f36c60a135317732b8082009fa1b4112c1c1938f0dc33"
+        )
+
+
+class TestSignedBodies:
+    def test_attestation_report(self):
+        assert sha(REPORT.body_bytes()) == (
+            "fa41ad0113a6c254291c491f40842bf5789150e0a635364e93f66e88db0ec438"
+        )
+
+    def test_certificate(self):
+        assert sha(CERT.body_bytes()) == (
+            "119022df5ed4d2e5851e5e03371e8dcf20012df042979c2dcb0587d945c5aa91"
+        )
+        assert CERT.fingerprint == (
+            "79097d1ef27ba7c224c7a152b6555b5cd28b5d6db9da027d64da3b5554fc6dab"
+        )
+
+    def test_tcb_update_certificate(self):
+        assert sha(TCB.body_bytes()) == (
+            "a978d328d5f60b1c8f7b56e7ba4d22d24d5539a7121d40189c7829e114c3a379"
+        )
+
+
+class TestKeyPackage:
+    @pytest.mark.parametrize(
+        "package, want",
+        [
+            (
+                KeyPackage({3: b"\x01" * 16, 10: b"\x02" * 16}, b"\x03" * 32),
+                "390870b8b572984cc8f12228e86e324f98203febf9d47d634a3472dc73e3c555",
+            ),
+            (
+                KeyPackage({2: b"\x04" * 16}, b"\x05" * 32, prior_run_nonce=b"\x06" * 32),
+                "0359e98432c5699e7d5f5c9abaae7e51fd927bf2732a756926c20ccf51e6effd",
+            ),
+        ],
+        ids=["fresh", "resume"],
+    )
+    def test_to_bytes(self, package, want):
+        assert sha(package.to_bytes()) == want
+
+    def test_layout(self):
+        package = KeyPackage({3: b"\x01" * 16, 10: b"\x02" * 16}, b"\x03" * 32)
+        assert package.to_bytes() == (
+            b'{"prior_run_nonce":null,"run_nonce":"' + b"03" * 32 + b'",'
+            b'"stream_keys":{"10":"' + b"02" * 16 + b'","3":"' + b"01" * 16 + b'"}}'
+        )
+
+
+def test_device_config_dict():
+    assert DeviceConfig().to_dict() == {
+        "tile_count": 16,
+        "tile_memory": 65536,
+        "sxp_lanes": 2,
+        "tiles_per_exchange_context": 4,
+        "ring_buffer_size": 1048576,
+        "packet_payload": 64,
+    }

@@ -530,14 +530,6 @@ class TestTcbUpdate:
         verdict = stale.verdict()
         assert not verdict.accepted and verdict.reason == REJECT_TCB_BOOTLOADER
 
-    def test_update_certificate_round_trips(self):
-        ca = CaState()
-        cert = ca.ca_issue_tcb_update(COMPONENT_BOOTLOADER, "a" * 64, "b" * 64)
-        clone = TcbUpdateCertificate.from_dict(cert.to_dict())
-        assert clone == cert
-        assert clone.verify(ca.public()["firmware_ca"])
-        assert not clone.verify(crypto.public_bytes(crypto.ed25519_generate()))
-
 
 # ---------------------------------------------------------------------------
 # supply-chain provisioning
