@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -35,7 +34,7 @@ from .errors import (
     PartyAuthFailure,
     SecurityException,
 )
-from .manifest import CHECKPOINT, CODE, DIR_IN, JobManifest, OUTPUT, SyncPlan
+from .manifest import CHECKPOINT, DIR_IN, JobManifest, OUTPUT, SyncPlan
 
 # TEE phases
 NO_TEE = "no_tee"
@@ -389,6 +388,10 @@ class Ccu:
                 raise
             except Exception as exc:  # noqa: BLE001 - unwrap failures vary
                 raise KeyExchangeFailure(f"party {party}: unwrap failed: {exc}") from None
+            for sid in package.stream_keys:
+                entry = manifest.stream_table.get(sid)
+                if entry is None or entry.direction != DIR_IN or entry.party != party:
+                    raise KeyExchangeFailure(f"party {party} sent a key for stream {sid}, not its input")
             nonces[cert.fingerprint] = package.run_nonce
             if package.prior_run_nonce is not None:
                 prior_nonces[cert.fingerprint] = package.prior_run_nonce
@@ -408,7 +411,8 @@ class Ccu:
             self.tee.k_load = crypto.derive_checkpoint_key(crypto.combine_nonces(prior_nonces))
 
         # Bootstrap: deploy the tile bootloader, install the job, key the
-        # code contexts, and pull every binary through the secure path.
+        # code contexts, and pull every binary through the secure path.  Keys
+        # land from here on, so any failure must end the TEE before it escapes.
         device.autoload(self.firmware.tile_bootloader)
         device.install_boot_params(manifest, self.tee.epoch, self.tee.checkpoint_id)
         try:
@@ -421,7 +425,7 @@ class Ccu:
             plan0 = manifest.plan(0)
             if plan0 is not None:
                 self._apply_plan(plan0)
-        except SecurityException:
+        except Exception:
             if self.tee.phase != TERMINATED:
                 self.tee_terminate("launch failed")
             raise

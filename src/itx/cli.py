@@ -35,10 +35,9 @@ from .certs import Certificate
 from .compiler import JobDescription, compile_job
 from .device import DeviceConfig
 from .encoding import jsonable
-from .errors import ItxError
-from .eventlog import EventLog
-from .frame_codec import Frame, StreamIV, StreamType, decode_stream_file, encode_stream_file
-from .manifest import CODE, JobManifest, OUTPUT
+from .errors import InvalidEncoding, ItxError
+from .frame_codec import StreamIV, StreamType, decode_stream_file, encode_stream_file
+from .manifest import JobManifest, OUTPUT
 from .packaging import (
     load_clean_room,
     load_package,
@@ -310,11 +309,16 @@ def cmd_run(args) -> int:
 def _verify_files(report_path, chain_path, ca_path, tcb_path, expected_path) -> int:
     report = AttestationReport.from_dict(_read_json(report_path))
     chain = _load_chain(_read_json(chain_path))
-    ca = _load_ca(_read_json(ca_path))
     tcb = _load_tcb(_read_json(tcb_path))
-    expected = _read_json(expected_path)
-    expected["party_fingerprints"] = tuple(expected["party_fingerprints"])
-    verdict = verify_attestation(report, chain, ca, tcb, expected)
+    # The CA keys and the expected values are plain dicts, not records: a
+    # missing field or bad hex in either is malformed evidence.
+    try:
+        ca = _load_ca(_read_json(ca_path))
+        expected = _read_json(expected_path)
+        expected["party_fingerprints"] = tuple(expected["party_fingerprints"])
+        verdict = verify_attestation(report, chain, ca, tcb, expected)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidEncoding(f"CA keys or expected values: {exc!r}") from None
     if verdict.accepted:
         print("Accept: evidence matches expectations")
         return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .encoding import Record
@@ -29,14 +29,23 @@ from .errors import (
 )
 from .frame_codec import (
     BLOCK_BYTES,
-    FRAME_OVERHEAD,
     IV_BLOCK_BYTES,
     IV_BYTES,
     TAG_BYTES,
     StreamIV,
     StreamType,
+    payload_capacity,
 )
-from .manifest import CHECKPOINT, CODE, DATA, OUTPUT, BindingSpec, JobManifest, SyncPlan
+from .manifest import (
+    CHECKPOINT,
+    CODE,
+    OUTPUT,
+    BindingSpec,
+    JobManifest,
+    StreamTableEntry,
+    SyncPlan,
+    TileLayout,
+)
 from .sxp import ExchangePacket, PacketKind, PendingReadTable, SxpEngine, SxpRegisters
 
 # ---------------------------------------------------------------------------
@@ -93,6 +102,7 @@ OP_AXPY = 1
 OP_SGD_STEP = 2
 
 _PROGRAM_MAGIC = b"TP\x01"
+_OP_ARGC = {OP_SUM: 3, OP_AXPY: 5, OP_SGD_STEP: 5}
 _I32_MIN, _I32_MOD = -(1 << 31), 1 << 32
 
 
@@ -150,34 +160,38 @@ class TileProgram:
 
     @classmethod
     def unpack(cls, blob: bytes) -> "TileProgram":
+        """Decode a packed program; every malformed blob raises ``ValueError``."""
         if blob[:3] != _PROGRAM_MAGIC:
             raise ValueError("not a tile program")
-        (count,) = struct.unpack_from("<H", blob, 3)
-        off = 5
-        phases: list[Phase] = []
-        for _ in range(count):
-            kind = blob[off]
-            off += 1
-            if kind in (PHASE_LOAD, PHASE_STORE):
-                sid, frames = struct.unpack_from("<HH", blob, off)
-                off += 4
-                phases.append(LoadPhase(sid, frames) if kind == PHASE_LOAD else StorePhase(sid, frames))
-            elif kind == PHASE_COMPUTE:
-                op, argc = struct.unpack_from("<BB", blob, off)
-                off += 2
-                args = struct.unpack_from(f"<{argc}i", blob, off)
-                off += 4 * argc
-                if op not in (OP_SUM, OP_AXPY, OP_SGD_STEP):
-                    raise ValueError(f"unknown compute op {op}")
-                if op in (OP_AXPY, OP_SGD_STEP) and args[1] <= 0:
-                    raise ValueError("step denominator must be positive")
-                phases.append(ComputePhase(op, tuple(args)))
-            elif kind == PHASE_SYNC:
-                (sync_id,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                phases.append(SyncPhase(sync_id))
-            else:
-                raise ValueError(f"unknown phase kind {kind}")
+        try:
+            (count,) = struct.unpack_from("<H", blob, 3)
+            off = 5
+            phases: list[Phase] = []
+            for _ in range(count):
+                kind = blob[off]
+                off += 1
+                if kind in (PHASE_LOAD, PHASE_STORE):
+                    sid, frames = struct.unpack_from("<HH", blob, off)
+                    off += 4
+                    phases.append(LoadPhase(sid, frames) if kind == PHASE_LOAD else StorePhase(sid, frames))
+                elif kind == PHASE_COMPUTE:
+                    op, argc = struct.unpack_from("<BB", blob, off)
+                    off += 2
+                    if _OP_ARGC.get(op) != argc:
+                        raise ValueError(f"compute op {op} with {argc} arguments")
+                    args = struct.unpack_from(f"<{argc}i", blob, off)
+                    off += 4 * argc
+                    if op != OP_SUM and args[1] <= 0:
+                        raise ValueError("step denominator must be positive")
+                    phases.append(ComputePhase(op, tuple(args)))
+                elif kind == PHASE_SYNC:
+                    (sync_id,) = struct.unpack_from("<I", blob, off)
+                    off += 4
+                    phases.append(SyncPhase(sync_id))
+                else:
+                    raise ValueError(f"unknown phase kind {kind}")
+        except (struct.error, IndexError):
+            raise ValueError("truncated tile program") from None
         if off != len(blob):
             raise ValueError("trailing bytes after tile program")
         return cls(tuple(phases))
@@ -198,13 +212,9 @@ class Tile:
         self.pc = 0
         self.epoch = 0
         self.checkpoint_id = 0
+        self.layout: Optional[TileLayout] = None
         self.bindings: dict[int, BindingSpec] = {}
         self.cursors: dict[int, int] = {}
-        self.code_offset = 0
-        self.code_frames = 0
-        self.binary_length = 0
-        self.ckpt_buf_off = 0
-        self.ckpt_len = 0
 
     def scrub(self) -> None:
         self.memory[:] = bytes(len(self.memory))
@@ -214,20 +224,6 @@ class Tile:
         self.checkpoint_id = 0
         self.bindings = {}
         self.cursors = {}
-
-
-@dataclass
-class _StreamMeta:
-    stream_id: int
-    kind: str
-    direction: str
-    region_base: int
-    frame_size: int
-    plaintext_length: int
-
-    @property
-    def payload_size(self) -> int:
-        return self.frame_size - FRAME_OVERHEAD
 
 
 class RingBuffer:
@@ -252,12 +248,18 @@ class RingBuffer:
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_payload(tile: Tile) -> bytes:
-    pairs = sorted(tile.cursors.items())
-    parts = [struct.pack("<II", tile.pc, len(pairs))]
-    parts.extend(struct.pack("<HI", sid, cur) for sid, cur in pairs)
-    parts.append(bytes(tile.memory[tile.ckpt_buf_off : tile.ckpt_buf_off + tile.ckpt_len]))
-    return b"".join(parts)
+def _pack_cursors(cursors: dict[int, int]) -> bytes:
+    """The cursor table of a checkpoint payload and of its cleartext
+    metadata record: a ``<I`` count, then ``<HI`` (stream, cursor) pairs."""
+    pairs = sorted(cursors.items())
+    return struct.pack("<I", len(pairs)) + b"".join(struct.pack("<HI", *p) for p in pairs)
+
+
+def _unpack_cursors(blob: bytes, off: int) -> tuple[dict[int, int], int]:
+    """Parse a cursor table at ``off``; returns it and the offset past it."""
+    (count,) = struct.unpack_from("<I", blob, off)
+    pairs = [struct.unpack_from("<HI", blob, off + 4 + 6 * i) for i in range(count)]
+    return dict(pairs), off + 4 + 6 * count
 
 
 def checkpoint_frames(n_bindings: int, ckpt_len: int, payload_size: int) -> int:
@@ -267,22 +269,14 @@ def checkpoint_frames(n_bindings: int, ckpt_len: int, payload_size: int) -> int:
 
 
 def pack_checkpoint_metadata(epoch: int, checkpoint_id: int, pc: int, cursors: dict[int, int]) -> bytes:
-    pairs = sorted(cursors.items())
-    parts = [struct.pack("<IIII", epoch, checkpoint_id, pc, len(pairs))]
-    parts.extend(struct.pack("<HI", sid, cur) for sid, cur in pairs)
-    blob = b"".join(parts)
+    blob = struct.pack("<III", epoch, checkpoint_id, pc) + _pack_cursors(cursors)
     pad = (-len(blob)) % BLOCK_BYTES
     return blob + b"\x00" * pad
 
 
 def parse_checkpoint_metadata(blob: bytes) -> dict:
-    epoch, ckpt, pc, count = struct.unpack_from("<IIII", blob, 0)
-    cursors = {}
-    off = 16
-    for _ in range(count):
-        sid, cur = struct.unpack_from("<HI", blob, off)
-        off += 6
-        cursors[sid] = cur
+    epoch, ckpt, pc = struct.unpack_from("<III", blob, 0)
+    cursors, _ = _unpack_cursors(blob, 12)
     return {"epoch": epoch, "checkpoint_id": ckpt, "pc": pc, "cursors": cursors}
 
 
@@ -315,7 +309,6 @@ class IpuDevice:
         self.on_reset: Optional[Callable[[], None]] = None
 
         self.manifest: Optional[JobManifest] = None
-        self.stream_meta: dict[int, _StreamMeta] = {}
         self.windows: dict[int, int] = {}
         # The clear reference run changes only read_stream_frame and
         # write_stream_frame; it never boots, checkpoints or restores.
@@ -422,7 +415,6 @@ class IpuDevice:
         self.mode = MODE_NORMAL
         self.registers = dict(DEFAULT_REGISTERS)
         self.manifest = None
-        self.stream_meta = {}
         self.windows = {}
         self.clear_sources = {}
         self.clear_sinks = {}
@@ -446,27 +438,11 @@ class IpuDevice:
 
     def install_boot_params(self, manifest: JobManifest, epoch: int, checkpoint_id: int) -> None:
         self.manifest = manifest
-        self.stream_meta = {
-            sid: _StreamMeta(
-                stream_id=sid,
-                kind=e.kind,
-                direction=e.direction,
-                region_base=e.region_base,
-                frame_size=e.frame_total_size,
-                plaintext_length=e.plaintext_length,
-            )
-            for sid, e in manifest.stream_table.items()
-        }
         self.windows = {}
         for tile in self.tiles:
-            layout = manifest.layout(tile.tile_id)
+            tile.layout = layout = manifest.layout(tile.tile_id)
             tile.bindings = {b.stream_id: b for b in layout.bindings}
             tile.cursors = {b.stream_id: 0 for b in layout.bindings}
-            tile.code_offset = layout.code_offset
-            tile.code_frames = layout.code_frames
-            tile.binary_length = layout.binary_length
-            tile.ckpt_buf_off = layout.ckpt_buf_off
-            tile.ckpt_len = layout.ckpt_len
             tile.epoch = epoch
             tile.checkpoint_id = checkpoint_id
             tile.pc = 0
@@ -484,15 +460,22 @@ class IpuDevice:
         self._req_id += 1
         return self._req_id
 
-    def _stream(self, stream_id: int) -> _StreamMeta:
-        meta = self.stream_meta.get(stream_id)
-        if meta is None:
+    def _stream(self, stream_id: int) -> StreamTableEntry:
+        entry = self.manifest.stream_table.get(stream_id) if self.manifest else None
+        if entry is None:
             raise self._security(f"tile referenced unknown stream {stream_id}")
-        return meta
+        return entry
 
-    def _frame_address(self, meta: _StreamMeta, frame_index: int) -> int:
-        window = self.windows.get(meta.stream_id, 0)
-        return meta.region_base + (frame_index - window) * meta.frame_size
+    def _stream_of_kind(self, kind: str) -> StreamTableEntry:
+        table = self.manifest.stream_table if self.manifest else {}
+        entry = next((e for e in table.values() if e.kind == kind), None)
+        if entry is None:
+            raise self._security(f"no {kind} stream in the installed job")
+        return entry
+
+    def _frame_address(self, entry: StreamTableEntry, frame_index: int) -> int:
+        window = self.windows.get(entry.stream_id, 0)
+        return entry.region_base + (frame_index - window) * entry.frame_total_size
 
     def _dma_write(self, src_tile: int, address: int, frame: bytes, aes: bool) -> None:
         step = self.config.packet_payload
@@ -516,14 +499,14 @@ class IpuDevice:
                 raise self._security("egress engine latched; write dropped")
             self.ring_buffer.write(out.address, out.payload)
 
-    def _dma_read(self, src_tile: int, address: int, length: int, aes: bool) -> bytes:
+    def _dma_read(self, src_tile: int, address: int, length: int) -> bytes:
         rid = self._next_request_id()
         req = ExchangePacket(
             kind=PacketKind.READ_REQUEST,
             src_tile=src_tile,
             dst_tile=src_tile,
             address=address,
-            aes=aes,
+            aes=True,
             read_length=length,
             request_id=rid,
         )
@@ -550,51 +533,66 @@ class IpuDevice:
             buf += plain.payload
         return bytes(buf)
 
-    def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
-        """Fetch and authenticate one frame; returns the plaintext payload."""
-        meta = self._stream(stream_id)
-        if self.clear_mode:
-            return self._clear_frame(meta, frame_index)
-        address = self._frame_address(meta, frame_index)
-        raw = self._dma_read(tile_id, address, meta.frame_size, aes=True)
-        expected = self._input_iv(meta, tile_id, frame_index)
-        if raw[:IV_BYTES] != expected.to_bytes():
-            raise self._security(
-                f"tile {tile_id}: stream {stream_id} frame {frame_index} has wrong IV"
+    def _frame_iv(self, entry: StreamTableEntry, tile: Tile, index: int) -> StreamIV:
+        """The IV of frame ``index`` of ``entry`` for ``tile``: code is bound to
+        the tile, a checkpoint to the tile and its (epoch, checkpoint)
+        counters, data and output to the stream.  Tiles stamp it on what they
+        write and demand it of what they read, which stops replay, reordering
+        and rollback."""
+        if entry.kind == CODE:
+            return StreamIV(StreamType.CODE, ipu_id=self.ipu_id, tile_id=tile.tile_id, frame_index=index)
+        if entry.kind == CHECKPOINT:
+            return StreamIV(
+                StreamType.CHECKPOINT,
+                ipu_id=self.ipu_id,
+                tile_id=tile.tile_id,
+                epoch=tile.epoch,
+                checkpoint_id=tile.checkpoint_id,
+                frame_index=index,
             )
+        stype = StreamType.OUTPUT if entry.kind == OUTPUT else StreamType.DATA
+        return StreamIV(stype, stream_id=entry.stream_id, frame_index=index)
+
+    def _read_frame(self, tile: Tile, entry: StreamTableEntry, address: int, index: int) -> bytes:
+        """Fetch and authenticate one frame; returns the plaintext payload."""
+        raw = self._dma_read(tile.tile_id, address, entry.frame_total_size)
+        if raw[:IV_BYTES] != self._frame_iv(entry, tile, index).to_bytes():
+            where = f"{entry.kind} stream {entry.stream_id} frame {index}"
+            raise self._security(f"tile {tile.tile_id}: {where} has wrong IV")
         return raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
 
-    def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
-        meta = self._stream(stream_id)
-        if self.clear_mode:
-            self._clear_store(meta, frame_index, payload)
-            return
-        iv = StreamIV(StreamType.OUTPUT, stream_id=stream_id, frame_index=frame_index)
-        frame = iv.iv_block() + payload + b"\x00" * TAG_BYTES
-        self._dma_write(tile_id, self._frame_address(meta, frame_index), frame, aes=True)
+    def _write_frame(self, tile: Tile, entry: StreamTableEntry, address: int, index: int, payload: bytes) -> None:
+        frame = self._frame_iv(entry, tile, index).iv_block() + payload + b"\x00" * TAG_BYTES
+        self._dma_write(tile.tile_id, address, frame, aes=True)
 
-    def _input_iv(self, meta: _StreamMeta, tile_id: int, frame_index: int) -> StreamIV:
-        if meta.kind == CODE:
-            return StreamIV(
-                StreamType.CODE, ipu_id=self.ipu_id, tile_id=tile_id, frame_index=frame_index
-            )
-        if meta.kind == OUTPUT:
-            return StreamIV(StreamType.OUTPUT, stream_id=meta.stream_id, frame_index=frame_index)
-        return StreamIV(StreamType.DATA, stream_id=meta.stream_id, frame_index=frame_index)
+    def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
+        entry = self._stream(stream_id)
+        if self.clear_mode:
+            return self._clear_frame(entry, frame_index)
+        address = self._frame_address(entry, frame_index)
+        return self._read_frame(self.tiles[tile_id], entry, address, frame_index)
+
+    def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
+        entry = self._stream(stream_id)
+        if self.clear_mode:
+            self._clear_store(entry, frame_index, payload)
+            return
+        address = self._frame_address(entry, frame_index)
+        self._write_frame(self.tiles[tile_id], entry, address, frame_index, payload)
 
     # -- clear-mode stream plumbing -----------------------------------------
 
-    def _clear_frame(self, meta: _StreamMeta, frame_index: int) -> bytes:
-        src = self.clear_sources.get(meta.stream_id)
+    def _clear_frame(self, entry: StreamTableEntry, frame_index: int) -> bytes:
+        src = self.clear_sources.get(entry.stream_id)
         if src is None:
-            raise self._security(f"no clear source for stream {meta.stream_id}")
-        size = meta.payload_size
+            raise self._security(f"no clear source for stream {entry.stream_id}")
+        size = payload_capacity(entry.frame_total_size)
         chunk = src[frame_index * size : (frame_index + 1) * size]
         return chunk.ljust(size, b"\x00")
 
-    def _clear_store(self, meta: _StreamMeta, frame_index: int, payload: bytes) -> None:
-        sink = self.clear_sinks.setdefault(meta.stream_id, bytearray())
-        size = meta.payload_size
+    def _clear_store(self, entry: StreamTableEntry, frame_index: int, payload: bytes) -> None:
+        sink = self.clear_sinks.setdefault(entry.stream_id, bytearray())
+        size = payload_capacity(entry.frame_total_size)
         end = (frame_index + 1) * size
         if len(sink) < end:
             sink.extend(b"\x00" * (end - len(sink)))
@@ -605,20 +603,19 @@ class IpuDevice:
     def run_bootloader(self, tile_id: int) -> bytes:
         """Fetch, authenticate, and install one tile's binary; returns its digest."""
         tile = self.tiles[tile_id]
-        meta = next((m for m in self.stream_meta.values() if m.kind == CODE), None)
-        if meta is None:
-            raise self._security("no code stream in the installed job")
-        blob = bytearray()
-        for f in range(tile.code_frames):
-            address = meta.region_base + tile.code_offset + f * meta.frame_size
-            raw = self._dma_read(tile_id, address, meta.frame_size, aes=True)
-            expected = StreamIV(StreamType.CODE, ipu_id=self.ipu_id, tile_id=tile_id, frame_index=f)
-            if raw[:IV_BYTES] != expected.to_bytes():
-                raise self._security(f"tile {tile_id}: bootloader frame {f} has wrong IV")
-            blob += raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
-        binary = bytes(blob[: tile.binary_length])
+        entry = self._stream_of_kind(CODE)
+        layout = tile.layout
+        base = entry.region_base + layout.code_offset
+        blob = b"".join(
+            self._read_frame(tile, entry, base + f * entry.frame_total_size, f)
+            for f in range(layout.code_frames)
+        )
+        binary = blob[: layout.binary_length]
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
-        tile.program = TileProgram.unpack(binary)
+        try:
+            tile.program = TileProgram.unpack(binary)
+        except ValueError as exc:
+            raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
         tile.pc = 0
         digest = hashlib.sha256(binary).digest()
         self._trace({"event": "bootloader", "tile": tile_id, "digest": digest.hex()[:16]})
@@ -659,40 +656,26 @@ class IpuDevice:
             if isinstance(ph, SyncPhase):
                 tile.pc += 1
                 return ph.sync_id
-            if isinstance(ph, LoadPhase):
-                self._exec_load(tile, ph)
-            elif isinstance(ph, StorePhase):
-                self._exec_store(tile, ph)
-            else:
+            if isinstance(ph, ComputePhase):
                 self._exec_compute(tile, ph)
+            else:
+                self._exec_transfer(tile, ph)
             tile.pc += 1
         return None
 
-    def _exec_load(self, tile: Tile, ph: LoadPhase) -> None:
+    def _exec_transfer(self, tile: Tile, ph: LoadPhase | StorePhase) -> None:
         spec = tile.bindings.get(ph.stream_id)
         if spec is None:
             raise self._security(f"tile {tile.tile_id} has no binding for stream {ph.stream_id}")
-        meta = self._stream(ph.stream_id)
-        size = meta.payload_size
+        size = payload_capacity(self._stream(ph.stream_id).frame_total_size)
         for i in range(ph.frames):
             k = tile.cursors[ph.stream_id]
             idx = spec.frame_index(k)
-            payload = self.read_stream_frame(tile.tile_id, ph.stream_id, idx)
-            dst = spec.buf_off + i * size
-            tile.memory[dst : dst + size] = payload
-            tile.cursors[ph.stream_id] = k + 1
-
-    def _exec_store(self, tile: Tile, ph: StorePhase) -> None:
-        spec = tile.bindings.get(ph.stream_id)
-        if spec is None:
-            raise self._security(f"tile {tile.tile_id} has no binding for stream {ph.stream_id}")
-        meta = self._stream(ph.stream_id)
-        size = meta.payload_size
-        for i in range(ph.frames):
-            k = tile.cursors[ph.stream_id]
-            idx = spec.frame_index(k)
-            payload = bytes(tile.memory[spec.buf_off + i * size : spec.buf_off + (i + 1) * size])
-            self.write_stream_frame(tile.tile_id, ph.stream_id, idx, payload)
+            at = spec.buf_off + i * size
+            if isinstance(ph, LoadPhase):
+                tile.memory[at : at + size] = self.read_stream_frame(tile.tile_id, ph.stream_id, idx)
+            else:
+                self.write_stream_frame(tile.tile_id, ph.stream_id, idx, bytes(tile.memory[at : at + size]))
             tile.cursors[ph.stream_id] = k + 1
 
     def _exec_compute(self, tile: Tile, ph: ComputePhase) -> None:
@@ -727,47 +710,30 @@ class IpuDevice:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def _ckpt_meta(self) -> _StreamMeta:
-        meta = next((m for m in self.stream_meta.values() if m.kind == CHECKPOINT), None)
-        if meta is None:
-            raise self._security("no checkpoint stream in the installed job")
-        return meta
-
-    def _ckpt_geometry(self, meta: _StreamMeta) -> tuple[dict[int, int], int]:
-        per_tile = {
-            t.tile_id: checkpoint_frames(len(t.bindings), t.ckpt_len, meta.payload_size)
-            for t in self.tiles
-        }
-        return per_tile, max(per_tile.values())
+    def _checkpoint_slots(self) -> tuple[StreamTableEntry, list[tuple[int, int]]]:
+        """The checkpoint stream, and each tile's (first frame address, frame
+        count) in it; every tile's slot is as long as the longest."""
+        entry = self._stream_of_kind(CHECKPOINT)
+        size = payload_capacity(entry.frame_total_size)
+        frames = [checkpoint_frames(len(t.bindings), t.layout.ckpt_len, size) for t in self.tiles]
+        span = max(frames) * entry.frame_total_size
+        return entry, [(entry.region_base + t.tile_id * span, n) for t, n in zip(self.tiles, frames)]
 
     def checkpoint_save(self) -> None:
         """Write every tile's restart state as an encrypted checkpoint stream
         plus a small cleartext metadata record per tile."""
-        meta = self._ckpt_meta()
+        entry, slots = self._checkpoint_slots()
         manifest = self.manifest
-        assert manifest is not None
-        per_tile, slot = self._ckpt_geometry(meta)
-        size = meta.payload_size
-        for tile in self.tiles:
-            payload = _checkpoint_payload(tile)
-            frames = per_tile[tile.tile_id]
+        size = payload_capacity(entry.frame_total_size)
+        for tile, (base, frames) in zip(self.tiles, slots):
+            layout = tile.layout
+            state = tile.memory[layout.ckpt_buf_off : layout.ckpt_buf_off + layout.ckpt_len]
+            payload = struct.pack("<I", tile.pc) + _pack_cursors(tile.cursors) + state
             payload = payload.ljust(frames * size, b"\x00")
-            base = meta.region_base + tile.tile_id * slot * meta.frame_size
             for f in range(frames):
-                chunk = payload[f * size : (f + 1) * size]
-                iv = StreamIV(
-                    StreamType.CHECKPOINT,
-                    ipu_id=self.ipu_id,
-                    tile_id=tile.tile_id,
-                    epoch=tile.epoch,
-                    checkpoint_id=tile.checkpoint_id,
-                    frame_index=f,
-                )
-                frame = iv.iv_block() + chunk + b"\x00" * TAG_BYTES
-                self._dma_write(tile.tile_id, base + f * meta.frame_size, frame, aes=True)
-            record = pack_checkpoint_metadata(
-                tile.epoch, tile.checkpoint_id, tile.pc, tile.cursors
-            )
+                address = base + f * entry.frame_total_size
+                self._write_frame(tile, entry, address, f, payload[f * size : (f + 1) * size])
+            record = pack_checkpoint_metadata(tile.epoch, tile.checkpoint_id, tile.pc, tile.cursors)
             slot_addr = manifest.metadata_base + tile.tile_id * manifest.metadata_slot
             self._dma_write(tile.tile_id, slot_addr, record, aes=False)
             tile.checkpoint_id += 1
@@ -776,38 +742,17 @@ class IpuDevice:
     def checkpoint_restore(self) -> None:
         """Rebuild tile state from the checkpoint identified by the seeded
         (epoch, checkpoint) counters; tiles verify every frame's IV."""
-        meta = self._ckpt_meta()
-        per_tile, slot = self._ckpt_geometry(meta)
-        size = meta.payload_size
-        for tile in self.tiles:
-            frames = per_tile[tile.tile_id]
-            base = meta.region_base + tile.tile_id * slot * meta.frame_size
-            payload = bytearray()
-            for f in range(frames):
-                address = base + f * meta.frame_size
-                raw = self._dma_read(tile.tile_id, address, meta.frame_size, aes=True)
-                expected = StreamIV(
-                    StreamType.CHECKPOINT,
-                    ipu_id=self.ipu_id,
-                    tile_id=tile.tile_id,
-                    epoch=tile.epoch,
-                    checkpoint_id=tile.checkpoint_id,
-                    frame_index=f,
-                )
-                if raw[:IV_BYTES] != expected.to_bytes():
-                    raise self._security(
-                        f"tile {tile.tile_id}: checkpoint frame {f} has wrong IV"
-                    )
-                payload += raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
-            pc, count = struct.unpack_from("<II", payload, 0)
-            off = 8
-            cursors: dict[int, int] = {}
-            for _ in range(count):
-                sid, cur = struct.unpack_from("<HI", payload, off)
-                off += 6
-                cursors[sid] = cur
-            state = bytes(payload[off : off + tile.ckpt_len])
-            tile.memory[tile.ckpt_buf_off : tile.ckpt_buf_off + tile.ckpt_len] = state
+        entry, slots = self._checkpoint_slots()
+        for tile, (base, frames) in zip(self.tiles, slots):
+            payload = b"".join(
+                self._read_frame(tile, entry, base + f * entry.frame_total_size, f)
+                for f in range(frames)
+            )
+            (pc,) = struct.unpack_from("<I", payload, 0)
+            cursors, off = _unpack_cursors(payload, 4)
+            layout = tile.layout
+            state = payload[off : off + layout.ckpt_len]
+            tile.memory[layout.ckpt_buf_off : layout.ckpt_buf_off + layout.ckpt_len] = state
             tile.pc = pc
             tile.cursors.update(cursors)
             tile.checkpoint_id += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import crypto

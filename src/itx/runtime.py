@@ -41,7 +41,7 @@ from .errors import (
 )
 from .eventlog import EventLog
 from .frame_codec import Frame, StreamIV, StreamType, decrypt_stream, payload_capacity
-from .manifest import CHECKPOINT, CODE, DIR_IN, JobManifest, OUTPUT, SyncPlan
+from .manifest import CHECKPOINT, CODE, JobManifest, OUTPUT, SyncPlan
 from .packaging import JobInputs
 from .pki import PartyIdentity, derive_model_key, verify_attestation
 

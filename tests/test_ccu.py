@@ -457,6 +457,42 @@ class TestTeeLaunchAndKeys:
         with pytest.raises(KeyExchangeFailure, match="prior nonce"):
             deployment.ccu.tee_launch(wrapped)
 
+    @pytest.mark.parametrize("stream_id", [3, 6, 99], ids=["foreign", "output", "unknown"])
+    def test_launch_rejects_a_key_for_a_stream_the_party_does_not_own(self, rig, stream_id):
+        """modelco sends a key for alpha's input, for the output stream, or
+        for a stream the manifest does not have."""
+        deployment, compiled, parties, inputs = rig
+        sessions, certs, shares, sigs = init_material(parties)
+        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        manifest_hash = bytes.fromhex(report.manifest_measurement)
+        wrapped, _ = wrap_packages(parties, sessions, inputs, report)
+        keys = {**inputs["modelco"].key_map(), stream_id: b"\x5a" * 32}
+        package = KeyPackage(stream_keys=keys, run_nonce=os.urandom(32))
+        wrapped["modelco"] = sessions["modelco"].wrap_keys(
+            report.ccu_keyshare, manifest_hash, package
+        )
+        with pytest.raises(KeyExchangeFailure, match=f"key for stream {stream_id}, not its input"):
+            deployment.ccu.tee_launch(wrapped)
+        assert not deployment.ccu.tee.stream_keys
+
+    def test_any_boot_failure_terminates(self, rig, monkeypatch):
+        """Once boot keys are loaded, even an unexpected error ends the TEE."""
+        deployment, compiled, parties, inputs = rig
+        sessions, certs, shares, sigs = init_material(parties)
+        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        fill_boot(deployment, compiled.manifest, inputs)
+        wrapped, _ = wrap_packages(parties, sessions, inputs, report)
+
+        def broken(tile_id):
+            raise RuntimeError("bootloader fault")
+
+        monkeypatch.setattr(deployment.device, "run_bootloader", broken)
+        with pytest.raises(RuntimeError):
+            deployment.ccu.tee_launch(wrapped)
+        assert deployment.ccu.tee.phase == TERMINATED
+        assert deployment.device.registers["trusted_mode"] == 0
+        assert not deployment.device.ingress.key_loaded(0)
+
     def test_failed_launch_terminates_cleanly(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)

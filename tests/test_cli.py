@@ -3,11 +3,15 @@ recover the model, on a 2-step SGD job."""
 
 import json
 import random
+import shutil
 import struct
 
-from itx.cli import EXIT_OK, EXIT_REJECTED, main
+import pytest
+
+from itx.cli import EXIT_OK, EXIT_REJECTED, _archive_run, main
 from itx.manifest import JobManifest
 from itx.runtime import run_clear_reference
+from itx.sandbox import make_sgd_fixture
 
 STEPS = 2
 MODEL_INTS = 192
@@ -65,4 +69,37 @@ def test_sgd_job_from_compile_to_model(tmp_path, capsys):
     report = json.loads((run / "report.json").read_text())
     del report["epoch"]
     (run / "report.json").write_text(json.dumps(report))
+    assert main(["verify", "--run", str(run)]) == EXIT_REJECTED
+
+
+@pytest.fixture(scope="module")
+def archived_run(tmp_path_factory):
+    """A completed 2-step SGD run, archived the way ``itx run`` does."""
+    fixture = make_sgd_fixture(steps=2)
+    result = fixture.session.run()
+    assert result.completed, result.reason
+    run = tmp_path_factory.mktemp("archived") / "run"
+    _archive_run(run, fixture.session, result, fixture.parties)
+    return run
+
+
+@pytest.mark.parametrize(
+    "file, field, value",
+    [
+        ("ca.json", "cik_ca", None),
+        ("ca.json", "cik_ca", "not hex"),
+        ("expected.json", "party_fingerprints", None),
+        ("expected.json", "manifest_measurement", "not hex"),
+    ],
+)
+def test_verify_rejects_a_damaged_ca_or_expectation_file(archived_run, tmp_path, file, field, value):
+    run = tmp_path / "run"
+    shutil.copytree(archived_run, run)
+    assert main(["verify", "--run", str(run)]) == EXIT_OK
+    d = json.loads((run / file).read_text())
+    if value is None:
+        del d[field]
+    else:
+        d[field] = value
+    (run / file).write_text(json.dumps(d))
     assert main(["verify", "--run", str(run)]) == EXIT_REJECTED

@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itx.compiler import JobDescription, compile_job
 from itx.device import (
@@ -171,6 +173,23 @@ class TestTileProgram:
         bad_op[6] = 99  # the opcode byte: magic(3) + count(2) + kind(1)
         with pytest.raises(ValueError):
             TileProgram.unpack(bytes(bad_op))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=48))
+    def test_any_blob_with_the_magic_decodes_or_raises_value_error(self, tail):
+        try:
+            TileProgram.unpack(b"TP\x01" + tail)
+        except ValueError:
+            pass
+
+    def test_every_truncation_and_wrong_arity_is_rejected(self):
+        blob = TileProgram((LoadPhase(2, 1), ComputePhase(OP_SUM, (0, 4, 8)), SyncPhase(1))).pack()
+        for n in range(len(blob)):
+            with pytest.raises(ValueError):
+                TileProgram.unpack(blob[:n])
+        short = TileProgram((ComputePhase(OP_AXPY, (1, 2)),)).pack()
+        with pytest.raises(ValueError, match="2 arguments"):
+            TileProgram.unpack(short)
 
     def test_zero_step_denominator_rejected(self):
         blob = TileProgram((ComputePhase(OP_SGD_STEP, (1, 1, 0, 0, 4)),)).pack()

@@ -1,0 +1,215 @@
+"""Trusted jobs end to end: honest runs match the clear reference, a halted
+run resumes, and every host attack aborts with the TEE terminated, its keys
+gone and the device back in normal mode."""
+
+import dataclasses
+
+import pytest
+
+from itx.adversary import (
+    ReorderFrames,
+    ReplayFrame,
+    SkipKeyLoad,
+    SubstituteCheckpoint,
+    SwapStreams,
+    TamperFrame,
+)
+from itx.ccu import TERMINATED
+from itx.device import (
+    MODE_NORMAL,
+    checkpoint_frames,
+    pack_checkpoint_metadata,
+    parse_checkpoint_metadata,
+)
+from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
+from itx.manifest import CHECKPOINT
+from itx.packaging import JobInputs, encrypt_data_stream, package_inputs
+from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
+from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
+from itx.sxp import NUM_CONTEXTS
+
+
+def clear_model(fixture) -> bytes:
+    compiled = fixture.compiled
+    return run_clear_reference(compiled.manifest, compiled.binaries, fixture.clear_inputs())
+
+
+def trusted_model(fixture, result) -> bytes:
+    return decrypt_model(
+        fixture.compiled.manifest, result.output_frames, fixture.session.model_key_nonces()
+    )
+
+
+def assert_completed_and_exact(fixture, result) -> None:
+    assert result.completed, result.reason
+    assert all(v.accepted for v in result.verdicts.values())
+    assert trusted_model(fixture, result) == clear_model(fixture)
+
+
+def assert_aborted_closed(fixture, result) -> None:
+    assert result.aborted, result.reason
+    device = fixture.deployment.device
+    assert fixture.deployment.ccu.tee.phase == TERMINATED
+    assert device.mode == MODE_NORMAL
+    for engine in (device.ingress, device.egress):
+        assert not any(engine.key_loaded(ctx) for ctx in range(NUM_CONTEXTS))
+
+
+def session_with(fixture, inputs: dict[str, JobInputs]) -> TrustedJobSession:
+    """A fresh host session for the fixture's job that ships ``inputs``."""
+    return _make_session(fixture.deployment, fixture.compiled, fixture.parties, inputs)
+
+
+# ---------------------------------------------------------------------------
+# honest runs
+# ---------------------------------------------------------------------------
+
+
+def test_honest_sgd_run_matches_the_clear_reference():
+    fixture = make_sgd_fixture(steps=3)
+    assert_completed_and_exact(fixture, fixture.session.run())
+
+
+def test_honest_sum_run_with_key_rotation_matches_the_clear_reference():
+    fixture = make_sum_fixture(stream_count=17)
+    assert_completed_and_exact(fixture, fixture.session.run())
+
+
+def checkpoint_ivs(manifest, snapshot) -> list[tuple[bytes, bytes]]:
+    """(found, expected) IV pairs for every tile's checkpoint frames."""
+    entry = next(e for e in manifest.stream_table.values() if e.kind == CHECKPOINT)
+    size = entry.frame_total_size
+    per_tile = {
+        layout.tile_id: checkpoint_frames(
+            len(layout.bindings), layout.ckpt_len, size - FRAME_OVERHEAD
+        )
+        for layout in manifest.tile_layouts
+    }
+    slot = max(per_tile.values())
+    pairs = []
+    for tile_id, frames in per_tile.items():
+        for f in range(frames):
+            at = (tile_id * slot + f) * size
+            expected = StreamIV(
+                StreamType.CHECKPOINT,
+                ipu_id=manifest.ipu_id,
+                tile_id=tile_id,
+                epoch=snapshot.epoch,
+                checkpoint_id=snapshot.checkpoint_id,
+                frame_index=f,
+            )
+            pairs.append((snapshot.frames_blob[at : at + IV_BYTES], expected.to_bytes()))
+    return pairs
+
+
+def test_halt_reset_and_resume_matches_the_clear_reference():
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+    session = fixture.session
+    halted = session.run(halt_after_checkpoint=2)
+    assert halted.status == "halted", halted.reason
+    assert [(s.epoch, s.checkpoint_id) for s in session.snapshots] == [(1, 0), (1, 1)]
+    for snapshot in session.snapshots:
+        pairs = checkpoint_ivs(fixture.compiled.manifest, snapshot)
+        assert len(pairs) >= len(fixture.compiled.manifest.tile_layouts)
+        assert all(found == expected for found, expected in pairs)
+
+    fixture.deployment.device.reset("sbr")
+    assert_completed_and_exact(fixture, session.resume())
+
+
+def test_checkpoint_metadata_golden():
+    blob = pack_checkpoint_metadata(3, 2, 17, {5: 9, 2: 4})
+    assert blob.hex() == "0300000002000000110000000200000002000400000005000900000000000000"
+    assert parse_checkpoint_metadata(blob) == {
+        "epoch": 3,
+        "checkpoint_id": 2,
+        "pc": 17,
+        "cursors": {2: 4, 5: 9},
+    }
+
+
+# ---------------------------------------------------------------------------
+# host attacks
+# ---------------------------------------------------------------------------
+
+ATTACKS = [
+    pytest.param(ReplayFrame(3, 0, 1), id="replay-gradient"),
+    pytest.param(ReplayFrame(2, 0, 1), id="replay-weights"),
+    pytest.param(ReorderFrames(1, 0, 1), id="reorder-code"),
+    pytest.param(TamperFrame(1, 0, 5), id="tamper-code-iv"),
+    pytest.param(TamperFrame(1, 1, 300), id="tamper-code-ciphertext"),
+    pytest.param(TamperFrame(2, 0, 70), id="tamper-weights-iv"),
+    pytest.param(TamperFrame(2, 1, 500), id="tamper-weights-ciphertext"),
+    pytest.param(TamperFrame(3, 1, 90), id="tamper-gradient-iv"),
+    pytest.param(TamperFrame(3, 2, 800), id="tamper-gradient-ciphertext"),
+    pytest.param(SkipKeyLoad(3), id="skip-key-load"),
+    pytest.param(SwapStreams(3, 4), id="swap-gradients"),
+]
+
+
+@pytest.mark.parametrize("adversary", ATTACKS)
+def test_host_attack_aborts_closed(adversary):
+    fixture = make_sgd_fixture(steps=3, adversary=adversary)
+    assert_aborted_closed(fixture, fixture.session.run())
+
+
+def halted_at_third_checkpoint():
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+    halted = fixture.session.run(halt_after_checkpoint=3)
+    assert halted.status == "halted", halted.reason
+    fixture.deployment.device.reset("sbr")
+    return fixture
+
+
+def test_stale_checkpoint_aborts_closed():
+    fixture = halted_at_third_checkpoint()
+    session = fixture.session
+    session.adversary = SubstituteCheckpoint(session.snapshots[0])
+    assert_aborted_closed(fixture, session.resume())
+
+
+def test_tampered_checkpoint_aborts_closed():
+    fixture = halted_at_third_checkpoint()
+    session = fixture.session
+    latest = session.snapshots[-1]
+    frames = bytearray(latest.frames_blob)
+    frames[40] ^= 0x10  # a ciphertext byte of tile 0's first checkpoint frame
+    session.adversary = SubstituteCheckpoint(
+        dataclasses.replace(latest, frames_blob=bytes(frames))
+    )
+    assert_aborted_closed(fixture, session.resume())
+
+
+# ---------------------------------------------------------------------------
+# authentic but wrong inputs
+# ---------------------------------------------------------------------------
+
+
+def test_malformed_tile_program_aborts_closed():
+    """The model owner encrypts a binary that is not a valid tile program."""
+    fixture = make_sgd_fixture(steps=2)
+    manifest = fixture.compiled.manifest
+    binaries = dict(fixture.compiled.binaries)
+    binaries[0] = b"TP\x01" + b"\xff" * (len(binaries[0]) - 3)
+    inputs = dict(fixture.inputs)
+    inputs["modelco"] = package_inputs(
+        "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
+    )
+    assert_aborted_closed(fixture, session_with(fixture, inputs).run())
+
+
+def test_key_for_another_partys_stream_aborts_closed():
+    """The model owner ships its own key and ciphertext for alpha's stream."""
+    fixture = make_sgd_fixture(steps=2)
+    entry = fixture.compiled.manifest.stream_table[3]
+    key = b"\x5a" * 32
+    forged = encrypt_data_stream(
+        key, 3, entry.frame_total_size, bytes(entry.plaintext_length)
+    )
+    modelco, alpha = fixture.inputs["modelco"], fixture.inputs["alpha"]
+    inputs = dict(fixture.inputs)
+    inputs["modelco"] = JobInputs(
+        "modelco", {**modelco.streams, 3: forged}, {**modelco.keys, 3: key}
+    )
+    inputs["alpha"] = JobInputs("alpha", {}, alpha.keys)
+    assert_aborted_closed(fixture, session_with(fixture, inputs).run())
