@@ -175,3 +175,38 @@ class TestSumPlanning:
         single.manifest.validate()
         with pytest.raises(ScheduleInfeasible, match="at least one input"):
             compile_job(sum_job(stream_count=0))
+
+
+# ---------------------------------------------------------------------------
+# golden: what the compiler emits over a grid of jobs
+# ---------------------------------------------------------------------------
+
+SGD_GRID = [
+    sgd_job(steps=steps, checkpoint_period=period)
+    for steps in (1, 2, 3, 5, 16, 64)
+    for period in (1, 2, 5, 64)
+] + [sgd_job(steps=4, checkpoint_period=3, lr_num=3, lr_den=32, model_receivers=("beta", "alpha"))]
+
+SUM_GRID = [
+    sum_job(stream_count=count, data_parties=parties)
+    for count in (1, 2, 3, 4, 5, 8, 13, 16, 17, 29, 64, 100, 128)
+    for parties in ((), ("alpha", "beta"), ("alpha", "beta", "gamma"))
+]
+
+
+def test_compiled_jobs_golden():
+    """One digest over the manifest measurement, every binary and the
+    party -> key-stream map of 128 compiles; a refactor of the compiler must
+    leave all of them byte-identical."""
+    fold = hashlib.sha256()
+    for job in SGD_GRID + SUM_GRID:
+        for ipu_id in (0, 3):
+            compiled = compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id)
+            fold.update(compiled.manifest.measurement().encode())
+            for tile_id in sorted(compiled.binaries):
+                fold.update(hashlib.sha256(compiled.binaries[tile_id]).digest())
+            fold.update(repr(compiled.key_streams).encode())
+    assert len(SGD_GRID) + len(SUM_GRID) == 64
+    assert fold.hexdigest() == (
+        "40e59f6fb8bae56322e63fd54eb9188ec43c7993c6e673002e0fda7343aee994"
+    )
