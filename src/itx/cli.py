@@ -115,9 +115,7 @@ def _load_binaries(build: Path) -> dict[int, bytes]:
 
 def cmd_compile(args) -> int:
     desc = _read_json(Path(args.job))
-    desc["data_parties"] = tuple(desc.get("data_parties", ()))
-    desc["model_receivers"] = tuple(desc.get("model_receivers", ()))
-    job = JobDescription(**desc)
+    job = JobDescription.from_dict(desc)
     config = DeviceConfig()
     measurement = hashlib.sha256(tile_bootloader_image(args.firmware_revision)).hexdigest()
     compiled = compile_job(

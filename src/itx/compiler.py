@@ -8,10 +8,17 @@ Two job kinds are supported:
   and stored under the model key.
 * ``sum_streams`` — N single-frame input streams are reduced to one integer.
   With more streams than concurrently available key contexts the compiler
-  inserts key-rotation synchronization points (waves); with rotation
-  disabled such jobs are rejected as infeasible.
+  inserts key-rotation synchronization points (waves).
 
-The planner honors the hardware contract: at most 16 key contexts, 17
+A planner per job kind decides the tile programs, their stream bindings, the
+non-code streams and the barrier plans.  ``compile_job`` does the rest once
+for both kinds: it lays out the code, adds the code stream and the checkpoint
+plans, and assembles the one manifest that parties verify and the control
+unit enforces.  Stream ownership is stated only in the stream table; the
+attested ``stream_assignment`` and ``CompiledJob.key_streams`` are read from
+it.
+
+The planners honor the hardware contract: at most 16 key contexts, 17
 disjoint regions with region 0 cleartext, one key region per stream per
 interval, and — outside strictly serialized phases — one exchange-block
 context per key context.  Streams whose consumers span exchange blocks get
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .device import (
@@ -36,6 +43,7 @@ from .device import (
     TileProgram,
     checkpoint_frames,
 )
+from .encoding import Record
 from .errors import ScheduleInfeasible
 from .manifest import (
     BindingSpec,
@@ -89,7 +97,7 @@ RESTORE_SYNC = -3
 
 
 @dataclass(frozen=True)
-class JobDescription:
+class JobDescription(Record):
     kind: str  # "sgd" | "sum_streams"
     model_party: str
     data_parties: tuple[str, ...] = ()
@@ -99,7 +107,6 @@ class JobDescription:
     lr_den: int = 16
     checkpoint_period: int = 1
     stream_count: int = 0  # sum_streams
-    rotate_contexts: bool = True  # sum_streams
 
 
 @dataclass
@@ -107,7 +114,15 @@ class CompiledJob:
     manifest: JobManifest
     programs: dict[int, TileProgram]
     binaries: dict[int, bytes]
-    key_streams: dict[str, tuple[int, ...]] = field(default_factory=dict)  # party -> sids
+
+    @property
+    def key_streams(self) -> dict[str, tuple[int, ...]]:
+        """party -> the input streams it must key, read from the stream table."""
+        streams: dict[str, tuple[int, ...]] = {}
+        for sid, entry in sorted(self.manifest.stream_table.items()):
+            if entry.direction == DIR_IN:
+                streams[entry.party] = streams.get(entry.party, ()) + (sid,)
+        return streams
 
     def binary_hash_chain(self) -> str:
         chain = b""
@@ -118,6 +133,17 @@ class CompiledJob:
         return chain.hex()
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What a planner decides for one job kind."""
+
+    programs: dict[int, TileProgram]
+    bindings: dict[int, tuple[BindingSpec, ...]]  # tile -> its stream walks
+    streams: dict[int, StreamTableEntry]  # every stream but the code stream
+    sync_plans: tuple[SyncPlan, ...]
+    ckpt_range: tuple[int, int] = (0, 0)  # (offset, length) of the checkpointed tile memory
+
+
 def compile_job(
     job: JobDescription,
     config: Optional[DeviceConfig] = None,
@@ -125,11 +151,61 @@ def compile_job(
     ipu_id: int = 0,
 ) -> CompiledJob:
     config = config or DeviceConfig()
-    if job.kind == "sgd":
-        return _compile_sgd(job, config, bootloader_measurement, ipu_id)
-    if job.kind == "sum_streams":
-        return _compile_sum(job, config, bootloader_measurement, ipu_id)
-    raise ScheduleInfeasible(f"unknown job kind {job.kind!r}")
+    planner = {"sgd": _plan_sgd, "sum_streams": _plan_sum}.get(job.kind)
+    if planner is None:
+        raise ScheduleInfeasible(f"unknown job kind {job.kind!r}")
+    if config.tile_count != 16 or config.tiles_per_exchange_context != 4:
+        raise ScheduleInfeasible("the planners target 16 tiles in 4 exchange blocks")
+    plan = planner(job, config)
+
+    # Each tile's binary fills whole frames, laid out back to back.
+    binaries = {t: p.pack() for t, p in plan.programs.items()}
+    layouts = []
+    code_bytes = 0
+    for tile_id in sorted(binaries):
+        length = len(binaries[tile_id])
+        frames = max(1, -(-length // PAYLOAD))
+        layouts.append(
+            TileLayout(
+                tile_id, code_bytes, frames, length, plan.bindings.get(tile_id, ()), *plan.ckpt_range
+            )
+        )
+        code_bytes += frames * FRAME_SIZE
+    code_plain = sum(len(b) for b in binaries.values())
+    stream_table = {
+        SID_CODE: StreamTableEntry(SID_CODE, job.model_party, DIR_IN, CODE, code_plain, FRAME_SIZE, CODE_BASE),
+        **plan.streams,
+    }
+
+    save_plan = restore_plan = None
+    ckpt = next((e for e in plan.streams.values() if e.kind == CHECKPOINT), None)
+    if ckpt is not None:
+        slot = max(checkpoint_frames(len(l.bindings), l.ckpt_len, PAYLOAD) for l in layouts)
+        region = (ckpt.region_base, ckpt.region_base + len(layouts) * slot * FRAME_SIZE)
+        save_plan, restore_plan = _ckpt_plans(ckpt.stream_id, region)
+
+    manifest = JobManifest(
+        ipu_id=ipu_id,
+        binary_hashes={},
+        bootloader_measurement=bootloader_measurement,
+        stream_table=stream_table,
+        tile_layouts=tuple(layouts),
+        boot_plan=_boot_plan(CODE_BASE + code_bytes),
+        sync_plans=plan.sync_plans,
+        checkpoint_plan=save_plan,
+        restore_plan=restore_plan,
+        stream_assignment={
+            "inputs": {str(sid): e.party for sid, e in stream_table.items() if e.direction == DIR_IN},
+            "model_receivers": sorted(job.model_receivers or (job.model_party,)),
+        },
+        device_config=config.to_dict(),
+        metadata_base=METADATA_BASE,
+    )
+    compiled = CompiledJob(manifest=manifest, programs=plan.programs, binaries=binaries)
+    compiled.manifest = dataclasses.replace(
+        manifest, binary_hashes={ipu_id: compiled.binary_hash_chain()}
+    ).validate()
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +213,10 @@ def compile_job(
 # ---------------------------------------------------------------------------
 
 
-def _code_layouts(
-    programs: dict[int, TileProgram],
-) -> tuple[dict[int, bytes], list[tuple[int, int, int, int]], int]:
-    """Pack programs and lay their frames out consecutively in the code
-    region; returns (binaries, [(tile, offset, frames, length)], region_bytes)."""
-    binaries = {t: p.pack() for t, p in programs.items()}
-    layout = []
-    region_bytes = 0
-    for tile_id in sorted(binaries):
-        binary = binaries[tile_id]
-        frames = max(1, -(-len(binary) // PAYLOAD))
-        layout.append((tile_id, region_bytes, frames, len(binary)))
-        region_bytes += frames * FRAME_SIZE
-    return binaries, layout, region_bytes
+def _region(slot: int, frames: int) -> tuple[int, int]:
+    """The ring region of ``frames`` frames in data slot ``slot``."""
+    base = DATA_BASE + slot * REGION_STRIDE
+    return (base, base + frames * FRAME_SIZE)
 
 
 def _boot_plan(code_region_end: int) -> SyncPlan:
@@ -191,16 +257,26 @@ def _ckpt_plans(sid_ckpt: int, ckpt_region: tuple[int, int]) -> tuple[SyncPlan, 
     return save, restore
 
 
+def _output_plan(sync_id: int, sid_out: int, out_region: tuple[int, int], **rest) -> SyncPlan:
+    """The barrier that keys the output stream for tile 0's exchange block."""
+    return SyncPlan(
+        sync_id=sync_id,
+        regions={0: CLEAR_REGION, 5: out_region},
+        stream_regions={sid_out: 5},
+        stream_offsets={sid_out: 0},
+        ctxmap={0: CTX_OUT},
+        kphysmap={CTX_OUT: 5},
+        egress_loads=((CTX_OUT, sid_out),),
+        **rest,
+    )
+
+
 # ---------------------------------------------------------------------------
 # SGD job
 # ---------------------------------------------------------------------------
 
 
-def _compile_sgd(
-    job: JobDescription, config: DeviceConfig, bootloader_measurement: str, ipu_id: int
-) -> CompiledJob:
-    if config.tile_count != 16 or config.tiles_per_exchange_context != 4:
-        raise ScheduleInfeasible("the SGD planner targets 16 tiles in 4 exchange blocks")
+def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
     if len(job.data_parties) != 2:
         raise ScheduleInfeasible("the SGD planner expects exactly two data parties")
     steps = job.steps
@@ -215,111 +291,74 @@ def _compile_sgd(
 
     sid_w0, sid_g1, sid_g2, sid_ckpt, sid_out = 2, 3, 4, 5, 6
 
-    # -- tile programs -------------------------------------------------------
-    def sgd_pair() -> list[ComputePhase]:
-        return [
-            ComputePhase(OP_SGD_STEP, (job.lr_num, job.lr_den, W_OFF, G1_OFF, slice_ints)),
-            ComputePhase(OP_SGD_STEP, (job.lr_num, job.lr_den, W_OFF, G2_OFF, slice_ints)),
-        ]
+    # -- tile programs and bindings ------------------------------------------
+    # Block 0 loads the weights and stores the model; blocks 1 and 2 load
+    # one data party's gradients each; each loader tile walks every 8th pair
+    # of frames.
+    def walk(sid: int, j: int, frames: int, buf_off: int = STAGE_OFF) -> BindingSpec:
+        return BindingSpec(sid, buf_off, start_index=2 * j, stride=8, block_len=2, total_frames=frames)
 
+    sgd_pair = [
+        ComputePhase(OP_SGD_STEP, (job.lr_num, job.lr_den, W_OFF, G1_OFF, slice_ints)),
+        ComputePhase(OP_SGD_STEP, (job.lr_num, job.lr_den, W_OFF, G2_OFF, slice_ints)),
+    ]
     end_sync = 2 * steps + 2
     programs: dict[int, TileProgram] = {}
+    bindings: dict[int, tuple[BindingSpec, ...]] = {}
     for t in range(n_tiles):
-        ebc = t // 4
+        ebc, j = divmod(t, 4)
+        grad = {1: sid_g1, 2: sid_g2}.get(ebc)
         phases: list = []
         if ebc == 0:
             phases.append(LoadPhase(sid_w0, 2))
+            bindings[t] = (walk(sid_w0, j, 2), walk(sid_out, j, 2, OUT_STAGE_OFF))
+        elif grad is not None:
+            bindings[t] = (walk(grad, j, 2 * steps),)
         phases.append(SyncPhase(1))
         for s in range(steps):
-            if ebc == 1:
-                phases.append(LoadPhase(sid_g1, 2))
-            elif ebc == 2:
-                phases.append(LoadPhase(sid_g2, 2))
+            if grad is not None:
+                phases.append(LoadPhase(grad, 2))
             phases.append(SyncPhase(2 + 2 * s))
-            phases.extend(sgd_pair())
+            phases.extend(sgd_pair)
             phases.append(SyncPhase(3 + 2 * s))
         if ebc == 0:
             phases.append(StorePhase(sid_out, 2))
         phases.append(SyncPhase(end_sync))
         programs[t] = TileProgram(tuple(phases))
 
-    binaries, code_layout, code_region_bytes = _code_layouts(programs)
-    code_plain = sum(length for _, _, _, length in code_layout)
-
-    # -- layouts -------------------------------------------------------------
-    layouts = []
-    for tile_id, code_off, code_frames, length in code_layout:
-        ebc = tile_id // 4
-        j = tile_id % 4
-        bindings = []
-        if ebc == 0:
-            bindings.append(BindingSpec(sid_w0, STAGE_OFF, start_index=2 * j, stride=8, block_len=2, total_frames=2))
-            bindings.append(BindingSpec(sid_out, OUT_STAGE_OFF, start_index=2 * j, stride=8, block_len=2, total_frames=2))
-        elif ebc == 1:
-            bindings.append(BindingSpec(sid_g1, STAGE_OFF, start_index=2 * j, stride=8, block_len=2, total_frames=2 * steps))
-        elif ebc == 2:
-            bindings.append(BindingSpec(sid_g2, STAGE_OFF, start_index=2 * j, stride=8, block_len=2, total_frames=2 * steps))
-        layouts.append(
-            TileLayout(
-                tile_id=tile_id,
-                code_offset=code_off,
-                code_frames=code_frames,
-                binary_length=length,
-                bindings=tuple(bindings),
-                ckpt_buf_off=W_OFF,
-                ckpt_len=slice_bytes,
-            )
-        )
-
-    # -- ring regions --------------------------------------------------------
-    w0_region = (DATA_BASE, DATA_BASE + frames_per_pass * FRAME_SIZE)
-    g1_region = (DATA_BASE + REGION_STRIDE, DATA_BASE + REGION_STRIDE + frames_per_pass * FRAME_SIZE)
-    g2_region = (DATA_BASE + 2 * REGION_STRIDE, DATA_BASE + 2 * REGION_STRIDE + frames_per_pass * FRAME_SIZE)
-    ckpt_slot = max(
-        checkpoint_frames(len(l.bindings), l.ckpt_len, PAYLOAD) for l in layouts
-    )
-    ckpt_base = DATA_BASE + 3 * REGION_STRIDE
-    ckpt_region = (ckpt_base, ckpt_base + n_tiles * ckpt_slot * FRAME_SIZE)
-    out_base = DATA_BASE + 4 * REGION_STRIDE
-    out_region = (out_base, out_base + frames_per_pass * FRAME_SIZE)
-
-    stream_table = {
-        SID_CODE: StreamTableEntry(SID_CODE, job.model_party, DIR_IN, CODE, code_plain, FRAME_SIZE, CODE_BASE),
+    # -- streams and regions -------------------------------------------------
+    w0_region, g1_region, g2_region = (_region(i, frames_per_pass) for i in range(3))
+    out_region = _region(4, frames_per_pass)
+    streams = {
         sid_w0: StreamTableEntry(sid_w0, job.model_party, DIR_IN, DATA, model_bytes, FRAME_SIZE, w0_region[0]),
         sid_g1: StreamTableEntry(sid_g1, job.data_parties[0], DIR_IN, DATA, steps * model_bytes, FRAME_SIZE, g1_region[0]),
         sid_g2: StreamTableEntry(sid_g2, job.data_parties[1], DIR_IN, DATA, steps * model_bytes, FRAME_SIZE, g2_region[0]),
-        sid_ckpt: StreamTableEntry(sid_ckpt, "", DIR_OUT, CHECKPOINT, 0, FRAME_SIZE, ckpt_region[0]),
+        sid_ckpt: StreamTableEntry(sid_ckpt, "", DIR_OUT, CHECKPOINT, 0, FRAME_SIZE, DATA_BASE + 3 * REGION_STRIDE),
         sid_out: StreamTableEntry(sid_out, "", DIR_OUT, OUTPUT, model_bytes, FRAME_SIZE, out_region[0]),
     }
 
     # -- sync plans ----------------------------------------------------------
-    g_regions = {0: CLEAR_REGION, 3: g1_region, 4: g2_region}
     g_registers = dict(
-        regions=g_regions,
+        regions={0: CLEAR_REGION, 3: g1_region, 4: g2_region},
         stream_regions={sid_g1: 3, sid_g2: 4},
         ctxmap={1: 2, 2: 3},
         kphysmap={2: 3, 3: 4},
         ingress_loads=((2, sid_g1), (3, sid_g2)),
     )
-
-    def w_moves() -> tuple:
-        return tuple(
-            (t // 4, STAGE_OFF + slice_bytes * (t % 4), t, W_OFF, slice_bytes)
-            for t in range(n_tiles)
+    w_moves = tuple(
+        (t // 4, STAGE_OFF + slice_bytes * (t % 4), t, W_OFF, slice_bytes) for t in range(n_tiles)
+    )
+    g_moves = tuple(
+        move
+        for t in range(n_tiles)
+        for move in (
+            (4 + t // 4, STAGE_OFF + slice_bytes * (t % 4), t, G1_OFF, slice_bytes),
+            (8 + t // 4, STAGE_OFF + slice_bytes * (t % 4), t, G2_OFF, slice_bytes),
         )
-
-    def g_moves() -> tuple:
-        moves = []
-        for t in range(n_tiles):
-            moves.append((4 + t // 4, STAGE_OFF + slice_bytes * (t % 4), t, G1_OFF, slice_bytes))
-            moves.append((8 + t // 4, STAGE_OFF + slice_bytes * (t % 4), t, G2_OFF, slice_bytes))
-        return tuple(moves)
-
-    def gather_moves() -> tuple:
-        return tuple(
-            (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes)
-            for t in range(n_tiles)
-        )
+    )
+    gather_moves = tuple(
+        (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes) for t in range(n_tiles)
+    )
 
     plans = [
         SyncPlan(
@@ -335,78 +374,30 @@ def _compile_sgd(
         )
     ]
     for s in range(steps):
-        pre = 1 + 2 * s  # barrier before the load interval of step s
         plans.append(
             SyncPlan(
-                sync_id=pre,
+                sync_id=1 + 2 * s,  # barrier before the load interval of step s
                 stream_offsets={sid_g1: frames_per_pass * s, sid_g2: frames_per_pass * s},
                 fills=(sid_g1, sid_g2),
                 invalidate=(1,) if s == 0 else (),
                 checkpoint=s > 0 and (s % job.checkpoint_period == 0),
-                moves=w_moves() if s == 0 else (),
+                moves=w_moves if s == 0 else (),
                 **g_registers,
             )
         )
-        plans.append(
-            SyncPlan(
-                sync_id=2 + 2 * s,
-                stream_offsets={},
-                moves=g_moves(),
-                **g_registers,
-            )
-        )
+        plans.append(SyncPlan(sync_id=2 + 2 * s, stream_offsets={}, moves=g_moves, **g_registers))
     plans.append(
-        SyncPlan(
-            sync_id=2 * steps + 1,
-            regions={0: CLEAR_REGION, 5: out_region},
-            stream_regions={sid_out: 5},
-            stream_offsets={sid_out: 0},
-            ctxmap={0: CTX_OUT},
-            kphysmap={CTX_OUT: 5},
-            egress_loads=((CTX_OUT, sid_out),),
+        _output_plan(
+            2 * steps + 1,
+            sid_out,
+            out_region,
             invalidate=(2, 3),
             checkpoint=(steps % job.checkpoint_period == 0),
-            moves=gather_moves(),
+            moves=gather_moves,
         )
     )
     plans.append(SyncPlan(sync_id=end_sync, regions={0: CLEAR_REGION}))
-
-    save_plan, restore_plan = _ckpt_plans(sid_ckpt, ckpt_region)
-    manifest = JobManifest(
-        ipu_id=ipu_id,
-        binary_hashes={},
-        bootloader_measurement=bootloader_measurement,
-        stream_table=stream_table,
-        tile_layouts=tuple(layouts),
-        boot_plan=_boot_plan(CODE_BASE + code_region_bytes),
-        sync_plans=tuple(plans),
-        checkpoint_plan=save_plan,
-        restore_plan=restore_plan,
-        stream_assignment={
-            "inputs": {
-                str(SID_CODE): job.model_party,
-                str(sid_w0): job.model_party,
-                str(sid_g1): job.data_parties[0],
-                str(sid_g2): job.data_parties[1],
-            },
-            "model_receivers": sorted(job.model_receivers or (job.model_party,)),
-        },
-        device_config=config.to_dict(),
-        metadata_base=METADATA_BASE,
-    )
-    compiled = CompiledJob(
-        manifest=manifest,
-        programs=programs,
-        binaries=binaries,
-        key_streams={
-            job.model_party: (SID_CODE, sid_w0),
-            job.data_parties[0]: (sid_g1,),
-            job.data_parties[1]: (sid_g2,),
-        },
-    )
-    manifest = _finalize(compiled, ipu_id)
-    compiled.manifest = manifest
-    return compiled
+    return _Plan(programs, bindings, streams, tuple(plans), ckpt_range=(W_OFF, slice_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +405,11 @@ def _compile_sgd(
 # ---------------------------------------------------------------------------
 
 
-def _compile_sum(
-    job: JobDescription, config: DeviceConfig, bootloader_measurement: str, ipu_id: int
-) -> CompiledJob:
-    if config.tile_count != 16 or config.tiles_per_exchange_context != 4:
-        raise ScheduleInfeasible("the reduction planner targets 16 tiles in 4 exchange blocks")
+def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
     n = job.stream_count
     if n < 1:
         raise ScheduleInfeasible("at least one input stream")
     n_ebcs = config.tile_count // config.tiles_per_exchange_context
-    if not job.rotate_contexts and n > n_ebcs:
-        raise ScheduleInfeasible(
-            f"{n} concurrently resident streams need more than {n_ebcs} exchange-block "
-            "bindings in one interval and key rotation is disabled"
-        )
 
     ints = PAYLOAD // 4  # 24 ints per stream frame
     waves = -(-n // n_ebcs)
@@ -436,172 +418,79 @@ def _compile_sum(
 
     loaders = [4 * e for e in range(n_ebcs)]
 
-    # -- programs ------------------------------------------------------------
+    # -- programs and bindings -----------------------------------------------
     programs: dict[int, TileProgram] = {}
+    bindings: dict[int, tuple[BindingSpec, ...]] = {}
     for t in range(config.tile_count):
         phases: list = []
+        specs = []
         for w in range(waves):
             if t in loaders:
                 i = 4 * w + loaders.index(t)
                 if i < n:
                     phases.append(LoadPhase(sid_in(i), 1))
+                    specs.append(BindingSpec(sid_in(i), STAGE_OFF, 0, total_frames=1))
             phases.append(SyncPhase(w + 1))
         if t == 0:
             phases.append(ComputePhase(OP_SUM, (ACC_OFF, n * ints, RES_OFF)))
         phases.append(SyncPhase(waves + 1))
         if t == 0:
             phases.append(StorePhase(sid_out, 1))
+            specs.append(BindingSpec(sid_out, RES_OFF, 0, total_frames=1))
         phases.append(SyncPhase(waves + 2))
         programs[t] = TileProgram(tuple(phases))
-
-    binaries, code_layout, code_region_bytes = _code_layouts(programs)
-    code_plain = sum(length for _, _, _, length in code_layout)
-
-    layouts = []
-    for tile_id, code_off, code_frames, length in code_layout:
-        bindings = []
-        if tile_id in loaders:
-            e = loaders.index(tile_id)
-            for w in range(waves):
-                i = 4 * w + e
-                if i < n:
-                    bindings.append(BindingSpec(sid_in(i), STAGE_OFF, 0, total_frames=1))
-        if tile_id == 0:
-            bindings.append(BindingSpec(sid_out, RES_OFF, 0, total_frames=1))
-        layouts.append(
-            TileLayout(
-                tile_id=tile_id,
-                code_offset=code_off,
-                code_frames=code_frames,
-                binary_length=length,
-                bindings=tuple(bindings),
-            )
-        )
+        bindings[t] = tuple(specs)
 
     # -- streams and regions -------------------------------------------------
     # Each exchange block reuses one ring region across waves; the host
     # refills it with the next stream's frame at the wave barrier.
-    ebc_region = lambda e: (  # noqa: E731
-        DATA_BASE + e * REGION_STRIDE,
-        DATA_BASE + e * REGION_STRIDE + FRAME_SIZE,
-    )
-    out_base = DATA_BASE + n_ebcs * REGION_STRIDE
-    out_region = (out_base, out_base + FRAME_SIZE)
-
-    stream_table = {
-        SID_CODE: StreamTableEntry(SID_CODE, job.model_party, DIR_IN, CODE, code_plain, FRAME_SIZE, CODE_BASE),
-        sid_out: StreamTableEntry(sid_out, "", DIR_OUT, OUTPUT, 4, FRAME_SIZE, out_region[0]),
-    }
+    out_region = _region(n_ebcs, 1)
+    streams = {sid_out: StreamTableEntry(sid_out, "", DIR_OUT, OUTPUT, 4, FRAME_SIZE, out_region[0])}
     parties = job.data_parties or (job.model_party,)
     for i in range(n):
-        party = parties[i % len(parties)]
-        stream_table[sid_in(i)] = StreamTableEntry(
-            sid_in(i), party, DIR_IN, DATA, 4 * ints, FRAME_SIZE, ebc_region(i % n_ebcs)[0]
+        streams[sid_in(i)] = StreamTableEntry(
+            sid_in(i), parties[i % len(parties)], DIR_IN, DATA, 4 * ints, FRAME_SIZE, _region(i % n_ebcs, 1)[0]
         )
 
     # -- plans ---------------------------------------------------------------
     def wave_slots(w: int) -> list[int]:
         return [1 + (w % 3) * 4 + e for e in range(n_ebcs)]
 
+    def gather(w: int) -> tuple:
+        """Moves that bring wave ``w``'s staged frames into tile 0."""
+        return tuple(
+            (4 * e, STAGE_OFF, 0, ACC_OFF + (4 * w + e) * 4 * ints, 4 * ints)
+            for e in range(n_ebcs)
+            if 4 * w + e < n
+        )
+
     plans = []
     for w in range(waves):
         slots = wave_slots(w)
         sids = [sid_in(4 * w + e) for e in range(n_ebcs) if 4 * w + e < n]
-        regions = {0: CLEAR_REGION}
-        stream_regions = {}
-        ctxmap = {}
-        kphysmap = {}
-        loads = []
-        for e, sid in enumerate(sids):
-            regions[1 + e] = ebc_region(e)
-            stream_regions[sid] = 1 + e
-            ctxmap[e] = slots[e]
-            kphysmap[slots[e]] = 1 + e
-            loads.append((slots[e], sid))
         invalidate = tuple(slots[: len(sids)]) if w >= 3 else ((CTX_CODE,) if w == 0 else ())
         plans.append(
             SyncPlan(
                 sync_id=w,
-                regions=regions,
-                stream_regions=stream_regions,
+                regions={0: CLEAR_REGION, **{1 + e: _region(e, 1) for e in range(len(sids))}},
+                stream_regions={sid: 1 + e for e, sid in enumerate(sids)},
                 stream_offsets={sid: 0 for sid in sids},
                 fills=tuple(sids),
-                ctxmap=ctxmap,
-                kphysmap=kphysmap,
-                ingress_loads=tuple(loads),
+                ctxmap={e: slots[e] for e in range(len(sids))},
+                kphysmap={slots[e]: 1 + e for e in range(len(sids))},
+                ingress_loads=tuple((slots[e], sid) for e, sid in enumerate(sids)),
                 invalidate=invalidate,
-                moves=_sum_moves(w - 1, n, n_ebcs, ints) if w > 0 else (),
+                moves=gather(w - 1) if w > 0 else (),
             )
         )
+    plans.append(SyncPlan(sync_id=waves, regions={0: CLEAR_REGION}, moves=gather(waves - 1)))
     plans.append(
-        SyncPlan(
-            sync_id=waves,
-            regions={0: CLEAR_REGION},
-            moves=_sum_moves(waves - 1, n, n_ebcs, ints),
-        )
-    )
-    plans.append(
-        SyncPlan(
-            sync_id=waves + 1,
-            regions={0: CLEAR_REGION, 5: out_region},
-            stream_regions={sid_out: 5},
-            stream_offsets={sid_out: 0},
-            ctxmap={0: CTX_OUT},
-            kphysmap={CTX_OUT: 5},
-            egress_loads=((CTX_OUT, sid_out),),
+        _output_plan(
+            waves + 1,
+            sid_out,
+            out_region,
             invalidate=tuple(sorted({s for w in range(min(waves, 3)) for s in wave_slots(w)})),
         )
     )
     plans.append(SyncPlan(sync_id=waves + 2, regions={0: CLEAR_REGION}))
-
-    key_streams: dict[str, list[int]] = {job.model_party: [SID_CODE]}
-    for i in range(n):
-        party = stream_table[sid_in(i)].party
-        key_streams.setdefault(party, []).append(sid_in(i))
-
-    manifest = JobManifest(
-        ipu_id=ipu_id,
-        binary_hashes={},
-        bootloader_measurement=bootloader_measurement,
-        stream_table=stream_table,
-        tile_layouts=tuple(layouts),
-        boot_plan=_boot_plan(CODE_BASE + code_region_bytes),
-        sync_plans=tuple(plans),
-        checkpoint_plan=None,
-        restore_plan=None,
-        stream_assignment={
-            "inputs": {str(sid): e.party for sid, e in stream_table.items() if e.direction == DIR_IN},
-            "model_receivers": sorted(job.model_receivers or (job.model_party,)),
-        },
-        device_config=config.to_dict(),
-        metadata_base=METADATA_BASE,
-    )
-    compiled = CompiledJob(
-        manifest=manifest,
-        programs=programs,
-        binaries=binaries,
-        key_streams={p: tuple(s) for p, s in key_streams.items()},
-    )
-    compiled.manifest = _finalize(compiled, ipu_id)
-    return compiled
-
-
-def _sum_moves(w: int, n: int, n_ebcs: int, ints: int) -> tuple:
-    moves = []
-    for e in range(n_ebcs):
-        i = 4 * w + e
-        if i < n:
-            moves.append((4 * e, STAGE_OFF, 0, ACC_OFF + i * 4 * ints, 4 * ints))
-    return tuple(moves)
-
-
-# ---------------------------------------------------------------------------
-# finalization
-# ---------------------------------------------------------------------------
-
-
-def _finalize(compiled: CompiledJob, ipu_id: int) -> JobManifest:
-    """Fill in the binary hash chain and run the manifest validator."""
-    return dataclasses.replace(
-        compiled.manifest, binary_hashes={ipu_id: compiled.binary_hash_chain()}
-    ).validate()
+    return _Plan(programs, bindings, streams, tuple(plans))

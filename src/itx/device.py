@@ -680,6 +680,14 @@ class IpuDevice:
 
     def _exec_compute(self, tile: Tile, ph: ComputePhase) -> None:
         m = tile.memory
+        # (offset, int count) of every operand: SUM reads src and writes one
+        # int at dst; AXPY and SGD read and write two int vectors.
+        if ph.op == OP_SUM:
+            spans = ((ph.args[0], ph.args[1]), (ph.args[2], 1))
+        else:
+            spans = ((ph.args[2], ph.args[4]), (ph.args[3], ph.args[4]))
+        if any(off < 0 or n < 0 or off + 4 * n > len(m) for off, n in spans):
+            raise self._security(f"tile {tile.tile_id}: compute operands outside tile memory")
         if ph.op == OP_SUM:
             src, count, dst = ph.args
             vals = struct.unpack_from(f"<{count}i", m, src)

@@ -46,9 +46,6 @@ class EventLog:
         self.events.append(event)
         return event
 
-    def of_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
     def lines(self) -> list[str]:
         return [e.line() for e in self.events]
 

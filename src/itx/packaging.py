@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import crypto
 from .certs import Certificate
-from .errors import InvalidFrame, KeyExchangeFailure
+from .encoding import Record, decode
+from .errors import InvalidEncoding, InvalidFrame, KeyExchangeFailure
 from .frame_codec import (
     Frame,
     StreamIV,
@@ -148,16 +149,8 @@ class StreamPackage:
     streams: dict[int, EncryptedStream]
 
 
-class ApplicationPackage(StreamPackage):
-    """A model owner's package: code stream plus any parameter streams."""
-
-
-class DataPackage(StreamPackage):
-    """A data owner's package: input streams only."""
-
-
 @dataclass
-class CleanRoom:
+class CleanRoom(Record):
     """The secrets that never leave the party: stream keys and the private
     half of the packaged keyshare."""
 
@@ -179,7 +172,6 @@ class CleanRoom:
 
 
 def _package(
-    cls,
     identity: PartyIdentity,
     manifest: JobManifest,
     binaries: dict[int, bytes] | None,
@@ -187,7 +179,7 @@ def _package(
 ) -> tuple[StreamPackage, CleanRoom]:
     inputs = package_inputs(identity.name, manifest, binaries=binaries, data=data)
     session = identity.new_session()
-    package = cls(
+    package = StreamPackage(
         party=identity.name,
         certificate=identity.certificate,
         keyshare=session.public,
@@ -210,18 +202,18 @@ def package_model(
     manifest: JobManifest,
     identity: PartyIdentity,
     data: dict[int, bytes] | None = None,
-) -> tuple[ApplicationPackage, CleanRoom]:
+) -> tuple[StreamPackage, CleanRoom]:
     """Encrypt a model owner's contribution (code plus any data streams)."""
-    return _package(ApplicationPackage, identity, manifest, binaries, data)
+    return _package(identity, manifest, binaries, data)
 
 
 def package_data(
     data: dict[int, bytes],
     manifest: JobManifest,
     identity: PartyIdentity,
-) -> tuple[DataPackage, CleanRoom]:
+) -> tuple[StreamPackage, CleanRoom]:
     """Encrypt a data owner's input streams."""
-    return _package(DataPackage, identity, manifest, None, data)
+    return _package(identity, manifest, None, data)
 
 
 # ---------------------------------------------------------------------------
@@ -276,56 +268,46 @@ def save_package(package: StreamPackage, manifest: JobManifest, path: str | Path
 
 
 def load_package(path: str | Path) -> StreamPackage:
+    """Read a package directory; a malformed ``package.json`` (a missing
+    field, bad hex, a non-integer stream id) raises ``InvalidEncoding``."""
     root = Path(path)
-    meta = json.loads((root / "package.json").read_text())
-    streams: dict[int, EncryptedStream] = {}
-    for sid_text, desc in meta["streams"].items():
-        sid = int(sid_text)
-        if desc["kind"] == CODE:
-            frames: list[Frame] = []
-            spans: dict[int, tuple[int, int]] = {}
-            for entry in desc["files"]:
-                _, _, _, tile_frames = decode_stream_file(
-                    (root / "streams" / entry["file"]).read_bytes()
+    try:
+        meta = json.loads((root / "package.json").read_text())
+        streams: dict[int, EncryptedStream] = {}
+        for sid_text, desc in meta["streams"].items():
+            sid = int(sid_text)
+            if desc["kind"] == CODE:
+                frames: list[Frame] = []
+                spans: dict[int, tuple[int, int]] = {}
+                for entry in desc["files"]:
+                    _, _, _, tile_frames = decode_stream_file(
+                        (root / "streams" / entry["file"]).read_bytes()
+                    )
+                    spans[entry["tile"]] = (len(frames), len(tile_frames))
+                    frames.extend(tile_frames)
+                streams[sid] = EncryptedStream(sid, frames, spans)
+            else:
+                _, _, _, frames = decode_stream_file(
+                    (root / "streams" / desc["file"]).read_bytes()
                 )
-                spans[entry["tile"]] = (len(frames), len(tile_frames))
-                frames.extend(tile_frames)
-            streams[sid] = EncryptedStream(sid, frames, spans)
-        else:
-            _, _, _, frames = decode_stream_file(
-                (root / "streams" / desc["file"]).read_bytes()
-            )
-            streams[sid] = EncryptedStream(sid, list(frames))
-    cls = ApplicationPackage if any(d["kind"] == CODE for d in meta["streams"].values()) else DataPackage
-    return cls(
-        party=meta["party"],
-        certificate=Certificate.from_dict(meta["certificate"]),
-        keyshare=bytes.fromhex(meta["keyshare"]),
-        share_signature=bytes.fromhex(meta["share_signature"]),
-        manifest_measurement=meta["manifest_measurement"],
-        streams=streams,
-    )
+                streams[sid] = EncryptedStream(sid, list(frames))
+        return StreamPackage(
+            party=meta["party"],
+            certificate=Certificate.from_dict(meta["certificate"]),
+            keyshare=decode(bytes, meta["keyshare"]),
+            share_signature=decode(bytes, meta["share_signature"]),
+            manifest_measurement=meta["manifest_measurement"],
+            streams=streams,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidEncoding(f"{root / 'package.json'}: {exc!r}") from None
 
 
 def save_clean_room(room: CleanRoom, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "party": room.party,
-        "keys": {str(sid): key.hex() for sid, key in sorted(room.keys.items())},
-        "session_private": room.session_private.hex(),
-        "keyshare": room.keyshare.hex(),
-        "share_signature": room.share_signature.hex(),
-    }
-    (root / "cleanroom.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (root / "cleanroom.json").write_text(json.dumps(room.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_clean_room(path: str | Path) -> CleanRoom:
-    meta = json.loads((Path(path) / "cleanroom.json").read_text())
-    return CleanRoom(
-        party=meta["party"],
-        keys={int(sid): bytes.fromhex(k) for sid, k in meta["keys"].items()},
-        session_private=bytes.fromhex(meta["session_private"]),
-        keyshare=bytes.fromhex(meta["keyshare"]),
-        share_signature=bytes.fromhex(meta["share_signature"]),
-    )
+    return CleanRoom.from_dict(json.loads((Path(path) / "cleanroom.json").read_text()))

@@ -81,9 +81,6 @@ class CaState:
     def sign_firmware(self, image: bytes) -> SignedImage:
         return SignedImage(image, crypto.sign(self.firmware_ca, image))
 
-    def revoke_certificate(self, fingerprint: str) -> None:
-        self.revoked_certs.add(fingerprint)
-
     # -- provisioning (supply chain) ----------------------------------------
 
     def ca_provision_and_certify(

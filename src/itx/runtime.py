@@ -12,15 +12,17 @@ The session models four mutually distrustful roles on one box:
 
 ``TrustedJobSession.run`` executes a job from cold start to an encrypted
 model; ``resume`` restarts a halted run from a saved checkpoint.  Every step
-lands in the event log, and any detected violation ends the run with the
-TEE terminated and keys destroyed — there is no path that both tampers and
-completes.
+lands in the event log, and any failure — a detected violation or any other
+exception — ends the run aborted, with the TEE terminated and keys
+destroyed: there is no path that both tampers and completes.
 """
 
 from __future__ import annotations
 
 import os
+import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .adversary import Adversary
 from .attestation import KeyPackage, Verdict
@@ -31,14 +33,7 @@ from .device import (
     read_host_checkpoint_metadata,
     trusted_registers_digest,
 )
-from .errors import (
-    AccessDenied,
-    InvalidPhase,
-    InvalidSyncPoint,
-    KeyExchangeFailure,
-    PartyAuthFailure,
-    SecurityException,
-)
+from .errors import AccessDenied, InvalidPhase, ItxError
 from .eventlog import EventLog
 from .frame_codec import Frame, StreamIV, StreamType, decrypt_stream, payload_capacity
 from .manifest import CHECKPOINT, CODE, JobManifest, OUTPUT, SyncPlan
@@ -124,6 +119,7 @@ class TrustedJobSession:
         self.run_nonces: dict[str, bytes] = {}  # fingerprint -> nonce (for the model key)
         self.last_report = None  # most recent attestation report (for archival)
         self.last_expected: dict = {}  # expectations the parties last verified against
+        self._stage = ""  # the control-unit call in progress, named in abort reasons
 
     # -- host's view of the ring ---------------------------------------------
 
@@ -291,16 +287,40 @@ class TrustedJobSession:
         except AccessDenied as exc:
             log.emit("host_access_denied", detail=str(exc))
 
-    def _execute(
+    def _staged(self, stage: str, call, *args):
+        """Make a control-unit call; if it raises, the abort reason starts
+        with ``stage``."""
+        self._stage = stage
+        result = call(*args)
+        self._stage = ""
+        return result
+
+    def _execute(self, **attempt) -> RunResult:
+        """Fail closed: whatever an attempt raises — a detected violation, a
+        malformed input, a fault in the host's own code — ends it aborted,
+        with the TEE terminated and its keys destroyed.  The reason names the
+        control-unit stage that failed, if any."""
+        log = EventLog()
+        verdicts: dict[str, Verdict] = {}
+        self._stage = ""
+        try:
+            return self._attempt(log, verdicts, **attempt)
+        except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            log.emit("exception", type=type(exc).__name__, at=f"{Path(where.filename).name}:{where.lineno}")
+            detail = str(exc) if isinstance(exc, ItxError) else f"{type(exc).__name__}: {exc}"
+            return self._abort(log, verdicts, f"{self._stage}: {detail}" if self._stage else detail)
+
+    def _attempt(
         self,
+        log: EventLog,
+        verdicts: dict[str, Verdict],
         *,
         seed_epoch: int,
         seed_checkpoint: int,
         resume_from: CheckpointSnapshot | None,
         halt_after_checkpoint: int | None,
     ) -> RunResult:
-        log = EventLog()
-        verdicts: dict[str, Verdict] = {}
         mode = "resume" if resume_from is not None else "fresh"
         log.emit("run_start", mode=mode, epoch=seed_epoch, checkpoint_id=seed_checkpoint)
 
@@ -315,13 +335,10 @@ class TrustedJobSession:
         certs = {name: identity.certificate for name, identity in self.parties.items()}
         shares = {name: session.public for name, session in sessions.items()}
         signatures = {name: session.signature for name, session in sessions.items()}
-        try:
-            report = self.ccu.tee_init(
-                self.manifest, certs, shares, signatures, seed_epoch, seed_checkpoint
-            )
-        except (InvalidPhase, PartyAuthFailure) as exc:
-            log.emit("tee_init_failed", detail=str(exc))
-            return RunResult(STATUS_ABORTED, f"init: {exc}", log, verdicts)
+        report = self._staged(
+            "init", self.ccu.tee_init,
+            self.manifest, certs, shares, signatures, seed_epoch, seed_checkpoint,
+        )
         self.last_report = report
         log.emit("tee_init", epoch=seed_epoch, checkpoint_id=seed_checkpoint)
 
@@ -361,24 +378,14 @@ class TrustedJobSession:
 
         self._fill_boot(log)
         self.adversary.after_fill(self, "boot")
-        try:
-            self.ccu.tee_launch(packages)
-        except (SecurityException, KeyExchangeFailure) as exc:
-            log.emit("launch_failed", detail=str(exc))
-            if self.ccu.tee.phase in (INITIALIZED, LAUNCHED):
-                self.ccu.tee_terminate(f"launch: {exc}")
-            log.emit("abort", reason=f"launch: {exc}")
-            return RunResult(STATUS_ABORTED, f"launch: {exc}", log, verdicts)
+        self._staged("launch", self.ccu.tee_launch, packages)
         log.emit("tee_launch")
 
         if resume_from is not None:
             filled = self.adversary.choose_checkpoint(self, resume_from)
             self._fill_snapshot(filled, log)
             self.adversary.after_fill(self, "restore")
-            try:
-                parked = self.ccu.tee_restore()
-            except SecurityException as exc:
-                return self._abort_after_exception(log, verdicts, f"restore: {exc}")
+            parked = self._staged("restore", self.ccu.tee_restore)
             plan = self.manifest.plan(parked)
             assert plan is not None
             self._fill_plan(plan, log)
@@ -395,12 +402,8 @@ class TrustedJobSession:
         saved_this_run = 0
         while True:
             if self.ccu.tee.phase == TERMINATED:
-                log.emit("abort", reason=self.ccu.tee.reason)
-                return RunResult(STATUS_ABORTED, self.ccu.tee.reason, log, verdicts)
-            try:
-                sync_id = self.device.run_interval()
-            except (SecurityException, InvalidPhase) as exc:
-                return self._abort_after_exception(log, verdicts, str(exc))
+                return self._abort(log, verdicts, self.ccu.tee.reason)
+            sync_id = self.device.run_interval()
             if sync_id is None:
                 break
             log.emit("barrier", sync_id=sync_id)
@@ -408,10 +411,7 @@ class TrustedJobSession:
             if plan is None:
                 return self._abort(log, verdicts, f"no plan for barrier {sync_id}")
             if plan.checkpoint:
-                try:
-                    self.ccu.tee_checkpoint()
-                except (SecurityException, InvalidPhase) as exc:
-                    return self._abort_after_exception(log, verdicts, f"checkpoint: {exc}")
+                self._staged("checkpoint", self.ccu.tee_checkpoint)
                 snapshot = self._capture_snapshot(sync_id, log)
                 saved_this_run += 1
                 if halt_after_checkpoint is not None and saved_this_run >= halt_after_checkpoint:
@@ -427,10 +427,7 @@ class TrustedJobSession:
             if self.adversary.skip_key_load(self, sync_id):
                 log.emit("adversary", action="skip_key_load", sync_id=sync_id)
             else:
-                try:
-                    self.ccu.tee_load_keys(sync_id)
-                except (SecurityException, InvalidSyncPoint, KeyExchangeFailure) as exc:
-                    return self._abort_after_exception(log, verdicts, f"key load: {exc}")
+                self._staged("key load", self.ccu.tee_load_keys, sync_id)
             self._fill_plan(plan, log)
             self.adversary.after_fill(self, sync_id)
             self._host_attempt(log, self.adversary.before_interval, sync_id)
@@ -451,15 +448,6 @@ class TrustedJobSession:
             epoch=last[0],
             checkpoint_id=last[1],
         )
-
-    def _abort_after_exception(self, log: EventLog, verdicts: dict, reason: str) -> RunResult:
-        """A security exception already tore the TEE down via the notify hook;
-        just record the outcome (and terminate if the hook was bypassed)."""
-        if self.ccu.tee.phase in (INITIALIZED, LAUNCHED):
-            self.ccu.tee_terminate(reason)
-        log.emit("security_stop", reason=reason)
-        log.emit("abort", reason=reason)
-        return RunResult(STATUS_ABORTED, reason, log, verdicts)
 
     def _collect_output(self) -> list[Frame]:
         entry = next(e for e in self.manifest.stream_table.values() if e.kind == OUTPUT)

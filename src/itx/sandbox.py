@@ -215,7 +215,6 @@ def make_sum_fixture(
     deployment: Deployment | None = None,
     *,
     stream_count: int = 17,
-    rotate_contexts: bool = True,
     data_seed: int = 0,
     adversary=None,
 ) -> JobFixture:
@@ -225,7 +224,6 @@ def make_sum_fixture(
         model_party="modelco",
         data_parties=("alpha", "beta"),
         stream_count=stream_count,
-        rotate_contexts=rotate_contexts,
     )
     compiled = compile_job(
         job,

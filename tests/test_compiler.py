@@ -158,18 +158,6 @@ class TestSumPlanning:
             used.update(plan.kphysmap)
         assert used and max(used) < NUM_CONTEXTS
 
-    def test_rotation_disabled_rejects_wide_jobs(self):
-        with pytest.raises(ScheduleInfeasible, match="rotation is disabled"):
-            compile_job(
-                sum_job(stream_count=5, rotate_contexts=False),
-                bootloader_measurement=BOOTLOADER,
-            )
-        narrow = compile_job(
-            sum_job(stream_count=4, rotate_contexts=False),
-            bootloader_measurement=BOOTLOADER,
-        )
-        narrow.manifest.validate()
-
     def test_degenerate_sizes(self):
         single = compile_job(sum_job(stream_count=1), bootloader_measurement=BOOTLOADER)
         single.manifest.validate()

@@ -1,0 +1,57 @@
+"""Every function, method and class defined in the package is named
+somewhere outside its own definition: in the package, the tests or the
+benchmark.  Dunder methods are exempt, since the language calls them."""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+import itx
+
+PACKAGE = Path(itx.__file__).parent
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
+    path for folder in ("tests", "bench") for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def mentions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every identifier a module mentions, in code or as a
+    dotted-name string such as ``"itx.sxp:SxpEngine.load_key"`` (the
+    benchmark wraps functions it finds by name)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.:]+", node.value):
+                found += [(word, node.lineno) for word in re.split(r"[.:]", node.value)]
+    return found
+
+
+def unused_definitions() -> list[str]:
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    named = defaultdict(list)  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for name, line in mentions(tree):
+            named[name].append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if all(
+                where == path and node.lineno <= line <= node.end_lineno
+                for where, line in named[node.name]
+            ):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_every_definition_is_used():
+    assert unused_definitions() == []

@@ -13,6 +13,7 @@ import pytest
 from itx.attestation import AttestationReport, KeyPackage
 from itx.certs import Certificate
 from itx.device import DeviceConfig
+from itx.packaging import CleanRoom, save_clean_room
 from itx.pki import COMPONENT_BOOTLOADER, TcbUpdateCertificate
 from itx.sandbox import make_sgd_fixture, make_sum_fixture
 
@@ -119,3 +120,13 @@ def test_device_config_dict():
         "ring_buffer_size": 1048576,
         "packet_payload": 64,
     }
+
+
+def test_clean_room_file(tmp_path):
+    room = CleanRoom(
+        "alpha", {3: bytes(range(32)), 12: b"\xab" * 32}, b"\x33" * 32, b"\x44" * 32, b"\x55" * 64
+    )
+    save_clean_room(room, tmp_path)
+    assert sha((tmp_path / "cleanroom.json").read_bytes()) == (
+        "e83e8df12713e3eef6c9f8b43285c7a1d86530ee210f4cd77d2dd913bdf1ed71"
+    )

@@ -6,12 +6,10 @@ import hashlib
 import pytest
 
 from itx import crypto
-from itx.compiler import JobDescription, compile_job
+from itx.compiler import SID_CODE, JobDescription, compile_job
 from itx.errors import KeyExchangeFailure
 from itx.frame_codec import StreamIV, StreamType, decrypt_stream
 from itx.packaging import (
-    ApplicationPackage,
-    DataPackage,
     load_clean_room,
     load_package,
     package_data,
@@ -116,7 +114,7 @@ class TestSplit:
     def test_package_carries_no_secrets(self, compiled):
         alice = PartyIdentity("alpha")
         package, room = package_data({3: gradient_bytes(compiled, 3)}, compiled.manifest, alice)
-        assert isinstance(package, DataPackage)
+        assert SID_CODE not in package.streams
         assert not hasattr(package, "keys")
         assert room.keys and room.session_private
         assert package.keyshare == room.keyshare
@@ -133,7 +131,7 @@ class TestSplit:
         package, room = package_model(
             compiled.binaries, compiled.manifest, modelco, data={2: model_bytes(compiled)}
         )
-        assert isinstance(package, ApplicationPackage)
+        assert SID_CODE in package.streams
         session = room.session()
         assert crypto.x25519_public_bytes(session.private) == package.keyshare
         assert session.signature == package.share_signature
@@ -161,7 +159,7 @@ class TestSerialization:
         save_package(package, compiled.manifest, tmp_path / "pkg")
         loaded = load_package(tmp_path / "pkg")
 
-        assert isinstance(loaded, ApplicationPackage)
+        assert SID_CODE in loaded.streams
         assert loaded.party == package.party
         assert loaded.certificate.fingerprint == package.certificate.fingerprint
         assert loaded.keyshare == package.keyshare
@@ -177,7 +175,7 @@ class TestSerialization:
         package, _ = package_data({4: gradient_bytes(compiled, 4)}, compiled.manifest, beta)
         save_package(package, compiled.manifest, tmp_path / "pkg")
         loaded = load_package(tmp_path / "pkg")
-        assert isinstance(loaded, DataPackage)
+        assert SID_CODE not in loaded.streams
         assert [f.to_bytes() for f in loaded.streams[4].frames] == [
             f.to_bytes() for f in package.streams[4].frames
         ]

@@ -21,6 +21,7 @@ from itx.device import DeviceConfig
 from itx.encoding import Record
 from itx.errors import InvalidEncoding, KeyExchangeFailure
 from itx.manifest import JobManifest, SyncPlan
+from itx.packaging import CleanRoom
 from itx.pki import COMPONENT_BOOTLOADER, CaState, TcbUpdateCertificate
 
 SIGNER = crypto.ed25519_generate()
@@ -57,6 +58,10 @@ SAMPLES = [
     MANIFEST.sync_plans[0],
     MANIFEST,
     DeviceConfig(),
+    JobDescription(
+        kind="sgd", model_party="modelco", data_parties=("alpha", "beta"), model_receivers=("beta",)
+    ),
+    CleanRoom("alpha", {3: b"\x11" * 32, 12: b"\x22" * 32}, b"\x33" * 32, b"\x44" * 32, b"\x55" * 64),
     CERT,
     REPORT,
     TCB,

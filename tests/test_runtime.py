@@ -11,19 +11,25 @@ from itx.adversary import (
     ReplayFrame,
     SkipKeyLoad,
     SubstituteCheckpoint,
+    SwapBinary,
     SwapStreams,
     TamperFrame,
+    from_script,
 )
 from itx.ccu import TERMINATED
+from itx.compiler import SID_CODE, CompiledJob, JobDescription, compile_job
 from itx.device import (
     MODE_NORMAL,
+    ComputePhase,
+    OP_SGD_STEP,
+    TileProgram,
     checkpoint_frames,
     pack_checkpoint_metadata,
     parse_checkpoint_metadata,
 )
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
 from itx.manifest import CHECKPOINT
-from itx.packaging import JobInputs, encrypt_data_stream, package_inputs
+from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
 from itx.sxp import NUM_CONTEXTS
@@ -153,6 +159,28 @@ def test_host_attack_aborts_closed(adversary):
     assert_aborted_closed(fixture, fixture.session.run())
 
 
+def test_other_application_under_the_code_key_aborts_closed():
+    """The host swaps in the ciphertext of another program that the model
+    owner encrypted under the same code key: every frame authenticates, and
+    only the manifest's binary hash chain catches it."""
+    fixture = make_sgd_fixture(steps=2)
+    manifest = fixture.compiled.manifest
+    other = compile_job(
+        JobDescription(
+            kind="sgd", model_party="modelco", data_parties=("alpha", "beta"), steps=2, lr_num=3
+        ),
+        config=fixture.deployment.device.config,
+        bootloader_measurement=manifest.bootloader_measurement,
+        ipu_id=manifest.ipu_id,
+    )
+    assert other.binaries != fixture.compiled.binaries
+    key = fixture.inputs["modelco"].keys[SID_CODE]
+    fixture.session.adversary = SwapBinary(encrypt_code_stream(key, manifest, other.binaries).frames)
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result)
+    assert "binary hash" in result.reason
+
+
 def halted_at_third_checkpoint():
     fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
     halted = fixture.session.run(halt_after_checkpoint=3)
@@ -213,3 +241,50 @@ def test_key_for_another_partys_stream_aborts_closed():
     )
     inputs["alpha"] = JobInputs("alpha", {}, alpha.keys)
     assert_aborted_closed(fixture, session_with(fixture, inputs).run())
+
+
+def test_compute_outside_tile_memory_aborts_closed():
+    """The model owner ships a program whose SGD step writes past the tile's
+    memory, under a manifest whose binary hash matches it."""
+    fixture = make_sgd_fixture(steps=2)
+    compiled = fixture.compiled
+    phases = tuple(
+        dataclasses.replace(ph, args=ph.args[:2] + (70000,) + ph.args[3:])
+        if isinstance(ph, ComputePhase) and ph.op == OP_SGD_STEP
+        else ph
+        for ph in compiled.programs[5].phases
+    )
+    programs = {**compiled.programs, 5: TileProgram(phases)}
+    binaries = {**compiled.binaries, 5: programs[5].pack()}
+    chain = CompiledJob(compiled.manifest, programs, binaries).binary_hash_chain()
+    manifest = dataclasses.replace(
+        compiled.manifest, binary_hashes={compiled.manifest.ipu_id: chain}
+    )
+    inputs = dict(fixture.inputs)
+    inputs["modelco"] = package_inputs(
+        "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
+    )
+    session = _make_session(
+        fixture.deployment, CompiledJob(manifest, programs, binaries), fixture.parties, inputs
+    )
+    result = session.run()
+    assert_aborted_closed(fixture, result)
+    assert "outside tile memory" in result.reason
+
+
+def test_unexpected_launch_failure_aborts_closed(monkeypatch):
+    fixture = make_sgd_fixture(steps=2)
+
+    def broken_bootloader(*args, **kwargs):
+        raise RuntimeError("bootloader fault")
+
+    monkeypatch.setattr(fixture.deployment.device, "run_bootloader", broken_bootloader)
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason.startswith("launch: ")
+
+
+def test_adversary_naming_an_unknown_stream_aborts_closed():
+    script = [{"action": "swap_streams", "stream_a": 3, "stream_b": 42}]
+    fixture = make_sgd_fixture(steps=2, adversary=from_script(script))
+    assert_aborted_closed(fixture, fixture.session.run())
