@@ -159,8 +159,10 @@ class TileProgram:
         return b"".join(out)
 
     @classmethod
-    def unpack(cls, blob: bytes) -> "TileProgram":
-        """Decode a packed program; every malformed blob raises ``ValueError``."""
+    def unpack(cls, blob: bytes, memory: int = TILE_MEMORY) -> "TileProgram":
+        """Decode a packed program for a tile of ``memory`` bytes; every
+        malformed blob, and every compute op whose operands reach outside
+        that memory, raises ``ValueError``."""
         if blob[:3] != _PROGRAM_MAGIC:
             raise ValueError("not a tile program")
         try:
@@ -183,6 +185,14 @@ class TileProgram:
                     off += 4 * argc
                     if op != OP_SUM and args[1] <= 0:
                         raise ValueError("step denominator must be positive")
+                    # (offset, int count) of each operand: SUM reads a vector
+                    # and writes one int; AXPY and SGD update one vector from another.
+                    if op == OP_SUM:
+                        spans = ((args[0], args[1]), (args[2], 1))
+                    else:
+                        spans = ((args[2], args[4]), (args[3], args[4]))
+                    if any(at < 0 or n < 0 or at + 4 * n > memory for at, n in spans):
+                        raise ValueError(f"compute op {op} reaches outside tile memory")
                     phases.append(ComputePhase(op, tuple(args)))
                 elif kind == PHASE_SYNC:
                     (sync_id,) = struct.unpack_from("<I", blob, off)
@@ -613,7 +623,7 @@ class IpuDevice:
         binary = blob[: layout.binary_length]
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
         try:
-            tile.program = TileProgram.unpack(binary)
+            tile.program = TileProgram.unpack(binary, len(tile.memory))
         except ValueError as exc:
             raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
         tile.pc = 0
@@ -627,7 +637,7 @@ class IpuDevice:
             raise InvalidPhase("clear program install is a normal-mode operation")
         tile = self.tiles[tile_id]
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
-        tile.program = TileProgram.unpack(binary)
+        tile.program = TileProgram.unpack(binary, len(tile.memory))
         tile.pc = 0
 
     # -- scheduler -----------------------------------------------------------
@@ -680,14 +690,6 @@ class IpuDevice:
 
     def _exec_compute(self, tile: Tile, ph: ComputePhase) -> None:
         m = tile.memory
-        # (offset, int count) of every operand: SUM reads src and writes one
-        # int at dst; AXPY and SGD read and write two int vectors.
-        if ph.op == OP_SUM:
-            spans = ((ph.args[0], ph.args[1]), (ph.args[2], 1))
-        else:
-            spans = ((ph.args[2], ph.args[4]), (ph.args[3], ph.args[4]))
-        if any(off < 0 or n < 0 or off + 4 * n > len(m) for off, n in spans):
-            raise self._security(f"tile {tile.tile_id}: compute operands outside tile memory")
         if ph.op == OP_SUM:
             src, count, dst = ph.args
             vals = struct.unpack_from(f"<{count}i", m, src)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .adversary import Adversary
 from .attestation import KeyPackage, Verdict
@@ -307,7 +306,8 @@ class TrustedJobSession:
             return self._attempt(log, verdicts, **attempt)
         except Exception as exc:
             where = traceback.extract_tb(exc.__traceback__)[-1]
-            log.emit("exception", type=type(exc).__name__, at=f"{Path(where.filename).name}:{where.lineno}")
+            at = f"{os.path.basename(where.filename)}:{where.lineno}"
+            log.emit("exception", type=type(exc).__name__, at=at)
             detail = str(exc) if isinstance(exc, ItxError) else f"{type(exc).__name__}: {exc}"
             return self._abort(log, verdicts, f"{self._stage}: {detail}" if self._stage else detail)
 

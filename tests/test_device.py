@@ -276,3 +276,14 @@ class TestDmaPath:
             dev.run_bootloader(0)
         assert dev.ingress.latched
         assert len(seen) == 1 and "no key" in seen[0]
+
+    def test_operands_outside_tile_memory_rejected(self):
+        fits = ComputePhase(OP_SGD_STEP, (1, 16, 0, 0x10000 - 48, 12))
+        assert TileProgram.unpack(TileProgram((fits,)).pack(), 0x10000).phases == (fits,)
+        for args in ((1, 16, 70000, 0, 12), (1, 16, 0, 0x10000 - 44, 12), (1, 16, -4, 0, 1)):
+            blob = TileProgram((ComputePhase(OP_SGD_STEP, args),)).pack()
+            with pytest.raises(ValueError, match="outside tile memory"):
+                TileProgram.unpack(blob, 0x10000)
+        blob = TileProgram((ComputePhase(OP_SUM, (0, 4, 0x10000 - 2)),)).pack()
+        with pytest.raises(ValueError, match="outside tile memory"):
+            TileProgram.unpack(blob, 0x10000)
