@@ -185,13 +185,16 @@ class TileProgram:
                     off += 4 * argc
                     if op != OP_SUM and args[1] <= 0:
                         raise ValueError("step denominator must be positive")
-                    # (offset, int count) of each operand: SUM reads a vector
-                    # and writes one int; AXPY and SGD update one vector from another.
+                    # SUM reads args[1] ints at args[0] and writes one at
+                    # args[2]; AXPY and SGD read and write args[4] ints at
+                    # args[2] and at args[3].
                     if op == OP_SUM:
-                        spans = ((args[0], args[1]), (args[2], 1))
+                        inside = args[1] >= 0 and 0 <= args[0] <= memory - 4 * args[1]
+                        inside = inside and 0 <= args[2] <= memory - 4
                     else:
-                        spans = ((args[2], args[4]), (args[3], args[4]))
-                    if any(at < 0 or n < 0 or at + 4 * n > memory for at, n in spans):
+                        end = memory - 4 * args[4]
+                        inside = args[4] >= 0 and 0 <= args[2] <= end and 0 <= args[3] <= end
+                    if not inside:
                         raise ValueError(f"compute op {op} reaches outside tile memory")
                     phases.append(ComputePhase(op, tuple(args)))
                 elif kind == PHASE_SYNC:
