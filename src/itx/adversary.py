@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import InvalidEncoding
+
 
 class Adversary:
     """A completely passive (honest) host."""
@@ -150,7 +152,7 @@ class SwapBinary(Adversary):
     def after_fill(self, host, stage) -> None:
         if stage != "boot":
             return
-        entry = next(e for e in host.manifest.stream_table.values() if e.kind == "code")
+        entry = host.manifest.stream_of_kind("code")
         for i, frame in enumerate(self.frames):
             host.ring.write(entry.region_base + i * entry.frame_total_size, frame.to_bytes())
 
@@ -240,18 +242,25 @@ ACTIONS = {
 }
 
 
-def from_script(entries) -> Adversary:
-    """Build an adversary from a parsed script: a list of
-    ``{"action": name, ...parameters}`` objects."""
-
+def from_script(script) -> Adversary:
+    """Build an adversary from a parsed script: a list of ``{"action": name,
+    ...parameters}`` objects, bare or as ``{"actions": [...]}``.  Any other
+    shape, an unknown action or a missing or unknown parameter is invalid."""
+    entries = script.get("actions") if isinstance(script, dict) else script
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise InvalidEncoding('adversary script: expected a list of actions or {"actions": [...]}')
     adversaries = []
     for entry in entries:
         fields = dict(entry)
         action = fields.pop("action", None)
-        if action not in ACTIONS:
+        kind = ACTIONS.get(action) if isinstance(action, str) else None
+        if kind is None:
             known = ", ".join(sorted(ACTIONS))
-            raise ValueError(f"unknown adversary action {action!r} (known: {known})")
-        adversaries.append(ACTIONS[action](**fields))
+            raise InvalidEncoding(f"unknown adversary action {action!r} (known: {known})")
+        try:
+            adversaries.append(kind(**fields))
+        except TypeError as exc:
+            raise InvalidEncoding(f"adversary action {action!r}: {exc}") from None
     if len(adversaries) == 1:
         return adversaries[0]
     return Composite(adversaries)

@@ -6,18 +6,19 @@ The subcommands mirror the life of a job:
 * ``itx package-model``  — model owner encrypts code (and parameters)
 * ``itx package-data``   — data owner encrypts input streams
 * ``itx run``            — untrusted host attests, collects keys, executes
-* ``itx verify``         — re-check a run's archived attestation evidence
-* ``itx release-keys``   — party-side key wrapping against an accepted report
-* ``itx decrypt-model``  — receivers pool nonces and recover the model
+* ``itx decrypt-model``  — recover the model from the clean rooms' run nonces
 * ``itx ccu inspect``    — pretty-print archived reports and certificates
 * ``itx pki issue``      — provision a device, emit its certificate chain
 * ``itx pki tcb-update`` — ship new firmware, emit the TCB update certificate
-* ``itx party verify`` / ``itx party release-keys`` — file-level party ops
+* ``itx party verify``   — a party verifies attestation evidence from files
+* ``itx party release-keys`` — the same, then wraps its keys on an accept
 
 Packages and clean rooms are directories; reports, certificates, manifests,
 and expectations are JSON files in the canonical field layout; streams are
-binary frame-container files.  Adversary scripts are JSON lists of
-``{"action": ..., parameters}`` objects (see ``itx run --help``).
+binary frame-container files.  A completed run leaves each party's run nonce
+in that party's clean room, never in the run directory.  Adversary scripts
+are JSON lists of ``{"action": ..., parameters}`` objects (see ``itx run
+--help``).
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ def _load_ca(d: dict) -> dict:
     }
 
 
-def _load_chain(d: dict) -> dict:
-    return {name: Certificate.from_dict(cert) for name, cert in d.items()}
-
-
-def _load_tcb(entries: list) -> list[TcbUpdateCertificate]:
-    return [TcbUpdateCertificate.from_dict(e) for e in entries]
-
-
 def _parse_data_args(pairs: list[str]) -> dict[int, bytes]:
     data: dict[int, bytes] = {}
     for pair in pairs:
@@ -99,6 +92,10 @@ def _parse_data_args(pairs: list[str]) -> dict[int, bytes]:
 
 def _load_manifest(build: Path) -> JobManifest:
     return JobManifest.from_dict(_read_json(build / "manifest.json"))
+
+
+def _load_identity(clean_room) -> PartyIdentity:
+    return PartyIdentity.from_dict(_read_json(Path(clean_room) / "identity.json"))
 
 
 def _load_binaries(build: Path) -> dict[int, bytes]:
@@ -173,7 +170,10 @@ def cmd_package_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _archive_run(out: Path, session: TrustedJobSession, result, parties) -> None:
+NONCE_FILE = "run_nonce.bin"  # in a clean room: the party's nonce for its last completed run
+
+
+def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
     manifest = session.manifest
     out.mkdir(parents=True, exist_ok=True)
     (out / "events.log").write_text(result.log.dump())
@@ -198,27 +198,14 @@ def _archive_run(out: Path, session: TrustedJobSession, result, parties) -> None
     _write_json(out / "tcb.json", [c.to_dict() for c in session.tcb_certs])
     if session.last_expected:
         _write_json(out / "expected.json", session.last_expected)
-    _write_json(
-        out / "parties.json", {name: p.certificate.to_dict() for name, p in parties.items()}
-    )
     if result.completed:
-        entry = next(e for e in manifest.stream_table.values() if e.kind == OUTPUT)
+        entry = manifest.stream_of_kind(OUTPUT)
         template = StreamIV(stream_type=StreamType.OUTPUT, stream_id=entry.stream_id)
         (out / "output.stream").write_bytes(
             encode_stream_file(
                 template, entry.frame_total_size, entry.plaintext_length, result.output_frames
             )
         )
-        nonces = {}
-        for name, identity in parties.items():
-            fp = identity.certificate.fingerprint
-            nonce = session.run_nonces[fp]
-            nonces[name] = {
-                "fingerprint": fp,
-                "nonce": nonce.hex(),
-                "signature": identity.sign(nonce).hex(),
-            }
-        _write_json(out / "nonces.json", nonces)
 
 
 def cmd_run(args) -> int:
@@ -234,22 +221,19 @@ def cmd_run(args) -> int:
             return EXIT_REJECTED
         packages[package.party] = package
     rooms = {}
+    room_dirs = {}
     parties = {}
     for path in args.clean_room:
         room = load_clean_room(path)
         rooms[room.party] = room
-        parties[room.party] = PartyIdentity.from_dict(_read_json(Path(path) / "identity.json"))
+        room_dirs[room.party] = Path(path)
+        parties[room.party] = _load_identity(path)
     if sorted(packages) != sorted(rooms):
         print(f"packages {sorted(packages)} do not match clean rooms {sorted(rooms)}",
               file=sys.stderr)
         return EXIT_REJECTED
 
-    adversary = None
-    if args.adversary:
-        script = _read_json(Path(args.adversary))
-        if isinstance(script, dict):
-            script = script["actions"]
-        adversary = from_script(script)
+    adversary = from_script(_read_json(Path(args.adversary))) if args.adversary else None
 
     deployment = make_deployment(seed=args.seed, ipu_id=manifest.ipu_id, config=config)
     session = TrustedJobSession(
@@ -279,7 +263,7 @@ def cmd_run(args) -> int:
         if result.status != "halted" or (result.epoch, result.checkpoint_id) != resume_at:
             print(f"job never reached checkpoint {resume_at}: {result.status} ({result.reason})",
                   file=sys.stderr)
-            _archive_run(Path(args.out), session, result, parties)
+            _archive_run(Path(args.out), session, result)
             return EXIT_REJECTED
         print(f"halted after checkpoint (epoch {result.epoch}, id {result.checkpoint_id}); "
               "resetting device and resuming")
@@ -288,7 +272,10 @@ def cmd_run(args) -> int:
     else:
         result = session.run(halt_after_checkpoint=args.halt_after)
 
-    _archive_run(Path(args.out), session, result, parties)
+    _archive_run(Path(args.out), session, result)
+    if result.completed:
+        for name, identity in parties.items():
+            (room_dirs[name] / NONCE_FILE).write_bytes(session.run_nonces[identity.fingerprint])
     for name, verdict in sorted(result.verdicts.items()):
         word = "accepted" if verdict.accepted else f"rejected ({verdict.reason})"
         print(f"party {name} {word}")
@@ -304,103 +291,54 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_files(report_path, chain_path, ca_path, tcb_path, expected_path) -> int:
-    report = AttestationReport.from_dict(_read_json(report_path))
-    chain = _load_chain(_read_json(chain_path))
-    tcb = _load_tcb(_read_json(tcb_path))
+def _judge(args, identity: PartyIdentity | None = None, room=None):
+    """Judge the evidence files as a party does and print the verdict; with a
+    clean room, also wrap its keys on an accept.  Returns (verdict, wrapped or None)."""
+    report = AttestationReport.from_dict(_read_json(args.report))
+    chain = {name: Certificate.from_dict(c) for name, c in _read_json(args.chain).items()}
+    tcb = [TcbUpdateCertificate.from_dict(c) for c in _read_json(args.tcb)]
     # The CA keys and the expected values are plain dicts, not records: a
     # missing field or bad hex in either is malformed evidence.
     try:
-        ca = _load_ca(_read_json(ca_path))
-        expected = _read_json(expected_path)
+        evidence = (chain, _load_ca(_read_json(args.ca)), tcb)
+        expected = _read_json(args.expected)
         expected["party_fingerprints"] = tuple(expected["party_fingerprints"])
-        verdict = verify_attestation(report, chain, ca, tcb, expected)
+        if room is None:
+            verdict, wrapped = verify_attestation(report, *evidence, expected), None
+        else:
+            package = KeyPackage(stream_keys=room.keys, run_nonce=os.urandom(32))
+            verdict, wrapped = identity.release_keys(
+                room.session(), report, evidence, expected, package
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidEncoding(f"CA keys or expected values: {exc!r}") from None
-    if verdict.accepted:
-        print("Accept: evidence matches expectations")
-        return EXIT_OK
-    print(f"Reject: {verdict.reason}")
-    return EXIT_REJECTED
-
-
-def cmd_verify(args) -> int:
-    run_dir = Path(args.run)
-    return _verify_files(
-        run_dir / "report.json",
-        run_dir / "chain.json",
-        run_dir / "ca.json",
-        run_dir / "tcb.json",
-        run_dir / "expected.json",
-    )
+    print("Accept: evidence matches expectations" if verdict.accepted else f"Reject: {verdict.reason}")
+    return verdict, wrapped
 
 
 def cmd_party_verify(args) -> int:
-    return _verify_files(args.report, args.chain, args.ca, args.tcb, args.expected)
-
-
-def _release_keys_files(
-    report_path, chain_path, ca_path, tcb_path, expected_path, clean_room, out
-) -> int:
-    status = _verify_files(report_path, chain_path, ca_path, tcb_path, expected_path)
-    if status != EXIT_OK:
-        print("refusing to release keys for rejected evidence", file=sys.stderr)
-        return status
-    report = AttestationReport.from_dict(_read_json(report_path))
-    expected = _read_json(expected_path)
-    room = load_clean_room(clean_room)
-    package = KeyPackage(
-        stream_keys=dict(room.keys),
-        run_nonce=os.urandom(32),
-    )
-    wrapped = room.session().wrap_keys(
-        report.ccu_keyshare,
-        bytes.fromhex(expected["manifest_measurement"]),
-        package,
-    )
-    Path(out).write_bytes(wrapped)
-    print(f"wrapped key package for {room.party}: {len(wrapped)} bytes -> {out}")
-    return EXIT_OK
-
-
-def cmd_release_keys(args) -> int:
-    run_dir = Path(args.run)
-    return _release_keys_files(
-        run_dir / "report.json",
-        run_dir / "chain.json",
-        run_dir / "ca.json",
-        run_dir / "tcb.json",
-        run_dir / "expected.json",
-        args.clean_room,
-        args.out,
-    )
+    verdict, _ = _judge(args)
+    return EXIT_OK if verdict.accepted else EXIT_REJECTED
 
 
 def cmd_party_release_keys(args) -> int:
-    return _release_keys_files(
-        args.report, args.chain, args.ca, args.tcb, args.expected, args.clean_room, args.out
-    )
+    room = load_clean_room(args.clean_room)
+    verdict, wrapped = _judge(args, _load_identity(args.clean_room), room)
+    if not verdict.accepted:
+        print("refusing to release keys for rejected evidence", file=sys.stderr)
+        return EXIT_REJECTED
+    Path(args.out).write_bytes(wrapped)
+    print(f"wrapped key package for {room.party}: {len(wrapped)} bytes -> {args.out}")
+    return EXIT_OK
 
 
 def cmd_decrypt_model(args) -> int:
     run_dir = Path(args.run)
-    manifest = JobManifest.from_dict(_read_json(run_dir / "manifest.json"))
-    party_certs = {
-        name: Certificate.from_dict(d) for name, d in _read_json(run_dir / "parties.json").items()
+    manifest = _load_manifest(run_dir)
+    nonces = {
+        _load_identity(room).fingerprint: (Path(room) / NONCE_FILE).read_bytes()
+        for room in args.clean_room
     }
-    nonces: dict[str, bytes] = {}
-    from . import crypto
-
-    for name, entry in _read_json(run_dir / "nonces.json").items():
-        cert = party_certs[name]
-        nonce = bytes.fromhex(entry["nonce"])
-        if entry["fingerprint"] != cert.fingerprint:
-            print(f"nonce file names the wrong certificate for {name}", file=sys.stderr)
-            return EXIT_REJECTED
-        if not crypto.verify(cert.subject_public_key, bytes.fromhex(entry["signature"]), nonce):
-            print(f"nonce signature check failed for {name}", file=sys.stderr)
-            return EXIT_REJECTED
-        nonces[cert.fingerprint] = nonce
     _, _, _, frames = decode_stream_file((run_dir / "output.stream").read_bytes())
     model = decrypt_model(manifest, list(frames), nonces)
     Path(args.out).write_bytes(model)
@@ -552,18 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="halt at checkpoint (EPOCH,CKPT), reset the device, and resume")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("verify", help="re-verify a run directory's attestation evidence")
-    p.add_argument("--run", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("release-keys", help="wrap a party's keys for a run's accepted report")
-    p.add_argument("--run", required=True)
-    p.add_argument("--clean-room", required=True)
-    p.add_argument("--out", required=True, help="file for the wrapped key package")
-    p.set_defaults(func=cmd_release_keys)
-
     p = sub.add_parser("decrypt-model", help="recover the model from a completed run")
     p.add_argument("--run", required=True)
+    p.add_argument("--clean-room", action="append", required=True,
+                   help="clean-room directory holding a party's run nonce (repeat per party)")
     p.add_argument("--out", required=True, help="file for the recovered plaintext model")
     p.set_defaults(func=cmd_decrypt_model)
 
@@ -607,10 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ItxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except FileNotFoundError as exc:
+    except (ItxError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,6 +25,7 @@ from .errors import (
     AccessDenied,
     ImageTooLarge,
     IndexOutOfRange,
+    InvalidEncoding,
     InvalidPhase,
     SecurityException,
 )
@@ -288,8 +290,12 @@ def pack_checkpoint_metadata(epoch: int, checkpoint_id: int, pc: int, cursors: d
 
 
 def parse_checkpoint_metadata(blob: bytes) -> dict:
-    epoch, ckpt, pc = struct.unpack_from("<III", blob, 0)
-    cursors, _ = _unpack_cursors(blob, 12)
+    """Decode one tile's cleartext checkpoint record; a malformed one raises ``InvalidEncoding``."""
+    try:
+        epoch, ckpt, pc = struct.unpack_from("<III", blob, 0)
+        cursors, _ = _unpack_cursors(blob, 12)
+    except struct.error as exc:
+        raise InvalidEncoding(f"checkpoint metadata: {exc}") from None
     return {"epoch": epoch, "checkpoint_id": ckpt, "pc": pc, "cursors": cursors}
 
 
@@ -480,11 +486,10 @@ class IpuDevice:
         return entry
 
     def _stream_of_kind(self, kind: str) -> StreamTableEntry:
-        table = self.manifest.stream_table if self.manifest else {}
-        entry = next((e for e in table.values() if e.kind == kind), None)
-        if entry is None:
-            raise self._security(f"no {kind} stream in the installed job")
-        return entry
+        if self.manifest is not None:
+            with suppress(KeyError):
+                return self.manifest.stream_of_kind(kind)
+        raise self._security(f"no {kind} stream in the installed job")
 
     def _frame_address(self, entry: StreamTableEntry, frame_index: int) -> int:
         window = self.windows.get(entry.stream_id, 0)
@@ -630,9 +635,8 @@ class IpuDevice:
         except ValueError as exc:
             raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
         tile.pc = 0
-        digest = hashlib.sha256(binary).digest()
-        self._trace({"event": "bootloader", "tile": tile_id, "digest": digest.hex()[:16]})
-        return digest
+        self._trace({"event": "bootloader", "tile": tile_id})
+        return hashlib.sha256(binary).digest()
 
     def install_clear_program(self, tile_id: int, binary: bytes) -> None:
         """Normal-mode program install (host writes the binary directly)."""

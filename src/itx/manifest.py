@@ -126,6 +126,13 @@ class JobManifest(Record):
     def measurement(self) -> str:
         return digest_hex(self.canonical())
 
+    def stream_of_kind(self, kind: str) -> StreamTableEntry:
+        """The job's stream of ``kind`` (one each of code, checkpoint and output)."""
+        for entry in self.stream_table.values():
+            if entry.kind == kind:
+                return entry
+        raise KeyError(f"no {kind} stream in the manifest")
+
     def layout(self, tile_id: int) -> TileLayout:
         for t in self.tile_layouts:
             if t.tile_id == tile_id:

@@ -54,9 +54,6 @@ class JobInputs:
     streams: dict[int, EncryptedStream]
     keys: dict[int, bytes]
 
-    def key_map(self) -> dict[int, bytes]:
-        return dict(self.keys)
-
 
 def _pad(data: bytes, size: int) -> bytes:
     if len(data) % size:
@@ -67,7 +64,7 @@ def _pad(data: bytes, size: int) -> bytes:
 def encrypt_code_stream(
     key: bytes, manifest: JobManifest, binaries: dict[int, bytes]
 ) -> EncryptedStream:
-    entry = next(e for e in manifest.stream_table.values() if e.kind == CODE)
+    entry = manifest.stream_of_kind(CODE)
     payload = payload_capacity(entry.frame_total_size)
     frames: list[Frame] = []
     spans: dict[int, tuple[int, int]] = {}

@@ -24,7 +24,7 @@ from .attestation import AttestationReport, KeyPackage, Verdict, run_attributes_
 from .certs import Certificate, Signed, issue, self_signed
 from .ccu import SignedImage
 from .encoding import canonical_bytes, digest_hex
-from .errors import InvalidShare, PartyAuthFailure, SupplyChainReject
+from .errors import InvalidShare, SupplyChainReject
 
 COMPONENT_BOOTLOADER = "secondary_bootloader"
 COMPONENT_ICU = "icu_firmware"
@@ -321,21 +321,25 @@ class PartyIdentity:
         return PartySession(private, public, crypto.sign(self._signing, public))
 
     def sign(self, message: bytes) -> bytes:
-        """Authenticate a post-run artifact (e.g. a nonce-exchange file)."""
+        """Authenticate a message under the party's certificate."""
         return crypto.sign(self._signing, message)
 
     def release_keys(
         self,
-        verdict: Verdict,
         session: PartySession,
-        ccu_share: bytes,
-        manifest_hash: bytes,
+        report: AttestationReport,
+        evidence: tuple[dict[str, Any], dict[str, Any], list[TcbUpdateCertificate]],
+        expected: dict[str, Any],
         package: KeyPackage,
-    ) -> bytes:
-        """Wrap keys only when the party accepted the attestation evidence."""
+    ) -> tuple[Verdict, Optional[bytes]]:
+        """Verify the report against ``evidence`` (device chain, CA keys, TCB
+        certificates) and ``expected``; only on an accept, wrap ``package`` to
+        the attested device share under a key bound to the expected manifest."""
+        verdict = verify_attestation(report, *evidence, expected)
         if not verdict.accepted:
-            raise PartyAuthFailure(f"party {self.name} refuses key release: {verdict.reason}")
-        return session.wrap_keys(ccu_share, manifest_hash, package)
+            return verdict, None
+        manifest_hash = bytes.fromhex(expected["manifest_measurement"])
+        return verdict, session.wrap_keys(report.ccu_keyshare, manifest_hash, package)
 
 
 def derive_model_key(nonces: dict[str, bytes]) -> bytes:

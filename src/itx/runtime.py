@@ -23,6 +23,7 @@ import os
 import traceback
 from dataclasses import dataclass, field
 
+from . import pki
 from .adversary import Adversary
 from .attestation import KeyPackage, Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
@@ -37,7 +38,11 @@ from .eventlog import EventLog
 from .frame_codec import Frame, StreamIV, StreamType, decrypt_stream, payload_capacity
 from .manifest import CHECKPOINT, CODE, JobManifest, OUTPUT, SyncPlan
 from .packaging import JobInputs
-from .pki import PartyIdentity, derive_model_key, verify_attestation
+from .pki import PartyIdentity, derive_model_key
+
+# Parties verify in ``PartyIdentity.release_keys``; the verifier stays importable
+# here because bench/tests checks that the tracer patches it on this module.
+verify_attestation = pki.verify_attestation
 
 STATUS_COMPLETE = "complete"
 STATUS_HALTED = "halted"
@@ -150,7 +155,7 @@ class TrustedJobSession:
     # -- ring fills ----------------------------------------------------------
 
     def _fill_boot(self, log: EventLog) -> None:
-        entry = next(e for e in self.manifest.stream_table.values() if e.kind == CODE)
+        entry = self.manifest.stream_of_kind(CODE)
         enc = self._streams[entry.stream_id]
         for layout in self.manifest.tile_layouts:
             first, count = enc.tile_spans[layout.tile_id]
@@ -180,7 +185,7 @@ class TrustedJobSession:
             log.emit("fill", stream=sid, offset=offset, frames=count)
 
     def _fill_snapshot(self, snapshot: CheckpointSnapshot, log: EventLog) -> None:
-        meta = next(e for e in self.manifest.stream_table.values() if e.kind == CHECKPOINT)
+        meta = self.manifest.stream_of_kind(CHECKPOINT)
         self.ring.write(meta.region_base, snapshot.frames_blob)
         self.ring.write(self.manifest.metadata_base, snapshot.meta_blob)
         self.windows[meta.stream_id] = 0
@@ -192,9 +197,7 @@ class TrustedJobSession:
         )
 
     def _capture_snapshot(self, barrier: int, log: EventLog) -> CheckpointSnapshot:
-        meta_entry = next(
-            e for e in self.manifest.stream_table.values() if e.kind == CHECKPOINT
-        )
+        meta_entry = self.manifest.stream_of_kind(CHECKPOINT)
         lo, hi = self._extent[meta_entry.stream_id]
         tile_count = len(self.device.tiles)
         meta_blob = self.ring.read(
@@ -342,36 +345,31 @@ class TrustedJobSession:
         self.last_report = report
         log.emit("tee_init", epoch=seed_epoch, checkpoint_id=seed_checkpoint)
 
-        # Parties judge the evidence first; keys move only on an accept.
+        # Each party judges the evidence itself; keys move only on an accept.
         if resume_from is not None and self.receipts:
             expect_epoch, expect_ckpt = self.receipts[-1]
         else:
             expect_epoch, expect_ckpt = seed_epoch, seed_checkpoint
         expected = self.expected_values(expect_epoch, expect_ckpt)
         self.last_expected = expected
-        manifest_hash = bytes.fromhex(self.expected_manifest_measurement)
+        evidence = (self.device_chain, self.ca_public, self.tcb_certs)
         packages: dict[str, bytes] = {}
         nonces: dict[str, bytes] = {}
         for name in sorted(self.parties):
-            identity = self.parties[name]
-            verdict = verify_attestation(
-                report, self.device_chain, self.ca_public, self.tcb_certs, expected
+            nonce = os.urandom(32)
+            package = KeyPackage(
+                stream_keys=self.inputs[name].keys,
+                run_nonce=nonce,
+                prior_run_nonce=self._saved_nonces.get(name) if resume_from is not None else None,
+            )
+            verdict, wrapped = self.parties[name].release_keys(
+                sessions[name], report, evidence, expected, package
             )
             verdicts[name] = verdict
             log.emit("verdict", party=name, accepted=verdict.accepted, reason=verdict.reason)
             if not verdict.accepted:
                 return self._abort(log, verdicts, f"party {name} rejected: {verdict.reason}")
-            nonce = os.urandom(32)
-            package = KeyPackage(
-                stream_keys=self.inputs[name].key_map(),
-                run_nonce=nonce,
-                prior_run_nonce=(
-                    self._saved_nonces.get(name) if resume_from is not None else None
-                ),
-            )
-            packages[name] = identity.release_keys(
-                verdict, sessions[name], report.ccu_keyshare, manifest_hash, package
-            )
+            packages[name] = wrapped
             nonces[name] = nonce
             log.emit("release_keys", party=name)
         self._current_nonces = nonces
@@ -450,7 +448,7 @@ class TrustedJobSession:
         )
 
     def _collect_output(self) -> list[Frame]:
-        entry = next(e for e in self.manifest.stream_table.values() if e.kind == OUTPUT)
+        entry = self.manifest.stream_of_kind(OUTPUT)
         payload = payload_capacity(entry.frame_total_size)
         count = max(1, -(-entry.plaintext_length // payload))
         frames = []
@@ -472,7 +470,7 @@ def decrypt_model(
 ) -> bytes:
     """Receiving parties pool their run nonces, derive the model key, and
     decrypt the output stream."""
-    entry = next(e for e in manifest.stream_table.values() if e.kind == OUTPUT)
+    entry = manifest.stream_of_kind(OUTPUT)
     key = derive_model_key(nonces)
     template = StreamIV(StreamType.OUTPUT, stream_id=entry.stream_id)
     return decrypt_stream(key, template, frames, entry.plaintext_length)
@@ -502,6 +500,6 @@ def run_clear_reference(
     device.start_application()
     while device.run_interval() is not None:
         pass
-    entry = next(e for e in manifest.stream_table.values() if e.kind == OUTPUT)
+    entry = manifest.stream_of_kind(OUTPUT)
     sink = bytes(device.clear_sinks.get(entry.stream_id, b""))
     return sink[: entry.plaintext_length]

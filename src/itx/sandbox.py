@@ -12,10 +12,12 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from .ccu import Ccu, CcuFlash, FirmwareBundle
 from .compiler import CompiledJob, JobDescription, compile_job
 from .device import DeviceConfig, IpuDevice
+from .manifest import CODE, DIR_IN, JobManifest
 from .packaging import JobInputs, package_inputs
 from .pki import COMPONENT_BOOTLOADER, COMPONENT_ICU, CaState, PartyIdentity
 from .runtime import TrustedJobSession
@@ -166,6 +168,33 @@ def _make_session(
     )
 
 
+def _make_fixture(
+    deployment: Deployment | None,
+    job: JobDescription,
+    make_plaintexts: Callable[[JobManifest], dict[int, bytes]],
+    adversary,
+) -> JobFixture:
+    """Compile ``job``, create its parties, package each party's streams of
+    ``make_plaintexts(manifest)`` (the model party's with the code), make the session."""
+    deployment = deployment or make_deployment()
+    compiled = compile_job(
+        job,
+        config=deployment.device.config,
+        bootloader_measurement=deployment.firmware.tile_bootloader_measurement(),
+        ipu_id=deployment.device.ipu_id,
+    )
+    manifest = compiled.manifest
+    plaintexts = make_plaintexts(manifest)
+    parties = {name: PartyIdentity(name) for name in (job.model_party, *job.data_parties)}
+    inputs = {}
+    for name in parties:
+        owned = {sid: blob for sid, blob in plaintexts.items() if manifest.stream_table[sid].party == name}
+        code = compiled.binaries if name == job.model_party else None
+        inputs[name] = package_inputs(name, manifest, binaries=code, data=owned)
+    session = _make_session(deployment, compiled, parties, inputs, adversary)
+    return JobFixture(deployment, compiled, session, parties, inputs, plaintexts)
+
+
 def make_sgd_fixture(
     deployment: Deployment | None = None,
     *,
@@ -174,7 +203,6 @@ def make_sgd_fixture(
     data_seed: int = 0,
     adversary=None,
 ) -> JobFixture:
-    deployment = deployment or make_deployment()
     job = JobDescription(
         kind="sgd",
         model_party="modelco",
@@ -182,33 +210,16 @@ def make_sgd_fixture(
         steps=steps,
         checkpoint_period=checkpoint_period,
     )
-    compiled = compile_job(
-        job,
-        config=deployment.device.config,
-        bootloader_measurement=deployment.firmware.tile_bootloader_measurement(),
-        ipu_id=deployment.device.ipu_id,
-    )
-    rng = random.Random(data_seed)
-    model_ints = 192
-    model = _ints(rng, model_ints)
-    g1 = _ints(rng, steps * model_ints, -500, 500)
-    g2 = _ints(rng, steps * model_ints, -500, 500)
-    parties = {name: PartyIdentity(name) for name in ("modelco", "alpha", "beta")}
-    manifest = compiled.manifest
-    inputs = {
-        "modelco": package_inputs("modelco", manifest, binaries=compiled.binaries, data={2: model}),
-        "alpha": package_inputs("alpha", manifest, data={3: g1}),
-        "beta": package_inputs("beta", manifest, data={4: g2}),
-    }
-    session = _make_session(deployment, compiled, parties, inputs, adversary)
-    return JobFixture(
-        deployment=deployment,
-        compiled=compiled,
-        session=session,
-        parties=parties,
-        inputs=inputs,
-        plaintexts={2: model, 3: g1, 4: g2},
-    )
+
+    def plaintexts(manifest: JobManifest) -> dict[int, bytes]:
+        rng = random.Random(data_seed)
+        model_ints = 192
+        model = _ints(rng, model_ints)
+        g1 = _ints(rng, steps * model_ints, -500, 500)
+        g2 = _ints(rng, steps * model_ints, -500, 500)
+        return {2: model, 3: g1, 4: g2}
+
+    return _make_fixture(deployment, job, plaintexts, adversary)
 
 
 def make_sum_fixture(
@@ -218,43 +229,19 @@ def make_sum_fixture(
     data_seed: int = 0,
     adversary=None,
 ) -> JobFixture:
-    deployment = deployment or make_deployment()
     job = JobDescription(
         kind="sum_streams",
         model_party="modelco",
         data_parties=("alpha", "beta"),
         stream_count=stream_count,
     )
-    compiled = compile_job(
-        job,
-        config=deployment.device.config,
-        bootloader_measurement=deployment.firmware.tile_bootloader_measurement(),
-        ipu_id=deployment.device.ipu_id,
-    )
-    rng = random.Random(data_seed)
-    manifest = compiled.manifest
-    plaintexts: dict[int, bytes] = {}
-    per_party_data: dict[str, dict[int, bytes]] = {}
-    for sid, entry in manifest.stream_table.items():
-        if entry.direction != "in" or entry.kind == "code":
-            continue
-        blob = _ints(rng, entry.plaintext_length // 4, -100, 100)
-        plaintexts[sid] = blob
-        per_party_data.setdefault(entry.party, {})[sid] = blob
-    parties = {name: PartyIdentity(name) for name in ("modelco", "alpha", "beta")}
-    inputs = {
-        "modelco": package_inputs(
-            "modelco", manifest, binaries=compiled.binaries, data=per_party_data.get("modelco", {})
-        ),
-        "alpha": package_inputs("alpha", manifest, data=per_party_data.get("alpha", {})),
-        "beta": package_inputs("beta", manifest, data=per_party_data.get("beta", {})),
-    }
-    session = _make_session(deployment, compiled, parties, inputs, adversary)
-    return JobFixture(
-        deployment=deployment,
-        compiled=compiled,
-        session=session,
-        parties=parties,
-        inputs=inputs,
-        plaintexts=plaintexts,
-    )
+
+    def plaintexts(manifest: JobManifest) -> dict[int, bytes]:
+        rng = random.Random(data_seed)
+        return {
+            sid: _ints(rng, entry.plaintext_length // 4, -100, 100)
+            for sid, entry in manifest.stream_table.items()
+            if entry.direction == DIR_IN and entry.kind != CODE
+        }
+
+    return _make_fixture(deployment, job, plaintexts, adversary)

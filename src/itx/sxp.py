@@ -31,7 +31,6 @@ conformant software implementations.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -384,7 +383,6 @@ class SxpEngine:
                 "aes": int(pkt.aes),
                 "cc": int(pkt.cc),
                 "key_index": -1 if pkt.key_index is None else pkt.key_index,
-                "digest": hashlib.sha256(pkt.payload).hexdigest()[:16],
             }
         )
 

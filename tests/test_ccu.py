@@ -252,7 +252,7 @@ def wrap_packages(parties, sessions, inputs, report, nonces=None, prior=None):
     wrapped = {}
     for name in parties:
         package = KeyPackage(
-            stream_keys=inputs[name].key_map(),
+            stream_keys=dict(inputs[name].keys),
             run_nonce=nonces[name],
             prior_run_nonce=(prior or {}).get(name),
         )
@@ -412,7 +412,7 @@ class TestTeeLaunchAndKeys:
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         # One party wrapped against a different manifest digest: the device
         # cannot unwrap, so no keys flow.
-        package = KeyPackage(stream_keys=inputs["alpha"].key_map(), run_nonce=os.urandom(32))
+        package = KeyPackage(stream_keys=dict(inputs["alpha"].keys), run_nonce=os.urandom(32))
         wrapped["alpha"] = sessions["alpha"].wrap_keys(
             report.ccu_keyshare, os.urandom(32), package
         )
@@ -435,7 +435,7 @@ class TestTeeLaunchAndKeys:
         manifest_hash = bytes.fromhex(report.manifest_measurement)
         wrapped = {}
         for name in parties:
-            keys = inputs[name].key_map()
+            keys = dict(inputs[name].keys)
             if name == "alpha":
                 keys = {}  # alpha keeps its stream key back
             package = KeyPackage(stream_keys=keys, run_nonce=os.urandom(32))
@@ -466,7 +466,7 @@ class TestTeeLaunchAndKeys:
         report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
         manifest_hash = bytes.fromhex(report.manifest_measurement)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
-        keys = {**inputs["modelco"].key_map(), stream_id: b"\x5a" * 32}
+        keys = {**inputs["modelco"].keys, stream_id: b"\x5a" * 32}
         package = KeyPackage(stream_keys=keys, run_nonce=os.urandom(32))
         wrapped["modelco"] = sessions["modelco"].wrap_keys(
             report.ccu_keyshare, manifest_hash, package

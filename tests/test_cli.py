@@ -53,20 +53,45 @@ def compile_and_package(root) -> dict[int, bytes]:
     return plaintexts
 
 
+PARTIES = ("modelco", "alpha", "beta")
+
+
 def run_args(root, run) -> list[str]:
     args = ["run", "--build", str(root / "build"), "--out", str(run)]
-    for party in ("modelco", "alpha", "beta"):
+    for party in PARTIES:
         args += ["--package", str(root / f"pkg-{party}"), "--clean-room", str(root / f"room-{party}")]
     return args
+
+
+def party_args(command, run, *extra) -> list[str]:
+    """``itx party COMMAND`` over the evidence files a run directory holds."""
+    args = ["party", command]
+    for name in ("report", "chain", "ca", "tcb", "expected"):
+        args += [f"--{name}", str(run / f"{name}.json")]
+    return args + list(extra)
+
+
+def decrypt_args(root, run, out) -> list[str]:
+    args = ["decrypt-model", "--run", str(run), "--out", str(out)]
+    for party in PARTIES:
+        args += ["--clean-room", str(root / f"room-{party}")]
+    return args
+
+
+def clear_model(root, plaintexts) -> bytes:
+    build = root / "build"
+    manifest = JobManifest.from_dict(json.loads((build / "manifest.json").read_text()))
+    binaries = {int(f.stem[1:]): f.read_bytes() for f in (build / "binaries").glob("t*.bin")}
+    return run_clear_reference(manifest, binaries, plaintexts)
 
 
 def test_sgd_job_from_compile_to_model(tmp_path, capsys):
     plaintexts = compile_and_package(tmp_path)
     build, run = tmp_path / "build", tmp_path / "run"
     assert main(run_args(tmp_path, run)) == EXIT_OK
-    assert main(["verify", "--run", str(run)]) == EXIT_OK
+    assert main(party_args("verify", run)) == EXIT_OK
     model = tmp_path / "model.bin"
-    assert main(["decrypt-model", "--run", str(run), "--out", str(model)]) == EXIT_OK
+    assert main(decrypt_args(tmp_path, run, model)) == EXIT_OK
 
     compiled_measurement = next(
         line.split()[-1] for line in capsys.readouterr().out.splitlines()
@@ -81,7 +106,7 @@ def test_sgd_job_from_compile_to_model(tmp_path, capsys):
     report = json.loads((run / "report.json").read_text())
     del report["epoch"]
     (run / "report.json").write_text(json.dumps(report))
-    assert main(["verify", "--run", str(run)]) == EXIT_REJECTED
+    assert main(party_args("verify", run)) == EXIT_REJECTED
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +116,7 @@ def archived_run(tmp_path_factory):
     result = fixture.session.run()
     assert result.completed, result.reason
     run = tmp_path_factory.mktemp("archived") / "run"
-    _archive_run(run, fixture.session, result, fixture.parties)
+    _archive_run(run, fixture.session, result)
     return run
 
 
@@ -107,14 +132,14 @@ def archived_run(tmp_path_factory):
 def test_verify_rejects_a_damaged_ca_or_expectation_file(archived_run, tmp_path, file, field, value):
     run = tmp_path / "run"
     shutil.copytree(archived_run, run)
-    assert main(["verify", "--run", str(run)]) == EXIT_OK
+    assert main(party_args("verify", run)) == EXIT_OK
     d = json.loads((run / file).read_text())
     if value is None:
         del d[field]
     else:
         d[field] = value
     (run / file).write_text(json.dumps(d))
-    assert main(["verify", "--run", str(run)]) == EXIT_REJECTED
+    assert main(party_args("verify", run)) == EXIT_REJECTED
 
 
 @pytest.mark.parametrize("change", [{"rotate_contexts": True}, {"steps": "3"}], ids=["unknown", "mistyped"])
@@ -148,3 +173,85 @@ def test_run_rejects_a_damaged_package_or_clean_room(packaged_job, tmp_path, fil
         d[field] = value
     (root / file).write_text(json.dumps(d))
     assert main(run_args(root, tmp_path / "run")) == EXIT_REJECTED
+
+
+def test_the_run_directory_cannot_decrypt_the_model(tmp_path):
+    """``itx run`` leaves each party's run nonce in its own clean room: no
+    file of the run directory holds one, and without the clean rooms
+    ``decrypt-model`` cannot recover the model."""
+    plaintexts = compile_and_package(tmp_path)
+    run = tmp_path / "run"
+    assert main(run_args(tmp_path, run)) == EXIT_OK
+    nonces = [(tmp_path / f"room-{party}" / "run_nonce.bin").read_bytes() for party in PARTIES]
+    assert len(set(nonces)) == len(PARTIES)
+    for file in (f for f in run.rglob("*") if f.is_file()):
+        blob = file.read_bytes()
+        for nonce in nonces:
+            assert nonce.hex().encode() not in blob and nonce not in blob, file
+
+    model = tmp_path / "model.bin"
+    away = tmp_path / "away"
+    away.mkdir()
+    for party in PARTIES:
+        shutil.move(tmp_path / f"room-{party}", away / f"room-{party}")
+    assert main(decrypt_args(tmp_path, run, model)) == EXIT_REJECTED
+    assert not model.exists()
+    for party in PARTIES:
+        shutil.move(away / f"room-{party}", tmp_path / f"room-{party}")
+    assert main(decrypt_args(tmp_path, run, model)) == EXIT_OK
+    assert model.read_bytes() == clear_model(tmp_path, plaintexts)
+
+
+def test_a_resumed_run_decrypts_to_the_clear_reference(tmp_path):
+    plaintexts = compile_and_package(tmp_path)
+    run = tmp_path / "run"
+    assert main(run_args(tmp_path, run) + ["--resume", "1,0"]) == EXIT_OK
+    model = tmp_path / "model.bin"
+    assert main(decrypt_args(tmp_path, run, model)) == EXIT_OK
+    assert model.read_bytes() == clear_model(tmp_path, plaintexts)
+
+
+@pytest.fixture(scope="module")
+def completed_run(tmp_path_factory):
+    """A packaged job and the run directory of its completed ``itx run``."""
+    root = tmp_path_factory.mktemp("completed")
+    compile_and_package(root)
+    assert main(run_args(root, root / "run")) == EXIT_OK
+    return root
+
+
+def test_party_release_keys_wraps_keys_for_an_accepted_report(completed_run, tmp_path):
+    blob = tmp_path / "alpha.wrapped"
+    room = completed_run / "room-alpha"
+    args = party_args("release-keys", completed_run / "run", "--clean-room", str(room), "--out", str(blob))
+    assert main(args) == EXIT_OK
+    assert len(blob.read_bytes()) > 12
+
+
+def test_party_release_keys_refuses_another_manifest(completed_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(completed_run / "run", run)
+    expected = json.loads((run / "expected.json").read_text())
+    expected["manifest_measurement"] = "00" * 32
+    (run / "expected.json").write_text(json.dumps(expected))
+    blob = tmp_path / "alpha.wrapped"
+    room = completed_run / "room-alpha"
+    args = party_args("release-keys", run, "--clean-room", str(room), "--out", str(blob))
+    assert main(args) == EXIT_REJECTED
+    assert not blob.exists()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        json.dumps([{"action": "no_such_action"}]),
+        json.dumps({"steps": []}),
+        json.dumps([{"action": "tamper_frame"}]),
+        '[{"action": ',
+    ],
+    ids=["unknown-action", "no-actions-list", "missing-parameters", "not-json"],
+)
+def test_run_rejects_a_malformed_adversary_script(packaged_job, tmp_path, script):
+    (tmp_path / "adversary.json").write_text(script)
+    args = run_args(packaged_job, tmp_path / "run") + ["--adversary", str(tmp_path / "adversary.json")]
+    assert main(args) == EXIT_REJECTED

@@ -21,7 +21,7 @@ from itx.ccu import Ccu, CcuFlash
 from itx.certs import Certificate
 from itx.compiler import JobDescription, compile_job
 from itx.device import trusted_registers_digest
-from itx.errors import PartyAuthFailure, SupplyChainReject
+from itx.errors import SupplyChainReject
 from itx.pki import (
     COMPONENT_BOOTLOADER,
     COMPONENT_ICU,
@@ -619,18 +619,22 @@ class TestPartyIdentity:
             alice.certificate.subject_public_key, clone.sign(message), message
         )
 
-    def test_release_keys_refuses_on_rejection(self):
-        alice = PartyIdentity("alice")
+    def test_release_keys_refuses_on_rejection(self, factory):
+        alice = factory.parties["alpha"]
         session = alice.new_session()
         package = KeyPackage(stream_keys={}, run_nonce=os.urandom(32))
-        with pytest.raises(PartyAuthFailure, match="refuses key release"):
-            alice.release_keys(
-                Verdict.reject(REJECT_MANIFEST), session, b"\x00" * 32, b"m" * 32, package
-            )
-        # An accepting verdict releases a wrapped package.
-        blob = alice.release_keys(
-            Verdict.ok(), session, os.urandom(32), b"m" * 32, package
+        e = factory.evidence()
+        e.expected["manifest_measurement"] = "00" * 32
+        verdict, blob = alice.release_keys(
+            session, e.report, (e.chain, e.ca, e.tcb), e.expected, package
         )
+        assert (verdict.accepted, verdict.reason, blob) == (False, REJECT_MANIFEST, None)
+        # The party's own accepting verdict releases a wrapped package.
+        e = factory.evidence()
+        verdict, blob = alice.release_keys(
+            session, e.report, (e.chain, e.ca, e.tcb), e.expected, package
+        )
+        assert verdict.accepted
         assert isinstance(blob, bytes) and len(blob) > 12
 
     def test_derive_model_key_ignores_dict_order(self):

@@ -3,8 +3,13 @@ run resumes, and every host attack aborts with the TEE terminated, its keys
 gone and the device back in normal mode."""
 
 import dataclasses
+import hashlib
+import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itx.adversary import (
     ReorderFrames,
@@ -32,7 +37,8 @@ from itx.manifest import CHECKPOINT
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
-from itx.sxp import NUM_CONTEXTS
+from itx.errors import InvalidEncoding
+from itx.sxp import NUM_CONTEXTS, SxpEngine
 
 
 def clear_model(fixture) -> bytes:
@@ -132,6 +138,49 @@ def test_checkpoint_metadata_golden():
         "pc": 17,
         "cursors": {2: 4, 5: 9},
     }
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"", bytes(12), struct.pack("<IIII", 1, 0, 3, 0xFFFFFF).ljust(256, b"\x00")],
+    ids=["empty", "no-cursor-count", "cursor-count-past-the-slot"],
+)
+def test_malformed_checkpoint_metadata_is_invalid_encoding(blob):
+    with pytest.raises(InvalidEncoding):
+        parse_checkpoint_metadata(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+def test_any_checkpoint_metadata_blob_parses_or_is_invalid_encoding(blob):
+    try:
+        parse_checkpoint_metadata(blob)
+    except InvalidEncoding:
+        pass
+
+
+def test_trace_holds_no_digest_of_plaintext(monkeypatch):
+    """No trace record carries a SHA-256 prefix of a packet payload that
+    ingress decrypted, or of a tile binary."""
+    fixture = make_sgd_fixture(steps=1)
+    device = fixture.deployment.device
+    records = []
+    device.trace = device.ingress.trace = device.egress.trace = records.append
+    payloads = []
+    process_ingress = SxpEngine.process_ingress
+
+    def recording(engine, pkt):
+        out = process_ingress(engine, pkt)
+        if out is not None:
+            payloads.append(out.payload)
+        return out
+
+    monkeypatch.setattr(SxpEngine, "process_ingress", recording)
+    assert_completed_and_exact(fixture, fixture.session.run())
+    text = json.dumps(records)
+    secrets = [*payloads, *fixture.compiled.binaries.values()]
+    assert payloads and records
+    assert [s for s in secrets if hashlib.sha256(s).hexdigest()[:16] in text] == []
 
 
 # ---------------------------------------------------------------------------
