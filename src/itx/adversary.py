@@ -146,7 +146,7 @@ class SwapBinary(Adversary):
     """Replace the boot-time code stream with a different (validly encrypted)
     application; the boot hash chain is the only remaining defense."""
 
-    frames: list  # list[Frame] — alternative ciphertext for the whole region
+    frames: tuple  # wire frames: alternative ciphertext for the whole region
     name: str = "swap_binary"
 
     def after_fill(self, host, stage) -> None:
@@ -154,7 +154,7 @@ class SwapBinary(Adversary):
             return
         entry = host.manifest.stream_of_kind("code")
         for i, frame in enumerate(self.frames):
-            host.ring.write(entry.region_base + i * entry.frame_total_size, frame.to_bytes())
+            host.ring.write(entry.region_base + i * entry.frame_total_size, frame)
 
 
 @dataclass

@@ -13,12 +13,14 @@ The subcommands mirror the life of a job:
 * ``itx party verify``   — a party verifies attestation evidence from files
 * ``itx party release-keys`` — the same, then wraps its keys on an accept
 
-Packages and clean rooms are directories; reports, certificates, manifests,
-and expectations are JSON files in the canonical field layout; streams are
-binary frame-container files.  A completed run leaves each party's run nonce
-in that party's clean room, never in the run directory.  Adversary scripts
-are JSON lists of ``{"action": ..., parameters}`` objects (see ``itx run
---help``).
+Packages, clean rooms and the run's output are codec JSON; there are no
+binary stream files.  A package or clean room is a directory holding one
+record (``package.json``, ``cleanroom.json``); a package's streams, like the
+run's ``output.json``, are lists of hex wire frames.  Reports, certificates,
+manifests and expectations are JSON files in the same field layout.  A
+completed run leaves each party's run nonce in that party's clean room, never
+in the run directory.  Adversary scripts are JSON lists of ``{"action": ...,
+parameters}`` objects (see ``itx run --help``).
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .attestation import AttestationReport, KeyPackage
 from .certs import Certificate
 from .compiler import JobDescription, compile_job
 from .device import DeviceConfig
-from .encoding import jsonable
+from .encoding import decode, jsonable
 from .errors import InvalidEncoding, ItxError
-from .frame_codec import StreamIV, StreamType, decode_stream_file, encode_stream_file
-from .manifest import JobManifest, OUTPUT
+from .frame_codec import Frame
+from .manifest import JobManifest
 from .packaging import (
     load_clean_room,
     load_package,
@@ -49,7 +51,7 @@ from .packaging import (
 )
 from .pki import PartyIdentity, TcbUpdateCertificate, verify_attestation
 from .runtime import TrustedJobSession, decrypt_model
-from .sandbox import make_deployment, tile_bootloader_image, update_firmware
+from .sandbox import _make_session, make_deployment, tile_bootloader_image, update_firmware
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -147,7 +149,7 @@ def _cmd_package(args, model: bool) -> int:
         package, room = package_model(_load_binaries(build), manifest, identity, data=data)
     else:
         package, room = package_data(data, manifest, identity)
-    save_package(package, manifest, args.package)
+    save_package(package, args.package)
     save_clean_room(room, args.clean_room)
     _write_json(Path(args.clean_room) / "identity.json", identity.to_dict())
     print(f"party {args.party}: packaged streams {sorted(package.streams)} "
@@ -174,10 +176,9 @@ NONCE_FILE = "run_nonce.bin"  # in a clean room: the party's nonce for its last 
 
 
 def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
-    manifest = session.manifest
     out.mkdir(parents=True, exist_ok=True)
     (out / "events.log").write_text(result.log.dump())
-    _write_json(out / "manifest.json", manifest.to_dict())
+    _write_json(out / "manifest.json", session.manifest.to_dict())
     _write_json(
         out / "result.json",
         {
@@ -199,13 +200,7 @@ def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
     if session.last_expected:
         _write_json(out / "expected.json", session.last_expected)
     if result.completed:
-        entry = manifest.stream_of_kind(OUTPUT)
-        template = StreamIV(stream_type=StreamType.OUTPUT, stream_id=entry.stream_id)
-        (out / "output.stream").write_bytes(
-            encode_stream_file(
-                template, entry.frame_total_size, entry.plaintext_length, result.output_frames
-            )
-        )
+        _write_json(out / "output.json", [frame.to_bytes() for frame in result.output_frames])
 
 
 def cmd_run(args) -> int:
@@ -236,18 +231,9 @@ def cmd_run(args) -> int:
     adversary = from_script(_read_json(Path(args.adversary))) if args.adversary else None
 
     deployment = make_deployment(seed=args.seed, ipu_id=manifest.ipu_id, config=config)
-    session = TrustedJobSession(
-        device=deployment.device,
-        ccu=deployment.ccu,
-        manifest=manifest,
-        inputs={name: rooms[name].job_inputs(packages[name]) for name in packages},
-        parties=parties,
-        ca_public=deployment.ca_public(),
-        device_chain=deployment.device_chain,
-        tcb_certs=deployment.tcb_certs(),
-        adversary=adversary,
-        initial_sessions={name: room.session() for name, room in rooms.items()},
-    )
+    inputs = {name: rooms[name].job_inputs(packages[name]) for name in packages}
+    sessions = {name: room.session() for name, room in rooms.items()}
+    session = _make_session(deployment, manifest, parties, inputs, adversary, sessions)
 
     resume_at = None
     if args.resume:
@@ -295,11 +281,11 @@ def _judge(args, identity: PartyIdentity | None = None, room=None):
     """Judge the evidence files as a party does and print the verdict; with a
     clean room, also wrap its keys on an accept.  Returns (verdict, wrapped or None)."""
     report = AttestationReport.from_dict(_read_json(args.report))
-    chain = {name: Certificate.from_dict(c) for name, c in _read_json(args.chain).items()}
-    tcb = [TcbUpdateCertificate.from_dict(c) for c in _read_json(args.tcb)]
-    # The CA keys and the expected values are plain dicts, not records: a
-    # missing field or bad hex in either is malformed evidence.
+    # The chain and TCB files decode as records; the CA keys and the expected
+    # values are plain dicts: a missing field or bad hex in any is malformed.
     try:
+        chain = decode(dict[str, Certificate], _read_json(args.chain))
+        tcb = decode(tuple[TcbUpdateCertificate, ...], _read_json(args.tcb))
         evidence = (chain, _load_ca(_read_json(args.ca)), tcb)
         expected = _read_json(args.expected)
         expected["party_fingerprints"] = tuple(expected["party_fingerprints"])
@@ -339,8 +325,8 @@ def cmd_decrypt_model(args) -> int:
         _load_identity(room).fingerprint: (Path(room) / NONCE_FILE).read_bytes()
         for room in args.clean_room
     }
-    _, _, _, frames = decode_stream_file((run_dir / "output.stream").read_bytes())
-    model = decrypt_model(manifest, list(frames), nonces)
+    wire = decode(tuple[bytes, ...], _read_json(run_dir / "output.json"))
+    model = decrypt_model(manifest, [Frame.from_bytes(raw) for raw in wire], nonces)
     Path(args.out).write_bytes(model)
     print(f"recovered model: {len(model)} bytes -> {args.out}")
     return EXIT_OK

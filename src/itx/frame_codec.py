@@ -132,25 +132,6 @@ def compose_iv(template: StreamIV, frame_index: int) -> StreamIV:
     return iv.validate()
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """A 256-bit stream key together with the stream it is scoped to."""
-
-    key: bytes
-    binding: StreamIV
-
-    def __post_init__(self) -> None:
-        if len(self.key) != KEY_BYTES:
-            raise InvalidIvField(f"stream key must be {KEY_BYTES} bytes")
-        self.binding.validate()
-
-    @classmethod
-    def generate(cls, binding: StreamIV) -> "StreamKey":
-        import os
-
-        return cls(os.urandom(KEY_BYTES), binding)
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
@@ -209,21 +190,19 @@ def partition(plaintext: bytes, frame_total_size: int) -> list[bytes]:
     return chunks
 
 
-def encrypt_frame(key: StreamKey | bytes, iv: StreamIV, payload: bytes) -> Frame:
-    key_bytes = key.key if isinstance(key, StreamKey) else key
-    if len(key_bytes) != KEY_BYTES:
+def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> Frame:
+    if len(key) != KEY_BYTES:
         raise InvalidPayload(f"key must be {KEY_BYTES} bytes")
     if not payload or len(payload) % BLOCK_BYTES:
         raise InvalidPayload("payload must be a non-empty multiple of 16 bytes")
     if len(payload) > MAX_FRAME_BYTES - FRAME_OVERHEAD:
         raise InvalidPayload(f"payload exceeds {MAX_FRAME_BYTES - FRAME_OVERHEAD} bytes")
     iv_bytes = iv.to_bytes()
-    sealed = AESGCM(key_bytes).encrypt(iv_bytes, payload, None)
+    sealed = AESGCM(key).encrypt(iv_bytes, payload, None)
     return Frame(iv.iv_block(), sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
 
 
-def decrypt_frame(key: StreamKey | bytes, frame: Frame) -> tuple[StreamIV, bytes]:
-    key_bytes = key.key if isinstance(key, StreamKey) else key
+def decrypt_frame(key: bytes, frame: Frame) -> tuple[StreamIV, bytes]:
     if len(frame.iv_block) != IV_BLOCK_BYTES or len(frame.tag) != TAG_BYTES:
         raise InvalidFrame("bad IV block or tag length")
     if frame.iv_block[IV_BYTES:] != b"\x00\x00\x00\x00":
@@ -234,7 +213,7 @@ def decrypt_frame(key: StreamKey | bytes, frame: Frame) -> tuple[StreamIV, bytes
         raise InvalidFrame(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     iv_raw = frame.iv_block[:IV_BYTES]
     try:
-        payload = AESGCM(key_bytes).decrypt(iv_raw, frame.ciphertext + frame.tag, None)
+        payload = AESGCM(key).decrypt(iv_raw, frame.ciphertext + frame.tag, None)
     except InvalidTag as exc:
         raise AuthenticationFailure("frame tag verification failed") from exc
     # only authenticated IVs are interpreted
@@ -247,7 +226,7 @@ def decrypt_frame(key: StreamKey | bytes, frame: Frame) -> tuple[StreamIV, bytes
 
 
 def encrypt_stream(
-    key: StreamKey | bytes,
+    key: bytes,
     template: StreamIV,
     plaintext: bytes,
     frame_total_size: int,
@@ -260,7 +239,7 @@ def encrypt_stream(
 
 
 def decrypt_stream(
-    key: StreamKey | bytes,
+    key: bytes,
     template: StreamIV,
     frames: Iterable[Frame],
     plaintext_length: int,
@@ -285,57 +264,3 @@ def decrypt_stream(
         )
     data = b"".join(pieces)
     return data[:plaintext_length]
-
-
-# ---------------------------------------------------------------------------
-# stream files
-# ---------------------------------------------------------------------------
-
-STREAM_MAGIC = b"ITXS"
-STREAM_VERSION = 1
-_STREAM_HEADER = struct.Struct(">4sB12sIQ")
-
-
-def encode_stream_file(
-    template: StreamIV,
-    frame_total_size: int,
-    plaintext_length: int,
-    frames: Iterable[Frame],
-) -> bytes:
-    """Container format: header (template, frame size, length) then frames."""
-    _check_frame_size(frame_total_size)
-    body = b"".join(f.to_bytes() for f in frames)
-    if len(body) % frame_total_size:
-        raise InvalidFrame("frame sizes do not match the declared frame size")
-    header = _STREAM_HEADER.pack(
-        STREAM_MAGIC,
-        STREAM_VERSION,
-        compose_iv(template, 0).to_bytes(),
-        frame_total_size,
-        plaintext_length,
-    )
-    return header + body
-
-
-def decode_stream_file(raw: bytes) -> tuple[StreamIV, int, int, list[Frame]]:
-    if len(raw) < _STREAM_HEADER.size:
-        raise InvalidFrame("stream file truncated")
-    magic, version, template_raw, frame_total_size, plaintext_length = _STREAM_HEADER.unpack(
-        raw[: _STREAM_HEADER.size]
-    )
-    if magic != STREAM_MAGIC:
-        raise InvalidFrame("bad stream file magic")
-    if version != STREAM_VERSION:
-        raise InvalidFrame(f"unsupported stream file version {version}")
-    template = StreamIV.from_bytes(template_raw)
-    body = raw[_STREAM_HEADER.size :]
-    _check_frame_size(frame_total_size)
-    if len(body) % frame_total_size:
-        raise InvalidFrame("stream file body is not a whole number of frames")
-    frames = [
-        Frame.from_bytes(body[i : i + frame_total_size])
-        for i in range(0, len(body), frame_total_size)
-    ]
-    if not frames:
-        raise InvalidFrame("stream file has no frames")
-    return template, frame_total_size, plaintext_length, frames

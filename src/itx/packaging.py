@@ -5,11 +5,13 @@ Each input stream gets a fresh random AES-256-GCM key.  The ciphertext
 frames travel with the job; the keys stay with the party and are only
 wrapped to a device after that device's attestation report has been
 verified.  Code streams are encrypted per tile (the counter block carries
-the tile id), data streams as one frame sequence.
+the tile id), data streams as one frame sequence; either way a stream ships
+as a tuple of wire frames, in the order the ring receives them.
 
 What leaves the clean room is a ``StreamPackage`` (ciphertext, certificate,
 a signed fresh keyshare); what stays is a ``CleanRoom`` (the stream keys and
-the keyshare's private half).  Both serialize to directories so they can be
+the keyshare's private half).  Both are records, saved as one codec JSON
+file in a directory (``package.json``, ``cleanroom.json``) so they can be
 shipped and reloaded by the command-line tools.
 """
 
@@ -17,33 +19,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import crypto
 from .certs import Certificate
-from .encoding import Record, decode
-from .errors import InvalidEncoding, InvalidFrame, KeyExchangeFailure
-from .frame_codec import (
-    Frame,
-    StreamIV,
-    StreamType,
-    decode_stream_file,
-    encode_stream_file,
-    encrypt_stream,
-    payload_capacity,
-)
+from .encoding import Record
+from .errors import InvalidFrame, KeyExchangeFailure
+from .frame_codec import Frame, StreamIV, StreamType, encrypt_stream, payload_capacity
 from .manifest import CODE, DIR_IN, JobManifest
 from .pki import PartyIdentity, PartySession
-
-
-@dataclass
-class EncryptedStream:
-    stream_id: int
-    frames: list[Frame]
-    # For code streams the frame list is the concatenation of per-tile
-    # sequences; ``tile_spans`` maps tile id -> (first frame, count).
-    tile_spans: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -51,23 +36,23 @@ class JobInputs:
     """What a party contributes: ciphertext to ship, keys to keep."""
 
     party: str
-    streams: dict[int, EncryptedStream]
+    streams: dict[int, tuple[bytes, ...]]  # stream id -> wire frames, in ring order
     keys: dict[int, bytes]
 
 
 def _pad(data: bytes, size: int) -> bytes:
-    if len(data) % size:
-        data = data + b"\x00" * (size - len(data) % size)
-    return data
+    return data + b"\x00" * (-len(data) % size)
 
 
 def encrypt_code_stream(
     key: bytes, manifest: JobManifest, binaries: dict[int, bytes]
-) -> EncryptedStream:
+) -> tuple[bytes, ...]:
+    """Encrypt each tile's binary under its tile-bound IVs.  The frames come
+    in layout order, which is their order in the code region: the compiler
+    lays ``code_offset`` out cumulatively in that order."""
     entry = manifest.stream_of_kind(CODE)
     payload = payload_capacity(entry.frame_total_size)
-    frames: list[Frame] = []
-    spans: dict[int, tuple[int, int]] = {}
+    frames: list[bytes] = []
     for layout in manifest.tile_layouts:
         binary = binaries[layout.tile_id]
         if len(binary) != layout.binary_length:
@@ -78,22 +63,16 @@ def encrypt_code_stream(
         padded = _pad(binary, payload)
         if len(padded) != layout.code_frames * payload:
             raise InvalidFrame(f"tile {layout.tile_id}: code frame count mismatch")
-        template = StreamIV(
-            stream_type=StreamType.CODE,
-            ipu_id=manifest.ipu_id,
-            tile_id=layout.tile_id,
-        )
-        tile_frames = encrypt_stream(key, template, padded, entry.frame_total_size)
-        spans[layout.tile_id] = (len(frames), len(tile_frames))
-        frames.extend(tile_frames)
-    return EncryptedStream(entry.stream_id, frames, spans)
+        template = StreamIV(StreamType.CODE, ipu_id=manifest.ipu_id, tile_id=layout.tile_id)
+        frames += (f.to_bytes() for f in encrypt_stream(key, template, padded, entry.frame_total_size))
+    return tuple(frames)
 
 
-def encrypt_data_stream(key: bytes, stream_id: int, frame_total_size: int, plaintext: bytes) -> EncryptedStream:
+def encrypt_data_stream(key: bytes, stream_id: int, frame_total_size: int, plaintext: bytes) -> tuple[bytes, ...]:
     payload = payload_capacity(frame_total_size)
     template = StreamIV(stream_type=StreamType.DATA, stream_id=stream_id)
     frames = encrypt_stream(key, template, _pad(plaintext, payload), frame_total_size)
-    return EncryptedStream(stream_id, frames)
+    return tuple(f.to_bytes() for f in frames)
 
 
 def package_inputs(
@@ -105,7 +84,7 @@ def package_inputs(
 ) -> JobInputs:
     """Encrypt every input stream the manifest assigns to ``party``."""
     data = data or {}
-    streams: dict[int, EncryptedStream] = {}
+    streams: dict[int, tuple[bytes, ...]] = {}
     keys: dict[int, bytes] = {}
     for sid, entry in sorted(manifest.stream_table.items()):
         if entry.direction != DIR_IN or entry.party != party:
@@ -135,7 +114,7 @@ def package_inputs(
 
 
 @dataclass
-class StreamPackage:
+class StreamPackage(Record):
     """The shippable artifact: ciphertext plus the party's signed keyshare."""
 
     party: str
@@ -143,7 +122,7 @@ class StreamPackage:
     keyshare: bytes
     share_signature: bytes
     manifest_measurement: str
-    streams: dict[int, EncryptedStream]
+    streams: dict[int, tuple[bytes, ...]]
 
 
 @dataclass
@@ -218,92 +197,31 @@ def package_data(
 # ---------------------------------------------------------------------------
 
 
-def save_package(package: StreamPackage, manifest: JobManifest, path: str | Path) -> None:
-    root = Path(path)
-    (root / "streams").mkdir(parents=True, exist_ok=True)
-    stream_files: dict[str, dict] = {}
-    for sid, enc in sorted(package.streams.items()):
-        entry = manifest.stream_table[sid]
-        if entry.kind == CODE:
-            files = []
-            for layout in manifest.tile_layouts:
-                first, count = enc.tile_spans[layout.tile_id]
-                template = StreamIV(
-                    stream_type=StreamType.CODE,
-                    ipu_id=manifest.ipu_id,
-                    tile_id=layout.tile_id,
-                )
-                name = f"s{sid:03d}_t{layout.tile_id:03d}.stream"
-                (root / "streams" / name).write_bytes(
-                    encode_stream_file(
-                        template,
-                        entry.frame_total_size,
-                        layout.binary_length,
-                        enc.frames[first : first + count],
-                    )
-                )
-                files.append({"tile": layout.tile_id, "file": name, "first": first, "count": count})
-            stream_files[str(sid)] = {"kind": CODE, "files": files}
-        else:
-            template = StreamIV(stream_type=StreamType.DATA, stream_id=sid)
-            name = f"s{sid:03d}.stream"
-            (root / "streams" / name).write_bytes(
-                encode_stream_file(
-                    template, entry.frame_total_size, entry.plaintext_length, enc.frames
-                )
-            )
-            stream_files[str(sid)] = {"kind": entry.kind, "file": name}
-    meta = {
-        "party": package.party,
-        "certificate": package.certificate.to_dict(),
-        "keyshare": package.keyshare.hex(),
-        "share_signature": package.share_signature.hex(),
-        "manifest_measurement": package.manifest_measurement,
-        "streams": stream_files,
-    }
-    (root / "package.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def _save_record(record: Record, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def save_package(package: StreamPackage, path: str | Path) -> None:
+    _save_record(package, Path(path) / "package.json")
 
 
 def load_package(path: str | Path) -> StreamPackage:
-    """Read a package directory; a malformed ``package.json`` (a missing
-    field, bad hex, a non-integer stream id) raises ``InvalidEncoding``."""
-    root = Path(path)
-    try:
-        meta = json.loads((root / "package.json").read_text())
-        streams: dict[int, EncryptedStream] = {}
-        for sid_text, desc in meta["streams"].items():
-            sid = int(sid_text)
-            if desc["kind"] == CODE:
-                frames: list[Frame] = []
-                spans: dict[int, tuple[int, int]] = {}
-                for entry in desc["files"]:
-                    _, _, _, tile_frames = decode_stream_file(
-                        (root / "streams" / entry["file"]).read_bytes()
-                    )
-                    spans[entry["tile"]] = (len(frames), len(tile_frames))
-                    frames.extend(tile_frames)
-                streams[sid] = EncryptedStream(sid, frames, spans)
-            else:
-                _, _, _, frames = decode_stream_file(
-                    (root / "streams" / desc["file"]).read_bytes()
-                )
-                streams[sid] = EncryptedStream(sid, list(frames))
-        return StreamPackage(
-            party=meta["party"],
-            certificate=Certificate.from_dict(meta["certificate"]),
-            keyshare=decode(bytes, meta["keyshare"]),
-            share_signature=decode(bytes, meta["share_signature"]),
-            manifest_measurement=meta["manifest_measurement"],
-            streams=streams,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidEncoding(f"{root / 'package.json'}: {exc!r}") from None
+    """Read a package directory.  A malformed ``package.json`` (a missing
+    field, bad hex, a non-integer stream id) raises ``InvalidEncoding``; a
+    stream with no frames, or a frame of the wrong size or with a nonzero
+    counter area, raises an ``InvalidFrame``-family error."""
+    package = StreamPackage.from_dict(json.loads((Path(path) / "package.json").read_text()))
+    for sid, frames in package.streams.items():
+        if not frames:
+            raise InvalidFrame(f"stream {sid} has no frames")
+        for raw in frames:
+            Frame.from_bytes(raw)
+    return package
 
 
 def save_clean_room(room: CleanRoom, path: str | Path) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "cleanroom.json").write_text(json.dumps(room.to_dict(), indent=2, sort_keys=True) + "\n")
+    _save_record(room, Path(path) / "cleanroom.json")
 
 
 def load_clean_room(path: str | Path) -> CleanRoom:

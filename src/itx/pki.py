@@ -23,8 +23,8 @@ from . import crypto
 from .attestation import AttestationReport, KeyPackage, Verdict, run_attributes_digest
 from .certs import Certificate, Signed, issue, self_signed
 from .ccu import SignedImage
-from .encoding import canonical_bytes, digest_hex
-from .errors import InvalidShare, SupplyChainReject
+from .encoding import canonical_bytes, decode, digest_hex, jsonable
+from .errors import InvalidEncoding, InvalidShare, SupplyChainReject
 
 COMPONENT_BOOTLOADER = "secondary_bootloader"
 COMPONENT_ICU = "icu_firmware"
@@ -288,6 +288,15 @@ class PartySession:
         return crypto.wrap(w_p, package.to_bytes())
 
 
+@dataclass(frozen=True)
+class _IdentityFile:
+    """The stored form of a ``PartyIdentity`` (``identity.json``)."""
+
+    name: str
+    signing_seed: bytes
+    certificate: Certificate
+
+
 class PartyIdentity:
     """A data or model owner: long-term certificate plus per-run sessions."""
 
@@ -301,18 +310,21 @@ class PartyIdentity:
         return self.certificate.fingerprint
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "signing_seed": crypto.private_bytes(self._signing).hex(),
-            "certificate": self.certificate.to_dict(),
-        }
+        return jsonable(
+            _IdentityFile(self.name, crypto.private_bytes(self._signing), self.certificate)
+        )
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PartyIdentity":
+    def from_dict(cls, d: Any) -> "PartyIdentity":
+        """A missing or unknown field, bad hex, a wrong type or a seed that is
+        not 32 bytes raises ``InvalidEncoding``."""
+        stored = decode(_IdentityFile, d)
+        if len(stored.signing_seed) != 32:
+            raise InvalidEncoding(f"signing_seed is {len(stored.signing_seed)} bytes, not 32")
         identity = cls.__new__(cls)
-        identity.name = d["name"]
-        identity._signing = crypto.ed25519_from_seed(bytes.fromhex(d["signing_seed"]))
-        identity.certificate = Certificate.from_dict(d["certificate"])
+        identity.name = stored.name
+        identity._signing = crypto.ed25519_from_seed(stored.signing_seed)
+        identity.certificate = stored.certificate
         return identity
 
     def new_session(self) -> PartySession:

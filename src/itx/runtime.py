@@ -36,7 +36,7 @@ from .device import (
 from .errors import AccessDenied, InvalidPhase, ItxError
 from .eventlog import EventLog
 from .frame_codec import Frame, StreamIV, StreamType, decrypt_stream, payload_capacity
-from .manifest import CHECKPOINT, CODE, JobManifest, OUTPUT, SyncPlan
+from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan
 from .packaging import JobInputs
 from .pki import PartyIdentity, derive_model_key
 
@@ -114,7 +114,7 @@ class TrustedJobSession:
         self.windows: dict[int, int] = {}
         self.snapshots: list[CheckpointSnapshot] = []
         self.receipts: list[tuple[int, int]] = []  # (epoch, checkpoint_id) parties saw
-        self._streams = {}
+        self._streams: dict[int, tuple[bytes, ...]] = {}  # stream id -> wire frames
         for job_inputs in inputs.values():
             self._streams.update(job_inputs.streams)
         self._extent = self._region_extents()
@@ -154,33 +154,15 @@ class TrustedJobSession:
 
     # -- ring fills ----------------------------------------------------------
 
-    def _fill_boot(self, log: EventLog) -> None:
-        entry = self.manifest.stream_of_kind(CODE)
-        enc = self._streams[entry.stream_id]
-        for layout in self.manifest.tile_layouts:
-            first, count = enc.tile_spans[layout.tile_id]
-            for f in range(count):
-                self.ring.write(
-                    entry.region_base + layout.code_offset + f * entry.frame_total_size,
-                    enc.frames[first + f].to_bytes(),
-                )
-        self.windows[entry.stream_id] = 0
-        log.emit("fill", stream=entry.stream_id, content=CODE, frames=len(enc.frames))
-
     def _fill_plan(self, plan: SyncPlan, log: EventLog) -> None:
         for sid in plan.fills:
             entry = self.manifest.stream_table[sid]
-            if entry.kind == CODE:
-                continue  # code only moves at boot
-            enc = self._streams[sid]
+            frames = self._streams[sid]
             offset = plan.stream_offsets.get(sid, 0)
             slots = self.region_size(sid) // entry.frame_total_size
-            count = min(slots, len(enc.frames) - offset)
+            count = min(slots, len(frames) - offset)
             for i in range(count):
-                self.ring.write(
-                    entry.region_base + i * entry.frame_total_size,
-                    enc.frames[offset + i].to_bytes(),
-                )
+                self.ring.write(entry.region_base + i * entry.frame_total_size, frames[offset + i])
             self.windows[sid] = offset
             log.emit("fill", stream=sid, offset=offset, frames=count)
 
@@ -374,7 +356,7 @@ class TrustedJobSession:
             log.emit("release_keys", party=name)
         self._current_nonces = nonces
 
-        self._fill_boot(log)
+        self._fill_plan(self.manifest.boot_plan, log)
         self.adversary.after_fill(self, "boot")
         self._staged("launch", self.ccu.tee_launch, packages)
         log.emit("tee_launch")

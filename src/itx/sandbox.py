@@ -150,21 +150,23 @@ def _ints(rng: random.Random, count: int, lo: int = -9999, hi: int = 9999) -> by
 
 def _make_session(
     deployment: Deployment,
-    compiled: CompiledJob,
+    manifest: JobManifest,
     parties: dict[str, PartyIdentity],
     inputs: dict[str, JobInputs],
     adversary=None,
+    initial_sessions: dict | None = None,
 ) -> TrustedJobSession:
     return TrustedJobSession(
         device=deployment.device,
         ccu=deployment.ccu,
-        manifest=compiled.manifest,
+        manifest=manifest,
         inputs=inputs,
         parties=parties,
         ca_public=deployment.ca_public(),
         device_chain=deployment.device_chain,
         tcb_certs=deployment.tcb_certs(),
         adversary=adversary,
+        initial_sessions=initial_sessions,
     )
 
 
@@ -191,7 +193,7 @@ def _make_fixture(
         owned = {sid: blob for sid, blob in plaintexts.items() if manifest.stream_table[sid].party == name}
         code = compiled.binaries if name == job.model_party else None
         inputs[name] = package_inputs(name, manifest, binaries=code, data=owned)
-    session = _make_session(deployment, compiled, parties, inputs, adversary)
+    session = _make_session(deployment, manifest, parties, inputs, adversary)
     return JobFixture(deployment, compiled, session, parties, inputs, plaintexts)
 
 

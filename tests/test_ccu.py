@@ -263,22 +263,14 @@ def wrap_packages(parties, sessions, inputs, report, nonces=None, prior=None):
 
 
 def fill_boot(deployment, manifest, inputs):
-    """Host duty between init and launch: stage the code frames in the ring."""
+    """Host duty between init and launch: stage the code frames in the ring,
+    back to back from the code region's base."""
     from itx.manifest import CODE
 
-    streams = {}
-    for job_inputs in inputs.values():
-        streams.update(job_inputs.streams)
-    entry = next(e for e in manifest.stream_table.values() if e.kind == CODE)
-    enc = streams[entry.stream_id]
-    ring = deployment.device.ring_buffer
-    for layout in manifest.tile_layouts:
-        first, count = enc.tile_spans[layout.tile_id]
-        for f in range(count):
-            ring.write(
-                entry.region_base + layout.code_offset + f * entry.frame_total_size,
-                enc.frames[first + f].to_bytes(),
-            )
+    entry = manifest.stream_of_kind(CODE)
+    frames = inputs[entry.party].streams[entry.stream_id]
+    for i, frame in enumerate(frames):
+        deployment.device.ring_buffer.write(entry.region_base + i * entry.frame_total_size, frame)
 
 
 @pytest.fixture()

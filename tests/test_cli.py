@@ -9,7 +9,9 @@ import struct
 import pytest
 
 from itx.cli import EXIT_OK, EXIT_REJECTED, _archive_run, main
+from itx.errors import InvalidFrame, InvalidFrameSize
 from itx.manifest import JobManifest
+from itx.packaging import load_package
 from itx.runtime import run_clear_reference
 from itx.sandbox import make_sgd_fixture
 
@@ -120,6 +122,20 @@ def archived_run(tmp_path_factory):
     return run
 
 
+def damage(path, field, value) -> None:
+    """Delete ``field`` of the JSON object in ``path`` (``value`` None), set
+    it to ``value``, or (``field`` None) replace the whole file by ``value``."""
+    if field is None:
+        d = value
+    else:
+        d = json.loads(path.read_text())
+        if value is None:
+            del d[field]
+        else:
+            d[field] = value
+    path.write_text(json.dumps(d))
+
+
 @pytest.mark.parametrize(
     "file, field, value",
     [
@@ -127,18 +143,15 @@ def archived_run(tmp_path_factory):
         ("ca.json", "cik_ca", "not hex"),
         ("expected.json", "party_fingerprints", None),
         ("expected.json", "manifest_measurement", "not hex"),
+        pytest.param("chain.json", None, [], id="chain.json-a-list"),
+        pytest.param("tcb.json", None, 5, id="tcb.json-a-number"),
     ],
 )
 def test_verify_rejects_a_damaged_ca_or_expectation_file(archived_run, tmp_path, file, field, value):
     run = tmp_path / "run"
     shutil.copytree(archived_run, run)
     assert main(party_args("verify", run)) == EXIT_OK
-    d = json.loads((run / file).read_text())
-    if value is None:
-        del d[field]
-    else:
-        d[field] = value
-    (run / file).write_text(json.dumps(d))
+    damage(run / file, field, value)
     assert main(party_args("verify", run)) == EXIT_REJECTED
 
 
@@ -161,17 +174,41 @@ def packaged_job(tmp_path_factory):
     [
         ("pkg-alpha/package.json", "keyshare", None),
         ("room-alpha/cleanroom.json", "session_private", "not hex"),
+        ("room-alpha/identity.json", "signing_seed", None),
+        ("room-alpha/identity.json", "signing_seed", "not hex"),
     ],
 )
 def test_run_rejects_a_damaged_package_or_clean_room(packaged_job, tmp_path, file, field, value):
     root = tmp_path / "job"
     shutil.copytree(packaged_job, root)
-    d = json.loads((root / file).read_text())
-    if value is None:
-        del d[field]
-    else:
-        d[field] = value
-    (root / file).write_text(json.dumps(d))
+    damage(root / file, field, value)
+    assert main(run_args(root, tmp_path / "run")) == EXIT_REJECTED
+
+
+def short_frame(frames):
+    return [frames[0][:-2]] + frames[1:]  # 127 bytes
+
+
+def counter_area(frames):
+    return [frames[0][:26] + "01" + frames[0][28:]] + frames[1:]  # IV block byte 13
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [(short_frame, InvalidFrameSize), (counter_area, InvalidFrame), (lambda frames: [], InvalidFrame)],
+    ids=["127-byte-frame", "nonzero-counter-area", "no-frames"],
+)
+def test_run_rejects_a_package_with_a_malformed_frame(packaged_job, tmp_path, change, error):
+    """``package.json`` decodes as a record, then every frame must parse as a
+    wire frame; each stream needs at least one."""
+    root = tmp_path / "job"
+    shutil.copytree(packaged_job, root)
+    file = root / "pkg-alpha" / "package.json"
+    d = json.loads(file.read_text())
+    d["streams"]["3"] = change(d["streams"]["3"])
+    file.write_text(json.dumps(d))
+    with pytest.raises(error):
+        load_package(root / "pkg-alpha")
     assert main(run_args(root, tmp_path / "run")) == EXIT_REJECTED
 
 

@@ -15,7 +15,7 @@ from itx.errors import (
     InvalidPayload,
     IvSequenceViolation,
 )
-from itx.frame_codec import Frame, StreamIV, StreamKey, StreamType
+from itx.frame_codec import Frame, StreamIV, StreamType
 
 # Published AES-256-GCM vectors (96-bit IV, no AAD) from the original GCM
 # specification test suite.
@@ -39,9 +39,9 @@ KAT3_CT = bytes.fromhex(
 KAT3_TAG = bytes.fromhex("b094dac5d93471bdec1a502270e3cc6c")
 
 
-def make_key(seed: int, binding: StreamIV) -> StreamKey:
+def make_key(seed: int) -> bytes:
     rng = random.Random(seed)
-    return StreamKey(bytes(rng.randrange(256) for _ in range(32)), binding)
+    return bytes(rng.randrange(256) for _ in range(32))
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +179,15 @@ class TestEncryptFrame:
 
     def test_round_trip(self):
         iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=3), 7)
-        key = make_key(1, StreamIV(StreamType.DATA, stream_id=3))
+        key = make_key(1)
         payload = bytes(range(96))
         frame = fc.encrypt_frame(key, iv, payload)
         got_iv, got_payload = fc.decrypt_frame(key, frame)
         assert (got_iv, got_payload) == (iv, payload)
 
     def test_payload_constraints(self):
-        key = make_key(2, StreamIV(StreamType.DATA, stream_id=1))
-        iv = fc.compose_iv(key.binding, 0)
+        key = make_key(2)
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
         with pytest.raises(InvalidPayload):
             fc.encrypt_frame(key, iv, b"")
         with pytest.raises(InvalidPayload):
@@ -218,8 +218,8 @@ class TestDecryptFrame:
         counter-area bytes of the IV block are structural (the hardware
         regenerates them) and fail frame validation instead.
         """
-        key = make_key(3, StreamIV(StreamType.DATA, stream_id=2))
-        iv = fc.compose_iv(key.binding, 9)
+        key = make_key(3)
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=2), 9)
         frame = fc.encrypt_frame(key, iv, bytes(range(96)))
         raw = frame.to_bytes()
         assert len(raw) == 128
@@ -236,9 +236,9 @@ class TestDecryptFrame:
 
     def test_wrong_key(self):
         binding = StreamIV(StreamType.DATA, stream_id=2)
-        frame = fc.encrypt_frame(make_key(4, binding), fc.compose_iv(binding, 0), b"\x01" * 96)
+        frame = fc.encrypt_frame(make_key(4), fc.compose_iv(binding, 0), b"\x01" * 96)
         with pytest.raises(AuthenticationFailure):
-            fc.decrypt_frame(make_key(5, binding), frame)
+            fc.decrypt_frame(make_key(5), frame)
 
     def test_malformed_frames(self):
         with pytest.raises(InvalidFrameSize):
@@ -259,7 +259,7 @@ class TestDecryptFrame:
 class TestStreams:
     def setup_method(self):
         self.binding = StreamIV(StreamType.DATA, stream_id=4)
-        self.key = make_key(6, self.binding)
+        self.key = make_key(6)
 
     def test_round_trip(self):
         rng = random.Random(31)
@@ -298,47 +298,18 @@ class TestStreams:
         produced = 0
         for sid in (1, 2, 3):
             binding = StreamIV(StreamType.DATA, stream_id=sid)
-            key = make_key(100 + sid, binding)
+            key = make_key(100 + sid)
             for frame in fc.encrypt_stream(key, binding, bytes(1000), 128):
-                pair = (key.key, frame.stream_iv.to_bytes())
+                pair = (key, frame.stream_iv.to_bytes())
                 assert pair not in registry
                 registry.add(pair)
                 produced += 1
-        ck = make_key(200, StreamIV(StreamType.CHECKPOINT, tile_id=0, epoch=1))
+        ck = make_key(200)
         for tile in range(4):
             binding = StreamIV(StreamType.CHECKPOINT, tile_id=tile, epoch=1, checkpoint_id=2)
             for frame in fc.encrypt_stream(ck, binding, bytes(100), 128):
-                pair = (ck.key, frame.stream_iv.to_bytes())
+                pair = (ck, frame.stream_iv.to_bytes())
                 assert pair not in registry
                 registry.add(pair)
                 produced += 1
         assert len(registry) == produced
-
-
-# ---------------------------------------------------------------------------
-# stream files
-# ---------------------------------------------------------------------------
-
-
-class TestStreamFile:
-    def test_round_trip(self):
-        binding = StreamIV(StreamType.OUTPUT, stream_id=9)
-        key = make_key(7, binding)
-        data = bytes(range(256)) * 3
-        frames = fc.encrypt_stream(key, binding, data, 256)
-        blob = fc.encode_stream_file(binding, 256, len(data), frames)
-        template, size, length, parsed = fc.decode_stream_file(blob)
-        assert (template, size, length) == (fc.compose_iv(binding, 0), 256, len(data))
-        assert fc.decrypt_stream(key, binding, parsed, length) == data
-
-    def test_header_validation(self):
-        with pytest.raises(InvalidFrame):
-            fc.decode_stream_file(b"NOPE" + bytes(40))
-        binding = StreamIV(StreamType.DATA, stream_id=1)
-        key = make_key(8, binding)
-        frames = fc.encrypt_stream(key, binding, bytes(10), 128)
-        blob = fc.encode_stream_file(binding, 128, 10, frames)
-        with pytest.raises(InvalidFrame):
-            fc.decode_stream_file(blob[:-1])  # ragged frame boundary
-        with pytest.raises(InvalidFrame):
-            fc.decode_stream_file(blob[: fc._STREAM_HEADER.size])  # no frames

@@ -2,13 +2,14 @@
 and directory serialization."""
 
 import hashlib
+import json
 
 import pytest
 
 from itx import crypto
 from itx.compiler import SID_CODE, JobDescription, compile_job
 from itx.errors import KeyExchangeFailure
-from itx.frame_codec import StreamIV, StreamType, decrypt_stream
+from itx.frame_codec import Frame, StreamIV, StreamType, decrypt_stream
 from itx.packaging import (
     load_clean_room,
     load_package,
@@ -59,7 +60,7 @@ class TestPackageInputs:
         recovered = decrypt_stream(
             inputs.keys[3],
             StreamIV(stream_type=StreamType.DATA, stream_id=3),
-            inputs.streams[3].frames,
+            [Frame.from_bytes(raw) for raw in inputs.streams[3]],
             entry.plaintext_length,
         )
         assert recovered == plaintext
@@ -72,10 +73,17 @@ class TestPackageInputs:
             data={2: model_bytes(compiled)},
         )
         assert set(inputs.streams) == {1, 2}
-        spans = inputs.streams[1].tile_spans
-        assert sorted(spans) == [l.tile_id for l in compiled.manifest.tile_layouts]
-        total = sum(count for _, count in spans.values())
-        assert total == len(inputs.streams[1].frames)
+        # The frames run tile by tile in layout order, each tile's under its
+        # own tile-bound IVs, as the code region holds them.
+        frames = [Frame.from_bytes(raw) for raw in inputs.streams[1]]
+        first = 0
+        for layout in compiled.manifest.tile_layouts:
+            template = StreamIV(StreamType.CODE, ipu_id=compiled.manifest.ipu_id, tile_id=layout.tile_id)
+            tile_frames = frames[first : first + layout.code_frames]
+            binary = decrypt_stream(inputs.keys[1], template, tile_frames, layout.binary_length)
+            assert binary == compiled.binaries[layout.tile_id]
+            first += layout.code_frames
+        assert first == len(frames)
 
     def test_every_stream_gets_its_own_key(self, compiled):
         inputs = package_inputs(
@@ -156,29 +164,20 @@ class TestSerialization:
         package, _ = package_model(
             compiled.binaries, compiled.manifest, modelco, data={2: model_bytes(compiled)}
         )
-        save_package(package, compiled.manifest, tmp_path / "pkg")
+        save_package(package, tmp_path / "pkg")
+        assert sorted(p.name for p in (tmp_path / "pkg").iterdir()) == ["package.json"]
+        assert json.loads((tmp_path / "pkg" / "package.json").read_text()) == package.to_dict()
         loaded = load_package(tmp_path / "pkg")
-
         assert SID_CODE in loaded.streams
-        assert loaded.party == package.party
-        assert loaded.certificate.fingerprint == package.certificate.fingerprint
-        assert loaded.keyshare == package.keyshare
-        assert loaded.share_signature == package.share_signature
-        assert loaded.manifest_measurement == package.manifest_measurement
-        for sid, enc in package.streams.items():
-            got = loaded.streams[sid]
-            assert [f.to_bytes() for f in got.frames] == [f.to_bytes() for f in enc.frames]
-        assert loaded.streams[1].tile_spans == package.streams[1].tile_spans
+        assert loaded == package
 
     def test_data_package_round_trips(self, compiled, tmp_path):
         beta = PartyIdentity("beta")
         package, _ = package_data({4: gradient_bytes(compiled, 4)}, compiled.manifest, beta)
-        save_package(package, compiled.manifest, tmp_path / "pkg")
+        save_package(package, tmp_path / "pkg")
         loaded = load_package(tmp_path / "pkg")
         assert SID_CODE not in loaded.streams
-        assert [f.to_bytes() for f in loaded.streams[4].frames] == [
-            f.to_bytes() for f in package.streams[4].frames
-        ]
+        assert loaded == package
 
     def test_clean_room_round_trips(self, compiled, tmp_path):
         alice = PartyIdentity("alpha")

@@ -21,7 +21,7 @@ from itx.device import DeviceConfig
 from itx.encoding import Record
 from itx.errors import InvalidEncoding, KeyExchangeFailure
 from itx.manifest import JobManifest, SyncPlan
-from itx.packaging import CleanRoom
+from itx.packaging import CleanRoom, StreamPackage
 from itx.pki import COMPONENT_BOOTLOADER, CaState, TcbUpdateCertificate
 
 SIGNER = crypto.ed25519_generate()
@@ -51,6 +51,15 @@ CERT = self_signed(SIGNER, "alpha", {"role": "party", "name": "alpha"})
 
 TCB = CA.ca_issue_tcb_update(COMPONENT_BOOTLOADER, "a" * 64, "b" * 64)
 
+STREAM_PACKAGE = StreamPackage(
+    party="alpha",
+    certificate=CERT,
+    keyshare=b"\x44" * 32,
+    share_signature=b"\x55" * 64,
+    manifest_measurement=MANIFEST.measurement(),
+    streams={3: (b"\x01" * 128, b"\x02" * 128), 4: (b"\x03" * 256,)},
+)
+
 SAMPLES = [
     MANIFEST.stream_table[3],
     MANIFEST.tile_layouts[0].bindings[0],
@@ -62,6 +71,7 @@ SAMPLES = [
         kind="sgd", model_party="modelco", data_parties=("alpha", "beta"), model_receivers=("beta",)
     ),
     CleanRoom("alpha", {3: b"\x11" * 32, 12: b"\x22" * 32}, b"\x33" * 32, b"\x44" * 32, b"\x55" * 64),
+    STREAM_PACKAGE,
     CERT,
     REPORT,
     TCB,
@@ -201,6 +211,11 @@ class TestMutations:
     @given(mutated(CERT.to_dict()))
     def test_certificate(self, d):
         decodes_or_rejects(Certificate, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated(STREAM_PACKAGE.to_dict()))
+    def test_stream_package(self, d):
+        decodes_or_rejects(StreamPackage, d)
 
 
 PACKAGE = KeyPackage({3: b"\x01" * 16, 4: b"\x02" * 16}, b"\x03" * 32, b"\x04" * 32)

@@ -69,7 +69,7 @@ def assert_aborted_closed(fixture, result) -> None:
 
 def session_with(fixture, inputs: dict[str, JobInputs]) -> TrustedJobSession:
     """A fresh host session for the fixture's job that ships ``inputs``."""
-    return _make_session(fixture.deployment, fixture.compiled, fixture.parties, inputs)
+    return _make_session(fixture.deployment, fixture.compiled.manifest, fixture.parties, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_other_application_under_the_code_key_aborts_closed():
     )
     assert other.binaries != fixture.compiled.binaries
     key = fixture.inputs["modelco"].keys[SID_CODE]
-    fixture.session.adversary = SwapBinary(encrypt_code_stream(key, manifest, other.binaries).frames)
+    fixture.session.adversary = SwapBinary(encrypt_code_stream(key, manifest, other.binaries))
     result = fixture.session.run()
     assert_aborted_closed(fixture, result)
     assert "binary hash" in result.reason
@@ -313,9 +313,7 @@ def test_compute_outside_tile_memory_aborts_closed():
     inputs["modelco"] = package_inputs(
         "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
     )
-    session = _make_session(
-        fixture.deployment, CompiledJob(manifest, programs, binaries), fixture.parties, inputs
-    )
+    session = _make_session(fixture.deployment, manifest, fixture.parties, inputs)
     result = session.run()
     assert_aborted_closed(fixture, result)
     assert "outside tile memory" in result.reason
