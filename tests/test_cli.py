@@ -176,6 +176,7 @@ def packaged_job(tmp_path_factory):
         ("room-alpha/cleanroom.json", "session_private", "not hex"),
         ("room-alpha/identity.json", "signing_seed", None),
         ("room-alpha/identity.json", "signing_seed", "not hex"),
+        pytest.param("room-alpha/identity.json", "signing_seed", "00" * 31, id="identity-31-byte-seed"),
     ],
 )
 def test_run_rejects_a_damaged_package_or_clean_room(packaged_job, tmp_path, file, field, value):
