@@ -118,7 +118,6 @@ class TeeState:
     k_save: bytes = b""
     k_load: bytes = b""
     k_m: bytes = b""
-    report: Optional[AttestationReport] = None
 
 
 class Ccu:
@@ -356,7 +355,6 @@ class Ccu:
             checkpoint_id=checkpoint_id,
             y_private=y_private,
             y_public=y_public,
-            report=report,
         )
         return report
 

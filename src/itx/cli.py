@@ -39,16 +39,8 @@ from .compiler import JobDescription, compile_job
 from .device import DeviceConfig
 from .encoding import decode, jsonable
 from .errors import InvalidEncoding, ItxError
-from .frame_codec import Frame
 from .manifest import JobManifest
-from .packaging import (
-    load_clean_room,
-    load_package,
-    package_data,
-    package_model,
-    save_clean_room,
-    save_package,
-)
+from .packaging import load_clean_room, load_package, make_package, save_clean_room, save_package
 from .pki import PartyIdentity, TcbUpdateCertificate, verify_attestation
 from .runtime import TrustedJobSession, decrypt_model
 from .sandbox import _make_session, make_deployment, tile_bootloader_image, update_firmware
@@ -82,14 +74,28 @@ def _load_ca(d: dict) -> dict:
     }
 
 
+def _int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidEncoding(f"{option} wants an integer, got {text!r}") from None
+
+
 def _parse_data_args(pairs: list[str]) -> dict[int, bytes]:
     data: dict[int, bytes] = {}
     for pair in pairs:
         sid_text, _, file = pair.partition("=")
         if not file:
-            raise SystemExit(f"--data wants STREAM_ID=FILE, got {pair!r}")
-        data[int(sid_text)] = Path(file).read_bytes()
+            raise InvalidEncoding(f"--data wants STREAM_ID=FILE, got {pair!r}")
+        data[_int(sid_text, "--data")] = Path(file).read_bytes()
     return data
+
+
+def _parse_resume(text: str) -> tuple[int, int]:
+    epoch, sep, ckpt = text.partition(",")
+    if not sep:
+        raise InvalidEncoding(f"--resume wants EPOCH,CKPT, got {text!r}")
+    return _int(epoch, "--resume"), _int(ckpt, "--resume")
 
 
 def _load_manifest(build: Path) -> JobManifest:
@@ -140,15 +146,13 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _cmd_package(args, model: bool) -> int:
+def cmd_package(args) -> int:
     build = Path(args.build)
     manifest = _load_manifest(build)
     data = _parse_data_args(args.data or [])
+    binaries = _load_binaries(build) if args.model else None
     identity = PartyIdentity(args.party)
-    if model:
-        package, room = package_model(_load_binaries(build), manifest, identity, data=data)
-    else:
-        package, room = package_data(data, manifest, identity)
+    package, room = make_package(identity, manifest, binaries, data)
     save_package(package, args.package)
     save_clean_room(room, args.clean_room)
     _write_json(Path(args.clean_room) / "identity.json", identity.to_dict())
@@ -157,14 +161,6 @@ def _cmd_package(args, model: bool) -> int:
     print(f"  shippable package: {args.package}")
     print(f"  private clean room: {args.clean_room}")
     return EXIT_OK
-
-
-def cmd_package_model(args) -> int:
-    return _cmd_package(args, model=True)
-
-
-def cmd_package_data(args) -> int:
-    return _cmd_package(args, model=False)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +196,15 @@ def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
     if session.last_expected:
         _write_json(out / "expected.json", session.last_expected)
     if result.completed:
-        _write_json(out / "output.json", [frame.to_bytes() for frame in result.output_frames])
+        _write_json(out / "output.json", result.output_frames)
 
 
 def cmd_run(args) -> int:
+    resume_at = _parse_resume(args.resume) if args.resume else None
+    if resume_at is not None and resume_at[0] != 1:
+        print("--resume demonstrates a first-epoch interruption; epoch must be 1",
+              file=sys.stderr)
+        return EXIT_REJECTED
     build = Path(args.build)
     manifest = _load_manifest(build)
     config = DeviceConfig.from_dict(_read_json(build / "config.json"))
@@ -234,15 +235,6 @@ def cmd_run(args) -> int:
     inputs = {name: rooms[name].job_inputs(packages[name]) for name in packages}
     sessions = {name: room.session() for name, room in rooms.items()}
     session = _make_session(deployment, manifest, parties, inputs, adversary, sessions)
-
-    resume_at = None
-    if args.resume:
-        epoch_text, _, ckpt_text = args.resume.partition(",")
-        resume_at = (int(epoch_text), int(ckpt_text))
-        if resume_at[0] != 1:
-            print("--resume demonstrates a first-epoch interruption; epoch must be 1",
-                  file=sys.stderr)
-            return EXIT_REJECTED
 
     if resume_at is not None:
         result = session.run(halt_after_checkpoint=resume_at[1] + 1)
@@ -325,8 +317,8 @@ def cmd_decrypt_model(args) -> int:
         _load_identity(room).fingerprint: (Path(room) / NONCE_FILE).read_bytes()
         for room in args.clean_room
     }
-    wire = decode(tuple[bytes, ...], _read_json(run_dir / "output.json"))
-    model = decrypt_model(manifest, [Frame.from_bytes(raw) for raw in wire], nonces)
+    frames = decode(tuple[bytes, ...], _read_json(run_dir / "output.json"))
+    model = decrypt_model(manifest, frames, nonces)
     Path(args.out).write_bytes(model)
     print(f"recovered model: {len(model)} bytes -> {args.out}")
     return EXIT_OK
@@ -447,19 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tile bootloader revision the manifest pins")
     p.set_defaults(func=cmd_compile)
 
-    for name, handler, needs_data in (
-        ("package-model", cmd_package_model, False),
-        ("package-data", cmd_package_data, True),
-    ):
+    for name, model in (("package-model", True), ("package-data", False)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} inside a clean room")
         p.add_argument("--build", required=True, help="build directory from `itx compile`")
         p.add_argument("--party", required=True, help="party name (must match the manifest)")
         p.add_argument("--data", action="append", metavar="SID=FILE",
-                       required=needs_data, help="plaintext for an owned data stream")
+                       required=not model, help="plaintext for an owned data stream")
         p.add_argument("--package", required=True, help="output package directory (shippable)")
         p.add_argument("--clean-room", required=True,
                        help="output clean-room directory (stays with the party)")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_package, model=model)
 
     p = sub.add_parser("run", help="execute a job on a freshly provisioned simulated device")
     p.add_argument("--build", required=True)

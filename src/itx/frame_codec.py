@@ -11,6 +11,9 @@ multiples of 128 bytes up to 1024 bytes, so every frame holds at least one
 ciphertext block.  No associated data is ever used; all context that needs
 authenticating is packed into the IV itself, which GCM binds to the tag.
 
+A frame is its wire bytes; there is no parsed form.  ``check_frame`` is the
+one structural check (size, zero counter area), made before a frame is opened.
+
 The IV layout (big-endian bit widths 8/16/8/16/8/8/32) encodes stream type,
 stream id, device and tile coordinates, epoch/checkpoint counters, and the
 frame index.  Fields that do not apply to a stream type must be zero, which
@@ -137,34 +140,6 @@ def compose_iv(template: StreamIV, frame_index: int) -> StreamIV:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Frame:
-    iv_block: bytes
-    ciphertext: bytes
-    tag: bytes
-
-    @property
-    def stream_iv(self) -> StreamIV:
-        return StreamIV.from_bytes(self.iv_block[:IV_BYTES])
-
-    @property
-    def total_size(self) -> int:
-        return len(self.iv_block) + len(self.ciphertext) + len(self.tag)
-
-    def to_bytes(self) -> bytes:
-        return self.iv_block + self.ciphertext + self.tag
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Frame":
-        """Parse the wire form.  The IV bytes are carried opaquely; callers
-        interpret them (via ``stream_iv``) only after authentication."""
-        _check_frame_size(len(raw))
-        iv_block = raw[:IV_BLOCK_BYTES]
-        if iv_block[IV_BYTES:] != b"\x00\x00\x00\x00":
-            raise InvalidFrame("IV block counter area must be zero")
-        return cls(iv_block, raw[IV_BLOCK_BYTES:-TAG_BYTES], raw[-TAG_BYTES:])
-
-
 def _check_frame_size(total: int) -> None:
     if total < FRAME_ALIGN or total % FRAME_ALIGN or total > MAX_FRAME_BYTES:
         raise InvalidFrameSize(
@@ -190,34 +165,34 @@ def partition(plaintext: bytes, frame_total_size: int) -> list[bytes]:
     return chunks
 
 
-def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> Frame:
+def check_frame(raw: bytes) -> bytes:
+    """The one structural check on a wire frame.  Its IV bytes stay opaque
+    until the frame authenticates."""
+    _check_frame_size(len(raw))
+    if raw[IV_BYTES:IV_BLOCK_BYTES] != b"\x00\x00\x00\x00":
+        raise InvalidFrame("IV block counter area must be zero")
+    return raw
+
+
+def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> bytes:
     if len(key) != KEY_BYTES:
         raise InvalidPayload(f"key must be {KEY_BYTES} bytes")
     if not payload or len(payload) % BLOCK_BYTES:
         raise InvalidPayload("payload must be a non-empty multiple of 16 bytes")
     if len(payload) > MAX_FRAME_BYTES - FRAME_OVERHEAD:
         raise InvalidPayload(f"payload exceeds {MAX_FRAME_BYTES - FRAME_OVERHEAD} bytes")
-    iv_bytes = iv.to_bytes()
-    sealed = AESGCM(key).encrypt(iv_bytes, payload, None)
-    return Frame(iv.iv_block(), sealed[:-TAG_BYTES], sealed[-TAG_BYTES:])
+    return iv.iv_block() + AESGCM(key).encrypt(iv.to_bytes(), payload, None)
 
 
-def decrypt_frame(key: bytes, frame: Frame) -> tuple[StreamIV, bytes]:
-    if len(frame.iv_block) != IV_BLOCK_BYTES or len(frame.tag) != TAG_BYTES:
-        raise InvalidFrame("bad IV block or tag length")
-    if frame.iv_block[IV_BYTES:] != b"\x00\x00\x00\x00":
-        raise InvalidFrame("IV block counter area must be zero")
-    if not frame.ciphertext or len(frame.ciphertext) % BLOCK_BYTES:
-        raise InvalidFrame("ciphertext must be a non-empty multiple of 16 bytes")
-    if frame.total_size > MAX_FRAME_BYTES:
-        raise InvalidFrame(f"frame exceeds {MAX_FRAME_BYTES} bytes")
-    iv_raw = frame.iv_block[:IV_BYTES]
+def decrypt_frame(key: bytes, raw: bytes) -> tuple[StreamIV, bytes]:
+    check_frame(raw)
+    iv_raw = raw[:IV_BYTES]
     try:
-        payload = AESGCM(key).decrypt(iv_raw, frame.ciphertext + frame.tag, None)
+        payload = AESGCM(key).decrypt(iv_raw, raw[IV_BLOCK_BYTES:], None)
     except InvalidTag as exc:
         raise AuthenticationFailure("frame tag verification failed") from exc
     # only authenticated IVs are interpreted
-    return frame.stream_iv, payload
+    return StreamIV.from_bytes(iv_raw), payload
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +205,7 @@ def encrypt_stream(
     template: StreamIV,
     plaintext: bytes,
     frame_total_size: int,
-) -> list[Frame]:
+) -> list[bytes]:
     payloads = partition(plaintext, frame_total_size)
     return [
         encrypt_frame(key, compose_iv(template, index), payload)
@@ -241,7 +216,7 @@ def encrypt_stream(
 def decrypt_stream(
     key: bytes,
     template: StreamIV,
-    frames: Iterable[Frame],
+    frames: Iterable[bytes],
     plaintext_length: int,
 ) -> bytes:
     """Decrypt a full stream, enforcing IV order and the declared length."""
@@ -249,7 +224,7 @@ def decrypt_stream(
     count = 0
     for index, frame in enumerate(frames):
         expected = compose_iv(template, index)
-        if frame.iv_block[:IV_BYTES] != expected.to_bytes():
+        if frame[:IV_BYTES] != expected.to_bytes():
             raise IvSequenceViolation(index)
         _, payload = decrypt_frame(key, frame)
         pieces.append(payload)

@@ -10,9 +10,10 @@ as a tuple of wire frames, in the order the ring receives them.
 
 What leaves the clean room is a ``StreamPackage`` (ciphertext, certificate,
 a signed fresh keyshare); what stays is a ``CleanRoom`` (the stream keys and
-the keyshare's private half).  Both are records, saved as one codec JSON
-file in a directory (``package.json``, ``cleanroom.json``) so they can be
-shipped and reloaded by the command-line tools.
+the keyshare's private half).  ``make_package`` builds both in one call, for
+the model owner and data owners alike.  Both are records, saved as one codec
+JSON file in a directory (``package.json``, ``cleanroom.json``) so they can
+be shipped and reloaded by the command-line tools.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import crypto
 from .certs import Certificate
 from .encoding import Record
 from .errors import InvalidFrame, KeyExchangeFailure
-from .frame_codec import Frame, StreamIV, StreamType, encrypt_stream, payload_capacity
+from .frame_codec import StreamIV, StreamType, check_frame, encrypt_stream, payload_capacity
 from .manifest import CODE, DIR_IN, JobManifest
 from .pki import PartyIdentity, PartySession
 
@@ -38,10 +39,6 @@ class JobInputs:
     party: str
     streams: dict[int, tuple[bytes, ...]]  # stream id -> wire frames, in ring order
     keys: dict[int, bytes]
-
-
-def _pad(data: bytes, size: int) -> bytes:
-    return data + b"\x00" * (-len(data) % size)
 
 
 def encrypt_code_stream(
@@ -60,19 +57,16 @@ def encrypt_code_stream(
                 f"tile {layout.tile_id}: binary is {len(binary)} bytes, "
                 f"layout says {layout.binary_length}"
             )
-        padded = _pad(binary, payload)
-        if len(padded) != layout.code_frames * payload:
+        if -(-len(binary) // payload) != layout.code_frames:
             raise InvalidFrame(f"tile {layout.tile_id}: code frame count mismatch")
         template = StreamIV(StreamType.CODE, ipu_id=manifest.ipu_id, tile_id=layout.tile_id)
-        frames += (f.to_bytes() for f in encrypt_stream(key, template, padded, entry.frame_total_size))
+        frames += encrypt_stream(key, template, binary, entry.frame_total_size)
     return tuple(frames)
 
 
 def encrypt_data_stream(key: bytes, stream_id: int, frame_total_size: int, plaintext: bytes) -> tuple[bytes, ...]:
-    payload = payload_capacity(frame_total_size)
     template = StreamIV(stream_type=StreamType.DATA, stream_id=stream_id)
-    frames = encrypt_stream(key, template, _pad(plaintext, payload), frame_total_size)
-    return tuple(f.to_bytes() for f in frames)
+    return tuple(encrypt_stream(key, template, plaintext, frame_total_size))
 
 
 def package_inputs(
@@ -80,7 +74,6 @@ def package_inputs(
     manifest: JobManifest,
     binaries: dict[int, bytes] | None = None,
     data: dict[int, bytes] | None = None,
-    rng=os.urandom,
 ) -> JobInputs:
     """Encrypt every input stream the manifest assigns to ``party``."""
     data = data or {}
@@ -89,7 +82,7 @@ def package_inputs(
     for sid, entry in sorted(manifest.stream_table.items()):
         if entry.direction != DIR_IN or entry.party != party:
             continue
-        key = rng(32)
+        key = os.urandom(32)
         keys[sid] = key
         if entry.kind == CODE:
             if binaries is None:
@@ -147,12 +140,14 @@ class CleanRoom(Record):
         return JobInputs(party=self.party, streams=package.streams, keys=dict(self.keys))
 
 
-def _package(
+def make_package(
     identity: PartyIdentity,
     manifest: JobManifest,
-    binaries: dict[int, bytes] | None,
-    data: dict[int, bytes] | None,
+    binaries: dict[int, bytes] | None = None,
+    data: dict[int, bytes] | None = None,
 ) -> tuple[StreamPackage, CleanRoom]:
+    """Encrypt a party's contribution: the code (for the model owner, given
+    ``binaries``) and the data streams it owns."""
     inputs = package_inputs(identity.name, manifest, binaries=binaries, data=data)
     session = identity.new_session()
     package = StreamPackage(
@@ -171,25 +166,6 @@ def _package(
         share_signature=session.signature,
     )
     return package, room
-
-
-def package_model(
-    binaries: dict[int, bytes],
-    manifest: JobManifest,
-    identity: PartyIdentity,
-    data: dict[int, bytes] | None = None,
-) -> tuple[StreamPackage, CleanRoom]:
-    """Encrypt a model owner's contribution (code plus any data streams)."""
-    return _package(identity, manifest, binaries, data)
-
-
-def package_data(
-    data: dict[int, bytes],
-    manifest: JobManifest,
-    identity: PartyIdentity,
-) -> tuple[StreamPackage, CleanRoom]:
-    """Encrypt a data owner's input streams."""
-    return _package(identity, manifest, None, data)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +192,7 @@ def load_package(path: str | Path) -> StreamPackage:
         if not frames:
             raise InvalidFrame(f"stream {sid} has no frames")
         for raw in frames:
-            Frame.from_bytes(raw)
+            check_frame(raw)
     return package
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pki
 from .adversary import Adversary
@@ -35,7 +35,7 @@ from .device import (
 )
 from .errors import AccessDenied, InvalidPhase, ItxError
 from .eventlog import EventLog
-from .frame_codec import Frame, StreamIV, StreamType, decrypt_stream, payload_capacity
+from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
 from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan
 from .packaging import JobInputs
 from .pki import PartyIdentity, derive_model_key
@@ -67,7 +67,7 @@ class RunResult:
     reason: str
     log: EventLog
     verdicts: dict[str, Verdict]
-    output_frames: list[Frame] = field(default_factory=list)
+    output_frames: tuple[bytes, ...] = ()  # wire frames
     epoch: int = 0
     checkpoint_id: int = 0
 
@@ -239,17 +239,12 @@ class TrustedJobSession:
             halt_after_checkpoint=halt_after_checkpoint,
         )
 
-    def resume(
-        self,
-        halt_after_checkpoint: int | None = None,
-        claim: CheckpointSnapshot | None = None,
-    ) -> RunResult:
-        """Restart from the latest checkpoint (or an explicitly claimed one).
-        The adversary may substitute what actually lands in the ring."""
-        if claim is None:
-            if not self.snapshots:
-                raise InvalidPhase("no checkpoint to resume from")
-            claim = self.snapshots[-1]
+    def resume(self, halt_after_checkpoint: int | None = None) -> RunResult:
+        """Restart from the latest checkpoint.  The adversary may substitute
+        what actually lands in the ring."""
+        if not self.snapshots:
+            raise InvalidPhase("no checkpoint to resume from")
+        claim = self.snapshots[-1]
         return self._execute(
             seed_epoch=claim.epoch,
             seed_checkpoint=claim.checkpoint_id,
@@ -429,17 +424,14 @@ class TrustedJobSession:
             checkpoint_id=last[1],
         )
 
-    def _collect_output(self) -> list[Frame]:
+    def _collect_output(self) -> tuple[bytes, ...]:
         entry = self.manifest.stream_of_kind(OUTPUT)
         payload = payload_capacity(entry.frame_total_size)
         count = max(1, -(-entry.plaintext_length // payload))
-        frames = []
-        for i in range(count):
-            raw = self.ring.read(
-                entry.region_base + i * entry.frame_total_size, entry.frame_total_size
-            )
-            frames.append(Frame.from_bytes(raw))
-        return frames
+        return tuple(
+            self.ring.read(entry.region_base + i * entry.frame_total_size, entry.frame_total_size)
+            for i in range(count)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +440,7 @@ class TrustedJobSession:
 
 
 def decrypt_model(
-    manifest: JobManifest, frames: list[Frame], nonces: dict[str, bytes]
+    manifest: JobManifest, frames: tuple[bytes, ...], nonces: dict[str, bytes]
 ) -> bytes:
     """Receiving parties pool their run nonces, derive the model key, and
     decrypt the output stream."""

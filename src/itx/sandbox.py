@@ -58,14 +58,12 @@ def make_deployment(
     seed: int = 0,
     ipu_id: int = 0,
     config: DeviceConfig | None = None,
-    hardened: bool = False,
     ca: CaState | None = None,
-    firmware: FirmwareBundle | None = None,
 ) -> Deployment:
     """Manufacture, provision, and rack one device end to end."""
     rng = random.Random(seed)
     ca = ca or CaState()
-    firmware = firmware or make_firmware(ca)
+    firmware = make_firmware(ca)
     batch_id = f"batch-{seed // 16}"
     batch_secret = ca.batch_secrets.get(batch_id) or ca.new_batch(batch_id)
     flash = CcuFlash(
@@ -76,7 +74,7 @@ def make_deployment(
         device_serial=f"dev-{seed:04d}",
     )
     flash.first_boot(rng.randbytes(32))
-    ccu = Ccu.boot(flash, firmware, hardened=hardened)
+    ccu = Ccu.boot(flash, firmware)
     bundle = ccu.provisioning_bundle(flash)
     issued = ca.ca_provision_and_certify(
         bundle["csr"], bundle["bootloader_manifest"], flash.provisioning_nonce

@@ -213,6 +213,50 @@ def test_run_rejects_a_package_with_a_malformed_frame(packaged_job, tmp_path, ch
     assert main(run_args(root, tmp_path / "run")) == EXIT_REJECTED
 
 
+def package_data_args(root, out, data) -> list[str]:
+    return [
+        "package-data", "--build", str(root / "build"), "--party", "alpha", "--data", data,
+        "--package", str(out / "pkg-alpha"), "--clean-room", str(out / "room-alpha"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda root, out: package_data_args(root, out, f"three={root / 's3.bin'}"),
+        lambda root, out: package_data_args(root, out, str(root / "s3.bin")),
+        lambda root, out: run_args(root, out / "run") + ["--resume", "1,x"],
+        lambda root, out: run_args(root, out / "run") + ["--resume", "1"],
+    ],
+    ids=["data-id-not-an-integer", "data-without-equals", "resume-not-an-integer", "resume-without-comma"],
+)
+def test_a_malformed_split_option_is_rejected(packaged_job, tmp_path, capsys, argv):
+    """``--data SID=FILE`` and ``--resume EPOCH,CKPT`` are split by the CLI
+    itself; a bad part exits rejected with one error line, writing nothing."""
+    assert main(argv(packaged_job, tmp_path)) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [(short_frame, "frame size 127"), (counter_area, "counter area must be zero")],
+    ids=["127-byte-frame", "nonzero-counter-area"],
+)
+def test_decrypt_model_rejects_a_malformed_output_frame(completed_run, tmp_path, capsys, change, message):
+    """The open path makes the one structural frame check on ``output.json``."""
+    run = tmp_path / "run"
+    shutil.copytree(completed_run / "run", run)
+    frames = json.loads((run / "output.json").read_text())
+    (run / "output.json").write_text(json.dumps(change(frames)))
+    model = tmp_path / "model.bin"
+    capsys.readouterr()
+    assert main(decrypt_args(completed_run, run, model)) == EXIT_REJECTED
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_the_run_directory_cannot_decrypt_the_model(tmp_path):
     """``itx run`` leaves each party's run nonce in its own clean room: no
     file of the run directory holds one, and without the clean rooms

@@ -15,7 +15,7 @@ from itx.errors import (
     InvalidPayload,
     IvSequenceViolation,
 )
-from itx.frame_codec import Frame, StreamIV, StreamType
+from itx.frame_codec import StreamIV, StreamType
 
 # Published AES-256-GCM vectors (96-bit IV, no AAD) from the original GCM
 # specification test suite.
@@ -165,8 +165,8 @@ class TestEncryptFrame:
         iv = StreamIV.from_bytes(KAT_ZERO_IV)
         frame = fc.encrypt_frame(KAT_ZERO_KEY, iv, b"\x00" * 16)
         ct, tag = gcm_oracle.gcm_encrypt(KAT_ZERO_KEY, KAT_ZERO_IV, b"\x00" * 16)
-        assert frame.ciphertext == ct == KAT_ZERO_BLOCK_CT
-        assert frame.tag == tag == KAT_ZERO_BLOCK_TAG
+        assert frame[16:-16] == ct == KAT_ZERO_BLOCK_CT
+        assert frame[-16:] == tag == KAT_ZERO_BLOCK_TAG
 
     def test_published_kat_empty_plaintext_tag(self):
         ct, tag = gcm_oracle.gcm_encrypt(KAT_ZERO_KEY, KAT_ZERO_IV, b"")
@@ -205,8 +205,8 @@ class TestEncryptFrame:
             payload = bytes(rng.randrange(256) for _ in range(size - 32))
             frame = fc.encrypt_frame(key, iv, payload)
             ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
-            assert frame.ciphertext == ct, f"trial {trial}"
-            assert frame.tag == tag, f"trial {trial}"
+            assert frame[16:-16] == ct, f"trial {trial}"
+            assert frame[-16:] == tag, f"trial {trial}"
 
 
 class TestDecryptFrame:
@@ -220,8 +220,7 @@ class TestDecryptFrame:
         """
         key = make_key(3)
         iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=2), 9)
-        frame = fc.encrypt_frame(key, iv, bytes(range(96)))
-        raw = frame.to_bytes()
+        raw = fc.encrypt_frame(key, iv, bytes(range(96)))
         assert len(raw) == 128
         for bit in range(len(raw) * 8):
             mutated = bytearray(raw)
@@ -229,10 +228,10 @@ class TestDecryptFrame:
             in_counter_area = 12 <= bit // 8 < 16
             if in_counter_area:
                 with pytest.raises(InvalidFrame):
-                    fc.decrypt_frame(key, Frame.from_bytes(bytes(mutated)))
+                    fc.decrypt_frame(key, bytes(mutated))
             else:
                 with pytest.raises(AuthenticationFailure):
-                    fc.decrypt_frame(key, Frame.from_bytes(bytes(mutated)))
+                    fc.decrypt_frame(key, bytes(mutated))
 
     def test_wrong_key(self):
         binding = StreamIV(StreamType.DATA, stream_id=2)
@@ -242,13 +241,23 @@ class TestDecryptFrame:
 
     def test_malformed_frames(self):
         with pytest.raises(InvalidFrameSize):
-            Frame.from_bytes(b"\x00" * 127)
+            fc.check_frame(b"\x00" * 127)
         with pytest.raises(InvalidFrameSize):
-            Frame.from_bytes(b"\x00" * 1152)
+            fc.check_frame(b"\x00" * 1152)
         bad_counter = bytearray(128)
         bad_counter[13] = 1
         with pytest.raises(InvalidFrame):
-            Frame.from_bytes(bytes(bad_counter))
+            fc.check_frame(bytes(bad_counter))
+
+    def test_truncated_frame_in_sequence(self):
+        """A frame cut short but with its IV in sequence fails the size check
+        on the open path, before GCM sees it."""
+        binding = StreamIV(StreamType.DATA, stream_id=2)
+        key = make_key(7)
+        frames = fc.encrypt_stream(key, binding, bytes(200), 128)
+        frames[1] = frames[1][:-1]
+        with pytest.raises(InvalidFrameSize):
+            fc.decrypt_stream(key, binding, frames, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +309,7 @@ class TestStreams:
             binding = StreamIV(StreamType.DATA, stream_id=sid)
             key = make_key(100 + sid)
             for frame in fc.encrypt_stream(key, binding, bytes(1000), 128):
-                pair = (key, frame.stream_iv.to_bytes())
+                pair = (key, frame[:12])
                 assert pair not in registry
                 registry.add(pair)
                 produced += 1
@@ -308,7 +317,7 @@ class TestStreams:
         for tile in range(4):
             binding = StreamIV(StreamType.CHECKPOINT, tile_id=tile, epoch=1, checkpoint_id=2)
             for frame in fc.encrypt_stream(ck, binding, bytes(100), 128):
-                pair = (ck, frame.stream_iv.to_bytes())
+                pair = (ck, frame[:12])
                 assert pair not in registry
                 registry.add(pair)
                 produced += 1

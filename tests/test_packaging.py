@@ -9,13 +9,12 @@ import pytest
 from itx import crypto
 from itx.compiler import SID_CODE, JobDescription, compile_job
 from itx.errors import KeyExchangeFailure
-from itx.frame_codec import Frame, StreamIV, StreamType, decrypt_stream
+from itx.frame_codec import StreamIV, StreamType, decrypt_stream
 from itx.packaging import (
     load_clean_room,
     load_package,
-    package_data,
+    make_package,
     package_inputs,
-    package_model,
     save_clean_room,
     save_package,
 )
@@ -60,7 +59,7 @@ class TestPackageInputs:
         recovered = decrypt_stream(
             inputs.keys[3],
             StreamIV(stream_type=StreamType.DATA, stream_id=3),
-            [Frame.from_bytes(raw) for raw in inputs.streams[3]],
+            inputs.streams[3],
             entry.plaintext_length,
         )
         assert recovered == plaintext
@@ -75,7 +74,7 @@ class TestPackageInputs:
         assert set(inputs.streams) == {1, 2}
         # The frames run tile by tile in layout order, each tile's under its
         # own tile-bound IVs, as the code region holds them.
-        frames = [Frame.from_bytes(raw) for raw in inputs.streams[1]]
+        frames = inputs.streams[1]
         first = 0
         for layout in compiled.manifest.tile_layouts:
             template = StreamIV(StreamType.CODE, ipu_id=compiled.manifest.ipu_id, tile_id=layout.tile_id)
@@ -121,7 +120,7 @@ class TestPackageInputs:
 class TestSplit:
     def test_package_carries_no_secrets(self, compiled):
         alice = PartyIdentity("alpha")
-        package, room = package_data({3: gradient_bytes(compiled, 3)}, compiled.manifest, alice)
+        package, room = make_package(alice, compiled.manifest, data={3: gradient_bytes(compiled, 3)})
         assert SID_CODE not in package.streams
         assert not hasattr(package, "keys")
         assert room.keys and room.session_private
@@ -136,8 +135,8 @@ class TestSplit:
 
     def test_clean_room_session_matches_the_shipped_share(self, compiled):
         modelco = PartyIdentity("modelco")
-        package, room = package_model(
-            compiled.binaries, compiled.manifest, modelco, data={2: model_bytes(compiled)}
+        package, room = make_package(
+            modelco, compiled.manifest, compiled.binaries, data={2: model_bytes(compiled)}
         )
         assert SID_CODE in package.streams
         session = room.session()
@@ -146,7 +145,7 @@ class TestSplit:
 
     def test_clean_room_reassembles_job_inputs(self, compiled):
         alice = PartyIdentity("alpha")
-        package, room = package_data({3: gradient_bytes(compiled, 3)}, compiled.manifest, alice)
+        package, room = make_package(alice, compiled.manifest, data={3: gradient_bytes(compiled, 3)})
         inputs = room.job_inputs(package)
         assert inputs.party == "alpha"
         assert inputs.streams is package.streams
@@ -161,8 +160,8 @@ class TestSplit:
 class TestSerialization:
     def test_model_package_round_trips(self, compiled, tmp_path):
         modelco = PartyIdentity("modelco")
-        package, _ = package_model(
-            compiled.binaries, compiled.manifest, modelco, data={2: model_bytes(compiled)}
+        package, _ = make_package(
+            modelco, compiled.manifest, compiled.binaries, data={2: model_bytes(compiled)}
         )
         save_package(package, tmp_path / "pkg")
         assert sorted(p.name for p in (tmp_path / "pkg").iterdir()) == ["package.json"]
@@ -173,7 +172,7 @@ class TestSerialization:
 
     def test_data_package_round_trips(self, compiled, tmp_path):
         beta = PartyIdentity("beta")
-        package, _ = package_data({4: gradient_bytes(compiled, 4)}, compiled.manifest, beta)
+        package, _ = make_package(beta, compiled.manifest, data={4: gradient_bytes(compiled, 4)})
         save_package(package, tmp_path / "pkg")
         loaded = load_package(tmp_path / "pkg")
         assert SID_CODE not in loaded.streams
@@ -181,7 +180,7 @@ class TestSerialization:
 
     def test_clean_room_round_trips(self, compiled, tmp_path):
         alice = PartyIdentity("alpha")
-        _, room = package_data({3: gradient_bytes(compiled, 3)}, compiled.manifest, alice)
+        _, room = make_package(alice, compiled.manifest, data={3: gradient_bytes(compiled, 3)})
         save_clean_room(room, tmp_path / "room")
         loaded = load_clean_room(tmp_path / "room")
         assert loaded.party == room.party

@@ -135,7 +135,7 @@ class TestKeyLifecycle:
         eng.load_key(3, key)
         iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
         payload = bytes(rng.randrange(256) for _ in range(96))
-        assert egress_frame(eng, key, iv, payload) == fc.encrypt_frame(key, iv, payload).to_bytes()
+        assert egress_frame(eng, key, iv, payload) == fc.encrypt_frame(key, iv, payload)
 
     def test_invalidate_then_encrypt(self):
         eng = engine()
@@ -205,7 +205,7 @@ class TestEgress:
             address=0x1000, payload=plain, aes=True, cc=True,
         )
         out = eng.process_egress(pkt)
-        assert out.payload == fc.encrypt_frame(key, iv, payload).to_bytes()
+        assert out.payload == fc.encrypt_frame(key, iv, payload)
         assert out.key_index == 3
 
     def test_aes_unset_passthrough(self):
@@ -296,7 +296,7 @@ class TestIngress:
 
     def test_valid_frame_decrypts_with_iv_intact(self):
         plain = b""
-        for pkt in completions_for(self.frame.to_bytes(), 3):
+        for pkt in completions_for(self.frame, 3):
             plain += self.eng.process_ingress(pkt).payload
         assert plain[:16] == self.iv.iv_block()
         assert plain[16:112] == self.payload
@@ -304,19 +304,19 @@ class TestIngress:
     def test_cross_key_substitution(self):
         other = fc.encrypt_frame(bytes(range(64, 96)), self.iv, self.payload)
         with pytest.raises(SecurityException):
-            for pkt in completions_for(other.to_bytes(), 3):
+            for pkt in completions_for(other, 3):
                 self.eng.process_ingress(pkt)
         assert self.eng.latched
 
     def test_truncation_cc_arrives_early(self):
-        raw = self.frame.to_bytes()
+        raw = self.frame
         early = completions_for(raw[:64], 3)  # only the first packet, cc forced
         with pytest.raises(SecurityException):
             for pkt in early:
                 self.eng.process_ingress(pkt)
 
     def test_tampered_ciphertext(self):
-        raw = bytearray(self.frame.to_bytes())
+        raw = bytearray(self.frame)
         raw[40] ^= 0x01
         with pytest.raises(SecurityException):
             for pkt in completions_for(bytes(raw), 3):
@@ -324,7 +324,7 @@ class TestIngress:
 
     def test_no_key_loaded(self):
         with pytest.raises(KeyNotLoaded):
-            for pkt in completions_for(self.frame.to_bytes(), 7):
+            for pkt in completions_for(self.frame, 7):
                 self.eng.process_ingress(pkt)
 
     def test_cleartext_passthrough(self):
@@ -484,7 +484,7 @@ class TestEquivalence:
         for ctx, iv, payload in jobs:
             got = egress_frame(eng, keys[ctx], iv, payload, src_tile=ctx,
                                base_addr=0x1000 * (ctx + 1))
-            want = fc.encrypt_frame(keys[ctx], iv, payload).to_bytes()
+            want = fc.encrypt_frame(keys[ctx], iv, payload)
             assert got == want
 
     def test_engine_against_independent_oracle(self):
@@ -533,7 +533,7 @@ class TestPacketSplits:
         ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
         assert out == iv.iv_block() + ct + tag
         if payload:  # the codec seals non-empty payloads only
-            assert out == fc.encrypt_frame(key, iv, payload).to_bytes()
+            assert out == fc.encrypt_frame(key, iv, payload)
         assert not eng.contexts[3].active
 
     @settings(max_examples=60, deadline=None)
