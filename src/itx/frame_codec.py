@@ -181,7 +181,8 @@ def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> bytes:
         raise InvalidPayload("payload must be a non-empty multiple of 16 bytes")
     if len(payload) > MAX_FRAME_BYTES - FRAME_OVERHEAD:
         raise InvalidPayload(f"payload exceeds {MAX_FRAME_BYTES - FRAME_OVERHEAD} bytes")
-    return iv.iv_block() + AESGCM(key).encrypt(iv.to_bytes(), payload, None)
+    block = iv.iv_block()
+    return block + AESGCM(key).encrypt(block[:IV_BYTES], payload, None)
 
 
 def decrypt_frame(key: bytes, raw: bytes) -> tuple[StreamIV, bytes]:
@@ -206,9 +207,10 @@ def encrypt_stream(
     plaintext: bytes,
     frame_total_size: int,
 ) -> list[bytes]:
+    # encrypt_frame validates each IV as it packs it
     payloads = partition(plaintext, frame_total_size)
     return [
-        encrypt_frame(key, compose_iv(template, index), payload)
+        encrypt_frame(key, replace(template, frame_index=index), payload)
         for index, payload in enumerate(payloads)
     ]
 
@@ -223,8 +225,7 @@ def decrypt_stream(
     pieces: list[bytes] = []
     count = 0
     for index, frame in enumerate(frames):
-        expected = compose_iv(template, index)
-        if frame[:IV_BYTES] != expected.to_bytes():
+        if frame[:IV_BYTES] != replace(template, frame_index=index).to_bytes():
             raise IvSequenceViolation(index)
         _, payload = decrypt_frame(key, frame)
         pieces.append(payload)

@@ -75,13 +75,19 @@ def package_inputs(
     binaries: dict[int, bytes] | None = None,
     data: dict[int, bytes] | None = None,
 ) -> JobInputs:
-    """Encrypt every input stream the manifest assigns to ``party``."""
+    """Encrypt every input stream the manifest assigns to ``party``; refuse
+    inputs for any other stream rather than drop them."""
     data = data or {}
+    owned = {sid: entry for sid, entry in sorted(manifest.stream_table.items())
+             if entry.direction == DIR_IN and entry.party == party}
+    stray = sorted(set(data) - set(owned))
+    if stray:
+        raise KeyExchangeFailure(f"{party} does not own input streams {stray}")
+    if binaries is not None and not any(entry.kind == CODE for entry in owned.values()):
+        raise KeyExchangeFailure(f"{party} gave binaries but does not own the code stream")
     streams: dict[int, tuple[bytes, ...]] = {}
     keys: dict[int, bytes] = {}
-    for sid, entry in sorted(manifest.stream_table.items()):
-        if entry.direction != DIR_IN or entry.party != party:
-            continue
+    for sid, entry in owned.items():
         key = os.urandom(32)
         keys[sid] = key
         if entry.kind == CODE:

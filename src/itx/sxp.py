@@ -15,9 +15,11 @@ mid-frame violations behave like the real engine:
 * the block arriving with the CC (frame-close) flag is the MAC slot: on
   egress the computed tag replaces it, on ingress it is checked against
   the computed tag;
-* a violation raises on the packet that commits it and latches the engine,
-  which then drops encrypted traffic until reset; loading or invalidating a
-  key mid-frame raises ``ContextBusy``.
+* the engine rewrites each packet's payload (and, on egress, key index) in
+  place at the same length, as the hardware pipeline does;
+* a violation raises on the packet that commits it, leaving the packet as it
+  came, and latches the engine, which then drops encrypted traffic until
+  reset; loading or invalidating a key mid-frame raises ``ContextBusy``.
 
 Key selection is register-driven: ``kxbctxmap`` maps the source tile's
 exchange-block context to a physical key context, ``kphysmap`` binds each
@@ -31,7 +33,7 @@ conformant software implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -64,7 +66,7 @@ class PacketKind(Enum):
     WRITE_REQUEST = "write_request"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExchangePacket:
     kind: PacketKind
     src_tile: int
@@ -236,28 +238,26 @@ class PendingReadTable:
         if entry is None:
             raise SecurityException(f"completion for unknown read request {request_id}")
         step = self.completion_payload
-        chunks = [data[i : i + step] for i in range(0, len(data), step)] or [b""]
-        if len(chunks) != entry.packets_remaining:
+        count = max(1, -(-len(data) // step))
+        if count != entry.packets_remaining:
             raise SecurityException(
-                f"read {request_id}: host returned {len(chunks)} packets, "
+                f"read {request_id}: host returned {count} packets, "
                 f"expected {entry.packets_remaining}"
             )
-        packets = []
-        for i, chunk in enumerate(chunks):
-            last = i == len(chunks) - 1
-            packets.append(
-                ExchangePacket(
-                    kind=PacketKind.READ_COMPLETION,
-                    src_tile=entry.src_tile,
-                    dst_tile=entry.src_tile,
-                    address=entry.address + i * step,
-                    payload=chunk,
-                    aes=entry.aes,
-                    cc=last,
-                    key_index=entry.key_index,
-                    request_id=request_id,
-                )
+        packets = [
+            ExchangePacket(
+                kind=PacketKind.READ_COMPLETION,
+                src_tile=entry.src_tile,
+                dst_tile=entry.src_tile,
+                address=entry.address + off,
+                payload=data[off : off + step],
+                aes=entry.aes,
+                cc=off + step >= len(data),
+                key_index=entry.key_index,
+                request_id=request_id,
             )
+            for off in range(0, count * step, step)
+        ]
         del self._entries[request_id]
         self.retired += 1
         return packets
@@ -394,32 +394,25 @@ class SxpEngine:
         if self.latched and pkt.aes:
             self._trace({"event": "dropped", "sxp": self.name, "kind": pkt.kind.value})
             return None
-        if not pkt.aes:
-            self._trace_packet("egress", pkt)
-            return pkt
-
-        selection = self.select_context(pkt.src_tile, pkt.address)
-        if selection == CLEARTEXT:
-            raise self._security_exception(
-                f"aes-flagged packet from tile {pkt.src_tile} targets the cleartext region"
-            )
-
-        if pkt.kind is PacketKind.READ_REQUEST:
-            out = replace(pkt, key_index=selection)
-            self._trace_packet("egress", out)
-            return out
-
-        ctx = self._keyed_context(selection)
-        if ctx.active and ctx.owner_tile != pkt.src_tile:
-            owner = ctx.owner_tile
-            ctx.end_frame()
-            raise self._security_exception(
-                f"tile {pkt.src_tile} intruded on context {selection} owned by tile {owner}",
-                FrameInterleavingViolation,
-            )
-        out = replace(pkt, payload=self._run_frame(ctx, pkt, "egress"), key_index=selection)
-        self._trace_packet("egress", out)
-        return out
+        if pkt.aes:
+            selection = self.select_context(pkt.src_tile, pkt.address)
+            if selection == CLEARTEXT:
+                raise self._security_exception(
+                    f"aes-flagged packet from tile {pkt.src_tile} targets the cleartext region"
+                )
+            if pkt.kind is PacketKind.WRITE_REQUEST:
+                ctx = self._keyed_context(selection)
+                if ctx.active and ctx.owner_tile != pkt.src_tile:
+                    owner = ctx.owner_tile
+                    ctx.end_frame()
+                    raise self._security_exception(
+                        f"tile {pkt.src_tile} intruded on context {selection} owned by tile {owner}",
+                        FrameInterleavingViolation,
+                    )
+                pkt.payload = self._run_frame(ctx, pkt, "egress")
+            pkt.key_index = selection
+        self._trace_packet("egress", pkt)
+        return pkt
 
     # -- ingress (read completions) ------------------------------------------
 
@@ -429,15 +422,13 @@ class SxpEngine:
         if self.latched and pkt.aes:
             self._trace({"event": "dropped", "sxp": self.name, "kind": pkt.kind.value})
             return None
-        if not pkt.aes:
-            self._trace_packet("ingress", pkt)
-            return pkt
-        if pkt.key_index is None:
-            raise self._security_exception("aes completion without a key index")
-        ctx = self._keyed_context(pkt.key_index)
-        out = replace(pkt, payload=self._run_frame(ctx, pkt, "ingress"))
-        self._trace_packet("ingress", out)
-        return out
+        if pkt.aes:
+            if pkt.key_index is None:
+                raise self._security_exception("aes completion without a key index")
+            ctx = self._keyed_context(pkt.key_index)
+            pkt.payload = self._run_frame(ctx, pkt, "ingress")
+        self._trace_packet("ingress", pkt)
+        return pkt
 
     # -- the frame pipeline shared by both directions --------------------------
 

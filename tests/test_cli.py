@@ -337,3 +337,12 @@ def test_run_rejects_a_malformed_adversary_script(packaged_job, tmp_path, script
     (tmp_path / "adversary.json").write_text(script)
     args = run_args(packaged_job, tmp_path / "run") + ["--adversary", str(tmp_path / "adversary.json")]
     assert main(args) == EXIT_REJECTED
+
+
+def test_package_data_refuses_a_stream_the_party_does_not_own(packaged_job, tmp_path, capsys):
+    """Alpha's own stream is given too, so only the stray one can fail."""
+    args = package_data_args(packaged_job, tmp_path, f"3={packaged_job / 's3.bin'}")
+    assert main(args + ["--data", f"99={packaged_job / 's3.bin'}"]) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "[99]" in err[0], err
+    assert not list(tmp_path.iterdir())

@@ -322,3 +322,27 @@ class TestStreams:
                 registry.add(pair)
                 produced += 1
         assert len(registry) == produced
+
+    def test_each_iv_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = StreamIV.validate
+
+        def counting(iv):
+            calls.append(iv.frame_index)
+            return validate(iv)
+
+        monkeypatch.setattr(StreamIV, "validate", counting)
+        data = bytes(range(256)) * 3 + bytes(range(192))  # 960 bytes: ten 96-byte payloads
+        frames = fc.encrypt_stream(self.key, self.binding, data, 128)
+        assert len(frames) == 10 and calls == list(range(10))
+        calls.clear()
+        assert fc.decrypt_stream(self.key, self.binding, frames, len(data)) == data
+        assert len(calls) <= 20  # the expected IV, then the authenticated one
+
+    def test_an_invalid_template_is_rejected(self):
+        bad = StreamIV(StreamType.DATA, stream_id=4, tile_id=1)
+        with pytest.raises(InvalidIvField):
+            fc.encrypt_stream(self.key, bad, bytes(96), 128)
+        frames = fc.encrypt_stream(self.key, self.binding, bytes(96), 128)
+        with pytest.raises(InvalidIvField):
+            fc.decrypt_stream(self.key, bad, frames, 96)

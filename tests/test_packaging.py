@@ -107,6 +107,15 @@ class TestPackageInputs:
         with pytest.raises(KeyExchangeFailure, match="plaintext bytes"):
             package_inputs("alpha", compiled.manifest, data={3: short})
 
+    def test_inputs_the_party_does_not_own_are_refused(self, compiled):
+        own = {3: gradient_bytes(compiled, 3)}
+        with pytest.raises(KeyExchangeFailure, match=r"does not own input streams \[99\]"):
+            package_inputs("alpha", compiled.manifest, data={**own, 99: own[3]})
+        with pytest.raises(KeyExchangeFailure, match=r"does not own input streams \[4\]"):
+            package_inputs("alpha", compiled.manifest, data={**own, 4: gradient_bytes(compiled, 4)})
+        with pytest.raises(KeyExchangeFailure, match="does not own the code stream"):
+            package_inputs("alpha", compiled.manifest, binaries=compiled.binaries, data=own)
+
     def test_uninvolved_party_packages_nothing(self, compiled):
         inputs = package_inputs("stranger", compiled.manifest, data={})
         assert not inputs.streams and not inputs.keys

@@ -38,7 +38,7 @@ from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, p
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
 from itx.errors import InvalidEncoding
-from itx.sxp import NUM_CONTEXTS, SxpEngine
+from itx.sxp import NUM_CONTEXTS, ExchangePacket, SxpEngine
 
 
 def clear_model(fixture) -> bytes:
@@ -181,6 +181,36 @@ def test_trace_holds_no_digest_of_plaintext(monkeypatch):
     secrets = [*payloads, *fixture.compiled.binaries.values()]
     assert payloads and records
     assert [s for s in secrets if hashlib.sha256(s).hexdigest()[:16] in text] == []
+
+
+def test_the_dma_path_builds_each_packet_once(monkeypatch):
+    """The engines rewrite packets in place: the run constructs exactly the
+    packets the DMA issues (read requests and write packets to egress,
+    completions to ingress), none per hop."""
+    fixture = make_sgd_fixture(steps=1)
+    counts = {"built": 0, "process_egress": 0, "process_ingress": 0}
+    post_init = ExchangePacket.__post_init__
+
+    def counting_post_init(pkt):
+        counts["built"] += 1
+        post_init(pkt)
+
+    def counted(name):
+        method = getattr(SxpEngine, name)
+
+        def wrapper(engine, pkt):
+            counts[name] += 1
+            return method(engine, pkt)
+
+        return wrapper
+
+    monkeypatch.setattr(ExchangePacket, "__post_init__", counting_post_init)
+    for name in ("process_egress", "process_ingress"):
+        monkeypatch.setattr(SxpEngine, name, counted(name))
+    assert_completed_and_exact(fixture, fixture.session.run())
+    pending = fixture.deployment.device.pending
+    assert 0 < pending.created == pending.retired < counts["process_ingress"]
+    assert counts["built"] == counts["process_egress"] + counts["process_ingress"]
 
 
 # ---------------------------------------------------------------------------

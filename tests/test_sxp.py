@@ -1,5 +1,6 @@
 """Exchange-pipe engine: contexts, key selection, packet crypto, latching."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -120,6 +121,22 @@ class TestRegisters:
         )
         with pytest.raises(InvalidRegisterProgram):
             SxpEngine().program_registers(regs)
+
+
+class TestPacket:
+    def test_read_request_carries_no_payload(self):
+        with pytest.raises(ValueError, match="no payload"):
+            ExchangePacket(
+                PacketKind.READ_REQUEST, src_tile=0, dst_tile=0,
+                address=0x1000, payload=bytes(16), aes=True, read_length=16,
+            )
+
+    def test_payload_is_whole_blocks(self):
+        with pytest.raises(ValueError, match="multiple of 16"):
+            ExchangePacket(
+                PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+                address=0x1000, payload=bytes(15), aes=True,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +536,15 @@ def split_frames(draw):
     return key, iv, payload, step or len(payload) + 32
 
 
+def rewritten(process, pkt: ExchangePacket) -> ExchangePacket:
+    """Run ``pkt`` through ``process``; the engine hands back the same
+    packet, its payload rewritten at the same length."""
+    length = len(pkt.payload)
+    out = process(pkt)
+    assert out is pkt and len(out.payload) == length
+    return out
+
+
 class TestPacketSplits:
     @settings(max_examples=60, deadline=None)
     @given(split_frames())
@@ -528,7 +554,8 @@ class TestPacketSplits:
         eng.load_key(3, key)
         plain = iv.iv_block() + payload + bytes(16)
         out = b"".join(
-            eng.process_egress(pkt).payload for pkt in write_packets(plain, 0, 0x1000, step)
+            rewritten(eng.process_egress, pkt).payload
+            for pkt in write_packets(plain, 0, 0x1000, step)
         )
         ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
         assert out == iv.iv_block() + ct + tag
@@ -545,7 +572,8 @@ class TestPacketSplits:
         eng.load_key(3, key)
         frame = iv.iv_block() + ct + tag
         out = b"".join(
-            eng.process_ingress(pkt).payload for pkt in completions_for(frame, 3, step)
+            rewritten(eng.process_ingress, pkt).payload
+            for pkt in completions_for(frame, 3, step)
         )
         plain = gcm_oracle.gcm_decrypt(key, iv.to_bytes(), ct, tag)
         assert out == iv.iv_block() + plain + tag
@@ -567,3 +595,74 @@ class TestPacketSplits:
         with pytest.raises(SecurityException):
             eng.process_ingress(closing)
         assert eng.latched
+
+
+# ---------------------------------------------------------------------------
+# packets are rewritten in place
+# ---------------------------------------------------------------------------
+
+
+def untouched_by(process, pkt: ExchangePacket, error=SecurityException) -> None:
+    """``process(pkt)`` raises and leaves every field of ``pkt`` as it came."""
+    before = dataclasses.replace(pkt)
+    with pytest.raises(error):
+        process(pkt)
+    assert pkt == before
+
+
+class TestInPlace:
+    def test_a_closing_packet_with_a_flipped_tag_bit_keeps_its_payload(self):
+        eng = engine()
+        key = bytes(range(32))
+        eng.load_key(3, key)
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        frame = bytearray(fc.encrypt_frame(key, iv, bytes(96)))
+        frame[-1] ^= 0x01
+        *opening, closing = completions_for(bytes(frame), 3)
+        for pkt in opening:
+            eng.process_ingress(pkt)
+        untouched_by(eng.process_ingress, closing)
+        assert closing.key_index == 3 and closing.payload == bytes(frame[64:])
+
+    def test_an_intruding_tile_keeps_its_payload(self):
+        eng = engine()
+        eng.load_key(3, bytes(32))
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        eng.process_egress(write_packets(iv.iv_block() + bytes(64) + bytes(16), 0, 0x1000)[0])
+        intruder = ExchangePacket(
+            PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
+            address=0x1040, payload=b"\x33" * 16, aes=True, cc=False,
+        )
+        untouched_by(eng.process_egress, intruder, FrameInterleavingViolation)
+        assert intruder.key_index is None
+
+    def test_an_aes_packet_aimed_at_cleartext_is_unchanged(self):
+        for pkt in (
+            ExchangePacket(
+                PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+                address=0x0100, payload=b"\x44" * 32, aes=True, cc=True,
+            ),
+            ExchangePacket(
+                PacketKind.READ_REQUEST, src_tile=0, dst_tile=0,
+                address=0x0100, aes=True, read_length=128, request_id=1,
+            ),
+        ):
+            untouched_by(engine().process_egress, pkt)
+
+    def test_a_context_with_no_key_is_unchanged(self):
+        untouched_by(engine().process_ingress, completions_for(bytes(128), 7)[0], KeyNotLoaded)
+        untouched_by(engine().process_egress, write_packets(bytes(128), 0, 0x1000)[0], KeyNotLoaded)
+
+    def test_a_packet_dropped_while_latched_is_unchanged(self):
+        eng = engine()
+        eng.load_key(3, bytes(32))
+        with pytest.raises(SecurityException):
+            eng.select_context(0, 0x2800)
+        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        for process, pkt in (
+            (eng.process_egress, write_packets(iv.iv_block() + bytes(112), 0, 0x1000)[0]),
+            (eng.process_ingress, completions_for(bytes(128), 3)[0]),
+        ):
+            before = dataclasses.replace(pkt)
+            assert process(pkt) is None
+            assert pkt == before
