@@ -282,12 +282,12 @@ class Ccu:
             raise KeyExchangeFailure(f"no key supplied for stream {stream_id}")
         return key
 
-    def _apply_plan(self, plan: SyncPlan) -> None:
+    def _apply_plan(self, plan: SyncPlan, offsets: dict[int, int]) -> None:
         device = self._require_device()
         for ctx in plan.invalidate:
             device.ingress.invalidate_key(ctx)
             device.egress.invalidate_key(ctx)
-        device.apply_sync_plan(plan)
+        device.apply_sync_plan(plan, offsets)
         for ctx, sid in plan.ingress_loads:
             device.ingress.load_key(ctx, self._stream_key(sid, "ingress"))
         for ctx, sid in plan.egress_loads:
@@ -414,15 +414,13 @@ class Ccu:
         device.autoload(self.firmware.tile_bootloader)
         device.install_boot_params(manifest, self.tee.epoch, self.tee.checkpoint_id)
         try:
-            self._apply_plan(manifest.boot_plan)
+            self._apply_plan(manifest.boot_plan, {})
             chain = b""
             for tile in device.tiles:
                 chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
             if chain.hex() != manifest.binary_hashes[device.ipu_id]:
                 raise self._fatal("binary hash does not match the manifest")
-            plan0 = manifest.plan(0)
-            if plan0 is not None:
-                self._apply_plan(plan0)
+            self._apply_plan(*manifest.plan(0))
         except Exception:
             if self.tee.phase != TERMINATED:
                 self.tee_terminate("launch failed")
@@ -440,10 +438,10 @@ class Ccu:
             raise InvalidPhase(f"tee_load_keys in phase {self.tee.phase}")
         manifest = self.tee.manifest
         assert manifest is not None
-        plan = manifest.plan(sync_point)
-        if plan is None:
+        barrier = manifest.plan(sync_point)
+        if barrier is None:
             raise InvalidSyncPoint(f"sync point {sync_point} not in the manifest")
-        self._apply_plan(plan)
+        self._apply_plan(*barrier)
 
     def tee_checkpoint(self) -> None:
         """Save a checkpoint: temporarily swap in the checkpoint-phase
@@ -456,7 +454,7 @@ class Ccu:
         if manifest.checkpoint_plan is None:
             raise InvalidSyncPoint("job has no checkpoint plan")
         steady = device.egress.registers
-        self._apply_plan(manifest.checkpoint_plan)
+        self._apply_plan(manifest.checkpoint_plan, {})
         device.checkpoint_save()
         if steady is not None:
             device.program_registers(steady)
@@ -475,14 +473,14 @@ class Ccu:
         assert manifest is not None
         if manifest.restore_plan is None:
             raise InvalidSyncPoint("job has no restore plan")
-        self._apply_plan(manifest.restore_plan)
+        self._apply_plan(manifest.restore_plan, {})
         device.checkpoint_restore()
         sync_id = device.saved_barrier_sync_id()
-        plan = manifest.plan(sync_id)
-        if plan is None:
+        barrier = manifest.plan(sync_id)
+        if barrier is None:
             raise self._fatal(f"restored barrier {sync_id} has no plan")
-        device.apply_moves(plan.moves)
-        self._apply_plan(plan)
+        device.apply_moves(barrier[0].moves)
+        self._apply_plan(*barrier)
         return sync_id
 
     def tee_terminate(self, reason: str) -> None:

@@ -135,8 +135,8 @@ def cmd_compile(args) -> int:
     for tile_id, binary in sorted(compiled.binaries.items()):
         (out / "binaries" / f"t{tile_id:03d}.bin").write_bytes(binary)
     manifest = compiled.manifest
-    print(f"compiled {job.kind}: {len(manifest.stream_table)} streams, "
-          f"{len(manifest.sync_plans)} barrier plans, {len(compiled.binaries)} tile binaries")
+    print(f"compiled {job.kind}: {len(manifest.stream_table)} streams, {len(manifest.plans)} barrier "
+          f"plans over {len(manifest.schedule)} barriers, {len(compiled.binaries)} tile binaries")
     print(f"manifest measurement {manifest.measurement()}")
     for party, sids in sorted(compiled.key_streams.items()):
         kinds = ", ".join(
@@ -209,10 +209,11 @@ def cmd_run(args) -> int:
     manifest = _load_manifest(build)
     config = DeviceConfig.from_dict(_read_json(build / "config.json"))
 
+    measurement = manifest.measurement()
     packages = {}
     for path in args.package:
         package = load_package(path)
-        if package.manifest_measurement != manifest.measurement():
+        if package.manifest_measurement != measurement:
             print(f"package {path} was built for a different manifest", file=sys.stderr)
             return EXIT_REJECTED
         packages[package.party] = package

@@ -11,12 +11,13 @@ Two job kinds are supported:
   inserts key-rotation synchronization points (waves).
 
 A planner per job kind decides the tile programs, their stream bindings, the
-non-code streams and the barrier plans.  ``compile_job`` does the rest once
-for both kinds: it lays out the code, adds the code stream and the checkpoint
-plans, and assembles the one manifest that parties verify and the control
-unit enforces.  Stream ownership is stated only in the stream table; the
-attested ``stream_assignment`` and ``CompiledJob.key_streams`` are read from
-it.
+non-code streams, each distinct barrier plan once (``plans``) and every sync
+id's plan index and stream offsets (``schedule``); the SGD loop's plans are
+built once, not per step.  ``compile_job`` does the rest once for both kinds:
+it lays out the code, adds the code stream and the checkpoint plans, and
+assembles the one manifest that parties verify and the control unit enforces.
+Stream ownership is stated only in the stream table; the attested
+``stream_assignment`` and ``CompiledJob.key_streams`` are read from it.
 
 The planners honor the hardware contract: at most 16 key contexts, 17
 disjoint regions with region 0 cleartext, one key region per stream per
@@ -90,11 +91,6 @@ CTX_OUT = 13
 CTX_RESTORE = 14
 CTX_SAVE = 15
 
-# out-of-band plan ids
-BOOT_SYNC = -1
-CKPT_SYNC = -2
-RESTORE_SYNC = -3
-
 
 @dataclass(frozen=True)
 class JobDescription(Record):
@@ -140,7 +136,8 @@ class _Plan:
     programs: dict[int, TileProgram]
     bindings: dict[int, tuple[BindingSpec, ...]]  # tile -> its stream walks
     streams: dict[int, StreamTableEntry]  # every stream but the code stream
-    sync_plans: tuple[SyncPlan, ...]
+    plans: tuple[SyncPlan, ...]
+    schedule: tuple[tuple[int, dict[int, int]], ...]
     ckpt_range: tuple[int, int] = (0, 0)  # (offset, length) of the checkpointed tile memory
 
 
@@ -191,7 +188,8 @@ def compile_job(
         stream_table=stream_table,
         tile_layouts=tuple(layouts),
         boot_plan=_boot_plan(CODE_BASE + code_bytes),
-        sync_plans=plan.sync_plans,
+        plans=plan.plans,
+        schedule=plan.schedule,
         checkpoint_plan=save_plan,
         restore_plan=restore_plan,
         stream_assignment={
@@ -221,10 +219,8 @@ def _region(slot: int, frames: int) -> tuple[int, int]:
 
 def _boot_plan(code_region_end: int) -> SyncPlan:
     return SyncPlan(
-        sync_id=BOOT_SYNC,
         regions={0: CLEAR_REGION, 1: (CODE_BASE, code_region_end)},
         stream_regions={SID_CODE: 1},
-        stream_offsets={SID_CODE: 0},
         fills=(SID_CODE,),
         ctxmap={0: CTX_CODE, 1: CTX_CODE, 2: CTX_CODE, 3: CTX_CODE},
         kphysmap={CTX_CODE: 1},
@@ -237,18 +233,15 @@ def _ckpt_plans(sid_ckpt: int, ckpt_region: tuple[int, int]) -> tuple[SyncPlan, 
     common = dict(
         regions={0: CLEAR_REGION, 6: ckpt_region},
         stream_regions={sid_ckpt: 6},
-        stream_offsets={sid_ckpt: 0},
         frame_serial=True,
     )
     save = SyncPlan(
-        sync_id=CKPT_SYNC,
         ctxmap={e: CTX_SAVE for e in range(4)},
         kphysmap={CTX_SAVE: 6},
         egress_loads=((CTX_SAVE, sid_ckpt),),
         **common,
     )
     restore = SyncPlan(
-        sync_id=RESTORE_SYNC,
         ctxmap={e: CTX_RESTORE for e in range(4)},
         kphysmap={CTX_RESTORE: 6},
         ingress_loads=((CTX_RESTORE, sid_ckpt),),
@@ -257,13 +250,11 @@ def _ckpt_plans(sid_ckpt: int, ckpt_region: tuple[int, int]) -> tuple[SyncPlan, 
     return save, restore
 
 
-def _output_plan(sync_id: int, sid_out: int, out_region: tuple[int, int], **rest) -> SyncPlan:
+def _output_plan(sid_out: int, out_region: tuple[int, int], **rest) -> SyncPlan:
     """The barrier that keys the output stream for tile 0's exchange block."""
     return SyncPlan(
-        sync_id=sync_id,
         regions={0: CLEAR_REGION, 5: out_region},
         stream_regions={sid_out: 5},
-        stream_offsets={sid_out: 0},
         ctxmap={0: CTX_OUT},
         kphysmap={CTX_OUT: 5},
         egress_loads=((CTX_OUT, sid_out),),
@@ -360,44 +351,40 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes) for t in range(n_tiles)
     )
 
+    # 0 weights, 1 first gradient load, 2 exchange, 3 output, 4 end; later
+    # gradient loads share one plan per checkpoint flag that some step has.
+    g_load = dict(fills=(sid_g1, sid_g2), **g_registers)
     plans = [
         SyncPlan(
-            sync_id=0,
             regions={0: CLEAR_REGION, 2: w0_region},
             stream_regions={sid_w0: 2},
-            stream_offsets={sid_w0: 0},
             fills=(sid_w0,),
             ctxmap={0: 1},
             kphysmap={1: 2},
             ingress_loads=((1, sid_w0),),
             invalidate=(CTX_CODE,),
-        )
-    ]
-    for s in range(steps):
-        plans.append(
-            SyncPlan(
-                sync_id=1 + 2 * s,  # barrier before the load interval of step s
-                stream_offsets={sid_g1: frames_per_pass * s, sid_g2: frames_per_pass * s},
-                fills=(sid_g1, sid_g2),
-                invalidate=(1,) if s == 0 else (),
-                checkpoint=s > 0 and (s % job.checkpoint_period == 0),
-                moves=w_moves if s == 0 else (),
-                **g_registers,
-            )
-        )
-        plans.append(SyncPlan(sync_id=2 + 2 * s, stream_offsets={}, moves=g_moves, **g_registers))
-    plans.append(
+        ),
+        SyncPlan(invalidate=(1,), moves=w_moves, **g_load),
+        SyncPlan(moves=g_moves, **g_registers),
         _output_plan(
-            2 * steps + 1,
             sid_out,
             out_region,
             invalidate=(2, 3),
             checkpoint=(steps % job.checkpoint_period == 0),
             moves=gather_moves,
-        )
-    )
-    plans.append(SyncPlan(sync_id=end_sync, regions={0: CLEAR_REGION}))
-    return _Plan(programs, bindings, streams, tuple(plans), ckpt_range=(W_OFF, slice_bytes))
+        ),
+        SyncPlan(regions={0: CLEAR_REGION}),
+    ]
+    flags = sorted({s % job.checkpoint_period == 0 for s in range(1, steps)})
+    later_load = {flag: len(plans) + i for i, flag in enumerate(flags)}
+    plans += [SyncPlan(checkpoint=flag, **g_load) for flag in flags]
+
+    schedule = [(0, {sid_w0: 0})]
+    for s in range(steps):
+        load = later_load[s % job.checkpoint_period == 0] if s else 1
+        schedule += [(load, {sid_g1: frames_per_pass * s, sid_g2: frames_per_pass * s}), (2, {})]
+    schedule += [(3, {sid_out: 0}), (4, {})]
+    return _Plan(programs, bindings, streams, tuple(plans), tuple(schedule), ckpt_range=(W_OFF, slice_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +451,16 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
             if 4 * w + e < n
         )
 
-    plans = []
+    plans, schedule = [], []
     for w in range(waves):
         slots = wave_slots(w)
         sids = [sid_in(4 * w + e) for e in range(n_ebcs) if 4 * w + e < n]
         invalidate = tuple(slots[: len(sids)]) if w >= 3 else ((CTX_CODE,) if w == 0 else ())
+        schedule.append((w, {sid: 0 for sid in sids}))
         plans.append(
             SyncPlan(
-                sync_id=w,
                 regions={0: CLEAR_REGION, **{1 + e: _region(e, 1) for e in range(len(sids))}},
                 stream_regions={sid: 1 + e for e, sid in enumerate(sids)},
-                stream_offsets={sid: 0 for sid in sids},
                 fills=tuple(sids),
                 ctxmap={e: slots[e] for e in range(len(sids))},
                 kphysmap={slots[e]: 1 + e for e in range(len(sids))},
@@ -483,14 +469,14 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
                 moves=gather(w - 1) if w > 0 else (),
             )
         )
-    plans.append(SyncPlan(sync_id=waves, regions={0: CLEAR_REGION}, moves=gather(waves - 1)))
+    plans.append(SyncPlan(regions={0: CLEAR_REGION}, moves=gather(waves - 1)))
     plans.append(
         _output_plan(
-            waves + 1,
             sid_out,
             out_region,
             invalidate=tuple(sorted({s for w in range(min(waves, 3)) for s in wave_slots(w)})),
         )
     )
-    plans.append(SyncPlan(sync_id=waves + 2, regions={0: CLEAR_REGION}))
-    return _Plan(programs, bindings, streams, tuple(plans))
+    plans.append(SyncPlan(regions={0: CLEAR_REGION}))
+    schedule += [(waves, {}), (waves + 1, {sid_out: 0}), (waves + 2, {})]
+    return _Plan(programs, bindings, streams, tuple(plans), tuple(schedule))

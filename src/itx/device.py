@@ -84,7 +84,6 @@ def trusted_registers_digest() -> str:
 class DeviceConfig(Record):
     tile_count: int = 16
     tile_memory: int = TILE_MEMORY
-    sxp_lanes: int = 2  # one ingress + one egress pipe pair modeled
     tiles_per_exchange_context: int = 4
     ring_buffer_size: int = 1 << 20
     packet_payload: int = 64
@@ -446,12 +445,11 @@ class IpuDevice:
         self.egress.program_registers(regs)
         self.ingress.program_registers(regs)
 
-    def apply_sync_plan(self, plan: SyncPlan) -> None:
-        """Apply the register/window part of a barrier plan (keys are loaded
-        separately by the key owner)."""
+    def apply_sync_plan(self, plan: SyncPlan, offsets: dict[int, int]) -> None:
+        """Apply the register part of a barrier plan and the barrier's stream
+        windows (keys are loaded separately by the key owner)."""
         self.program_registers(plan.registers())
-        for sid, off in plan.stream_offsets.items():
-            self.windows[sid] = off
+        self.windows.update(offsets)
 
     # -- job installation ----------------------------------------------------
 
@@ -659,9 +657,9 @@ class IpuDevice:
             raise InvalidPhase(f"tiles disagree on the barrier: {sorted(map(str, sync_ids))}")
         sync_id = sync_ids.pop()
         if sync_id is not None and self.manifest is not None:
-            plan = self.manifest.plan(sync_id)
-            if plan is not None:
-                self.apply_moves(plan.moves)
+            barrier = self.manifest.plan(sync_id)
+            if barrier is not None:
+                self.apply_moves(barrier[0].moves)
         return sync_id
 
     def _run_tile(self, tile: Tile) -> Optional[int]:

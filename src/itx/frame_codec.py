@@ -129,12 +129,6 @@ class StreamIV:
         return self.to_bytes() + b"\x00\x00\x00\x00"
 
 
-def compose_iv(template: StreamIV, frame_index: int) -> StreamIV:
-    """Position ``template`` at ``frame_index`` within its stream."""
-    iv = replace(template, frame_index=frame_index)
-    return iv.validate()
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
@@ -174,22 +168,34 @@ def check_frame(raw: bytes) -> bytes:
     return raw
 
 
-def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> bytes:
+def _cipher(key: bytes) -> AESGCM:
     if len(key) != KEY_BYTES:
         raise InvalidPayload(f"key must be {KEY_BYTES} bytes")
+    return AESGCM(key)
+
+
+def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> bytes:
+    return _seal(_cipher(key), iv, payload)
+
+
+def _seal(cipher: AESGCM, iv: StreamIV, payload: bytes) -> bytes:
     if not payload or len(payload) % BLOCK_BYTES:
         raise InvalidPayload("payload must be a non-empty multiple of 16 bytes")
     if len(payload) > MAX_FRAME_BYTES - FRAME_OVERHEAD:
         raise InvalidPayload(f"payload exceeds {MAX_FRAME_BYTES - FRAME_OVERHEAD} bytes")
     block = iv.iv_block()
-    return block + AESGCM(key).encrypt(block[:IV_BYTES], payload, None)
+    return block + cipher.encrypt(block[:IV_BYTES], payload, None)
 
 
 def decrypt_frame(key: bytes, raw: bytes) -> tuple[StreamIV, bytes]:
+    return _open(AESGCM(key), raw)
+
+
+def _open(cipher: AESGCM, raw: bytes) -> tuple[StreamIV, bytes]:
     check_frame(raw)
     iv_raw = raw[:IV_BYTES]
     try:
-        payload = AESGCM(key).decrypt(iv_raw, raw[IV_BLOCK_BYTES:], None)
+        payload = cipher.decrypt(iv_raw, raw[IV_BLOCK_BYTES:], None)
     except InvalidTag as exc:
         raise AuthenticationFailure("frame tag verification failed") from exc
     # only authenticated IVs are interpreted
@@ -207,10 +213,11 @@ def encrypt_stream(
     plaintext: bytes,
     frame_total_size: int,
 ) -> list[bytes]:
-    # encrypt_frame validates each IV as it packs it
+    # one key schedule per stream; _seal validates each IV as it packs it
     payloads = partition(plaintext, frame_total_size)
+    cipher = _cipher(key)
     return [
-        encrypt_frame(key, replace(template, frame_index=index), payload)
+        _seal(cipher, replace(template, frame_index=index), payload)
         for index, payload in enumerate(payloads)
     ]
 
@@ -222,21 +229,19 @@ def decrypt_stream(
     plaintext_length: int,
 ) -> bytes:
     """Decrypt a full stream, enforcing IV order and the declared length."""
+    cipher = AESGCM(key)
     pieces: list[bytes] = []
-    count = 0
     for index, frame in enumerate(frames):
         if frame[:IV_BYTES] != replace(template, frame_index=index).to_bytes():
             raise IvSequenceViolation(index)
-        _, payload = decrypt_frame(key, frame)
+        _, payload = _open(cipher, frame)
         pieces.append(payload)
-        count += 1
-    if count == 0:
+    if not pieces:
         raise InvalidLength("stream has no frames")
     total = sum(len(p) for p in pieces)
     capacity = len(pieces[-1])
     if plaintext_length > total or total - plaintext_length >= capacity:
         raise InvalidLength(
-            f"declared length {plaintext_length} inconsistent with {count} frames"
+            f"declared length {plaintext_length} inconsistent with {len(pieces)} frames"
         )
-    data = b"".join(pieces)
-    return data[:plaintext_length]
+    return b"".join(pieces)[:plaintext_length]

@@ -2,9 +2,10 @@
 
 The manifest binds together everything integrity-relevant about a job:
 per-device binary hashes, the bootloader measurement, the stream table,
-per-tile data layouts, and — for every synchronization point — the key
-regions, register maps, and key loads the CCU must program.  Parties review
-a manifest before releasing keys; its canonical digest is what the
+per-tile data layouts, and the barriers: ``plans`` states each distinct plan
+(key regions, register maps, key loads) once, and ``schedule`` gives each sync
+id a plan index and stream offsets, expanded by ``plan(sync_id)``.  Parties
+review a manifest before releasing keys; its canonical digest is what the
 attestation report commits to.
 
 Routing note: all requests (reads and writes) are key-selected on the egress
@@ -74,7 +75,7 @@ class TileLayout(Record):
 
 @dataclass(frozen=True)
 class SyncPlan(Record):
-    """Register state and host actions for one synchronization point.
+    """Register state and host actions for a barrier (one plan may serve many).
 
     ``frame_serial`` marks phases whose encrypted traffic is issued strictly
     one frame at a time under control-unit sequencing (bootstrap, checkpoint
@@ -82,10 +83,8 @@ class SyncPlan(Record):
     one key context.
     """
 
-    sync_id: int
     regions: dict[int, tuple[int, int]] = field(default_factory=dict)
     stream_regions: dict[int, int] = field(default_factory=dict)
-    stream_offsets: dict[int, int] = field(default_factory=dict)
     fills: tuple[int, ...] = ()  # stream ids whose window the host must (re)fill
     ctxmap: dict[int, int] = field(default_factory=dict)  # exchange-block ctx -> key ctx
     kphysmap: dict[int, int] = field(default_factory=dict)  # key ctx -> region id
@@ -112,7 +111,8 @@ class JobManifest(Record):
     stream_table: dict[int, StreamTableEntry]
     tile_layouts: tuple[TileLayout, ...]
     boot_plan: SyncPlan  # registers/keys for the secure bootstrap phase
-    sync_plans: tuple[SyncPlan, ...]  # id 0 applied before the first interval
+    plans: tuple[SyncPlan, ...]  # each distinct barrier plan once
+    schedule: tuple[tuple[int, dict[int, int]], ...]  # sync id -> (plan index, stream offsets)
     checkpoint_plan: Optional[SyncPlan]  # egress state for checkpoint saves
     restore_plan: Optional[SyncPlan]  # ingress state for checkpoint restore
     stream_assignment: dict[str, Any]  # {"inputs": {sid: party}, "model_receivers": [...]}
@@ -139,11 +139,12 @@ class JobManifest(Record):
                 return t
         raise KeyError(f"no layout for tile {tile_id}")
 
-    def plan(self, sync_id: int) -> Optional[SyncPlan]:
-        for p in self.sync_plans:
-            if p.sync_id == sync_id:
-                return p
-        return None
+    def plan(self, sync_id: int) -> Optional[tuple[SyncPlan, dict[int, int]]]:
+        """(plan, stream offsets) of barrier ``sync_id``; barrier 0 precedes the first interval."""
+        if not 0 <= sync_id < len(self.schedule):
+            return None
+        index, offsets = self.schedule[sync_id]
+        return self.plans[index], offsets
 
     # -- validation ----------------------------------------------------------
 
@@ -154,16 +155,21 @@ class JobManifest(Record):
             size = entry.frame_total_size
             if size % FRAME_ALIGN or not FRAME_ALIGN <= size <= MAX_FRAME_BYTES:
                 raise InvalidRegisterProgram(f"stream {sid}: bad frame size {size}")
-        plans = [self.boot_plan, *self.sync_plans]
-        for extra in (self.checkpoint_plan, self.restore_plan):
-            if extra is not None:
-                plans.append(extra)
-        for plan in plans:
-            self._validate_plan(plan)
+        extra = {"boot plan": self.boot_plan, "checkpoint plan": self.checkpoint_plan,
+                 "restore plan": self.restore_plan}
+        for where, plan in [*extra.items(), *((f"plan {i}", p) for i, p in enumerate(self.plans))]:
+            if plan is not None:
+                self._validate_plan(where, plan)
+        if not self.schedule:
+            raise InvalidRegisterProgram("empty barrier schedule")
+        for sync_id, (index, offsets) in enumerate(self.schedule):
+            if not 0 <= index < len(self.plans):
+                raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")
+            if any(off < 0 or sid not in self.stream_table for sid, off in offsets.items()):
+                raise InvalidRegisterProgram(f"sync point {sync_id}: bad stream offsets {offsets}")
         return self
 
-    def _validate_plan(self, plan: SyncPlan) -> None:
-        where = f"sync point {plan.sync_id}"
+    def _validate_plan(self, where: str, plan: SyncPlan) -> None:
         if len(plan.regions) > NUM_REGIONS:
             raise InvalidRegisterProgram(f"{where}: more than {NUM_REGIONS} regions")
         if 0 not in plan.regions:

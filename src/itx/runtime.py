@@ -129,11 +129,8 @@ class TrustedJobSession:
 
     def _region_extents(self) -> dict[int, tuple[int, int]]:
         extents: dict[int, tuple[int, int]] = {}
-        plans = [self.manifest.boot_plan, *self.manifest.sync_plans]
-        if self.manifest.checkpoint_plan is not None:
-            plans.append(self.manifest.checkpoint_plan)
-        for plan in plans:
-            for sid, region in plan.stream_regions.items():
+        for plan in (self.manifest.boot_plan, *self.manifest.plans, self.manifest.checkpoint_plan):
+            for sid, region in plan.stream_regions.items() if plan else ():
                 extents.setdefault(sid, plan.regions[region])
         return extents
 
@@ -154,11 +151,11 @@ class TrustedJobSession:
 
     # -- ring fills ----------------------------------------------------------
 
-    def _fill_plan(self, plan: SyncPlan, log: EventLog) -> None:
+    def _fill_plan(self, plan: SyncPlan, offsets: dict[int, int], log: EventLog) -> None:
         for sid in plan.fills:
             entry = self.manifest.stream_table[sid]
             frames = self._streams[sid]
-            offset = plan.stream_offsets.get(sid, 0)
+            offset = offsets.get(sid, 0)
             slots = self.region_size(sid) // entry.frame_total_size
             count = min(slots, len(frames) - offset)
             for i in range(count):
@@ -351,7 +348,7 @@ class TrustedJobSession:
             log.emit("release_keys", party=name)
         self._current_nonces = nonces
 
-        self._fill_plan(self.manifest.boot_plan, log)
+        self._fill_plan(self.manifest.boot_plan, {}, log)
         self.adversary.after_fill(self, "boot")
         self._staged("launch", self.ccu.tee_launch, packages)
         log.emit("tee_launch")
@@ -361,18 +358,16 @@ class TrustedJobSession:
             self._fill_snapshot(filled, log)
             self.adversary.after_fill(self, "restore")
             parked = self._staged("restore", self.ccu.tee_restore)
-            plan = self.manifest.plan(parked)
-            assert plan is not None
-            self._fill_plan(plan, log)
+            barrier = self.manifest.plan(parked)
+            assert barrier is not None
+            self._fill_plan(*barrier, log)
             self.adversary.after_fill(self, parked)
             self._host_attempt(log, self.adversary.before_interval, parked)
             log.emit("resumed", barrier=parked)
         else:
-            plan0 = self.manifest.plan(0)
-            if plan0 is not None:
-                self._fill_plan(plan0, log)
-                self.adversary.after_fill(self, 0)
-                self._host_attempt(log, self.adversary.before_interval, 0)
+            self._fill_plan(*self.manifest.plan(0), log)
+            self.adversary.after_fill(self, 0)
+            self._host_attempt(log, self.adversary.before_interval, 0)
 
         saved_this_run = 0
         while True:
@@ -382,10 +377,10 @@ class TrustedJobSession:
             if sync_id is None:
                 break
             log.emit("barrier", sync_id=sync_id)
-            plan = self.manifest.plan(sync_id)
-            if plan is None:
+            barrier = self.manifest.plan(sync_id)
+            if barrier is None:
                 return self._abort(log, verdicts, f"no plan for barrier {sync_id}")
-            if plan.checkpoint:
+            if barrier[0].checkpoint:
                 self._staged("checkpoint", self.ccu.tee_checkpoint)
                 snapshot = self._capture_snapshot(sync_id, log)
                 saved_this_run += 1
@@ -403,7 +398,7 @@ class TrustedJobSession:
                 log.emit("adversary", action="skip_key_load", sync_id=sync_id)
             else:
                 self._staged("key load", self.ccu.tee_load_keys, sync_id)
-            self._fill_plan(plan, log)
+            self._fill_plan(*barrier, log)
             self.adversary.after_fill(self, sync_id)
             self._host_attempt(log, self.adversary.before_interval, sync_id)
 

@@ -14,6 +14,7 @@ from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
     InvalidPhase,
+    InvalidSyncPoint,
     KeyExchangeFailure,
     PartyAuthFailure,
 )
@@ -524,6 +525,14 @@ class TestTeePhases:
             deployment.ccu.tee_restore()
         with pytest.raises(InvalidPhase):
             deployment.ccu.tee_terminate("nothing to stop")
+
+    def test_barriers_outside_the_schedule_are_refused(self, rig):
+        deployment = self.launch(rig)
+        manifest = rig[1].manifest
+        for sync_id in (-1, -3, len(manifest.schedule)):
+            assert manifest.plan(sync_id) is None
+            with pytest.raises(InvalidSyncPoint):
+                deployment.ccu.tee_load_keys(sync_id)
 
     def test_restore_requires_a_resumption_epoch(self, rig):
         deployment = self.launch(rig)

@@ -6,6 +6,7 @@ import pytest
 
 from itx.compiler import CompiledJob, JobDescription, compile_job
 from itx.device import DeviceConfig
+from itx.encoding import canonical_bytes, jsonable
 from itx.errors import ScheduleInfeasible
 from itx.manifest import CHECKPOINT, CODE, DATA, DIR_IN, DIR_OUT, OUTPUT
 from itx.sxp import NUM_CONTEXTS
@@ -35,6 +36,11 @@ def sum_job(**overrides) -> JobDescription:
 
 
 BOOTLOADER = hashlib.sha256(b"tile bootloader").hexdigest()
+
+
+def barriers(manifest) -> list:
+    """Every barrier's (plan, stream offsets), in sync-id order."""
+    return [manifest.plan(sync_id) for sync_id in range(len(manifest.schedule))]
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +94,33 @@ class TestSgdPlanning:
     def test_step_count_drives_the_sync_schedule(self):
         for steps in (1, 2, 5):
             compiled = compile_job(sgd_job(steps=steps), bootloader_measurement=BOOTLOADER)
-            plans = compiled.manifest.sync_plans
-            assert [p.sync_id for p in plans] == list(range(2 * steps + 3))
+            manifest = compiled.manifest
+            assert len(manifest.schedule) == 2 * steps + 3
+            assert None not in barriers(manifest)
+            assert manifest.plan(2 * steps + 3) is None and manifest.plan(-1) is None
 
     def test_checkpoint_period_marks_the_right_barriers(self):
         compiled = compile_job(
             sgd_job(steps=4, checkpoint_period=2), bootloader_measurement=BOOTLOADER
         )
-        checkpointed = [p.sync_id for p in compiled.manifest.sync_plans if p.checkpoint]
+        checkpointed = [i for i, (p, _) in enumerate(barriers(compiled.manifest)) if p.checkpoint]
         assert checkpointed == [5, 9]  # before step 2, and at the gather barrier
 
         every_step = compile_job(
             sgd_job(steps=3, checkpoint_period=1), bootloader_measurement=BOOTLOADER
         )
-        checkpointed = [p.sync_id for p in every_step.manifest.sync_plans if p.checkpoint]
+        checkpointed = [i for i, (p, _) in enumerate(barriers(every_step.manifest)) if p.checkpoint]
         assert checkpointed == [3, 5, 7]
+
+    def test_the_loop_is_stated_once(self):
+        """A long job reuses its loop's plans: the manifest grows by one small
+        schedule entry per barrier, not by a plan."""
+        manifest = compile_job(
+            sgd_job(steps=64, checkpoint_period=64), bootloader_measurement=BOOTLOADER
+        ).manifest
+        assert len(manifest.plans) == 6
+        assert len(manifest.schedule) == 131
+        assert len(manifest.canonical()) <= 12 * 1024
 
     def test_code_stream_covers_every_binary(self):
         compiled = compile_job(sgd_job(), bootloader_measurement=BOOTLOADER)
@@ -137,12 +155,13 @@ class TestSumPlanning:
         inputs = [e for e in manifest.stream_table.values() if e.direction == DIR_IN]
         assert len(inputs) == 18  # 17 data streams plus the code stream
         waves = 5  # ceil(17 / 4 exchange blocks)
-        assert [p.sync_id for p in manifest.sync_plans] == list(range(waves + 3))
+        assert len(manifest.schedule) == waves + 3
+        assert None not in barriers(manifest)
         assert manifest.checkpoint_plan is None and manifest.restore_plan is None
 
     def test_rotation_reuses_and_invalidates_context_slots(self):
         compiled = compile_job(sum_job(stream_count=17), bootloader_measurement=BOOTLOADER)
-        plans = {p.sync_id: p for p in compiled.manifest.sync_plans}
+        plans = [plan for plan, _ in barriers(compiled.manifest)]
         for wave in (3, 4):
             reused = set(plans[wave].kphysmap)
             previous = set(plans[wave - 3].kphysmap)
@@ -153,7 +172,7 @@ class TestSumPlanning:
     def test_contexts_stay_within_the_hardware_budget(self):
         compiled = compile_job(sum_job(stream_count=29), bootloader_measurement=BOOTLOADER)
         used = set()
-        all_plans = [compiled.manifest.boot_plan, *compiled.manifest.sync_plans]
+        all_plans = [compiled.manifest.boot_plan, *compiled.manifest.plans]
         for plan in all_plans:
             used.update(plan.kphysmap)
         assert used and max(used) < NUM_CONTEXTS
@@ -196,5 +215,26 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "40e59f6fb8bae56322e63fd54eb9188ec43c7993c6e673002e0fda7343aee994"
+        "8ef41a5d6a3f5dfa12c0eae02d9f1bd643ae0e10011a1ae5b46bb590e923a479"
+    )
+
+
+def test_schedule_expands_to_the_unrolled_barriers():
+    """The schedule is lossless: expanding every barrier of the 128 grid
+    compiles through ``plan()`` gives, byte for byte, the per-barrier plans
+    (with their stream offsets) of the unrolled format it replaced.  Every
+    plan serves some barrier, and no plan is stated twice."""
+    fold = hashlib.sha256()
+    for job in SGD_GRID + SUM_GRID:
+        for ipu_id in (0, 3):
+            manifest = compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest
+            fold.update(len(manifest.schedule).to_bytes(4, "big"))
+            for plan, offsets in barriers(manifest):
+                fold.update(canonical_bytes({**jsonable(plan), "stream_offsets": offsets}))
+            assert sorted({index for index, _ in manifest.schedule}) == list(
+                range(len(manifest.plans))
+            )
+            assert len({canonical_bytes(plan) for plan in manifest.plans}) == len(manifest.plans)
+    assert fold.hexdigest() == (
+        "01c9d2884c2842be58e913fc6d7903959423d2b6b0739fd97ac6252a6af978d0"
     )

@@ -49,19 +49,19 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "1018b252d6d8e2de0ffb8d62cce50d10e15ca995e9a6c696e90cfca3c6775991"
+            "3699bc147d6b404f1130a7be005544b322ddea59ce5e2f4bef7161fc7db71efe"
         )
 
     def test_sum_fixture(self):
         manifest = make_sum_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "cb23263d4bdb270ce5877957a929f2cee771b52ad80aa802da4b8c5dfe44ef8c"
+            "4dbe7c428beaa17b34257f673ac6fd46b4a8af4e6e0fbe7fedc04c1bf287242f"
         )
 
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "eb1a9c069c00d041e90f36c60a135317732b8082009fa1b4112c1c1938f0dc33"
+            "9b364465e726dcb1ecca120c7947a25ab1b507bbe91459446499b4616480f24c"
         )
 
 
@@ -115,7 +115,6 @@ def test_device_config_dict():
     assert DeviceConfig().to_dict() == {
         "tile_count": 16,
         "tile_memory": 65536,
-        "sxp_lanes": 2,
         "tiles_per_exchange_context": 4,
         "ring_buffer_size": 1048576,
         "packet_payload": 64,

@@ -58,7 +58,7 @@ class TestStreamIV:
 
     def test_code_iv_matches_bootloader_expectation(self):
         # expected_iv = CODE | ipu_id | tile_id | index
-        iv = fc.compose_iv(StreamIV(StreamType.CODE, ipu_id=0, tile_id=5), 3)
+        iv = StreamIV(StreamType.CODE, ipu_id=0, tile_id=5, frame_index=3)
         raw = iv.to_bytes()
         assert raw[0] == StreamType.CODE
         assert int.from_bytes(raw[4:6], "big") == 5
@@ -81,7 +81,7 @@ class TestStreamIV:
 
     def test_out_of_range_fields(self):
         with pytest.raises(InvalidIvField):
-            fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 2**32)
+            StreamIV(StreamType.DATA, stream_id=1, frame_index=2**32).to_bytes()
         with pytest.raises(InvalidIvField):
             StreamIV(StreamType.DATA, stream_id=0x10000).validate()
         with pytest.raises(InvalidIvField):
@@ -92,7 +92,7 @@ class TestStreamIV:
         seen = {}
         for stream_id in range(32):
             for index in range(32):
-                raw = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=stream_id), index).to_bytes()
+                raw = StreamIV(StreamType.DATA, stream_id=stream_id, frame_index=index).to_bytes()
                 assert raw not in seen
                 seen[raw] = (stream_id, index)
         assert len(seen) == 1024
@@ -101,17 +101,16 @@ class TestStreamIV:
         seen = set()
         for tile in range(16):
             for index in range(8):
-                seen.add(fc.compose_iv(StreamIV(StreamType.CODE, tile_id=tile), index).to_bytes())
+                seen.add(StreamIV(StreamType.CODE, tile_id=tile, frame_index=index).to_bytes())
                 seen.add(
-                    fc.compose_iv(
-                        StreamIV(StreamType.CHECKPOINT, tile_id=tile, epoch=1, checkpoint_id=2),
-                        index,
+                    StreamIV(
+                        StreamType.CHECKPOINT, tile_id=tile, epoch=1, checkpoint_id=2, frame_index=index
                     ).to_bytes()
                 )
         for sid in range(16):
             for index in range(8):
-                seen.add(fc.compose_iv(StreamIV(StreamType.DATA, stream_id=sid), index).to_bytes())
-                seen.add(fc.compose_iv(StreamIV(StreamType.OUTPUT, stream_id=sid), index).to_bytes())
+                seen.add(StreamIV(StreamType.DATA, stream_id=sid, frame_index=index).to_bytes())
+                seen.add(StreamIV(StreamType.OUTPUT, stream_id=sid, frame_index=index).to_bytes())
         assert len(seen) == 16 * 8 * 2 + 16 * 8 * 2
 
 
@@ -178,7 +177,7 @@ class TestEncryptFrame:
         assert ct == KAT3_CT and tag == KAT3_TAG
 
     def test_round_trip(self):
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=3), 7)
+        iv = StreamIV(StreamType.DATA, stream_id=3, frame_index=7)
         key = make_key(1)
         payload = bytes(range(96))
         frame = fc.encrypt_frame(key, iv, payload)
@@ -187,7 +186,7 @@ class TestEncryptFrame:
 
     def test_payload_constraints(self):
         key = make_key(2)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         with pytest.raises(InvalidPayload):
             fc.encrypt_frame(key, iv, b"")
         with pytest.raises(InvalidPayload):
@@ -197,10 +196,9 @@ class TestEncryptFrame:
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(23)
-        binding = StreamIV(StreamType.DATA, stream_id=5)
         for trial in range(40):
             key = bytes(rng.randrange(256) for _ in range(32))
-            iv = fc.compose_iv(binding, rng.randrange(2**32))
+            iv = StreamIV(StreamType.DATA, stream_id=5, frame_index=rng.randrange(2**32))
             size = rng.choice([128, 256, 1024])
             payload = bytes(rng.randrange(256) for _ in range(size - 32))
             frame = fc.encrypt_frame(key, iv, payload)
@@ -219,7 +217,7 @@ class TestDecryptFrame:
         regenerates them) and fail frame validation instead.
         """
         key = make_key(3)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=2), 9)
+        iv = StreamIV(StreamType.DATA, stream_id=2, frame_index=9)
         raw = fc.encrypt_frame(key, iv, bytes(range(96)))
         assert len(raw) == 128
         for bit in range(len(raw) * 8):
@@ -234,8 +232,7 @@ class TestDecryptFrame:
                     fc.decrypt_frame(key, bytes(mutated))
 
     def test_wrong_key(self):
-        binding = StreamIV(StreamType.DATA, stream_id=2)
-        frame = fc.encrypt_frame(make_key(4), fc.compose_iv(binding, 0), b"\x01" * 96)
+        frame = fc.encrypt_frame(make_key(4), StreamIV(StreamType.DATA, stream_id=2), b"\x01" * 96)
         with pytest.raises(AuthenticationFailure):
             fc.decrypt_frame(make_key(5), frame)
 
@@ -338,6 +335,22 @@ class TestStreams:
         calls.clear()
         assert fc.decrypt_stream(self.key, self.binding, frames, len(data)) == data
         assert len(calls) <= 20  # the expected IV, then the authenticated one
+
+    def test_one_key_schedule_per_stream(self, monkeypatch):
+        built = []
+        aesgcm = fc.AESGCM
+
+        def counting(key):
+            built.append(key)
+            return aesgcm(key)
+
+        monkeypatch.setattr(fc, "AESGCM", counting)
+        data = bytes(range(256)) * 3 + bytes(range(192))  # ten 96-byte payloads
+        frames = fc.encrypt_stream(self.key, self.binding, data, 128)
+        assert len(frames) == 10 and built == [self.key]
+        built.clear()
+        assert fc.decrypt_stream(self.key, self.binding, frames, len(data)) == data
+        assert built == [self.key]
 
     def test_an_invalid_template_is_rejected(self):
         bad = StreamIV(StreamType.DATA, stream_id=4, tile_id=1)

@@ -20,11 +20,11 @@ def plan_with_regions(count: int) -> SyncPlan:
     regions = {0: (0x0000, 0x1000)}
     for i in range(1, count):
         regions[i] = (0x1000 * i, 0x1000 * (i + 1))
-    return SyncPlan(sync_id=99, regions=regions)
+    return SyncPlan(regions=regions)
 
 
 def with_extra_plan(manifest: JobManifest, plan: SyncPlan) -> JobManifest:
-    return dataclasses.replace(manifest, sync_plans=(*manifest.sync_plans, plan))
+    return dataclasses.replace(manifest, plans=(*manifest.plans, plan))
 
 
 class TestStructuralLimits:
@@ -88,11 +88,40 @@ class TestStructuralLimits:
 
     def test_overlapping_regions_rejected(self):
         manifest = sgd_manifest()
-        plan = SyncPlan(
-            sync_id=99, regions={0: (0, 0x1000), 1: (0x800, 0x1800), 2: (0x1000, 0x2000)}
-        )
+        plan = SyncPlan(regions={0: (0, 0x1000), 1: (0x800, 0x1800), 2: (0x1000, 0x2000)})
         with pytest.raises(InvalidRegisterProgram, match="overlap"):
             with_extra_plan(manifest, plan).validate()
+
+
+class TestSchedule:
+    def test_plan_indexes_the_schedule(self):
+        manifest = sgd_manifest()
+        for sync_id, (index, offsets) in enumerate(manifest.schedule):
+            assert manifest.plan(sync_id) == (manifest.plans[index], offsets)
+
+    def test_ids_outside_the_schedule_have_no_plan(self):
+        manifest = sgd_manifest()
+        # -1 would otherwise index the end barrier
+        for sync_id in (-1, -3, len(manifest.schedule)):
+            assert manifest.plan(sync_id) is None
+
+    def test_schedule_must_not_be_empty(self):
+        with pytest.raises(InvalidRegisterProgram, match="empty"):
+            dataclasses.replace(sgd_manifest(), schedule=()).validate()
+
+    def test_plan_index_in_range(self):
+        manifest = sgd_manifest()
+        for index in (-1, len(manifest.plans), 100):
+            schedule = ((index, {}), *manifest.schedule[1:])
+            with pytest.raises(InvalidRegisterProgram, match="no plan"):
+                dataclasses.replace(manifest, schedule=schedule).validate()
+
+    @pytest.mark.parametrize("offsets", [{2: -1}, {99: 0}])
+    def test_offsets_name_known_streams_and_are_non_negative(self, offsets):
+        manifest = sgd_manifest()
+        schedule = ((manifest.schedule[0][0], offsets), *manifest.schedule[1:])
+        with pytest.raises(InvalidRegisterProgram, match="bad stream offsets"):
+            dataclasses.replace(manifest, schedule=schedule).validate()
 
 
 class TestBindings:
@@ -118,7 +147,7 @@ class TestSerialization:
 
     def test_sync_plan_round_trip(self):
         manifest = sgd_manifest()
-        for plan in (manifest.boot_plan, *manifest.sync_plans):
+        for plan in (manifest.boot_plan, *manifest.plans):
             clone = SyncPlan.from_dict(plan.to_dict())
             assert clone == plan
 

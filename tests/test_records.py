@@ -20,7 +20,7 @@ from itx.compiler import JobDescription, compile_job
 from itx.device import DeviceConfig
 from itx.encoding import Record
 from itx.errors import InvalidEncoding, KeyExchangeFailure
-from itx.manifest import JobManifest, SyncPlan
+from itx.manifest import JobManifest, StreamTableEntry, SyncPlan
 from itx.packaging import CleanRoom, StreamPackage
 from itx.pki import COMPONENT_BOOTLOADER, CaState, TcbUpdateCertificate
 
@@ -64,7 +64,7 @@ SAMPLES = [
     MANIFEST.stream_table[3],
     MANIFEST.tile_layouts[0].bindings[0],
     MANIFEST.tile_layouts[0],
-    MANIFEST.sync_plans[0],
+    MANIFEST.plans[0],
     MANIFEST,
     DeviceConfig(),
     JobDescription(
@@ -126,17 +126,17 @@ class TestTypedErrors:
             Certificate.from_dict({**CERT.to_dict(), "serial": 1})
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(InvalidEncoding, match="SyncPlan.sync_id"):
-            SyncPlan.from_dict({**MANIFEST.sync_plans[0].to_dict(), "sync_id": True})
+        with pytest.raises(InvalidEncoding, match="StreamTableEntry.stream_id"):
+            StreamTableEntry.from_dict({**MANIFEST.stream_table[3].to_dict(), "stream_id": True})
 
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "x"])
     def test_int_keys_are_canonical(self, key):
         with pytest.raises(InvalidEncoding, match="decimal integer"):
-            SyncPlan.from_dict({"sync_id": 0, "ctxmap": {key: 1}})
+            SyncPlan.from_dict({"ctxmap": {key: 1}})
 
     def test_fixed_tuple_length(self):
         with pytest.raises(InvalidEncoding, match="expected 2 items"):
-            SyncPlan.from_dict({"sync_id": 0, "regions": {"0": [0, 1, 2]}})
+            SyncPlan.from_dict({"regions": {"0": [0, 1, 2]}})
 
     @pytest.mark.parametrize("text", ["0g", "0", "AB" * 32, "00 11"])
     def test_bad_hex(self, text):

@@ -150,7 +150,7 @@ class TestKeyLifecycle:
         rng = random.Random(5)
         key = bytes(rng.randrange(256) for _ in range(32))
         eng.load_key(3, key)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         payload = bytes(rng.randrange(256) for _ in range(96))
         assert egress_frame(eng, key, iv, payload) == fc.encrypt_frame(key, iv, payload)
 
@@ -158,14 +158,14 @@ class TestKeyLifecycle:
         eng = engine()
         eng.load_key(3, bytes(32))
         eng.invalidate_key(3)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         with pytest.raises(KeyNotLoaded):
             egress_frame(eng, bytes(32), iv, bytes(96))
 
     def test_load_into_active_context(self):
         eng = engine()
         eng.load_key(3, bytes(32))
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         plain = iv.iv_block() + bytes(96) + bytes(16)
         first = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
@@ -214,7 +214,7 @@ class TestEgress:
         eng = engine()
         key = bytes(range(32))
         eng.load_key(3, key)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=2), 5)
+        iv = StreamIV(StreamType.DATA, stream_id=2, frame_index=5)
         payload = bytes(i & 0xFF for i in range(96))
         plain = iv.iv_block() + payload + bytes(16)
         pkt = ExchangePacket(
@@ -246,7 +246,7 @@ class TestEgress:
     def test_frame_interleaving_violation(self):
         eng = engine()
         eng.load_key(3, bytes(32))
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         opening = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
             address=0x1000, payload=iv.iv_block() + bytes(48), aes=True, cc=False,
@@ -274,7 +274,7 @@ class TestEgress:
     def test_frame_closed_on_iv_block_rejected(self):
         eng = engine()
         eng.load_key(3, bytes(32))
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         pkt = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
             address=0x1000, payload=iv.iv_block(), aes=True, cc=True,
@@ -307,7 +307,7 @@ class TestIngress:
         self.eng = engine()
         self.key = bytes(range(32, 64))
         self.eng.load_key(3, self.key)
-        self.iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 4)
+        self.iv = StreamIV(StreamType.DATA, stream_id=1, frame_index=4)
         self.payload = bytes(range(96))
         self.frame = fc.encrypt_frame(self.key, self.iv, self.payload)
 
@@ -363,7 +363,7 @@ class TestLatching:
         eng.load_key(3, bytes(32))
         with pytest.raises(SecurityException):
             eng.select_context(0, 0x2800)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         pkt = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
             address=0x1000, payload=iv.iv_block() + bytes(112), aes=True, cc=True,
@@ -383,7 +383,7 @@ class TestLatching:
     def test_intrusion_mid_frame_latches(self):
         eng = engine()
         eng.load_key(3, bytes(32))
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         opening = write_packets(iv.iv_block() + bytes(64) + bytes(16), 0, 0x1000)[0]
         eng.process_egress(opening)
         intruder = ExchangePacket(
@@ -414,7 +414,7 @@ class TestTrace:
         eng = engine(trace=records.append)
         rng = random.Random(11)
         keys = [bytes(rng.randrange(256) for _ in range(32)) for _ in range(3)]
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         for key in keys:
             eng.load_key(3, key)
             frame = egress_frame(eng, key, iv, bytes(96))
@@ -495,7 +495,7 @@ class TestEquivalence:
             for index in range(4):
                 payload_len = rng.choice([96, 224, 480])
                 payload = bytes(rng.randrange(256) for _ in range(payload_len))
-                iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=ctx + 1), index)
+                iv = StreamIV(StreamType.DATA, stream_id=ctx + 1, frame_index=index)
                 jobs.append((ctx, iv, payload))
         rng.shuffle(jobs)
         for ctx, iv, payload in jobs:
@@ -511,7 +511,7 @@ class TestEquivalence:
         eng.load_key(3, key)
         for index in range(5):
             payload = bytes(rng.randrange(256) for _ in range(96))
-            iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=6), index)
+            iv = StreamIV(StreamType.DATA, stream_id=6, frame_index=index)
             out = egress_frame(eng, key, iv, payload)
             ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
             assert out == iv.iv_block() + ct + tag
@@ -615,7 +615,7 @@ class TestInPlace:
         eng = engine()
         key = bytes(range(32))
         eng.load_key(3, key)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         frame = bytearray(fc.encrypt_frame(key, iv, bytes(96)))
         frame[-1] ^= 0x01
         *opening, closing = completions_for(bytes(frame), 3)
@@ -627,7 +627,7 @@ class TestInPlace:
     def test_an_intruding_tile_keeps_its_payload(self):
         eng = engine()
         eng.load_key(3, bytes(32))
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         eng.process_egress(write_packets(iv.iv_block() + bytes(64) + bytes(16), 0, 0x1000)[0])
         intruder = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
@@ -658,7 +658,7 @@ class TestInPlace:
         eng.load_key(3, bytes(32))
         with pytest.raises(SecurityException):
             eng.select_context(0, 0x2800)
-        iv = fc.compose_iv(StreamIV(StreamType.DATA, stream_id=1), 0)
+        iv = StreamIV(StreamType.DATA, stream_id=1)
         for process, pkt in (
             (eng.process_egress, write_packets(iv.iv_block() + bytes(112), 0, 0x1000)[0]),
             (eng.process_ingress, completions_for(bytes(128), 3)[0]),
