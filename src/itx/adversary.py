@@ -12,7 +12,9 @@ Hooks (called by the runtime):
 * ``before_init``     — device still in normal mode, nothing measured yet
 * ``after_fill``      — ciphertext just landed in the ring (``stage`` is
   ``"boot"``, a barrier sync id, or ``"restore"``)
-* ``skip_key_load``   — return True to suppress the key-load call at a barrier
+* ``skip_key_load``   — return True to suppress the key-load call at a barrier;
+  the control unit keys the barrier the device names, so the host can drop a
+  key load but not point it at another barrier
 * ``before_interval`` — barrier fully processed, tiles about to run
 * ``choose_checkpoint`` — pick which saved snapshot a resume presents
 """

@@ -293,6 +293,13 @@ class Ccu:
         for ctx, sid in plan.egress_loads:
             device.egress.load_key(ctx, self._stream_key(sid, "egress"))
 
+    def _parked_plan(self) -> tuple[SyncPlan, dict[int, int]]:
+        """The attested plan of the barrier the device's tiles are parked at."""
+        device = self._require_device()
+        if device.barrier is None:
+            raise InvalidPhase("the tiles are not parked at a barrier")
+        return self.tee.manifest.plan(device.barrier)
+
     # -- TEE lifecycle -------------------------------------------------------
 
     def tee_init(
@@ -312,6 +319,8 @@ class Ccu:
             raise InvalidPhase(
                 f"manifest targets device {manifest.ipu_id}, attached device is {device.ipu_id}"
             )
+        if manifest.device_config != device.config.to_dict():
+            raise InvalidPhase("manifest was compiled for a different device geometry")
         if manifest.bootloader_measurement != self.measurements["tile_bootloader"]:
             raise InvalidPhase("manifest names a different tile bootloader")
         for party, cert in sorted(party_certs.items()):
@@ -420,7 +429,7 @@ class Ccu:
                 chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
             if chain.hex() != manifest.binary_hashes[device.ipu_id]:
                 raise self._fatal("binary hash does not match the manifest")
-            self._apply_plan(*manifest.plan(0))
+            self._apply_plan(*self._parked_plan())
         except Exception:
             if self.tee.phase != TERMINATED:
                 self.tee_terminate("launch failed")
@@ -433,26 +442,21 @@ class Ccu:
         self.tee_terminate(reason)
         return SecurityException(reason)
 
-    def tee_load_keys(self, sync_point: int) -> None:
+    def tee_load_keys(self) -> None:
+        """Key the barrier the tiles are parked at."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_load_keys in phase {self.tee.phase}")
-        manifest = self.tee.manifest
-        assert manifest is not None
-        barrier = manifest.plan(sync_point)
-        if barrier is None:
-            raise InvalidSyncPoint(f"sync point {sync_point} not in the manifest")
-        self._apply_plan(*barrier)
+        self._apply_plan(*self._parked_plan())
 
     def tee_checkpoint(self) -> None:
-        """Save a checkpoint: temporarily swap in the checkpoint-phase
-        registers, stream the state out under k_save, then restore."""
+        """Save a checkpoint at a barrier that schedules one: swap in the
+        checkpoint-phase registers, stream the state out under k_save, then restore."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_checkpoint in phase {self.tee.phase}")
         device = self._require_device()
         manifest = self.tee.manifest
-        assert manifest is not None
-        if manifest.checkpoint_plan is None:
-            raise InvalidSyncPoint("job has no checkpoint plan")
+        if not self._parked_plan()[0].checkpoint or manifest.checkpoint_plan is None:
+            raise InvalidSyncPoint(f"barrier {device.barrier} schedules no checkpoint")
         steady = device.egress.registers
         self._apply_plan(manifest.checkpoint_plan, {})
         device.checkpoint_save()
@@ -460,10 +464,10 @@ class Ccu:
             device.program_registers(steady)
 
     def tee_restore(self) -> int:
-        """Restore the checkpoint named by the seeded counters and re-park the
-        run at its saved barrier: state back in, that barrier's internal
-        exchange re-run, its registers and keys re-applied.  Returns the
-        barrier id so the host can refill the ring windows."""
+        """Restore the checkpoint named by the seeded counters.  The device
+        re-parks the tiles at the saved barrier and re-runs its internal
+        exchange; this applies that barrier's registers and keys.  Returns
+        the barrier id so the host can refill the ring windows."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_restore in phase {self.tee.phase}")
         if self.tee.epoch == 0:
@@ -475,13 +479,8 @@ class Ccu:
             raise InvalidSyncPoint("job has no restore plan")
         self._apply_plan(manifest.restore_plan, {})
         device.checkpoint_restore()
-        sync_id = device.saved_barrier_sync_id()
-        barrier = manifest.plan(sync_id)
-        if barrier is None:
-            raise self._fatal(f"restored barrier {sync_id} has no plan")
-        device.apply_moves(barrier[0].moves)
-        self._apply_plan(*barrier)
-        return sync_id
+        self._apply_plan(*self._parked_plan())
+        return device.barrier
 
     def tee_terminate(self, reason: str) -> None:
         if self.tee.phase not in (INITIALIZED, LAUNCHED):

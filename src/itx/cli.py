@@ -121,16 +121,12 @@ def _load_binaries(build: Path) -> dict[int, bytes]:
 def cmd_compile(args) -> int:
     desc = _read_json(Path(args.job))
     job = JobDescription.from_dict(desc)
-    config = DeviceConfig()
     measurement = hashlib.sha256(tile_bootloader_image(args.firmware_revision)).hexdigest()
-    compiled = compile_job(
-        job, config=config, bootloader_measurement=measurement, ipu_id=args.ipu_id
-    )
+    compiled = compile_job(job, bootloader_measurement=measurement, ipu_id=args.ipu_id)
     out = Path(args.out)
     (out / "binaries").mkdir(parents=True, exist_ok=True)
     _write_json(out / "job.json", desc)
     _write_json(out / "manifest.json", compiled.manifest.to_dict())
-    _write_json(out / "config.json", config.to_dict())
     _write_json(out / "streams.json", compiled.key_streams)
     for tile_id, binary in sorted(compiled.binaries.items()):
         (out / "binaries" / f"t{tile_id:03d}.bin").write_bytes(binary)
@@ -207,7 +203,7 @@ def cmd_run(args) -> int:
         return EXIT_REJECTED
     build = Path(args.build)
     manifest = _load_manifest(build)
-    config = DeviceConfig.from_dict(_read_json(build / "config.json"))
+    config = DeviceConfig.from_dict(manifest.device_config)
 
     measurement = manifest.measurement()
     packages = {}

@@ -328,6 +328,7 @@ class IpuDevice:
 
         self.manifest: Optional[JobManifest] = None
         self.windows: dict[int, int] = {}
+        self.barrier: Optional[int] = None  # where the tiles are parked; the only one keyed
         # The clear reference run changes only read_stream_frame and
         # write_stream_frame; it never boots, checkpoints or restores.
         self.clear_mode = False
@@ -434,6 +435,7 @@ class IpuDevice:
         self.registers = dict(DEFAULT_REGISTERS)
         self.manifest = None
         self.windows = {}
+        self.barrier = None
         self.clear_sources = {}
         self.clear_sinks = {}
         self._trace({"event": "reset", "kind": kind})
@@ -456,6 +458,7 @@ class IpuDevice:
     def install_boot_params(self, manifest: JobManifest, epoch: int, checkpoint_id: int) -> None:
         self.manifest = manifest
         self.windows = {}
+        self.barrier = 0
         for tile in self.tiles:
             tile.layout = layout = manifest.layout(tile.tile_id)
             tile.bindings = {b.stream_id: b for b in layout.bindings}
@@ -655,12 +658,19 @@ class IpuDevice:
         sync_ids = {self._run_tile(tile) for tile in self.tiles}
         if len(sync_ids) != 1:
             raise InvalidPhase(f"tiles disagree on the barrier: {sorted(map(str, sync_ids))}")
-        sync_id = sync_ids.pop()
-        if sync_id is not None and self.manifest is not None:
-            barrier = self.manifest.plan(sync_id)
-            if barrier is not None:
-                self.apply_moves(barrier[0].moves)
-        return sync_id
+        self._park(sync_ids.pop())
+        return self.barrier
+
+    def _park(self, sync_id: Optional[int]) -> None:
+        """Park the tiles at barrier ``sync_id`` (None: all programs ended) and
+        run its internal exchange; the one place an unscheduled barrier is caught."""
+        self.barrier = sync_id
+        if sync_id is None:
+            return
+        barrier = self.manifest.plan(sync_id) if self.manifest else None
+        if barrier is None:
+            raise self._security(f"tiles reached barrier {sync_id}, which is not in the schedule")
+        self.apply_moves(barrier[0].moves)
 
     def _run_tile(self, tile: Tile) -> Optional[int]:
         if tile.program is None:
@@ -756,7 +766,8 @@ class IpuDevice:
 
     def checkpoint_restore(self) -> None:
         """Rebuild tile state from the checkpoint identified by the seeded
-        (epoch, checkpoint) counters; tiles verify every frame's IV."""
+        (epoch, checkpoint) counters, then re-park the tiles at the saved
+        barrier; tiles verify every frame's IV."""
         entry, slots = self._checkpoint_slots()
         for tile, (base, frames) in zip(self.tiles, slots):
             payload = b"".join(
@@ -773,17 +784,11 @@ class IpuDevice:
             tile.checkpoint_id += 1
             tile.epoch += 1
         self._trace({"event": "checkpoint_restore", "epoch": self.tiles[0].epoch})
-
-    def saved_barrier_sync_id(self) -> int:
-        """After a restore, the barrier the run was parked at (whose plan must
-        be re-applied before tiles continue)."""
         tile = self.tiles[0]
-        if tile.program is None or tile.pc == 0:
-            raise InvalidPhase("no restored program position")
-        ph = tile.program.phases[tile.pc - 1]
+        ph = tile.program.phases[tile.pc - 1] if tile.pc else None
         if not isinstance(ph, SyncPhase):
             raise InvalidPhase("restored position is not at a barrier")
-        return ph.sync_id
+        self._park(ph.sync_id)
 
 
 def read_host_checkpoint_metadata(

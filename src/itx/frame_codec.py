@@ -188,7 +188,7 @@ def _seal(cipher: AESGCM, iv: StreamIV, payload: bytes) -> bytes:
 
 
 def decrypt_frame(key: bytes, raw: bytes) -> tuple[StreamIV, bytes]:
-    return _open(AESGCM(key), raw)
+    return _open(_cipher(key), raw)
 
 
 def _open(cipher: AESGCM, raw: bytes) -> tuple[StreamIV, bytes]:
@@ -229,7 +229,7 @@ def decrypt_stream(
     plaintext_length: int,
 ) -> bytes:
     """Decrypt a full stream, enforcing IV order and the declared length."""
-    cipher = AESGCM(key)
+    cipher = _cipher(key)
     pieces: list[bytes] = []
     for index, frame in enumerate(frames):
         if frame[:IV_BYTES] != replace(template, frame_index=index).to_bytes():

@@ -3,11 +3,14 @@
 The session models four mutually distrustful roles on one box:
 
 * the **host** (this runtime): schedules intervals, ferries ciphertext in
-  and out of the ring buffer, and relays control-unit calls — it is the
-  adversary's seat and never touches a key or a plaintext;
-* the **control unit**: attests, receives wrapped keys, loads them into the
-  packet engines at each barrier, and drives checkpoints;
-* the **device**: runs tile programs behind the packet-crypto boundary;
+  and out of the ring buffer, and asks the control unit to act at each
+  barrier — it is the adversary's seat and never touches a key or a
+  plaintext.  It may delay or drop a call, but never name the barrier;
+* the **control unit**: attests, receives wrapped keys, loads the keys of the
+  barrier the device is parked at into the packet engines, and drives
+  checkpoints;
+* the **device**: runs tile programs behind the packet-crypto boundary and
+  names the barrier its tiles agreed on;
 * the **parties**: verify the attestation report and only then release keys.
 
 ``TrustedJobSession.run`` executes a job from cold start to an encrypted
@@ -113,7 +116,6 @@ class TrustedJobSession:
         self.ring = device.ring_buffer
         self.windows: dict[int, int] = {}
         self.snapshots: list[CheckpointSnapshot] = []
-        self.receipts: list[tuple[int, int]] = []  # (epoch, checkpoint_id) parties saw
         self._streams: dict[int, tuple[bytes, ...]] = {}  # stream id -> wire frames
         for job_inputs in inputs.values():
             self._streams.update(job_inputs.streams)
@@ -193,7 +195,6 @@ class TrustedJobSession:
             meta_blob=meta_blob,
         )
         self.snapshots.append(snapshot)
-        self.receipts.append((snapshot.epoch, snapshot.checkpoint_id))
         self._saved_nonces = dict(self._current_nonces)
         log.emit(
             "checkpoint_saved",
@@ -320,11 +321,7 @@ class TrustedJobSession:
         log.emit("tee_init", epoch=seed_epoch, checkpoint_id=seed_checkpoint)
 
         # Each party judges the evidence itself; keys move only on an accept.
-        if resume_from is not None and self.receipts:
-            expect_epoch, expect_ckpt = self.receipts[-1]
-        else:
-            expect_epoch, expect_ckpt = seed_epoch, seed_checkpoint
-        expected = self.expected_values(expect_epoch, expect_ckpt)
+        expected = self.expected_values(seed_epoch, seed_checkpoint)
         self.last_expected = expected
         evidence = (self.device_chain, self.ca_public, self.tcb_certs)
         packages: dict[str, bytes] = {}
@@ -353,21 +350,17 @@ class TrustedJobSession:
         self._staged("launch", self.ccu.tee_launch, packages)
         log.emit("tee_launch")
 
+        parked = 0
         if resume_from is not None:
             filled = self.adversary.choose_checkpoint(self, resume_from)
             self._fill_snapshot(filled, log)
             self.adversary.after_fill(self, "restore")
             parked = self._staged("restore", self.ccu.tee_restore)
-            barrier = self.manifest.plan(parked)
-            assert barrier is not None
-            self._fill_plan(*barrier, log)
-            self.adversary.after_fill(self, parked)
-            self._host_attempt(log, self.adversary.before_interval, parked)
+        self._fill_plan(*self.manifest.plan(parked), log)
+        self.adversary.after_fill(self, parked)
+        self._host_attempt(log, self.adversary.before_interval, parked)
+        if resume_from is not None:
             log.emit("resumed", barrier=parked)
-        else:
-            self._fill_plan(*self.manifest.plan(0), log)
-            self.adversary.after_fill(self, 0)
-            self._host_attempt(log, self.adversary.before_interval, 0)
 
         saved_this_run = 0
         while True:
@@ -378,8 +371,6 @@ class TrustedJobSession:
                 break
             log.emit("barrier", sync_id=sync_id)
             barrier = self.manifest.plan(sync_id)
-            if barrier is None:
-                return self._abort(log, verdicts, f"no plan for barrier {sync_id}")
             if barrier[0].checkpoint:
                 self._staged("checkpoint", self.ccu.tee_checkpoint)
                 snapshot = self._capture_snapshot(sync_id, log)
@@ -397,7 +388,7 @@ class TrustedJobSession:
             if self.adversary.skip_key_load(self, sync_id):
                 log.emit("adversary", action="skip_key_load", sync_id=sync_id)
             else:
-                self._staged("key load", self.ccu.tee_load_keys, sync_id)
+                self._staged("key load", self.ccu.tee_load_keys)
             self._fill_plan(*barrier, log)
             self.adversary.after_fill(self, sync_id)
             self._host_attempt(log, self.adversary.before_interval, sync_id)
@@ -408,15 +399,15 @@ class TrustedJobSession:
         }
         output = self._collect_output()
         log.emit("run_complete", output_frames=len(output))
-        last = self.receipts[-1] if self.receipts else (seed_epoch, seed_checkpoint)
+        last = self.snapshots[-1] if self.snapshots else None
         return RunResult(
             STATUS_COMPLETE,
             "ok",
             log,
             verdicts,
             output_frames=output,
-            epoch=last[0],
-            checkpoint_id=last[1],
+            epoch=last.epoch if last else seed_epoch,
+            checkpoint_id=last.checkpoint_id if last else seed_checkpoint,
         )
 
     def _collect_output(self) -> tuple[bytes, ...]:
@@ -457,9 +448,9 @@ def run_clear_reference(
 ) -> bytes:
     """Run the same job on an untrusted device with no crypto anywhere:
     plaintext in, plaintext out.  The trusted path must match this bitwise."""
-    device = IpuDevice(
-        ipu_id=manifest.ipu_id, config=DeviceConfig.from_dict(manifest.device_config)
-    )
+    # No ring: a clear run never uses it, and a fresh 1 MiB one page-faults in on every run.
+    config = DeviceConfig.from_dict({**manifest.device_config, "ring_buffer_size": 0})
+    device = IpuDevice(ipu_id=manifest.ipu_id, config=config)
     device.clear_mode = True
     device.install_boot_params(manifest, 0, 0)
     for layout in manifest.tile_layouts:

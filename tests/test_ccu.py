@@ -10,6 +10,7 @@ from itx import crypto, pki
 from itx.attestation import KeyPackage
 from itx.ccu import Ccu, CcuFlash, INITIALIZED, LAUNCHED, NO_TEE, TERMINATED
 from itx.compiler import JobDescription, compile_job
+from itx.device import DeviceConfig
 from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
@@ -326,6 +327,15 @@ class TestTeeInit:
             deployment.ccu.tee_init(foreign.manifest, certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
 
+    def test_manifest_for_another_device_geometry_is_rejected(self, rig):
+        deployment, _, parties, _ = rig
+        config = DeviceConfig(ring_buffer_size=2 * deployment.device.config.ring_buffer_size)
+        foreign = compiled_manifest(deployment, config=config)
+        _, certs, shares, sigs = init_material(parties)
+        with pytest.raises(InvalidPhase, match="different device geometry"):
+            deployment.ccu.tee_init(foreign.manifest, certs, shares, sigs)
+        assert deployment.ccu.tee.phase == NO_TEE
+
     def test_manifest_with_wrong_tile_bootloader_is_rejected(self, rig):
         deployment, _, parties, _ = rig
         stale = compiled_manifest(
@@ -518,7 +528,7 @@ class TestTeePhases:
         with pytest.raises(InvalidPhase):
             deployment.ccu.tee_launch({})
         with pytest.raises(InvalidPhase):
-            deployment.ccu.tee_load_keys(1)
+            deployment.ccu.tee_load_keys()
         with pytest.raises(InvalidPhase):
             deployment.ccu.tee_checkpoint()
         with pytest.raises(InvalidPhase):
@@ -526,13 +536,13 @@ class TestTeePhases:
         with pytest.raises(InvalidPhase):
             deployment.ccu.tee_terminate("nothing to stop")
 
-    def test_barriers_outside_the_schedule_are_refused(self, rig):
+    def test_checkpoints_only_at_barriers_that_schedule_one(self, rig):
         deployment = self.launch(rig)
-        manifest = rig[1].manifest
-        for sync_id in (-1, -3, len(manifest.schedule)):
-            assert manifest.plan(sync_id) is None
-            with pytest.raises(InvalidSyncPoint):
-                deployment.ccu.tee_load_keys(sync_id)
+        assert deployment.device.barrier == 0
+        assert not rig[1].manifest.plan(0)[0].checkpoint
+        with pytest.raises(InvalidSyncPoint, match="barrier 0 schedules no checkpoint"):
+            deployment.ccu.tee_checkpoint()
+        assert deployment.ccu.tee.phase == LAUNCHED
 
     def test_restore_requires_a_resumption_epoch(self, rig):
         deployment = self.launch(rig)

@@ -194,6 +194,15 @@ class TestEncryptFrame:
         with pytest.raises(InvalidPayload):
             fc.encrypt_frame(key, iv, b"\x00" * 1008)  # would exceed 1024 total
 
+    @pytest.mark.parametrize("bad_key", [bytes(16), b"short"], ids=["aes128", "5-byte"])
+    def test_decrypt_side_refuses_keys_of_the_wrong_length(self, bad_key):
+        iv = StreamIV(StreamType.DATA, stream_id=1)
+        frame = fc.encrypt_frame(make_key(2), iv, b"\x00" * 16)
+        with pytest.raises(InvalidPayload, match="key must be 32 bytes"):
+            fc.decrypt_frame(bad_key, frame)
+        with pytest.raises(InvalidPayload, match="key must be 32 bytes"):
+            fc.decrypt_stream(bad_key, iv, [frame], 16)
+
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(23)
         for trial in range(40):

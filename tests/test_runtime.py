@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itx.adversary import (
+    Adversary,
     ReorderFrames,
     ReplayFrame,
     SkipKeyLoad,
@@ -27,6 +28,7 @@ from itx.device import (
     MODE_NORMAL,
     ComputePhase,
     OP_SGD_STEP,
+    SyncPhase,
     TileProgram,
     checkpoint_frames,
     pack_checkpoint_metadata,
@@ -37,7 +39,7 @@ from itx.manifest import CHECKPOINT
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
-from itx.errors import InvalidEncoding
+from itx.errors import InvalidEncoding, InvalidPhase
 from itx.sxp import NUM_CONTEXTS, ExchangePacket, SxpEngine
 
 
@@ -347,6 +349,89 @@ def test_compute_outside_tile_memory_aborts_closed():
     result = session.run()
     assert_aborted_closed(fixture, result)
     assert "outside tile memory" in result.reason
+
+
+def test_tiles_at_an_unscheduled_barrier_abort_closed():
+    """Every tile program names barrier 999 where the schedule has barrier 1,
+    under a manifest whose binary hash matches them: the device refuses to
+    park there."""
+    fixture = make_sgd_fixture(steps=2)
+    compiled = fixture.compiled
+    programs = {
+        tile: TileProgram(tuple(
+            SyncPhase(999) if isinstance(ph, SyncPhase) and ph.sync_id == 1 else ph
+            for ph in program.phases
+        ))
+        for tile, program in compiled.programs.items()
+    }
+    binaries = {tile: program.pack() for tile, program in programs.items()}
+    chain = CompiledJob(compiled.manifest, programs, binaries).binary_hash_chain()
+    manifest = dataclasses.replace(
+        compiled.manifest, binary_hashes={compiled.manifest.ipu_id: chain}
+    )
+    assert manifest.plan(999) is None
+    inputs = dict(fixture.inputs)
+    inputs["modelco"] = package_inputs(
+        "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
+    )
+    result = _make_session(fixture.deployment, manifest, fixture.parties, inputs).run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason == "tiles reached barrier 999, which is not in the schedule"
+
+
+class SelfKeying(Adversary):
+    """Makes the control unit's key-load call itself at every barrier, in
+    place of the runtime's call."""
+
+    def skip_key_load(self, host, sync_id):
+        host.ccu.tee_load_keys()
+        return True
+
+
+@pytest.mark.parametrize(
+    "make_fixture",
+    [
+        pytest.param(lambda: make_sgd_fixture(steps=3, checkpoint_period=1), id="sgd"),
+        pytest.param(lambda: make_sum_fixture(stream_count=17), id="sum"),
+    ],
+)
+def test_a_host_that_keys_barriers_itself_gets_the_attested_plans(make_fixture):
+    fixture = make_fixture()
+    fixture.session.adversary = SelfKeying()
+    assert_completed_and_exact(fixture, fixture.session.run())
+
+
+class BarrierWitness(Adversary):
+    """Notes the device's barrier at every ring fill."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def after_fill(self, host, stage):
+        self.seen.append((stage, host.device.barrier))
+
+
+def test_a_restore_parks_the_device_at_the_saved_barrier():
+    witness = BarrierWitness()
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1, adversary=witness)
+    session = fixture.session
+    assert session.run(halt_after_checkpoint=2).status == "halted"
+    saved = session.snapshots[-1]
+    fixture.deployment.device.reset("sbr")
+    assert fixture.deployment.device.barrier is None
+    witness.seen.clear()
+    assert_completed_and_exact(fixture, session.resume())
+    assert saved.barrier > 0
+    assert witness.seen[:3] == [("boot", None), ("restore", 0), (saved.barrier, saved.barrier)]
+    assert all(stage == barrier for stage, barrier in witness.seen[2:])
+
+
+def test_no_keys_load_once_the_programs_have_ended():
+    fixture = make_sgd_fixture(steps=2)
+    assert fixture.session.run().completed
+    assert fixture.deployment.device.barrier is None
+    with pytest.raises(InvalidPhase, match="not parked"):
+        fixture.deployment.ccu.tee_load_keys()
 
 
 def test_unexpected_launch_failure_aborts_closed(monkeypatch):
