@@ -282,23 +282,23 @@ class Ccu:
             raise KeyExchangeFailure(f"no key supplied for stream {stream_id}")
         return key
 
-    def _apply_plan(self, plan: SyncPlan, offsets: dict[int, int]) -> None:
+    def _apply_plan(self, plan: SyncPlan) -> None:
         device = self._require_device()
         for ctx in plan.invalidate:
             device.ingress.invalidate_key(ctx)
             device.egress.invalidate_key(ctx)
-        device.apply_sync_plan(plan, offsets)
+        device.program_registers(plan.registers())
         for ctx, sid in plan.ingress_loads:
             device.ingress.load_key(ctx, self._stream_key(sid, "ingress"))
         for ctx, sid in plan.egress_loads:
             device.egress.load_key(ctx, self._stream_key(sid, "egress"))
 
-    def _parked_plan(self) -> tuple[SyncPlan, dict[int, int]]:
+    def _parked_plan(self) -> SyncPlan:
         """The attested plan of the barrier the device's tiles are parked at."""
         device = self._require_device()
         if device.barrier is None:
             raise InvalidPhase("the tiles are not parked at a barrier")
-        return self.tee.manifest.plan(device.barrier)
+        return self.tee.manifest.plan(device.barrier)[0]
 
     # -- TEE lifecycle -------------------------------------------------------
 
@@ -423,13 +423,13 @@ class Ccu:
         device.autoload(self.firmware.tile_bootloader)
         device.install_boot_params(manifest, self.tee.epoch, self.tee.checkpoint_id)
         try:
-            self._apply_plan(manifest.boot_plan, {})
+            self._apply_plan(manifest.boot_plan)
             chain = b""
             for tile in device.tiles:
                 chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
             if chain.hex() != manifest.binary_hashes[device.ipu_id]:
                 raise self._fatal("binary hash does not match the manifest")
-            self._apply_plan(*self._parked_plan())
+            self._apply_plan(self._parked_plan())
         except Exception:
             if self.tee.phase != TERMINATED:
                 self.tee_terminate("launch failed")
@@ -446,7 +446,7 @@ class Ccu:
         """Key the barrier the tiles are parked at."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_load_keys in phase {self.tee.phase}")
-        self._apply_plan(*self._parked_plan())
+        self._apply_plan(self._parked_plan())
 
     def tee_checkpoint(self) -> None:
         """Save a checkpoint at a barrier that schedules one: swap in the
@@ -455,10 +455,10 @@ class Ccu:
             raise InvalidPhase(f"tee_checkpoint in phase {self.tee.phase}")
         device = self._require_device()
         manifest = self.tee.manifest
-        if not self._parked_plan()[0].checkpoint or manifest.checkpoint_plan is None:
+        if not self._parked_plan().checkpoint or manifest.checkpoint_plan is None:
             raise InvalidSyncPoint(f"barrier {device.barrier} schedules no checkpoint")
         steady = device.egress.registers
-        self._apply_plan(manifest.checkpoint_plan, {})
+        self._apply_plan(manifest.checkpoint_plan)
         device.checkpoint_save()
         if steady is not None:
             device.program_registers(steady)
@@ -477,9 +477,9 @@ class Ccu:
         assert manifest is not None
         if manifest.restore_plan is None:
             raise InvalidSyncPoint("job has no restore plan")
-        self._apply_plan(manifest.restore_plan, {})
+        self._apply_plan(manifest.restore_plan)
         device.checkpoint_restore()
-        self._apply_plan(*self._parked_plan())
+        self._apply_plan(self._parked_plan())
         return device.barrier
 
     def tee_terminate(self, reason: str) -> None:

@@ -17,7 +17,9 @@ Packages, clean rooms and the run's output are codec JSON; there are no
 binary stream files.  A package or clean room is a directory holding one
 record (``package.json``, ``cleanroom.json``); a package's streams, like the
 run's ``output.json``, are lists of hex wire frames.  Reports, certificates,
-manifests and expectations are JSON files in the same field layout.  A
+manifests and expectations are JSON files in the same field layout.  ``itx
+run`` makes each clean room a ``pki.Party`` that offers its packaged keyshare
+first; the host session gets the packages' ciphertext and no key.  A
 completed run leaves each party's run nonce in that party's clean room, never
 in the run directory.  Adversary scripts are JSON lists of ``{"action": ...,
 parameters}`` objects (see ``itx run --help``).
@@ -28,12 +30,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
 from .adversary import ACTIONS, from_script
-from .attestation import AttestationReport, KeyPackage
+from .attestation import AttestationReport
 from .certs import Certificate
 from .compiler import JobDescription, compile_job
 from .device import DeviceConfig
@@ -41,7 +42,7 @@ from .encoding import decode, jsonable
 from .errors import InvalidEncoding, ItxError
 from .manifest import JobManifest
 from .packaging import load_clean_room, load_package, make_package, save_clean_room, save_package
-from .pki import PartyIdentity, TcbUpdateCertificate, verify_attestation
+from .pki import Party, PartyIdentity, TcbUpdateCertificate, verify_attestation
 from .runtime import TrustedJobSession, decrypt_model
 from .sandbox import _make_session, make_deployment, tile_bootloader_image, update_firmware
 
@@ -69,8 +70,8 @@ def _load_ca(d: dict) -> dict:
         "cik_ca": bytes.fromhex(d["cik_ca"]),
         "pik_ca": bytes.fromhex(d["pik_ca"]),
         "firmware_ca": bytes.fromhex(d["firmware_ca"]),
-        "revoked_certs": list(d.get("revoked_certs", [])),
-        "revoked_tcb": [tuple(x) for x in d.get("revoked_tcb", [])],
+        "revoked_certs": list(d["revoked_certs"]),
+        "revoked_tcb": [tuple(x) for x in d["revoked_tcb"]],
     }
 
 
@@ -213,25 +214,21 @@ def cmd_run(args) -> int:
             print(f"package {path} was built for a different manifest", file=sys.stderr)
             return EXIT_REJECTED
         packages[package.party] = package
-    rooms = {}
-    room_dirs = {}
-    parties = {}
+    room_dirs, parties = {}, {}
     for path in args.clean_room:
         room = load_clean_room(path)
-        rooms[room.party] = room
         room_dirs[room.party] = Path(path)
-        parties[room.party] = _load_identity(path)
-    if sorted(packages) != sorted(rooms):
-        print(f"packages {sorted(packages)} do not match clean rooms {sorted(rooms)}",
+        parties[room.party] = Party(_load_identity(path), room.keys, room.session())
+    if sorted(packages) != sorted(parties):
+        print(f"packages {sorted(packages)} do not match clean rooms {sorted(parties)}",
               file=sys.stderr)
         return EXIT_REJECTED
 
     adversary = from_script(_read_json(Path(args.adversary))) if args.adversary else None
 
     deployment = make_deployment(seed=args.seed, ipu_id=manifest.ipu_id, config=config)
-    inputs = {name: rooms[name].job_inputs(packages[name]) for name in packages}
-    sessions = {name: room.session() for name, room in rooms.items()}
-    session = _make_session(deployment, manifest, parties, inputs, adversary, sessions)
+    streams = {sid: frames for package in packages.values() for sid, frames in package.streams.items()}
+    session = _make_session(deployment, manifest, parties, streams, adversary)
 
     if resume_at is not None:
         result = session.run(halt_after_checkpoint=resume_at[1] + 1)
@@ -249,8 +246,8 @@ def cmd_run(args) -> int:
 
     _archive_run(Path(args.out), session, result)
     if result.completed:
-        for name, identity in parties.items():
-            (room_dirs[name] / NONCE_FILE).write_bytes(session.run_nonces[identity.fingerprint])
+        for name, party in parties.items():
+            (room_dirs[name] / NONCE_FILE).write_bytes(party.run_nonce)
     for name, verdict in sorted(result.verdicts.items()):
         word = "accepted" if verdict.accepted else f"rejected ({verdict.reason})"
         print(f"party {name} {word}")
@@ -266,9 +263,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _judge(args, identity: PartyIdentity | None = None, room=None):
+def _judge(args, party: Party | None = None):
     """Judge the evidence files as a party does and print the verdict; with a
-    clean room, also wrap its keys on an accept.  Returns (verdict, wrapped or None)."""
+    party, also wrap its keys on an accept.  Returns (verdict, wrapped or None)."""
     report = AttestationReport.from_dict(_read_json(args.report))
     # The chain and TCB files decode as records; the CA keys and the expected
     # values are plain dicts: a missing field or bad hex in any is malformed.
@@ -278,13 +275,11 @@ def _judge(args, identity: PartyIdentity | None = None, room=None):
         evidence = (chain, _load_ca(_read_json(args.ca)), tcb)
         expected = _read_json(args.expected)
         expected["party_fingerprints"] = tuple(expected["party_fingerprints"])
-        if room is None:
+        if party is None:
             verdict, wrapped = verify_attestation(report, *evidence, expected), None
         else:
-            package = KeyPackage(stream_keys=room.keys, run_nonce=os.urandom(32))
-            verdict, wrapped = identity.release_keys(
-                room.session(), report, evidence, expected, package
-            )
+            party.offer()  # the packaged share, the one a first attempt is initialised with
+            verdict, wrapped = party.release(report, evidence, expected, resume=False)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidEncoding(f"CA keys or expected values: {exc!r}") from None
     print("Accept: evidence matches expectations" if verdict.accepted else f"Reject: {verdict.reason}")
@@ -298,7 +293,7 @@ def cmd_party_verify(args) -> int:
 
 def cmd_party_release_keys(args) -> int:
     room = load_clean_room(args.clean_room)
-    verdict, wrapped = _judge(args, _load_identity(args.clean_room), room)
+    verdict, wrapped = _judge(args, Party(_load_identity(args.clean_room), room.keys, room.session()))
     if not verdict.accepted:
         print("refusing to release keys for rejected evidence", file=sys.stderr)
         return EXIT_REJECTED

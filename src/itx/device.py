@@ -45,7 +45,6 @@ from .manifest import (
     BindingSpec,
     JobManifest,
     StreamTableEntry,
-    SyncPlan,
     TileLayout,
 )
 from .sxp import ExchangePacket, PacketKind, PendingReadTable, SxpEngine, SxpRegisters
@@ -447,17 +446,11 @@ class IpuDevice:
         self.egress.program_registers(regs)
         self.ingress.program_registers(regs)
 
-    def apply_sync_plan(self, plan: SyncPlan, offsets: dict[int, int]) -> None:
-        """Apply the register part of a barrier plan and the barrier's stream
-        windows (keys are loaded separately by the key owner)."""
-        self.program_registers(plan.registers())
-        self.windows.update(offsets)
-
     # -- job installation ----------------------------------------------------
 
     def install_boot_params(self, manifest: JobManifest, epoch: int, checkpoint_id: int) -> None:
         self.manifest = manifest
-        self.windows = {}
+        self.windows = dict(manifest.plan(0)[1])
         self.barrier = 0
         for tile in self.tiles:
             tile.layout = layout = manifest.layout(tile.tile_id)
@@ -662,14 +655,16 @@ class IpuDevice:
         return self.barrier
 
     def _park(self, sync_id: Optional[int]) -> None:
-        """Park the tiles at barrier ``sync_id`` (None: all programs ended) and
-        run its internal exchange; the one place an unscheduled barrier is caught."""
+        """Park the tiles at barrier ``sync_id`` (None: all programs ended), move
+        its stream windows and run its internal exchange; the one place an
+        unscheduled barrier is caught."""
         self.barrier = sync_id
         if sync_id is None:
             return
         barrier = self.manifest.plan(sync_id) if self.manifest else None
         if barrier is None:
             raise self._security(f"tiles reached barrier {sync_id}, which is not in the schedule")
+        self.windows.update(barrier[1])
         self.apply_moves(barrier[0].moves)
 
     def _run_tile(self, tile: Tile) -> Optional[int]:
@@ -789,14 +784,3 @@ class IpuDevice:
         if not isinstance(ph, SyncPhase):
             raise InvalidPhase("restored position is not at a barrier")
         self._park(ph.sync_id)
-
-
-def read_host_checkpoint_metadata(
-    ring_buffer: RingBuffer, metadata_base: int, metadata_slot: int, tile_count: int
-) -> list[dict]:
-    """Host-side helper: parse the cleartext per-tile checkpoint records."""
-    out = []
-    for t in range(tile_count):
-        blob = ring_buffer.read(metadata_base + t * metadata_slot, metadata_slot)
-        out.append(parse_checkpoint_metadata(blob))
-    return out

@@ -13,7 +13,8 @@ a signed fresh keyshare); what stays is a ``CleanRoom`` (the stream keys and
 the keyshare's private half).  ``make_package`` builds both in one call, for
 the model owner and data owners alike.  Both are records, saved as one codec
 JSON file in a directory (``package.json``, ``cleanroom.json``) so they can
-be shipped and reloaded by the command-line tools.
+be shipped and reloaded by the command-line tools.  A clean room runs as a
+``pki.Party``, which offers the packaged keyshare to a job's first attempt.
 """
 
 from __future__ import annotations
@@ -141,9 +142,6 @@ class CleanRoom(Record):
             self.keyshare,
             self.share_signature,
         )
-
-    def job_inputs(self, package: StreamPackage) -> JobInputs:
-        return JobInputs(party=self.party, streams=package.streams, keys=dict(self.keys))
 
 
 def make_package(

@@ -199,7 +199,7 @@ def verify_attestation(
         return Verdict.reject(REJECT_CHAIN)
     if not ak.verify(pik.subject_public_key):
         return Verdict.reject(REJECT_CHAIN)
-    revoked_certs = set(ca_certs.get("revoked_certs", ()))
+    revoked_certs = set(ca_certs["revoked_certs"])
     for cert in (cik, pik, ak):
         if cert.fingerprint in revoked_certs:
             return Verdict.reject(REJECT_REVOKED)
@@ -217,7 +217,7 @@ def verify_attestation(
 
     # Step 3: the platform cert's firmware measurements must be endorsed by
     # valid TCB certificates.
-    revoked_tcb = {tuple(x) for x in ca_certs.get("revoked_tcb", ())}
+    revoked_tcb = {tuple(x) for x in ca_certs["revoked_tcb"]}
     firmware_ca = ca_certs["firmware_ca"]
     if not _tcb_covered(
         pik.extensions.get("bootloader_measurement", ""),
@@ -256,9 +256,9 @@ def verify_attestation(
         return Verdict.reject(REJECT_RUN_ATTRIBUTES)
     if report.epoch != expected["epoch"] or report.checkpoint_id != expected["checkpoint_id"]:
         return Verdict.reject(REJECT_RUN_ATTRIBUTES)
-    if "register_measurement" in expected and report.register_measurement != expected["register_measurement"]:
+    if report.register_measurement != expected["register_measurement"]:
         return Verdict.reject(REJECT_REGISTERS)
-    if "bootloader_measurement" in expected and report.bootloader_measurement != expected["bootloader_measurement"]:
+    if report.bootloader_measurement != expected["bootloader_measurement"]:
         return Verdict.reject(REJECT_BOOTLOADER)
     return Verdict.ok()
 
@@ -352,6 +352,43 @@ class PartyIdentity:
             return verdict, None
         manifest_hash = bytes.fromhex(expected["manifest_measurement"])
         return verdict, session.wrap_keys(report.ccu_keyshare, manifest_hash, package)
+
+
+class Party:
+    """A party as an actor: its identity, its stream keys, the share it offered
+    and the run nonces it released.  A host reaches it only through ``offer``,
+    ``release`` and ``checkpointed``, and holds none of its secrets."""
+
+    def __init__(self, identity: PartyIdentity, keys: dict[int, bytes], session: PartySession | None = None):
+        self.identity = identity
+        self._keys = dict(keys)
+        self._packaged = session  # the share shipped in the package, offered first
+        self._share: PartySession | None = None  # the share offered to the current attempt
+        self.run_nonce: bytes | None = None  # released to the current attempt
+        self._saved_nonce: bytes | None = None  # released to the attempt that last checkpointed
+
+    def offer(self) -> tuple[bytes, bytes]:
+        """The keyshare and its signature for the next attempt: the packaged
+        share on the first attempt, a fresh one after that."""
+        self._share, self._packaged = self._packaged or self.identity.new_session(), None
+        return self._share.public, self._share.signature
+
+    def release(
+        self, report: AttestationReport, evidence: tuple, expected: dict[str, Any], resume: bool
+    ) -> tuple[Verdict, Optional[bytes]]:
+        """Judge ``evidence`` as ``release_keys`` does; only on an accept, wrap
+        the stream keys with a fresh run nonce (and, resuming, the nonce of the
+        attempt that last checkpointed) to the offered share."""
+        nonce = os.urandom(32)
+        package = KeyPackage(self._keys, nonce, self._saved_nonce if resume else None)
+        verdict, wrapped = self.identity.release_keys(self._share, report, evidence, expected, package)
+        if verdict.accepted:
+            self.run_nonce = nonce
+        return verdict, wrapped
+
+    def checkpointed(self) -> None:
+        """The current attempt saved a checkpoint: a resume from it needs this nonce."""
+        self._saved_nonce = self.run_nonce
 
 
 def derive_model_key(nonces: dict[str, bytes]) -> bytes:

@@ -11,7 +11,9 @@ The session models four mutually distrustful roles on one box:
   checkpoints;
 * the **device**: runs tile programs behind the packet-crypto boundary and
   names the barrier its tiles agreed on;
-* the **parties**: verify the attestation report and only then release keys.
+* the **parties** (``pki.Party``): actors holding their own keys and run
+  nonces.  The host asks each to ``offer`` a keyshare and to ``release`` its
+  keys, which it does only for a report it verified; the host keeps neither.
 
 ``TrustedJobSession.run`` executes a job from cold start to an encrypted
 model; ``resume`` restarts a halted run from a saved checkpoint.  Every step
@@ -28,20 +30,14 @@ from dataclasses import dataclass
 
 from . import pki
 from .adversary import Adversary
-from .attestation import KeyPackage, Verdict
+from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
-from .device import (
-    DeviceConfig,
-    IpuDevice,
-    read_host_checkpoint_metadata,
-    trusted_registers_digest,
-)
+from .device import DeviceConfig, IpuDevice, parse_checkpoint_metadata, trusted_registers_digest
 from .errors import AccessDenied, InvalidPhase, ItxError
 from .eventlog import EventLog
 from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
 from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan
-from .packaging import JobInputs
-from .pki import PartyIdentity, derive_model_key
+from .pki import Party, derive_model_key
 
 # Parties verify in ``PartyIdentity.release_keys``; the verifier stays importable
 # here because bench/tests checks that the tracer patches it on this module.
@@ -92,19 +88,18 @@ class TrustedJobSession:
         device: IpuDevice,
         ccu: Ccu,
         manifest: JobManifest,
-        inputs: dict[str, JobInputs],
-        parties: dict[str, PartyIdentity],
+        parties: dict[str, Party],
+        streams: dict[int, tuple[bytes, ...]],  # stream id -> wire frames
         ca_public: dict,
         device_chain: dict,
         tcb_certs: list,
         adversary: Adversary | None = None,
-        initial_sessions: dict | None = None,
     ) -> None:
         self.device = device
         self.ccu = ccu
         self.manifest = manifest
-        self.inputs = inputs
         self.parties = parties
+        self._streams = streams
         self.ca_public = ca_public
         self.device_chain = device_chain
         self.tcb_certs = tcb_certs
@@ -112,17 +107,10 @@ class TrustedJobSession:
         # Parties agreed on the manifest before anything ran; their
         # expectations pin that version, not whatever the host later holds.
         self.expected_manifest_measurement = manifest.measurement()
-        self._pending_sessions = initial_sessions
         self.ring = device.ring_buffer
         self.windows: dict[int, int] = {}
         self.snapshots: list[CheckpointSnapshot] = []
-        self._streams: dict[int, tuple[bytes, ...]] = {}  # stream id -> wire frames
-        for job_inputs in inputs.values():
-            self._streams.update(job_inputs.streams)
         self._extent = self._region_extents()
-        self._current_nonces: dict[str, bytes] = {}  # party name -> this run's nonce
-        self._saved_nonces: dict[str, bytes] = {}  # nonces of the run that last checkpointed
-        self.run_nonces: dict[str, bytes] = {}  # fingerprint -> nonce (for the model key)
         self.last_report = None  # most recent attestation report (for archival)
         self.last_expected: dict = {}  # expectations the parties last verified against
         self._stage = ""  # the control-unit call in progress, named in abort reasons
@@ -180,22 +168,20 @@ class TrustedJobSession:
     def _capture_snapshot(self, barrier: int, log: EventLog) -> CheckpointSnapshot:
         meta_entry = self.manifest.stream_of_kind(CHECKPOINT)
         lo, hi = self._extent[meta_entry.stream_id]
-        tile_count = len(self.device.tiles)
         meta_blob = self.ring.read(
-            self.manifest.metadata_base, tile_count * self.manifest.metadata_slot
+            self.manifest.metadata_base, len(self.manifest.tile_layouts) * self.manifest.metadata_slot
         )
-        records = read_host_checkpoint_metadata(
-            self.ring, self.manifest.metadata_base, self.manifest.metadata_slot, tile_count
-        )
+        counters = parse_checkpoint_metadata(meta_blob)  # tile 0's record comes first
         snapshot = CheckpointSnapshot(
-            epoch=records[0]["epoch"],
-            checkpoint_id=records[0]["checkpoint_id"],
+            epoch=counters["epoch"],
+            checkpoint_id=counters["checkpoint_id"],
             barrier=barrier,
             frames_blob=self.ring.read(lo, hi - lo),
             meta_blob=meta_blob,
         )
         self.snapshots.append(snapshot)
-        self._saved_nonces = dict(self._current_nonces)
+        for party in self.parties.values():
+            party.checkpointed()
         log.emit(
             "checkpoint_saved",
             epoch=snapshot.epoch,
@@ -208,9 +194,7 @@ class TrustedJobSession:
 
     def expected_values(self, epoch: int, checkpoint_id: int) -> dict:
         """What every party demands the signed report show for this run."""
-        fingerprints = tuple(
-            self.parties[name].certificate.fingerprint for name in sorted(self.parties)
-        )
+        fingerprints = tuple(self.parties[name].identity.fingerprint for name in sorted(self.parties))
         return {
             "manifest_measurement": self.expected_manifest_measurement,
             "party_fingerprints": fingerprints,
@@ -221,10 +205,15 @@ class TrustedJobSession:
             "bootloader_measurement": self.manifest.bootloader_measurement,
         }
 
+    @property
+    def run_nonces(self) -> dict[str, bytes]:
+        """Each party's nonce for its latest accepted release, by fingerprint."""
+        return {p.identity.fingerprint: p.run_nonce for p in self.parties.values() if p.run_nonce}
+
     def model_key_nonces(self) -> dict[str, bytes]:
         """The completed run's nonces, as the receiving parties would pool
         them to derive the model key."""
-        return dict(self.run_nonces)
+        return self.run_nonces
 
     # -- run orchestration ---------------------------------------------------
 
@@ -305,14 +294,10 @@ class TrustedJobSession:
         self.windows = {}
         self._host_attempt(log, self.adversary.before_init)
 
-        if self._pending_sessions is not None:
-            sessions = self._pending_sessions
-            self._pending_sessions = None
-        else:
-            sessions = {name: identity.new_session() for name, identity in self.parties.items()}
-        certs = {name: identity.certificate for name, identity in self.parties.items()}
-        shares = {name: session.public for name, session in sessions.items()}
-        signatures = {name: session.signature for name, session in sessions.items()}
+        offers = {name: party.offer() for name, party in self.parties.items()}
+        certs = {name: party.identity.certificate for name, party in self.parties.items()}
+        shares = {name: share for name, (share, _) in offers.items()}
+        signatures = {name: signature for name, (_, signature) in offers.items()}
         report = self._staged(
             "init", self.ccu.tee_init,
             self.manifest, certs, shares, signatures, seed_epoch, seed_checkpoint,
@@ -325,25 +310,16 @@ class TrustedJobSession:
         self.last_expected = expected
         evidence = (self.device_chain, self.ca_public, self.tcb_certs)
         packages: dict[str, bytes] = {}
-        nonces: dict[str, bytes] = {}
         for name in sorted(self.parties):
-            nonce = os.urandom(32)
-            package = KeyPackage(
-                stream_keys=self.inputs[name].keys,
-                run_nonce=nonce,
-                prior_run_nonce=self._saved_nonces.get(name) if resume_from is not None else None,
-            )
-            verdict, wrapped = self.parties[name].release_keys(
-                sessions[name], report, evidence, expected, package
+            verdict, wrapped = self.parties[name].release(
+                report, evidence, expected, resume=resume_from is not None
             )
             verdicts[name] = verdict
             log.emit("verdict", party=name, accepted=verdict.accepted, reason=verdict.reason)
             if not verdict.accepted:
                 return self._abort(log, verdicts, f"party {name} rejected: {verdict.reason}")
             packages[name] = wrapped
-            nonces[name] = nonce
             log.emit("release_keys", party=name)
-        self._current_nonces = nonces
 
         self._fill_plan(self.manifest.boot_plan, {}, log)
         self.adversary.after_fill(self, "boot")
@@ -393,10 +369,6 @@ class TrustedJobSession:
             self.adversary.after_fill(self, sync_id)
             self._host_attempt(log, self.adversary.before_interval, sync_id)
 
-        self.run_nonces = {
-            self.parties[name].certificate.fingerprint: nonce
-            for name, nonce in self._current_nonces.items()
-        }
         output = self._collect_output()
         log.emit("run_complete", output_frames=len(output))
         last = self.snapshots[-1] if self.snapshots else None

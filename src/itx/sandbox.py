@@ -19,7 +19,7 @@ from .compiler import CompiledJob, JobDescription, compile_job
 from .device import DeviceConfig, IpuDevice
 from .manifest import CODE, DIR_IN, JobManifest
 from .packaging import JobInputs, package_inputs
-from .pki import COMPONENT_BOOTLOADER, COMPONENT_ICU, CaState, PartyIdentity
+from .pki import COMPONENT_BOOTLOADER, COMPONENT_ICU, CaState, Party, PartyIdentity
 from .runtime import TrustedJobSession
 
 
@@ -149,22 +149,20 @@ def _ints(rng: random.Random, count: int, lo: int = -9999, hi: int = 9999) -> by
 def _make_session(
     deployment: Deployment,
     manifest: JobManifest,
-    parties: dict[str, PartyIdentity],
-    inputs: dict[str, JobInputs],
+    parties: dict[str, Party],
+    streams: dict[int, tuple[bytes, ...]],
     adversary=None,
-    initial_sessions: dict | None = None,
 ) -> TrustedJobSession:
     return TrustedJobSession(
         device=deployment.device,
         ccu=deployment.ccu,
         manifest=manifest,
-        inputs=inputs,
         parties=parties,
+        streams=streams,
         ca_public=deployment.ca_public(),
         device_chain=deployment.device_chain,
         tcb_certs=deployment.tcb_certs(),
         adversary=adversary,
-        initial_sessions=initial_sessions,
     )
 
 
@@ -186,12 +184,14 @@ def _make_fixture(
     manifest = compiled.manifest
     plaintexts = make_plaintexts(manifest)
     parties = {name: PartyIdentity(name) for name in (job.model_party, *job.data_parties)}
-    inputs = {}
+    inputs, streams = {}, {}
     for name in parties:
         owned = {sid: blob for sid, blob in plaintexts.items() if manifest.stream_table[sid].party == name}
         code = compiled.binaries if name == job.model_party else None
         inputs[name] = package_inputs(name, manifest, binaries=code, data=owned)
-    session = _make_session(deployment, manifest, parties, inputs, adversary)
+        streams.update(inputs[name].streams)
+    actors = {name: Party(identity, inputs[name].keys) for name, identity in parties.items()}
+    session = _make_session(deployment, manifest, actors, streams, adversary)
     return JobFixture(deployment, compiled, session, parties, inputs, plaintexts)
 
 

@@ -143,6 +143,10 @@ def damage(path, field, value) -> None:
         ("ca.json", "cik_ca", "not hex"),
         ("expected.json", "party_fingerprints", None),
         ("expected.json", "manifest_measurement", "not hex"),
+        ("expected.json", "register_measurement", None),
+        ("expected.json", "bootloader_measurement", None),
+        ("ca.json", "revoked_certs", None),
+        ("ca.json", "revoked_tcb", None),
         pytest.param("chain.json", None, [], id="chain.json-a-list"),
         pytest.param("tcb.json", None, 5, id="tcb.json-a-number"),
     ],

@@ -18,7 +18,7 @@ from itx.packaging import (
     save_clean_room,
     save_package,
 )
-from itx.pki import PartyIdentity
+from itx.pki import Party, PartyIdentity
 
 BOOTLOADER = hashlib.sha256(b"tile bootloader").hexdigest()
 
@@ -152,13 +152,12 @@ class TestSplit:
         assert crypto.x25519_public_bytes(session.private) == package.keyshare
         assert session.signature == package.share_signature
 
-    def test_clean_room_reassembles_job_inputs(self, compiled):
+    def test_a_party_built_from_a_clean_room_offers_the_packaged_share(self, compiled):
         alice = PartyIdentity("alpha")
         package, room = make_package(alice, compiled.manifest, data={3: gradient_bytes(compiled, 3)})
-        inputs = room.job_inputs(package)
-        assert inputs.party == "alpha"
-        assert inputs.streams is package.streams
-        assert inputs.keys == room.keys
+        party = Party(alice, room.keys, room.session())
+        assert party.offer() == (package.keyshare, package.share_signature)
+        assert party.offer()[0] != package.keyshare
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from itx.pki import (
     COMPONENT_BOOTLOADER,
     COMPONENT_ICU,
     CaState,
+    Party,
     PartyIdentity,
     REJECT_BOOTLOADER,
     REJECT_CHAIN,
@@ -430,6 +431,26 @@ class TestMutationCorpus:
             mutate(factory.evidence())
         assert factory.evidence().verdict().accepted
 
+    @pytest.mark.parametrize(
+        "part, field",
+        [
+            ("expected", "register_measurement"),
+            ("expected", "bootloader_measurement"),
+            ("ca", "revoked_certs"),
+            ("ca", "revoked_tcb"),
+        ],
+    )
+    def test_a_missing_expectation_or_revocation_list_never_accepts(self, factory, part, field):
+        """Evidence that lacks a field is an error, not a skipped check: not
+        even a report that only the missing expectation would reject (one
+        re-signed with the device's AK) is accepted."""
+        e = factory.evidence()
+        if part == "expected":
+            e.report = factory.resigned(**{field: "e" * 64})
+        del getattr(e, part)[field]
+        with pytest.raises(KeyError):
+            e.verdict()
+
 
 # ---------------------------------------------------------------------------
 # TCB updates
@@ -641,3 +662,60 @@ class TestPartyIdentity:
         nonces = {f"{i:02d}" * 32: os.urandom(32) for i in range(4)}
         shuffled = dict(reversed(list(nonces.items())))
         assert pki.derive_model_key(nonces) == pki.derive_model_key(shuffled)
+
+
+def unwrap_package(factory, share: bytes, blob: bytes) -> KeyPackage:
+    """Unwrap a released package as the factory's control unit does."""
+    tee = factory.deployment.ccu.tee
+    w_p = crypto.derive_wrap_key(
+        crypto.x25519_shared(tee.y_private, share),
+        share,
+        tee.y_public,
+        bytes.fromhex(factory.expected["manifest_measurement"]),
+    )
+    return KeyPackage.from_bytes(crypto.unwrap(w_p, blob))
+
+
+class TestParty:
+    def test_offer_gives_the_packaged_share_once_then_fresh_ones(self):
+        alice = PartyIdentity("alpha")
+        packaged = alice.new_session()
+        party = Party(alice, {3: bytes(32)}, packaged)
+        offers = [party.offer() for _ in range(3)]
+        assert offers[0] == (packaged.public, packaged.signature)
+        assert len({share for share, _ in offers}) == 3
+        for share, signature in offers:
+            assert crypto.verify(alice.certificate.subject_public_key, signature, share)
+
+    def test_a_rejected_report_releases_nothing_and_keeps_the_run_nonce(self, factory):
+        party = Party(factory.parties["alpha"], {3: bytes(32)})
+        party.offer()
+        e = factory.evidence()
+        verdict, blob = party.release(e.report, (e.chain, e.ca, e.tcb), e.expected, resume=False)
+        assert verdict.accepted and blob
+        nonce = party.run_nonce
+        e.expected["manifest_measurement"] = "00" * 32
+        verdict, blob = party.release(e.report, (e.chain, e.ca, e.tcb), e.expected, resume=False)
+        assert (verdict.accepted, verdict.reason, blob) == (False, REJECT_MANIFEST, None)
+        assert party.run_nonce == nonce
+
+    def test_a_resumed_release_wraps_the_checkpointed_attempts_nonce(self, factory):
+        keys = {3: b"\x07" * 32}
+        party = Party(factory.parties["alpha"], keys)
+        e = factory.evidence()
+        evidence = (e.chain, e.ca, e.tcb)
+
+        def attempt(resume: bool) -> KeyPackage:
+            share, _ = party.offer()
+            verdict, blob = party.release(e.report, evidence, e.expected, resume=resume)
+            assert verdict.accepted
+            return unwrap_package(factory, share, blob)
+
+        first = attempt(resume=False)
+        assert first.prior_run_nonce is None and first.run_nonce == party.run_nonce
+        party.checkpointed()
+        attempt(resume=False)  # a later attempt that saves no checkpoint
+        resumed = attempt(resume=True)
+        assert resumed.stream_keys == keys
+        assert resumed.prior_run_nonce == first.run_nonce
+        assert resumed.run_nonce == party.run_nonce != first.run_nonce

@@ -37,6 +37,7 @@ from itx.device import (
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
 from itx.manifest import CHECKPOINT
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
+from itx.pki import Party
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
 from itx.errors import InvalidEncoding, InvalidPhase
@@ -69,9 +70,12 @@ def assert_aborted_closed(fixture, result) -> None:
         assert not any(engine.key_loaded(ctx) for ctx in range(NUM_CONTEXTS))
 
 
-def session_with(fixture, inputs: dict[str, JobInputs]) -> TrustedJobSession:
-    """A fresh host session for the fixture's job that ships ``inputs``."""
-    return _make_session(fixture.deployment, fixture.compiled.manifest, fixture.parties, inputs)
+def session_with(fixture, inputs: dict[str, JobInputs], manifest=None) -> TrustedJobSession:
+    """A fresh host session for the fixture's job (or for ``manifest``) whose
+    parties hold the keys of ``inputs`` and whose host ships its streams."""
+    parties = {name: Party(identity, inputs[name].keys) for name, identity in fixture.parties.items()}
+    streams = {sid: frames for job in inputs.values() for sid, frames in job.streams.items()}
+    return _make_session(fixture.deployment, manifest or fixture.compiled.manifest, parties, streams)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,7 @@ ATTACKS = [
     pytest.param(TamperFrame(2, 1, 500), id="tamper-weights-ciphertext"),
     pytest.param(TamperFrame(3, 1, 90), id="tamper-gradient-iv"),
     pytest.param(TamperFrame(3, 2, 800), id="tamper-gradient-ciphertext"),
-    pytest.param(SkipKeyLoad(3), id="skip-key-load"),
+    pytest.param(SkipKeyLoad(1), id="skip-key-load"),
     pytest.param(SwapStreams(3, 4), id="swap-gradients"),
 ]
 
@@ -238,6 +242,13 @@ ATTACKS = [
 def test_host_attack_aborts_closed(adversary):
     fixture = make_sgd_fixture(steps=3, adversary=adversary)
     assert_aborted_closed(fixture, fixture.session.run())
+
+
+def test_a_dropped_key_load_at_an_already_keyed_barrier_completes_bit_equal():
+    """Barrier 3 keys what barrier 2 loaded; the device moves the stream
+    windows at every barrier itself, so dropping the call changes nothing."""
+    fixture = make_sgd_fixture(steps=3, adversary=SkipKeyLoad(3))
+    assert_completed_and_exact(fixture, fixture.session.run())
 
 
 def test_other_application_under_the_code_key_aborts_closed():
@@ -345,8 +356,7 @@ def test_compute_outside_tile_memory_aborts_closed():
     inputs["modelco"] = package_inputs(
         "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
     )
-    session = _make_session(fixture.deployment, manifest, fixture.parties, inputs)
-    result = session.run()
+    result = session_with(fixture, inputs, manifest).run()
     assert_aborted_closed(fixture, result)
     assert "outside tile memory" in result.reason
 
@@ -374,7 +384,7 @@ def test_tiles_at_an_unscheduled_barrier_abort_closed():
     inputs["modelco"] = package_inputs(
         "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
     )
-    result = _make_session(fixture.deployment, manifest, fixture.parties, inputs).run()
+    result = session_with(fixture, inputs, manifest).run()
     assert_aborted_closed(fixture, result)
     assert result.reason == "tiles reached barrier 999, which is not in the schedule"
 
@@ -432,6 +442,37 @@ def test_no_keys_load_once_the_programs_have_ended():
     assert fixture.deployment.device.barrier is None
     with pytest.raises(InvalidPhase, match="not parked"):
         fixture.deployment.ccu.tee_load_keys()
+
+
+def leaves(value):
+    """Every value inside ``value``, walking dicts (keys too), lists and tuples."""
+    if isinstance(value, dict):
+        for item in value.items():
+            yield from leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("halt_after", [None, 2], ids=["completed", "halted"])
+def test_the_host_session_holds_no_stream_key_or_run_nonce(halt_after):
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+    session = fixture.session
+    result = session.run(halt_after_checkpoint=halt_after)
+    assert result.status == ("halted" if halt_after else "complete"), result.reason
+    nonces = set(session.run_nonces.values())
+    assert len(nonces) == len(fixture.parties)
+    secrets = nonces | {key for job in fixture.inputs.values() for key in job.keys.values()}
+    holders = [
+        name
+        for name, value in vars(session).items()
+        if name not in ("parties", "adversary")
+        for leaf in leaves(value)
+        if isinstance(leaf, (bytes, bytearray)) and any(secret in leaf for secret in secrets)
+    ]
+    assert holders == []
 
 
 def test_unexpected_launch_failure_aborts_closed(monkeypatch):
