@@ -7,13 +7,11 @@ encoding; signatures and digests are always computed over that encoding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from .certs import Signed
-from .encoding import canonical_bytes, decode, digest_hex
-from .errors import InvalidEncoding, KeyExchangeFailure
+from .encoding import Record, canonical_bytes, digest_hex
 
 
 def run_attributes_digest(
@@ -59,7 +57,7 @@ class AttestationReport(Signed):
 
 
 @dataclass(frozen=True)
-class KeyPackage:
+class KeyPackage(Record):
     """One party's keys for a run: per-stream keys plus run nonces.
 
     ``prior_run_nonce`` is supplied only when resuming from a checkpoint; it
@@ -69,16 +67,6 @@ class KeyPackage:
     stream_keys: dict[int, bytes]
     run_nonce: bytes
     prior_run_nonce: Optional[bytes] = None
-
-    def to_bytes(self) -> bytes:
-        return canonical_bytes(self)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "KeyPackage":
-        try:
-            return decode(cls, json.loads(blob.decode("ascii")))
-        except (ValueError, RecursionError, InvalidEncoding) as exc:
-            raise KeyExchangeFailure(f"malformed key package: {exc}") from None
 
 
 @dataclass(frozen=True)

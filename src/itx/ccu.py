@@ -107,7 +107,8 @@ class CcuFlash:
 class TeeState:
     phase: str = NO_TEE
     reason: str = ""
-    manifest: Optional[JobManifest] = None
+    manifest: Optional[JobManifest] = None  # the control unit's own decoded copy
+    manifest_hash: bytes = b""  # SHA-256 of the manifest bytes it measured
     party_certs: dict[str, Certificate] = field(default_factory=dict)
     party_shares: dict[str, bytes] = field(default_factory=dict)
     epoch: int = 0
@@ -304,17 +305,21 @@ class Ccu:
 
     def tee_init(
         self,
-        manifest: JobManifest,
+        manifest_bytes: bytes,
         party_certs: dict[str, Certificate],
         party_keyshares: dict[str, bytes],
         share_signatures: dict[str, bytes],
         epoch: int = 0,
         checkpoint_id: int = 0,
     ) -> AttestationReport:
+        """Attest ``manifest_bytes``: decode and validate a private copy, which the
+        control unit and the device then run from, and report the bytes' digest.
+        Malformed bytes raise an ``ItxError`` before trusted mode is entered."""
         if self.tee.phase != NO_TEE:
             raise InvalidPhase(f"tee_init in phase {self.tee.phase}")
         device = self._require_device()
-        manifest.validate()
+        manifest = JobManifest.from_bytes(manifest_bytes).validate()
+        manifest_hash = hashlib.sha256(manifest_bytes).digest()
         if manifest.ipu_id != device.ipu_id:
             raise InvalidPhase(
                 f"manifest targets device {manifest.ipu_id}, attached device is {device.ipu_id}"
@@ -346,7 +351,7 @@ class Ccu:
         report = AttestationReport(
             register_measurement=register_measurement,
             bootloader_measurement=self.measurements["tile_bootloader"],
-            manifest_measurement=manifest.measurement(),
+            manifest_measurement=manifest_hash.hex(),
             ccu_keyshare=y_public,
             epoch=epoch,
             checkpoint_id=checkpoint_id,
@@ -358,6 +363,7 @@ class Ccu:
         self.tee = TeeState(
             phase=INITIALIZED,
             manifest=manifest,
+            manifest_hash=manifest_hash,
             party_certs=dict(party_certs),
             party_shares=dict(party_keyshares),
             epoch=epoch,
@@ -376,7 +382,6 @@ class Ccu:
         if set(wrapped_packages) != set(self.tee.party_certs):
             raise KeyExchangeFailure("one wrapped key package required per party")
 
-        manifest_hash = bytes.fromhex(manifest.measurement())
         nonces: dict[str, bytes] = {}
         prior_nonces: dict[str, bytes] = {}
         stream_keys: dict[int, bytes] = {}
@@ -387,7 +392,7 @@ class Ccu:
                 crypto.x25519_shared(self.tee.y_private, share),
                 share,
                 self.tee.y_public,
-                manifest_hash,
+                self.tee.manifest_hash,
             )
             try:
                 package = KeyPackage.from_bytes(crypto.unwrap(w_p, blob))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -38,10 +37,10 @@ from .attestation import AttestationReport
 from .certs import Certificate
 from .compiler import JobDescription, compile_job
 from .device import DeviceConfig
-from .encoding import decode, jsonable
+from .encoding import decode, parse_json
 from .errors import InvalidEncoding, ItxError
 from .manifest import JobManifest
-from .packaging import load_clean_room, load_package, make_package, save_clean_room, save_package
+from .packaging import load_clean_room, load_package, make_package, save_clean_room, save_package, write_json
 from .pki import Party, PartyIdentity, TcbUpdateCertificate, verify_attestation
 from .runtime import TrustedJobSession, decrypt_model
 from .sandbox import _make_session, make_deployment, tile_bootloader_image, update_firmware
@@ -56,13 +55,8 @@ EXIT_HALTED = 2
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n")
-
-
 def _read_json(path: Path):
-    return json.loads(Path(path).read_text())
+    return parse_json(Path(path).read_bytes())
 
 
 def _load_ca(d: dict) -> dict:
@@ -100,7 +94,7 @@ def _parse_resume(text: str) -> tuple[int, int]:
 
 
 def _load_manifest(build: Path) -> JobManifest:
-    return JobManifest.from_dict(_read_json(build / "manifest.json"))
+    return JobManifest.from_bytes((build / "manifest.json").read_bytes())
 
 
 def _load_identity(clean_room) -> PartyIdentity:
@@ -126,9 +120,9 @@ def cmd_compile(args) -> int:
     compiled = compile_job(job, bootloader_measurement=measurement, ipu_id=args.ipu_id)
     out = Path(args.out)
     (out / "binaries").mkdir(parents=True, exist_ok=True)
-    _write_json(out / "job.json", desc)
-    _write_json(out / "manifest.json", compiled.manifest.to_dict())
-    _write_json(out / "streams.json", compiled.key_streams)
+    write_json(out / "job.json", desc)
+    write_json(out / "manifest.json", compiled.manifest.to_dict())
+    write_json(out / "streams.json", compiled.key_streams)
     for tile_id, binary in sorted(compiled.binaries.items()):
         (out / "binaries" / f"t{tile_id:03d}.bin").write_bytes(binary)
     manifest = compiled.manifest
@@ -152,7 +146,7 @@ def cmd_package(args) -> int:
     package, room = make_package(identity, manifest, binaries, data)
     save_package(package, args.package)
     save_clean_room(room, args.clean_room)
-    _write_json(Path(args.clean_room) / "identity.json", identity.to_dict())
+    write_json(Path(args.clean_room) / "identity.json", identity.to_dict())
     print(f"party {args.party}: packaged streams {sorted(package.streams)} "
           f"for manifest {package.manifest_measurement[:16]}…")
     print(f"  shippable package: {args.package}")
@@ -171,8 +165,8 @@ NONCE_FILE = "run_nonce.bin"  # in a clean room: the party's nonce for its last 
 def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "events.log").write_text(result.log.dump())
-    _write_json(out / "manifest.json", session.manifest.to_dict())
-    _write_json(
+    write_json(out / "manifest.json", session.manifest.to_dict())
+    write_json(
         out / "result.json",
         {
             "status": result.status,
@@ -186,14 +180,14 @@ def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
         },
     )
     if session.last_report is not None:
-        _write_json(out / "report.json", session.last_report.to_dict())
-    _write_json(out / "chain.json", {k: c.to_dict() for k, c in session.device_chain.items()})
-    _write_json(out / "ca.json", session.ca_public)
-    _write_json(out / "tcb.json", [c.to_dict() for c in session.tcb_certs])
+        write_json(out / "report.json", session.last_report.to_dict())
+    write_json(out / "chain.json", {k: c.to_dict() for k, c in session.device_chain.items()})
+    write_json(out / "ca.json", session.ca_public)
+    write_json(out / "tcb.json", [c.to_dict() for c in session.tcb_certs])
     if session.last_expected:
-        _write_json(out / "expected.json", session.last_expected)
+        write_json(out / "expected.json", session.last_expected)
     if result.completed:
-        _write_json(out / "output.json", result.output_frames)
+        write_json(out / "output.json", result.output_frames)
 
 
 def cmd_run(args) -> int:
@@ -376,9 +370,9 @@ def cmd_ccu_inspect(args) -> int:
 
 
 def _write_deployment(out: Path, deployment) -> None:
-    _write_json(out / "chain.json", {k: c.to_dict() for k, c in deployment.device_chain.items()})
-    _write_json(out / "ca.json", deployment.ca_public())
-    _write_json(out / "tcb.json", [c.to_dict() for c in deployment.tcb_certs()])
+    write_json(out / "chain.json", {k: c.to_dict() for k, c in deployment.device_chain.items()})
+    write_json(out / "ca.json", deployment.ca_public())
+    write_json(out / "tcb.json", [c.to_dict() for c in deployment.tcb_certs()])
 
 
 def cmd_pki_issue(args) -> int:
@@ -400,7 +394,7 @@ def cmd_pki_tcb_update(args) -> int:
     out = Path(args.out)
     _write_deployment(out, updated)
     cert = updated.tcb_certs()[-1]
-    _write_json(out / "update.json", cert.to_dict())
+    write_json(out / "update.json", cert.to_dict())
     print(f"firmware update {cert.old_measurement[:16]}… -> {cert.new_measurement[:16]}…")
     print(f"  platform cert rotated: {old_pik[:16]}… -> "
           f"{updated.device_chain['pik'].fingerprint[:16]}…")
@@ -504,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ItxError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ItxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

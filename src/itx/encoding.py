@@ -16,7 +16,7 @@ to plain JSON data in one walk:
 whitespace.
 
 Decoding (``decode``, ``Record.from_dict``) is the inverse, driven by the
-type annotations of the target:
+type annotations of the target, with one cached decoder function per type:
 
 * a dataclass is read from an object; a missing field takes the field's
   default, and a missing field without a default or an unknown field is an
@@ -30,7 +30,8 @@ type annotations of the target:
   ``int``;
 * ``Any`` passes through unchanged.
 
-Every decoding failure raises ``InvalidEncoding``.
+Every decoding failure raises ``InvalidEncoding``.  ``Record.to_bytes`` is a
+record's ``canonical_bytes``; ``Record.from_bytes`` decodes untrusted bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import hashlib
 import json
 import types
 import typing
-from typing import Any, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .errors import InvalidEncoding
 
@@ -80,28 +81,14 @@ def digest_hex(data: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
-    """(name, type, required) for each field of a dataclass."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            f.name,
-            hints[f.name],
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-        )
-        for f in dataclasses.fields(cls)
-    )
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind`` (a ``bool`` is not an ``int``)."""
+    if type(value) is kind or isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise InvalidEncoding(f"expected {what}, got {type(value).__name__}")
 
 
-def _expect(value: Any, kind: type, what: str) -> None:
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InvalidEncoding(f"expected {what}, got {type(value).__name__}")
-
-
-def _decode_key(kind: Any, key: str) -> Any:
-    if kind is str:
-        return key
+def _int_key(key: str) -> int:
     try:
         number = int(key)
     except (TypeError, ValueError):
@@ -111,61 +98,85 @@ def _decode_key(kind: Any, key: str) -> Any:
     return number
 
 
-def _decode_record(cls: type, value: Any) -> Any:
-    _expect(value, dict, f"a {cls.__name__} object")
-    schema = _schema(cls)
-    unknown = value.keys() - {name for name, _, _ in schema}
-    if unknown:
-        raise InvalidEncoding(f"{cls.__name__}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for name, kind, required in schema:
-        if name in value:
-            try:
-                kwargs[name] = decode(kind, value[name])
-            except InvalidEncoding as exc:
-                raise InvalidEncoding(f"{cls.__name__}.{name}: {exc}") from None
-        elif required:
-            raise InvalidEncoding(f"{cls.__name__}: missing field {name!r}")
-    return cls(**kwargs)
+def _hex(value: Any) -> bytes:
+    try:
+        data = bytes.fromhex(_expect(value, str, "a hex string"))
+    except ValueError:
+        data = None
+    if data is None or data.hex() != value:
+        raise InvalidEncoding(f"bad hex string {value[:32]!r}")
+    return data
+
+
+@functools.cache
+def _decoder(cls: Any) -> Callable[[Any], Any]:
+    """The rule for ``cls`` as one function from plain data to a ``cls``."""
+    origin, kinds = typing.get_origin(cls), typing.get_args(cls)
+    if cls is Any:
+        return lambda value: value
+    if origin is dict:
+        key, item = (lambda k: k) if kinds[0] is str else _int_key, _decoder(kinds[1])
+        return lambda value: {
+            key(k): item(v) for k, v in _expect(value, dict, "an object").items()
+        }
+    if origin is tuple and kinds[1:] == (Ellipsis,):
+        item = _decoder(kinds[0])
+        return lambda value: tuple(map(item, _expect(value, list, "an array")))
+    if origin is tuple:
+        items = tuple(map(_decoder, kinds))
+
+        def decode_tuple(value: Any) -> tuple:
+            if len(_expect(value, list, "an array")) != len(items):
+                raise InvalidEncoding(f"expected {len(items)} items, got {len(value)}")
+            return tuple([item(v) for item, v in zip(items, value)])
+        return decode_tuple
+    if origin is typing.Union or origin is types.UnionType:
+        (kind,) = [k for k in kinds if k is not type(None)]
+        inner, optional = _decoder(kind), type(None) in kinds
+        return lambda value: None if value is None and optional else inner(value)
+    if cls is bytes:
+        return _hex
+    if cls in (str, int, bool):
+        return lambda value: value if type(value) is cls else _expect(value, cls, cls.__name__)
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"no decoding rule for {cls!r}")
+    hints, name = typing.get_type_hints(cls), cls.__name__
+    fields = tuple(
+        (f.name, _decoder(hints[f.name]),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+    names = frozenset(field for field, _, _ in fields)
+
+    def decode_record(value: Any) -> Any:
+        unknown = _expect(value, dict, f"a {name} object").keys() - names
+        if unknown:
+            raise InvalidEncoding(f"{name}: unknown fields {sorted(unknown)}")
+        kwargs = {}
+        for field, decode_field, required in fields:
+            if field in value:
+                try:
+                    kwargs[field] = decode_field(value[field])
+                except InvalidEncoding as exc:
+                    raise InvalidEncoding(f"{name}.{field}: {exc}") from None
+            elif required:
+                raise InvalidEncoding(f"{name}: missing field {field!r}")
+        return cls(**kwargs)
+    return decode_record
 
 
 def decode(cls: Any, value: Any) -> Any:
     """Rebuild a value of type ``cls`` from the plain data ``jsonable`` made."""
-    if cls is Any:
-        return value
-    origin = typing.get_origin(cls)
-    if origin is dict:
-        key_kind, value_kind = typing.get_args(cls)
-        _expect(value, dict, "an object")
-        return {_decode_key(key_kind, k): decode(value_kind, v) for k, v in value.items()}
-    if origin is tuple:
-        kinds = typing.get_args(cls)
-        _expect(value, list, "an array")
-        if len(kinds) == 2 and kinds[1] is Ellipsis:
-            return tuple(decode(kinds[0], v) for v in value)
-        if len(value) != len(kinds):
-            raise InvalidEncoding(f"expected {len(kinds)} items, got {len(value)}")
-        return tuple(decode(k, v) for k, v in zip(kinds, value))
-    if origin is typing.Union or origin is types.UnionType:
-        if value is None and type(None) in typing.get_args(cls):
-            return None
-        (kind,) = [k for k in typing.get_args(cls) if k is not type(None)]
-        return decode(kind, value)
-    if cls is bytes:
-        _expect(value, str, "a hex string")
-        try:
-            data = bytes.fromhex(value)
-        except ValueError:
-            data = None
-        if data is None or data.hex() != value:
-            raise InvalidEncoding(f"bad hex string {value[:32]!r}")
-        return data
-    if cls in (str, int, bool):
-        _expect(value, cls, cls.__name__)
-        return value
-    if dataclasses.is_dataclass(cls):
-        return _decode_record(cls, value)
-    raise TypeError(f"no decoding rule for {cls!r}")
+    return _decoder(cls)(value)
+
+
+def parse_json(blob: bytes) -> Any:
+    """JSON data from untrusted bytes: bytes that are not JSON (bad UTF-8,
+    bad syntax, nesting too deep to parse) raise ``InvalidEncoding``."""
+    try:
+        return json.loads(blob)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidEncoding(f"not JSON: {exc}") from None
 
 
 R = TypeVar("R", bound="Record")
@@ -174,7 +185,8 @@ R = TypeVar("R", bound="Record")
 class Record:
     """Base of the dataclasses that cross a trust boundary: ``to_dict`` and
     ``from_dict`` follow the encoding and decoding rules above, so
-    ``from_dict(to_dict(x)) == x`` and the dict survives a JSON round trip."""
+    ``from_dict(to_dict(x)) == x`` and the dict survives a JSON round trip;
+    ``from_bytes(to_bytes(x)) == x`` over the canonical bytes."""
 
     def to_dict(self) -> dict[str, Any]:
         return jsonable(self)
@@ -182,3 +194,10 @@ class Record:
     @classmethod
     def from_dict(cls: type[R], d: Any) -> R:
         return decode(cls, d)
+
+    def to_bytes(self) -> bytes:
+        return canonical_bytes(self)
+
+    @classmethod
+    def from_bytes(cls: type[R], blob: bytes) -> R:
+        return decode(cls, parse_json(blob))

@@ -5,8 +5,9 @@ per-device binary hashes, the bootloader measurement, the stream table,
 per-tile data layouts, and the barriers: ``plans`` states each distinct plan
 (key regions, register maps, key loads) once, and ``schedule`` gives each sync
 id a plan index and stream offsets, expanded by ``plan(sync_id)``.  Parties
-review a manifest before releasing keys; its canonical digest is what the
-attestation report commits to.
+review a manifest before releasing keys.  Its measurement is the SHA-256 of
+its canonical bytes (``to_bytes()``); the host hands those bytes to the
+control unit, and the attestation report commits to their digest.
 
 Routing note: all requests (reads and writes) are key-selected on the egress
 path, so a sync plan carries a single ``ctxmap``/``kphysmap`` register image
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .encoding import Record, canonical_bytes, digest_hex
+from .encoding import Record, digest_hex
 from .errors import InvalidRegisterProgram
 from .frame_codec import FRAME_ALIGN, MAX_FRAME_BYTES
 from .sxp import NUM_CONTEXTS, NUM_REGIONS, AddressRegion, SxpRegisters
@@ -120,11 +121,8 @@ class JobManifest(Record):
     metadata_base: int  # cleartext address of per-tile checkpoint metadata
     metadata_slot: int = 256  # bytes reserved per tile for plaintext metadata
 
-    def canonical(self) -> bytes:
-        return canonical_bytes(self)
-
     def measurement(self) -> str:
-        return digest_hex(self.canonical())
+        return digest_hex(self.to_bytes())
 
     def stream_of_kind(self, kind: str) -> StreamTableEntry:
         """The job's stream of ``kind`` (one each of code, checkpoint and output)."""

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import crypto
 from .certs import Certificate
-from .encoding import Record
+from .encoding import Record, jsonable
 from .errors import InvalidFrame, KeyExchangeFailure
 from .frame_codec import StreamIV, StreamType, check_frame, encrypt_stream, payload_capacity
 from .manifest import CODE, DIR_IN, JobManifest
@@ -177,21 +177,22 @@ def make_package(
 # ---------------------------------------------------------------------------
 
 
-def _save_record(record: Record, path: Path) -> None:
+def write_json(path: Path, value) -> None:
+    """Write a record or plain data as indented codec JSON (the one file writer)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(jsonable(value), indent=2, sort_keys=True) + "\n")
 
 
 def save_package(package: StreamPackage, path: str | Path) -> None:
-    _save_record(package, Path(path) / "package.json")
+    write_json(Path(path) / "package.json", package)
 
 
 def load_package(path: str | Path) -> StreamPackage:
-    """Read a package directory.  A malformed ``package.json`` (a missing
-    field, bad hex, a non-integer stream id) raises ``InvalidEncoding``; a
-    stream with no frames, or a frame of the wrong size or with a nonzero
+    """Read a package directory.  A malformed ``package.json`` (not JSON, a
+    missing field, bad hex, a non-integer stream id) raises ``InvalidEncoding``;
+    a stream with no frames, or a frame of the wrong size or with a nonzero
     counter area, raises an ``InvalidFrame``-family error."""
-    package = StreamPackage.from_dict(json.loads((Path(path) / "package.json").read_text()))
+    package = StreamPackage.from_bytes((Path(path) / "package.json").read_bytes())
     for sid, frames in package.streams.items():
         if not frames:
             raise InvalidFrame(f"stream {sid} has no frames")
@@ -201,8 +202,8 @@ def load_package(path: str | Path) -> StreamPackage:
 
 
 def save_clean_room(room: CleanRoom, path: str | Path) -> None:
-    _save_record(room, Path(path) / "cleanroom.json")
+    write_json(Path(path) / "cleanroom.json", room)
 
 
 def load_clean_room(path: str | Path) -> CleanRoom:
-    return CleanRoom.from_dict(json.loads((Path(path) / "cleanroom.json").read_text()))
+    return CleanRoom.from_bytes((Path(path) / "cleanroom.json").read_bytes())

@@ -6,11 +6,13 @@ The session models four mutually distrustful roles on one box:
   and out of the ring buffer, and asks the control unit to act at each
   barrier — it is the adversary's seat and never touches a key or a
   plaintext.  It may delay or drop a call, but never name the barrier;
-* the **control unit**: attests, receives wrapped keys, loads the keys of the
-  barrier the device is parked at into the packet engines, and drives
+* the **control unit**: decodes its own copy of the manifest from the bytes
+  the host hands it and attests them, receives wrapped keys, loads the keys
+  of the barrier the device is parked at into the packet engines, and drives
   checkpoints;
-* the **device**: runs tile programs behind the packet-crypto boundary and
-  names the barrier its tiles agreed on;
+* the **device**: runs tile programs, from the control unit's copy of the
+  manifest, behind the packet-crypto boundary and names the barrier its
+  tiles agreed on.  The host's own ``manifest`` steers only its ring writes;
 * the **parties** (``pki.Party``): actors holding their own keys and run
   nonces.  The host asks each to ``offer`` a keyshare and to ``release`` its
   keys, which it does only for a report it verified; the host keeps neither.
@@ -33,6 +35,7 @@ from .adversary import Adversary
 from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
 from .device import DeviceConfig, IpuDevice, parse_checkpoint_metadata, trusted_registers_digest
+from .encoding import digest_hex
 from .errors import AccessDenied, InvalidPhase, ItxError
 from .eventlog import EventLog
 from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
@@ -106,7 +109,8 @@ class TrustedJobSession:
         self.adversary = adversary or Adversary()
         # Parties agreed on the manifest before anything ran; their
         # expectations pin that version, not whatever the host later holds.
-        self.expected_manifest_measurement = manifest.measurement()
+        self._manifest_bytes = manifest.to_bytes()
+        self.expected_manifest_measurement = digest_hex(self._manifest_bytes)
         self.ring = device.ring_buffer
         self.windows: dict[int, int] = {}
         self.snapshots: list[CheckpointSnapshot] = []
@@ -300,7 +304,7 @@ class TrustedJobSession:
         signatures = {name: signature for name, (_, signature) in offers.items()}
         report = self._staged(
             "init", self.ccu.tee_init,
-            self.manifest, certs, shares, signatures, seed_epoch, seed_checkpoint,
+            self._manifest_bytes, certs, shares, signatures, seed_epoch, seed_checkpoint,
         )
         self.last_report = report
         log.emit("tee_init", epoch=seed_epoch, checkpoint_id=seed_checkpoint)

@@ -4,22 +4,26 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from itx import crypto, pki
 from itx.attestation import KeyPackage
 from itx.ccu import Ccu, CcuFlash, INITIALIZED, LAUNCHED, NO_TEE, TERMINATED
 from itx.compiler import JobDescription, compile_job
-from itx.device import DeviceConfig
+from itx.device import MODE_NORMAL, DeviceConfig, trusted_registers_digest
 from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
+    InvalidEncoding,
     InvalidPhase,
+    ItxError,
     InvalidSyncPoint,
     KeyExchangeFailure,
     PartyAuthFailure,
 )
-from itx.pki import CaState, PartyIdentity
+from itx.pki import REJECT_MANIFEST, CaState, PartyIdentity
 from itx.sandbox import make_deployment, make_firmware
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ class TestTeeInit:
     def test_init_produces_a_verifiable_report(self, rig):
         deployment, compiled, parties, inputs = rig
         _, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == INITIALIZED
         assert report.verify(deployment.device_chain["ak"].subject_public_key)
         assert report.manifest_measurement == compiled.manifest.measurement()
@@ -315,16 +319,16 @@ class TestTeeInit:
     def test_init_twice_is_rejected(self, rig):
         deployment, compiled, parties, _ = rig
         _, certs, shares, sigs = init_material(parties)
-        deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         with pytest.raises(InvalidPhase):
-            deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
 
     def test_manifest_for_another_device_is_rejected(self, rig):
         deployment, _, parties, _ = rig
         foreign = compiled_manifest(deployment, ipu_id=deployment.device.ipu_id + 1)
         _, certs, shares, sigs = init_material(parties)
         with pytest.raises(InvalidPhase, match="targets device"):
-            deployment.ccu.tee_init(foreign.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(foreign.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
 
     def test_manifest_for_another_device_geometry_is_rejected(self, rig):
@@ -333,7 +337,7 @@ class TestTeeInit:
         foreign = compiled_manifest(deployment, config=config)
         _, certs, shares, sigs = init_material(parties)
         with pytest.raises(InvalidPhase, match="different device geometry"):
-            deployment.ccu.tee_init(foreign.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(foreign.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
 
     def test_manifest_with_wrong_tile_bootloader_is_rejected(self, rig):
@@ -343,14 +347,14 @@ class TestTeeInit:
         )
         _, certs, shares, sigs = init_material(parties)
         with pytest.raises(InvalidPhase, match="tile bootloader"):
-            deployment.ccu.tee_init(stale.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(stale.manifest.to_bytes(), certs, shares, sigs)
 
     def test_missing_share_signature_is_rejected(self, rig):
         deployment, compiled, parties, _ = rig
         _, certs, shares, sigs = init_material(parties)
         del sigs["beta"]
         with pytest.raises(PartyAuthFailure, match="missing"):
-            deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
 
     def test_forged_share_signature_is_rejected(self, rig):
         deployment, compiled, parties, _ = rig
@@ -358,27 +362,98 @@ class TestTeeInit:
         imposter = PartyIdentity("beta")  # right name, wrong key
         sigs["beta"] = imposter.sign(shares["beta"])
         with pytest.raises(PartyAuthFailure, match="signature invalid"):
-            deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
 
     def test_failed_init_leaves_the_device_open(self, rig):
         deployment, compiled, parties, _ = rig
         _, certs, shares, sigs = init_material(parties)
         sigs["alpha"] = b"\x00" * 64
         with pytest.raises(PartyAuthFailure):
-            deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+            deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
         assert deployment.device.registers["trusted_mode"] == 0
         # A correct retry still works.
         _, certs, shares, sigs = init_material(parties)
-        deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == INITIALIZED
+
+
+@pytest.fixture(scope="module")
+def init_rig():
+    """One device, its job's honest manifest bytes, and what honest parties
+    expect the report to show for that job."""
+    deployment = make_deployment(seed=11)
+    manifest = compiled_manifest(deployment).manifest
+    parties = party_trio()
+    expected = {
+        "manifest_measurement": manifest.measurement(),
+        "party_fingerprints": tuple(parties[name].fingerprint for name in sorted(parties)),
+        "stream_assignment": manifest.stream_assignment,
+        "epoch": 0,
+        "checkpoint_id": 0,
+        "register_measurement": trusted_registers_digest(),
+        "bootloader_measurement": manifest.bootloader_measurement,
+    }
+    return deployment, manifest.to_bytes(), parties, expected
+
+
+def init_or_refuse(init_rig, blob: bytes) -> None:
+    """``tee_init`` on ``blob`` either refuses it with a typed error before
+    the device leaves normal mode, or attests exactly these bytes, which
+    honest parties then reject as another manifest."""
+    deployment, honest, parties, expected = init_rig
+    ccu, device = deployment.ccu, deployment.device
+    _, certs, shares, sigs = init_material(parties)
+    try:
+        report = ccu.tee_init(blob, certs, shares, sigs)
+    except ItxError:
+        assert ccu.tee.phase == NO_TEE and device.mode == MODE_NORMAL
+        return
+    try:
+        assert report.manifest_measurement == hashlib.sha256(blob).hexdigest()
+        evidence = (deployment.device_chain, deployment.ca_public(), deployment.tcb_certs())
+        verdict = pki.verify_attestation(report, *evidence, expected)
+        assert verdict.accepted == (blob == honest) and verdict.reason in ("ok", REJECT_MANIFEST)
+    finally:
+        device.reset("sbr")  # the coupled reset pins clear the TEE for the next blob
+
+
+@st.composite
+def damaged(draw, honest: bytes) -> bytes:
+    """Random bytes, or the honest bytes cut short, with one byte flipped, or
+    with one byte made non-ASCII."""
+    kind = draw(st.sampled_from(["random", "cut", "flip", "non-ascii"]))
+    if kind == "random":
+        return draw(st.binary(max_size=512))
+    at = draw(st.integers(0, len(honest) - 1))
+    blob = bytearray(honest[:at] if kind == "cut" else honest)
+    if kind == "flip":
+        blob[at] ^= draw(st.integers(1, 255))
+    elif kind == "non-ascii":
+        blob[at] = draw(st.integers(0x80, 0xFF))
+    return bytes(blob)
+
+
+class TestTeeInitOnUntrustedBytes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_damaged_manifest_bytes_are_refused_or_attested_as_another_manifest(self, init_rig, data):
+        init_or_refuse(init_rig, data.draw(damaged(init_rig[1])))
+
+    def test_nesting_too_deep_to_parse_is_refused(self, init_rig):
+        with pytest.raises(InvalidEncoding):
+            init_rig[0].ccu.tee_init(b"[" * 100_000, {}, {}, {})
+        init_or_refuse(init_rig, b"[" * 100_000)
+
+    def test_the_honest_bytes_are_accepted(self, init_rig):
+        init_or_refuse(init_rig, init_rig[1])
 
 
 class TestTeeLaunchAndKeys:
     def test_launch_derives_run_keys_parties_can_recompute(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         fill_boot(deployment, compiled.manifest, inputs)
         wrapped, nonces = wrap_packages(parties, sessions, inputs, report)
         deployment.ccu.tee_launch(wrapped)
@@ -399,7 +474,7 @@ class TestTeeLaunchAndKeys:
         keys = []
         for _ in range(2):
             sessions, certs, shares, sigs = init_material(parties)
-            report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+            report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
             fill_boot(deployment, compiled.manifest, inputs)
             wrapped, _ = wrap_packages(parties, sessions, inputs, report)
             deployment.ccu.tee_launch(wrapped)
@@ -411,7 +486,7 @@ class TestTeeLaunchAndKeys:
     def test_wrap_key_binds_the_manifest(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         # One party wrapped against a different manifest digest: the device
         # cannot unwrap, so no keys flow.
@@ -425,7 +500,7 @@ class TestTeeLaunchAndKeys:
     def test_launch_requires_every_party(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         del wrapped["beta"]
         with pytest.raises(KeyExchangeFailure, match="per party"):
@@ -434,7 +509,7 @@ class TestTeeLaunchAndKeys:
     def test_launch_requires_a_key_for_every_input_stream(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         manifest_hash = bytes.fromhex(report.manifest_measurement)
         wrapped = {}
         for name in parties:
@@ -452,7 +527,7 @@ class TestTeeLaunchAndKeys:
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
         report = deployment.ccu.tee_init(
-            compiled.manifest, certs, shares, sigs, epoch=1, checkpoint_id=1
+            compiled.manifest.to_bytes(), certs, shares, sigs, epoch=1, checkpoint_id=1
         )
         prior = {name: os.urandom(32) for name in parties}
         del prior["beta"]
@@ -466,7 +541,7 @@ class TestTeeLaunchAndKeys:
         for a stream the manifest does not have."""
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         manifest_hash = bytes.fromhex(report.manifest_measurement)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         keys = {**inputs["modelco"].keys, stream_id: b"\x5a" * 32}
@@ -482,7 +557,7 @@ class TestTeeLaunchAndKeys:
         """Once boot keys are loaded, even an unexpected error ends the TEE."""
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         fill_boot(deployment, compiled.manifest, inputs)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
 
@@ -499,7 +574,7 @@ class TestTeeLaunchAndKeys:
     def test_failed_launch_terminates_cleanly(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         fill_boot(deployment, compiled.manifest, inputs)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         del wrapped["beta"]
@@ -517,7 +592,7 @@ class TestTeePhases:
     def launch(self, rig):
         deployment, compiled, parties, inputs = rig
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         fill_boot(deployment, compiled.manifest, inputs)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         deployment.ccu.tee_launch(wrapped)
@@ -568,7 +643,7 @@ class TestTeePhases:
         assert deployment.ccu.tee.phase == NO_TEE
         # The same board can host a brand-new TEE afterwards.
         sessions, certs, shares, sigs = init_material(parties)
-        report = deployment.ccu.tee_init(compiled.manifest, certs, shares, sigs)
+        report = deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         fill_boot(deployment, compiled.manifest, inputs)
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         deployment.ccu.tee_launch(wrapped)

@@ -350,3 +350,47 @@ def test_package_data_refuses_a_stream_the_party_does_not_own(packaged_job, tmp_
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "[99]" in err[0], err
     assert not list(tmp_path.iterdir())
+
+
+def run_on_manifest(root, out, blob):
+    shutil.copytree(root, out / "job")
+    (out / "job" / "build" / "manifest.json").write_bytes(blob)
+    return run_args(out / "job", out / "run")
+
+
+def verify_on_report(run, out, blob):
+    shutil.copytree(run, out / "run")
+    (out / "run" / "report.json").write_bytes(blob)
+    return party_args("verify", out / "run")
+
+
+def inspect_file(_, out, blob):
+    (out / "deep.json").write_bytes(blob)
+    return ["ccu", "inspect", str(out / "deep.json")]
+
+
+@pytest.mark.parametrize(
+    "source, argv, blob",
+    [
+        ("packaged_job", run_on_manifest, b"\xff\xfe{bad"),
+        ("archived_run", verify_on_report, b'{"epoch": "\xe9"}'),
+        ("archived_run", inspect_file, b"[" * 100_000),
+    ],
+    ids=["run-manifest-utf16-garbage", "verify-report-not-utf8", "inspect-nested-too-deep"],
+)
+def test_a_file_that_is_not_json_is_one_error_line(request, tmp_path, capsys, source, argv, blob):
+    """Bytes that are not JSON (bad UTF-8, bad syntax, nesting too deep for
+    the parser) exit rejected with one error line, never a traceback."""
+    args = argv(request.getfixturevalue(source), tmp_path, blob)
+    capsys.readouterr()
+    assert main(args) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_a_directory_given_as_an_input_file_is_one_error_line(packaged_job, tmp_path, capsys):
+    """Any file the CLI cannot read (missing, a directory, unreadable) is one
+    error line, like a file it cannot parse."""
+    assert main(package_data_args(packaged_job, tmp_path, f"3={tmp_path}")) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err

@@ -120,7 +120,7 @@ class TestSgdPlanning:
         ).manifest
         assert len(manifest.plans) == 6
         assert len(manifest.schedule) == 131
-        assert len(manifest.canonical()) <= 12 * 1024
+        assert len(manifest.to_bytes()) <= 12 * 1024
 
     def test_code_stream_covers_every_binary(self):
         compiled = compile_job(sgd_job(), bootloader_measurement=BOOTLOADER)

@@ -142,7 +142,7 @@ class TestSerialization:
         manifest = sgd_manifest()
         clone = JobManifest.from_dict(manifest.to_dict())
         assert clone.measurement() == manifest.measurement()
-        assert clone.canonical() == manifest.canonical()
+        assert clone.to_bytes() == manifest.to_bytes()
         clone.validate()
 
     def test_sync_plan_round_trip(self):

@@ -21,7 +21,7 @@ from itx.ccu import Ccu, CcuFlash
 from itx.certs import Certificate
 from itx.compiler import JobDescription, compile_job
 from itx.device import trusted_registers_digest
-from itx.errors import SupplyChainReject
+from itx.errors import InvalidShare, SupplyChainReject
 from itx.pki import (
     COMPONENT_BOOTLOADER,
     COMPONENT_ICU,
@@ -89,7 +89,7 @@ class EvidenceFactory:
         self.parties = {name: PartyIdentity(name) for name in ("modelco", "alpha", "beta")}
         sessions = {name: p.new_session() for name, p in self.parties.items()}
         self.report = self.deployment.ccu.tee_init(
-            self.manifest,
+            self.manifest.to_bytes(),
             {name: p.certificate for name, p in self.parties.items()},
             {name: s.public for name, s in sessions.items()},
             {name: s.signature for name, s in sessions.items()},
@@ -474,7 +474,7 @@ def attested_evidence(deployment):
     parties = {name: PartyIdentity(name) for name in ("modelco", "alpha", "beta")}
     sessions = {name: p.new_session() for name, p in parties.items()}
     report = deployment.ccu.tee_init(
-        compiled.manifest,
+        compiled.manifest.to_bytes(),
         {name: p.certificate for name, p in parties.items()},
         {name: s.public for name, s in sessions.items()},
         {name: s.signature for name, s in sessions.items()},
@@ -657,6 +657,13 @@ class TestPartyIdentity:
         )
         assert verdict.accepted
         assert isinstance(blob, bytes) and len(blob) > 12
+
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_wrap_keys_refuses_a_device_share_of_the_wrong_length(self, length):
+        session = PartyIdentity("alpha").new_session()
+        package = KeyPackage(stream_keys={}, run_nonce=os.urandom(32))
+        with pytest.raises(InvalidShare, match=f"got {length}"):
+            session.wrap_keys(os.urandom(length), bytes(32), package)
 
     def test_derive_model_key_ignores_dict_order(self):
         nonces = {f"{i:02d}" * 32: os.urandom(32) for i in range(4)}

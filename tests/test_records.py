@@ -19,7 +19,7 @@ from itx.certs import Certificate, self_signed
 from itx.compiler import JobDescription, compile_job
 from itx.device import DeviceConfig
 from itx.encoding import Record
-from itx.errors import InvalidEncoding, KeyExchangeFailure
+from itx.errors import InvalidEncoding
 from itx.manifest import JobManifest, StreamTableEntry, SyncPlan
 from itx.packaging import CleanRoom, StreamPackage
 from itx.pki import COMPONENT_BOOTLOADER, CaState, TcbUpdateCertificate
@@ -75,6 +75,7 @@ SAMPLES = [
     CERT,
     REPORT,
     TCB,
+    KeyPackage({3: b"\x01" * 16, 4: b"\x02" * 16}, b"\x03" * 32, b"\x04" * 32),
 ]
 
 SIGNERS = {
@@ -231,7 +232,7 @@ class TestKeyPackage:
         blob = json.dumps(d).encode()
         try:
             KeyPackage.from_bytes(blob)
-        except KeyExchangeFailure:
+        except InvalidEncoding:
             pass
 
     @settings(max_examples=150, deadline=None)
@@ -248,5 +249,5 @@ class TestKeyPackage:
             blob = bytearray(data.draw(st.binary(max_size=64)))
         try:
             KeyPackage.from_bytes(bytes(blob))
-        except KeyExchangeFailure:
+        except InvalidEncoding:
             pass

@@ -2,6 +2,7 @@
 run resumes, and every host attack aborts with the TEE terminated, its keys
 gone and the device back in normal mode."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -35,7 +36,7 @@ from itx.device import (
     parse_checkpoint_metadata,
 )
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
-from itx.manifest import CHECKPOINT
+from itx.manifest import CHECKPOINT, OUTPUT, JobManifest
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.pki import Party
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
@@ -491,3 +492,117 @@ def test_adversary_naming_an_unknown_stream_aborts_closed():
     script = [{"action": "swap_streams", "stream_a": 3, "stream_b": 42}]
     fixture = make_sgd_fixture(steps=2, adversary=from_script(script))
     assert_aborted_closed(fixture, fixture.session.run())
+
+
+# ---------------------------------------------------------------------------
+# the control unit owns the manifest it measured
+# ---------------------------------------------------------------------------
+
+
+class ChangeHostManifest(Adversary):
+    """Changes the host's own manifest object in place, once, at ``stage``."""
+
+    def __init__(self, change, stage=0) -> None:
+        self.change, self.stage = change, stage
+
+    def after_fill(self, host, stage):
+        if stage == self.stage:
+            self.change(host.manifest)
+
+
+def plan_loading(manifest, stream_id, bank):
+    return next(
+        plan for plan in manifest.plans
+        if any(sid == stream_id for _, sid in getattr(plan, f"{bank}_loads"))
+    )
+
+
+def output_plan(manifest):
+    return plan_loading(manifest, manifest.stream_of_kind(OUTPUT).stream_id, "egress")
+
+
+def key_region_zero(manifest):
+    output_plan(manifest).kphysmap.clear()
+    output_plan(manifest).kphysmap[13] = 0
+
+
+def remap_gradient_context(manifest):
+    plan_loading(manifest, 3, "ingress").ctxmap[1] = 3
+
+
+def grow_output_region(manifest):
+    plan = output_plan(manifest)
+    rid = plan.stream_regions[manifest.stream_of_kind(OUTPUT).stream_id]
+    lo, hi = plan.regions[rid]
+    plan.regions[rid] = (lo, hi + 0x1000)
+
+
+def shift_schedule_offsets(manifest):
+    for _, offsets in manifest.schedule:
+        for sid in offsets:
+            offsets[sid] += 1
+
+
+def alias_gradient_streams(manifest):
+    manifest.stream_table[3] = manifest.stream_table[4]
+
+
+def forge_binary_hash(manifest):
+    manifest.binary_hashes[manifest.ipu_id] = "00" * 32
+
+
+@pytest.mark.parametrize(
+    "change, stage, completes",
+    [
+        pytest.param(key_region_zero, 0, True, id="output-plan-kphysmap"),
+        pytest.param(remap_gradient_context, 0, True, id="gradient-plan-ctxmap"),
+        pytest.param(grow_output_region, 0, True, id="grow-output-region"),
+        pytest.param(forge_binary_hash, "boot", True, id="binary-hashes-before-launch"),
+        pytest.param(shift_schedule_offsets, 0, False, id="schedule-offsets"),
+        pytest.param(alias_gradient_streams, 0, False, id="stream-table-alias"),
+    ],
+)
+def test_host_changes_to_its_own_manifest_reach_neither_control_unit_nor_device(change, stage, completes):
+    """The control unit and the device run from the control unit's decoded
+    copy, so a change to the host's object only changes what the host itself
+    writes into the ring: the run completes bit-equal, or the host's own
+    misplaced fills abort it closed."""
+    fixture = make_sgd_fixture(steps=2)
+    pristine = copy.deepcopy(fixture.compiled.manifest)
+    reference = run_clear_reference(pristine, fixture.compiled.binaries, fixture.clear_inputs())
+    fixture.session.adversary = ChangeHostManifest(change, stage)
+    result = fixture.session.run()
+    assert fixture.session.manifest != pristine
+    if completes:
+        assert result.completed, result.reason
+        assert all(v.accepted for v in result.verdicts.values())
+        nonces = fixture.session.model_key_nonces()
+        assert decrypt_model(pristine, result.output_frames, nonces) == reference
+    else:
+        assert_aborted_closed(fixture, result)
+
+
+class ManifestWitness(Adversary):
+    """Notes, at every fill after launch, whose manifest the device runs."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def after_fill(self, host, stage):
+        if isinstance(stage, int):
+            device, tee = host.device.manifest, host.ccu.tee.manifest
+            self.seen.append((device is tee, device is host.manifest, device == host.manifest))
+
+
+def test_the_device_runs_from_the_control_units_copy_and_nothing_re_measures(monkeypatch):
+    witness = ManifestWitness()
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1, adversary=witness)
+    measured = []
+    original = JobManifest.measurement
+    monkeypatch.setattr(JobManifest, "measurement", lambda self: measured.append(1) or original(self))
+    session = fixture.session
+    assert session.run(halt_after_checkpoint=2).status == "halted"
+    fixture.deployment.device.reset("sbr")
+    assert_completed_and_exact(fixture, session.resume())
+    assert witness.seen and set(witness.seen) == {(True, False, True)}
+    assert measured == []
