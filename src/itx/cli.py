@@ -101,11 +101,12 @@ def _load_identity(clean_room) -> PartyIdentity:
     return PartyIdentity.from_dict(_read_json(Path(clean_room) / "identity.json"))
 
 
-def _load_binaries(build: Path) -> dict[int, bytes]:
-    binaries = {}
-    for file in sorted((build / "binaries").glob("t*.bin")):
-        binaries[int(file.stem[1:])] = file.read_bytes()
-    return binaries
+def _load_binaries(build: Path, manifest: JobManifest) -> dict[int, bytes]:
+    """The binary of every tile the manifest lays out; other files are ignored."""
+    return {
+        layout.tile_id: (build / "binaries" / f"t{layout.tile_id:03d}.bin").read_bytes()
+        for layout in manifest.tile_layouts
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def cmd_package(args) -> int:
     build = Path(args.build)
     manifest = _load_manifest(build)
     data = _parse_data_args(args.data or [])
-    binaries = _load_binaries(build) if args.model else None
+    binaries = _load_binaries(build, manifest) if args.model else None
     identity = PartyIdentity(args.party)
     package, room = make_package(identity, manifest, binaries, data)
     save_package(package, args.package)

@@ -13,9 +13,15 @@ Two job kinds are supported:
 A planner per job kind decides the tile programs, their stream bindings, the
 non-code streams, each distinct barrier plan once (``plans``) and every sync
 id's plan index and stream offsets (``schedule``); the SGD loop's plans are
-built once, not per step.  ``compile_job`` does the rest once for both kinds:
-it lays out the code, adds the code stream and the checkpoint plans, and
-assembles the one manifest that parties verify and the control unit enforces.
+built once, not per step.  Its code is stated once too: each SGD tile program
+is one loop phase over one step's phases, ``steps`` passes with a sync-id
+stride of 2, so pass s meets barriers 2 + 2s and 3 + 2s and a binary's size
+does not depend on the step count.  The device expands the loop, and refuses
+one that would expand past ``MAX_PHASES`` (65,535 phases, what the unrolled
+format's ``<H`` phase count can state).  ``compile_job`` does the rest once
+for both kinds: it lays out the code, adds the code stream and the checkpoint
+plans, and assembles the one manifest that parties verify and the control
+unit enforces.
 Stream ownership is stated only in the stream table; the attested
 ``stream_assignment`` and ``CompiledJob.key_streams`` are read from it.
 
@@ -37,6 +43,7 @@ from .device import (
     ComputePhase,
     DeviceConfig,
     LoadPhase,
+    LoopPhase,
     OP_SGD_STEP,
     OP_SUM,
     StorePhase,
@@ -306,12 +313,9 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         elif grad is not None:
             bindings[t] = (walk(grad, j, 2 * steps),)
         phases.append(SyncPhase(1))
-        for s in range(steps):
-            if grad is not None:
-                phases.append(LoadPhase(grad, 2))
-            phases.append(SyncPhase(2 + 2 * s))
-            phases.extend(sgd_pair)
-            phases.append(SyncPhase(3 + 2 * s))
+        # One loop states every step: pass s meets barriers 2 + 2s and 3 + 2s.
+        body = ([LoadPhase(grad, 2)] if grad is not None else []) + [SyncPhase(2), *sgd_pair, SyncPhase(3)]
+        phases += [LoopPhase(steps, len(body), 2), *body]
         if ebc == 0:
             phases.append(StorePhase(sid_out, 2))
         phases.append(SyncPhase(end_sync))

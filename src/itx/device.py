@@ -90,12 +90,24 @@ class DeviceConfig(Record):
 
 # ---------------------------------------------------------------------------
 # tile programs
+#
+# A packed program is the magic, a ``<H`` count of packed phases, then each
+# phase as its kind byte and fields.  A loop phase repeats the next
+# ``length`` phases ``times`` times and adds ``stride`` to every sync id on
+# each pass, so pass p of ``SyncPhase(s)`` is ``SyncPhase(s + p * stride)``.
+# ``unpack`` expands loops away: the device runs, counts ``pc`` over and
+# checkpoints the flat phase tuple, the same one an unrolled binary decodes
+# to.  Loops do not nest, and the expansion may hold at most
+# ``MAX_PHASES``, the most an unrolled program's ``<H`` count can state.
 # ---------------------------------------------------------------------------
 
 PHASE_LOAD = 0
 PHASE_COMPUTE = 1
 PHASE_STORE = 2
 PHASE_SYNC = 3
+PHASE_LOOP = 4
+
+MAX_PHASES = 0xFFFF
 
 OP_SUM = 0
 OP_AXPY = 1
@@ -133,7 +145,18 @@ class SyncPhase:
     sync_id: int
 
 
-Phase = LoadPhase | StorePhase | ComputePhase | SyncPhase
+@dataclass(frozen=True)
+class LoopPhase:
+    """Run the next ``length`` phases ``times`` times, adding ``stride`` to
+    their sync ids on each pass; ``unpack`` expands it, so a device never
+    runs one."""
+
+    times: int
+    length: int
+    stride: int
+
+
+Phase = LoadPhase | StorePhase | ComputePhase | SyncPhase | LoopPhase
 
 
 @dataclass(frozen=True)
@@ -154,25 +177,44 @@ class TileProgram:
                 out.extend(struct.pack("<i", a) for a in ph.args)
             elif isinstance(ph, SyncPhase):
                 out.append(struct.pack("<BI", PHASE_SYNC, ph.sync_id))
+            elif isinstance(ph, LoopPhase):
+                out.append(struct.pack("<BHHI", PHASE_LOOP, ph.times, ph.length, ph.stride))
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown phase {ph!r}")
         return b"".join(out)
 
     @classmethod
     def unpack(cls, blob: bytes, memory: int = TILE_MEMORY) -> "TileProgram":
-        """Decode a packed program for a tile of ``memory`` bytes; every
-        malformed blob, and every compute op whose operands reach outside
-        that memory, raises ``ValueError``."""
+        """Decode a packed program for a tile of ``memory`` bytes and expand
+        its loops; every malformed blob, every compute op whose operands
+        reach outside that memory, and every loop that nests, runs past the
+        program, is empty or would expand past ``MAX_PHASES`` raises
+        ``ValueError``, the last before any pass is built."""
         if blob[:3] != _PROGRAM_MAGIC:
             raise ValueError("not a tile program")
         try:
             (count,) = struct.unpack_from("<H", blob, 3)
             off = 5
             phases: list[Phase] = []
-            for _ in range(count):
+            loops: list[tuple[int, LoopPhase]] = []  # (index of the body in ``phases``, loop)
+            extra = 0  # phases the loops add beyond one pass of their bodies
+            for i in range(count):
                 kind = blob[off]
                 off += 1
-                if kind in (PHASE_LOAD, PHASE_STORE):
+                if kind == PHASE_LOOP:
+                    loop = LoopPhase(*struct.unpack_from("<HHI", blob, off))
+                    off += 8
+                    if loops and len(phases) < loops[-1][0] + loops[-1][1].length:
+                        raise ValueError("nested loop")
+                    if loop.times == 0 or loop.length == 0:
+                        raise ValueError("empty loop")
+                    if loop.length > count - i - 1:
+                        raise ValueError("loop body runs past the end of the program")
+                    extra += (loop.times - 1) * loop.length
+                    if len(phases) + extra + loop.length > MAX_PHASES:
+                        raise ValueError(f"loop expands past {MAX_PHASES} phases")
+                    loops.append((len(phases), loop))
+                elif kind in (PHASE_LOAD, PHASE_STORE):
                     sid, frames = struct.unpack_from("<HH", blob, off)
                     off += 4
                     phases.append(LoadPhase(sid, frames) if kind == PHASE_LOAD else StorePhase(sid, frames))
@@ -207,6 +249,20 @@ class TileProgram:
             raise ValueError("truncated tile program") from None
         if off != len(blob):
             raise ValueError("trailing bytes after tile program")
+        if len(phases) + extra > MAX_PHASES:
+            raise ValueError(f"loops expand past {MAX_PHASES} phases")
+        # Later bodies first, so earlier body starts stay put; every pass
+        # shares the body's phase objects but its sync phases.
+        for start, loop in reversed(loops):
+            body = phases[start : start + loop.length]
+            last = (loop.times - 1) * loop.stride
+            if any(isinstance(ph, SyncPhase) and ph.sync_id + last > 0xFFFFFFFF for ph in body):
+                raise ValueError("loop carries a sync id past 32 bits")
+            phases[start + loop.length : start + loop.length] = [
+                SyncPhase(ph.sync_id + p * loop.stride) if isinstance(ph, SyncPhase) else ph
+                for p in range(1, loop.times)
+                for ph in body
+            ]
         return cls(tuple(phases))
 
 

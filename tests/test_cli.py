@@ -388,6 +388,31 @@ def test_a_file_that_is_not_json_is_one_error_line(request, tmp_path, capsys, so
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+def package_model_args(root, out) -> list[str]:
+    return [
+        "package-model", "--build", str(root / "build"), "--party", "modelco",
+        "--data", f"2={root / 's2.bin'}",
+        "--package", str(out / "pkg-modelco"), "--clean-room", str(out / "room-modelco"),
+    ]
+
+
+def test_package_model_reads_the_binaries_the_manifest_lays_out(packaged_job, tmp_path, capsys):
+    """A stray file among the binaries is not a tile's and is ignored; a
+    missing tile binary is one error line."""
+    root = tmp_path / "job"
+    shutil.copytree(packaged_job, root)
+    (root / "build" / "binaries" / "txyz.bin").write_bytes(b"stray")
+    assert main(package_model_args(root, tmp_path / "with-stray")) == EXIT_OK
+    manifest = JobManifest.from_bytes((root / "build" / "manifest.json").read_bytes())
+    code = load_package(tmp_path / "with-stray" / "pkg-modelco").streams[1]
+    assert len(code) == sum(layout.code_frames for layout in manifest.tile_layouts)
+    (root / "build" / "binaries" / "t005.bin").unlink()
+    capsys.readouterr()
+    assert main(package_model_args(root, tmp_path / "missing")) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "t005.bin" in err[0], err
+
+
 def test_a_directory_given_as_an_input_file_is_one_error_line(packaged_job, tmp_path, capsys):
     """Any file the CLI cannot read (missing, a directory, unreadable) is one
     error line, like a file it cannot parse."""

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from itx.compiler import CompiledJob, JobDescription, compile_job
-from itx.device import DeviceConfig
+from itx.device import DeviceConfig, TileProgram
 from itx.encoding import canonical_bytes, jsonable
 from itx.errors import ScheduleInfeasible
 from itx.manifest import CHECKPOINT, CODE, DATA, DIR_IN, DIR_OUT, OUTPUT
@@ -122,6 +122,18 @@ class TestSgdPlanning:
         assert len(manifest.schedule) == 131
         assert len(manifest.to_bytes()) <= 12 * 1024
 
+    def test_code_frames_do_not_depend_on_the_step_count(self):
+        """Each tile states its steps as one loop, so a job's code is the
+        same size at any step count."""
+        code_frames = {
+            steps: sum(
+                layout.code_frames
+                for layout in compile_job(sgd_job(steps=steps)).manifest.tile_layouts
+            )
+            for steps in (1, 16, 64)
+        }
+        assert code_frames == {1: 16, 16: 16, 64: 16}
+
     def test_code_stream_covers_every_binary(self):
         compiled = compile_job(sgd_job(), bootloader_measurement=BOOTLOADER)
         entry = compiled.manifest.stream_table[1]
@@ -215,7 +227,7 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "8ef41a5d6a3f5dfa12c0eae02d9f1bd643ae0e10011a1ae5b46bb590e923a479"
+        "b2a22dfaacabaedd753efd091521af8974a350094a354c075b05ef306e8603da"
     )
 
 
@@ -237,4 +249,18 @@ def test_schedule_expands_to_the_unrolled_barriers():
             assert len({canonical_bytes(plan) for plan in manifest.plans}) == len(manifest.plans)
     assert fold.hexdigest() == (
         "01c9d2884c2842be58e913fc6d7903959423d2b6b0739fd97ac6252a6af978d0"
+    )
+
+
+def test_binaries_expand_to_the_unrolled_programs():
+    """Every tile binary of the 64 grid jobs decodes to the phase tuple the
+    device ran when the SGD planner unrolled its steps; the digest was taken
+    from the unrolled planner's binaries."""
+    fold = hashlib.sha256()
+    for job in SGD_GRID + SUM_GRID:
+        compiled = compile_job(job, bootloader_measurement=BOOTLOADER)
+        for tile_id in sorted(compiled.binaries):
+            fold.update(repr(TileProgram.unpack(compiled.binaries[tile_id]).phases).encode())
+    assert fold.hexdigest() == (
+        "7e78fa649d03182c3904138c9da05a0cda3eccd98c7681c4d9846ea3eeea1c1b"
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,15 @@ from itx.device import (
     DeviceConfig,
     IpuDevice,
     LoadPhase,
+    LoopPhase,
+    MAX_PHASES,
     MODE_NORMAL,
     MODE_TRUSTED,
     OP_AXPY,
     OP_SGD_STEP,
     OP_SUM,
+    PHASE_LOOP,
+    PHASE_SYNC,
     RingBuffer,
     StorePhase,
     SyncPhase,
@@ -181,6 +186,81 @@ class TestTileProgram:
             TileProgram.unpack(b"TP\x01" + tail)
         except ValueError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0, 0, 0, -1, 1]),
+        st.lists(
+            st.one_of(
+                st.builds(
+                    lambda times, length, stride: struct.pack("<BHHI", PHASE_LOOP, times, length, stride),
+                    st.one_of(st.integers(0, 4), st.just(0xFFFF)),
+                    st.integers(0, 6),
+                    st.one_of(st.integers(0, 4), st.just(0xFFFFFFFF)),
+                ),
+                st.builds(lambda sid: struct.pack("<BI", PHASE_SYNC, sid), st.integers(0, 0xFFFFFFFF)),
+                st.sampled_from([p[5:] for p in (
+                    TileProgram((LoadPhase(2, 1),)).pack(),
+                    TileProgram((StorePhase(6, 2),)).pack(),
+                    TileProgram((ComputePhase(OP_SGD_STEP, (1, 16, 0x100, 0x200, 12)),)).pack(),
+                )]),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_any_blob_with_loops_decodes_flat_or_raises_value_error(self, miscount, parts):
+        count = max(0, len(parts) + miscount)
+        blob = b"TP\x01" + struct.pack("<H", count) + b"".join(parts)
+        try:
+            phases = TileProgram.unpack(blob).phases
+        except ValueError:
+            return
+        assert len(phases) <= MAX_PHASES
+        assert not any(isinstance(ph, LoopPhase) for ph in phases)
+
+    def test_a_loop_expands_to_the_unrolled_program(self):
+        compute = ComputePhase(OP_SGD_STEP, (1, 16, 0x100, 0x200, 12))
+        body = (LoadPhase(3, 2), SyncPhase(2), compute, SyncPhase(3))
+        looped = TileProgram((SyncPhase(1), LoopPhase(3, 4, 2), *body, SyncPhase(8))).pack()
+        unrolled = (
+            SyncPhase(1),
+            LoadPhase(3, 2), SyncPhase(2), compute, SyncPhase(3),
+            LoadPhase(3, 2), SyncPhase(4), compute, SyncPhase(5),
+            LoadPhase(3, 2), SyncPhase(6), compute, SyncPhase(7),
+            SyncPhase(8),
+        )
+        phases = TileProgram.unpack(looped).phases
+        assert phases == unrolled
+        assert TileProgram.unpack(TileProgram(unrolled).pack()).phases == unrolled
+        # Passes share the body's loads and computes.
+        assert phases[1] is phases[5] is phases[9] and phases[3] is phases[7] is phases[11]
+
+    @pytest.mark.parametrize(
+        "phases, error",
+        [
+            ((LoopPhase(2, 3, 1), SyncPhase(1), LoopPhase(2, 1, 1), SyncPhase(2)), "nested loop"),
+            ((SyncPhase(1), LoopPhase(2, 2, 1), SyncPhase(2)), "past the end"),
+            ((LoopPhase(0, 1, 1), SyncPhase(1)), "empty loop"),
+            ((LoopPhase(2, 0, 1), SyncPhase(1)), "empty loop"),
+            ((LoopPhase(2, 1, 1),), "past the end"),
+            ((LoopPhase(3, 1, 1 << 31), SyncPhase(1)), "past 32 bits"),
+            ((LoopPhase(3, 1, 1), *[SyncPhase(1)] * (MAX_PHASES - 1)), "past 65535 phases"),
+        ],
+        ids=["nested", "body-past-end", "zero-times", "zero-length", "header-last",
+             "sync-id-overflow", "plain-phases-after-the-loop-over-budget"],
+    )
+    def test_malformed_loops_rejected(self, phases, error):
+        with pytest.raises(ValueError, match=error):
+            TileProgram.unpack(TileProgram(phases).pack())
+
+    def test_an_over_budget_loop_is_refused_before_its_body_is_read(self):
+        """The refusal comes from the loop header: the two body phases that
+        follow it are not even decodable."""
+        header = struct.pack("<H", 3) + struct.pack("<BHHI", PHASE_LOOP, 0xFFFF, 2, 1)
+        with pytest.raises(ValueError, match=f"past {MAX_PHASES} phases"):
+            TileProgram.unpack(b"TP\x01" + header + b"\x99\x99")
+        fits = TileProgram((LoopPhase(0xFFFF, 1, 0), SyncPhase(1))).pack()
+        assert len(TileProgram.unpack(fits).phases) == MAX_PHASES
 
     def test_every_truncation_and_wrong_arity_is_rejected(self):
         blob = TileProgram((LoadPhase(2, 1), ComputePhase(OP_SUM, (0, 4, 8)), SyncPhase(1))).pack()

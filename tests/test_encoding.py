@@ -49,7 +49,7 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "3699bc147d6b404f1130a7be005544b322ddea59ce5e2f4bef7161fc7db71efe"
+            "742102dc4e4b60c9e2e679a33fe270196fc417928a47f2287a44f479cec1dc3e"
         )
 
     def test_sum_fixture(self):
@@ -61,7 +61,7 @@ class TestManifestMeasurements:
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "9b364465e726dcb1ecca120c7947a25ab1b507bbe91459446499b4616480f24c"
+            "9d0881ca86d4d7d3eae412368900f977b98b45345a934332c0dacd2185a6a09c"
         )
 
 

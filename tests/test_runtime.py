@@ -2,6 +2,7 @@
 run resumes, and every host attack aborts with the TEE terminated, its keys
 gone and the device back in normal mode."""
 
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -26,8 +27,11 @@ from itx.adversary import (
 from itx.ccu import TERMINATED
 from itx.compiler import SID_CODE, CompiledJob, JobDescription, compile_job
 from itx.device import (
+    MAX_PHASES,
     MODE_NORMAL,
     ComputePhase,
+    IpuDevice,
+    LoopPhase,
     OP_SGD_STEP,
     SyncPhase,
     TileProgram,
@@ -36,7 +40,7 @@ from itx.device import (
     parse_checkpoint_metadata,
 )
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
-from itx.manifest import CHECKPOINT, OUTPUT, JobManifest
+from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.pki import Party
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
@@ -336,17 +340,10 @@ def test_key_for_another_partys_stream_aborts_closed():
     assert_aborted_closed(fixture, session_with(fixture, inputs).run())
 
 
-def test_compute_outside_tile_memory_aborts_closed():
-    """The model owner ships a program whose SGD step writes past the tile's
-    memory, under a manifest whose binary hash matches it."""
-    fixture = make_sgd_fixture(steps=2)
+def run_with_tile_5_program(fixture, phases):
+    """Run the fixture's job with tile 5's program replaced by ``phases``,
+    which the model owner ships under a manifest whose binary hash matches."""
     compiled = fixture.compiled
-    phases = tuple(
-        dataclasses.replace(ph, args=ph.args[:2] + (70000,) + ph.args[3:])
-        if isinstance(ph, ComputePhase) and ph.op == OP_SGD_STEP
-        else ph
-        for ph in compiled.programs[5].phases
-    )
     programs = {**compiled.programs, 5: TileProgram(phases)}
     binaries = {**compiled.binaries, 5: programs[5].pack()}
     chain = CompiledJob(compiled.manifest, programs, binaries).binary_hash_chain()
@@ -357,9 +354,52 @@ def test_compute_outside_tile_memory_aborts_closed():
     inputs["modelco"] = package_inputs(
         "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
     )
-    result = session_with(fixture, inputs, manifest).run()
+    return session_with(fixture, inputs, manifest).run()
+
+
+def test_compute_outside_tile_memory_aborts_closed():
+    """The model owner ships a program whose SGD step writes past the tile's
+    memory, under a manifest whose binary hash matches it."""
+    fixture = make_sgd_fixture(steps=2)
+    phases = tuple(
+        dataclasses.replace(ph, args=ph.args[:2] + (70000,) + ph.args[3:])
+        if isinstance(ph, ComputePhase) and ph.op == OP_SGD_STEP
+        else ph
+        for ph in fixture.compiled.programs[5].phases
+    )
+    result = run_with_tile_5_program(fixture, phases)
     assert_aborted_closed(fixture, result)
     assert "outside tile memory" in result.reason
+
+
+def test_a_loop_over_the_phase_limit_aborts_closed():
+    """The model owner ships a program whose loop would expand past the
+    phase limit, under a manifest whose binary hash matches it: the device
+    refuses the binary at boot."""
+    fixture = make_sgd_fixture(steps=2)
+    phases = tuple(
+        dataclasses.replace(ph, times=MAX_PHASES) if isinstance(ph, LoopPhase) else ph
+        for ph in fixture.compiled.programs[5].phases
+    )
+    result = run_with_tile_5_program(fixture, phases)
+    assert_aborted_closed(fixture, result)
+    assert f"expands past {MAX_PHASES} phases" in result.reason
+
+
+def test_code_reads_do_not_grow_with_the_step_count(monkeypatch):
+    """A 64-step job reads one code frame per tile, and the same 1,032 data
+    frames as when the binaries unrolled every step (632 code frames then)."""
+    fixture = make_sgd_fixture(steps=64, checkpoint_period=64)
+    reads = collections.Counter()
+    read_frame = IpuDevice._read_frame
+
+    def counted(device, tile, entry, address, index):
+        reads[entry.kind] += 1
+        return read_frame(device, tile, entry, address, index)
+
+    monkeypatch.setattr(IpuDevice, "_read_frame", counted)
+    assert_completed_and_exact(fixture, fixture.session.run())
+    assert reads == {CODE: 16, DATA: 1032}
 
 
 def test_tiles_at_an_unscheduled_barrier_abort_closed():
