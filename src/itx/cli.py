@@ -163,6 +163,14 @@ def cmd_package(args) -> int:
 NONCE_FILE = "run_nonce.bin"  # in a clean room: the party's nonce for its last completed run
 
 
+def _write_evidence(out: Path, chain: dict, ca: dict, tcb: list) -> None:
+    """What a party judges a device by: its certificate chain, the CA's
+    public state and the TCB update certificates."""
+    write_json(out / "chain.json", {k: c.to_dict() for k, c in chain.items()})
+    write_json(out / "ca.json", ca)
+    write_json(out / "tcb.json", [c.to_dict() for c in tcb])
+
+
 def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "events.log").write_text(result.log.dump())
@@ -182,9 +190,7 @@ def _archive_run(out: Path, session: TrustedJobSession, result) -> None:
     )
     if session.last_report is not None:
         write_json(out / "report.json", session.last_report.to_dict())
-    write_json(out / "chain.json", {k: c.to_dict() for k, c in session.device_chain.items()})
-    write_json(out / "ca.json", session.ca_public)
-    write_json(out / "tcb.json", [c.to_dict() for c in session.tcb_certs])
+    _write_evidence(out, session.device_chain, session.ca_public, session.tcb_certs)
     if session.last_expected:
         write_json(out / "expected.json", session.last_expected)
     if result.completed:
@@ -370,16 +376,10 @@ def cmd_ccu_inspect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_deployment(out: Path, deployment) -> None:
-    write_json(out / "chain.json", {k: c.to_dict() for k, c in deployment.device_chain.items()})
-    write_json(out / "ca.json", deployment.ca_public())
-    write_json(out / "tcb.json", [c.to_dict() for c in deployment.tcb_certs()])
-
-
 def cmd_pki_issue(args) -> int:
     deployment = make_deployment(seed=args.seed)
     out = Path(args.out)
-    _write_deployment(out, deployment)
+    _write_evidence(out, deployment.device_chain, deployment.ca_public(), deployment.tcb_certs())
     chain = deployment.device_chain
     print(f"provisioned device {deployment.flash.device_serial}")
     for name in ("cik", "pik", "ak", "ca_cik"):
@@ -393,7 +393,7 @@ def cmd_pki_tcb_update(args) -> int:
     old_pik = deployment.device_chain["pik"].fingerprint
     updated = update_firmware(deployment, args.revision, revoke_old=args.revoke_old)
     out = Path(args.out)
-    _write_deployment(out, updated)
+    _write_evidence(out, updated.device_chain, updated.ca_public(), updated.tcb_certs())
     cert = updated.tcb_certs()[-1]
     write_json(out / "update.json", cert.to_dict())
     print(f"firmware update {cert.old_measurement[:16]}… -> {cert.new_measurement[:16]}…")

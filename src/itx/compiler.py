@@ -44,6 +44,7 @@ from .device import (
     DeviceConfig,
     LoadPhase,
     LoopPhase,
+    MAX_PHASES,
     OP_SGD_STEP,
     OP_SUM,
     StorePhase,
@@ -161,6 +162,11 @@ def compile_job(
     if config.tile_count != 16 or config.tiles_per_exchange_context != 4:
         raise ScheduleInfeasible("the planners target 16 tiles in 4 exchange blocks")
     plan = planner(job, config)
+    for tile_id, program in plan.programs.items():
+        # What ``TileProgram.unpack`` expands: each loop adds its other passes.
+        length = sum((ph.times - 1) * ph.length if isinstance(ph, LoopPhase) else 1 for ph in program.phases)
+        if length > MAX_PHASES:
+            raise ScheduleInfeasible(f"tile {tile_id}'s program expands past {MAX_PHASES} phases")
 
     # Each tile's binary fills whole frames, laid out back to back.
     binaries = {t: p.pack() for t, p in plan.programs.items()}

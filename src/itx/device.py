@@ -365,16 +365,14 @@ class IpuDevice:
         self,
         ipu_id: int = 0,
         config: Optional[DeviceConfig] = None,
-        trace: Optional[Callable[[dict], None]] = None,
     ) -> None:
         self.ipu_id = ipu_id
         self.config = config or DeviceConfig()
-        self.trace = trace
         self.tiles = [Tile(i, self.config.tile_memory) for i in range(self.config.tile_count)]
         self.ring_buffer = RingBuffer(self.config.ring_buffer_size)
         per_ebc = self.config.tiles_per_exchange_context
-        self.egress = SxpEngine("egress", tiles_per_ebc=per_ebc, trace=trace)
-        self.ingress = SxpEngine("ingress", tiles_per_ebc=per_ebc, trace=trace)
+        self.egress = SxpEngine("egress", tiles_per_ebc=per_ebc)
+        self.ingress = SxpEngine("ingress", tiles_per_ebc=per_ebc)
         self.pending = PendingReadTable(self.config.packet_payload)
         self.mode = MODE_NORMAL
         self.registers = dict(DEFAULT_REGISTERS)
@@ -391,18 +389,11 @@ class IpuDevice:
         self.clear_sinks: dict[int, bytearray] = {}
         self._req_id = 0
 
-    # -- tracing / exception fan-out ----------------------------------------
-
-    def _trace(self, record: dict) -> None:
-        if self.trace is not None:
-            self.trace(record)
+    # -- exception fan-out ---------------------------------------------------
 
     def _security(self, reason: str) -> SecurityException:
-        """Record a device-detected violation and notify the control unit."""
-        self._trace({"event": "security_exception", "sxp": "device", "reason": reason})
-        if self.on_security is not None:
-            self.on_security(reason)
-        return SecurityException(reason)
+        """Notify the control unit of a device-detected violation."""
+        return self._forward(SecurityException(reason))
 
     def _forward(self, exc: SecurityException) -> SecurityException:
         """Propagate an engine-latched violation to the control unit."""
@@ -414,7 +405,6 @@ class IpuDevice:
 
     def _host_guard(self, what: str) -> None:
         if self.mode == MODE_TRUSTED:
-            self._trace({"event": "host_access_denied", "what": what})
             if self.on_security is not None:
                 self.on_security(f"host access in trusted mode: {what}")
             raise AccessDenied(f"trusted mode: {what}")
@@ -452,12 +442,10 @@ class IpuDevice:
             raise InvalidPhase("device already in trusted mode")
         self.mode = MODE_TRUSTED
         self.registers["trusted_mode"] = 1
-        self._trace({"event": "trusted_mode", "on": 1})
 
     def leave_trusted_mode(self) -> None:
         self.mode = MODE_NORMAL
         self.registers["trusted_mode"] = 0
-        self._trace({"event": "trusted_mode", "on": 0})
 
     def registers_digest(self) -> str:
         return _registers_digest(self.registers)
@@ -469,13 +457,11 @@ class IpuDevice:
         padded = image.ljust(BOOT_RESERVED, b"\x00")
         for tile in self.tiles:
             tile.memory[0:BOOT_RESERVED] = padded
-        self._trace({"event": "autoload", "bytes": len(image)})
 
     def scrub(self) -> None:
         """Zeroize all tile state (modeled on an autoloader broadcast of zeros)."""
         for tile in self.tiles:
             tile.scrub()
-        self._trace({"event": "scrub"})
 
     def reset(self, kind: str = "sbr") -> None:
         """Any reset flavor ends trusted mode, and the ICU scrubs tile memory
@@ -493,7 +479,6 @@ class IpuDevice:
         self.barrier = None
         self.clear_sources = {}
         self.clear_sinks = {}
-        self._trace({"event": "reset", "kind": kind})
         if self.on_reset is not None:
             self.on_reset()
 
@@ -515,13 +500,11 @@ class IpuDevice:
             tile.epoch = epoch
             tile.checkpoint_id = checkpoint_id
             tile.pc = 0
-        self._trace({"event": "boot_params", "epoch": epoch, "checkpoint_id": checkpoint_id})
 
     def start_application(self) -> None:
         """Tiles bump their epoch as the application starts (or resumes)."""
         for tile in self.tiles:
             tile.epoch += 1
-        self._trace({"event": "application_start", "epoch": self.tiles[0].epoch})
 
     # -- DMA datapath --------------------------------------------------------
 
@@ -685,7 +668,6 @@ class IpuDevice:
         except ValueError as exc:
             raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
         tile.pc = 0
-        self._trace({"event": "bootloader", "tile": tile_id})
         return hashlib.sha256(binary).digest()
 
     def install_clear_program(self, tile_id: int, binary: bytes) -> None:
@@ -813,7 +795,6 @@ class IpuDevice:
             slot_addr = manifest.metadata_base + tile.tile_id * manifest.metadata_slot
             self._dma_write(tile.tile_id, slot_addr, record, aes=False)
             tile.checkpoint_id += 1
-        self._trace({"event": "checkpoint_save", "epoch": self.tiles[0].epoch})
 
     def checkpoint_restore(self) -> None:
         """Rebuild tile state from the checkpoint identified by the seeded
@@ -834,7 +815,6 @@ class IpuDevice:
             tile.cursors.update(cursors)
             tile.checkpoint_id += 1
             tile.epoch += 1
-        self._trace({"event": "checkpoint_restore", "epoch": self.tiles[0].epoch})
         tile = self.tiles[0]
         ph = tile.program.phases[tile.pc - 1] if tile.pc else None
         if not isinstance(ph, SyncPhase):

@@ -24,7 +24,7 @@ from typing import Any, Optional
 from .encoding import Record, digest_hex
 from .errors import InvalidRegisterProgram
 from .frame_codec import FRAME_ALIGN, MAX_FRAME_BYTES
-from .sxp import NUM_CONTEXTS, NUM_REGIONS, AddressRegion, SxpRegisters
+from .sxp import NUM_CONTEXTS, AddressRegion, SxpRegisters
 
 # stream kinds
 CODE = "code"
@@ -168,13 +168,9 @@ class JobManifest(Record):
         return self
 
     def _validate_plan(self, where: str, plan: SyncPlan) -> None:
-        if len(plan.regions) > NUM_REGIONS:
-            raise InvalidRegisterProgram(f"{where}: more than {NUM_REGIONS} regions")
         if 0 not in plan.regions:
             raise InvalidRegisterProgram(f"{where}: cleartext region 0 missing")
         plan.registers().validate()
-        if len(set(plan.ctxmap.values())) > NUM_CONTEXTS:
-            raise InvalidRegisterProgram(f"{where}: too many key contexts")
         if not plan.frame_serial and len(set(plan.ctxmap.values())) != len(plan.ctxmap):
             raise InvalidRegisterProgram(
                 f"{where}: several exchange-block contexts share one key context "

@@ -80,14 +80,17 @@ def make_deployment(
         bundle["csr"], bundle["bootloader_manifest"], flash.provisioning_nonce
     )
     device = IpuDevice(ipu_id=ipu_id, config=config or DeviceConfig())
+    return _rack(ca, firmware, flash, ccu, device, issued["cik"])
+
+
+def _rack(
+    ca: CaState, firmware: FirmwareBundle, flash: CcuFlash, ccu: Ccu, device: IpuDevice, ca_cik
+) -> Deployment:
+    """Attach ``device`` to the booted ``ccu``; the chain a party judges the
+    device by is the control unit's three certificates and the CA's ``ca_cik``."""
     ccu.attach_device(device)
-    chain = {
-        "cik": ccu.cert_chain["cik"],
-        "pik": ccu.cert_chain["pik"],
-        "ak": ccu.cert_chain["ak"],
-        "ca_cik": issued["cik"],
-    }
-    return Deployment(ca=ca, firmware=firmware, flash=flash, ccu=ccu, device=device, device_chain=chain)
+    chain = {name: ccu.cert_chain[name] for name in ("cik", "pik", "ak")}
+    return Deployment(ca, firmware, flash, ccu, device, {**chain, "ca_cik": ca_cik})
 
 
 def update_firmware(deployment: Deployment, revision: str, revoke_old: bool = False) -> Deployment:
@@ -107,21 +110,8 @@ def update_firmware(deployment: Deployment, revision: str, revoke_old: bool = Fa
     )
     ccu = Ccu.boot(deployment.flash, new_firmware)
     deployment.device.reset("sbr")
-    ccu.attach_device(deployment.device)
-    chain = {
-        "cik": ccu.cert_chain["cik"],
-        "pik": ccu.cert_chain["pik"],
-        "ak": ccu.cert_chain["ak"],
-        "ca_cik": deployment.device_chain["ca_cik"],
-    }
-    return Deployment(
-        ca=ca,
-        firmware=new_firmware,
-        flash=deployment.flash,
-        ccu=ccu,
-        device=deployment.device,
-        device_chain=chain,
-    )
+    ca_cik = deployment.device_chain["ca_cik"]
+    return _rack(ca, new_firmware, deployment.flash, ccu, deployment.device, ca_cik)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -155,11 +155,10 @@ CLEARTEXT = "cleartext"
 class _KeyContext:
     """One of the 16 physical key slots and the frame in flight through it."""
 
-    __slots__ = ("index", "aes", "generation", "gcm", "owner_tile")
+    __slots__ = ("index", "aes", "gcm", "owner_tile")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.generation = 0  # counts loads; traces name a key by it
         self.zeroize()
 
     @property
@@ -180,7 +179,6 @@ class _KeyContext:
         if len(key) != 32:
             raise InvalidRegisterProgram("SXP keys are 256 bits")
         self.aes = algorithms.AES(key)
-        self.generation += 1
 
     def invalidate(self) -> None:
         if self.active:
@@ -275,19 +273,12 @@ class PendingReadTable:
 class SxpEngine:
     """One SXP lane: a sequential state machine over exchange packets."""
 
-    def __init__(
-        self,
-        name: str = "sxp",
-        tiles_per_ebc: int = 4,
-        trace: Optional[Callable[[dict], None]] = None,
-    ) -> None:
+    def __init__(self, name: str = "sxp", tiles_per_ebc: int = 4) -> None:
         self.name = name
         self.tiles_per_ebc = tiles_per_ebc
-        self.trace = trace
         self.registers: Optional[SxpRegisters] = None
         self.contexts = [_KeyContext(i) for i in range(NUM_CONTEXTS)]
         self.latched = False
-        self.latch_reason: Optional[str] = None
 
     # -- configuration ------------------------------------------------------
 
@@ -315,7 +306,6 @@ class SxpEngine:
         self.invalidate_all_keys()
         self.registers = None
         self.latched = False
-        self.latch_reason = None
 
     def _context(self, index: int) -> _KeyContext:
         if not 0 <= index < NUM_CONTEXTS:
@@ -360,31 +350,7 @@ class SxpEngine:
     ) -> SecurityException:
         """Latch the engine and return the ``kind`` exception to raise."""
         self.latched = True
-        self.latch_reason = reason
-        self._trace({"event": "security_exception", "sxp": self.name, "reason": reason})
         return kind(f"{self.name}: {reason}")
-
-    def _trace(self, record: dict) -> None:
-        if self.trace is not None:
-            self.trace(record)
-
-    def _trace_packet(self, direction: str, pkt: ExchangePacket) -> None:
-        if self.trace is None:
-            return
-        self._trace(
-            {
-                "event": "pkt",
-                "sxp": self.name,
-                "dir": direction,
-                "kind": pkt.kind.value,
-                "src": pkt.src_tile,
-                "dst": pkt.dst_tile,
-                "addr": f"{pkt.address:#x}",
-                "aes": int(pkt.aes),
-                "cc": int(pkt.cc),
-                "key_index": -1 if pkt.key_index is None else pkt.key_index,
-            }
-        )
 
     # -- egress (read requests / write requests) ----------------------------
 
@@ -392,7 +358,6 @@ class SxpEngine:
         if pkt.kind not in (PacketKind.READ_REQUEST, PacketKind.WRITE_REQUEST):
             raise InvalidRegisterProgram(f"egress cannot process {pkt.kind}")
         if self.latched and pkt.aes:
-            self._trace({"event": "dropped", "sxp": self.name, "kind": pkt.kind.value})
             return None
         if pkt.aes:
             selection = self.select_context(pkt.src_tile, pkt.address)
@@ -411,7 +376,6 @@ class SxpEngine:
                     )
                 pkt.payload = self._run_frame(ctx, pkt, "egress")
             pkt.key_index = selection
-        self._trace_packet("egress", pkt)
         return pkt
 
     # -- ingress (read completions) ------------------------------------------
@@ -420,14 +384,12 @@ class SxpEngine:
         if pkt.kind is not PacketKind.READ_COMPLETION:
             raise InvalidRegisterProgram(f"ingress cannot process {pkt.kind}")
         if self.latched and pkt.aes:
-            self._trace({"event": "dropped", "sxp": self.name, "kind": pkt.kind.value})
             return None
         if pkt.aes:
             if pkt.key_index is None:
                 raise self._security_exception("aes completion without a key index")
             ctx = self._keyed_context(pkt.key_index)
             pkt.payload = self._run_frame(ctx, pkt, "ingress")
-        self._trace_packet("ingress", pkt)
         return pkt
 
     # -- the frame pipeline shared by both directions --------------------------
@@ -471,15 +433,4 @@ class SxpEngine:
                 f"context {ctx.index}: nonzero counter area in the IV block"
             )
         ctx.begin_frame(iv_block, pkt.src_tile, encrypt=direction == "egress")
-        if self.trace is not None:
-            self._trace(
-                {
-                    "event": "frame_start",
-                    "sxp": self.name,
-                    "dir": direction,
-                    "key_index": ctx.index,
-                    "key_gen": ctx.generation,
-                    "iv": iv_block[:12].hex(),
-                }
-            )
         return iv_block

@@ -1,6 +1,7 @@
 """The offline CLI workflow end to end: compile, package, run, verify, and
 recover the model, on a 2-step SGD job."""
 
+import hashlib
 import json
 import random
 import shutil
@@ -8,10 +9,11 @@ import struct
 
 import pytest
 
+from itx.adversary import TamperFrame
 from itx.cli import EXIT_OK, EXIT_REJECTED, _archive_run, main
 from itx.errors import InvalidFrame, InvalidFrameSize
 from itx.manifest import JobManifest
-from itx.packaging import load_package
+from itx.packaging import load_clean_room, load_package
 from itx.runtime import run_clear_reference
 from itx.sandbox import make_sgd_fixture
 
@@ -261,19 +263,45 @@ def test_decrypt_model_rejects_a_malformed_output_frame(completed_run, tmp_path,
     assert not model.exists()
 
 
+def secrets_in(run, secrets) -> list[tuple[str, bytes]]:
+    """(file name, secret) for each secret that a file under ``run`` holds
+    raw, as hex or as the hex SHA-256 digest of it."""
+    found = []
+    for file in (f for f in run.rglob("*") if f.is_file()):
+        blob = file.read_bytes()
+        found += [
+            (file.name, secret)
+            for secret in secrets
+            for form in (secret, secret.hex().encode(), hashlib.sha256(secret).hexdigest().encode())
+            if form in blob
+        ]
+    return found
+
+
 def test_the_run_directory_cannot_decrypt_the_model(tmp_path):
     """``itx run`` leaves each party's run nonce in its own clean room: no
-    file of the run directory holds one, and without the clean rooms
-    ``decrypt-model`` cannot recover the model."""
+    file of the run directory holds one or a stream key, and without the
+    clean rooms ``decrypt-model`` cannot recover the model.  The archive of
+    a run that aborts on a tampered frame holds none of its secrets either."""
     plaintexts = compile_and_package(tmp_path)
     run = tmp_path / "run"
     assert main(run_args(tmp_path, run)) == EXIT_OK
     nonces = [(tmp_path / f"room-{party}" / "run_nonce.bin").read_bytes() for party in PARTIES]
     assert len(set(nonces)) == len(PARTIES)
-    for file in (f for f in run.rglob("*") if f.is_file()):
-        blob = file.read_bytes()
-        for nonce in nonces:
-            assert nonce.hex().encode() not in blob and nonce not in blob, file
+    keys = [key for party in PARTIES for key in load_clean_room(tmp_path / f"room-{party}").keys.values()]
+    assert len(set(keys)) == 4  # code, weights and one gradient stream per data party
+    assert secrets_in(run, nonces + keys) == []
+
+    fixture = make_sgd_fixture(steps=2, adversary=TamperFrame(3, 2, 800))
+    result = fixture.session.run()
+    assert result.aborted
+    aborted = tmp_path / "aborted"
+    _archive_run(aborted, fixture.session, result)
+    assert result.reason in (aborted / "events.log").read_text()
+    released = [party.run_nonce for party in fixture.session.parties.values()]
+    assert None not in released
+    keys = [key for inputs in fixture.inputs.values() for key in inputs.keys.values()]
+    assert secrets_in(aborted, released + keys) == []
 
     model = tmp_path / "model.bin"
     away = tmp_path / "away"

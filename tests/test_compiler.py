@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from itx import compiler
 from itx.compiler import CompiledJob, JobDescription, compile_job
 from itx.device import DeviceConfig, TileProgram
 from itx.encoding import canonical_bytes, jsonable
@@ -153,6 +154,14 @@ class TestSgdPlanning:
         with pytest.raises(ScheduleInfeasible, match="unknown job kind"):
             compile_job(JobDescription(kind="matmul", model_party="m"))
 
+    def test_refuses_a_loop_the_device_would_not_expand(self):
+        """A gradient tile runs 5 phases a step plus 2, so 13,106 steps is
+        the most whose program fits the device's 65,535-phase budget."""
+        compiled = compile_job(sgd_job(steps=13106, checkpoint_period=13106))
+        assert len(TileProgram.unpack(compiled.binaries[4]).phases) == 65532
+        with pytest.raises(ScheduleInfeasible, match="tile 4's program expands past 65535 phases"):
+            compile_job(sgd_job(steps=13107, checkpoint_period=13107))
+
 
 # ---------------------------------------------------------------------------
 # stream-reduction planning (key rotation)
@@ -194,6 +203,15 @@ class TestSumPlanning:
         single.manifest.validate()
         with pytest.raises(ScheduleInfeasible, match="at least one input"):
             compile_job(sum_job(stream_count=0))
+
+    def test_refuses_a_program_past_the_phase_budget(self, monkeypatch):
+        """Tile 0 of a 17-stream job runs 14 phases: 5 loads, 5 wave
+        barriers, the sum, the store and 2 closing barriers."""
+        monkeypatch.setattr(compiler, "MAX_PHASES", 14)
+        compile_job(sum_job(stream_count=17))
+        monkeypatch.setattr(compiler, "MAX_PHASES", 13)
+        with pytest.raises(ScheduleInfeasible, match="tile 0's program expands past 13 phases"):
+            compile_job(sum_job(stream_count=17))
 
 
 # ---------------------------------------------------------------------------

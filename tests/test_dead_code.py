@@ -1,8 +1,10 @@
 """Every function, method and class defined in the package is named
-somewhere outside its own definition: in the package, the tests or the
+somewhere outside its own definition, and every attribute the package
+stores on ``self`` is read somewhere: in the package, the tests or the
 benchmark.  Dunder methods are exempt, since the language calls them."""
 
 import ast
+import functools
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -14,6 +16,11 @@ ROOT = PACKAGE.parent.parent
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
     path for folder in ("tests", "bench") for path in (ROOT / folder).rglob("*.py")
 )
+
+
+@functools.cache
+def parsed() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text()) for path in SOURCES}
 
 
 def mentions(tree: ast.Module) -> list[tuple[str, int]]:
@@ -33,7 +40,7 @@ def mentions(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def unused_definitions() -> list[str]:
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    trees = parsed()
     named = defaultdict(list)  # name -> [(path, line)]
     for path, tree in trees.items():
         for name, line in mentions(tree):
@@ -55,3 +62,29 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_is_used():
     assert unused_definitions() == []
+
+
+def unread_attributes() -> list[str]:
+    """``self.x`` stores in the package whose attribute name is never
+    loaded anywhere; a ``+=`` counts as a store, not a read."""
+    trees = parsed()
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{node.lineno} self.{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr not in loaded
+    ]
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes() == []

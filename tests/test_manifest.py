@@ -35,7 +35,8 @@ class TestStructuralLimits:
     def test_seventeen_regions_is_the_ceiling(self):
         manifest = sgd_manifest()
         with_extra_plan(manifest, plan_with_regions(NUM_REGIONS)).validate()
-        with pytest.raises(InvalidRegisterProgram):
+        # The register program's own limit is the one check of the count.
+        with pytest.raises(InvalidRegisterProgram, match="18 regions exceed the 17-region limit"):
             with_extra_plan(manifest, plan_with_regions(NUM_REGIONS + 1)).validate()
 
     def test_cleartext_region_zero_is_mandatory(self):

@@ -5,8 +5,6 @@ gone and the device back in normal mode."""
 import collections
 import copy
 import dataclasses
-import hashlib
-import json
 import struct
 
 import pytest
@@ -168,30 +166,6 @@ def test_any_checkpoint_metadata_blob_parses_or_is_invalid_encoding(blob):
         parse_checkpoint_metadata(blob)
     except InvalidEncoding:
         pass
-
-
-def test_trace_holds_no_digest_of_plaintext(monkeypatch):
-    """No trace record carries a SHA-256 prefix of a packet payload that
-    ingress decrypted, or of a tile binary."""
-    fixture = make_sgd_fixture(steps=1)
-    device = fixture.deployment.device
-    records = []
-    device.trace = device.ingress.trace = device.egress.trace = records.append
-    payloads = []
-    process_ingress = SxpEngine.process_ingress
-
-    def recording(engine, pkt):
-        out = process_ingress(engine, pkt)
-        if out is not None:
-            payloads.append(out.payload)
-        return out
-
-    monkeypatch.setattr(SxpEngine, "process_ingress", recording)
-    assert_completed_and_exact(fixture, fixture.session.run())
-    text = json.dumps(records)
-    secrets = [*payloads, *fixture.compiled.binaries.values()]
-    assert payloads and records
-    assert [s for s in secrets if hashlib.sha256(s).hexdigest()[:16] in text] == []
 
 
 def test_the_dma_path_builds_each_packet_once(monkeypatch):

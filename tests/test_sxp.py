@@ -1,8 +1,6 @@
 """Exchange-pipe engine: contexts, key selection, packet crypto, latching."""
 
 import dataclasses
-import hashlib
-import json
 import random
 
 import pytest
@@ -401,34 +399,6 @@ class TestLatching:
         with pytest.raises(SecurityException):
             eng.process_ingress(pkt)
         assert eng.latched
-
-
-# ---------------------------------------------------------------------------
-# tracing
-# ---------------------------------------------------------------------------
-
-
-class TestTrace:
-    def test_records_carry_key_generation_not_key_material(self):
-        records = []
-        eng = engine(trace=records.append)
-        rng = random.Random(11)
-        keys = [bytes(rng.randrange(256) for _ in range(32)) for _ in range(3)]
-        iv = StreamIV(StreamType.DATA, stream_id=1)
-        for key in keys:
-            eng.load_key(3, key)
-            frame = egress_frame(eng, key, iv, bytes(96))
-            for pkt in completions_for(frame, 3):
-                eng.process_ingress(pkt)
-        starts = [r for r in records if r["event"] == "frame_start"]
-        assert [(r["dir"], r["key_gen"]) for r in starts] == [
-            (direction, gen) for gen in (1, 2, 3) for direction in ("egress", "ingress")
-        ]
-        text = json.dumps(records)
-        for key in keys:
-            digest = hashlib.sha256(key).hexdigest()
-            for secret in (key.hex(), digest, digest[:16]):
-                assert secret not in text
 
 
 # ---------------------------------------------------------------------------
