@@ -1,11 +1,12 @@
 """Malicious-host playbook for the trusted-run harness.
 
 The host owns the ring buffer, the PCIe surface, and the scheduler, so every
-action here is something a compromised host could really attempt: flipping
-ciphertext bits, replaying or reordering frames, swapping whole streams or
-binaries, skipping the key-load call at a barrier, feeding back a stale
-checkpoint, or poking device registers.  None of them should ever yield a
-wrong-but-accepted result — the run either completes untouched or aborts.
+action here is something a compromised host could really attempt, at the ring
+addresses its own manifest gives: flipping ciphertext bits, replaying or
+reordering frames, swapping whole streams or binaries, skipping the key-load
+call at a barrier, feeding back a stale checkpoint, or poking device
+registers.  None of them should ever yield a wrong-but-accepted result — the
+run either completes untouched or aborts.
 
 Hooks (called by the runtime):
 
@@ -131,15 +132,13 @@ class SwapStreams(Adversary):
     def after_fill(self, host, stage) -> None:
         if self.done:
             return
-        entry_a = host.manifest.stream_table[self.stream_a]
-        entry_b = host.manifest.stream_table[self.stream_b]
+        (a, a_end), (b, b_end) = (host.manifest.extent(sid) for sid in (self.stream_a, self.stream_b))
         if self.stream_a not in host.windows or self.stream_b not in host.windows:
             return
-        size = min(host.region_size(self.stream_a), host.region_size(self.stream_b))
-        blob_a = host.ring.read(entry_a.region_base, size)
-        blob_b = host.ring.read(entry_b.region_base, size)
-        host.ring.write(entry_a.region_base, blob_b)
-        host.ring.write(entry_b.region_base, blob_a)
+        size = min(a_end - a, b_end - b)
+        blob_a, blob_b = host.ring.read(a, size), host.ring.read(b, size)
+        host.ring.write(a, blob_b)
+        host.ring.write(b, blob_a)
         self.done = True
 
 
@@ -156,7 +155,7 @@ class SwapBinary(Adversary):
             return
         entry = host.manifest.stream_of_kind("code")
         for i, frame in enumerate(self.frames):
-            host.ring.write(entry.region_base + i * entry.frame_total_size, frame)
+            host.ring.write(entry.frame_address(i), frame)
 
 
 @dataclass

@@ -326,6 +326,8 @@ class Ccu:
             )
         if manifest.device_config != device.config.to_dict():
             raise InvalidPhase("manifest was compiled for a different device geometry")
+        if sorted(layout.tile_id for layout in manifest.tile_layouts) != list(range(len(device.tiles))):
+            raise InvalidPhase("manifest does not lay out each device tile exactly once")
         if manifest.bootloader_measurement != self.measurements["tile_bootloader"]:
             raise InvalidPhase("manifest names a different tile bootloader")
         for party, cert in sorted(party_certs.items()):

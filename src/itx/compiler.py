@@ -50,7 +50,6 @@ from .device import (
     StorePhase,
     SyncPhase,
     TileProgram,
-    checkpoint_frames,
 )
 from .encoding import Record
 from .errors import ScheduleInfeasible
@@ -66,6 +65,8 @@ from .manifest import (
     StreamTableEntry,
     SyncPlan,
     TileLayout,
+    checkpoint_span,
+    frame_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,8 @@ RES_OFF = 0x2800  # sum job: result cell
 STAGE_OFF = 0x3000  # loader staging buffer
 OUT_STAGE_OFF = 0x3400  # output gather buffer
 
-# ring-buffer address map
+# ring-buffer address map: where each region starts; the manifest's ring map
+# works out every address inside one
 CLEAR_REGION = (0x0, 0x1800)
 METADATA_BASE = 0x100
 CODE_BASE = 0x2000
@@ -170,16 +172,11 @@ def compile_job(
 
     # Each tile's binary fills whole frames, laid out back to back.
     binaries = {t: p.pack() for t, p in plan.programs.items()}
-    layouts = []
-    code_bytes = 0
-    for tile_id in sorted(binaries):
-        length = len(binaries[tile_id])
-        frames = max(1, -(-length // PAYLOAD))
-        layouts.append(
-            TileLayout(
-                tile_id, code_bytes, frames, length, plan.bindings.get(tile_id, ()), *plan.ckpt_range
-            )
-        )
+    layouts, code_bytes = [], 0
+    for tile_id, binary in sorted(binaries.items()):
+        frames = frame_count(len(binary), PAYLOAD)
+        bindings = plan.bindings.get(tile_id, ())
+        layouts.append(TileLayout(tile_id, code_bytes, frames, len(binary), bindings, *plan.ckpt_range))
         code_bytes += frames * FRAME_SIZE
     code_plain = sum(len(b) for b in binaries.values())
     stream_table = {
@@ -190,8 +187,7 @@ def compile_job(
     save_plan = restore_plan = None
     ckpt = next((e for e in plan.streams.values() if e.kind == CHECKPOINT), None)
     if ckpt is not None:
-        slot = max(checkpoint_frames(len(l.bindings), l.ckpt_len, PAYLOAD) for l in layouts)
-        region = (ckpt.region_base, ckpt.region_base + len(layouts) * slot * FRAME_SIZE)
+        region = (ckpt.region_base, ckpt.frame_address(len(layouts) * checkpoint_span(layouts, PAYLOAD)))
         save_plan, restore_plan = _ckpt_plans(ckpt.stream_id, region)
 
     manifest = JobManifest(
@@ -289,18 +285,19 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
 
     n_tiles = config.tile_count
     slice_ints = 12
-    slice_bytes = 4 * slice_ints  # 48
-    model_bytes = n_tiles * slice_bytes  # 768
-    frames_per_pass = model_bytes // PAYLOAD  # 8
+    slice_bytes = 4 * slice_ints
+    model_bytes = n_tiles * slice_bytes
+    frames_per_pass = frame_count(model_bytes, PAYLOAD)  # a pass moves the whole model
+    frames_per_loader = frames_per_pass // config.tiles_per_exchange_context  # each loader's run
 
     sid_w0, sid_g1, sid_g2, sid_ckpt, sid_out = 2, 3, 4, 5, 6
 
     # -- tile programs and bindings ------------------------------------------
     # Block 0 loads the weights and stores the model; blocks 1 and 2 load
-    # one data party's gradients each; each loader tile walks every 8th pair
-    # of frames.
-    def walk(sid: int, j: int, frames: int, buf_off: int = STAGE_OFF) -> BindingSpec:
-        return BindingSpec(sid, buf_off, start_index=2 * j, stride=8, block_len=2, total_frames=frames)
+    # one data party's gradients each; loader tile j walks run j of a pass.
+    def walk(sid: int, j: int, passes: int, buf_off: int = STAGE_OFF) -> BindingSpec:
+        per = frames_per_loader
+        return BindingSpec(sid, buf_off, per * j, stride=frames_per_pass, block_len=per, total_frames=per * passes)
 
     sgd_pair = [
         ComputePhase(OP_SGD_STEP, (job.lr_num, job.lr_den, W_OFF, G1_OFF, slice_ints)),
@@ -314,27 +311,27 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         grad = {1: sid_g1, 2: sid_g2}.get(ebc)
         phases: list = []
         if ebc == 0:
-            phases.append(LoadPhase(sid_w0, 2))
-            bindings[t] = (walk(sid_w0, j, 2), walk(sid_out, j, 2, OUT_STAGE_OFF))
+            phases.append(LoadPhase(sid_w0, frames_per_loader))
+            bindings[t] = (walk(sid_w0, j, 1), walk(sid_out, j, 1, OUT_STAGE_OFF))
         elif grad is not None:
-            bindings[t] = (walk(grad, j, 2 * steps),)
+            bindings[t] = (walk(grad, j, steps),)
         phases.append(SyncPhase(1))
         # One loop states every step: pass s meets barriers 2 + 2s and 3 + 2s.
-        body = ([LoadPhase(grad, 2)] if grad is not None else []) + [SyncPhase(2), *sgd_pair, SyncPhase(3)]
+        load = [LoadPhase(grad, frames_per_loader)] if grad is not None else []
+        body = [*load, SyncPhase(2), *sgd_pair, SyncPhase(3)]
         phases += [LoopPhase(steps, len(body), 2), *body]
         if ebc == 0:
-            phases.append(StorePhase(sid_out, 2))
+            phases.append(StorePhase(sid_out, frames_per_loader))
         phases.append(SyncPhase(end_sync))
         programs[t] = TileProgram(tuple(phases))
 
     # -- streams and regions -------------------------------------------------
-    w0_region, g1_region, g2_region = (_region(i, frames_per_pass) for i in range(3))
-    out_region = _region(4, frames_per_pass)
+    w0_region, g1_region, g2_region, ckpt_slot, out_region = (_region(i, frames_per_pass) for i in range(5))
     streams = {
         sid_w0: StreamTableEntry(sid_w0, job.model_party, DIR_IN, DATA, model_bytes, FRAME_SIZE, w0_region[0]),
         sid_g1: StreamTableEntry(sid_g1, job.data_parties[0], DIR_IN, DATA, steps * model_bytes, FRAME_SIZE, g1_region[0]),
         sid_g2: StreamTableEntry(sid_g2, job.data_parties[1], DIR_IN, DATA, steps * model_bytes, FRAME_SIZE, g2_region[0]),
-        sid_ckpt: StreamTableEntry(sid_ckpt, "", DIR_OUT, CHECKPOINT, 0, FRAME_SIZE, DATA_BASE + 3 * REGION_STRIDE),
+        sid_ckpt: StreamTableEntry(sid_ckpt, "", DIR_OUT, CHECKPOINT, 0, FRAME_SIZE, ckpt_slot[0]),
         sid_out: StreamTableEntry(sid_out, "", DIR_OUT, OUTPUT, model_bytes, FRAME_SIZE, out_region[0]),
     }
 
@@ -406,9 +403,11 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
     n = job.stream_count
     if n < 1:
         raise ScheduleInfeasible("at least one input stream")
+    if 2 + n > 0xFFFF:  # the output takes id 2 + n, and programs store ids as ``<H``
+        raise ScheduleInfeasible(f"{n} input streams need stream ids past 0xFFFF")
     n_ebcs = config.tile_count // config.tiles_per_exchange_context
 
-    ints = PAYLOAD // 4  # 24 ints per stream frame
+    ints = PAYLOAD // 4
     waves = -(-n // n_ebcs)
     sid_in = lambda i: 2 + i  # noqa: E731
     sid_out = 2 + n

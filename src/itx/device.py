@@ -331,12 +331,6 @@ def _unpack_cursors(blob: bytes, off: int) -> tuple[dict[int, int], int]:
     return dict(pairs), off + 4 + 6 * count
 
 
-def checkpoint_frames(n_bindings: int, ckpt_len: int, payload_size: int) -> int:
-    """Number of frames one tile's checkpoint occupies (used by planner too)."""
-    need = 8 + 6 * n_bindings + ckpt_len
-    return max(1, -(-need // payload_size))
-
-
 def pack_checkpoint_metadata(epoch: int, checkpoint_id: int, pc: int, cursors: dict[int, int]) -> bytes:
     blob = struct.pack("<III", epoch, checkpoint_id, pc) + _pack_cursors(cursors)
     pad = (-len(blob)) % BLOCK_BYTES
@@ -524,10 +518,6 @@ class IpuDevice:
                 return self.manifest.stream_of_kind(kind)
         raise self._security(f"no {kind} stream in the installed job")
 
-    def _frame_address(self, entry: StreamTableEntry, frame_index: int) -> int:
-        window = self.windows.get(entry.stream_id, 0)
-        return entry.region_base + (frame_index - window) * entry.frame_total_size
-
     def _dma_write(self, src_tile: int, address: int, frame: bytes, aes: bool) -> None:
         step = self.config.packet_payload
         for off in range(0, len(frame), step):
@@ -620,7 +610,7 @@ class IpuDevice:
         entry = self._stream(stream_id)
         if self.clear_mode:
             return self._clear_frame(entry, frame_index)
-        address = self._frame_address(entry, frame_index)
+        address = entry.frame_address(frame_index, self.windows.get(stream_id, 0))
         return self._read_frame(self.tiles[tile_id], entry, address, frame_index)
 
     def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
@@ -628,7 +618,7 @@ class IpuDevice:
         if self.clear_mode:
             self._clear_store(entry, frame_index, payload)
             return
-        address = self._frame_address(entry, frame_index)
+        address = entry.frame_address(frame_index, self.windows.get(stream_id, 0))
         self._write_frame(self.tiles[tile_id], entry, address, frame_index, payload)
 
     # -- clear-mode stream plumbing -----------------------------------------
@@ -655,13 +645,9 @@ class IpuDevice:
         """Fetch, authenticate, and install one tile's binary; returns its digest."""
         tile = self.tiles[tile_id]
         entry = self._stream_of_kind(CODE)
-        layout = tile.layout
-        base = entry.region_base + layout.code_offset
-        blob = b"".join(
-            self._read_frame(tile, entry, base + f * entry.frame_total_size, f)
-            for f in range(layout.code_frames)
-        )
-        binary = blob[: layout.binary_length]
+        addresses = self.manifest.code_addresses(tile.layout)
+        blob = b"".join(self._read_frame(tile, entry, a, f) for f, a in enumerate(addresses))
+        binary = blob[: tile.layout.binary_length]
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
         try:
             tile.program = TileProgram.unpack(binary, len(tile.memory))
@@ -768,44 +754,31 @@ class IpuDevice:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def _checkpoint_slots(self) -> tuple[StreamTableEntry, list[tuple[int, int]]]:
-        """The checkpoint stream, and each tile's (first frame address, frame
-        count) in it; every tile's slot is as long as the longest."""
-        entry = self._stream_of_kind(CHECKPOINT)
-        size = payload_capacity(entry.frame_total_size)
-        frames = [checkpoint_frames(len(t.bindings), t.layout.ckpt_len, size) for t in self.tiles]
-        span = max(frames) * entry.frame_total_size
-        return entry, [(entry.region_base + t.tile_id * span, n) for t, n in zip(self.tiles, frames)]
-
     def checkpoint_save(self) -> None:
         """Write every tile's restart state as an encrypted checkpoint stream
         plus a small cleartext metadata record per tile."""
-        entry, slots = self._checkpoint_slots()
-        manifest = self.manifest
+        entry = self._stream_of_kind(CHECKPOINT)
+        slots = self.manifest.checkpoint_addresses()
         size = payload_capacity(entry.frame_total_size)
-        for tile, (base, frames) in zip(self.tiles, slots):
-            layout = tile.layout
+        for tile in self.tiles:
+            layout, addresses = tile.layout, slots[tile.tile_id]
             state = tile.memory[layout.ckpt_buf_off : layout.ckpt_buf_off + layout.ckpt_len]
             payload = struct.pack("<I", tile.pc) + _pack_cursors(tile.cursors) + state
-            payload = payload.ljust(frames * size, b"\x00")
-            for f in range(frames):
-                address = base + f * entry.frame_total_size
+            payload = payload.ljust(len(addresses) * size, b"\x00")
+            for f, address in enumerate(addresses):
                 self._write_frame(tile, entry, address, f, payload[f * size : (f + 1) * size])
             record = pack_checkpoint_metadata(tile.epoch, tile.checkpoint_id, tile.pc, tile.cursors)
-            slot_addr = manifest.metadata_base + tile.tile_id * manifest.metadata_slot
-            self._dma_write(tile.tile_id, slot_addr, record, aes=False)
+            self._dma_write(tile.tile_id, self.manifest.metadata_address(tile.tile_id), record, aes=False)
             tile.checkpoint_id += 1
 
     def checkpoint_restore(self) -> None:
         """Rebuild tile state from the checkpoint identified by the seeded
         (epoch, checkpoint) counters, then re-park the tiles at the saved
         barrier; tiles verify every frame's IV."""
-        entry, slots = self._checkpoint_slots()
-        for tile, (base, frames) in zip(self.tiles, slots):
-            payload = b"".join(
-                self._read_frame(tile, entry, base + f * entry.frame_total_size, f)
-                for f in range(frames)
-            )
+        entry = self._stream_of_kind(CHECKPOINT)
+        slots = self.manifest.checkpoint_addresses()
+        for tile in self.tiles:
+            payload = b"".join(self._read_frame(tile, entry, a, f) for f, a in enumerate(slots[tile.tile_id]))
             (pc,) = struct.unpack_from("<I", payload, 0)
             cursors, off = _unpack_cursors(payload, 4)
             layout = tile.layout

@@ -9,6 +9,11 @@ review a manifest before releasing keys.  Its measurement is the SHA-256 of
 its canonical bytes (``to_bytes()``); the host hands those bytes to the
 control unit, and the attestation report commits to their digest.
 
+It is also the one reader of the ring layout: the SXP keys a DMA frame by
+its address, so every ring address (a stream's extent, frame *i* under a
+window, a tile's code and checkpoint frames, the metadata records) is a pure
+function of the fields below, and each role asks its own manifest.
+
 Routing note: all requests (reads and writes) are key-selected on the egress
 path, so a sync plan carries a single ``ctxmap``/``kphysmap`` register image
 shared by both directions.  Keys live in direction-specific context banks:
@@ -19,11 +24,11 @@ shared by both directions.  Keys live in direction-specific context banks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .encoding import Record, digest_hex
 from .errors import InvalidRegisterProgram
-from .frame_codec import FRAME_ALIGN, MAX_FRAME_BYTES
+from .frame_codec import FRAME_ALIGN, MAX_FRAME_BYTES, payload_capacity
 from .sxp import NUM_CONTEXTS, AddressRegion, SxpRegisters
 
 # stream kinds
@@ -45,6 +50,10 @@ class StreamTableEntry(Record):
     plaintext_length: int
     frame_total_size: int
     region_base: int  # base tile-PCI address of the stream's buffer region
+
+    def frame_address(self, index: int, window: int = 0) -> int:
+        """Ring address of frame ``index`` while the stream's window starts at frame ``window``."""
+        return self.region_base + (index - window) * self.frame_total_size
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,22 @@ class TileLayout(Record):
     bindings: tuple[BindingSpec, ...] = ()
     ckpt_buf_off: int = 0  # tile-memory range covered by checkpoints
     ckpt_len: int = 0
+
+
+def frame_count(length: int, payload_size: int) -> int:
+    """How many frames ``length`` plaintext bytes fill, ``payload_size`` to a frame; never none."""
+    return max(1, -(-length // payload_size))
+
+
+def checkpoint_frames(n_bindings: int, ckpt_len: int, payload_size: int) -> int:
+    """Frames one tile's checkpoint fills: its ``<I`` pc, its cursor table
+    (``<I`` count, a ``<HI`` pair per binding) and its checkpointed memory."""
+    return frame_count(8 + 6 * n_bindings + ckpt_len, payload_size)
+
+
+def checkpoint_span(layouts: Iterable[TileLayout], payload_size: int) -> int:
+    """Frames in every tile's checkpoint slot: as many as the longest checkpoint fills."""
+    return max(checkpoint_frames(len(l.bindings), l.ckpt_len, payload_size) for l in layouts)
 
 
 @dataclass(frozen=True)
@@ -143,6 +168,44 @@ class JobManifest(Record):
             return None
         index, offsets = self.schedule[sync_id]
         return self.plans[index], offsets
+
+    # -- the ring map ----------------------------------------------------------
+
+    def extent(self, stream_id: int) -> tuple[int, int]:
+        """The ring range of a stream's region, as the first plan that keys the stream states it."""
+        for plan in (self.boot_plan, *self.plans, self.checkpoint_plan):
+            if plan is not None and stream_id in plan.stream_regions:
+                return plan.regions[plan.stream_regions[stream_id]]
+        raise KeyError(stream_id)
+
+    def window(self, stream_id: int, first: int) -> dict[int, int]:
+        """Frame index -> ring address of every frame a stream's region holds
+        while its window starts at frame ``first``."""
+        entry, (lo, hi) = self.stream_table[stream_id], self.extent(stream_id)
+        return {i: entry.frame_address(i, first) for i in range(first, first + (hi - lo) // entry.frame_total_size)}
+
+    def code_addresses(self, layout: TileLayout) -> list[int]:
+        """Ring addresses of a tile's code frames, in frame order."""
+        entry = self.stream_of_kind(CODE)
+        return [entry.frame_address(f) + layout.code_offset for f in range(layout.code_frames)]
+
+    def checkpoint_addresses(self) -> dict[int, list[int]]:
+        """Tile -> ring addresses of the frames its checkpoint fills, from the
+        start of its slot; every slot is as long as the longest checkpoint."""
+        entry = self.stream_of_kind(CHECKPOINT)
+        payload = payload_capacity(entry.frame_total_size)
+        span = checkpoint_span(self.tile_layouts, payload)
+        frames = {l.tile_id: checkpoint_frames(len(l.bindings), l.ckpt_len, payload) for l in self.tile_layouts}
+        return {t: [entry.frame_address(t * span + f) for f in range(n)] for t, n in frames.items()}
+
+    def metadata_address(self, tile_id: int) -> int:
+        """Where a tile's cleartext checkpoint record sits."""
+        return self.metadata_base + tile_id * self.metadata_slot
+
+    def checkpoint_ranges(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The ring ranges of a checkpoint: its frames' region, then every tile's cleartext record."""
+        records = (self.metadata_base, self.metadata_address(len(self.tile_layouts)))
+        return self.extent(self.stream_of_kind(CHECKPOINT).stream_id), records
 
     # -- validation ----------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .certs import Certificate
 from .encoding import Record, jsonable
 from .errors import InvalidFrame, KeyExchangeFailure
 from .frame_codec import StreamIV, StreamType, check_frame, encrypt_stream, payload_capacity
-from .manifest import CODE, DIR_IN, JobManifest
+from .manifest import CODE, DIR_IN, JobManifest, frame_count
 from .pki import PartyIdentity, PartySession
 
 
@@ -58,7 +58,7 @@ def encrypt_code_stream(
                 f"tile {layout.tile_id}: binary is {len(binary)} bytes, "
                 f"layout says {layout.binary_length}"
             )
-        if -(-len(binary) // payload) != layout.code_frames:
+        if frame_count(len(binary), payload) != layout.code_frames:
             raise InvalidFrame(f"tile {layout.tile_id}: code frame count mismatch")
         template = StreamIV(StreamType.CODE, ipu_id=manifest.ipu_id, tile_id=layout.tile_id)
         frames += encrypt_stream(key, template, binary, entry.frame_total_size)

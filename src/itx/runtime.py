@@ -12,7 +12,7 @@ The session models four mutually distrustful roles on one box:
   checkpoints;
 * the **device**: runs tile programs, from the control unit's copy of the
   manifest, behind the packet-crypto boundary and names the barrier its
-  tiles agreed on.  The host's own ``manifest`` steers only its ring writes;
+  tiles agreed on.  The host's own ``manifest`` places only its ring writes;
 * the **parties** (``pki.Party``): actors holding their own keys and run
   nonces.  The host asks each to ``offer`` a keyshare and to ``release`` its
   keys, which it does only for a report it verified; the host keeps neither.
@@ -39,7 +39,7 @@ from .encoding import digest_hex
 from .errors import AccessDenied, InvalidPhase, ItxError
 from .eventlog import EventLog
 from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
-from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan
+from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan, frame_count
 from .pki import Party, derive_model_key
 
 # Parties verify in ``PartyIdentity.release_keys``; the verifier stays importable
@@ -114,54 +114,32 @@ class TrustedJobSession:
         self.ring = device.ring_buffer
         self.windows: dict[int, int] = {}
         self.snapshots: list[CheckpointSnapshot] = []
-        self._extent = self._region_extents()
         self.last_report = None  # most recent attestation report (for archival)
         self.last_expected: dict = {}  # expectations the parties last verified against
         self._stage = ""  # the control-unit call in progress, named in abort reasons
 
-    # -- host's view of the ring ---------------------------------------------
-
-    def _region_extents(self) -> dict[int, tuple[int, int]]:
-        extents: dict[int, tuple[int, int]] = {}
-        for plan in (self.manifest.boot_plan, *self.manifest.plans, self.manifest.checkpoint_plan):
-            for sid, region in plan.stream_regions.items() if plan else ():
-                extents.setdefault(sid, plan.regions[region])
-        return extents
-
-    def region_size(self, stream_id: int) -> int:
-        lo, hi = self._extent[stream_id]
-        return hi - lo
+    # -- the host's ring: every address comes from its own manifest ----------
 
     def frame_address(self, stream_id: int, frame_index: int) -> int | None:
         """Where a frame currently sits in the ring, if it is windowed in."""
-        if stream_id not in self.windows:
-            return None
-        entry = self.manifest.stream_table[stream_id]
-        slots = self.region_size(stream_id) // entry.frame_total_size
-        position = frame_index - self.windows[stream_id]
-        if 0 <= position < slots:
-            return entry.region_base + position * entry.frame_total_size
-        return None
-
-    # -- ring fills ----------------------------------------------------------
+        window = self.windows.get(stream_id)
+        return None if window is None else self.manifest.window(stream_id, window).get(frame_index)
 
     def _fill_plan(self, plan: SyncPlan, offsets: dict[int, int], log: EventLog) -> None:
         for sid in plan.fills:
-            entry = self.manifest.stream_table[sid]
             frames = self._streams[sid]
             offset = offsets.get(sid, 0)
-            slots = self.region_size(sid) // entry.frame_total_size
-            count = min(slots, len(frames) - offset)
-            for i in range(count):
-                self.ring.write(entry.region_base + i * entry.frame_total_size, frames[offset + i])
+            placed = list(zip(self.manifest.window(sid, offset).values(), frames[offset:]))
+            for address, frame in placed:
+                self.ring.write(address, frame)
             self.windows[sid] = offset
-            log.emit("fill", stream=sid, offset=offset, frames=count)
+            log.emit("fill", stream=sid, offset=offset, frames=len(placed))
 
     def _fill_snapshot(self, snapshot: CheckpointSnapshot, log: EventLog) -> None:
-        meta = self.manifest.stream_of_kind(CHECKPOINT)
-        self.ring.write(meta.region_base, snapshot.frames_blob)
-        self.ring.write(self.manifest.metadata_base, snapshot.meta_blob)
-        self.windows[meta.stream_id] = 0
+        (frames_at, _), (meta_at, _) = self.manifest.checkpoint_ranges()
+        self.ring.write(frames_at, snapshot.frames_blob)
+        self.ring.write(meta_at, snapshot.meta_blob)
+        self.windows[self.manifest.stream_of_kind(CHECKPOINT).stream_id] = 0
         log.emit(
             "fill_checkpoint",
             epoch=snapshot.epoch,
@@ -170,19 +148,9 @@ class TrustedJobSession:
         )
 
     def _capture_snapshot(self, barrier: int, log: EventLog) -> CheckpointSnapshot:
-        meta_entry = self.manifest.stream_of_kind(CHECKPOINT)
-        lo, hi = self._extent[meta_entry.stream_id]
-        meta_blob = self.ring.read(
-            self.manifest.metadata_base, len(self.manifest.tile_layouts) * self.manifest.metadata_slot
-        )
+        frames_blob, meta_blob = (self.ring.read(lo, hi - lo) for lo, hi in self.manifest.checkpoint_ranges())
         counters = parse_checkpoint_metadata(meta_blob)  # tile 0's record comes first
-        snapshot = CheckpointSnapshot(
-            epoch=counters["epoch"],
-            checkpoint_id=counters["checkpoint_id"],
-            barrier=barrier,
-            frames_blob=self.ring.read(lo, hi - lo),
-            meta_blob=meta_blob,
-        )
+        snapshot = CheckpointSnapshot(counters["epoch"], counters["checkpoint_id"], barrier, frames_blob, meta_blob)
         self.snapshots.append(snapshot)
         for party in self.parties.values():
             party.checkpointed()
@@ -388,12 +356,8 @@ class TrustedJobSession:
 
     def _collect_output(self) -> tuple[bytes, ...]:
         entry = self.manifest.stream_of_kind(OUTPUT)
-        payload = payload_capacity(entry.frame_total_size)
-        count = max(1, -(-entry.plaintext_length // payload))
-        return tuple(
-            self.ring.read(entry.region_base + i * entry.frame_total_size, entry.frame_total_size)
-            for i in range(count)
-        )
+        count = frame_count(entry.plaintext_length, payload_capacity(entry.frame_total_size))
+        return tuple(self.ring.read(entry.frame_address(i), entry.frame_total_size) for i in range(count))
 
 
 # ---------------------------------------------------------------------------

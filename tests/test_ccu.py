@@ -1,5 +1,6 @@
 """Measured boot, TEE lifecycle, and run-key derivation in the board root of trust."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -339,6 +340,22 @@ class TestTeeInit:
         with pytest.raises(InvalidPhase, match="different device geometry"):
             deployment.ccu.tee_init(foreign.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
+
+    @pytest.mark.parametrize(
+        "relayout",
+        [lambda layouts: layouts[:15], lambda layouts: (*layouts, layouts[14])],
+        ids=["tile-15-dropped", "tile-14-twice"],
+    )
+    def test_manifest_must_lay_out_each_device_tile_exactly_once(self, rig, relayout):
+        deployment, compiled, parties, _ = rig
+        manifest = dataclasses.replace(
+            compiled.manifest, tile_layouts=relayout(compiled.manifest.tile_layouts)
+        )
+        _, certs, shares, sigs = init_material(parties)
+        with pytest.raises(InvalidPhase, match="each device tile exactly once"):
+            deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
+        assert deployment.ccu.tee.phase == NO_TEE
+        assert deployment.device.registers["trusted_mode"] == 0
 
     def test_manifest_with_wrong_tile_bootloader_is_rejected(self, rig):
         deployment, _, parties, _ = rig

@@ -204,6 +204,12 @@ class TestSumPlanning:
         with pytest.raises(ScheduleInfeasible, match="at least one input"):
             compile_job(sum_job(stream_count=0))
 
+    def test_refuses_stream_ids_past_sixteen_bits(self):
+        """Tile programs store stream ids as ``<H``: 65,533 inputs take ids 2
+        to 65,534 and the output 65,535, so one more input has no id."""
+        with pytest.raises(ScheduleInfeasible, match="stream ids past 0xFFFF"):
+            compile_job(sum_job(stream_count=65534))
+
     def test_refuses_a_program_past_the_phase_budget(self, monkeypatch):
         """Tile 0 of a 17-stream job runs 14 phases: 5 loads, 5 wave
         barriers, the sum, the store and 2 closing barriers."""
@@ -282,3 +288,31 @@ def test_binaries_expand_to_the_unrolled_programs():
     assert fold.hexdigest() == (
         "7e78fa649d03182c3904138c9da05a0cda3eccd98c7681c4d9846ea3eeea1c1b"
     )
+
+
+def test_the_ring_map_fits_the_compiled_regions():
+    """Over the grid, every tile's cleartext checkpoint record lies inside
+    each plan's cleartext region 0; where a job checkpoints, each tile's
+    checkpoint frames lie inside the region the checkpoint and restore plans
+    key, and no two tiles' frames overlap."""
+    for job in SGD_GRID + SUM_GRID:
+        manifest = compile_job(job, bootloader_measurement=BOOTLOADER).manifest
+        layouts = manifest.tile_layouts
+        records = (manifest.metadata_address(0), manifest.metadata_address(len(layouts)))
+        for plan in (manifest.boot_plan, *manifest.plans, manifest.checkpoint_plan, manifest.restore_plan):
+            if plan is not None:
+                lo, hi = plan.regions[0]
+                assert lo <= records[0] < records[1] <= hi
+        if manifest.checkpoint_plan is None:
+            assert all(entry.kind != CHECKPOINT for entry in manifest.stream_table.values())
+            continue
+        entry = manifest.stream_of_kind(CHECKPOINT)
+        slots = manifest.checkpoint_addresses()
+        assert sorted(slots) == [layout.tile_id for layout in layouts] == list(range(16))
+        frames = sorted(address for addresses in slots.values() for address in addresses)
+        assert len(frames) >= len(layouts)
+        assert all(b - a >= entry.frame_total_size for a, b in zip(frames, frames[1:]))
+        for plan in (manifest.checkpoint_plan, manifest.restore_plan):
+            lo, hi = plan.regions[plan.stream_regions[entry.stream_id]]
+            assert lo <= frames[0] and frames[-1] + entry.frame_total_size <= hi
+        assert manifest.checkpoint_ranges() == ((lo, hi), records)

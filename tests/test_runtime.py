@@ -33,12 +33,11 @@ from itx.device import (
     OP_SGD_STEP,
     SyncPhase,
     TileProgram,
-    checkpoint_frames,
     pack_checkpoint_metadata,
     parse_checkpoint_metadata,
 )
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
-from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest
+from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest, checkpoint_frames
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.pki import Party
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
