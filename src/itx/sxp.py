@@ -2,19 +2,21 @@
 
 The SXP sits between the on-chip exchange and the PCIe complex and applies
 AES-256-GCM to DMA traffic one packet at a time.  Unlike the frame codec,
-which seals whole frames with a library AEAD, this model keeps the
-hardware's *incremental* pipeline so that context state, key selection, and
-mid-frame violations behave like the real engine:
+which seals whole frames in one call, this model keeps the hardware's
+*incremental* pipeline so that context state, key selection, and mid-frame
+violations behave like the real engine:
 
-* per-context state is the key plus one streaming library GCM context for
-  the frame in flight (and the tile that opened it);
+* per-context state is one library AEAD, keyed at key load; a frame in
+  flight adds its IV, its owner tile, the bytes it has passed and their
+  keystream, all dropped when the frame ends;
 * the first 16-byte block of a frame is consumed as the IV block, which
-  opens the GCM context; a CC flag on that block is a violation;
-* each packet's data blocks pass through the context in one update, so
-  ingress releases a packet's plaintext before the frame's tag is checked;
-* the block arriving with the CC (frame-close) flag is the MAC slot: on
-  egress the computed tag replaces it, on ingress it is checked against
-  the computed tag;
+  opens the frame; a CC flag on that block is a violation;
+* each packet's data blocks are XORed with the frame's GCM keystream (the
+  AEAD's encryption of zeros), so ingress releases plaintext before the tag
+  is checked;
+* the block arriving with the CC (frame-close) flag is the MAC slot: one
+  AEAD call over the whole frame puts the tag there on egress and checks
+  the tag there on ingress;
 * the engine rewrites each packet's payload (and, on egress, key index) in
   place at the same length, as the hardware pipeline does;
 * a violation raises on the packet that commits it, leaving the packet as it
@@ -38,7 +40,7 @@ from enum import Enum
 from typing import Optional
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import (
     ContextBusy,
@@ -153,42 +155,53 @@ CLEARTEXT = "cleartext"
 
 
 class _KeyContext:
-    """One of the 16 physical key slots and the frame in flight through it."""
+    """One of the 16 physical key slots: an AEAD from ``load`` to ``zeroize``,
+    and the frame in flight (IV, owner tile, passed bytes, keystream) until
+    ``end_frame``.  Passed bytes are ciphertext on ingress, plaintext on egress;
+    ``reach``, the bytes the last frame passed, sizes the next keystream draw."""
 
-    __slots__ = ("index", "aes", "gcm", "owner_tile")
+    __slots__ = ("index", "aead", "iv", "owner_tile", "passed", "keystream", "reach")
 
     def __init__(self, index: int) -> None:
-        self.index = index
+        self.index, self.passed = index, bytearray()
         self.zeroize()
 
     @property
     def active(self) -> bool:
-        return self.gcm is not None
+        return self.iv is not None
 
     def zeroize(self) -> None:
-        self.aes: Optional[algorithms.AES] = None
+        self.aead: Optional[AESGCM] = None
         self.end_frame()
 
     def end_frame(self) -> None:
-        self.gcm = None
+        self.reach = len(self.passed)
+        self.iv: Optional[bytes] = None
         self.owner_tile: Optional[int] = None
+        self.passed = bytearray()
+        self.keystream = b""
 
     def load(self, key: bytes) -> None:
         if self.active:
             raise ContextBusy(f"context {self.index} has a frame in flight")
         if len(key) != 32:
             raise InvalidRegisterProgram("SXP keys are 256 bits")
-        self.aes = algorithms.AES(key)
+        self.aead = AESGCM(key)
 
     def invalidate(self) -> None:
         if self.active:
             raise ContextBusy(f"context {self.index} has a frame in flight")
         self.zeroize()
 
-    def begin_frame(self, iv_block: bytes, owner_tile: int, encrypt: bool) -> None:
-        cipher = Cipher(self.aes, modes.GCM(iv_block[:12]))
-        self.gcm = cipher.encryptor() if encrypt else cipher.decryptor()
-        self.owner_tile = owner_tile
+    def stream(self, data: bytes) -> bytes:
+        """XOR ``data`` with the keystream where the frame has got to, and pass it."""
+        start, end = len(self.passed), len(self.passed) + len(data)
+        if end > len(self.keystream):  # keystream: the AEAD's ciphertext of zeros, tag cut off
+            zeros = bytes(max(end, 2 * len(self.keystream), self.reach))
+            self.keystream = self.aead.encrypt(self.iv, zeros, None)[:-BLOCK_BYTES]
+        self.passed += data
+        mask = int.from_bytes(self.keystream[start:end], "little")
+        return (int.from_bytes(data, "little") ^ mask).to_bytes(len(data), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +312,7 @@ class SxpEngine:
             ctx.zeroize()
 
     def key_loaded(self, ctx_index: int) -> bool:
-        return self._context(ctx_index).aes is not None
+        return self._context(ctx_index).aead is not None
 
     def reset(self) -> None:
         """Device reset: clears the latch, all key material, and registers."""
@@ -314,7 +327,7 @@ class SxpEngine:
 
     def _keyed_context(self, index: int) -> _KeyContext:
         ctx = self._context(index)
-        if ctx.aes is None:
+        if ctx.aead is None:
             raise self._security_exception(f"context {index} has no key", KeyNotLoaded)
         return ctx
 
@@ -406,24 +419,21 @@ class SxpEngine:
             return payload
         head = b""
         if not ctx.active:
-            head = self._open_frame(ctx, pkt, direction)
+            head = self._open_frame(ctx, pkt)
             payload = payload[BLOCK_BYTES:]
         if not pkt.cc:
-            return head + ctx.gcm.update(payload)
-        gcm = ctx.gcm
+            return head + ctx.stream(payload)
+        aead, iv, passed = ctx.aead, ctx.iv, bytes(ctx.passed)
         ctx.end_frame()
-        body = gcm.update(payload[:-BLOCK_BYTES])
         if direction == "egress":
-            gcm.finalize()
-            return head + body + gcm.tag
-        tag = payload[-BLOCK_BYTES:]
+            return head + aead.encrypt(iv, passed + payload[:-BLOCK_BYTES], None)[len(passed) :]
         try:
-            gcm.finalize_with_tag(tag)
+            plain = aead.decrypt(iv, passed + payload, None)
         except InvalidTag:
             raise self._security_exception(f"context {ctx.index}: frame tag mismatch") from None
-        return head + body + tag
+        return head + plain[len(passed) :] + payload[-BLOCK_BYTES:]
 
-    def _open_frame(self, ctx: _KeyContext, pkt: ExchangePacket, direction: str) -> bytes:
+    def _open_frame(self, ctx: _KeyContext, pkt: ExchangePacket) -> bytes:
         """Check the packet's leading IV block and open a frame with it."""
         iv_block = pkt.payload[:BLOCK_BYTES]
         if pkt.cc and len(pkt.payload) == BLOCK_BYTES:
@@ -432,5 +442,5 @@ class SxpEngine:
             raise self._security_exception(
                 f"context {ctx.index}: nonzero counter area in the IV block"
             )
-        ctx.begin_frame(iv_block, pkt.src_tile, encrypt=direction == "egress")
+        ctx.iv, ctx.owner_tile = iv_block[:12], pkt.src_tile
         return iv_block

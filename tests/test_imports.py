@@ -28,3 +28,29 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert unused == {}
+
+
+CIPHERS = "cryptography.hazmat.primitives.ciphers"
+
+
+def imported_paths(tree: ast.Module) -> list[str]:
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+    return paths
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_aes_comes_only_through_the_aead(path):
+    """The package's one AES primitive is the library AEAD: no module builds
+    a cipher from the raw modes of ``cryptography``'s ``ciphers`` package."""
+    raw = [
+        name
+        for name in imported_paths(ast.parse(path.read_text()))
+        if (name == CIPHERS or name.startswith(CIPHERS + "."))
+        and not name.startswith(CIPHERS + ".aead.")
+    ]
+    assert raw == []

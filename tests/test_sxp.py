@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gcm_oracle
 from itx import frame_codec as fc
+from itx import sxp
 from itx.errors import (
     ContextBusy,
     FrameInterleavingViolation,
@@ -18,6 +19,7 @@ from itx.errors import (
     SecurityException,
 )
 from itx.frame_codec import StreamIV, StreamType
+from itx.sandbox import make_sgd_fixture
 from itx.sxp import (
     NUM_CONTEXTS,
     AddressRegion,
@@ -486,6 +488,129 @@ class TestEquivalence:
             ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
             assert out == iv.iv_block() + ct + tag
 
+    def test_frames_interleaved_packet_by_packet(self):
+        """Two tiles' frames on contexts 3 and 7 alternate packet by packet,
+        so each context's buffered bytes and keystream must stay its own."""
+        rng = random.Random(7)
+        eng = engine()
+        frames = []
+        for ctx, tile, base in ((3, 0, 0x1000), (7, 4, 0x2000)):
+            key = bytes(rng.randrange(256) for _ in range(32))
+            eng.load_key(ctx, key)
+            iv = StreamIV(StreamType.DATA, stream_id=ctx, frame_index=ctx)
+            payload = bytes(rng.randrange(256) for _ in range(480))
+            frames.append((ctx, tile, base, key, iv, payload))
+
+        def alternate(streams):
+            return [pkt for pair in zip(*streams) for pkt in pair]
+
+        egress = alternate(
+            write_packets(iv.iv_block() + payload + bytes(16), tile, base)
+            for ctx, tile, base, key, iv, payload in frames
+        )
+        for pkt in egress:
+            eng.process_egress(pkt)
+        sealed = []
+        for ctx, tile, base, key, iv, payload in frames:
+            out = b"".join(p.payload for p in egress if p.key_index == ctx)
+            ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
+            assert out == iv.iv_block() + ct + tag
+            sealed.append((ctx, out))
+
+        ingress = alternate(completions_for(frame, ctx) for ctx, frame in sealed)
+        for pkt in ingress:
+            eng.process_ingress(pkt)
+        for (ctx, tile, base, key, iv, payload), (_, frame) in zip(frames, sealed):
+            out = b"".join(p.payload for p in ingress if p.key_index == ctx)
+            assert out == iv.iv_block() + payload + frame[-16:]
+        assert not eng.latched
+        assert not any(c.active for c in eng.contexts)
+
+
+def test_an_honest_sgd_run_builds_one_aead_per_loaded_key(monkeypatch):
+    """Each engine keys its AEAD when a key is loaded and never per frame."""
+    fixture = make_sgd_fixture(steps=3)
+    built, loaded, frames = [], [], []
+    real_aead, real_load, real_ingress = sxp.AESGCM, SxpEngine.load_key, SxpEngine.process_ingress
+
+    def counting_aead(key):
+        built.append(len(key))
+        return real_aead(key)
+
+    def counting_load(self, ctx_index, key):
+        real_load(self, ctx_index, key)
+        loaded.append(ctx_index)
+
+    def counting_ingress(self, pkt):
+        frames.append(pkt.aes and pkt.cc)
+        return real_ingress(self, pkt)
+
+    monkeypatch.setattr(sxp, "AESGCM", counting_aead)
+    monkeypatch.setattr(SxpEngine, "load_key", counting_load)
+    monkeypatch.setattr(SxpEngine, "process_ingress", counting_ingress)
+    result = fixture.session.run()
+    assert result.completed, result.reason
+    assert len(built) == len(loaded) > 0
+    assert sum(frames) > len(loaded)  # so one build per frame would show
+
+
+class TestAbandonedFrames:
+    """A frame ended early leaves no bytes in its context: reloading the same
+    key and running the next frame gives exactly the oracle's output."""
+
+    key = bytes(range(100, 132))
+    iv = StreamIV(StreamType.DATA, stream_id=9, frame_index=2)
+
+    def sealed(self, payload: bytes) -> bytes:
+        ct, tag = gcm_oracle.gcm_encrypt(self.key, self.iv.to_bytes(), payload)
+        return self.iv.iv_block() + ct + tag
+
+    def assert_next_frames_match_the_oracle(self, eng: SxpEngine) -> None:
+        ctx = eng.contexts[3]
+        assert not ctx.active and not ctx.passed and not ctx.keystream
+        eng.load_key(3, self.key)
+        payload = bytes(range(224))
+        assert egress_frame(eng, self.key, self.iv, payload) == self.sealed(payload)
+        out = b"".join(
+            eng.process_ingress(pkt).payload for pkt in completions_for(self.sealed(payload), 3)
+        )
+        assert out == self.iv.iv_block() + payload + self.sealed(payload)[-16:]
+
+    def opened(self) -> SxpEngine:
+        """An engine whose context 3 has passed three packets of a frame."""
+        eng = engine()
+        eng.load_key(3, self.key)
+        for pkt in write_packets(self.iv.iv_block() + bytes(480), 0, 0x1000)[:3]:
+            eng.process_egress(pkt)
+        assert eng.contexts[3].active
+        return eng
+
+    def test_after_an_egress_intrusion(self):
+        eng = self.opened()
+        intruder = write_packets(bytes(64), 1, 0x1100)[0]
+        with pytest.raises(FrameInterleavingViolation):
+            eng.process_egress(intruder)
+        eng.latched = False  # clear the latch without a reset, which would zeroize
+        self.assert_next_frames_match_the_oracle(eng)
+
+    def test_after_an_ingress_tag_mismatch(self):
+        eng = engine()
+        eng.load_key(3, self.key)
+        frame = bytearray(self.sealed(bytes(480)))
+        frame[-1] ^= 0x01
+        with pytest.raises(SecurityException, match="frame tag mismatch"):
+            for pkt in completions_for(bytes(frame), 3):
+                eng.process_ingress(pkt)
+        eng.latched = False
+        self.assert_next_frames_match_the_oracle(eng)
+
+    def test_after_a_reset_mid_frame(self):
+        eng = self.opened()
+        eng.reset()
+        assert not eng.key_loaded(3)
+        eng.program_registers(engine().registers)
+        self.assert_next_frames_match_the_oracle(eng)
+
 
 # ---------------------------------------------------------------------------
 # frames split into packets of every size
@@ -500,7 +625,7 @@ def split_frames(draw):
         stream_id=draw(st.integers(0, 0xFFFF)),
         frame_index=draw(st.integers(0, 0xFFFFFFFF)),
     )
-    blocks = draw(st.integers(0, 30))
+    blocks = draw(st.integers(0, (fc.MAX_FRAME_BYTES - fc.FRAME_OVERHEAD) // 16))
     payload = draw(st.binary(min_size=16 * blocks, max_size=16 * blocks))
     step = draw(st.sampled_from([16, 32, 48, 64, 128, None]))  # None: whole frame
     return key, iv, payload, step or len(payload) + 32
