@@ -16,8 +16,10 @@ Hooks (called by the runtime):
 * ``skip_key_load``   — return True to suppress the key-load call at a barrier;
   the control unit keys the barrier the device names, so the host can drop a
   key load but not point it at another barrier
-* ``before_interval`` — barrier fully processed, tiles about to run
 * ``choose_checkpoint`` — pick which saved snapshot a resume presents
+
+At a barrier ``after_fill`` is the last hook before the tiles run on.  A hook
+that raises (a host access the device denies, say) ends the attempt aborted.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ class Adversary:
 
     def skip_key_load(self, host, sync_id: int) -> bool:
         return False
-
-    def before_interval(self, host, sync_id) -> None:
-        pass
 
     def choose_checkpoint(self, host, latest):
         return latest
@@ -186,7 +185,7 @@ class TamperRegister(Adversary):
 
     register: str
     value: int
-    at_sync: Optional[int] = None  # None: before tee_init (normal mode)
+    at_sync: Optional[int] = None  # a barrier's sync id; None: before tee_init (normal mode)
     name: str = "tamper_register"
     done: bool = field(default=False, repr=False)
 
@@ -195,8 +194,8 @@ class TamperRegister(Adversary):
             host.device.host_write_register(self.register, self.value)
             self.done = True
 
-    def before_interval(self, host, sync_id) -> None:
-        if self.at_sync is not None and sync_id == self.at_sync and not self.done:
+    def after_fill(self, host, stage) -> None:
+        if self.at_sync is not None and stage == self.at_sync and not self.done:
             self.done = True
             host.device.host_write_register(self.register, self.value)
 
@@ -219,10 +218,6 @@ class Composite(Adversary):
 
     def skip_key_load(self, host, sync_id: int) -> bool:
         return any(a.skip_key_load(host, sync_id) for a in self.adversaries)
-
-    def before_interval(self, host, sync_id) -> None:
-        for adversary in self.adversaries:
-            adversary.before_interval(host, sync_id)
 
     def choose_checkpoint(self, host, latest):
         for adversary in self.adversaries:

@@ -9,8 +9,11 @@ key pins down exactly the firmware layers below it.  After boot the running
 state keeps only the AK private key and public material.
 
 The TEE lifecycle is a strict NoTee -> Initialized -> Launched -> Terminated
-state machine; any security exception reported by the device forces
-Terminated, scrubbing tiles and invalidating every loaded key.
+state machine.  Every attempt ends Terminated: the host's runtime terminates
+the TEE when an attempt completes, halts or aborts, and any security
+exception reported by the device forces it sooner.  Terminating scrubs the
+tiles and invalidates every loaded key; only a device reset returns the TEE
+to NoTee, ready for the next one.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ class Ccu:
         self.pik_endorsement = pik_endorsement
         self.device: Optional[IpuDevice] = None
         self.tee = TeeState()
-        self._terminating = False
 
     # -- measured boot -------------------------------------------------------
 
@@ -255,15 +257,12 @@ class Ccu:
         return self.device
 
     def _on_security_exception(self, reason: str) -> None:
-        if self._terminating:
-            return
         if self.tee.phase in (INITIALIZED, LAUNCHED):
             self.tee_terminate(f"security exception: {reason}")
 
     def _on_device_reset(self) -> None:
         # The reset pins are coupled: a device reset clears TEE state too.
-        if not self._terminating:
-            self.tee = TeeState()
+        self.tee = TeeState()
 
     # -- key plumbing --------------------------------------------------------
 
@@ -435,19 +434,15 @@ class Ccu:
             for tile in device.tiles:
                 chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
             if chain.hex() != manifest.binary_hashes[device.ipu_id]:
-                raise self._fatal("binary hash does not match the manifest")
+                raise SecurityException("binary hash does not match the manifest")
             self._apply_plan(self._parked_plan())
-        except Exception:
+        except Exception as exc:
             if self.tee.phase != TERMINATED:
-                self.tee_terminate("launch failed")
+                self.tee_terminate(f"launch failed: {exc}")
             raise
         if self.tee.epoch == 0:
             device.start_application()
         self.tee.phase = LAUNCHED
-
-    def _fatal(self, reason: str) -> SecurityException:
-        self.tee_terminate(reason)
-        return SecurityException(reason)
 
     def tee_load_keys(self) -> None:
         """Key the barrier the tiles are parked at."""
@@ -492,13 +487,9 @@ class Ccu:
     def tee_terminate(self, reason: str) -> None:
         if self.tee.phase not in (INITIALIZED, LAUNCHED):
             raise InvalidPhase(f"tee_terminate in phase {self.tee.phase}")
-        self._terminating = True
-        try:
-            device = self._require_device()
-            device.scrub()
-            device.egress.invalidate_all_keys()
-            device.ingress.invalidate_all_keys()
-            device.leave_trusted_mode()
-        finally:
-            self._terminating = False
+        device = self._require_device()
+        device.scrub()
+        device.egress.invalidate_all_keys()
+        device.ingress.invalidate_all_keys()
+        device.leave_trusted_mode()
         self.tee = TeeState(phase=TERMINATED, reason=reason)

@@ -110,11 +110,10 @@ PHASE_LOOP = 4
 MAX_PHASES = 0xFFFF
 
 OP_SUM = 0
-OP_AXPY = 1
 OP_SGD_STEP = 2
 
 _PROGRAM_MAGIC = b"TP\x01"
-_OP_ARGC = {OP_SUM: 3, OP_AXPY: 5, OP_SGD_STEP: 5}
+_OP_ARGC = {OP_SUM: 3, OP_SGD_STEP: 5}
 _I32_MIN, _I32_MOD = -(1 << 31), 1 << 32
 
 
@@ -228,7 +227,7 @@ class TileProgram:
                     if op != OP_SUM and args[1] <= 0:
                         raise ValueError("step denominator must be positive")
                     # SUM reads args[1] ints at args[0] and writes one at
-                    # args[2]; AXPY and SGD read and write args[4] ints at
+                    # args[2]; SGD reads and writes args[4] ints at
                     # args[2] and at args[3].
                     if op == OP_SUM:
                         inside = args[1] >= 0 and 0 <= args[0] <= memory - 4 * args[1]
@@ -728,12 +727,6 @@ class IpuDevice:
             src, count, dst = ph.args
             vals = struct.unpack_from(f"<{count}i", m, src)
             struct.pack_into("<i", m, dst, _wrap32(sum(vals)))
-        elif ph.op == OP_AXPY:
-            num, den, x_off, y_off, count = ph.args
-            xs = struct.unpack_from(f"<{count}i", m, x_off)
-            ys = struct.unpack_from(f"<{count}i", m, y_off)
-            out = [_wrap32(y + (num * x) // den) for x, y in zip(xs, ys)]
-            struct.pack_into(f"<{count}i", m, y_off, *out)
         elif ph.op == OP_SGD_STEP:
             num, den, w_off, g_off, count = ph.args
             gs = struct.unpack_from(f"<{count}i", m, g_off)

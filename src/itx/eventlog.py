@@ -21,12 +21,6 @@ class Event:
     kind: str
     fields: tuple[tuple[str, str], ...]
 
-    def get(self, key: str, default: str = "") -> str:
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
-
     def line(self) -> str:
         parts = [f"{self.seq:04d}", self.kind]
         parts.extend(f"{k}={shlex.quote(v)}" for k, v in self.fields)

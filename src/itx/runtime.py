@@ -19,9 +19,12 @@ The session models four mutually distrustful roles on one box:
 
 ``TrustedJobSession.run`` executes a job from cold start to an encrypted
 model; ``resume`` restarts a halted run from a saved checkpoint.  Every step
-lands in the event log, and any failure — a detected violation or any other
-exception — ends the run aborted, with the TEE terminated and keys
-destroyed: there is no path that both tampers and completes.
+lands in the event log.  Every attempt — completed, halted or aborted — ends
+with the TEE torn down: terminated, its keys destroyed, the tiles scrubbed
+and the device back in normal mode, so the next attempt needs a device
+reset.  Any failure — a detected violation or any other exception — ends the
+attempt aborted, and so does a TEE that ended under it: there is no path
+that both tampers and completes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
 from .device import DeviceConfig, IpuDevice, parse_checkpoint_metadata, trusted_registers_digest
 from .encoding import digest_hex
-from .errors import AccessDenied, InvalidPhase, ItxError
+from .errors import InvalidPhase, ItxError
 from .eventlog import EventLog
 from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
 from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan, frame_count
@@ -211,20 +214,6 @@ class TrustedJobSession:
             halt_after_checkpoint=halt_after_checkpoint,
         )
 
-    def _abort(self, log: EventLog, verdicts: dict, reason: str) -> RunResult:
-        if self.ccu.tee.phase in (INITIALIZED, LAUNCHED):
-            self.ccu.tee_terminate(reason)
-        log.emit("abort", reason=reason)
-        return RunResult(STATUS_ABORTED, reason, log, verdicts)
-
-    def _host_attempt(self, log: EventLog, hook, *args) -> None:
-        """Run an adversary hook; a denied host access is an observation, not
-        a crash — the control unit has already been notified."""
-        try:
-            hook(self, *args)
-        except AccessDenied as exc:
-            log.emit("host_access_denied", detail=str(exc))
-
     def _staged(self, stage: str, call, *args):
         """Make a control-unit call; if it raises, the abort reason starts
         with ``stage``."""
@@ -234,21 +223,32 @@ class TrustedJobSession:
         return result
 
     def _execute(self, **attempt) -> RunResult:
-        """Fail closed: whatever an attempt raises — a detected violation, a
-        malformed input, a fault in the host's own code — ends it aborted,
-        with the TEE terminated and its keys destroyed.  The reason names the
-        control-unit stage that failed, if any."""
+        """The one exit of every attempt, whatever it returns or raises.  A
+        raise — a detected violation, a malformed input, a fault in the host's
+        own code — aborts the attempt, with a reason naming the control-unit
+        stage that failed, if any; so does a TEE that ended under it, with the
+        control unit's reason.  A TEE still up is then terminated, so a
+        completed or halted attempt tears it down too."""
         log = EventLog()
         verdicts: dict[str, Verdict] = {}
         self._stage = ""
         try:
-            return self._attempt(log, verdicts, **attempt)
+            result = self._attempt(log, verdicts, **attempt)
         except Exception as exc:
             where = traceback.extract_tb(exc.__traceback__)[-1]
             at = f"{os.path.basename(where.filename)}:{where.lineno}"
             log.emit("exception", type=type(exc).__name__, at=at)
             detail = str(exc) if isinstance(exc, ItxError) else f"{type(exc).__name__}: {exc}"
-            return self._abort(log, verdicts, f"{self._stage}: {detail}" if self._stage else detail)
+            reason = f"{self._stage}: {detail}" if self._stage else detail
+            result = RunResult(STATUS_ABORTED, reason, log, verdicts)
+        tee = self.ccu.tee
+        if tee.phase == TERMINATED and not result.aborted:
+            result = RunResult(STATUS_ABORTED, tee.reason, log, verdicts)
+        if tee.phase in (INITIALIZED, LAUNCHED):
+            self.ccu.tee_terminate(result.reason)
+        if result.aborted:
+            log.emit("abort", reason=result.reason)
+        return result
 
     def _attempt(
         self,
@@ -264,7 +264,7 @@ class TrustedJobSession:
         log.emit("run_start", mode=mode, epoch=seed_epoch, checkpoint_id=seed_checkpoint)
 
         self.windows = {}
-        self._host_attempt(log, self.adversary.before_init)
+        self.adversary.before_init(self)
 
         offers = {name: party.offer() for name, party in self.parties.items()}
         certs = {name: party.identity.certificate for name, party in self.parties.items()}
@@ -289,7 +289,7 @@ class TrustedJobSession:
             verdicts[name] = verdict
             log.emit("verdict", party=name, accepted=verdict.accepted, reason=verdict.reason)
             if not verdict.accepted:
-                return self._abort(log, verdicts, f"party {name} rejected: {verdict.reason}")
+                raise ItxError(f"party {name} rejected: {verdict.reason}")
             packages[name] = wrapped
             log.emit("release_keys", party=name)
 
@@ -306,14 +306,11 @@ class TrustedJobSession:
             parked = self._staged("restore", self.ccu.tee_restore)
         self._fill_plan(*self.manifest.plan(parked), log)
         self.adversary.after_fill(self, parked)
-        self._host_attempt(log, self.adversary.before_interval, parked)
         if resume_from is not None:
             log.emit("resumed", barrier=parked)
 
         saved_this_run = 0
         while True:
-            if self.ccu.tee.phase == TERMINATED:
-                return self._abort(log, verdicts, self.ccu.tee.reason)
             sync_id = self.device.run_interval()
             if sync_id is None:
                 break
@@ -339,7 +336,6 @@ class TrustedJobSession:
                 self._staged("key load", self.ccu.tee_load_keys)
             self._fill_plan(*barrier, log)
             self.adversary.after_fill(self, sync_id)
-            self._host_attempt(log, self.adversary.before_interval, sync_id)
 
         output = self._collect_output()
         log.emit("run_complete", output_frames=len(output))

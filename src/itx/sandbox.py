@@ -99,8 +99,8 @@ def update_firmware(deployment: Deployment, revision: str, revoke_old: bool = Fa
     but the same card identity."""
     ca = deployment.ca
     new_firmware = make_firmware(ca, revision)
-    old = hashlib.sha256(deployment.firmware.secondary_bootloader.image).hexdigest()
-    new = hashlib.sha256(new_firmware.secondary_bootloader.image).hexdigest()
+    old = deployment.firmware.secondary_bootloader.measurement()
+    new = new_firmware.secondary_bootloader.measurement()
     ca.ca_issue_tcb_update(COMPONENT_BOOTLOADER, old, new, revoke_old=revoke_old)
     ca.ca_issue_tcb_update(
         COMPONENT_ICU,

@@ -585,6 +585,7 @@ class TestTeeLaunchAndKeys:
         with pytest.raises(RuntimeError):
             deployment.ccu.tee_launch(wrapped)
         assert deployment.ccu.tee.phase == TERMINATED
+        assert deployment.ccu.tee.reason == "launch failed: bootloader fault"
         assert deployment.device.registers["trusted_mode"] == 0
         assert not deployment.device.ingress.key_loaded(0)
 
@@ -634,6 +635,15 @@ class TestTeePhases:
         assert not rig[1].manifest.plan(0)[0].checkpoint
         with pytest.raises(InvalidSyncPoint, match="barrier 0 schedules no checkpoint"):
             deployment.ccu.tee_checkpoint()
+        assert deployment.ccu.tee.phase == LAUNCHED
+
+    def test_no_keys_load_for_tiles_parked_at_no_barrier(self, rig):
+        """As once the programs have ended: the control unit keys only the
+        barrier the device names, and here it names none."""
+        deployment = self.launch(rig)
+        deployment.device.barrier = None
+        with pytest.raises(InvalidPhase, match="not parked"):
+            deployment.ccu.tee_load_keys()
         assert deployment.ccu.tee.phase == LAUNCHED
 
     def test_restore_requires_a_resumption_epoch(self, rig):

@@ -19,7 +19,6 @@ from itx.device import (
     MAX_PHASES,
     MODE_NORMAL,
     MODE_TRUSTED,
-    OP_AXPY,
     OP_SGD_STEP,
     OP_SUM,
     PHASE_LOOP,
@@ -134,7 +133,7 @@ class TestTileProgram:
         program = TileProgram(
             phases=(
                 LoadPhase(stream_id=2, frames=3),
-                ComputePhase(OP_AXPY, (0x100, 16, 0x200, 0x300, 48)),
+                ComputePhase(OP_SGD_STEP, (0x100, 16, 0x200, 0x300, 48)),
                 SyncPhase(5),
                 ComputePhase(OP_SUM, (0x100, 0x200, 24)),
                 StorePhase(stream_id=6, frames=1),
@@ -145,7 +144,7 @@ class TestTileProgram:
 
     def test_random_round_trips(self):
         rng = random.Random(11)
-        ops = (OP_SUM, OP_AXPY, OP_SGD_STEP)
+        ops = (OP_SUM, OP_SGD_STEP)
         for _ in range(100):
             phases = []
             for _ in range(rng.randrange(1, 12)):
@@ -267,9 +266,15 @@ class TestTileProgram:
         for n in range(len(blob)):
             with pytest.raises(ValueError):
                 TileProgram.unpack(blob[:n])
-        short = TileProgram((ComputePhase(OP_AXPY, (1, 2)),)).pack()
+        short = TileProgram((ComputePhase(OP_SGD_STEP, (1, 2)),)).pack()
         with pytest.raises(ValueError, match="2 arguments"):
             TileProgram.unpack(short)
+
+    def test_op_1_is_no_longer_an_op(self):
+        """Op 1 (axpy) is gone; the two ops left keep their numbers."""
+        blob = TileProgram((ComputePhase(1, (1, 16, 0x100, 0x200, 12)),)).pack()
+        with pytest.raises(ValueError, match="compute op 1 with 5 arguments"):
+            TileProgram.unpack(blob)
 
     def test_zero_step_denominator_rejected(self):
         blob = TileProgram((ComputePhase(OP_SGD_STEP, (1, 1, 0, 0, 4)),)).pack()

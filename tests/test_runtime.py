@@ -1,6 +1,7 @@
 """Trusted jobs end to end: honest runs match the clear reference, a halted
-run resumes, and every host attack aborts with the TEE terminated, its keys
-gone and the device back in normal mode."""
+run resumes, and every host attack aborts.  However an attempt ends —
+completed, halted or aborted — it leaves the TEE terminated, its keys gone,
+the tiles scrubbed and the device back in normal mode."""
 
 import collections
 import copy
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from itx.adversary import (
     Adversary,
+    Composite,
     ReorderFrames,
     ReplayFrame,
     SkipKeyLoad,
@@ -20,8 +22,10 @@ from itx.adversary import (
     SwapBinary,
     SwapStreams,
     TamperFrame,
+    TamperRegister,
     from_script,
 )
+from itx.attestation import Verdict
 from itx.ccu import TERMINATED
 from itx.compiler import SID_CODE, CompiledJob, JobDescription, compile_job
 from itx.device import (
@@ -29,6 +33,7 @@ from itx.device import (
     MODE_NORMAL,
     ComputePhase,
     IpuDevice,
+    LoadPhase,
     LoopPhase,
     OP_SGD_STEP,
     SyncPhase,
@@ -41,7 +46,7 @@ from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest, checkpoint
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.pki import Party
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
-from itx.sandbox import _make_session, make_sgd_fixture, make_sum_fixture
+from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
 from itx.errors import InvalidEncoding, InvalidPhase
 from itx.sxp import NUM_CONTEXTS, ExchangePacket, SxpEngine
 
@@ -57,19 +62,34 @@ def trusted_model(fixture, result) -> bytes:
     )
 
 
+def assert_torn_down(fixture) -> None:
+    """How every attempt ends: the TEE terminated, no key left in the control
+    unit or in any context of either packet engine, the device in normal
+    mode and every tile's memory zero."""
+    device, tee = fixture.deployment.device, fixture.deployment.ccu.tee
+    assert tee.phase == TERMINATED
+    assert not (tee.stream_keys or tee.k_m or tee.k_save or tee.k_load)
+    assert device.mode == MODE_NORMAL
+    for engine in (device.ingress, device.egress):
+        assert not any(engine.key_loaded(ctx) for ctx in range(NUM_CONTEXTS))
+    assert all(tile.memory == bytes(len(tile.memory)) for tile in device.tiles)
+
+
 def assert_completed_and_exact(fixture, result) -> None:
     assert result.completed, result.reason
     assert all(v.accepted for v in result.verdicts.values())
+    assert_torn_down(fixture)
     assert trusted_model(fixture, result) == clear_model(fixture)
+
+
+def assert_halted(fixture, result) -> None:
+    assert result.status == "halted", result.reason
+    assert_torn_down(fixture)
 
 
 def assert_aborted_closed(fixture, result) -> None:
     assert result.aborted, result.reason
-    device = fixture.deployment.device
-    assert fixture.deployment.ccu.tee.phase == TERMINATED
-    assert device.mode == MODE_NORMAL
-    for engine in (device.ingress, device.egress):
-        assert not any(engine.key_loaded(ctx) for ctx in range(NUM_CONTEXTS))
+    assert_torn_down(fixture)
 
 
 def session_with(fixture, inputs: dict[str, JobInputs], manifest=None) -> TrustedJobSession:
@@ -125,8 +145,7 @@ def checkpoint_ivs(manifest, snapshot) -> list[tuple[bytes, bytes]]:
 def test_halt_reset_and_resume_matches_the_clear_reference():
     fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
     session = fixture.session
-    halted = session.run(halt_after_checkpoint=2)
-    assert halted.status == "halted", halted.reason
+    assert_halted(fixture, session.run(halt_after_checkpoint=2))
     assert [(s.epoch, s.checkpoint_id) for s in session.snapshots] == [(1, 0), (1, 1)]
     for snapshot in session.snapshots:
         pairs = checkpoint_ivs(fixture.compiled.manifest, snapshot)
@@ -253,8 +272,7 @@ def test_other_application_under_the_code_key_aborts_closed():
 
 def halted_at_third_checkpoint():
     fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
-    halted = fixture.session.run(halt_after_checkpoint=3)
-    assert halted.status == "halted", halted.reason
+    assert_halted(fixture, fixture.session.run(halt_after_checkpoint=3))
     fixture.deployment.device.reset("sbr")
     return fixture
 
@@ -439,7 +457,7 @@ def test_a_restore_parks_the_device_at_the_saved_barrier():
     witness = BarrierWitness()
     fixture = make_sgd_fixture(steps=4, checkpoint_period=1, adversary=witness)
     session = fixture.session
-    assert session.run(halt_after_checkpoint=2).status == "halted"
+    assert_halted(fixture, session.run(halt_after_checkpoint=2))
     saved = session.snapshots[-1]
     fixture.deployment.device.reset("sbr")
     assert fixture.deployment.device.barrier is None
@@ -451,10 +469,12 @@ def test_a_restore_parks_the_device_at_the_saved_barrier():
 
 
 def test_no_keys_load_once_the_programs_have_ended():
+    """The completed run tore the TEE down, so the control unit refuses by
+    phase (``test_ccu`` covers a launched TEE whose tiles are not parked)."""
     fixture = make_sgd_fixture(steps=2)
     assert fixture.session.run().completed
     assert fixture.deployment.device.barrier is None
-    with pytest.raises(InvalidPhase, match="not parked"):
+    with pytest.raises(InvalidPhase, match="tee_load_keys in phase terminated"):
         fixture.deployment.ccu.tee_load_keys()
 
 
@@ -476,6 +496,7 @@ def test_the_host_session_holds_no_stream_key_or_run_nonce(halt_after):
     session = fixture.session
     result = session.run(halt_after_checkpoint=halt_after)
     assert result.status == ("halted" if halt_after else "complete"), result.reason
+    assert_torn_down(fixture)
     nonces = set(session.run_nonces.values())
     assert len(nonces) == len(fixture.parties)
     secrets = nonces | {key for job in fixture.inputs.values() for key in job.keys.values()}
@@ -505,6 +526,105 @@ def test_adversary_naming_an_unknown_stream_aborts_closed():
     script = [{"action": "swap_streams", "stream_a": 3, "stream_b": 42}]
     fixture = make_sgd_fixture(steps=2, adversary=from_script(script))
     assert_aborted_closed(fixture, fixture.session.run())
+
+
+def tile_5_disagrees_on_barrier_1(phases):
+    assert phases[0] == SyncPhase(1)
+    return (SyncPhase(2),) + phases[1:]
+
+
+def tile_5_loads_stream_4_for_3(phases):
+    assert LoadPhase(3, 2) in phases
+    return tuple(LoadPhase(4, ph.frames) if isinstance(ph, LoadPhase) else ph for ph in phases)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        pytest.param(tile_5_disagrees_on_barrier_1, "tiles disagree on the barrier: ['1', '2']", id="disagree"),
+        pytest.param(tile_5_loads_stream_4_for_3, "tile 5 has no binding for stream 4", id="unbound-stream"),
+    ],
+)
+def test_a_tile_program_the_device_cannot_run_aborts_closed(change, reason):
+    fixture = make_sgd_fixture(steps=2)
+    result = run_with_tile_5_program(fixture, change(fixture.compiled.programs[5].phases))
+    assert_aborted_closed(fixture, result)
+    assert result.reason == reason
+
+
+def test_a_register_written_before_init_is_rejected_by_every_party():
+    """The device is still in normal mode, so the write lands, but the
+    control unit measures it into the report: the first party to judge it
+    rejects, and so would every other, before any key is released."""
+    fixture = make_sgd_fixture(steps=2, adversary=TamperRegister("hsp_period", 7))
+    session = fixture.session
+    result = session.run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason == "party alpha rejected: registers"
+    assert "release_keys" not in [event.kind for event in result.log.events]
+    evidence = (session.device_chain, session.ca_public, session.tcb_certs)
+    for party in session.parties.values():
+        verdict = party.release(session.last_report, evidence, session.last_expected, resume=False)
+        assert verdict == (Verdict.reject("registers"), None)
+
+
+def test_a_register_write_at_a_barrier_aborts_closed():
+    """In trusted mode the device denies the write and tells the control
+    unit; the denial ends the attempt like any other host fault."""
+    fixture = make_sgd_fixture(steps=2, adversary=TamperRegister("hsp_period", 7, at_sync=2))
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason == "trusted mode: write register hsp_period"
+
+
+def test_a_two_action_script_runs_both_actions_in_one_hosting():
+    """Dropping barrier 3's key load alone completes bit-equal; the frame
+    tampered after it aborts the run."""
+    script = [
+        {"action": "skip_key_load", "sync_id": 3},
+        {"action": "tamper_frame", "stream_id": 3, "frame_index": 8, "bit": 800},
+    ]
+    adversary = from_script(script)
+    assert isinstance(adversary, Composite)
+    fixture = make_sgd_fixture(steps=3, adversary=adversary)
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result)
+    assert "adversary action=skip_key_load sync_id=3" in result.log.dump()
+    assert result.reason == "ingress: context 2: frame tag mismatch"
+
+
+class TerminateAt(Adversary):
+    """Has the control unit terminate the TEE at one barrier's fill."""
+
+    def __init__(self, sync_id: int) -> None:
+        self.sync_id = sync_id
+
+    def after_fill(self, host, stage):
+        if stage == self.sync_id:
+            host.ccu.tee_terminate("host stop")
+
+
+def test_a_tee_ended_at_the_last_barrier_aborts_the_run():
+    """Nothing runs after the last barrier, so the attempt would complete;
+    a TEE that ended under it turns that into an abort."""
+    fixture = make_sgd_fixture(steps=2)
+    fixture.session.adversary = TerminateAt(len(fixture.compiled.manifest.schedule) - 1)
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason == "host stop"
+    assert result.output_frames == ()
+
+
+def test_jobs_share_a_deployment_with_a_reset_between_them():
+    deployment = make_deployment(seed=7)
+    first = make_sgd_fixture(deployment, steps=2)
+    assert_completed_and_exact(first, first.session.run())
+    second = make_sgd_fixture(deployment, steps=2, data_seed=1)
+    refused = second.session.run()
+    assert_aborted_closed(second, refused)
+    assert refused.reason == "init: tee_init in phase terminated"
+    deployment.device.reset("sbr")
+    assert_completed_and_exact(second, second.session.run())
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +709,7 @@ def test_host_changes_to_its_own_manifest_reach_neither_control_unit_nor_device(
     if completes:
         assert result.completed, result.reason
         assert all(v.accepted for v in result.verdicts.values())
+        assert_torn_down(fixture)
         nonces = fixture.session.model_key_nonces()
         assert decrypt_model(pristine, result.output_frames, nonces) == reference
     else:
@@ -614,7 +735,7 @@ def test_the_device_runs_from_the_control_units_copy_and_nothing_re_measures(mon
     original = JobManifest.measurement
     monkeypatch.setattr(JobManifest, "measurement", lambda self: measured.append(1) or original(self))
     session = fixture.session
-    assert session.run(halt_after_checkpoint=2).status == "halted"
+    assert_halted(fixture, session.run(halt_after_checkpoint=2))
     fixture.deployment.device.reset("sbr")
     assert_completed_and_exact(fixture, session.resume())
     assert witness.seen and set(witness.seen) == {(True, False, True)}
