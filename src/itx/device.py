@@ -18,6 +18,7 @@ import hashlib
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .encoding import Record
@@ -109,16 +110,25 @@ PHASE_LOOP = 4
 
 MAX_PHASES = 0xFFFF
 
+# Compute ops over little-endian int32 words in tile memory.  OP_SUM
+# (src, count, dst) stores the sum of ``count`` words at ``src`` at ``dst``;
+# OP_SGD_STEP (num, den, w, g, count) sets each of ``count`` words at ``w`` to
+# ``w - (num * g) // den``, with floor division, ``g`` the word at the same
+# index at ``g`` and ``den`` positive.  Results wrap to 32 bits: the kernel
+# masks them with 0xFFFFFFFF and stores unsigned words, the same bytes as the
+# two's-complement int32.
 OP_SUM = 0
 OP_SGD_STEP = 2
 
 _PROGRAM_MAGIC = b"TP\x01"
 _OP_ARGC = {OP_SUM: 3, OP_SGD_STEP: 5}
-_I32_MIN, _I32_MOD = -(1 << 31), 1 << 32
 
 
-def _wrap32(v: int) -> int:
-    return (v - _I32_MIN) % _I32_MOD + _I32_MIN
+@cache
+def _words(count: int) -> tuple[struct.Struct, struct.Struct]:
+    """The signed reader and the unsigned writer of ``count`` words; ``unpack``
+    bounds ``count`` by the tile's memory, and so the cache."""
+    return struct.Struct(f"<{count}i"), struct.Struct(f"<{count}I")
 
 
 @dataclass(frozen=True)
@@ -220,7 +230,9 @@ class TileProgram:
                 elif kind == PHASE_COMPUTE:
                     op, argc = struct.unpack_from("<BB", blob, off)
                     off += 2
-                    if _OP_ARGC.get(op) != argc:
+                    if op not in _OP_ARGC:
+                        raise ValueError(f"unknown compute op {op}")
+                    if _OP_ARGC[op] != argc:
                         raise ValueError(f"compute op {op} with {argc} arguments")
                     args = struct.unpack_from(f"<{argc}i", blob, off)
                     off += 4 * argc
@@ -541,15 +553,7 @@ class IpuDevice:
 
     def _dma_read(self, src_tile: int, address: int, length: int) -> bytes:
         rid = self._next_request_id()
-        req = ExchangePacket(
-            kind=PacketKind.READ_REQUEST,
-            src_tile=src_tile,
-            dst_tile=src_tile,
-            address=address,
-            aes=True,
-            read_length=length,
-            request_id=rid,
-        )
+        req = ExchangePacket(PacketKind.READ_REQUEST, src_tile, src_tile, address, b"", True, False, None, length, rid)
         try:
             out = self.egress.process_egress(req)
         except SecurityException as exc:
@@ -562,7 +566,7 @@ class IpuDevice:
             completions = self.pending.make_completions(rid, data)
         except SecurityException as exc:
             raise self._forward(exc) from None
-        buf = bytearray()
+        pieces = []
         for completion in completions:
             try:
                 plain = self.ingress.process_ingress(completion)
@@ -570,8 +574,8 @@ class IpuDevice:
                 raise self._forward(exc) from None
             if plain is None:
                 raise self._security("ingress engine latched; completion dropped")
-            buf += plain.payload
-        return bytes(buf)
+            pieces.append(plain.payload)
+        return b"".join(pieces)
 
     def _frame_iv(self, entry: StreamTableEntry, tile: Tile, index: int) -> StreamIV:
         """The IV of frame ``index`` of ``entry`` for ``tile``: code is bound to
@@ -673,7 +677,7 @@ class IpuDevice:
         chance to skip or reorder it."""
         sync_ids = {self._run_tile(tile) for tile in self.tiles}
         if len(sync_ids) != 1:
-            raise InvalidPhase(f"tiles disagree on the barrier: {sorted(map(str, sync_ids))}")
+            raise self._security(f"tiles disagree on the barrier: {sorted(map(str, sync_ids))}")
         self._park(sync_ids.pop())
         return self.barrier
 
@@ -710,29 +714,29 @@ class IpuDevice:
         spec = tile.bindings.get(ph.stream_id)
         if spec is None:
             raise self._security(f"tile {tile.tile_id} has no binding for stream {ph.stream_id}")
-        size = payload_capacity(self._stream(ph.stream_id).frame_total_size)
-        for i in range(ph.frames):
-            k = tile.cursors[ph.stream_id]
-            idx = spec.frame_index(k)
-            at = spec.buf_off + i * size
-            if isinstance(ph, LoadPhase):
-                tile.memory[at : at + size] = self.read_stream_frame(tile.tile_id, ph.stream_id, idx)
+        sid, memory, cursors = ph.stream_id, tile.memory, tile.cursors
+        size = payload_capacity(self._stream(sid).frame_total_size)
+        load = isinstance(ph, LoadPhase)
+        for at in range(spec.buf_off, spec.buf_off + ph.frames * size, size):
+            k = cursors[sid]
+            if load:
+                memory[at : at + size] = self.read_stream_frame(tile.tile_id, sid, spec.frame_index(k))
             else:
-                self.write_stream_frame(tile.tile_id, ph.stream_id, idx, bytes(tile.memory[at : at + size]))
-            tile.cursors[ph.stream_id] = k + 1
+                self.write_stream_frame(tile.tile_id, sid, spec.frame_index(k), bytes(memory[at : at + size]))
+            cursors[sid] = k + 1
 
     def _exec_compute(self, tile: Tile, ph: ComputePhase) -> None:
         m = tile.memory
         if ph.op == OP_SUM:
             src, count, dst = ph.args
-            vals = struct.unpack_from(f"<{count}i", m, src)
-            struct.pack_into("<i", m, dst, _wrap32(sum(vals)))
+            total = sum(_words(count)[0].unpack_from(m, src))
+            _words(1)[1].pack_into(m, dst, total & 0xFFFFFFFF)
         elif ph.op == OP_SGD_STEP:
             num, den, w_off, g_off, count = ph.args
-            gs = struct.unpack_from(f"<{count}i", m, g_off)
-            ws = struct.unpack_from(f"<{count}i", m, w_off)
-            out = [_wrap32(w - (num * g) // den) for w, g in zip(ws, gs)]
-            struct.pack_into(f"<{count}i", m, w_off, *out)
+            signed, unsigned = _words(count)
+            gs = signed.unpack_from(m, g_off)
+            ws = signed.unpack_from(m, w_off)
+            unsigned.pack_into(m, w_off, *[(w - num * g // den) & 0xFFFFFFFF for w, g in zip(ws, gs)])
         else:  # pragma: no cover - unpack() rejects unknown ops
             raise self._security(f"tile {tile.tile_id}: unknown compute op {ph.op}")
 
@@ -784,5 +788,5 @@ class IpuDevice:
         tile = self.tiles[0]
         ph = tile.program.phases[tile.pc - 1] if tile.pc else None
         if not isinstance(ph, SyncPhase):
-            raise InvalidPhase("restored position is not at a barrier")
+            raise self._security("restored position is not at a barrier")
         self._park(ph.sync_id)

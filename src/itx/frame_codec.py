@@ -17,7 +17,11 @@ one structural check (size, zero counter area), made before a frame is opened.
 The IV layout (big-endian bit widths 8/16/8/16/8/8/32) encodes stream type,
 stream id, device and tile coordinates, epoch/checkpoint counters, and the
 frame index.  Fields that do not apply to a stream type must be zero, which
-keeps IVs unique across every stream a key can serve.
+keeps IVs unique across every stream a key can serve.  ``StreamIV.validate``
+is the one IV rule: an unknown stream type is refused, packing through the IV
+struct refuses any field outside its bit width, and one precomputed mask per
+stream type, applied to the packed 96-bit value, refuses a nonzero field the
+type does not use.  Only on refusal is the offending field looked up by name.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from operator import attrgetter
 from typing import Iterable
 
 from cryptography.exceptions import InvalidTag
@@ -50,6 +55,8 @@ FRAME_OVERHEAD = IV_BLOCK_BYTES + TAG_BYTES
 KEY_BYTES = 32
 
 _IV_STRUCT = struct.Struct(">BHBHBBI")
+_IV_FIELDS = ("stream_type", "stream_id", "ipu_id", "tile_id", "epoch", "checkpoint_id", "frame_index")
+_iv_fields = attrgetter(*_IV_FIELDS)
 
 
 class StreamType(IntEnum):
@@ -69,14 +76,15 @@ _ZERO_FIELDS = {
     StreamType.CHECKPOINT: ("stream_id",),
 }
 
-_FIELD_LIMITS = {
-    "stream_id": 0xFFFF,
-    "ipu_id": 0xFF,
-    "tile_id": 0xFFFF,
-    "epoch": 0xFF,
-    "checkpoint_id": 0xFF,
-    "frame_index": 0xFFFFFFFF,
-}
+
+def _field_masks() -> dict[str, int]:
+    """Each field's bits in the packed IV, read as one big-endian integer."""
+    widths = [8 * struct.calcsize(code) for code in _IV_STRUCT.format[1:]]
+    return {name: ((1 << w) - 1) << sum(widths[i + 1 :]) for i, (name, w) in enumerate(zip(_IV_FIELDS, widths))}
+
+
+_FIELD_MASKS = _field_masks()
+_ZERO_MASKS = {stype: sum(_FIELD_MASKS[name] for name in names) for stype, names in _ZERO_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -92,37 +100,35 @@ class StreamIV:
     frame_index: int = 0
 
     def validate(self) -> "StreamIV":
-        try:
-            stype = StreamType(self.stream_type)
-        except ValueError:
+        zero = _ZERO_MASKS.get(self.stream_type)
+        if zero is None:
             raise InvalidIvField(f"unknown stream type {self.stream_type!r}")
-        for name, limit in _FIELD_LIMITS.items():
-            value = getattr(self, name)
-            if not 0 <= value <= limit:
-                raise InvalidIvField(f"{name}={value} out of range")
-        for name in _ZERO_FIELDS[stype]:
-            if getattr(self, name) != 0:
-                raise InvalidIvField(f"{name} must be zero for {stype.name} streams")
+        try:
+            packed = int.from_bytes(_IV_STRUCT.pack(*_iv_fields(self)), "big")
+        except struct.error:
+            # the slow search for the offending field runs on the error path only
+            for name, code in zip(_IV_FIELDS, _IV_STRUCT.format[1:]):
+                value = getattr(self, name)
+                try:
+                    struct.pack(">" + code, value)
+                except struct.error:
+                    raise InvalidIvField(f"{name}={value!r} out of range") from None
+            raise  # pragma: no cover - unreachable: a field failed to pack above
+        if packed & zero:
+            name = next(n for n in _ZERO_FIELDS[self.stream_type] if packed & _FIELD_MASKS[n])
+            raise InvalidIvField(f"{name} must be zero for {StreamType(self.stream_type).name} streams")
         return self
 
     def to_bytes(self) -> bytes:
-        self.validate()
-        return _IV_STRUCT.pack(
-            int(self.stream_type),
-            self.stream_id,
-            self.ipu_id,
-            self.tile_id,
-            self.epoch,
-            self.checkpoint_id,
-            self.frame_index,
-        )
+        return _IV_STRUCT.pack(*_iv_fields(self.validate()))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "StreamIV":
         if len(raw) != IV_BYTES:
             raise InvalidIvField(f"IV must be {IV_BYTES} bytes, got {len(raw)}")
-        stype, sid, ipu, tile, epoch, ckpt, index = _IV_STRUCT.unpack(raw)
-        return cls(StreamType(stype), sid, ipu, tile, epoch, ckpt, index).validate()
+        stype, *rest = _IV_STRUCT.unpack(raw)
+        # an unknown type stays an int, which ``validate`` refuses
+        return cls(StreamType(stype) if stype in _ZERO_MASKS else stype, *rest).validate()
 
     def iv_block(self) -> bytes:
         """16-byte leading frame block: IV followed by the zero counter area."""

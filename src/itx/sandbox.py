@@ -127,6 +127,7 @@ class JobFixture:
     parties: dict[str, PartyIdentity]
     inputs: dict[str, JobInputs]
     plaintexts: dict[int, bytes]  # input stream id -> plaintext
+    job: JobDescription
 
     def clear_inputs(self) -> dict[int, bytes]:
         return dict(self.plaintexts)
@@ -182,7 +183,7 @@ def _make_fixture(
         streams.update(inputs[name].streams)
     actors = {name: Party(identity, inputs[name].keys) for name, identity in parties.items()}
     session = _make_session(deployment, manifest, actors, streams, adversary)
-    return JobFixture(deployment, compiled, session, parties, inputs, plaintexts)
+    return JobFixture(deployment, compiled, session, parties, inputs, plaintexts, job)
 
 
 def make_sgd_fixture(

@@ -257,15 +257,8 @@ class PendingReadTable:
             )
         packets = [
             ExchangePacket(
-                kind=PacketKind.READ_COMPLETION,
-                src_tile=entry.src_tile,
-                dst_tile=entry.src_tile,
-                address=entry.address + off,
-                payload=data[off : off + step],
-                aes=entry.aes,
-                cc=off + step >= len(data),
-                key_index=entry.key_index,
-                request_id=request_id,
+                PacketKind.READ_COMPLETION, entry.src_tile, entry.src_tile, entry.address + off,
+                data[off : off + step], entry.aes, off + step >= len(data), entry.key_index, 0, request_id
             )
             for off in range(0, count * step, step)
         ]

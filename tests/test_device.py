@@ -273,7 +273,7 @@ class TestTileProgram:
     def test_op_1_is_no_longer_an_op(self):
         """Op 1 (axpy) is gone; the two ops left keep their numbers."""
         blob = TileProgram((ComputePhase(1, (1, 16, 0x100, 0x200, 12)),)).pack()
-        with pytest.raises(ValueError, match="compute op 1 with 5 arguments"):
+        with pytest.raises(ValueError, match="unknown compute op 1"):
             TileProgram.unpack(blob)
 
     def test_zero_step_denominator_rejected(self):
@@ -283,6 +283,78 @@ class TestTileProgram:
         poisoned = blob[:12] + (0).to_bytes(4, "little", signed=True) + blob[16:]
         with pytest.raises(ValueError, match="denominator"):
             TileProgram.unpack(poisoned)
+
+
+# ---------------------------------------------------------------------------
+# compute kernels at their edges
+# ---------------------------------------------------------------------------
+
+I32_MIN, I32_MAX = -(1 << 31), (1 << 31) - 1
+EXTREMES = (I32_MIN, I32_MAX, -1, 0)
+int32s = st.integers(I32_MIN, I32_MAX)
+
+
+def wrap32(v: int) -> int:
+    return (v + (1 << 31)) % (1 << 32) - (1 << 31)
+
+
+def run_one_op(op: int, args: tuple[int, ...], writes: dict[int, list[int]], read: tuple[int, int]) -> list[int]:
+    """Run a one-phase program on tile 0 over ``writes`` (offset -> ints) and
+    return the ``read[1]`` ints at offset ``read[0]``."""
+    dev = IpuDevice(config=DeviceConfig(tile_count=1, ring_buffer_size=0))
+    for off, ints in writes.items():
+        dev.host_write_tile(0, off, struct.pack(f"<{len(ints)}i", *ints))
+    dev.install_clear_program(0, TileProgram((ComputePhase(op, args),)).pack())
+    assert dev.run_interval() is None
+    off, count = read
+    return list(struct.unpack(f"<{count}i", dev.host_read_tile(0, off, 4 * count)))
+
+
+def sgd_step(num: int, den: int, ws, gs) -> list[int]:
+    n = len(ws)
+    return run_one_op(OP_SGD_STEP, (num, den, 0x2000, 0x2400, n), {0x2000: ws, 0x2400: gs}, (0x2000, n))
+
+
+def op_sum(ints) -> int:
+    (total,) = run_one_op(OP_SUM, (0x2000, len(ints), 0x2800), {0x2000: ints}, (0x2800, 1))
+    return total
+
+
+class TestComputeKernels:
+    """Each kernel against its formula, written out here: an SGD step is
+    ``wrap32(w - (num * g) // den)`` with floor division, a sum is
+    ``wrap32(sum)``."""
+
+    def test_sgd_step_floors_and_wraps(self):
+        assert sgd_step(1, 16, [0, 0, 0, 0], [-1, 1, -16, -17]) == [1, 0, 1, 2]
+        assert sgd_step(1, 1, [I32_MIN, I32_MAX], [1, -1]) == [I32_MAX, I32_MIN]
+        assert sgd_step(-3, 2, [0], [1]) == [2]  # -3 // 2 == -2
+
+    @pytest.mark.parametrize(
+        "num, den", [(1, 16), (1, 1), (I32_MAX, 1), (I32_MIN, 1), (-1, 3), (7, I32_MAX), (I32_MIN, I32_MAX)]
+    )
+    def test_sgd_step_over_int32_extremes(self, num, den):
+        pairs = [(w, g) for w in EXTREMES for g in EXTREMES]
+        ws, gs = zip(*pairs)
+        assert sgd_step(num, den, ws, gs) == [wrap32(w - (num * g) // den) for w, g in pairs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(int32s, int32s), max_size=48), int32s, st.integers(1, I32_MAX))
+    def test_sgd_step_over_drawn_values(self, pairs, num, den):
+        ws, gs = [w for w, _ in pairs], [g for _, g in pairs]
+        assert sgd_step(num, den, ws, gs) == [wrap32(w - (num * g) // den) for w, g in pairs]
+
+    def test_sum_over_int32_extremes(self):
+        assert op_sum([I32_MAX, 1]) == I32_MIN
+        assert op_sum([I32_MIN, -1]) == I32_MAX
+        assert op_sum([I32_MAX] * 3) == I32_MAX - 2
+        assert op_sum(list(EXTREMES) * 4) == wrap32(4 * sum(EXTREMES))
+        assert op_sum([]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(int32s, max_size=64))
+    def test_sum_over_drawn_values(self, ints):
+        assert op_sum(ints) == wrap32(sum(ints))
 
 
 # ---------------------------------------------------------------------------

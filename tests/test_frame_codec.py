@@ -113,6 +113,40 @@ class TestStreamIV:
                 seen.add(StreamIV(StreamType.OUTPUT, stream_id=sid, frame_index=index).to_bytes())
         assert len(seen) == 16 * 8 * 2 + 16 * 8 * 2
 
+    # The IV contract, written out: each field's bit width, and the fields a
+    # stream type must leave zero.
+    WIDTHS = {"stream_id": 16, "ipu_id": 8, "tile_id": 16, "epoch": 8, "checkpoint_id": 8, "frame_index": 32}
+    MUST_BE_ZERO = {
+        StreamType.CODE: {"stream_id", "epoch", "checkpoint_id"},
+        StreamType.DATA: {"ipu_id", "tile_id", "epoch", "checkpoint_id"},
+        StreamType.OUTPUT: {"ipu_id", "tile_id", "epoch", "checkpoint_id"},
+        StreamType.CHECKPOINT: {"stream_id"},
+    }
+
+    @pytest.mark.parametrize("stype", list(StreamType), ids=lambda t: t.name)
+    def test_every_field_at_its_edges(self, stype):
+        for name, width in self.WIDTHS.items():
+            top = (1 << width) - 1
+            if name in self.MUST_BE_ZERO[stype]:
+                with pytest.raises(InvalidIvField, match=name):
+                    StreamIV(stype, **{name: 1}).validate()
+            else:
+                iv = StreamIV(stype, **{name: top})
+                assert StreamIV.from_bytes(iv.to_bytes()) == iv
+            for bad in (top + 1, -1):
+                with pytest.raises(InvalidIvField, match=name):
+                    StreamIV(stype, **{name: bad}).validate()
+                with pytest.raises(InvalidIvField, match=name):
+                    StreamIV(stype, **{name: bad}).to_bytes()
+
+    @pytest.mark.parametrize("stype", [-1, 4, 255, 256])
+    def test_an_unknown_stream_type_is_refused(self, stype):
+        with pytest.raises(InvalidIvField, match="unknown stream type"):
+            StreamIV(stype).validate()
+        if 0 <= stype <= 0xFF:
+            with pytest.raises(InvalidIvField, match="unknown stream type"):
+                StreamIV.from_bytes(bytes([stype]) + bytes(11))
+
 
 # ---------------------------------------------------------------------------
 # partitioning

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import expected_model
 from itx.adversary import (
     Adversary,
     Composite,
@@ -36,6 +37,7 @@ from itx.device import (
     LoadPhase,
     LoopPhase,
     OP_SGD_STEP,
+    RingBuffer,
     SyncPhase,
     TileProgram,
     pack_checkpoint_metadata,
@@ -79,7 +81,9 @@ def assert_completed_and_exact(fixture, result) -> None:
     assert result.completed, result.reason
     assert all(v.accepted for v in result.verdicts.values())
     assert_torn_down(fixture)
-    assert trusted_model(fixture, result) == clear_model(fixture)
+    model = trusted_model(fixture, result)
+    assert model == clear_model(fixture)
+    assert model == expected_model(fixture.job, fixture.plaintexts)
 
 
 def assert_halted(fixture, result) -> None:
@@ -156,6 +160,25 @@ def test_halt_reset_and_resume_matches_the_clear_reference():
     assert_completed_and_exact(fixture, session.resume())
 
 
+def test_a_restored_position_off_a_barrier_aborts_closed(monkeypatch):
+    """Every resumed program gains a leading phase, so the authenticated pc
+    no longer follows a sync phase: the device refuses to park there and
+    tells the control unit."""
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+    session = fixture.session
+    assert_halted(fixture, session.run(halt_after_checkpoint=2))
+    fixture.deployment.device.reset("sbr")
+    unpack = TileProgram.unpack
+
+    def shifted(blob, memory):
+        return TileProgram((ComputePhase(OP_SGD_STEP, (1, 1, 0x2000, 0x2000, 0)),) + unpack(blob, memory).phases)
+
+    monkeypatch.setattr(TileProgram, "unpack", shifted)
+    result = session.resume()
+    assert_aborted_closed(fixture, result)
+    assert fixture.deployment.ccu.tee.reason == "security exception: restored position is not at a barrier"
+
+
 def test_checkpoint_metadata_golden():
     blob = pack_checkpoint_metadata(3, 2, 17, {5: 9, 2: 4})
     assert blob.hex() == "0300000002000000110000000200000002000400000005000900000000000000"
@@ -214,6 +237,32 @@ def test_the_dma_path_builds_each_packet_once(monkeypatch):
     pending = fixture.deployment.device.pending
     assert 0 < pending.created == pending.retired < counts["process_ingress"]
     assert counts["built"] == counts["process_egress"] + counts["process_ingress"]
+
+
+def test_the_simulated_traffic_of_a_two_step_job_is_pinned(monkeypatch):
+    """A faster simulator does the same simulated work: the same reads
+    tracked and retired, packets through each engine and bytes through the
+    ring as before."""
+    fixture = make_sgd_fixture(steps=2)
+    counts = collections.Counter()
+
+    def counted(cls, name, measure):
+        method = getattr(cls, name)
+
+        def wrapper(owner, *args):
+            counts[name] += measure(*args)
+            return method(owner, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SxpEngine, "process_egress", lambda pkt: 1)
+    counted(SxpEngine, "process_ingress", lambda pkt: 1)
+    counted(RingBuffer, "read", lambda address, length: length)
+    counted(RingBuffer, "write", lambda address, blob: len(blob))
+    assert_completed_and_exact(fixture, fixture.session.run())
+    pending = fixture.deployment.device.pending
+    assert (pending.created, pending.retired) == (56, 56)
+    assert counts == {"process_egress": 168, "process_ingress": 112, "read": 20480, "write": 13184}
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +599,8 @@ def test_a_tile_program_the_device_cannot_run_aborts_closed(change, reason):
     result = run_with_tile_5_program(fixture, change(fixture.compiled.programs[5].phases))
     assert_aborted_closed(fixture, result)
     assert result.reason == reason
+    # the device raised it as a security exception, so the control unit recorded it
+    assert fixture.deployment.ccu.tee.reason == f"security exception: {reason}"
 
 
 def test_a_register_written_before_init_is_rejected_by_every_party():
