@@ -164,6 +164,8 @@ def compile_job(
     if config.tile_count != 16 or config.tiles_per_exchange_context != 4:
         raise ScheduleInfeasible("the planners target 16 tiles in 4 exchange blocks")
     plan = planner(job, config)
+    if sum(plan.plans[p].checkpoint for p, _ in plan.schedule) > 0x100:  # the IV's checkpoint_id is 8 bits
+        raise ScheduleInfeasible("more than 256 checkpoints need checkpoint ids past 0xFF")
     for tile_id, program in plan.programs.items():
         # What ``TileProgram.unpack`` expands: each loop adds its other passes.
         length = sum((ph.times - 1) * ph.length if isinstance(ph, LoopPhase) else 1 for ph in program.phases)
@@ -282,6 +284,10 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
     steps = job.steps
     if steps < 1:
         raise ScheduleInfeasible("at least one step")
+    if job.checkpoint_period < 1:
+        raise ScheduleInfeasible(f"checkpoint_period {job.checkpoint_period} is not a step count")
+    if not (1 <= job.lr_den < 2**31 and -(2**31) <= job.lr_num < 2**31):
+        raise ScheduleInfeasible(f"learning rate {job.lr_num}/{job.lr_den} needs int32 terms and lr_den >= 1")
 
     n_tiles = config.tile_count
     slice_ints = 12

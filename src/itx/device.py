@@ -35,8 +35,9 @@ from .frame_codec import (
     IV_BLOCK_BYTES,
     IV_BYTES,
     TAG_BYTES,
-    StreamIV,
     StreamType,
+    frame_iv,
+    iv_field,
     payload_capacity,
 )
 from .manifest import (
@@ -577,36 +578,30 @@ class IpuDevice:
             pieces.append(plain.payload)
         return b"".join(pieces)
 
-    def _frame_iv(self, entry: StreamTableEntry, tile: Tile, index: int) -> StreamIV:
+    def _frame_iv(self, entry: StreamTableEntry, tile: Tile, index: int) -> bytes:
         """The IV of frame ``index`` of ``entry`` for ``tile``: code is bound to
         the tile, a checkpoint to the tile and its (epoch, checkpoint)
         counters, data and output to the stream.  Tiles stamp it on what they
         write and demand it of what they read, which stops replay, reordering
         and rollback."""
         if entry.kind == CODE:
-            return StreamIV(StreamType.CODE, ipu_id=self.ipu_id, tile_id=tile.tile_id, frame_index=index)
-        if entry.kind == CHECKPOINT:
-            return StreamIV(
-                StreamType.CHECKPOINT,
-                ipu_id=self.ipu_id,
-                tile_id=tile.tile_id,
-                epoch=tile.epoch,
-                checkpoint_id=tile.checkpoint_id,
-                frame_index=index,
-            )
-        stype = StreamType.OUTPUT if entry.kind == OUTPUT else StreamType.DATA
-        return StreamIV(stype, stream_id=entry.stream_id, frame_index=index)
+            field = iv_field(StreamType.CODE, 0, self.ipu_id, tile.tile_id)
+        elif entry.kind == CHECKPOINT:
+            field = iv_field(StreamType.CHECKPOINT, 0, self.ipu_id, tile.tile_id, tile.epoch, tile.checkpoint_id)
+        else:
+            field = iv_field(StreamType.OUTPUT if entry.kind == OUTPUT else StreamType.DATA, entry.stream_id)
+        return frame_iv(field, index)
 
     def _read_frame(self, tile: Tile, entry: StreamTableEntry, address: int, index: int) -> bytes:
         """Fetch and authenticate one frame; returns the plaintext payload."""
         raw = self._dma_read(tile.tile_id, address, entry.frame_total_size)
-        if raw[:IV_BYTES] != self._frame_iv(entry, tile, index).to_bytes():
+        if raw[:IV_BYTES] != self._frame_iv(entry, tile, index):
             where = f"{entry.kind} stream {entry.stream_id} frame {index}"
             raise self._security(f"tile {tile.tile_id}: {where} has wrong IV")
         return raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
 
     def _write_frame(self, tile: Tile, entry: StreamTableEntry, address: int, index: int, payload: bytes) -> None:
-        frame = self._frame_iv(entry, tile, index).iv_block() + payload + b"\x00" * TAG_BYTES
+        frame = self._frame_iv(entry, tile, index) + b"\x00\x00\x00\x00" + payload + b"\x00" * TAG_BYTES
         self._dma_write(tile.tile_id, address, frame, aes=True)
 
     def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:

@@ -14,20 +14,23 @@ authenticating is packed into the IV itself, which GCM binds to the tag.
 A frame is its wire bytes; there is no parsed form.  ``check_frame`` is the
 one structural check (size, zero counter area), made before a frame is opened.
 
-The IV layout (big-endian bit widths 8/16/8/16/8/8/32) encodes stream type,
-stream id, device and tile coordinates, epoch/checkpoint counters, and the
-frame index.  Fields that do not apply to a stream type must be zero, which
-keeps IVs unique across every stream a key can serve.  ``StreamIV.validate``
-is the one IV rule: an unknown stream type is refused, packing through the IV
-struct refuses any field outside its bit width, and one precomputed mask per
-stream type, applied to the packed 96-bit value, refuses a nonzero field the
-type does not use.  Only on refusal is the offending field looked up by name.
+The IV layout (big-endian bit widths 8/16/8/16/8/8/32) is GCM's
+deterministic construction: an 8-byte fixed field (stream type, stream id,
+device and tile coordinates, epoch/checkpoint counters) followed by the frame
+index as a 4-byte counter.  Fields that do not apply to a stream type must be
+zero, which keeps IVs unique across every stream a key can serve.
+``iv_field`` and ``frame_iv`` are the one IV rule: the first refuses an
+unknown stream type, any field outside its bit width (packing through the
+struct) and, by one mask per type, a nonzero unused field, naming the field;
+the second appends the index and refuses one outside 32 bits.  The device
+applies them per frame, the stream functions once per template, and
+``StreamIV`` packs through them.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable
@@ -55,8 +58,10 @@ FRAME_OVERHEAD = IV_BLOCK_BYTES + TAG_BYTES
 KEY_BYTES = 32
 
 _IV_STRUCT = struct.Struct(">BHBHBBI")
+_FIELD_STRUCT = struct.Struct(_IV_STRUCT.format[:-1])  # every IV field but the frame index
+_INDEX_STRUCT = struct.Struct(">I")
 _IV_FIELDS = ("stream_type", "stream_id", "ipu_id", "tile_id", "epoch", "checkpoint_id", "frame_index")
-_iv_fields = attrgetter(*_IV_FIELDS)
+_fixed_fields = attrgetter(*_IV_FIELDS[:-1])
 
 
 class StreamType(IntEnum):
@@ -78,13 +83,43 @@ _ZERO_FIELDS = {
 
 
 def _field_masks() -> dict[str, int]:
-    """Each field's bits in the packed IV, read as one big-endian integer."""
-    widths = [8 * struct.calcsize(code) for code in _IV_STRUCT.format[1:]]
+    """Each field's bits in the packed fixed field, read as one big-endian integer."""
+    widths = [8 * struct.calcsize(code) for code in _FIELD_STRUCT.format[1:]]
     return {name: ((1 << w) - 1) << sum(widths[i + 1 :]) for i, (name, w) in enumerate(zip(_IV_FIELDS, widths))}
 
 
 _FIELD_MASKS = _field_masks()
 _ZERO_MASKS = {stype: sum(_FIELD_MASKS[name] for name in names) for stype, names in _ZERO_FIELDS.items()}
+
+
+def iv_field(stream_type, stream_id=0, ipu_id=0, tile_id=0, epoch=0, checkpoint_id=0) -> bytes:
+    """A stream's 8-byte fixed field, the part of its IV every frame shares."""
+    zero = _ZERO_MASKS.get(stream_type)
+    if zero is None:
+        raise InvalidIvField(f"unknown stream type {stream_type!r}")
+    values = (stream_type, stream_id, ipu_id, tile_id, epoch, checkpoint_id)
+    try:
+        field = _FIELD_STRUCT.pack(*values)
+    except struct.error:
+        # the slow search for the offending field runs on the error path only
+        for name, code, value in zip(_IV_FIELDS, _FIELD_STRUCT.format[1:], values):
+            try:
+                struct.pack(">" + code, value)
+            except struct.error:
+                raise InvalidIvField(f"{name}={value!r} out of range") from None
+        raise  # pragma: no cover - unreachable: a field failed to pack above
+    if (packed := int.from_bytes(field, "big")) & zero:
+        name = next(n for n in _ZERO_FIELDS[stream_type] if packed & _FIELD_MASKS[n])
+        raise InvalidIvField(f"{name} must be zero for {StreamType(stream_type).name} streams")
+    return field
+
+
+def frame_iv(field: bytes, index: int) -> bytes:
+    """The IV of frame ``index`` of the stream whose fixed field is ``field``."""
+    try:
+        return field + _INDEX_STRUCT.pack(index)
+    except struct.error:
+        raise InvalidIvField(f"frame_index={index!r} out of range") from None
 
 
 @dataclass(frozen=True)
@@ -99,28 +134,15 @@ class StreamIV:
     checkpoint_id: int = 0
     frame_index: int = 0
 
+    def field(self) -> bytes:
+        return iv_field(*_fixed_fields(self))
+
     def validate(self) -> "StreamIV":
-        zero = _ZERO_MASKS.get(self.stream_type)
-        if zero is None:
-            raise InvalidIvField(f"unknown stream type {self.stream_type!r}")
-        try:
-            packed = int.from_bytes(_IV_STRUCT.pack(*_iv_fields(self)), "big")
-        except struct.error:
-            # the slow search for the offending field runs on the error path only
-            for name, code in zip(_IV_FIELDS, _IV_STRUCT.format[1:]):
-                value = getattr(self, name)
-                try:
-                    struct.pack(">" + code, value)
-                except struct.error:
-                    raise InvalidIvField(f"{name}={value!r} out of range") from None
-            raise  # pragma: no cover - unreachable: a field failed to pack above
-        if packed & zero:
-            name = next(n for n in _ZERO_FIELDS[self.stream_type] if packed & _FIELD_MASKS[n])
-            raise InvalidIvField(f"{name} must be zero for {StreamType(self.stream_type).name} streams")
+        self.to_bytes()
         return self
 
     def to_bytes(self) -> bytes:
-        return _IV_STRUCT.pack(*_iv_fields(self.validate()))
+        return frame_iv(self.field(), self.frame_index)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "StreamIV":
@@ -129,10 +151,6 @@ class StreamIV:
         stype, *rest = _IV_STRUCT.unpack(raw)
         # an unknown type stays an int, which ``validate`` refuses
         return cls(StreamType(stype) if stype in _ZERO_MASKS else stype, *rest).validate()
-
-    def iv_block(self) -> bytes:
-        """16-byte leading frame block: IV followed by the zero counter area."""
-        return self.to_bytes() + b"\x00\x00\x00\x00"
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +199,29 @@ def _cipher(key: bytes) -> AESGCM:
 
 
 def encrypt_frame(key: bytes, iv: StreamIV, payload: bytes) -> bytes:
-    return _seal(_cipher(key), iv, payload)
+    return _seal(_cipher(key), iv.to_bytes(), payload)
 
 
-def _seal(cipher: AESGCM, iv: StreamIV, payload: bytes) -> bytes:
+def _seal(cipher: AESGCM, iv: bytes, payload: bytes) -> bytes:
     if not payload or len(payload) % BLOCK_BYTES:
         raise InvalidPayload("payload must be a non-empty multiple of 16 bytes")
     if len(payload) > MAX_FRAME_BYTES - FRAME_OVERHEAD:
         raise InvalidPayload(f"payload exceeds {MAX_FRAME_BYTES - FRAME_OVERHEAD} bytes")
-    block = iv.iv_block()
-    return block + cipher.encrypt(block[:IV_BYTES], payload, None)
+    return iv + b"\x00\x00\x00\x00" + cipher.encrypt(iv, payload, None)
 
 
 def decrypt_frame(key: bytes, raw: bytes) -> tuple[StreamIV, bytes]:
-    return _open(_cipher(key), raw)
+    payload = _open(_cipher(key), raw)
+    # only authenticated IVs are interpreted
+    return StreamIV.from_bytes(raw[:IV_BYTES]), payload
 
 
-def _open(cipher: AESGCM, raw: bytes) -> tuple[StreamIV, bytes]:
+def _open(cipher: AESGCM, raw: bytes) -> bytes:
     check_frame(raw)
-    iv_raw = raw[:IV_BYTES]
     try:
-        payload = cipher.decrypt(iv_raw, raw[IV_BLOCK_BYTES:], None)
+        return cipher.decrypt(raw[:IV_BYTES], raw[IV_BLOCK_BYTES:], None)
     except InvalidTag as exc:
         raise AuthenticationFailure("frame tag verification failed") from exc
-    # only authenticated IVs are interpreted
-    return StreamIV.from_bytes(iv_raw), payload
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +235,11 @@ def encrypt_stream(
     plaintext: bytes,
     frame_total_size: int,
 ) -> list[bytes]:
-    # one key schedule per stream; _seal validates each IV as it packs it
+    # one key schedule and one template check per stream
     payloads = partition(plaintext, frame_total_size)
     cipher = _cipher(key)
-    return [
-        _seal(cipher, replace(template, frame_index=index), payload)
-        for index, payload in enumerate(payloads)
-    ]
+    field = template.field()
+    return [_seal(cipher, frame_iv(field, index), payload) for index, payload in enumerate(payloads)]
 
 
 def decrypt_stream(
@@ -236,12 +250,12 @@ def decrypt_stream(
 ) -> bytes:
     """Decrypt a full stream, enforcing IV order and the declared length."""
     cipher = _cipher(key)
+    field = template.field()
     pieces: list[bytes] = []
     for index, frame in enumerate(frames):
-        if frame[:IV_BYTES] != replace(template, frame_index=index).to_bytes():
+        if frame[:IV_BYTES] != frame_iv(field, index):
             raise IvSequenceViolation(index)
-        _, payload = _open(cipher, frame)
-        pieces.append(payload)
+        pieces.append(_open(cipher, frame))
     if not pieces:
         raise InvalidLength("stream has no frames")
     total = sum(len(p) for p in pieces)

@@ -154,6 +154,37 @@ class TestSgdPlanning:
         with pytest.raises(ScheduleInfeasible, match="unknown job kind"):
             compile_job(JobDescription(kind="matmul", model_party="m"))
 
+    @pytest.mark.parametrize(
+        "field, value, refusal",
+        [
+            ("checkpoint_period", 0, "checkpoint_period 0"),
+            ("checkpoint_period", -1, "checkpoint_period -1"),
+            ("lr_den", 0, "learning rate 1/0"),
+            ("lr_den", -4, "learning rate 1/-4"),
+            ("lr_den", 2**31, "learning rate 1/2147483648"),
+            ("lr_num", 2**31, "learning rate 2147483648/16"),
+            ("lr_num", -(2**31) - 1, "learning rate -2147483649/16"),
+        ],
+    )
+    def test_refuses_job_fields_the_tiles_cannot_run(self, field, value, refusal):
+        """Each of these used to compile into a program the bootloaders
+        refuse, checkpoint at every step, or fail with a bare Python error."""
+        with pytest.raises(ScheduleInfeasible, match=refusal):
+            compile_job(sgd_job(**{field: value}))
+
+    def test_compiles_the_edges_of_the_job_fields(self):
+        compile_job(sgd_job(lr_num=2**31 - 1, lr_den=2**31 - 1))
+        compile_job(sgd_job(lr_num=-(2**31), lr_den=1))
+
+    def test_refuses_more_checkpoints_than_checkpoint_ids(self):
+        """A checkpoint IV's ``checkpoint_id`` is 8 bits, so a job holds at
+        most 256 checkpoint barriers, however its steps are split."""
+        compile_job(sgd_job(steps=256, checkpoint_period=1))
+        compile_job(sgd_job(steps=770, checkpoint_period=3))
+        for steps, period in ((257, 1), (514, 2), (771, 3)):
+            with pytest.raises(ScheduleInfeasible, match="more than 256 checkpoints"):
+                compile_job(sgd_job(steps=steps, checkpoint_period=period))
+
     def test_refuses_a_loop_the_device_would_not_expand(self):
         """A gradient tile runs 5 phases a step plus 2, so 13,106 steps is
         the most whose program fits the device's 65,535-phase budget."""

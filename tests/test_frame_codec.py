@@ -1,8 +1,14 @@
 """Frame codec: IV structure, framing arithmetic, GCM conformance, stream order."""
 
+import itertools
 import random
+import re
+import struct
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gcm_oracle
 from itx import frame_codec as fc
@@ -42,6 +48,11 @@ KAT3_TAG = bytes.fromhex("b094dac5d93471bdec1a502270e3cc6c")
 def make_key(seed: int) -> bytes:
     rng = random.Random(seed)
     return bytes(rng.randrange(256) for _ in range(32))
+
+
+def near_edges(width: int):
+    top = (1 << width) - 1
+    return st.one_of(st.sampled_from((0, 1, top, top + 1, -1)), st.integers(-2, top + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +149,39 @@ class TestStreamIV:
                     StreamIV(stype, **{name: bad}).validate()
                 with pytest.raises(InvalidIvField, match=name):
                     StreamIV(stype, **{name: bad}).to_bytes()
+
+    # up to three fields set, each drawn mostly at and just past the edges of its width
+    FIELDS = st.lists(st.sampled_from(sorted(WIDTHS.items())), max_size=3, unique=True).flatmap(
+        lambda drawn: st.fixed_dictionaries({name: near_edges(width) for name, width in drawn})
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([*StreamType, 4]), FIELDS)
+    @example(StreamType.DATA, {"stream_id": 1, "frame_index": 2**32})
+    @example(StreamType.DATA, {"stream_id": 1, "frame_index": -1})
+    @example(StreamType.DATA, {"stream_id": 0x10000})
+    @example(StreamType.DATA, {"stream_id": 1, "tile_id": 2})
+    @example(StreamType.CHECKPOINT, {"stream_id": 1, "frame_index": 2**32})
+    def test_the_iv_function_keeps_the_iv_rule(self, stype, fields):
+        """``frame_iv(iv_field(...), index)`` packs what ``StreamIV.to_bytes``
+        packs, and what the contract above packs, and refuses exactly the IVs
+        the contract refuses, naming a field at fault."""
+        values = {**dict.fromkeys(self.WIDTHS, 0), **fields}
+        *fixed, index = values.values()
+        faults = {name for name, width in self.WIDTHS.items() if not 0 <= values[name] < 1 << width}
+        faults |= {name for name in self.MUST_BE_ZERO.get(stype, ()) if values[name]}
+        iv = StreamIV(stype, **values)
+        calls = (lambda: fc.frame_iv(fc.iv_field(stype, *fixed), index), iv.to_bytes, iv.validate)
+        if stype not in self.MUST_BE_ZERO or faults:
+            for call in calls:
+                with pytest.raises(InvalidIvField) as refused:
+                    call()
+                named = re.match(r"\w+", str(refused.value)).group()
+                assert (named == "unknown") if stype not in self.MUST_BE_ZERO else (named in faults)
+        else:
+            raw = struct.pack(">BHBHBBI", stype, *values.values())
+            assert fc.frame_iv(fc.iv_field(stype, *fixed), index) == iv.to_bytes() == raw
+            assert iv.validate() is iv and StreamIV.from_bytes(raw) == iv
 
     @pytest.mark.parametrize("stype", [-1, 4, 255, 256])
     def test_an_unknown_stream_type_is_refused(self, stype):
@@ -364,20 +408,26 @@ class TestStreams:
         assert len(registry) == produced
 
     def test_each_iv_is_validated_once(self, monkeypatch):
-        calls = []
-        validate = StreamIV.validate
-
-        def counting(iv):
-            calls.append(iv.frame_index)
-            return validate(iv)
-
-        monkeypatch.setattr(StreamIV, "validate", counting)
+        """A stream's template is checked once, and each frame's index still
+        goes through the index rule.  No test can build 2**32 frames, so the
+        stream functions' frame numbering is shifted to reach the edges."""
+        checked = []
+        field = StreamIV.field
+        monkeypatch.setattr(StreamIV, "field", lambda iv: checked.append(iv) or field(iv))
         data = bytes(range(256)) * 3 + bytes(range(192))  # 960 bytes: ten 96-byte payloads
         frames = fc.encrypt_stream(self.key, self.binding, data, 128)
-        assert len(frames) == 10 and calls == list(range(10))
-        calls.clear()
+        assert len(frames) == 10 and checked == [self.binding]
+        checked.clear()
         assert fc.decrypt_stream(self.key, self.binding, frames, len(data)) == data
-        assert len(calls) <= 20  # the expected IV, then the authenticated one
+        assert checked == [self.binding]
+
+        last = fc.encrypt_frame(self.key, replace(self.binding, frame_index=2**32 - 1), bytes(96))
+        for start, stream, past in ((2**32 - 1, [last, last], "4294967296"), (-1, frames[:2], "-1")):
+            monkeypatch.setattr(fc, "enumerate", lambda items: zip(itertools.count(start), items), raising=False)
+            with pytest.raises(InvalidIvField, match=f"frame_index={past} out of range"):
+                fc.encrypt_stream(self.key, self.binding, bytes(192), 128)
+            with pytest.raises(InvalidIvField, match=f"frame_index={past} out of range"):
+                fc.decrypt_stream(self.key, self.binding, stream, 192)
 
     def test_one_key_schedule_per_stream(self, monkeypatch):
         built = []

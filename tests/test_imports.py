@@ -54,3 +54,32 @@ def test_aes_comes_only_through_the_aead(path):
         and not name.startswith(CIPHERS + ".aead.")
     ]
     assert raw == []
+
+
+def called_names(tree: ast.Module) -> set[str]:
+    """Names called in ``tree``, bare (``f()``) or as an attribute (``m.f()``)."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+@pytest.mark.parametrize("module", ["device", "sxp"])
+def test_the_data_path_builds_no_iv_object(module):
+    """The device and the SXP handle a frame's IV as bytes: per-frame
+    ``StreamIV`` objects stay off the data path."""
+    tree = ast.parse((Path(itx.__file__).parent / f"{module}.py").read_text())
+    assert "StreamIV" not in called_names(tree)
+
+
+def test_the_codec_copies_no_template_per_frame():
+    """The stream functions derive each frame's IV from the template's fixed
+    field; they do not copy the template with ``dataclasses.replace``."""
+    tree = ast.parse((Path(itx.__file__).parent / "frame_codec.py").read_text())
+    attributes = {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    assert "dataclasses.replace" not in {*imported_paths(tree), *attributes}

@@ -46,10 +46,10 @@ from itx.device import (
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
 from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest, checkpoint_frames
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
-from itx.pki import Party
+from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
-from itx.errors import InvalidEncoding, InvalidPhase
+from itx.errors import InvalidEncoding, InvalidPhase, ScheduleInfeasible
 from itx.sxp import NUM_CONTEXTS, ExchangePacket, SxpEngine
 
 
@@ -324,6 +324,22 @@ def halted_at_third_checkpoint():
     assert_halted(fixture, fixture.session.run(halt_after_checkpoint=3))
     fixture.deployment.device.reset("sbr")
     return fixture
+
+
+def test_256_checkpoints_fill_the_checkpoint_id_field_and_complete_exactly():
+    """A checkpoint IV's ``checkpoint_id`` is 8 bits: a save at each of 256
+    steps takes ids 0 to 255."""
+    fixture = make_sgd_fixture(steps=256, checkpoint_period=1)
+    assert_completed_and_exact(fixture, fixture.session.run())
+    assert [s.checkpoint_id for s in fixture.session.snapshots] == list(range(256))
+
+
+def test_a_257th_checkpoint_is_refused_before_any_key_is_released(monkeypatch):
+    released = []
+    monkeypatch.setattr(PartyIdentity, "release_keys", lambda *args, **kwargs: released.append(args))
+    with pytest.raises(ScheduleInfeasible, match="more than 256 checkpoints"):
+        make_sgd_fixture(steps=257, checkpoint_period=1)
+    assert released == []
 
 
 def test_stale_checkpoint_aborts_closed():

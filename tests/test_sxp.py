@@ -64,9 +64,14 @@ def write_packets(frame_plain: bytes, src_tile: int, base_addr: int, step: int =
     return packets
 
 
+def iv_block(iv: StreamIV) -> bytes:
+    """A frame's leading block: its IV, then the zero counter area."""
+    return iv.to_bytes() + bytes(4)
+
+
 def egress_frame(eng: SxpEngine, key_bytes: bytes, iv: StreamIV, payload: bytes,
                  src_tile: int = 0, base_addr: int = 0x1000) -> bytes:
-    plain = iv.iv_block() + payload + b"\x00" * 16
+    plain = iv_block(iv) + payload + b"\x00" * 16
     out = b""
     for pkt in write_packets(plain, src_tile, base_addr):
         out += eng.process_egress(pkt).payload
@@ -166,7 +171,7 @@ class TestKeyLifecycle:
         eng = engine()
         eng.load_key(3, bytes(32))
         iv = StreamIV(StreamType.DATA, stream_id=1)
-        plain = iv.iv_block() + bytes(96) + bytes(16)
+        plain = iv_block(iv) + bytes(96) + bytes(16)
         first = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
             address=0x1000, payload=plain[:64], aes=True, cc=False,
@@ -216,7 +221,7 @@ class TestEgress:
         eng.load_key(3, key)
         iv = StreamIV(StreamType.DATA, stream_id=2, frame_index=5)
         payload = bytes(i & 0xFF for i in range(96))
-        plain = iv.iv_block() + payload + bytes(16)
+        plain = iv_block(iv) + payload + bytes(16)
         pkt = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
             address=0x1000, payload=plain, aes=True, cc=True,
@@ -249,7 +254,7 @@ class TestEgress:
         iv = StreamIV(StreamType.DATA, stream_id=1)
         opening = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
-            address=0x1000, payload=iv.iv_block() + bytes(48), aes=True, cc=False,
+            address=0x1000, payload=iv_block(iv) + bytes(48), aes=True, cc=False,
         )
         eng.process_egress(opening)
         # a different tile in the same exchange-block context intrudes mid-frame
@@ -277,7 +282,7 @@ class TestEgress:
         iv = StreamIV(StreamType.DATA, stream_id=1)
         pkt = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
-            address=0x1000, payload=iv.iv_block(), aes=True, cc=True,
+            address=0x1000, payload=iv_block(iv), aes=True, cc=True,
         )
         with pytest.raises(SecurityException):
             eng.process_egress(pkt)
@@ -315,7 +320,7 @@ class TestIngress:
         plain = b""
         for pkt in completions_for(self.frame, 3):
             plain += self.eng.process_ingress(pkt).payload
-        assert plain[:16] == self.iv.iv_block()
+        assert plain[:16] == iv_block(self.iv)
         assert plain[16:112] == self.payload
 
     def test_cross_key_substitution(self):
@@ -366,7 +371,7 @@ class TestLatching:
         iv = StreamIV(StreamType.DATA, stream_id=1)
         pkt = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
-            address=0x1000, payload=iv.iv_block() + bytes(112), aes=True, cc=True,
+            address=0x1000, payload=iv_block(iv) + bytes(112), aes=True, cc=True,
         )
         assert eng.process_egress(pkt) is None  # dropped
         clear_pkt = ExchangePacket(
@@ -384,7 +389,7 @@ class TestLatching:
         eng = engine()
         eng.load_key(3, bytes(32))
         iv = StreamIV(StreamType.DATA, stream_id=1)
-        opening = write_packets(iv.iv_block() + bytes(64) + bytes(16), 0, 0x1000)[0]
+        opening = write_packets(iv_block(iv) + bytes(64) + bytes(16), 0, 0x1000)[0]
         eng.process_egress(opening)
         intruder = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
@@ -486,7 +491,7 @@ class TestEquivalence:
             iv = StreamIV(StreamType.DATA, stream_id=6, frame_index=index)
             out = egress_frame(eng, key, iv, payload)
             ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
-            assert out == iv.iv_block() + ct + tag
+            assert out == iv_block(iv) + ct + tag
 
     def test_frames_interleaved_packet_by_packet(self):
         """Two tiles' frames on contexts 3 and 7 alternate packet by packet,
@@ -505,7 +510,7 @@ class TestEquivalence:
             return [pkt for pair in zip(*streams) for pkt in pair]
 
         egress = alternate(
-            write_packets(iv.iv_block() + payload + bytes(16), tile, base)
+            write_packets(iv_block(iv) + payload + bytes(16), tile, base)
             for ctx, tile, base, key, iv, payload in frames
         )
         for pkt in egress:
@@ -514,7 +519,7 @@ class TestEquivalence:
         for ctx, tile, base, key, iv, payload in frames:
             out = b"".join(p.payload for p in egress if p.key_index == ctx)
             ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
-            assert out == iv.iv_block() + ct + tag
+            assert out == iv_block(iv) + ct + tag
             sealed.append((ctx, out))
 
         ingress = alternate(completions_for(frame, ctx) for ctx, frame in sealed)
@@ -522,7 +527,7 @@ class TestEquivalence:
             eng.process_ingress(pkt)
         for (ctx, tile, base, key, iv, payload), (_, frame) in zip(frames, sealed):
             out = b"".join(p.payload for p in ingress if p.key_index == ctx)
-            assert out == iv.iv_block() + payload + frame[-16:]
+            assert out == iv_block(iv) + payload + frame[-16:]
         assert not eng.latched
         assert not any(c.active for c in eng.contexts)
 
@@ -563,7 +568,7 @@ class TestAbandonedFrames:
 
     def sealed(self, payload: bytes) -> bytes:
         ct, tag = gcm_oracle.gcm_encrypt(self.key, self.iv.to_bytes(), payload)
-        return self.iv.iv_block() + ct + tag
+        return iv_block(self.iv) + ct + tag
 
     def assert_next_frames_match_the_oracle(self, eng: SxpEngine) -> None:
         ctx = eng.contexts[3]
@@ -574,13 +579,13 @@ class TestAbandonedFrames:
         out = b"".join(
             eng.process_ingress(pkt).payload for pkt in completions_for(self.sealed(payload), 3)
         )
-        assert out == self.iv.iv_block() + payload + self.sealed(payload)[-16:]
+        assert out == iv_block(self.iv) + payload + self.sealed(payload)[-16:]
 
     def opened(self) -> SxpEngine:
         """An engine whose context 3 has passed three packets of a frame."""
         eng = engine()
         eng.load_key(3, self.key)
-        for pkt in write_packets(self.iv.iv_block() + bytes(480), 0, 0x1000)[:3]:
+        for pkt in write_packets(iv_block(self.iv) + bytes(480), 0, 0x1000)[:3]:
             eng.process_egress(pkt)
         assert eng.contexts[3].active
         return eng
@@ -647,13 +652,13 @@ class TestPacketSplits:
         key, iv, payload, step = case
         eng = engine()
         eng.load_key(3, key)
-        plain = iv.iv_block() + payload + bytes(16)
+        plain = iv_block(iv) + payload + bytes(16)
         out = b"".join(
             rewritten(eng.process_egress, pkt).payload
             for pkt in write_packets(plain, 0, 0x1000, step)
         )
         ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
-        assert out == iv.iv_block() + ct + tag
+        assert out == iv_block(iv) + ct + tag
         if payload:  # the codec seals non-empty payloads only
             assert out == fc.encrypt_frame(key, iv, payload)
         assert not eng.contexts[3].active
@@ -665,13 +670,13 @@ class TestPacketSplits:
         ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
         eng = engine()
         eng.load_key(3, key)
-        frame = iv.iv_block() + ct + tag
+        frame = iv_block(iv) + ct + tag
         out = b"".join(
             rewritten(eng.process_ingress, pkt).payload
             for pkt in completions_for(frame, 3, step)
         )
         plain = gcm_oracle.gcm_decrypt(key, iv.to_bytes(), ct, tag)
-        assert out == iv.iv_block() + plain + tag
+        assert out == iv_block(iv) + plain + tag
         assert not eng.contexts[3].active
 
     @settings(max_examples=60, deadline=None)
@@ -679,7 +684,7 @@ class TestPacketSplits:
     def test_any_flipped_bit_fails_the_closing_packet(self, case, data):
         key, iv, payload, step = case
         ct, tag = gcm_oracle.gcm_encrypt(key, iv.to_bytes(), payload)
-        frame = bytearray(iv.iv_block() + ct + tag)
+        frame = bytearray(iv_block(iv) + ct + tag)
         bit = data.draw(st.integers(16 * 8, len(frame) * 8 - 1))
         frame[bit // 8] ^= 0x80 >> (bit % 8)
         eng = engine()
@@ -723,7 +728,7 @@ class TestInPlace:
         eng = engine()
         eng.load_key(3, bytes(32))
         iv = StreamIV(StreamType.DATA, stream_id=1)
-        eng.process_egress(write_packets(iv.iv_block() + bytes(64) + bytes(16), 0, 0x1000)[0])
+        eng.process_egress(write_packets(iv_block(iv) + bytes(64) + bytes(16), 0, 0x1000)[0])
         intruder = ExchangePacket(
             PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
             address=0x1040, payload=b"\x33" * 16, aes=True, cc=False,
@@ -755,7 +760,7 @@ class TestInPlace:
             eng.select_context(0, 0x2800)
         iv = StreamIV(StreamType.DATA, stream_id=1)
         for process, pkt in (
-            (eng.process_egress, write_packets(iv.iv_block() + bytes(112), 0, 0x1000)[0]),
+            (eng.process_egress, write_packets(iv_block(iv) + bytes(112), 0, 0x1000)[0]),
             (eng.process_ingress, completions_for(bytes(128), 3)[0]),
         ):
             before = dataclasses.replace(pkt)
