@@ -90,8 +90,7 @@ class ReplayFrame(Adversary):
         dst = host.frame_address(self.stream_id, self.dst_index)
         if src is None or dst is None:
             return
-        size = host.manifest.stream_table[self.stream_id].frame_total_size
-        host.ring.write(dst, host.ring.read(src, size))
+        host.ring.write(dst, host.ring.read(src, host.manifest.frame_size))
         self.done = True
 
 
@@ -112,7 +111,7 @@ class ReorderFrames(Adversary):
         b = host.frame_address(self.stream_id, self.index_b)
         if a is None or b is None:
             return
-        size = host.manifest.stream_table[self.stream_id].frame_total_size
+        size = host.manifest.frame_size
         blob_a, blob_b = host.ring.read(a, size), host.ring.read(b, size)
         host.ring.write(a, blob_b)
         host.ring.write(b, blob_a)
@@ -152,9 +151,9 @@ class SwapBinary(Adversary):
     def after_fill(self, host, stage) -> None:
         if stage != "boot":
             return
-        entry = host.manifest.stream_of_kind("code")
+        sid = host.manifest.stream_of_kind("code")
         for i, frame in enumerate(self.frames):
-            host.ring.write(entry.frame_address(i), frame)
+            host.ring.write(host.manifest.frame_address(sid, i), frame)
 
 
 @dataclass

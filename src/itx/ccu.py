@@ -31,6 +31,7 @@ from .encoding import canonical_bytes, digest_hex
 from .errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
+    InvalidIvField,
     InvalidPhase,
     InvalidSyncPoint,
     KeyExchangeFailure,
@@ -287,7 +288,7 @@ class Ccu:
         for ctx in plan.invalidate:
             device.ingress.invalidate_key(ctx)
             device.egress.invalidate_key(ctx)
-        device.program_registers(plan.registers())
+        device.program_registers(self.tee.manifest.registers(plan))
         for ctx, sid in plan.ingress_loads:
             device.ingress.load_key(ctx, self._stream_key(sid, "ingress"))
         for ctx, sid in plan.egress_loads:
@@ -313,9 +314,13 @@ class Ccu:
     ) -> AttestationReport:
         """Attest ``manifest_bytes``: decode and validate a private copy, which the
         control unit and the device then run from, and report the bytes' digest.
-        Malformed bytes raise an ``ItxError`` before trusted mode is entered."""
+        Malformed bytes, and counters the tiles' 8-bit IV fields cannot hold once
+        the start or the restore bumps the epoch, raise an ``ItxError`` before
+        trusted mode is entered."""
         if self.tee.phase != NO_TEE:
             raise InvalidPhase(f"tee_init in phase {self.tee.phase}")
+        if not (0 <= epoch < 0xFF and 0 <= checkpoint_id <= 0xFF):
+            raise InvalidIvField(f"seeded counters out of range: epoch={epoch}, checkpoint_id={checkpoint_id}")
         device = self._require_device()
         manifest = JobManifest.from_bytes(manifest_bytes).validate()
         manifest_hash = hashlib.sha256(manifest_bytes).digest()

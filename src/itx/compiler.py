@@ -22,8 +22,10 @@ format's ``<H`` phase count can state).  ``compile_job`` does the rest once
 for both kinds: it lays out the code, adds the code stream and the checkpoint
 plans, and assembles the one manifest that parties verify and the control
 unit enforces.
-Stream ownership is stated only in the stream table; the attested
-``stream_assignment`` and ``CompiledJob.key_streams`` are read from it.
+Stream ownership is stated only in the stream table: an entry's ``party``
+is the owner that ``tee_launch`` takes the stream's key from, and
+``CompiledJob.key_streams`` reads it there.  The attested
+``stream_assignment`` names only the model receivers.
 
 The planners honor the hardware contract: at most 16 key contexts, 17
 disjoint regions with region 0 cleartext, one key region per stream per
@@ -181,16 +183,15 @@ def compile_job(
         layouts.append(TileLayout(tile_id, code_bytes, frames, len(binary), bindings, *plan.ckpt_range))
         code_bytes += frames * FRAME_SIZE
     code_plain = sum(len(b) for b in binaries.values())
-    stream_table = {
-        SID_CODE: StreamTableEntry(SID_CODE, job.model_party, DIR_IN, CODE, code_plain, FRAME_SIZE, CODE_BASE),
-        **plan.streams,
-    }
+    code = StreamTableEntry(job.model_party, DIR_IN, CODE, code_plain, CODE_BASE, code_bytes // FRAME_SIZE)
+    stream_table = {SID_CODE: code, **plan.streams}
 
     save_plan = restore_plan = None
-    ckpt = next((e for e in plan.streams.values() if e.kind == CHECKPOINT), None)
-    if ckpt is not None:
-        region = (ckpt.region_base, ckpt.frame_address(len(layouts) * checkpoint_span(layouts, PAYLOAD)))
-        save_plan, restore_plan = _ckpt_plans(ckpt.stream_id, region)
+    ckpt = next((sid for sid, e in plan.streams.items() if e.kind == CHECKPOINT), None)
+    if ckpt is not None:  # its region holds every tile's checkpoint slot
+        slots = len(layouts) * checkpoint_span(layouts, PAYLOAD)
+        stream_table[ckpt] = dataclasses.replace(stream_table[ckpt], region_frames=slots)
+        save_plan, restore_plan = _ckpt_plans(ckpt)
 
     manifest = JobManifest(
         ipu_id=ipu_id,
@@ -198,16 +199,15 @@ def compile_job(
         bootloader_measurement=bootloader_measurement,
         stream_table=stream_table,
         tile_layouts=tuple(layouts),
-        boot_plan=_boot_plan(CODE_BASE + code_bytes),
+        boot_plan=_boot_plan(),
         plans=plan.plans,
         schedule=plan.schedule,
         checkpoint_plan=save_plan,
         restore_plan=restore_plan,
-        stream_assignment={
-            "inputs": {str(sid): e.party for sid, e in stream_table.items() if e.direction == DIR_IN},
-            "model_receivers": sorted(job.model_receivers or (job.model_party,)),
-        },
+        stream_assignment={"model_receivers": sorted(job.model_receivers or (job.model_party,))},
         device_config=config.to_dict(),
+        frame_size=FRAME_SIZE,
+        clear_region=CLEAR_REGION,
         metadata_base=METADATA_BASE,
     )
     compiled = CompiledJob(manifest=manifest, programs=plan.programs, binaries=binaries)
@@ -222,15 +222,13 @@ def compile_job(
 # ---------------------------------------------------------------------------
 
 
-def _region(slot: int, frames: int) -> tuple[int, int]:
-    """The ring region of ``frames`` frames in data slot ``slot``."""
-    base = DATA_BASE + slot * REGION_STRIDE
-    return (base, base + frames * FRAME_SIZE)
+def _slot_base(slot: int) -> int:
+    """Where data slot ``slot``'s ring region starts."""
+    return DATA_BASE + slot * REGION_STRIDE
 
 
-def _boot_plan(code_region_end: int) -> SyncPlan:
+def _boot_plan() -> SyncPlan:
     return SyncPlan(
-        regions={0: CLEAR_REGION, 1: (CODE_BASE, code_region_end)},
         stream_regions={SID_CODE: 1},
         fills=(SID_CODE,),
         ctxmap={0: CTX_CODE, 1: CTX_CODE, 2: CTX_CODE, 3: CTX_CODE},
@@ -240,12 +238,8 @@ def _boot_plan(code_region_end: int) -> SyncPlan:
     )
 
 
-def _ckpt_plans(sid_ckpt: int, ckpt_region: tuple[int, int]) -> tuple[SyncPlan, SyncPlan]:
-    common = dict(
-        regions={0: CLEAR_REGION, 6: ckpt_region},
-        stream_regions={sid_ckpt: 6},
-        frame_serial=True,
-    )
+def _ckpt_plans(sid_ckpt: int) -> tuple[SyncPlan, SyncPlan]:
+    common = dict(stream_regions={sid_ckpt: 6}, frame_serial=True)
     save = SyncPlan(
         ctxmap={e: CTX_SAVE for e in range(4)},
         kphysmap={CTX_SAVE: 6},
@@ -261,10 +255,9 @@ def _ckpt_plans(sid_ckpt: int, ckpt_region: tuple[int, int]) -> tuple[SyncPlan, 
     return save, restore
 
 
-def _output_plan(sid_out: int, out_region: tuple[int, int], **rest) -> SyncPlan:
+def _output_plan(sid_out: int, **rest) -> SyncPlan:
     """The barrier that keys the output stream for tile 0's exchange block."""
     return SyncPlan(
-        regions={0: CLEAR_REGION, 5: out_region},
         stream_regions={sid_out: 5},
         ctxmap={0: CTX_OUT},
         kphysmap={CTX_OUT: 5},
@@ -301,9 +294,9 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
     # -- tile programs and bindings ------------------------------------------
     # Block 0 loads the weights and stores the model; blocks 1 and 2 load
     # one data party's gradients each; loader tile j walks run j of a pass.
-    def walk(sid: int, j: int, passes: int, buf_off: int = STAGE_OFF) -> BindingSpec:
+    def walk(sid: int, j: int, buf_off: int = STAGE_OFF) -> BindingSpec:
         per = frames_per_loader
-        return BindingSpec(sid, buf_off, per * j, stride=frames_per_pass, block_len=per, total_frames=per * passes)
+        return BindingSpec(sid, buf_off, per * j, stride=frames_per_pass, block_len=per)
 
     sgd_pair = [
         ComputePhase(OP_SGD_STEP, (job.lr_num, job.lr_den, W_OFF, G1_OFF, slice_ints)),
@@ -318,9 +311,9 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         phases: list = []
         if ebc == 0:
             phases.append(LoadPhase(sid_w0, frames_per_loader))
-            bindings[t] = (walk(sid_w0, j, 1), walk(sid_out, j, 1, OUT_STAGE_OFF))
+            bindings[t] = (walk(sid_w0, j), walk(sid_out, j, OUT_STAGE_OFF))
         elif grad is not None:
-            bindings[t] = (walk(grad, j, steps),)
+            bindings[t] = (walk(grad, j),)
         phases.append(SyncPhase(1))
         # One loop states every step: pass s meets barriers 2 + 2s and 3 + 2s.
         load = [LoadPhase(grad, frames_per_loader)] if grad is not None else []
@@ -332,18 +325,18 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         programs[t] = TileProgram(tuple(phases))
 
     # -- streams and regions -------------------------------------------------
-    w0_region, g1_region, g2_region, ckpt_slot, out_region = (_region(i, frames_per_pass) for i in range(5))
+    # Each region holds one pass; compile_job sizes the checkpoint region.
+    w0, g1, g2, ckpt, out = (_slot_base(i) for i in range(5))
     streams = {
-        sid_w0: StreamTableEntry(sid_w0, job.model_party, DIR_IN, DATA, model_bytes, FRAME_SIZE, w0_region[0]),
-        sid_g1: StreamTableEntry(sid_g1, job.data_parties[0], DIR_IN, DATA, steps * model_bytes, FRAME_SIZE, g1_region[0]),
-        sid_g2: StreamTableEntry(sid_g2, job.data_parties[1], DIR_IN, DATA, steps * model_bytes, FRAME_SIZE, g2_region[0]),
-        sid_ckpt: StreamTableEntry(sid_ckpt, "", DIR_OUT, CHECKPOINT, 0, FRAME_SIZE, ckpt_slot[0]),
-        sid_out: StreamTableEntry(sid_out, "", DIR_OUT, OUTPUT, model_bytes, FRAME_SIZE, out_region[0]),
+        sid_w0: StreamTableEntry(job.model_party, DIR_IN, DATA, model_bytes, w0, frames_per_pass),
+        sid_g1: StreamTableEntry(job.data_parties[0], DIR_IN, DATA, steps * model_bytes, g1, frames_per_pass),
+        sid_g2: StreamTableEntry(job.data_parties[1], DIR_IN, DATA, steps * model_bytes, g2, frames_per_pass),
+        sid_ckpt: StreamTableEntry("", DIR_OUT, CHECKPOINT, 0, ckpt, 0),
+        sid_out: StreamTableEntry("", DIR_OUT, OUTPUT, model_bytes, out, frames_per_pass),
     }
 
     # -- sync plans ----------------------------------------------------------
     g_registers = dict(
-        regions={0: CLEAR_REGION, 3: g1_region, 4: g2_region},
         stream_regions={sid_g1: 3, sid_g2: 4},
         ctxmap={1: 2, 2: 3},
         kphysmap={2: 3, 3: 4},
@@ -369,7 +362,6 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
     g_load = dict(fills=(sid_g1, sid_g2), **g_registers)
     plans = [
         SyncPlan(
-            regions={0: CLEAR_REGION, 2: w0_region},
             stream_regions={sid_w0: 2},
             fills=(sid_w0,),
             ctxmap={0: 1},
@@ -381,12 +373,11 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         SyncPlan(moves=g_moves, **g_registers),
         _output_plan(
             sid_out,
-            out_region,
             invalidate=(2, 3),
             checkpoint=(steps % job.checkpoint_period == 0),
             moves=gather_moves,
         ),
-        SyncPlan(regions={0: CLEAR_REGION}),
+        SyncPlan(),
     ]
     flags = sorted({s % job.checkpoint_period == 0 for s in range(1, steps)})
     later_load = {flag: len(plans) + i for i, flag in enumerate(flags)}
@@ -431,14 +422,14 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
                 i = 4 * w + loaders.index(t)
                 if i < n:
                     phases.append(LoadPhase(sid_in(i), 1))
-                    specs.append(BindingSpec(sid_in(i), STAGE_OFF, 0, total_frames=1))
+                    specs.append(BindingSpec(sid_in(i), STAGE_OFF, 0))
             phases.append(SyncPhase(w + 1))
         if t == 0:
             phases.append(ComputePhase(OP_SUM, (ACC_OFF, n * ints, RES_OFF)))
         phases.append(SyncPhase(waves + 1))
         if t == 0:
             phases.append(StorePhase(sid_out, 1))
-            specs.append(BindingSpec(sid_out, RES_OFF, 0, total_frames=1))
+            specs.append(BindingSpec(sid_out, RES_OFF, 0))
         phases.append(SyncPhase(waves + 2))
         programs[t] = TileProgram(tuple(phases))
         bindings[t] = tuple(specs)
@@ -446,12 +437,11 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
     # -- streams and regions -------------------------------------------------
     # Each exchange block reuses one ring region across waves; the host
     # refills it with the next stream's frame at the wave barrier.
-    out_region = _region(n_ebcs, 1)
-    streams = {sid_out: StreamTableEntry(sid_out, "", DIR_OUT, OUTPUT, 4, FRAME_SIZE, out_region[0])}
+    streams = {sid_out: StreamTableEntry("", DIR_OUT, OUTPUT, 4, _slot_base(n_ebcs), 1)}
     parties = job.data_parties or (job.model_party,)
     for i in range(n):
         streams[sid_in(i)] = StreamTableEntry(
-            sid_in(i), parties[i % len(parties)], DIR_IN, DATA, 4 * ints, FRAME_SIZE, _region(i % n_ebcs, 1)[0]
+            parties[i % len(parties)], DIR_IN, DATA, 4 * ints, _slot_base(i % n_ebcs), 1
         )
 
     # -- plans ---------------------------------------------------------------
@@ -474,7 +464,6 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
         schedule.append((w, {sid: 0 for sid in sids}))
         plans.append(
             SyncPlan(
-                regions={0: CLEAR_REGION, **{1 + e: _region(e, 1) for e in range(len(sids))}},
                 stream_regions={sid: 1 + e for e, sid in enumerate(sids)},
                 fills=tuple(sids),
                 ctxmap={e: slots[e] for e in range(len(sids))},
@@ -484,14 +473,13 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
                 moves=gather(w - 1) if w > 0 else (),
             )
         )
-    plans.append(SyncPlan(regions={0: CLEAR_REGION}, moves=gather(waves - 1)))
+    plans.append(SyncPlan(moves=gather(waves - 1)))
     plans.append(
         _output_plan(
             sid_out,
-            out_region,
             invalidate=tuple(sorted({s for w in range(min(waves, 3)) for s in wave_slots(w)})),
         )
     )
-    plans.append(SyncPlan(regions={0: CLEAR_REGION}))
+    plans.append(SyncPlan())
     schedule += [(waves, {}), (waves + 1, {sid_out: 0}), (waves + 2, {})]
     return _Plan(programs, bindings, streams, tuple(plans), tuple(schedule))

@@ -46,7 +46,6 @@ from .manifest import (
     OUTPUT,
     BindingSpec,
     JobManifest,
-    StreamTableEntry,
     TileLayout,
 )
 from .sxp import ExchangePacket, PacketKind, PendingReadTable, SxpEngine, SxpRegisters
@@ -518,13 +517,7 @@ class IpuDevice:
         self._req_id += 1
         return self._req_id
 
-    def _stream(self, stream_id: int) -> StreamTableEntry:
-        entry = self.manifest.stream_table.get(stream_id) if self.manifest else None
-        if entry is None:
-            raise self._security(f"tile referenced unknown stream {stream_id}")
-        return entry
-
-    def _stream_of_kind(self, kind: str) -> StreamTableEntry:
+    def _stream_of_kind(self, kind: str) -> int:
         if self.manifest is not None:
             with suppress(KeyError):
                 return self.manifest.stream_of_kind(kind)
@@ -578,60 +571,59 @@ class IpuDevice:
             pieces.append(plain.payload)
         return b"".join(pieces)
 
-    def _frame_iv(self, entry: StreamTableEntry, tile: Tile, index: int) -> bytes:
-        """The IV of frame ``index`` of ``entry`` for ``tile``: code is bound to
+    def _frame_iv(self, sid: int, tile: Tile, index: int) -> bytes:
+        """The IV of frame ``index`` of stream ``sid`` for ``tile``: code is bound to
         the tile, a checkpoint to the tile and its (epoch, checkpoint)
         counters, data and output to the stream.  Tiles stamp it on what they
         write and demand it of what they read, which stops replay, reordering
         and rollback."""
-        if entry.kind == CODE:
+        kind = self.manifest.stream_table[sid].kind
+        if kind == CODE:
             field = iv_field(StreamType.CODE, 0, self.ipu_id, tile.tile_id)
-        elif entry.kind == CHECKPOINT:
+        elif kind == CHECKPOINT:
             field = iv_field(StreamType.CHECKPOINT, 0, self.ipu_id, tile.tile_id, tile.epoch, tile.checkpoint_id)
         else:
-            field = iv_field(StreamType.OUTPUT if entry.kind == OUTPUT else StreamType.DATA, entry.stream_id)
+            field = iv_field(StreamType.OUTPUT if kind == OUTPUT else StreamType.DATA, sid)
         return frame_iv(field, index)
 
-    def _read_frame(self, tile: Tile, entry: StreamTableEntry, address: int, index: int) -> bytes:
+    def _read_frame(self, tile: Tile, sid: int, address: int, index: int) -> bytes:
         """Fetch and authenticate one frame; returns the plaintext payload."""
-        raw = self._dma_read(tile.tile_id, address, entry.frame_total_size)
-        if raw[:IV_BYTES] != self._frame_iv(entry, tile, index):
-            where = f"{entry.kind} stream {entry.stream_id} frame {index}"
+        raw = self._dma_read(tile.tile_id, address, self.manifest.frame_size)
+        if raw[:IV_BYTES] != self._frame_iv(sid, tile, index):
+            where = f"{self.manifest.stream_table[sid].kind} stream {sid} frame {index}"
             raise self._security(f"tile {tile.tile_id}: {where} has wrong IV")
         return raw[IV_BLOCK_BYTES : len(raw) - TAG_BYTES]
 
-    def _write_frame(self, tile: Tile, entry: StreamTableEntry, address: int, index: int, payload: bytes) -> None:
-        frame = self._frame_iv(entry, tile, index) + b"\x00\x00\x00\x00" + payload + b"\x00" * TAG_BYTES
+    def _write_frame(self, tile: Tile, sid: int, address: int, index: int, payload: bytes) -> None:
+        frame = self._frame_iv(sid, tile, index) + b"\x00\x00\x00\x00" + payload + b"\x00" * TAG_BYTES
         self._dma_write(tile.tile_id, address, frame, aes=True)
 
     def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
-        entry = self._stream(stream_id)
         if self.clear_mode:
-            return self._clear_frame(entry, frame_index)
-        address = entry.frame_address(frame_index, self.windows.get(stream_id, 0))
-        return self._read_frame(self.tiles[tile_id], entry, address, frame_index)
+            return self._clear_frame(stream_id, frame_index)
+        address = self.manifest.frame_address(stream_id, frame_index, self.windows.get(stream_id, 0))
+        return self._read_frame(self.tiles[tile_id], stream_id, address, frame_index)
 
     def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
-        entry = self._stream(stream_id)
         if self.clear_mode:
-            self._clear_store(entry, frame_index, payload)
+            self._clear_store(stream_id, frame_index, payload)
             return
-        address = entry.frame_address(frame_index, self.windows.get(stream_id, 0))
-        self._write_frame(self.tiles[tile_id], entry, address, frame_index, payload)
+        address = self.manifest.frame_address(stream_id, frame_index, self.windows.get(stream_id, 0))
+        self._write_frame(self.tiles[tile_id], stream_id, address, frame_index, payload)
 
     # -- clear-mode stream plumbing -----------------------------------------
 
-    def _clear_frame(self, entry: StreamTableEntry, frame_index: int) -> bytes:
-        src = self.clear_sources.get(entry.stream_id)
+    def _clear_frame(self, sid: int, frame_index: int) -> bytes:
+        src = self.clear_sources.get(sid)
         if src is None:
-            raise self._security(f"no clear source for stream {entry.stream_id}")
-        size = payload_capacity(entry.frame_total_size)
+            raise self._security(f"no clear source for stream {sid}")
+        size = payload_capacity(self.manifest.frame_size)
         chunk = src[frame_index * size : (frame_index + 1) * size]
         return chunk.ljust(size, b"\x00")
 
-    def _clear_store(self, entry: StreamTableEntry, frame_index: int, payload: bytes) -> None:
-        sink = self.clear_sinks.setdefault(entry.stream_id, bytearray())
-        size = payload_capacity(entry.frame_total_size)
+    def _clear_store(self, sid: int, frame_index: int, payload: bytes) -> None:
+        sink = self.clear_sinks.setdefault(sid, bytearray())
+        size = payload_capacity(self.manifest.frame_size)
         end = (frame_index + 1) * size
         if len(sink) < end:
             sink.extend(b"\x00" * (end - len(sink)))
@@ -642,9 +634,9 @@ class IpuDevice:
     def run_bootloader(self, tile_id: int) -> bytes:
         """Fetch, authenticate, and install one tile's binary; returns its digest."""
         tile = self.tiles[tile_id]
-        entry = self._stream_of_kind(CODE)
+        sid = self._stream_of_kind(CODE)
         addresses = self.manifest.code_addresses(tile.layout)
-        blob = b"".join(self._read_frame(tile, entry, a, f) for f, a in enumerate(addresses))
+        blob = b"".join(self._read_frame(tile, sid, a, f) for f, a in enumerate(addresses))
         binary = blob[: tile.layout.binary_length]
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
         try:
@@ -710,7 +702,9 @@ class IpuDevice:
         if spec is None:
             raise self._security(f"tile {tile.tile_id} has no binding for stream {ph.stream_id}")
         sid, memory, cursors = ph.stream_id, tile.memory, tile.cursors
-        size = payload_capacity(self._stream(sid).frame_total_size)
+        if sid not in self.manifest.stream_table:
+            raise self._security(f"tile referenced unknown stream {sid}")
+        size = payload_capacity(self.manifest.frame_size)
         load = isinstance(ph, LoadPhase)
         for at in range(spec.buf_off, spec.buf_off + ph.frames * size, size):
             k = cursors[sid]
@@ -749,16 +743,16 @@ class IpuDevice:
     def checkpoint_save(self) -> None:
         """Write every tile's restart state as an encrypted checkpoint stream
         plus a small cleartext metadata record per tile."""
-        entry = self._stream_of_kind(CHECKPOINT)
+        sid = self._stream_of_kind(CHECKPOINT)
         slots = self.manifest.checkpoint_addresses()
-        size = payload_capacity(entry.frame_total_size)
+        size = payload_capacity(self.manifest.frame_size)
         for tile in self.tiles:
             layout, addresses = tile.layout, slots[tile.tile_id]
             state = tile.memory[layout.ckpt_buf_off : layout.ckpt_buf_off + layout.ckpt_len]
             payload = struct.pack("<I", tile.pc) + _pack_cursors(tile.cursors) + state
             payload = payload.ljust(len(addresses) * size, b"\x00")
             for f, address in enumerate(addresses):
-                self._write_frame(tile, entry, address, f, payload[f * size : (f + 1) * size])
+                self._write_frame(tile, sid, address, f, payload[f * size : (f + 1) * size])
             record = pack_checkpoint_metadata(tile.epoch, tile.checkpoint_id, tile.pc, tile.cursors)
             self._dma_write(tile.tile_id, self.manifest.metadata_address(tile.tile_id), record, aes=False)
             tile.checkpoint_id += 1
@@ -767,10 +761,10 @@ class IpuDevice:
         """Rebuild tile state from the checkpoint identified by the seeded
         (epoch, checkpoint) counters, then re-park the tiles at the saved
         barrier; tiles verify every frame's IV."""
-        entry = self._stream_of_kind(CHECKPOINT)
+        sid = self._stream_of_kind(CHECKPOINT)
         slots = self.manifest.checkpoint_addresses()
         for tile in self.tiles:
-            payload = b"".join(self._read_frame(tile, entry, a, f) for f, a in enumerate(slots[tile.tile_id]))
+            payload = b"".join(self._read_frame(tile, sid, a, f) for f, a in enumerate(slots[tile.tile_id]))
             (pc,) = struct.unpack_from("<I", payload, 0)
             cursors, off = _unpack_cursors(payload, 4)
             layout = tile.layout

@@ -3,16 +3,21 @@
 The manifest binds together everything integrity-relevant about a job:
 per-device binary hashes, the bootloader measurement, the stream table,
 per-tile data layouts, and the barriers: ``plans`` states each distinct plan
-(key regions, register maps, key loads) once, and ``schedule`` gives each sync
-id a plan index and stream offsets, expanded by ``plan(sync_id)``.  Parties
-review a manifest before releasing keys.  Its measurement is the SHA-256 of
-its canonical bytes (``to_bytes()``); the host hands those bytes to the
-control unit, and the attestation report commits to their digest.
+(the streams it keys, register maps, key loads) once, and ``schedule`` gives
+each sync id a plan index and stream offsets, expanded by ``plan(sync_id)``.
+Each fact is stated once: the job's frame size and cleartext region sit on
+the manifest, and a stream's owner and extent on its stream-table entry.
+Parties review a manifest before releasing keys.  Its measurement is the
+SHA-256 of its canonical bytes (``to_bytes()``); the host hands those bytes
+to the control unit, and the attestation report commits to their digest.
 
 It is also the one reader of the ring layout: the SXP keys a DMA frame by
 its address, so every ring address (a stream's extent, frame *i* under a
 window, a tile's code and checkpoint frames, the metadata records) is a pure
-function of the fields below, and each role asks its own manifest.
+function of the fields below, and each role asks its own manifest.  A
+stream's extent is read from its entry, and a plan's register image is
+derived: ``registers(plan)`` maps region 0 to the cleartext region and each
+stream the plan keys to its extent.
 
 Routing note: all requests (reads and writes) are key-selected on the egress
 path, so a sync plan carries a single ``ctxmap``/``kphysmap`` register image
@@ -43,17 +48,12 @@ DIR_OUT = "out"
 
 @dataclass(frozen=True)
 class StreamTableEntry(Record):
-    stream_id: int
-    party: str  # empty for streams keyed by the control unit itself
+    party: str  # the owner, who keys the stream; empty for streams keyed by the control unit itself
     direction: str
     kind: str
     plaintext_length: int
-    frame_total_size: int
     region_base: int  # base tile-PCI address of the stream's buffer region
-
-    def frame_address(self, index: int, window: int = 0) -> int:
-        """Ring address of frame ``index`` while the stream's window starts at frame ``window``."""
-        return self.region_base + (index - window) * self.frame_total_size
+    region_frames: int  # frames the region holds
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class BindingSpec(Record):
     start_index: int
     stride: int = 1
     block_len: int = 1
-    total_frames: int = 0
 
     def frame_index(self, k: int) -> int:
         return self.start_index + (k // self.block_len) * self.stride + (k % self.block_len)
@@ -109,8 +108,7 @@ class SyncPlan(Record):
     one key context.
     """
 
-    regions: dict[int, tuple[int, int]] = field(default_factory=dict)
-    stream_regions: dict[int, int] = field(default_factory=dict)
+    stream_regions: dict[int, int] = field(default_factory=dict)  # stream id -> key region id
     fills: tuple[int, ...] = ()  # stream ids whose window the host must (re)fill
     ctxmap: dict[int, int] = field(default_factory=dict)  # exchange-block ctx -> key ctx
     kphysmap: dict[int, int] = field(default_factory=dict)  # key ctx -> region id
@@ -120,13 +118,6 @@ class SyncPlan(Record):
     checkpoint: bool = False
     moves: tuple[tuple[int, int, int, int, int], ...] = ()  # src, src_off, dst, dst_off, len
     frame_serial: bool = False
-
-    def registers(self) -> SxpRegisters:
-        return SxpRegisters(
-            kxbctxmap=dict(self.ctxmap),
-            ksellimit={rid: AddressRegion(lo, hi) for rid, (lo, hi) in self.regions.items()},
-            kphysmap=dict(self.kphysmap),
-        )
 
 
 @dataclass(frozen=True)
@@ -141,19 +132,21 @@ class JobManifest(Record):
     schedule: tuple[tuple[int, dict[int, int]], ...]  # sync id -> (plan index, stream offsets)
     checkpoint_plan: Optional[SyncPlan]  # egress state for checkpoint saves
     restore_plan: Optional[SyncPlan]  # ingress state for checkpoint restore
-    stream_assignment: dict[str, Any]  # {"inputs": {sid: party}, "model_receivers": [...]}
+    stream_assignment: dict[str, Any]  # {"model_receivers": [...]}; the stream table names owners
     device_config: dict[str, int]
+    frame_size: int  # every stream's frame size, in bytes
+    clear_region: tuple[int, int]  # the ring range of region 0 in every plan's image
     metadata_base: int  # cleartext address of per-tile checkpoint metadata
     metadata_slot: int = 256  # bytes reserved per tile for plaintext metadata
 
     def measurement(self) -> str:
         return digest_hex(self.to_bytes())
 
-    def stream_of_kind(self, kind: str) -> StreamTableEntry:
-        """The job's stream of ``kind`` (one each of code, checkpoint and output)."""
-        for entry in self.stream_table.values():
+    def stream_of_kind(self, kind: str) -> int:
+        """The id of the job's stream of ``kind`` (one each of code, checkpoint and output)."""
+        for sid, entry in self.stream_table.items():
             if entry.kind == kind:
-                return entry
+                return sid
         raise KeyError(f"no {kind} stream in the manifest")
 
     def layout(self, tile_id: int) -> TileLayout:
@@ -172,31 +165,41 @@ class JobManifest(Record):
     # -- the ring map ----------------------------------------------------------
 
     def extent(self, stream_id: int) -> tuple[int, int]:
-        """The ring range of a stream's region, as the first plan that keys the stream states it."""
-        for plan in (self.boot_plan, *self.plans, self.checkpoint_plan):
-            if plan is not None and stream_id in plan.stream_regions:
-                return plan.regions[plan.stream_regions[stream_id]]
-        raise KeyError(stream_id)
+        """The ring range of a stream's region."""
+        entry = self.stream_table[stream_id]
+        return entry.region_base, entry.region_base + entry.region_frames * self.frame_size
+
+    def frame_address(self, stream_id: int, index: int, window: int = 0) -> int:
+        """Ring address of a stream's frame ``index`` while its window starts at frame ``window``."""
+        return self.stream_table[stream_id].region_base + (index - window) * self.frame_size
 
     def window(self, stream_id: int, first: int) -> dict[int, int]:
         """Frame index -> ring address of every frame a stream's region holds
         while its window starts at frame ``first``."""
-        entry, (lo, hi) = self.stream_table[stream_id], self.extent(stream_id)
-        return {i: entry.frame_address(i, first) for i in range(first, first + (hi - lo) // entry.frame_total_size)}
+        frames = range(first, first + self.stream_table[stream_id].region_frames)
+        return {i: self.frame_address(stream_id, i, first) for i in frames}
+
+    def registers(self, plan: SyncPlan) -> SxpRegisters:
+        """A plan's register image: region 0 is the cleartext region, and each
+        stream the plan keys has its extent as its region."""
+        regions = {0: AddressRegion(*self.clear_region)}
+        for sid, rid in plan.stream_regions.items():
+            regions[rid] = AddressRegion(*self.extent(sid))
+        return SxpRegisters(kxbctxmap=dict(plan.ctxmap), ksellimit=regions, kphysmap=dict(plan.kphysmap))
 
     def code_addresses(self, layout: TileLayout) -> list[int]:
         """Ring addresses of a tile's code frames, in frame order."""
-        entry = self.stream_of_kind(CODE)
-        return [entry.frame_address(f) + layout.code_offset for f in range(layout.code_frames)]
+        sid = self.stream_of_kind(CODE)
+        return [self.frame_address(sid, f) + layout.code_offset for f in range(layout.code_frames)]
 
     def checkpoint_addresses(self) -> dict[int, list[int]]:
         """Tile -> ring addresses of the frames its checkpoint fills, from the
         start of its slot; every slot is as long as the longest checkpoint."""
-        entry = self.stream_of_kind(CHECKPOINT)
-        payload = payload_capacity(entry.frame_total_size)
+        sid = self.stream_of_kind(CHECKPOINT)
+        payload = payload_capacity(self.frame_size)
         span = checkpoint_span(self.tile_layouts, payload)
         frames = {l.tile_id: checkpoint_frames(len(l.bindings), l.ckpt_len, payload) for l in self.tile_layouts}
-        return {t: [entry.frame_address(t * span + f) for f in range(n)] for t, n in frames.items()}
+        return {t: [self.frame_address(sid, t * span + f) for f in range(n)] for t, n in frames.items()}
 
     def metadata_address(self, tile_id: int) -> int:
         """Where a tile's cleartext checkpoint record sits."""
@@ -205,17 +208,14 @@ class JobManifest(Record):
     def checkpoint_ranges(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The ring ranges of a checkpoint: its frames' region, then every tile's cleartext record."""
         records = (self.metadata_base, self.metadata_address(len(self.tile_layouts)))
-        return self.extent(self.stream_of_kind(CHECKPOINT).stream_id), records
+        return self.extent(self.stream_of_kind(CHECKPOINT)), records
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> "JobManifest":
-        for sid, entry in self.stream_table.items():
-            if sid != entry.stream_id:
-                raise InvalidRegisterProgram(f"stream table key {sid} != entry id")
-            size = entry.frame_total_size
-            if size % FRAME_ALIGN or not FRAME_ALIGN <= size <= MAX_FRAME_BYTES:
-                raise InvalidRegisterProgram(f"stream {sid}: bad frame size {size}")
+        size = self.frame_size
+        if size % FRAME_ALIGN or not FRAME_ALIGN <= size <= MAX_FRAME_BYTES:
+            raise InvalidRegisterProgram(f"bad frame size {size}")
         extra = {"boot plan": self.boot_plan, "checkpoint plan": self.checkpoint_plan,
                  "restore plan": self.restore_plan}
         for where, plan in [*extra.items(), *((f"plan {i}", p) for i, p in enumerate(self.plans))]:
@@ -231,21 +231,19 @@ class JobManifest(Record):
         return self
 
     def _validate_plan(self, where: str, plan: SyncPlan) -> None:
-        if 0 not in plan.regions:
-            raise InvalidRegisterProgram(f"{where}: cleartext region 0 missing")
-        plan.registers().validate()
+        for sid, rid in plan.stream_regions.items():
+            if rid == 0:
+                raise InvalidRegisterProgram(f"{where}: stream {sid} in cleartext region")
+            if sid not in self.stream_table:
+                raise InvalidRegisterProgram(f"{where}: unknown stream {sid}")
+        if len(set(plan.stream_regions.values())) != len(plan.stream_regions):
+            raise InvalidRegisterProgram(f"{where}: several streams share one key region")
+        self.registers(plan).validate()
         if not plan.frame_serial and len(set(plan.ctxmap.values())) != len(plan.ctxmap):
             raise InvalidRegisterProgram(
                 f"{where}: several exchange-block contexts share one key context "
                 "outside a frame-serial phase"
             )
-        for sid, rid in plan.stream_regions.items():
-            if rid == 0:
-                raise InvalidRegisterProgram(f"{where}: stream {sid} in cleartext region")
-            if rid not in plan.regions:
-                raise InvalidRegisterProgram(f"{where}: stream {sid} in unknown region {rid}")
-            if sid not in self.stream_table:
-                raise InvalidRegisterProgram(f"{where}: unknown stream {sid}")
         for ctx, sid in plan.ingress_loads + plan.egress_loads:
             if not 0 <= ctx < NUM_CONTEXTS:
                 raise InvalidRegisterProgram(f"{where}: load context {ctx} out of range")

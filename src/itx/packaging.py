@@ -48,8 +48,7 @@ def encrypt_code_stream(
     """Encrypt each tile's binary under its tile-bound IVs.  The frames come
     in layout order, which is their order in the code region: the compiler
     lays ``code_offset`` out cumulatively in that order."""
-    entry = manifest.stream_of_kind(CODE)
-    payload = payload_capacity(entry.frame_total_size)
+    payload = payload_capacity(manifest.frame_size)
     frames: list[bytes] = []
     for layout in manifest.tile_layouts:
         binary = binaries[layout.tile_id]
@@ -61,7 +60,7 @@ def encrypt_code_stream(
         if frame_count(len(binary), payload) != layout.code_frames:
             raise InvalidFrame(f"tile {layout.tile_id}: code frame count mismatch")
         template = StreamIV(StreamType.CODE, ipu_id=manifest.ipu_id, tile_id=layout.tile_id)
-        frames += encrypt_stream(key, template, binary, entry.frame_total_size)
+        frames += encrypt_stream(key, template, binary, manifest.frame_size)
     return tuple(frames)
 
 
@@ -104,7 +103,7 @@ def package_inputs(
                     f"stream {sid}: expected {entry.plaintext_length} plaintext bytes, "
                     f"got {len(plaintext)}"
                 )
-            streams[sid] = encrypt_data_stream(key, sid, entry.frame_total_size, plaintext)
+            streams[sid] = encrypt_data_stream(key, sid, manifest.frame_size, plaintext)
     return JobInputs(party=party, streams=streams, keys=keys)
 
 

@@ -142,7 +142,7 @@ class TrustedJobSession:
         (frames_at, _), (meta_at, _) = self.manifest.checkpoint_ranges()
         self.ring.write(frames_at, snapshot.frames_blob)
         self.ring.write(meta_at, snapshot.meta_blob)
-        self.windows[self.manifest.stream_of_kind(CHECKPOINT).stream_id] = 0
+        self.windows[self.manifest.stream_of_kind(CHECKPOINT)] = 0
         log.emit(
             "fill_checkpoint",
             epoch=snapshot.epoch,
@@ -351,9 +351,9 @@ class TrustedJobSession:
         )
 
     def _collect_output(self) -> tuple[bytes, ...]:
-        entry = self.manifest.stream_of_kind(OUTPUT)
-        count = frame_count(entry.plaintext_length, payload_capacity(entry.frame_total_size))
-        return tuple(self.ring.read(entry.frame_address(i), entry.frame_total_size) for i in range(count))
+        sid, size = self.manifest.stream_of_kind(OUTPUT), self.manifest.frame_size
+        count = frame_count(self.manifest.stream_table[sid].plaintext_length, payload_capacity(size))
+        return tuple(self.ring.read(self.manifest.frame_address(sid, i), size) for i in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +366,10 @@ def decrypt_model(
 ) -> bytes:
     """Receiving parties pool their run nonces, derive the model key, and
     decrypt the output stream."""
-    entry = manifest.stream_of_kind(OUTPUT)
+    sid = manifest.stream_of_kind(OUTPUT)
     key = derive_model_key(nonces)
-    template = StreamIV(StreamType.OUTPUT, stream_id=entry.stream_id)
-    return decrypt_stream(key, template, frames, entry.plaintext_length)
+    template = StreamIV(StreamType.OUTPUT, stream_id=sid)
+    return decrypt_stream(key, template, frames, manifest.stream_table[sid].plaintext_length)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +396,6 @@ def run_clear_reference(
     device.start_application()
     while device.run_interval() is not None:
         pass
-    entry = manifest.stream_of_kind(OUTPUT)
-    sink = bytes(device.clear_sinks.get(entry.stream_id, b""))
-    return sink[: entry.plaintext_length]
+    sid = manifest.stream_of_kind(OUTPUT)
+    sink = bytes(device.clear_sinks.get(sid, b""))
+    return sink[: manifest.stream_table[sid].plaintext_length]

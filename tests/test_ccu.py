@@ -18,6 +18,7 @@ from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
     InvalidEncoding,
+    InvalidIvField,
     InvalidPhase,
     ItxError,
     InvalidSyncPoint,
@@ -274,10 +275,10 @@ def fill_boot(deployment, manifest, inputs):
     back to back from the code region's base."""
     from itx.manifest import CODE
 
-    entry = manifest.stream_of_kind(CODE)
-    frames = inputs[entry.party].streams[entry.stream_id]
+    sid = manifest.stream_of_kind(CODE)
+    frames = inputs[manifest.stream_table[sid].party].streams[sid]
     for i, frame in enumerate(frames):
-        deployment.device.ring_buffer.write(entry.region_base + i * entry.frame_total_size, frame)
+        deployment.device.ring_buffer.write(manifest.frame_address(sid, i), frame)
 
 
 @pytest.fixture()
@@ -393,6 +394,24 @@ class TestTeeInit:
         _, certs, shares, sigs = init_material(parties)
         deployment.ccu.tee_init(compiled.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == INITIALIZED
+
+    @pytest.mark.parametrize(
+        "epoch, checkpoint_id, accepted",
+        [(254, 255, True), (255, 0, False), (-1, 0, False), (1, 256, False), (1, -1, False)],
+    )
+    def test_seeded_counters_must_fit_the_iv_fields(self, rig, epoch, checkpoint_id, accepted):
+        """The start or the restore bumps the 8-bit epoch once, so 254 is the
+        last epoch a run may be seeded with; a checkpoint id is 8 bits too."""
+        deployment, compiled, parties, _ = rig
+        _, certs, shares, sigs = init_material(parties)
+        args = (compiled.manifest.to_bytes(), certs, shares, sigs, epoch, checkpoint_id)
+        if accepted:
+            assert deployment.ccu.tee_init(*args).epoch == epoch
+            return
+        with pytest.raises(InvalidIvField, match="seeded counters out of range"):
+            deployment.ccu.tee_init(*args)
+        assert deployment.ccu.tee.phase == NO_TEE
+        assert deployment.device.mode == MODE_NORMAL
 
 
 @pytest.fixture(scope="module")

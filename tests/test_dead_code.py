@@ -1,15 +1,19 @@
 """Every function, method and class defined in the package is named
 somewhere outside its own definition, and every attribute the package
 stores on ``self`` is read somewhere: in the package, the tests or the
-benchmark.  Dunder methods are exempt, since the language calls them."""
+benchmark.  Dunder methods are exempt, since the language calls them.
+Every field of the attested manifest records is read by a module of the
+package other than the compiler that writes it."""
 
 import ast
+import dataclasses
 import functools
 import re
 from collections import defaultdict
 from pathlib import Path
 
 import itx
+from itx.manifest import BindingSpec, JobManifest, StreamTableEntry, SyncPlan, TileLayout
 
 PACKAGE = Path(itx.__file__).parent
 ROOT = PACKAGE.parent.parent
@@ -88,3 +92,27 @@ def unread_attributes() -> list[str]:
 
 def test_every_stored_attribute_is_read():
     assert unread_attributes() == []
+
+
+def unread_attested_fields() -> list[str]:
+    """Fields of the manifest records that no package module but the
+    compiler loads as an attribute: a field parties attest to and nothing
+    enforces or uses."""
+    trees = parsed()
+    loaded = {
+        node.attr
+        for path in PACKAGE.glob("*.py")
+        if path.name != "compiler.py"
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{cls.__name__}.{f.name}"
+        for cls in (JobManifest, StreamTableEntry, BindingSpec, TileLayout, SyncPlan)
+        for f in dataclasses.fields(cls)
+        if f.name not in loaded
+    ]
+
+
+def test_every_attested_field_is_read():
+    assert unread_attested_fields() == []

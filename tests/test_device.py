@@ -428,7 +428,7 @@ class TestDmaPath:
         seen = []
         dev.on_security = seen.append
         dev.install_boot_params(manifest, epoch=0, checkpoint_id=0)
-        dev.program_registers(manifest.boot_plan.registers())  # registers only; no key is loaded
+        dev.program_registers(manifest.registers(manifest.boot_plan))  # registers only; no key is loaded
         with pytest.raises(KeyNotLoaded):
             dev.run_bootloader(0)
         assert dev.ingress.latched

@@ -49,19 +49,19 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "742102dc4e4b60c9e2e679a33fe270196fc417928a47f2287a44f479cec1dc3e"
+            "3218a445eac7e894804cb40aceca9d5c070a01be67c0d39c2a2934e3be4c36d2"
         )
 
     def test_sum_fixture(self):
         manifest = make_sum_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "4dbe7c428beaa17b34257f673ac6fd46b4a8af4e6e0fbe7fedc04c1bf287242f"
+            "883a18423312ce125ac807fe6d099232fb06159a9e6755042c199eed010e5c3c"
         )
 
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "9d0881ca86d4d7d3eae412368900f977b98b45345a934332c0dacd2185a6a09c"
+            "56849cd1f13ae5e54a1feac7ae797a6dd70ac692684f6f345f26c28939fbce6c"
         )
 
 

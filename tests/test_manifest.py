@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 
 from itx.compiler import JobDescription, compile_job
-from itx.errors import InvalidRegisterProgram
-from itx.manifest import BindingSpec, JobManifest, SyncPlan
-from itx.sxp import NUM_CONTEXTS, NUM_REGIONS
+from itx.encoding import canonical_bytes
+from itx.errors import InvalidEncoding, InvalidRegisterProgram
+from itx.manifest import DATA, DIR_IN, BindingSpec, JobManifest, StreamTableEntry, SyncPlan
+from itx.sxp import NUM_CONTEXTS, NUM_REGIONS, AddressRegion
 
 
 def sgd_manifest() -> JobManifest:
@@ -15,16 +16,18 @@ def sgd_manifest() -> JobManifest:
     return compile_job(job, bootloader_measurement="bl").manifest
 
 
-def plan_with_regions(count: int) -> SyncPlan:
-    # Region 0 is always present as the cleartext window.
-    regions = {0: (0x0000, 0x1000)}
-    for i in range(1, count):
-        regions[i] = (0x1000 * i, 0x1000 * (i + 1))
-    return SyncPlan(regions=regions)
-
-
 def with_extra_plan(manifest: JobManifest, plan: SyncPlan) -> JobManifest:
     return dataclasses.replace(manifest, plans=(*manifest.plans, plan))
+
+
+def with_regions(manifest: JobManifest, count: int) -> JobManifest:
+    """The manifest plus a plan whose image has ``count`` regions: region 0,
+    the cleartext region, and one each for ``count - 1`` new one-frame streams."""
+    streams = {
+        100 + i: StreamTableEntry("alpha", DIR_IN, DATA, 96, 0x80000 + 0x1000 * i, 1) for i in range(1, count)
+    }
+    manifest = dataclasses.replace(manifest, stream_table={**manifest.stream_table, **streams})
+    return with_extra_plan(manifest, SyncPlan(stream_regions={100 + i: i for i in range(1, count)}))
 
 
 class TestStructuralLimits:
@@ -34,50 +37,47 @@ class TestStructuralLimits:
 
     def test_seventeen_regions_is_the_ceiling(self):
         manifest = sgd_manifest()
-        with_extra_plan(manifest, plan_with_regions(NUM_REGIONS)).validate()
+        with_regions(manifest, NUM_REGIONS).validate()
         # The register program's own limit is the one check of the count.
         with pytest.raises(InvalidRegisterProgram, match="18 regions exceed the 17-region limit"):
-            with_extra_plan(manifest, plan_with_regions(NUM_REGIONS + 1)).validate()
+            with_regions(manifest, NUM_REGIONS + 1).validate()
 
-    def test_cleartext_region_zero_is_mandatory(self):
+    def test_region_zero_is_the_cleartext_region_of_every_image(self):
+        """A plan no longer states its regions, so region 0 cannot be left
+        out: every image maps it to the job's one cleartext region, which
+        must not be empty."""
         manifest = sgd_manifest()
-        plan = plan_with_regions(3)
-        no_zero = dataclasses.replace(
-            plan, regions={k: v for k, v in plan.regions.items() if k != 0}
-        )
-        with pytest.raises(InvalidRegisterProgram, match="region 0"):
-            with_extra_plan(manifest, no_zero).validate()
+        for plan in (manifest.boot_plan, *manifest.plans, manifest.checkpoint_plan, manifest.restore_plan):
+            assert manifest.registers(plan).ksellimit[0] == AddressRegion(*manifest.clear_region)
+        with pytest.raises(InvalidRegisterProgram, match="empty address region"):
+            dataclasses.replace(manifest, clear_region=(0x1800, 0x1800)).validate()
 
     def test_no_stream_may_live_in_region_zero(self):
         manifest = sgd_manifest()
-        plan = dataclasses.replace(plan_with_regions(3), stream_regions={2: 0})
         with pytest.raises(InvalidRegisterProgram, match="cleartext region"):
-            with_extra_plan(manifest, plan).validate()
+            with_extra_plan(manifest, SyncPlan(stream_regions={2: 0})).validate()
+
+    def test_no_two_streams_share_a_key_region(self):
+        manifest = sgd_manifest()
+        with pytest.raises(InvalidRegisterProgram, match="several streams share one key region"):
+            with_extra_plan(manifest, SyncPlan(stream_regions={2: 1, 3: 1})).validate()
 
     def test_key_context_indices_bounded(self):
         manifest = sgd_manifest()
-        plan = dataclasses.replace(
-            plan_with_regions(2), ctxmap={0: NUM_CONTEXTS}, kphysmap={NUM_CONTEXTS: 1}
-        )
+        plan = SyncPlan(stream_regions={2: 1}, ctxmap={0: NUM_CONTEXTS}, kphysmap={NUM_CONTEXTS: 1})
         with pytest.raises(InvalidRegisterProgram):
             with_extra_plan(manifest, plan).validate()
 
     def test_frame_sizes_must_be_128_multiples_up_to_1024(self):
         manifest = sgd_manifest()
-        d = manifest.to_dict()
         for bad in (1000, 64, 1152, 0):
-            mutated = JobManifest.from_dict(d)
-            entry = dict(mutated.stream_table)
-            first = next(iter(entry))
-            entry[first] = dataclasses.replace(entry[first], frame_total_size=bad)
-            mutated = dataclasses.replace(mutated, stream_table=entry)
             with pytest.raises(InvalidRegisterProgram, match="frame size"):
-                mutated.validate()
+                dataclasses.replace(manifest, frame_size=bad).validate()
 
     def test_shared_context_needs_frame_serial(self):
         manifest = sgd_manifest()
-        plan = dataclasses.replace(
-            plan_with_regions(2),
+        plan = SyncPlan(
+            stream_regions={2: 1},
             ctxmap={0: 1, 1: 1},  # two exchange blocks, one key context
             kphysmap={1: 1},
             frame_serial=False,
@@ -88,10 +88,13 @@ class TestStructuralLimits:
         with_extra_plan(manifest, serial).validate()
 
     def test_overlapping_regions_rejected(self):
+        """Stream 3's region moved to start inside stream 2's: a plan keying both overlaps."""
         manifest = sgd_manifest()
-        plan = SyncPlan(regions={0: (0, 0x1000), 1: (0x800, 0x1800), 2: (0x1000, 0x2000)})
+        table = dict(manifest.stream_table)
+        table[3] = dataclasses.replace(table[3], region_base=manifest.frame_address(2, 1))
+        manifest = dataclasses.replace(manifest, stream_table=table)
         with pytest.raises(InvalidRegisterProgram, match="overlap"):
-            with_extra_plan(manifest, plan).validate()
+            with_extra_plan(manifest, SyncPlan(stream_regions={2: 1, 3: 2})).validate()
 
 
 class TestSchedule:
@@ -127,9 +130,7 @@ class TestSchedule:
 
 class TestBindings:
     def test_frame_index_arithmetic(self):
-        spec = BindingSpec(
-            stream_id=3, buf_off=0x100, start_index=6, stride=8, block_len=2, total_frames=48
-        )
+        spec = BindingSpec(stream_id=3, buf_off=0x100, start_index=6, stride=8, block_len=2)
         # Blocks of two consecutive frames, strided per barrier window.
         assert [spec.frame_index(k) for k in range(6)] == [6, 7, 14, 15, 22, 23]
 
@@ -145,6 +146,23 @@ class TestSerialization:
         assert clone.measurement() == manifest.measurement()
         assert clone.to_bytes() == manifest.to_bytes()
         clone.validate()
+
+    @pytest.mark.parametrize(
+        "field, restate",
+        [
+            ("regions", lambda d: d["plans"][0].update(regions={"0": [0, 0x1800]})),
+            ("frame_total_size", lambda d: d["stream_table"]["1"].update(frame_total_size=128)),
+            ("stream_id", lambda d: d["stream_table"]["1"].update(stream_id=1)),
+            ("total_frames", lambda d: d["tile_layouts"][0]["bindings"][0].update(total_frames=1)),
+        ],
+    )
+    def test_a_fact_stated_twice_is_refused(self, field, restate):
+        """A manifest still carrying a field that each fact is now stated
+        once without does not decode."""
+        d = sgd_manifest().to_dict()
+        restate(d)
+        with pytest.raises(InvalidEncoding, match=f"unknown fields \\['{field}'\\]"):
+            JobManifest.from_bytes(canonical_bytes(d))
 
     def test_sync_plan_round_trip(self):
         manifest = sgd_manifest()

@@ -127,8 +127,8 @@ class TestTypedErrors:
             Certificate.from_dict({**CERT.to_dict(), "serial": 1})
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(InvalidEncoding, match="StreamTableEntry.stream_id"):
-            StreamTableEntry.from_dict({**MANIFEST.stream_table[3].to_dict(), "stream_id": True})
+        with pytest.raises(InvalidEncoding, match="StreamTableEntry.plaintext_length"):
+            StreamTableEntry.from_dict({**MANIFEST.stream_table[3].to_dict(), "plaintext_length": True})
 
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "x"])
     def test_int_keys_are_canonical(self, key):
@@ -136,8 +136,8 @@ class TestTypedErrors:
             SyncPlan.from_dict({"ctxmap": {key: 1}})
 
     def test_fixed_tuple_length(self):
-        with pytest.raises(InvalidEncoding, match="expected 2 items"):
-            SyncPlan.from_dict({"regions": {"0": [0, 1, 2]}})
+        with pytest.raises(InvalidEncoding, match="expected 5 items"):
+            SyncPlan.from_dict({"moves": [[0, 1, 2]]})
 
     @pytest.mark.parametrize("text", ["0g", "0", "AB" * 32, "00 11"])
     def test_bad_hex(self, text):

@@ -27,7 +27,7 @@ from itx.adversary import (
     from_script,
 )
 from itx.attestation import Verdict
-from itx.ccu import TERMINATED
+from itx.ccu import NO_TEE, TERMINATED
 from itx.compiler import SID_CODE, CompiledJob, JobDescription, compile_job
 from itx.device import (
     MAX_PHASES,
@@ -64,12 +64,13 @@ def trusted_model(fixture, result) -> bytes:
     )
 
 
-def assert_torn_down(fixture) -> None:
-    """How every attempt ends: the TEE terminated, no key left in the control
+def assert_torn_down(fixture, phase: str = TERMINATED) -> None:
+    """How every attempt ends: the TEE terminated (or, for an attempt refused
+    before the TEE was initialised, never started), no key left in the control
     unit or in any context of either packet engine, the device in normal
     mode and every tile's memory zero."""
     device, tee = fixture.deployment.device, fixture.deployment.ccu.tee
-    assert tee.phase == TERMINATED
+    assert tee.phase == phase
     assert not (tee.stream_keys or tee.k_m or tee.k_save or tee.k_load)
     assert device.mode == MODE_NORMAL
     for engine in (device.ingress, device.egress):
@@ -91,9 +92,9 @@ def assert_halted(fixture, result) -> None:
     assert_torn_down(fixture)
 
 
-def assert_aborted_closed(fixture, result) -> None:
+def assert_aborted_closed(fixture, result, phase: str = TERMINATED) -> None:
     assert result.aborted, result.reason
-    assert_torn_down(fixture)
+    assert_torn_down(fixture, phase)
 
 
 def session_with(fixture, inputs: dict[str, JobInputs], manifest=None) -> TrustedJobSession:
@@ -121,8 +122,7 @@ def test_honest_sum_run_with_key_rotation_matches_the_clear_reference():
 
 def checkpoint_ivs(manifest, snapshot) -> list[tuple[bytes, bytes]]:
     """(found, expected) IV pairs for every tile's checkpoint frames."""
-    entry = next(e for e in manifest.stream_table.values() if e.kind == CHECKPOINT)
-    size = entry.frame_total_size
+    size = manifest.frame_size
     per_tile = {
         layout.tile_id: checkpoint_frames(
             len(layout.bindings), layout.ckpt_len, size - FRAME_OVERHEAD
@@ -342,6 +342,21 @@ def test_a_257th_checkpoint_is_refused_before_any_key_is_released(monkeypatch):
     assert released == []
 
 
+def test_a_resume_past_the_epoch_range_is_refused_before_any_key_is_released(monkeypatch):
+    """A resume seeded at epoch 255 would have the restore bump the tiles'
+    8-bit epoch to 256: the control unit refuses the counters at init,
+    before trusted mode, so no party judges a report or releases a key."""
+    fixture = halted_at_third_checkpoint()
+    session = fixture.session
+    session.snapshots[-1] = dataclasses.replace(session.snapshots[-1], epoch=255)
+    released = []
+    monkeypatch.setattr(PartyIdentity, "release_keys", lambda *args, **kwargs: released.append(args))
+    result = session.resume()
+    assert_aborted_closed(fixture, result, phase=NO_TEE)
+    assert result.reason == "init: seeded counters out of range: epoch=255, checkpoint_id=2"
+    assert result.verdicts == {} and released == []
+
+
 def test_stale_checkpoint_aborts_closed():
     fixture = halted_at_third_checkpoint()
     session = fixture.session
@@ -382,10 +397,10 @@ def test_malformed_tile_program_aborts_closed():
 def test_key_for_another_partys_stream_aborts_closed():
     """The model owner ships its own key and ciphertext for alpha's stream."""
     fixture = make_sgd_fixture(steps=2)
-    entry = fixture.compiled.manifest.stream_table[3]
+    manifest = fixture.compiled.manifest
     key = b"\x5a" * 32
     forged = encrypt_data_stream(
-        key, 3, entry.frame_total_size, bytes(entry.plaintext_length)
+        key, 3, manifest.frame_size, bytes(manifest.stream_table[3].plaintext_length)
     )
     modelco, alpha = fixture.inputs["modelco"], fixture.inputs["alpha"]
     inputs = dict(fixture.inputs)
@@ -449,9 +464,9 @@ def test_code_reads_do_not_grow_with_the_step_count(monkeypatch):
     reads = collections.Counter()
     read_frame = IpuDevice._read_frame
 
-    def counted(device, tile, entry, address, index):
-        reads[entry.kind] += 1
-        return read_frame(device, tile, entry, address, index)
+    def counted(device, tile, sid, address, index):
+        reads[device.manifest.stream_table[sid].kind] += 1
+        return read_frame(device, tile, sid, address, index)
 
     monkeypatch.setattr(IpuDevice, "_read_frame", counted)
     assert_completed_and_exact(fixture, fixture.session.run())
@@ -718,7 +733,7 @@ def plan_loading(manifest, stream_id, bank):
 
 
 def output_plan(manifest):
-    return plan_loading(manifest, manifest.stream_of_kind(OUTPUT).stream_id, "egress")
+    return plan_loading(manifest, manifest.stream_of_kind(OUTPUT), "egress")
 
 
 def key_region_zero(manifest):
@@ -731,10 +746,9 @@ def remap_gradient_context(manifest):
 
 
 def grow_output_region(manifest):
-    plan = output_plan(manifest)
-    rid = plan.stream_regions[manifest.stream_of_kind(OUTPUT).stream_id]
-    lo, hi = plan.regions[rid]
-    plan.regions[rid] = (lo, hi + 0x1000)
+    sid = manifest.stream_of_kind(OUTPUT)
+    entry = manifest.stream_table[sid]
+    manifest.stream_table[sid] = dataclasses.replace(entry, region_frames=entry.region_frames + 32)
 
 
 def shift_schedule_offsets(manifest):
