@@ -8,51 +8,29 @@ encoding; signatures and digests are always computed over that encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .certs import Signed
-from .encoding import Record, canonical_bytes, digest_hex
-
-
-def run_attributes_digest(
-    ccu_keyshare: bytes,
-    epoch: int,
-    checkpoint_id: int,
-    party_fingerprints: tuple[str, ...],
-    stream_assignment: dict[str, Any],
-) -> str:
-    """Digest binding the run-identity attributes in a fixed order."""
-    return digest_hex(
-        canonical_bytes(
-            {
-                "ccu_keyshare": ccu_keyshare,
-                "epoch": epoch,
-                "checkpoint_id": checkpoint_id,
-                "party_fingerprints": list(party_fingerprints),
-                "stream_assignment": stream_assignment,
-            }
-        )
-    )
+from .encoding import Record
 
 
 @dataclass(frozen=True)
 class AttestationReport(Signed):
     """Signed evidence of what the root of trust is about to run.
 
-    The report carries the attribute values themselves (keyshare, counters,
-    party fingerprints, stream assignment) next to their binding digest so a
-    verifier can recompute and cross-check rather than trust the digest.
+    Each fact is stated once.  ``manifest_measurement`` covers the whole
+    manifest: the tile bootloader it names (which ``tee_init`` refuses unless
+    it is the one the device runs), each stream's owner and the model
+    receivers.  The AK signature covers every field, so a verifier compares
+    the fields themselves with what it expects.
     """
 
     register_measurement: str
-    bootloader_measurement: str
     manifest_measurement: str
     ccu_keyshare: bytes
     epoch: int
     checkpoint_id: int
     party_fingerprints: tuple[str, ...]
-    stream_assignment: dict[str, Any]
-    run_attributes_digest: str
     signature: bytes = b""
 
 

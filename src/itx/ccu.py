@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import crypto
-from .attestation import AttestationReport, KeyPackage, run_attributes_digest
+from .attestation import AttestationReport, KeyPackage
 from .certs import Certificate, issue, self_signed
 from .device import IpuDevice
 from .encoding import canonical_bytes, digest_hex
@@ -346,24 +346,16 @@ class Ccu:
         # and measured.
         device.enter_trusted_mode()
         device.scrub()
-        register_measurement = device.registers_digest()
 
         y_private = crypto.x25519_generate()
         y_public = crypto.x25519_public_bytes(y_private)
-        fingerprints = tuple(cert.fingerprint for _, cert in sorted(party_certs.items()))
-        attrs = run_attributes_digest(
-            y_public, epoch, checkpoint_id, fingerprints, manifest.stream_assignment
-        )
         report = AttestationReport(
-            register_measurement=register_measurement,
-            bootloader_measurement=self.measurements["tile_bootloader"],
+            register_measurement=device.registers_digest(),
             manifest_measurement=manifest_hash.hex(),
             ccu_keyshare=y_public,
             epoch=epoch,
             checkpoint_id=checkpoint_id,
-            party_fingerprints=fingerprints,
-            stream_assignment=manifest.stream_assignment,
-            run_attributes_digest=attrs,
+            party_fingerprints=tuple(cert.fingerprint for _, cert in sorted(party_certs.items())),
         ).signed(self._ak_private)
 
         self.tee = TeeState(

@@ -323,21 +323,14 @@ def cmd_decrypt_model(args) -> int:
 
 
 def _describe(obj, indent: str = "") -> None:
-    if isinstance(obj, dict) and "run_attributes_digest" in obj:
+    if isinstance(obj, dict) and "ccu_keyshare" in obj:
+        report = AttestationReport.from_dict(obj).to_dict()  # a malformed report is one error line
         print(f"{indent}attestation report")
-        for key in (
-            "manifest_measurement",
-            "register_measurement",
-            "bootloader_measurement",
-            "epoch",
-            "checkpoint_id",
-            "run_attributes_digest",
-        ):
-            print(f"{indent}  {key}: {obj[key]}")
-        print(f"{indent}  ccu_keyshare: {obj['ccu_keyshare']}")
-        for fp in obj["party_fingerprints"]:
+        for key in ("manifest_measurement", "register_measurement", "epoch", "checkpoint_id", "ccu_keyshare"):
+            print(f"{indent}  {key}: {report[key]}")
+        for fp in report["party_fingerprints"]:
             print(f"{indent}  party fingerprint: {fp}")
-        print(f"{indent}  signature: {obj['signature'][:32]}…")
+        print(f"{indent}  signature: {report['signature'][:32]}…")
     elif isinstance(obj, dict) and "subject_public_key" in obj:
         cert = Certificate.from_dict(obj)
         print(f"{indent}certificate issued by {cert.issuer_id}  fingerprint {cert.fingerprint}")

@@ -24,8 +24,10 @@ plans, and assembles the one manifest that parties verify and the control
 unit enforces.
 Stream ownership is stated only in the stream table: an entry's ``party``
 is the owner that ``tee_launch`` takes the stream's key from, and
-``CompiledJob.key_streams`` reads it there.  The attested
-``stream_assignment`` names only the model receivers.
+``CompiledJob.key_streams`` reads it there.  ``stream_assignment`` names
+only the model receivers, sorted and distinct, each the owner of a stream
+(``JobManifest.validate`` refuses any other); the attestation report does
+not copy it, since the manifest measurement covers it.
 
 The planners honor the hardware contract: at most 16 key contexts, 17
 disjoint regions with region 0 cleartext, one key region per stream per

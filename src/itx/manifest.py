@@ -228,6 +228,12 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")
             if any(off < 0 or sid not in self.stream_table for sid, off in offsets.items()):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: bad stream offsets {offsets}")
+        # The model receivers: a sorted list of distinct names, each the owner of a stream.
+        receivers = self.stream_assignment.get("model_receivers")
+        owners = [entry.party for entry in self.stream_table.values() if entry.party]
+        if not (set(self.stream_assignment) == {"model_receivers"} and isinstance(receivers, list) and receivers
+                and all(r in owners for r in receivers) and receivers == sorted(set(receivers))):
+            raise InvalidRegisterProgram(f"bad stream assignment {self.stream_assignment}")
         return self
 
     def _validate_plan(self, where: str, plan: SyncPlan) -> None:

@@ -7,8 +7,10 @@ can pin down exactly which gate caught a mutation:
 2. match the chain's card identity key against the CA-issued card cert;
 3. match the platform cert's bootloader and ICU measurements against valid
    TCB certificates (genesis or update);
-4. review the signed report: signature, manifest digest, and run attributes
-   against the values the relying party expects.
+4. review the signed report: its signature, then the manifest digest, the
+   party fingerprints and the counters against the values the relying party
+   expects, and the register measurement against the one trusted register
+   state, a reference value the verifier holds itself.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import crypto
-from .attestation import AttestationReport, KeyPackage, Verdict, run_attributes_digest
+from .attestation import AttestationReport, KeyPackage, Verdict
 from .certs import Certificate, Signed, issue, self_signed
 from .ccu import SignedImage
+from .device import trusted_registers_digest
 from .encoding import canonical_bytes, decode, digest_hex, jsonable
 from .errors import InvalidEncoding, InvalidShare, SupplyChainReject
 
@@ -160,7 +163,6 @@ REJECT_REPORT_SIGNATURE = "report_signature"
 REJECT_MANIFEST = "manifest"
 REJECT_RUN_ATTRIBUTES = "run_attributes"
 REJECT_REGISTERS = "registers"
-REJECT_BOOTLOADER = "bootloader"
 
 
 def _tcb_covered(
@@ -187,7 +189,12 @@ def verify_attestation(
     tcb_certs: list[TcbUpdateCertificate],
     expected: dict[str, Any],
 ) -> Verdict:
-    """Decide whether signed evidence authorizes releasing keys to a device."""
+    """Decide whether signed evidence authorizes releasing keys to a device.
+
+    ``expected`` holds what the run must show: ``manifest_measurement`` (which
+    also fixes the tile bootloader, the stream owners and the model
+    receivers), ``party_fingerprints`` in party-name order, and the seeded
+    ``epoch`` and ``checkpoint_id``.  A missing key raises ``KeyError``."""
     cik: Certificate = device_chain["cik"]
     pik: Certificate = device_chain["pik"]
     ak: Certificate = device_chain["ak"]
@@ -241,25 +248,12 @@ def verify_attestation(
         return Verdict.reject(REJECT_REPORT_SIGNATURE)
     if report.manifest_measurement != expected["manifest_measurement"]:
         return Verdict.reject(REJECT_MANIFEST)
-    recomputed = run_attributes_digest(
-        report.ccu_keyshare,
-        report.epoch,
-        report.checkpoint_id,
-        tuple(report.party_fingerprints),
-        report.stream_assignment,
-    )
-    if recomputed != report.run_attributes_digest:
-        return Verdict.reject(REJECT_RUN_ATTRIBUTES)
     if tuple(report.party_fingerprints) != tuple(expected["party_fingerprints"]):
-        return Verdict.reject(REJECT_RUN_ATTRIBUTES)
-    if report.stream_assignment != expected["stream_assignment"]:
         return Verdict.reject(REJECT_RUN_ATTRIBUTES)
     if report.epoch != expected["epoch"] or report.checkpoint_id != expected["checkpoint_id"]:
         return Verdict.reject(REJECT_RUN_ATTRIBUTES)
-    if report.register_measurement != expected["register_measurement"]:
+    if report.register_measurement != trusted_registers_digest():
         return Verdict.reject(REJECT_REGISTERS)
-    if report.bootloader_measurement != expected["bootloader_measurement"]:
-        return Verdict.reject(REJECT_BOOTLOADER)
     return Verdict.ok()
 
 

@@ -37,7 +37,7 @@ from . import pki
 from .adversary import Adversary
 from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
-from .device import DeviceConfig, IpuDevice, parse_checkpoint_metadata, trusted_registers_digest
+from .device import DeviceConfig, IpuDevice, parse_checkpoint_metadata
 from .encoding import digest_hex
 from .errors import InvalidPhase, ItxError
 from .eventlog import EventLog
@@ -168,16 +168,16 @@ class TrustedJobSession:
     # -- party protocol ------------------------------------------------------
 
     def expected_values(self, epoch: int, checkpoint_id: int) -> dict:
-        """What every party demands the signed report show for this run."""
+        """What every party demands the signed report show for this run: the
+        agreed manifest's measurement (which fixes its tile bootloader, owners
+        and receivers), the parties' fingerprints and the seeded counters.  The
+        register state is not the host's to expect: the verifier holds it."""
         fingerprints = tuple(self.parties[name].identity.fingerprint for name in sorted(self.parties))
         return {
             "manifest_measurement": self.expected_manifest_measurement,
             "party_fingerprints": fingerprints,
-            "stream_assignment": self.manifest.stream_assignment,
             "epoch": epoch,
             "checkpoint_id": checkpoint_id,
-            "register_measurement": trusted_registers_digest(),
-            "bootloader_measurement": self.manifest.bootloader_measurement,
         }
 
     @property

@@ -13,13 +13,14 @@ from itx import crypto, pki
 from itx.attestation import KeyPackage
 from itx.ccu import Ccu, CcuFlash, INITIALIZED, LAUNCHED, NO_TEE, TERMINATED
 from itx.compiler import JobDescription, compile_job
-from itx.device import MODE_NORMAL, DeviceConfig, trusted_registers_digest
+from itx.device import MODE_NORMAL, DeviceConfig
 from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
     InvalidEncoding,
     InvalidIvField,
     InvalidPhase,
+    InvalidRegisterProgram,
     ItxError,
     InvalidSyncPoint,
     KeyExchangeFailure,
@@ -367,6 +368,31 @@ class TestTeeInit:
         with pytest.raises(InvalidPhase, match="tile bootloader"):
             deployment.ccu.tee_init(stale.manifest.to_bytes(), certs, shares, sigs)
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            {"model_receivers": ["mallory"]},
+            {"model_receivers": ["beta", "beta"]},
+            {"model_receivers": ["modelco", "alpha"]},
+            {"model_receivers": []},
+            {"model_receivers": [""]},
+            {"model_receivers": "modelco"},
+            {"model_receivers": ["modelco"], "inputs": {"3": "alpha"}},
+            {},
+        ],
+        ids=["not-an-owner", "repeated", "unsorted", "empty", "the-control-unit", "not-a-list", "extra-key", "missing"],
+    )
+    def test_manifest_with_a_bad_receiver_list_is_rejected(self, rig, assignment):
+        """The report does not restate the receivers: the control unit checks
+        them with the rest of the manifest, before trusted mode is entered."""
+        deployment, compiled, parties, _ = rig
+        manifest = dataclasses.replace(compiled.manifest, stream_assignment=assignment)
+        _, certs, shares, sigs = init_material(parties)
+        with pytest.raises(InvalidRegisterProgram, match="bad stream assignment"):
+            deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
+        assert deployment.ccu.tee.phase == NO_TEE
+        assert deployment.device.mode == MODE_NORMAL
+
     def test_missing_share_signature_is_rejected(self, rig):
         deployment, compiled, parties, _ = rig
         _, certs, shares, sigs = init_material(parties)
@@ -424,11 +450,8 @@ def init_rig():
     expected = {
         "manifest_measurement": manifest.measurement(),
         "party_fingerprints": tuple(parties[name].fingerprint for name in sorted(parties)),
-        "stream_assignment": manifest.stream_assignment,
         "epoch": 0,
         "checkpoint_id": 0,
-        "register_measurement": trusted_registers_digest(),
-        "bootloader_measurement": manifest.bootloader_measurement,
     }
     return deployment, manifest.to_bytes(), parties, expected
 

@@ -145,8 +145,8 @@ def damage(path, field, value) -> None:
         ("ca.json", "cik_ca", "not hex"),
         ("expected.json", "party_fingerprints", None),
         ("expected.json", "manifest_measurement", "not hex"),
-        ("expected.json", "register_measurement", None),
-        ("expected.json", "bootloader_measurement", None),
+        ("expected.json", "epoch", None),
+        ("expected.json", "checkpoint_id", None),
         ("ca.json", "revoked_certs", None),
         ("ca.json", "revoked_tcb", None),
         pytest.param("chain.json", None, [], id="chain.json-a-list"),
@@ -159,6 +159,46 @@ def test_verify_rejects_a_damaged_ca_or_expectation_file(archived_run, tmp_path,
     assert main(party_args("verify", run)) == EXIT_OK
     damage(run / file, field, value)
     assert main(party_args("verify", run)) == EXIT_REJECTED
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stream_assignment", {"model_receivers": ["modelco"]}),
+        ("bootloader_measurement", "22" * 32),
+        ("run_attributes_digest", "66" * 32),
+    ],
+)
+def test_verify_rejects_a_report_that_restates_a_manifest_fact(archived_run, tmp_path, capsys, field, value):
+    """A report of the older form, with a field the manifest measurement
+    already covers or a digest of its own fields, is malformed."""
+    run = tmp_path / "run"
+    shutil.copytree(archived_run, run)
+    damage(run / "report.json", field, value)
+    capsys.readouterr()
+    assert main(party_args("verify", run)) == EXIT_REJECTED
+    assert f"unknown fields ['{field}']" in capsys.readouterr().err
+
+
+def test_inspect_describes_an_archived_report(archived_run, capsys):
+    report = json.loads((archived_run / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["ccu", "inspect", str(archived_run / "report.json")]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "attestation report"
+    for key in ("manifest_measurement", "register_measurement", "epoch", "checkpoint_id", "ccu_keyshare"):
+        assert f"  {key}: {report[key]}" in out
+    assert [line for line in out if "party fingerprint" in line] == [
+        f"  party fingerprint: {fp}" for fp in report["party_fingerprints"]
+    ]
+    assert f"  signature: {report['signature'][:32]}…" in out
+
+
+def test_inspect_of_a_report_missing_a_field_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "partial.json").write_text(json.dumps({"ccu_keyshare": "00"}))
+    assert main(["ccu", "inspect", str(tmp_path / "partial.json")]) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "missing field" in err[0], err
 
 
 @pytest.mark.parametrize("change", [{"rotate_contexts": True}, {"steps": "3"}], ids=["unknown", "mistyped"])

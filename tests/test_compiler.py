@@ -8,7 +8,7 @@ from itx import compiler
 from itx.compiler import CompiledJob, JobDescription, compile_job
 from itx.device import DeviceConfig, TileProgram
 from itx.encoding import canonical_bytes, jsonable
-from itx.errors import ScheduleInfeasible
+from itx.errors import InvalidRegisterProgram, ScheduleInfeasible
 from itx.manifest import CHECKPOINT, CODE, DATA, DIR_IN, DIR_OUT, OUTPUT
 from itx.sxp import NUM_CONTEXTS
 
@@ -256,6 +256,16 @@ class TestSumPlanning:
         monkeypatch.setattr(compiler, "MAX_PHASES", 13)
         with pytest.raises(ScheduleInfeasible, match="tile 0's program expands past 13 phases"):
             compile_job(sum_job(stream_count=17))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [sgd_job(model_receivers=("mallory",)), sum_job(model_receivers=("beta", "beta"))],
+    ids=["sgd-a-receiver-who-owns-no-stream", "sum-a-receiver-named-twice"],
+)
+def test_refuses_a_receiver_list_that_is_not_distinct_stream_owners(job):
+    with pytest.raises(InvalidRegisterProgram, match="bad stream assignment"):
+        compile_job(job, bootloader_measurement=BOOTLOADER)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 somewhere outside its own definition, and every attribute the package
 stores on ``self`` is read somewhere: in the package, the tests or the
 benchmark.  Dunder methods are exempt, since the language calls them.
-Every field of the attested manifest records is read by a module of the
-package other than the compiler that writes it."""
+Every field of an attested record is read by a module of the package other
+than the one that writes it: the manifest records (the compiler), the
+attestation report (the control unit) and the key package (the parties)."""
 
 import ast
 import dataclasses
@@ -13,6 +14,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import itx
+from itx.attestation import AttestationReport, KeyPackage
 from itx.manifest import BindingSpec, JobManifest, StreamTableEntry, SyncPlan, TileLayout
 
 PACKAGE = Path(itx.__file__).parent
@@ -94,21 +96,33 @@ def test_every_stored_attribute_is_read():
     assert unread_attributes() == []
 
 
+ATTESTED = {  # the module that writes each attested record, whose own reads do not count
+    "compiler.py": (JobManifest, StreamTableEntry, BindingSpec, TileLayout, SyncPlan),
+    "ccu.py": (AttestationReport,),
+    "pki.py": (KeyPackage,),
+}
+
+
 def unread_attested_fields() -> list[str]:
-    """Fields of the manifest records that no package module but the
-    compiler loads as an attribute: a field parties attest to and nothing
-    enforces or uses."""
+    """Fields of the attested records that no package module but their
+    writer loads as an attribute: a field that is attested or signed and
+    that nothing enforces or uses."""
     trees = parsed()
-    loaded = {
-        node.attr
-        for path in PACKAGE.glob("*.py")
-        if path.name != "compiler.py"
-        for node in ast.walk(trees[path])
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+
+    def loaded_outside(writer: str) -> set[str]:
+        return {
+            node.attr
+            for path in PACKAGE.glob("*.py")
+            if path.name != writer
+            for node in ast.walk(trees[path])
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+
     return [
         f"{cls.__name__}.{f.name}"
-        for cls in (JobManifest, StreamTableEntry, BindingSpec, TileLayout, SyncPlan)
+        for writer, classes in ATTESTED.items()
+        for loaded in [loaded_outside(writer)]
+        for cls in classes
         for f in dataclasses.fields(cls)
         if f.name not in loaded
     ]

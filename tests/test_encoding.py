@@ -24,14 +24,11 @@ def sha(data: bytes) -> str:
 
 REPORT = AttestationReport(
     register_measurement="11" * 32,
-    bootloader_measurement="22" * 32,
     manifest_measurement="33" * 32,
     ccu_keyshare=bytes(range(32)),
     epoch=1,
     checkpoint_id=2,
     party_fingerprints=("44" * 32, "55" * 32),
-    stream_assignment={"inputs": {"2": "modelco", "3": "alpha"}, "model_receivers": ["modelco"]},
-    run_attributes_digest="66" * 32,
     signature=b"\x77" * 64,
 )
 
@@ -68,7 +65,7 @@ class TestManifestMeasurements:
 class TestSignedBodies:
     def test_attestation_report(self):
         assert sha(REPORT.body_bytes()) == (
-            "fa41ad0113a6c254291c491f40842bf5789150e0a635364e93f66e88db0ec438"
+            "e1b52ce60bc9a6328ff975a07b2b8ffa6a890dcbf91eed00c0a6bea45d367b7e"
         )
 
     def test_certificate(self):

@@ -16,11 +16,10 @@ from typing import Any
 import pytest
 
 from itx import crypto, pki
-from itx.attestation import AttestationReport, KeyPackage, Verdict, run_attributes_digest
+from itx.attestation import AttestationReport, KeyPackage, Verdict
 from itx.ccu import Ccu, CcuFlash
 from itx.certs import Certificate
 from itx.compiler import JobDescription, compile_job
-from itx.device import trusted_registers_digest
 from itx.errors import InvalidShare, SupplyChainReject
 from itx.pki import (
     COMPONENT_BOOTLOADER,
@@ -28,7 +27,6 @@ from itx.pki import (
     CaState,
     Party,
     PartyIdentity,
-    REJECT_BOOTLOADER,
     REJECT_CHAIN,
     REJECT_CIK_MISMATCH,
     REJECT_MANIFEST,
@@ -73,19 +71,19 @@ class EvidenceFactory:
 
     def __init__(self) -> None:
         self.deployment = make_deployment(seed=7)
-        compiled = compile_job(
-            JobDescription(
-                kind="sgd",
-                model_party="modelco",
-                data_parties=("alpha", "beta"),
-                steps=2,
-                checkpoint_period=1,
-            ),
-            config=self.deployment.device.config,
-            bootloader_measurement=self.deployment.firmware.tile_bootloader_measurement(),
-            ipu_id=self.deployment.device.ipu_id,
+        self.job = JobDescription(
+            kind="sgd",
+            model_party="modelco",
+            data_parties=("alpha", "beta"),
+            steps=2,
+            checkpoint_period=1,
         )
-        self.manifest = compiled.manifest
+        self.manifest = self.compiled_for()
+        # The same job compiled for another tile bootloader, or for other
+        # model receivers: the report states neither fact but the
+        # measurement of the manifest that holds it.
+        self.other_bootloader = self.compiled_for(bootloader_measurement=hashlib.sha256(b"other").hexdigest())
+        self.other_receivers = self.compiled_for(model_receivers=("alpha", "modelco"))
         self.parties = {name: PartyIdentity(name) for name in ("modelco", "alpha", "beta")}
         sessions = {name: p.new_session() for name, p in self.parties.items()}
         self.report = self.deployment.ccu.tee_init(
@@ -100,12 +98,20 @@ class EvidenceFactory:
             "party_fingerprints": tuple(
                 self.parties[name].fingerprint for name in sorted(self.parties)
             ),
-            "stream_assignment": self.manifest.stream_assignment,
             "epoch": 0,
             "checkpoint_id": 0,
-            "register_measurement": trusted_registers_digest(),
-            "bootloader_measurement": self.manifest.bootloader_measurement,
         }
+
+    def compiled_for(self, bootloader_measurement: str = "", **job_changes):
+        """The factory's job compiled for its device; ``bootloader_measurement``
+        defaults to the tile bootloader the device runs."""
+        return compile_job(
+            replace(self.job, **job_changes),
+            config=self.deployment.device.config,
+            bootloader_measurement=bootloader_measurement
+            or self.deployment.firmware.tile_bootloader_measurement(),
+            ipu_id=self.deployment.device.ipu_id,
+        ).manifest
 
     def evidence(self) -> Evidence:
         return Evidence(
@@ -119,20 +125,6 @@ class EvidenceFactory:
     def resigned(self, **changes) -> AttestationReport:
         """A report altered and re-signed with the device's own AK."""
         body = replace(self.report, signature=b"", **changes)
-        return replace(body, signature=crypto.sign(self.ak_private, body.body_bytes()))
-
-    def resigned_consistent(self, **changes) -> AttestationReport:
-        """Like ``resigned`` but with the binding digest recomputed, modeling
-        a device that tells a fully self-consistent lie."""
-        body = replace(self.report, signature=b"", **changes)
-        digest = run_attributes_digest(
-            body.ccu_keyshare,
-            body.epoch,
-            body.checkpoint_id,
-            tuple(body.party_fingerprints),
-            body.stream_assignment,
-        )
-        body = replace(body, run_attributes_digest=digest)
         return replace(body, signature=crypto.sign(self.ak_private, body.body_bytes()))
 
 
@@ -304,14 +296,11 @@ def build_corpus(factory: EvidenceFactory):
 
     field_tampers = {
         "register_measurement": "f" * 64,
-        "bootloader_measurement": "f" * 64,
         "manifest_measurement": "f" * 64,
         "ccu_keyshare": os.urandom(32),
         "epoch": 3,
         "checkpoint_id": 5,
         "party_fingerprints": ("f" * 64,),
-        "stream_assignment": {"9": "nobody"},
-        "run_attributes_digest": "f" * 64,
     }
     for field_name, bad_value in field_tampers.items():
 
@@ -325,43 +314,44 @@ def build_corpus(factory: EvidenceFactory):
     def _(e):
         e.report = factory.resigned(manifest_measurement="e" * 64)
 
-    @row("re-signed report with stale binding digest: epoch", pki.REJECT_RUN_ATTRIBUTES)
+    @row("re-signed report with another epoch", pki.REJECT_RUN_ATTRIBUTES)
     def _(e):
         e.report = factory.resigned(epoch=1)
 
-    @row("re-signed report with stale binding digest: checkpoint", pki.REJECT_RUN_ATTRIBUTES)
+    @row("re-signed report with another checkpoint", pki.REJECT_RUN_ATTRIBUTES)
     def _(e):
         e.report = factory.resigned(checkpoint_id=2)
 
-    @row("re-signed report with stale binding digest: keyshare", pki.REJECT_RUN_ATTRIBUTES)
+    @row("re-signed report reorders the parties", pki.REJECT_RUN_ATTRIBUTES)
     def _(e):
-        e.report = factory.resigned(ccu_keyshare=os.urandom(32))
-
-    @row("re-signed report with edited binding digest", pki.REJECT_RUN_ATTRIBUTES)
-    def _(e):
-        e.report = factory.resigned(run_attributes_digest="e" * 64)
-
-    @row("consistent lie: party list reordered", pki.REJECT_RUN_ATTRIBUTES)
-    def _(e):
-        e.report = factory.resigned_consistent(
+        e.report = factory.resigned(
             party_fingerprints=tuple(reversed(factory.report.party_fingerprints))
         )
 
-    @row("consistent lie: stream assignment rerouted", pki.REJECT_RUN_ATTRIBUTES)
+    @row("re-signed report omits a party", pki.REJECT_RUN_ATTRIBUTES)
     def _(e):
-        e.report = factory.resigned_consistent(stream_assignment={"3": "modelco"})
+        e.report = factory.resigned(party_fingerprints=factory.report.party_fingerprints[1:])
 
-    @row("consistent lie: counters advanced", pki.REJECT_RUN_ATTRIBUTES)
+    @row("re-signed report names an extra party", pki.REJECT_RUN_ATTRIBUTES)
     def _(e):
-        e.report = factory.resigned_consistent(epoch=1, checkpoint_id=1)
+        extra = PartyIdentity("mallory").fingerprint
+        e.report = factory.resigned(party_fingerprints=(*factory.report.party_fingerprints, extra))
+
+    @row("re-signed report names the manifest for other receivers", REJECT_MANIFEST)
+    def _(e):
+        e.report = factory.resigned(manifest_measurement=factory.other_receivers.measurement())
+
+    @row("re-signed report advances both counters", pki.REJECT_RUN_ATTRIBUTES)
+    def _(e):
+        e.report = factory.resigned(epoch=1, checkpoint_id=1)
 
     @row("re-signed report with other register state", REJECT_REGISTERS)
     def _(e):
         e.report = factory.resigned(register_measurement="e" * 64)
 
-    @row("re-signed report with other tile bootloader", REJECT_BOOTLOADER)
+    @row("re-signed report names the manifest for another tile bootloader", REJECT_MANIFEST)
     def _(e):
-        e.report = factory.resigned(bootloader_measurement="e" * 64)
+        e.report = factory.resigned(manifest_measurement=factory.other_bootloader.measurement())
 
     # -- expectation side ----------------------------------------------------
 
@@ -381,9 +371,9 @@ def build_corpus(factory: EvidenceFactory):
             reversed(e.expected["party_fingerprints"])
         )
 
-    @row("party expected another stream assignment", pki.REJECT_RUN_ATTRIBUTES)
+    @row("party expected the manifest for other receivers", REJECT_MANIFEST)
     def _(e):
-        e.expected["stream_assignment"] = {"2": "alpha"}
+        e.expected["manifest_measurement"] = factory.other_receivers.measurement()
 
     @row("party expected a different epoch", pki.REJECT_RUN_ATTRIBUTES)
     def _(e):
@@ -393,13 +383,9 @@ def build_corpus(factory: EvidenceFactory):
     def _(e):
         e.expected["checkpoint_id"] = 1
 
-    @row("party expected other register state", REJECT_REGISTERS)
+    @row("party expected the manifest for another tile bootloader", REJECT_MANIFEST)
     def _(e):
-        e.expected["register_measurement"] = "d" * 64
-
-    @row("party expected another tile bootloader", REJECT_BOOTLOADER)
-    def _(e):
-        e.expected["bootloader_measurement"] = "d" * 64
+        e.expected["manifest_measurement"] = factory.other_bootloader.measurement()
 
     return rows
 
@@ -431,14 +417,16 @@ class TestMutationCorpus:
             mutate(factory.evidence())
         assert factory.evidence().verdict().accepted
 
+    LIES = {
+        "manifest_measurement": "e" * 64,
+        "party_fingerprints": ("e" * 64,),
+        "epoch": 1,
+        "checkpoint_id": 1,
+    }
+
     @pytest.mark.parametrize(
         "part, field",
-        [
-            ("expected", "register_measurement"),
-            ("expected", "bootloader_measurement"),
-            ("ca", "revoked_certs"),
-            ("ca", "revoked_tcb"),
-        ],
+        [*(("expected", key) for key in LIES), ("ca", "revoked_certs"), ("ca", "revoked_tcb")],
     )
     def test_a_missing_expectation_or_revocation_list_never_accepts(self, factory, part, field):
         """Evidence that lacks a field is an error, not a skipped check: not
@@ -446,7 +434,7 @@ class TestMutationCorpus:
         re-signed with the device's AK) is accepted."""
         e = factory.evidence()
         if part == "expected":
-            e.report = factory.resigned(**{field: "e" * 64})
+            e.report = factory.resigned(**{field: self.LIES[field]})
         del getattr(e, part)[field]
         with pytest.raises(KeyError):
             e.verdict()
@@ -482,11 +470,8 @@ def attested_evidence(deployment):
     expected = {
         "manifest_measurement": compiled.manifest.measurement(),
         "party_fingerprints": tuple(parties[n].fingerprint for n in sorted(parties)),
-        "stream_assignment": compiled.manifest.stream_assignment,
         "epoch": 0,
         "checkpoint_id": 0,
-        "register_measurement": trusted_registers_digest(),
-        "bootloader_measurement": compiled.manifest.bootloader_measurement,
     }
     return Evidence(
         report=report,

@@ -37,14 +37,11 @@ MANIFEST = sgd_manifest()
 
 REPORT = AttestationReport(
     register_measurement="11" * 32,
-    bootloader_measurement="22" * 32,
     manifest_measurement=MANIFEST.measurement(),
     ccu_keyshare=bytes(range(32)),
     epoch=1,
     checkpoint_id=0,
     party_fingerprints=("44" * 32, "55" * 32),
-    stream_assignment=MANIFEST.stream_assignment,
-    run_attributes_digest="66" * 32,
 ).signed(SIGNER)
 
 CERT = self_signed(SIGNER, "alpha", {"role": "party", "name": "alpha"})
@@ -125,6 +122,14 @@ class TestTypedErrors:
     def test_unknown_field(self):
         with pytest.raises(InvalidEncoding, match="unknown fields"):
             Certificate.from_dict({**CERT.to_dict(), "serial": 1})
+
+    @pytest.mark.parametrize("field", ["stream_assignment", "bootloader_measurement", "run_attributes_digest"])
+    def test_a_report_that_restates_a_manifest_fact_is_refused(self, field):
+        """A report of the older form, which also copied the assignment and
+        the tile bootloader and digested its own fields, is not a report."""
+        stale = {**REPORT.to_dict(), field: {"model_receivers": ["modelco"]} if field == "stream_assignment" else "22" * 32}
+        with pytest.raises(InvalidEncoding, match=rf"AttestationReport: unknown fields \['{field}'\]"):
+            AttestationReport.from_dict(stale)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(InvalidEncoding, match="StreamTableEntry.plaintext_length"):
