@@ -447,9 +447,10 @@ class Ccu:
             raise InvalidPhase(f"tee_load_keys in phase {self.tee.phase}")
         self._apply_plan(self._parked_plan())
 
-    def tee_checkpoint(self) -> None:
+    def tee_checkpoint(self) -> tuple[int, int]:
         """Save a checkpoint at a barrier that schedules one: swap in the
-        checkpoint-phase registers, stream the state out under k_save, then restore."""
+        checkpoint-phase registers, stream the state out under k_save, then
+        restore.  Returns the (epoch, checkpoint id) the host resumes it by."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_checkpoint in phase {self.tee.phase}")
         device = self._require_device()
@@ -458,9 +459,10 @@ class Ccu:
             raise InvalidSyncPoint(f"barrier {device.barrier} schedules no checkpoint")
         steady = device.egress.registers
         self._apply_plan(manifest.checkpoint_plan)
-        device.checkpoint_save()
+        counters = device.checkpoint_save()
         if steady is not None:
             device.program_registers(steady)
+        return counters
 
     def tee_restore(self) -> int:
         """Restore the checkpoint named by the seeded counters.  The device

@@ -60,13 +60,17 @@ def _read_json(path: Path):
 
 
 def _load_ca(d: dict) -> dict:
-    return {
-        "cik_ca": bytes.fromhex(d["cik_ca"]),
-        "pik_ca": bytes.fromhex(d["pik_ca"]),
-        "firmware_ca": bytes.fromhex(d["firmware_ca"]),
-        "revoked_certs": list(d["revoked_certs"]),
-        "revoked_tcb": [tuple(x) for x in d["revoked_tcb"]],
-    }
+    """The CA keys as the verifier takes them; malformed ones raise ``InvalidEncoding``."""
+    try:
+        return {
+            "cik_ca": bytes.fromhex(d["cik_ca"]),
+            "pik_ca": bytes.fromhex(d["pik_ca"]),
+            "firmware_ca": bytes.fromhex(d["firmware_ca"]),
+            "revoked_certs": list(d["revoked_certs"]),
+            "revoked_tcb": [tuple(x) for x in d["revoked_tcb"]],
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidEncoding(f"CA keys: {exc!r}") from None
 
 
 def _int(text: str, option: str) -> int:
@@ -268,8 +272,7 @@ def _judge(args, party: Party | None = None):
     """Judge the evidence files as a party does and print the verdict; with a
     party, also wrap its keys on an accept.  Returns (verdict, wrapped or None)."""
     report = AttestationReport.from_dict(_read_json(args.report))
-    # The chain and TCB files decode as records; the CA keys and the expected
-    # values are plain dicts: a missing field or bad hex in any is malformed.
+    # The evidence files decode as records or through ``_load_ca``; the expected values are a plain dict.
     try:
         chain = decode(dict[str, Certificate], _read_json(args.chain))
         tcb = decode(tuple[TcbUpdateCertificate, ...], _read_json(args.tcb))
@@ -282,7 +285,7 @@ def _judge(args, party: Party | None = None):
             party.offer()  # the packaged share, the one a first attempt is initialised with
             verdict, wrapped = party.release(report, evidence, expected, resume=False)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidEncoding(f"CA keys or expected values: {exc!r}") from None
+        raise InvalidEncoding(f"expected values: {exc!r}") from None
     print("Accept: evidence matches expectations" if verdict.accepted else f"Reject: {verdict.reason}")
     return verdict, wrapped
 
@@ -338,14 +341,16 @@ def _describe(obj, indent: str = "") -> None:
         for key, value in sorted(cert.extensions.items()):
             print(f"{indent}  {key}: {value}")
     elif isinstance(obj, dict) and "new_measurement" in obj:
-        print(f"{indent}TCB update certificate for {obj['component']}")
-        print(f"{indent}  {obj['old_measurement']} -> {obj['new_measurement']}")
+        tcb = TcbUpdateCertificate.from_dict(obj)
+        print(f"{indent}TCB update certificate for {tcb.component}")
+        print(f"{indent}  {tcb.old_measurement} -> {tcb.new_measurement}")
     elif isinstance(obj, dict) and "cik_ca" in obj:
+        ca = _load_ca(obj)
         print(f"{indent}certificate-authority roots")
         for key in ("cik_ca", "pik_ca", "firmware_ca"):
-            print(f"{indent}  {key}: {obj[key]}")
-        print(f"{indent}  revoked certificates: {len(obj.get('revoked_certs', []))}")
-        print(f"{indent}  revoked TCB versions: {len(obj.get('revoked_tcb', []))}")
+            print(f"{indent}  {key}: {ca[key].hex()}")
+        print(f"{indent}  revoked certificates: {len(ca['revoked_certs'])}")
+        print(f"{indent}  revoked TCB versions: {len(ca['revoked_tcb'])}")
     elif isinstance(obj, dict):
         for name, value in sorted(obj.items()):
             print(f"{indent}{name}:")

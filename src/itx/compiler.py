@@ -88,7 +88,6 @@ OUT_STAGE_OFF = 0x3400  # output gather buffer
 # ring-buffer address map: where each region starts; the manifest's ring map
 # works out every address inside one
 CLEAR_REGION = (0x0, 0x1800)
-METADATA_BASE = 0x100
 CODE_BASE = 0x2000
 DATA_BASE = 0x10000
 REGION_STRIDE = 0x1000
@@ -210,7 +209,6 @@ def compile_job(
         device_config=config.to_dict(),
         frame_size=FRAME_SIZE,
         clear_region=CLEAR_REGION,
-        metadata_base=METADATA_BASE,
     )
     compiled = CompiledJob(manifest=manifest, programs=plan.programs, binaries=binaries)
     compiled.manifest = dataclasses.replace(

@@ -26,12 +26,10 @@ from .errors import (
     AccessDenied,
     ImageTooLarge,
     IndexOutOfRange,
-    InvalidEncoding,
     InvalidPhase,
     SecurityException,
 )
 from .frame_codec import (
-    BLOCK_BYTES,
     IV_BLOCK_BYTES,
     IV_BYTES,
     TAG_BYTES,
@@ -329,8 +327,7 @@ class RingBuffer:
 
 
 def _pack_cursors(cursors: dict[int, int]) -> bytes:
-    """The cursor table of a checkpoint payload and of its cleartext
-    metadata record: a ``<I`` count, then ``<HI`` (stream, cursor) pairs."""
+    """A checkpoint payload's cursor table: a ``<I`` count, then ``<HI`` (stream, cursor) pairs."""
     pairs = sorted(cursors.items())
     return struct.pack("<I", len(pairs)) + b"".join(struct.pack("<HI", *p) for p in pairs)
 
@@ -340,22 +337,6 @@ def _unpack_cursors(blob: bytes, off: int) -> tuple[dict[int, int], int]:
     (count,) = struct.unpack_from("<I", blob, off)
     pairs = [struct.unpack_from("<HI", blob, off + 4 + 6 * i) for i in range(count)]
     return dict(pairs), off + 4 + 6 * count
-
-
-def pack_checkpoint_metadata(epoch: int, checkpoint_id: int, pc: int, cursors: dict[int, int]) -> bytes:
-    blob = struct.pack("<III", epoch, checkpoint_id, pc) + _pack_cursors(cursors)
-    pad = (-len(blob)) % BLOCK_BYTES
-    return blob + b"\x00" * pad
-
-
-def parse_checkpoint_metadata(blob: bytes) -> dict:
-    """Decode one tile's cleartext checkpoint record; a malformed one raises ``InvalidEncoding``."""
-    try:
-        epoch, ckpt, pc = struct.unpack_from("<III", blob, 0)
-        cursors, _ = _unpack_cursors(blob, 12)
-    except struct.error as exc:
-        raise InvalidEncoding(f"checkpoint metadata: {exc}") from None
-    return {"epoch": epoch, "checkpoint_id": ckpt, "pc": pc, "cursors": cursors}
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +504,8 @@ class IpuDevice:
                 return self.manifest.stream_of_kind(kind)
         raise self._security(f"no {kind} stream in the installed job")
 
-    def _dma_write(self, src_tile: int, address: int, frame: bytes, aes: bool) -> None:
+    def _dma_write(self, src_tile: int, address: int, frame: bytes) -> None:
+        """Write one frame, sealed by the egress engine: the device makes no cleartext write."""
         step = self.config.packet_payload
         for off in range(0, len(frame), step):
             chunk = frame[off : off + step]
@@ -534,8 +516,8 @@ class IpuDevice:
                 dst_tile=src_tile,
                 address=address + off,
                 payload=chunk,
-                aes=aes,
-                cc=aes and last,
+                aes=True,
+                cc=last,
             )
             try:
                 out = self.egress.process_egress(pkt)
@@ -596,7 +578,7 @@ class IpuDevice:
 
     def _write_frame(self, tile: Tile, sid: int, address: int, index: int, payload: bytes) -> None:
         frame = self._frame_iv(sid, tile, index) + b"\x00\x00\x00\x00" + payload + b"\x00" * TAG_BYTES
-        self._dma_write(tile.tile_id, address, frame, aes=True)
+        self._dma_write(tile.tile_id, address, frame)
 
     def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
         if self.clear_mode:
@@ -740,9 +722,10 @@ class IpuDevice:
 
     # -- checkpoints ---------------------------------------------------------
 
-    def checkpoint_save(self) -> None:
-        """Write every tile's restart state as an encrypted checkpoint stream
-        plus a small cleartext metadata record per tile."""
+    def checkpoint_save(self) -> tuple[int, int]:
+        """Write every tile's restart state as an encrypted checkpoint stream;
+        returns the (epoch, checkpoint id) its IVs carry, which every tile shares."""
+        counters = (self.tiles[0].epoch, self.tiles[0].checkpoint_id)
         sid = self._stream_of_kind(CHECKPOINT)
         slots = self.manifest.checkpoint_addresses()
         size = payload_capacity(self.manifest.frame_size)
@@ -753,9 +736,8 @@ class IpuDevice:
             payload = payload.ljust(len(addresses) * size, b"\x00")
             for f, address in enumerate(addresses):
                 self._write_frame(tile, sid, address, f, payload[f * size : (f + 1) * size])
-            record = pack_checkpoint_metadata(tile.epoch, tile.checkpoint_id, tile.pc, tile.cursors)
-            self._dma_write(tile.tile_id, self.manifest.metadata_address(tile.tile_id), record, aes=False)
             tile.checkpoint_id += 1
+        return counters
 
     def checkpoint_restore(self) -> None:
         """Rebuild tile state from the checkpoint identified by the seeded

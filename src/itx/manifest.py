@@ -13,11 +13,11 @@ to the control unit, and the attestation report commits to their digest.
 
 It is also the one reader of the ring layout: the SXP keys a DMA frame by
 its address, so every ring address (a stream's extent, frame *i* under a
-window, a tile's code and checkpoint frames, the metadata records) is a pure
-function of the fields below, and each role asks its own manifest.  A
-stream's extent is read from its entry, and a plan's register image is
-derived: ``registers(plan)`` maps region 0 to the cleartext region and each
-stream the plan keys to its extent.
+window, a tile's code and checkpoint frames) is a pure function of the
+fields below, and each role asks its own manifest.  A stream's extent is
+read from its entry, and a plan's register image is derived:
+``registers(plan)`` maps region 0 to the cleartext region (which no device
+write targets) and each stream the plan keys to its extent.
 
 Routing note: all requests (reads and writes) are key-selected on the egress
 path, so a sync plan carries a single ``ctxmap``/``kphysmap`` register image
@@ -136,8 +136,6 @@ class JobManifest(Record):
     device_config: dict[str, int]
     frame_size: int  # every stream's frame size, in bytes
     clear_region: tuple[int, int]  # the ring range of region 0 in every plan's image
-    metadata_base: int  # cleartext address of per-tile checkpoint metadata
-    metadata_slot: int = 256  # bytes reserved per tile for plaintext metadata
 
     def measurement(self) -> str:
         return digest_hex(self.to_bytes())
@@ -200,15 +198,6 @@ class JobManifest(Record):
         span = checkpoint_span(self.tile_layouts, payload)
         frames = {l.tile_id: checkpoint_frames(len(l.bindings), l.ckpt_len, payload) for l in self.tile_layouts}
         return {t: [self.frame_address(sid, t * span + f) for f in range(n)] for t, n in frames.items()}
-
-    def metadata_address(self, tile_id: int) -> int:
-        """Where a tile's cleartext checkpoint record sits."""
-        return self.metadata_base + tile_id * self.metadata_slot
-
-    def checkpoint_ranges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The ring ranges of a checkpoint: its frames' region, then every tile's cleartext record."""
-        records = (self.metadata_base, self.metadata_address(len(self.tile_layouts)))
-        return self.extent(self.stream_of_kind(CHECKPOINT)), records
 
     # -- validation ----------------------------------------------------------
 

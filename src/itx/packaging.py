@@ -27,7 +27,7 @@ from pathlib import Path
 from . import crypto
 from .certs import Certificate
 from .encoding import Record, jsonable
-from .errors import InvalidFrame, KeyExchangeFailure
+from .errors import InvalidEncoding, InvalidFrame, KeyExchangeFailure
 from .frame_codec import StreamIV, StreamType, check_frame, encrypt_stream, payload_capacity
 from .manifest import CODE, DIR_IN, JobManifest, frame_count
 from .pki import PartyIdentity, PartySession
@@ -205,4 +205,8 @@ def save_clean_room(room: CleanRoom, path: str | Path) -> None:
 
 
 def load_clean_room(path: str | Path) -> CleanRoom:
-    return CleanRoom.from_bytes((Path(path) / "cleanroom.json").read_bytes())
+    """Read a clean room; a malformed one, or a session key not 32 bytes long, raises ``InvalidEncoding``."""
+    room = CleanRoom.from_bytes((Path(path) / "cleanroom.json").read_bytes())
+    if len(room.session_private) != 32:
+        raise InvalidEncoding(f"session_private is {len(room.session_private)} bytes, not 32")
+    return room

@@ -37,7 +37,7 @@ from . import pki
 from .adversary import Adversary
 from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
-from .device import DeviceConfig, IpuDevice, parse_checkpoint_metadata
+from .device import DeviceConfig, IpuDevice
 from .encoding import digest_hex
 from .errors import InvalidPhase, ItxError
 from .eventlog import EventLog
@@ -56,14 +56,13 @@ STATUS_ABORTED = "aborted"
 
 @dataclass(frozen=True)
 class CheckpointSnapshot:
-    """Everything the host legitimately sees of a checkpoint: ciphertext
-    frames plus the cleartext restart metadata."""
+    """Everything the host legitimately sees of a checkpoint: its ciphertext
+    frames, and the (epoch, checkpoint id) the control unit named for it."""
 
     epoch: int
     checkpoint_id: int
     barrier: int
     frames_blob: bytes
-    meta_blob: bytes
 
 
 @dataclass
@@ -139,30 +138,18 @@ class TrustedJobSession:
             log.emit("fill", stream=sid, offset=offset, frames=len(placed))
 
     def _fill_snapshot(self, snapshot: CheckpointSnapshot, log: EventLog) -> None:
-        (frames_at, _), (meta_at, _) = self.manifest.checkpoint_ranges()
-        self.ring.write(frames_at, snapshot.frames_blob)
-        self.ring.write(meta_at, snapshot.meta_blob)
-        self.windows[self.manifest.stream_of_kind(CHECKPOINT)] = 0
-        log.emit(
-            "fill_checkpoint",
-            epoch=snapshot.epoch,
-            checkpoint_id=snapshot.checkpoint_id,
-            barrier=snapshot.barrier,
-        )
+        sid = self.manifest.stream_of_kind(CHECKPOINT)
+        self.ring.write(self.manifest.extent(sid)[0], snapshot.frames_blob)
+        self.windows[sid] = 0
+        log.emit("fill_checkpoint", epoch=snapshot.epoch, checkpoint_id=snapshot.checkpoint_id, barrier=snapshot.barrier)
 
-    def _capture_snapshot(self, barrier: int, log: EventLog) -> CheckpointSnapshot:
-        frames_blob, meta_blob = (self.ring.read(lo, hi - lo) for lo, hi in self.manifest.checkpoint_ranges())
-        counters = parse_checkpoint_metadata(meta_blob)  # tile 0's record comes first
-        snapshot = CheckpointSnapshot(counters["epoch"], counters["checkpoint_id"], barrier, frames_blob, meta_blob)
+    def _capture_snapshot(self, counters: tuple[int, int], barrier: int, log: EventLog) -> CheckpointSnapshot:
+        lo, hi = self.manifest.extent(self.manifest.stream_of_kind(CHECKPOINT))
+        snapshot = CheckpointSnapshot(*counters, barrier, self.ring.read(lo, hi - lo))
         self.snapshots.append(snapshot)
         for party in self.parties.values():
             party.checkpointed()
-        log.emit(
-            "checkpoint_saved",
-            epoch=snapshot.epoch,
-            checkpoint_id=snapshot.checkpoint_id,
-            barrier=barrier,
-        )
+        log.emit("checkpoint_saved", epoch=snapshot.epoch, checkpoint_id=snapshot.checkpoint_id, barrier=barrier)
         return snapshot
 
     # -- party protocol ------------------------------------------------------
@@ -317,8 +304,8 @@ class TrustedJobSession:
             log.emit("barrier", sync_id=sync_id)
             barrier = self.manifest.plan(sync_id)
             if barrier[0].checkpoint:
-                self._staged("checkpoint", self.ccu.tee_checkpoint)
-                snapshot = self._capture_snapshot(sync_id, log)
+                counters = self._staged("checkpoint", self.ccu.tee_checkpoint)
+                snapshot = self._capture_snapshot(counters, sync_id, log)
                 saved_this_run += 1
                 if halt_after_checkpoint is not None and saved_this_run >= halt_after_checkpoint:
                     log.emit("halt", checkpoint_id=snapshot.checkpoint_id)

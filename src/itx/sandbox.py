@@ -134,7 +134,7 @@ class JobFixture:
 
 
 def _ints(rng: random.Random, count: int, lo: int = -9999, hi: int = 9999) -> bytes:
-    return struct.pack(f"<{count}i", *(rng.randint(lo, hi) for _ in range(count)))
+    return struct.pack(f"<{count}i", *rng.choices(range(lo, hi + 1), k=count))
 
 
 def _make_session(

@@ -201,6 +201,21 @@ def test_inspect_of_a_report_missing_a_field_is_one_error_line(tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("error:") and "missing field" in err[0], err
 
 
+@pytest.mark.parametrize(
+    "document, detail",
+    [
+        ({"new_measurement": "00"}, "missing field 'component'"),
+        ({"cik_ca": "00", "firmware_ca": "00", "revoked_certs": [], "revoked_tcb": []}, "'pik_ca'"),
+    ],
+    ids=["tcb-certificate", "ca-roots"],
+)
+def test_inspect_of_another_document_missing_a_field_is_one_error_line(tmp_path, capsys, document, detail):
+    (tmp_path / "partial.json").write_text(json.dumps(document))
+    assert main(["ccu", "inspect", str(tmp_path / "partial.json")]) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and detail in err[0], err
+
+
 @pytest.mark.parametrize("change", [{"rotate_contexts": True}, {"steps": "3"}], ids=["unknown", "mistyped"])
 def test_compile_rejects_a_malformed_job_file(tmp_path, change):
     (tmp_path / "job.json").write_text(json.dumps({**JOB, **change}))
@@ -223,6 +238,7 @@ def packaged_job(tmp_path_factory):
         ("room-alpha/identity.json", "signing_seed", None),
         ("room-alpha/identity.json", "signing_seed", "not hex"),
         pytest.param("room-alpha/identity.json", "signing_seed", "00" * 31, id="identity-31-byte-seed"),
+        pytest.param("room-alpha/cleanroom.json", "session_private", "00" * 31, id="cleanroom-31-byte-session-key"),
     ],
 )
 def test_run_rejects_a_damaged_package_or_clean_room(packaged_job, tmp_path, file, field, value):

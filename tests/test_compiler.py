@@ -299,7 +299,7 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "6de3c76c98d2d6fabb59388e2c5786b966bdee84552f3e37e99d3663e72b000e"
+        "3a70fc8be4cda2c24dfa467a0dd43b906db753ff1845045040edba81f721913b"
     )
 
 
@@ -382,18 +382,12 @@ def test_binaries_expand_to_the_unrolled_programs():
 
 
 def test_the_ring_map_fits_the_compiled_regions():
-    """Over the grid, every tile's cleartext checkpoint record lies inside
-    each plan's cleartext region 0; where a job checkpoints, each tile's
-    checkpoint frames lie inside the region the checkpoint and restore plans
-    key, and no two tiles' frames overlap."""
+    """Over the grid, where a job checkpoints, each tile's checkpoint frames
+    lie inside the region the checkpoint and restore plans key, and no two
+    tiles' frames overlap."""
     for job in SGD_GRID + SUM_GRID:
         manifest = compile_job(job, bootloader_measurement=BOOTLOADER).manifest
         layouts = manifest.tile_layouts
-        records = (manifest.metadata_address(0), manifest.metadata_address(len(layouts)))
-        for plan in (manifest.boot_plan, *manifest.plans, manifest.checkpoint_plan, manifest.restore_plan):
-            if plan is not None:
-                clear = manifest.registers(plan).ksellimit[0]
-                assert clear.start <= records[0] < records[1] <= clear.end
         if manifest.checkpoint_plan is None:
             assert all(entry.kind != CHECKPOINT for entry in manifest.stream_table.values())
             continue
@@ -405,6 +399,20 @@ def test_the_ring_map_fits_the_compiled_regions():
         assert all(b - a >= size for a, b in zip(frames, frames[1:]))
         for plan in (manifest.checkpoint_plan, manifest.restore_plan):
             region = manifest.registers(plan).ksellimit[plan.stream_regions[sid]]
-            lo, hi = region.start, region.end
-            assert lo <= frames[0] and frames[-1] + size <= hi
-        assert manifest.checkpoint_ranges() == ((lo, hi), records)
+            assert (region.start, region.end) == manifest.extent(sid)
+            assert region.start <= frames[0] and frames[-1] + size <= region.end
+
+
+def test_manifests_lost_only_the_checkpoint_record_fields():
+    """The device writes no cleartext checkpoint record, so the manifest
+    places none: every grid manifest is, field for field, the one compiled
+    when it did, less the two fields (the records' base address and slot
+    size) that placed them; the digest was taken from those manifests with
+    the two keys deleted."""
+    fold = hashlib.sha256()
+    for job in SGD_GRID + SUM_GRID:
+        for ipu_id in (0, 3):
+            fold.update(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest.to_bytes())
+    assert fold.hexdigest() == (
+        "31bc6fc9352cdf16c3aef957fc76e61e3e0895ccccf2caa3735b0f5ac6cad4f8"
+    )

@@ -46,19 +46,19 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "3218a445eac7e894804cb40aceca9d5c070a01be67c0d39c2a2934e3be4c36d2"
+            "3b352ddfffc0655a102210f44ca5256046212d34a049b82cf7f0fd37891001a2"
         )
 
     def test_sum_fixture(self):
         manifest = make_sum_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "883a18423312ce125ac807fe6d099232fb06159a9e6755042c199eed010e5c3c"
+            "d3f8a223708cc9ed88e2497993f9963f38dbad3fdcc43cddb51e9df0b8cbf8ac"
         )
 
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "56849cd1f13ae5e54a1feac7ae797a6dd70ac692684f6f345f26c28939fbce6c"
+            "10922afc44cc88ee8cd30b07091fdbb59ffb67fb9b4adc9e6b2a5596375d7c38"
         )
 
 

@@ -173,7 +173,7 @@ class TestSerialization:
     def test_any_field_change_moves_the_measurement(self):
         manifest = sgd_manifest()
         base = manifest.measurement()
-        bumped = dataclasses.replace(manifest, metadata_base=manifest.metadata_base + 0x100)
+        bumped = dataclasses.replace(manifest, clear_region=(0x0, 0x1000))
         assert bumped.measurement() != base
         entry = dict(manifest.stream_table)
         sid = next(iter(entry))

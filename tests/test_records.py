@@ -20,7 +20,7 @@ from itx.compiler import JobDescription, compile_job
 from itx.device import DeviceConfig
 from itx.encoding import Record
 from itx.errors import InvalidEncoding
-from itx.manifest import JobManifest, StreamTableEntry, SyncPlan
+from itx.manifest import BindingSpec, JobManifest, StreamTableEntry, SyncPlan
 from itx.packaging import CleanRoom, StreamPackage
 from itx.pki import COMPONENT_BOOTLOADER, CaState, TcbUpdateCertificate
 
@@ -109,9 +109,9 @@ def test_round_trips(record):
 
 class TestTypedErrors:
     def test_missing_field_takes_the_default(self):
-        d = MANIFEST.to_dict()
-        del d["metadata_slot"]
-        assert JobManifest.from_dict(d).metadata_slot == 256
+        d = MANIFEST.tile_layouts[0].bindings[0].to_dict()
+        del d["stride"]
+        assert BindingSpec.from_dict(d).stride == 1
 
     def test_missing_required_field(self):
         d = REPORT.to_dict()

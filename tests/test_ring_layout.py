@@ -1,5 +1,5 @@
 """Only the manifest, which answers every ring-address question, reads the
-fields that place or size a region or a checkpoint record in the ring; the
+fields that place or size a region in the ring; the
 compiler, which allocates the ring, writes them, and every other module asks
 the manifest."""
 
@@ -11,7 +11,7 @@ import pytest
 import itx
 
 MODULES = sorted(Path(itx.__file__).parent.glob("*.py"))
-LAYOUT_FIELDS = {"region_base", "region_frames", "metadata_base", "metadata_slot"}
+LAYOUT_FIELDS = {"region_base", "region_frames"}
 READERS = {"manifest"}
 
 

@@ -6,11 +6,8 @@ the tiles scrubbed and the device back in normal mode."""
 import collections
 import copy
 import dataclasses
-import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracle import expected_model
 from itx.adversary import (
@@ -40,8 +37,6 @@ from itx.device import (
     RingBuffer,
     SyncPhase,
     TileProgram,
-    pack_checkpoint_metadata,
-    parse_checkpoint_metadata,
 )
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
 from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest, checkpoint_frames
@@ -49,7 +44,7 @@ from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, p
 from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
-from itx.errors import InvalidEncoding, InvalidPhase, ScheduleInfeasible
+from itx.errors import InvalidPhase, ScheduleInfeasible
 from itx.sxp import NUM_CONTEXTS, ExchangePacket, SxpEngine
 
 
@@ -179,36 +174,6 @@ def test_a_restored_position_off_a_barrier_aborts_closed(monkeypatch):
     assert fixture.deployment.ccu.tee.reason == "security exception: restored position is not at a barrier"
 
 
-def test_checkpoint_metadata_golden():
-    blob = pack_checkpoint_metadata(3, 2, 17, {5: 9, 2: 4})
-    assert blob.hex() == "0300000002000000110000000200000002000400000005000900000000000000"
-    assert parse_checkpoint_metadata(blob) == {
-        "epoch": 3,
-        "checkpoint_id": 2,
-        "pc": 17,
-        "cursors": {2: 4, 5: 9},
-    }
-
-
-@pytest.mark.parametrize(
-    "blob",
-    [b"", bytes(12), struct.pack("<IIII", 1, 0, 3, 0xFFFFFF).ljust(256, b"\x00")],
-    ids=["empty", "no-cursor-count", "cursor-count-past-the-slot"],
-)
-def test_malformed_checkpoint_metadata_is_invalid_encoding(blob):
-    with pytest.raises(InvalidEncoding):
-        parse_checkpoint_metadata(blob)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=300))
-def test_any_checkpoint_metadata_blob_parses_or_is_invalid_encoding(blob):
-    try:
-        parse_checkpoint_metadata(blob)
-    except InvalidEncoding:
-        pass
-
-
 def test_the_dma_path_builds_each_packet_once(monkeypatch):
     """The engines rewrite packets in place: the run constructs exactly the
     packets the DMA issues (read requests and write packets to egress,
@@ -262,7 +227,7 @@ def test_the_simulated_traffic_of_a_two_step_job_is_pinned(monkeypatch):
     assert_completed_and_exact(fixture, fixture.session.run())
     pending = fixture.deployment.device.pending
     assert (pending.created, pending.retired) == (56, 56)
-    assert counts == {"process_egress": 168, "process_ingress": 112, "read": 20480, "write": 13184}
+    assert counts == {"process_egress": 136, "process_ingress": 112, "read": 12288, "write": 12288}
 
 
 # ---------------------------------------------------------------------------
