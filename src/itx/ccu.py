@@ -39,6 +39,7 @@ from .errors import (
     SecurityException,
 )
 from .manifest import CHECKPOINT, DIR_IN, JobManifest, OUTPUT, SyncPlan
+from .sxp import SxpRegisters
 
 # TEE phases
 NO_TEE = "no_tee"
@@ -113,6 +114,7 @@ class TeeState:
     reason: str = ""
     manifest: Optional[JobManifest] = None  # the control unit's own decoded copy
     manifest_hash: bytes = b""  # SHA-256 of the manifest bytes it measured
+    images: dict[int, SxpRegisters] = field(default_factory=dict)  # id(plan) -> register image, for manifest's plans
     party_certs: dict[str, Certificate] = field(default_factory=dict)
     party_shares: dict[str, bytes] = field(default_factory=dict)
     epoch: int = 0
@@ -284,11 +286,12 @@ class Ccu:
         return key
 
     def _apply_plan(self, plan: SyncPlan) -> None:
+        """Rotate out, program the plan's register image, and load keys."""
         device = self._require_device()
         for ctx in plan.invalidate:
             device.ingress.invalidate_key(ctx)
             device.egress.invalidate_key(ctx)
-        device.program_registers(self.tee.manifest.registers(plan))
+        device.program_registers(self.tee.images[id(plan)])
         for ctx, sid in plan.ingress_loads:
             device.ingress.load_key(ctx, self._stream_key(sid, "ingress"))
         for ctx, sid in plan.egress_loads:
@@ -322,7 +325,8 @@ class Ccu:
         if not (0 <= epoch < 0xFF and 0 <= checkpoint_id <= 0xFF):
             raise InvalidIvField(f"seeded counters out of range: epoch={epoch}, checkpoint_id={checkpoint_id}")
         device = self._require_device()
-        manifest = JobManifest.from_bytes(manifest_bytes).validate()
+        manifest = JobManifest.from_bytes(manifest_bytes)
+        images = manifest.validated_images()
         manifest_hash = hashlib.sha256(manifest_bytes).digest()
         if manifest.ipu_id != device.ipu_id:
             raise InvalidPhase(
@@ -362,6 +366,7 @@ class Ccu:
             phase=INITIALIZED,
             manifest=manifest,
             manifest_hash=manifest_hash,
+            images=images,
             party_certs=dict(party_certs),
             party_shares=dict(party_keyshares),
             epoch=epoch,

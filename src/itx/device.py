@@ -46,7 +46,7 @@ from .manifest import (
     JobManifest,
     TileLayout,
 )
-from .sxp import ExchangePacket, PacketKind, PendingReadTable, SxpEngine, SxpRegisters
+from .sxp import READ_REQUEST, WRITE_REQUEST, ExchangePacket, PendingReadTable, SxpEngine, SxpRegisters
 
 # ---------------------------------------------------------------------------
 # geometry and register defaults
@@ -368,6 +368,7 @@ class IpuDevice:
         self.manifest: Optional[JobManifest] = None
         self.windows: dict[int, int] = {}
         self.barrier: Optional[int] = None  # where the tiles are parked; the only one keyed
+        self._iv_fields: dict[tuple[int, int, int, int], bytes] = {}
         # The clear reference run changes only read_stream_frame and
         # write_stream_frame; it never boots, checkpoints or restores.
         self.clear_mode = False
@@ -479,6 +480,7 @@ class IpuDevice:
         self.manifest = manifest
         self.windows = dict(manifest.plan(0)[1])
         self.barrier = 0
+        self._iv_fields = {}
         for tile in self.tiles:
             tile.layout = layout = manifest.layout(tile.tile_id)
             tile.bindings = {b.stream_id: b for b in layout.bindings}
@@ -493,10 +495,12 @@ class IpuDevice:
             tile.epoch += 1
 
     # -- DMA datapath --------------------------------------------------------
-
-    def _next_request_id(self) -> int:
-        self._req_id += 1
-        return self._req_id
+    #
+    # A frame costs its packets, its pending read, its ring access and its IV
+    # check.  What the job fixes is derived once: each plan's register image
+    # (routes and region bounds) when the control unit validates the
+    # manifest, each context's AEAD at key load, and a stream's IV fixed field
+    # at its first frame per (tile, epoch, checkpoint id).
 
     def _stream_of_kind(self, kind: str) -> int:
         if self.manifest is not None:
@@ -506,18 +510,10 @@ class IpuDevice:
 
     def _dma_write(self, src_tile: int, address: int, frame: bytes) -> None:
         """Write one frame, sealed by the egress engine: the device makes no cleartext write."""
-        step = self.config.packet_payload
-        for off in range(0, len(frame), step):
-            chunk = frame[off : off + step]
-            last = off + step >= len(frame)
+        step, length = self.config.packet_payload, len(frame)
+        for off in range(0, length, step):
             pkt = ExchangePacket(
-                kind=PacketKind.WRITE_REQUEST,
-                src_tile=src_tile,
-                dst_tile=src_tile,
-                address=address + off,
-                payload=chunk,
-                aes=True,
-                cc=last,
+                WRITE_REQUEST, src_tile, src_tile, address + off, frame[off : off + step], True, off + step >= length
             )
             try:
                 out = self.egress.process_egress(pkt)
@@ -528,18 +524,18 @@ class IpuDevice:
             self.ring_buffer.write(out.address, out.payload)
 
     def _dma_read(self, src_tile: int, address: int, length: int) -> bytes:
-        rid = self._next_request_id()
-        req = ExchangePacket(PacketKind.READ_REQUEST, src_tile, src_tile, address, b"", True, False, None, length, rid)
+        self._req_id = rid = self._req_id + 1
+        req = ExchangePacket(READ_REQUEST, src_tile, src_tile, address, b"", True, False, None, length, rid)
         try:
             out = self.egress.process_egress(req)
         except SecurityException as exc:
             raise self._forward(exc) from None
         if out is None:
             raise self._security("egress engine latched; read request dropped")
-        self.pending.note_request(out)
-        data = self.ring_buffer.read(address, length)
+        pending = self.pending
+        pending.note_request(out)
         try:
-            completions = self.pending.make_completions(rid, data)
+            completions = pending.make_completions(rid, self.ring_buffer.read(address, length))
         except SecurityException as exc:
             raise self._forward(exc) from None
         pieces = []
@@ -558,14 +554,18 @@ class IpuDevice:
         the tile, a checkpoint to the tile and its (epoch, checkpoint)
         counters, data and output to the stream.  Tiles stamp it on what they
         write and demand it of what they read, which stops replay, reordering
-        and rollback."""
-        kind = self.manifest.stream_table[sid].kind
-        if kind == CODE:
-            field = iv_field(StreamType.CODE, 0, self.ipu_id, tile.tile_id)
-        elif kind == CHECKPOINT:
-            field = iv_field(StreamType.CHECKPOINT, 0, self.ipu_id, tile.tile_id, tile.epoch, tile.checkpoint_id)
-        else:
-            field = iv_field(StreamType.OUTPUT if kind == OUTPUT else StreamType.DATA, sid)
+        and rollback.  The fixed field is kept per (stream, tile, epoch, checkpoint id)."""
+        key = (sid, tile.tile_id, tile.epoch, tile.checkpoint_id)
+        field = self._iv_fields.get(key)
+        if field is None:
+            kind = self.manifest.stream_table[sid].kind
+            if kind == CODE:
+                field = iv_field(StreamType.CODE, 0, self.ipu_id, tile.tile_id)
+            elif kind == CHECKPOINT:
+                field = iv_field(StreamType.CHECKPOINT, 0, self.ipu_id, tile.tile_id, tile.epoch, tile.checkpoint_id)
+            else:
+                field = iv_field(StreamType.OUTPUT if kind == OUTPUT else StreamType.DATA, sid)
+            self._iv_fields[key] = field
         return frame_iv(field, index)
 
     def _read_frame(self, tile: Tile, sid: int, address: int, index: int) -> bytes:

@@ -178,12 +178,12 @@ class JobManifest(Record):
         return {i: self.frame_address(stream_id, i, first) for i in frames}
 
     def registers(self, plan: SyncPlan) -> SxpRegisters:
-        """A plan's register image: region 0 is the cleartext region, and each
-        stream the plan keys has its extent as its region."""
+        """A plan's register image, validated as it is built: region 0 is the
+        cleartext region, and each stream the plan keys has its extent."""
         regions = {0: AddressRegion(*self.clear_region)}
         for sid, rid in plan.stream_regions.items():
             regions[rid] = AddressRegion(*self.extent(sid))
-        return SxpRegisters(kxbctxmap=dict(plan.ctxmap), ksellimit=regions, kphysmap=dict(plan.kphysmap))
+        return SxpRegisters(kxbctxmap=plan.ctxmap, ksellimit=regions, kphysmap=plan.kphysmap)
 
     def code_addresses(self, layout: TileLayout) -> list[int]:
         """Ring addresses of a tile's code frames, in frame order."""
@@ -202,14 +202,22 @@ class JobManifest(Record):
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> "JobManifest":
+        self.validated_images()
+        return self
+
+    def validated_images(self) -> dict[int, SxpRegisters]:
+        """Validate the manifest, and return the register image that doing so
+        built for each plan (boot, checkpoint, restore and barrier plans),
+        keyed by ``id(plan)``: the control unit programs these at barriers."""
         size = self.frame_size
         if size % FRAME_ALIGN or not FRAME_ALIGN <= size <= MAX_FRAME_BYTES:
             raise InvalidRegisterProgram(f"bad frame size {size}")
         extra = {"boot plan": self.boot_plan, "checkpoint plan": self.checkpoint_plan,
                  "restore plan": self.restore_plan}
+        images = {}
         for where, plan in [*extra.items(), *((f"plan {i}", p) for i, p in enumerate(self.plans))]:
             if plan is not None:
-                self._validate_plan(where, plan)
+                images[id(plan)] = self._validate_plan(where, plan)
         if not self.schedule:
             raise InvalidRegisterProgram("empty barrier schedule")
         for sync_id, (index, offsets) in enumerate(self.schedule):
@@ -223,9 +231,9 @@ class JobManifest(Record):
         if not (set(self.stream_assignment) == {"model_receivers"} and isinstance(receivers, list) and receivers
                 and all(r in owners for r in receivers) and receivers == sorted(set(receivers))):
             raise InvalidRegisterProgram(f"bad stream assignment {self.stream_assignment}")
-        return self
+        return images
 
-    def _validate_plan(self, where: str, plan: SyncPlan) -> None:
+    def _validate_plan(self, where: str, plan: SyncPlan) -> SxpRegisters:
         for sid, rid in plan.stream_regions.items():
             if rid == 0:
                 raise InvalidRegisterProgram(f"{where}: stream {sid} in cleartext region")
@@ -233,7 +241,7 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"{where}: unknown stream {sid}")
         if len(set(plan.stream_regions.values())) != len(plan.stream_regions):
             raise InvalidRegisterProgram(f"{where}: several streams share one key region")
-        self.registers(plan).validate()
+        image = self.registers(plan)  # building an image validates it
         if not plan.frame_serial and len(set(plan.ctxmap.values())) != len(plan.ctxmap):
             raise InvalidRegisterProgram(
                 f"{where}: several exchange-block contexts share one key context "
@@ -244,3 +252,4 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"{where}: load context {ctx} out of range")
             if sid not in self.stream_table:
                 raise InvalidRegisterProgram(f"{where}: load for unknown stream {sid}")
+        return image

@@ -7,13 +7,13 @@ which seals whole frames in one call, this model keeps the hardware's
 violations behave like the real engine:
 
 * per-context state is one library AEAD, keyed at key load; a frame in
-  flight adds its IV, its owner tile, the bytes it has passed and their
-  keystream, all dropped when the frame ends;
+  flight adds its IV, its owner tile and the bytes it has passed, all
+  dropped when the frame ends;
 * the first 16-byte block of a frame is consumed as the IV block, which
   opens the frame; a CC flag on that block is a violation;
-* each packet's data blocks are XORed with the frame's GCM keystream (the
-  AEAD's encryption of zeros), so ingress releases plaintext before the tag
-  is checked;
+* each packet's data blocks are XORed with the frame's GCM keystream at
+  their offset (the AEAD's counter-mode pass over the frame so far), so
+  ingress releases plaintext before the tag is checked;
 * the block arriving with the CC (frame-close) flag is the MAC slot: one
   AEAD call over the whole frame puts the tag there on egress and checks
   the tag there on ingress;
@@ -28,6 +28,12 @@ exchange-block context to a physical key context, ``kphysmap`` binds each
 context to a key region, and ``ksellimit`` defines up to 17 disjoint address
 regions of which region 0 always bypasses the engine in cleartext.
 
+What a job fixes is derived once, not per packet: a register image is
+validated and frozen as it is built, with each exchange block's route and
+region 0's bounds, and the control unit keeps the one per plan that
+validating the manifest built at ``tee_init``; a context's AEAD is built at
+key load.  A packet costs its checks and its crypto.
+
 Counter-mode semantics follow the AES-GCM standard (initial counter block is
 IV ‖ 1, first data block uses IV ‖ 2) so engine output interoperates with
 conformant software implementations.
@@ -37,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -68,6 +75,9 @@ class PacketKind(Enum):
     WRITE_REQUEST = "write_request"
 
 
+READ_REQUEST, READ_COMPLETION, WRITE_REQUEST = PacketKind
+
+
 @dataclass(slots=True)
 class ExchangePacket:
     kind: PacketKind
@@ -82,7 +92,7 @@ class ExchangePacket:
     request_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind is PacketKind.READ_REQUEST:
+        if self.kind is READ_REQUEST:
             if self.payload:
                 raise ValueError("read requests carry no payload")
         elif len(self.payload) % BLOCK_BYTES:
@@ -98,34 +108,35 @@ class AddressRegion:
         if self.end <= self.start:
             raise InvalidRegisterProgram(f"empty address region [{self.start:#x},{self.end:#x})")
 
-    def contains(self, address: int) -> bool:
-        return self.start <= address < self.end
-
-    def overlaps(self, other: "AddressRegion") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class SxpRegisters:
-    """The three key-selection register maps programmed by the CCU."""
+    """The three key-selection register maps programmed by the CCU.  An image
+    is validated once, here, and its maps are read-only copies, so one image
+    can be programmed at every barrier of a job and nothing can change it in
+    between.  ``clear`` (region 0's bounds) and ``routes`` (exchange block ->
+    key context, region id and bounds) are derived from the maps."""
 
-    kxbctxmap: dict[int, int] = field(default_factory=dict)
-    ksellimit: dict[int, AddressRegion] = field(default_factory=dict)
-    kphysmap: dict[int, int] = field(default_factory=dict)
+    kxbctxmap: Mapping[int, int] = field(default_factory=dict)
+    ksellimit: Mapping[int, AddressRegion] = field(default_factory=dict)
+    kphysmap: Mapping[int, int] = field(default_factory=dict)
+    clear: tuple[int, int] = field(init=False, repr=False, compare=False)
+    routes: Mapping[int, tuple[int, int, int, int]] = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> "SxpRegisters":
+    def __post_init__(self) -> None:
+        for name in ("kxbctxmap", "ksellimit", "kphysmap"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if len(self.ksellimit) > NUM_REGIONS:
             raise InvalidRegisterProgram(
                 f"{len(self.ksellimit)} regions exceed the {NUM_REGIONS}-region limit"
             )
-        regions = sorted(self.ksellimit.items())
+        regions = sorted(self.ksellimit.items(), key=lambda item: item[1].start)
         for rid, region in regions:
             if not 0 <= rid < NUM_REGIONS:
                 raise InvalidRegisterProgram(f"region id {rid} out of range")
-        for i, (rid_a, a) in enumerate(regions):
-            for rid_b, b in regions[i + 1 :]:
-                if a.overlaps(b):
-                    raise InvalidRegisterProgram(f"regions {rid_a} and {rid_b} overlap")
+        for (rid_a, a), (rid_b, b) in zip(regions, regions[1:]):  # in start order, neighbours overlap if any do
+            if b.start < a.end:
+                raise InvalidRegisterProgram(f"regions {rid_a} and {rid_b} overlap")
         for ebc, ctx in self.kxbctxmap.items():
             if not 0 <= ctx < NUM_CONTEXTS:
                 raise InvalidRegisterProgram(f"kxbctxmap[{ebc}]={ctx} out of range")
@@ -143,7 +154,10 @@ class SxpRegisters:
         for ebc, ctx in self.kxbctxmap.items():
             if ctx not in self.kphysmap:
                 raise InvalidRegisterProgram(f"context {ctx} has no key region")
-        return self
+        bounds = {rid: (rid, region.start, region.end) for rid, region in self.ksellimit.items()}
+        object.__setattr__(self, "clear", bounds.get(CLEARTEXT_REGION, (0, 0, 0))[1:])
+        object.__setattr__(self, "routes", MappingProxyType(
+            {ebc: (ctx, *bounds[self.kphysmap[ctx]]) for ebc, ctx in self.kxbctxmap.items()}))
 
 
 CLEARTEXT = "cleartext"
@@ -156,14 +170,13 @@ CLEARTEXT = "cleartext"
 
 class _KeyContext:
     """One of the 16 physical key slots: an AEAD from ``load`` to ``zeroize``,
-    and the frame in flight (IV, owner tile, passed bytes, keystream) until
-    ``end_frame``.  Passed bytes are ciphertext on ingress, plaintext on egress;
-    ``reach``, the bytes the last frame passed, sizes the next keystream draw."""
+    and the frame in flight (IV, owner tile, passed bytes) until
+    ``end_frame``.  Passed bytes are ciphertext on ingress, plaintext on egress."""
 
-    __slots__ = ("index", "aead", "iv", "owner_tile", "passed", "keystream", "reach")
+    __slots__ = ("index", "aead", "iv", "owner_tile", "passed")
 
     def __init__(self, index: int) -> None:
-        self.index, self.passed = index, bytearray()
+        self.index = index
         self.zeroize()
 
     @property
@@ -175,11 +188,9 @@ class _KeyContext:
         self.end_frame()
 
     def end_frame(self) -> None:
-        self.reach = len(self.passed)
         self.iv: Optional[bytes] = None
         self.owner_tile: Optional[int] = None
         self.passed = bytearray()
-        self.keystream = b""
 
     def load(self, key: bytes) -> None:
         if self.active:
@@ -194,14 +205,12 @@ class _KeyContext:
         self.zeroize()
 
     def stream(self, data: bytes) -> bytes:
-        """XOR ``data`` with the keystream where the frame has got to, and pass it."""
-        start, end = len(self.passed), len(self.passed) + len(data)
-        if end > len(self.keystream):  # keystream: the AEAD's ciphertext of zeros, tag cut off
-            zeros = bytes(max(end, 2 * len(self.keystream), self.reach))
-            self.keystream = self.aead.encrypt(self.iv, zeros, None)[:-BLOCK_BYTES]
+        """XOR ``data`` with the keystream where the frame has got to, and pass
+        it: the AEAD's counter-mode pass over zeros for what the frame already
+        passed, then ``data``, with the tag cut off."""
+        start = len(self.passed)
         self.passed += data
-        mask = int.from_bytes(self.keystream[start:end], "little")
-        return (int.from_bytes(data, "little") ^ mask).to_bytes(len(data), "little")
+        return self.aead.encrypt(self.iv, bytes(start) + data, None)[start:-BLOCK_BYTES]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +218,7 @@ class _KeyContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRead:
     src_tile: int
     key_index: Optional[int]
@@ -235,7 +244,7 @@ class PendingReadTable:
         self.retired = 0
 
     def note_request(self, pkt: ExchangePacket) -> None:
-        if pkt.kind is not PacketKind.READ_REQUEST or pkt.request_id is None:
+        if pkt.kind is not READ_REQUEST or pkt.request_id is None:
             raise ValueError("only identified read requests are tracked")
         packets = max(1, -(-pkt.read_length // self.completion_payload))
         self._entries[pkt.request_id] = _PendingRead(
@@ -248,27 +257,24 @@ class PendingReadTable:
         entry = self._entries.get(request_id)
         if entry is None:
             raise SecurityException(f"completion for unknown read request {request_id}")
-        step = self.completion_payload
-        count = max(1, -(-len(data) // step))
+        step, length = self.completion_payload, len(data)
+        count = max(1, -(-length // step))
         if count != entry.packets_remaining:
             raise SecurityException(
                 f"read {request_id}: host returned {count} packets, "
                 f"expected {entry.packets_remaining}"
             )
+        tile, address, aes, key_index = entry.src_tile, entry.address, entry.aes, entry.key_index
         packets = [
             ExchangePacket(
-                PacketKind.READ_COMPLETION, entry.src_tile, entry.src_tile, entry.address + off,
-                data[off : off + step], entry.aes, off + step >= len(data), entry.key_index, 0, request_id
+                READ_COMPLETION, tile, tile, address + off, data[off : off + step],
+                aes, off + step >= length, key_index, 0, request_id
             )
             for off in range(0, count * step, step)
         ]
         del self._entries[request_id]
         self.retired += 1
         return packets
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._entries)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +295,11 @@ class SxpEngine:
     # -- configuration ------------------------------------------------------
 
     def program_registers(self, regs: SxpRegisters) -> None:
+        """Program an image, which its construction validated."""
         for ctx in self.contexts:
             if ctx.active:
                 raise ContextBusy("cannot reprogram registers mid-frame")
-        self.registers = regs.validate()
+        self.registers = regs
 
     def load_key(self, ctx_index: int, key: bytes) -> None:
         self._context(ctx_index).load(key)
@@ -303,9 +310,6 @@ class SxpEngine:
     def invalidate_all_keys(self) -> None:
         for ctx in self.contexts:
             ctx.zeroize()
-
-    def key_loaded(self, ctx_index: int) -> bool:
-        return self._context(ctx_index).aead is not None
 
     def reset(self) -> None:
         """Device reset: clears the latch, all key material, and registers."""
@@ -326,25 +330,21 @@ class SxpEngine:
 
     # -- key selection ------------------------------------------------------
 
-    def ebc(self, src_tile: int) -> int:
-        return src_tile // self.tiles_per_ebc
-
     def select_context(self, src_tile: int, address: int):
         """Map (tile, address) to the cleartext path or a physical context."""
-        if self.registers is None:
-            raise self._security_exception("packet before registers were programmed")
         regs = self.registers
-        clear = regs.ksellimit.get(CLEARTEXT_REGION)
-        if clear is not None and clear.contains(address):
+        if regs is None:
+            raise self._security_exception("packet before registers were programmed")
+        start, end = regs.clear
+        if start <= address < end:
             return CLEARTEXT
-        ebc = self.ebc(src_tile)
-        ctx = regs.kxbctxmap.get(ebc)
-        if ctx is None:
+        route = regs.routes.get(src_tile // self.tiles_per_ebc)
+        if route is None:
             raise self._security_exception(
-                f"tile {src_tile} (ebc {ebc}) has no key context mapping"
+                f"tile {src_tile} (ebc {src_tile // self.tiles_per_ebc}) has no key context mapping"
             )
-        region_id = regs.kphysmap[ctx]
-        if not regs.ksellimit[region_id].contains(address):
+        ctx, region_id, start, end = route
+        if not start <= address < end:
             raise self._security_exception(
                 f"tile {src_tile} address {address:#x} outside region {region_id} "
                 f"of context {ctx}"
@@ -361,46 +361,48 @@ class SxpEngine:
     # -- egress (read requests / write requests) ----------------------------
 
     def process_egress(self, pkt: ExchangePacket) -> Optional[ExchangePacket]:
-        if pkt.kind not in (PacketKind.READ_REQUEST, PacketKind.WRITE_REQUEST):
-            raise InvalidRegisterProgram(f"egress cannot process {pkt.kind}")
-        if self.latched and pkt.aes:
+        kind = pkt.kind
+        if kind is not READ_REQUEST and kind is not WRITE_REQUEST:
+            raise InvalidRegisterProgram(f"egress cannot process {kind}")
+        if not pkt.aes:
+            return pkt
+        if self.latched:
             return None
-        if pkt.aes:
-            selection = self.select_context(pkt.src_tile, pkt.address)
-            if selection == CLEARTEXT:
+        selection = self.select_context(pkt.src_tile, pkt.address)
+        if selection is CLEARTEXT:
+            raise self._security_exception(
+                f"aes-flagged packet from tile {pkt.src_tile} targets the cleartext region"
+            )
+        if kind is WRITE_REQUEST:
+            ctx = self._keyed_context(selection)
+            if ctx.active and ctx.owner_tile != pkt.src_tile:
+                owner = ctx.owner_tile
+                ctx.end_frame()
                 raise self._security_exception(
-                    f"aes-flagged packet from tile {pkt.src_tile} targets the cleartext region"
+                    f"tile {pkt.src_tile} intruded on context {selection} owned by tile {owner}",
+                    FrameInterleavingViolation,
                 )
-            if pkt.kind is PacketKind.WRITE_REQUEST:
-                ctx = self._keyed_context(selection)
-                if ctx.active and ctx.owner_tile != pkt.src_tile:
-                    owner = ctx.owner_tile
-                    ctx.end_frame()
-                    raise self._security_exception(
-                        f"tile {pkt.src_tile} intruded on context {selection} owned by tile {owner}",
-                        FrameInterleavingViolation,
-                    )
-                pkt.payload = self._run_frame(ctx, pkt, "egress")
-            pkt.key_index = selection
+            pkt.payload = self._run_frame(ctx, pkt, True)
+        pkt.key_index = selection
         return pkt
 
     # -- ingress (read completions) ------------------------------------------
 
     def process_ingress(self, pkt: ExchangePacket) -> Optional[ExchangePacket]:
-        if pkt.kind is not PacketKind.READ_COMPLETION:
+        if pkt.kind is not READ_COMPLETION:
             raise InvalidRegisterProgram(f"ingress cannot process {pkt.kind}")
-        if self.latched and pkt.aes:
+        if not pkt.aes:
+            return pkt
+        if self.latched:
             return None
-        if pkt.aes:
-            if pkt.key_index is None:
-                raise self._security_exception("aes completion without a key index")
-            ctx = self._keyed_context(pkt.key_index)
-            pkt.payload = self._run_frame(ctx, pkt, "ingress")
+        if pkt.key_index is None:
+            raise self._security_exception("aes completion without a key index")
+        pkt.payload = self._run_frame(self._keyed_context(pkt.key_index), pkt, False)
         return pkt
 
     # -- the frame pipeline shared by both directions --------------------------
 
-    def _run_frame(self, ctx: _KeyContext, pkt: ExchangePacket, direction: str) -> bytes:
+    def _run_frame(self, ctx: _KeyContext, pkt: ExchangePacket, egress: bool) -> bytes:
         """Pass one packet's blocks through the frame in flight on ``ctx``.
 
         A packet that finds the context idle opens a frame with its first
@@ -416,9 +418,9 @@ class SxpEngine:
             payload = payload[BLOCK_BYTES:]
         if not pkt.cc:
             return head + ctx.stream(payload)
-        aead, iv, passed = ctx.aead, ctx.iv, bytes(ctx.passed)
+        aead, iv, passed = ctx.aead, ctx.iv, ctx.passed
         ctx.end_frame()
-        if direction == "egress":
+        if egress:
             return head + aead.encrypt(iv, passed + payload[:-BLOCK_BYTES], None)[len(passed) :]
         try:
             plain = aead.decrypt(iv, passed + payload, None)

@@ -629,7 +629,7 @@ class TestTeeLaunchAndKeys:
         assert deployment.ccu.tee.phase == TERMINATED
         assert deployment.ccu.tee.reason == "launch failed: bootloader fault"
         assert deployment.device.registers["trusted_mode"] == 0
-        assert not deployment.device.ingress.key_loaded(0)
+        assert deployment.device.ingress.contexts[0].aead is None
 
     def test_failed_launch_terminates_cleanly(self, rig):
         deployment, compiled, parties, inputs = rig

@@ -343,7 +343,7 @@ def expanded_facts(manifest) -> bytes:
         if plan is None:
             return None
         regs = manifest.registers(plan)
-        image = ({rid: (r.start, r.end) for rid, r in regs.ksellimit.items()}, regs.kxbctxmap, regs.kphysmap)
+        image = ({rid: (r.start, r.end) for rid, r in regs.ksellimit.items()}, dict(regs.kxbctxmap), dict(regs.kphysmap))
         return (image, plan.ingress_loads, plan.egress_loads, plan.invalidate, plan.moves, plan.fills, offsets,
                 plan.checkpoint, plan.frame_serial)
 

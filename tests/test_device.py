@@ -36,6 +36,7 @@ from itx.errors import (
     InvalidPhase,
     KeyNotLoaded,
 )
+from itx.frame_codec import IV_BYTES, StreamIV, StreamType
 
 
 def device() -> IpuDevice:
@@ -444,3 +445,44 @@ class TestDmaPath:
         blob = TileProgram((ComputePhase(OP_SUM, (0, 4, 0x10000 - 2)),)).pack()
         with pytest.raises(ValueError, match="outside tile memory"):
             TileProgram.unpack(blob, 0x10000)
+
+    def test_a_checkpoint_frame_iv_carries_the_tiles_current_counters(self):
+        """Every checkpoint frame a tile writes carries its (epoch, checkpoint
+        id) as they stand: after a save bumps the id, after the start bumps
+        the epoch, and after a restore bumps both."""
+        job = JobDescription(kind="sgd", model_party="modelco", data_parties=("alpha", "beta"), steps=2)
+        compiled = compile_job(job, bootloader_measurement=hashlib.sha256(b"tile bootloader").hexdigest())
+        manifest, key = compiled.manifest, bytes(range(32))
+        dev = device()
+        dev.install_boot_params(manifest, epoch=0, checkpoint_id=0)
+        for tile in dev.tiles:
+            dev.install_clear_program(tile.tile_id, compiled.binaries[tile.tile_id])
+            tile.pc = next(i for i, ph in enumerate(tile.program.phases) if isinstance(ph, SyncPhase)) + 1
+
+        def keyed(plan):
+            dev.program_registers(manifest.registers(plan))
+            for ctx, _ in plan.egress_loads:
+                dev.egress.load_key(ctx, key)
+            for ctx, _ in plan.ingress_loads:
+                dev.ingress.load_key(ctx, key)
+
+        def assert_saves_under(epoch, checkpoint_id):
+            """Save a checkpoint now: every frame carries ``(epoch, checkpoint_id)``."""
+            assert dev.checkpoint_save() == (epoch, checkpoint_id)
+            slots = manifest.checkpoint_addresses()
+            found = [dev.ring_buffer.read(a, IV_BYTES) for t in sorted(slots) for a in slots[t]]
+            assert found == [
+                StreamIV(StreamType.CHECKPOINT, tile_id=t, epoch=epoch, checkpoint_id=checkpoint_id, frame_index=f).to_bytes()
+                for t in sorted(slots) for f in range(len(slots[t]))
+            ]
+
+        keyed(manifest.checkpoint_plan)
+        assert_saves_under(0, 0)
+        assert_saves_under(0, 1)  # the first save bumped the id
+        dev.start_application()
+        assert_saves_under(1, 2)  # the start bumped the epoch
+        dev.install_boot_params(manifest, epoch=1, checkpoint_id=2)  # a resume seeds the saved counters
+        keyed(manifest.restore_plan)
+        dev.checkpoint_restore()
+        keyed(manifest.checkpoint_plan)
+        assert_saves_under(2, 3)  # the restore bumped both

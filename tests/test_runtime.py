@@ -45,7 +45,7 @@ from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
 from itx.errors import InvalidPhase, ScheduleInfeasible
-from itx.sxp import NUM_CONTEXTS, ExchangePacket, SxpEngine
+from itx.sxp import ExchangePacket, SxpEngine
 
 
 def clear_model(fixture) -> bytes:
@@ -69,7 +69,7 @@ def assert_torn_down(fixture, phase: str = TERMINATED) -> None:
     assert not (tee.stream_keys or tee.k_m or tee.k_save or tee.k_load)
     assert device.mode == MODE_NORMAL
     for engine in (device.ingress, device.egress):
-        assert not any(engine.key_loaded(ctx) for ctx in range(NUM_CONTEXTS))
+        assert all(ctx.aead is None for ctx in engine.contexts)
     assert all(tile.memory == bytes(len(tile.memory)) for tile in device.tiles)
 
 
@@ -228,6 +228,46 @@ def test_the_simulated_traffic_of_a_two_step_job_is_pinned(monkeypatch):
     pending = fixture.deployment.device.pending
     assert (pending.created, pending.retired) == (56, 56)
     assert counts == {"process_egress": 136, "process_ingress": 112, "read": 12288, "write": 12288}
+
+
+def test_the_simulated_traffic_of_a_halted_and_resumed_job_is_pinned(monkeypatch):
+    """The checkpoint write and its restore do the same simulated work too:
+    per attempt, the reads tracked and retired, packets through each engine
+    and bytes through the ring."""
+    fixture = make_sgd_fixture(steps=3, checkpoint_period=1)
+    session, device = fixture.session, fixture.deployment.device
+    counts = collections.Counter()
+    measures = {
+        (SxpEngine, "process_egress"): lambda pkt: 1,
+        (SxpEngine, "process_ingress"): lambda pkt: 1,
+        (RingBuffer, "read"): lambda address, length: length,
+        (RingBuffer, "write"): lambda address, blob: len(blob),
+    }
+    for (cls, name), measure in measures.items():
+        def wrapper(owner, *args, method=getattr(cls, name), name=name, measure=measure):
+            counts[name] += measure(*args)
+            return method(owner, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    def attempt_traffic() -> dict:
+        traffic = {**counts, "pending": (device.pending.created, device.pending.retired)}
+        counts.clear()
+        return traffic
+
+    assert_halted(fixture, session.run(halt_after_checkpoint=1))
+    halted = attempt_traffic()
+    device.reset("sbr")
+    assert_completed_and_exact(fixture, session.resume())
+    resumed = attempt_traffic()
+    assert (halted, resumed) == HALT_RESUME_TRAFFIC
+
+
+# Taken before the DMA path was rewritten to derive its job constants once.
+HALT_RESUME_TRAFFIC = (
+    {"pending": (40, 40), "process_egress": 72, "process_ingress": 80, "read": 7168, "write": 7168},
+    {"pending": (64, 64), "process_egress": 144, "process_ingress": 128, "read": 13312, "write": 13312},
+)
 
 
 # ---------------------------------------------------------------------------

@@ -103,29 +103,26 @@ class TestRegisters:
             SxpEngine().program_registers(SxpRegisters(ksellimit=regions))
 
     def test_overlapping_regions_rejected(self):
-        regs = SxpRegisters(
-            ksellimit={0: AddressRegion(0, 0x200), 1: AddressRegion(0x100, 0x300)}
-        )
         with pytest.raises(InvalidRegisterProgram):
-            SxpEngine().program_registers(regs)
+            SxpEngine().program_registers(SxpRegisters(
+                ksellimit={0: AddressRegion(0, 0x200), 1: AddressRegion(0x100, 0x300)}
+            ))
 
     def test_region_zero_never_keyed(self):
-        regs = SxpRegisters(
-            kxbctxmap={0: 1},
-            ksellimit={0: CLEAR, 1: REGION_A},
-            kphysmap={1: 0},
-        )
         with pytest.raises(InvalidRegisterProgram):
-            SxpEngine().program_registers(regs)
+            SxpEngine().program_registers(SxpRegisters(
+                kxbctxmap={0: 1},
+                ksellimit={0: CLEAR, 1: REGION_A},
+                kphysmap={1: 0},
+            ))
 
     def test_kphysmap_injective(self):
-        regs = SxpRegisters(
-            kxbctxmap={0: 1, 1: 2},
-            ksellimit={0: CLEAR, 1: REGION_A},
-            kphysmap={1: 1, 2: 1},
-        )
         with pytest.raises(InvalidRegisterProgram):
-            SxpEngine().program_registers(regs)
+            SxpEngine().program_registers(SxpRegisters(
+                kxbctxmap={0: 1, 1: 2},
+                ksellimit={0: CLEAR, 1: REGION_A},
+                kphysmap={1: 1, 2: 1},
+            ))
 
 
 class TestPacket:
@@ -382,7 +379,7 @@ class TestLatching:
         eng.reset()
         assert not eng.latched
         assert eng.registers is None  # reset clears configuration
-        assert not eng.key_loaded(3)
+        assert eng.contexts[3].aead is None
 
 
     def test_intrusion_mid_frame_latches(self):
@@ -421,11 +418,11 @@ class TestPendingReadTable:
             address=0x1000, aes=True, read_length=128, key_index=3, request_id=9,
         )
         table.note_request(req)
-        assert table.outstanding == 1
+        assert len(table._entries) == 1
         packets = table.make_completions(9, bytes(128))
         assert [p.cc for p in packets] == [False, True]
         assert all(p.key_index == 3 and p.aes for p in packets)
-        assert table.outstanding == 0
+        assert len(table._entries) == 0
         assert table.created == table.retired == 1
 
     def test_unmatched_completion_rejected(self):
@@ -572,7 +569,7 @@ class TestAbandonedFrames:
 
     def assert_next_frames_match_the_oracle(self, eng: SxpEngine) -> None:
         ctx = eng.contexts[3]
-        assert not ctx.active and not ctx.passed and not ctx.keystream
+        assert not ctx.active and not ctx.passed
         eng.load_key(3, self.key)
         payload = bytes(range(224))
         assert egress_frame(eng, self.key, self.iv, payload) == self.sealed(payload)
@@ -612,7 +609,7 @@ class TestAbandonedFrames:
     def test_after_a_reset_mid_frame(self):
         eng = self.opened()
         eng.reset()
-        assert not eng.key_loaded(3)
+        assert eng.contexts[3].aead is None
         eng.program_registers(engine().registers)
         self.assert_next_frames_match_the_oracle(eng)
 
