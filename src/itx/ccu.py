@@ -137,27 +137,22 @@ class Ccu:
         measurements: dict[str, str],
         firmware: FirmwareBundle,
         device_serial: str,
-        pik_endorsement: Optional[dict[str, Any]] = None,
     ) -> None:
         self._ak_private = ak_private
         self.cert_chain = cert_chain
         self.measurements = measurements
         self.firmware = firmware
         self.device_serial = device_serial
-        self.pik_endorsement = pik_endorsement
         self.device: Optional[IpuDevice] = None
         self.tee = TeeState()
 
     # -- measured boot -------------------------------------------------------
 
     @classmethod
-    def boot(cls, flash: CcuFlash, firmware: FirmwareBundle, hardened: bool = False) -> "Ccu":
-        """Run the measured boot chain and return the post-boot state.
-
-        In the hardened variant the CIK and PIK are generated in the primary
-        stage, which also emits a CIK-signed endorsement of (PIK public,
-        bootloader measurement) before scrubbing the CIK private key.
-        """
+    def boot(cls, flash: CcuFlash, firmware: FirmwareBundle) -> "Ccu":
+        """Run the measured boot chain and return the post-boot state.  The CIK
+        derives from the device secret alone; the PIK and the AK derive from it
+        and the secondary bootloader's measurement, the AK also from the CCE's."""
         if not flash.provisioned:
             raise InvalidPhase("device has never sampled its secret")
         if not crypto.verify(
@@ -203,15 +198,6 @@ class Ccu:
             },
         )
 
-        endorsement = None
-        if hardened:
-            message = crypto.public_bytes(pik) + sb_measure
-            endorsement = {
-                "pik_public": crypto.public_bytes(pik),
-                "bootloader_measurement": sb_measure.hex(),
-                "signature": crypto.sign(cik, message),
-            }
-
         # Everything below the AK is scrubbed here: only the AK private key,
         # the certificates, and public measurements survive into the running
         # state.
@@ -222,7 +208,7 @@ class Ccu:
             "tile_bootloader": firmware.tile_bootloader_measurement(),
         }
         chain = {"cik": cik_cert, "pik": pik_cert, "ak": ak_cert}
-        return cls(ak, chain, measurements, firmware, flash.device_serial, endorsement)
+        return cls(ak, chain, measurements, firmware, flash.device_serial)
 
     def provisioning_bundle(self, flash: CcuFlash) -> dict[str, Any]:
         """CSRs plus the batch-authenticated bootloader manifest, produced at

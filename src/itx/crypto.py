@@ -35,9 +35,9 @@ KEY_BYTES = 32
 WRAP_NONCE_BYTES = 12
 
 
-def hkdf(ikm: bytes, label: bytes, salt: bytes | None = None, length: int = KEY_BYTES) -> bytes:
-    """Derive ``length`` bytes from ``ikm`` bound to ``label`` (and ``salt``)."""
-    return HKDF(algorithm=SHA256(), length=length, salt=salt, info=label).derive(ikm)
+def hkdf(ikm: bytes, label: bytes, salt: bytes | None = None) -> bytes:
+    """Derive a key from ``ikm`` bound to ``label`` (and ``salt``)."""
+    return HKDF(algorithm=SHA256(), length=KEY_BYTES, salt=salt, info=label).derive(ikm)
 
 
 # ---------------------------------------------------------------------------

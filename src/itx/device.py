@@ -6,10 +6,10 @@ barrier-side state changes (internal exchanges, register reprogramming, key
 loads, checkpoints) happen while the tiles are parked.
 
 In trusted mode all host access paths to tiles and device registers fail
-closed with ``AccessDenied``; data leaves or enters the device only through
-the packet-level crypto engines.  In normal ("clear") mode the same programs
-run with plaintext stream sources and sinks so that results can be compared
-against the confidential path bit for bit.
+closed with ``AccessDenied``.  In either mode a tile's stream frames move
+only through the packet-level crypto engines: the device has no plaintext
+stream path.  The clear reference run (``runtime.run_clear_reference``)
+serves its frames from a subclass of its own.
 """
 
 from __future__ import annotations
@@ -369,11 +369,6 @@ class IpuDevice:
         self.windows: dict[int, int] = {}
         self.barrier: Optional[int] = None  # where the tiles are parked; the only one keyed
         self._iv_fields: dict[tuple[int, int, int, int], bytes] = {}
-        # The clear reference run changes only read_stream_frame and
-        # write_stream_frame; it never boots, checkpoints or restores.
-        self.clear_mode = False
-        self.clear_sources: dict[int, bytes] = {}
-        self.clear_sinks: dict[int, bytearray] = {}
         self._req_id = 0
 
     # -- exception fan-out ---------------------------------------------------
@@ -464,8 +459,6 @@ class IpuDevice:
         self.manifest = None
         self.windows = {}
         self.barrier = None
-        self.clear_sources = {}
-        self.clear_sinks = {}
         if self.on_reset is not None:
             self.on_reset()
 
@@ -496,11 +489,12 @@ class IpuDevice:
 
     # -- DMA datapath --------------------------------------------------------
     #
-    # A frame costs its packets, its pending read, its ring access and its IV
-    # check.  What the job fixes is derived once: each plan's register image
-    # (routes and region bounds) when the control unit validates the
-    # manifest, each context's AEAD at key load, and a stream's IV fixed field
-    # at its first frame per (tile, epoch, checkpoint id).
+    # The device's one stream path: every frame a tile loads or stores goes
+    # through _read_frame/_write_frame, the packet engines and the ring.  A
+    # frame costs its packets, its pending read, its ring access and its IV
+    # check; what the job fixes is derived once: each plan's register image
+    # when the control unit validates the manifest, each context's AEAD at
+    # key load, and a stream's IV fixed field per (tile, epoch, checkpoint id).
 
     def _stream_of_kind(self, kind: str) -> int:
         if self.manifest is not None:
@@ -513,7 +507,7 @@ class IpuDevice:
         step, length = self.config.packet_payload, len(frame)
         for off in range(0, length, step):
             pkt = ExchangePacket(
-                WRITE_REQUEST, src_tile, src_tile, address + off, frame[off : off + step], True, off + step >= length
+                WRITE_REQUEST, src_tile, address + off, frame[off : off + step], True, off + step >= length
             )
             try:
                 out = self.egress.process_egress(pkt)
@@ -525,7 +519,7 @@ class IpuDevice:
 
     def _dma_read(self, src_tile: int, address: int, length: int) -> bytes:
         self._req_id = rid = self._req_id + 1
-        req = ExchangePacket(READ_REQUEST, src_tile, src_tile, address, b"", True, False, None, length, rid)
+        req = ExchangePacket(READ_REQUEST, src_tile, address, b"", True, False, None, length, rid)
         try:
             out = self.egress.process_egress(req)
         except SecurityException as exc:
@@ -581,35 +575,12 @@ class IpuDevice:
         self._dma_write(tile.tile_id, address, frame)
 
     def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
-        if self.clear_mode:
-            return self._clear_frame(stream_id, frame_index)
         address = self.manifest.frame_address(stream_id, frame_index, self.windows.get(stream_id, 0))
         return self._read_frame(self.tiles[tile_id], stream_id, address, frame_index)
 
     def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
-        if self.clear_mode:
-            self._clear_store(stream_id, frame_index, payload)
-            return
         address = self.manifest.frame_address(stream_id, frame_index, self.windows.get(stream_id, 0))
         self._write_frame(self.tiles[tile_id], stream_id, address, frame_index, payload)
-
-    # -- clear-mode stream plumbing -----------------------------------------
-
-    def _clear_frame(self, sid: int, frame_index: int) -> bytes:
-        src = self.clear_sources.get(sid)
-        if src is None:
-            raise self._security(f"no clear source for stream {sid}")
-        size = payload_capacity(self.manifest.frame_size)
-        chunk = src[frame_index * size : (frame_index + 1) * size]
-        return chunk.ljust(size, b"\x00")
-
-    def _clear_store(self, sid: int, frame_index: int, payload: bytes) -> None:
-        sink = self.clear_sinks.setdefault(sid, bytearray())
-        size = payload_capacity(self.manifest.frame_size)
-        end = (frame_index + 1) * size
-        if len(sink) < end:
-            sink.extend(b"\x00" * (end - len(sink)))
-        sink[frame_index * size : end] = payload
 
     # -- secure bootstrap ----------------------------------------------------
 
@@ -627,15 +598,6 @@ class IpuDevice:
             raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
         tile.pc = 0
         return hashlib.sha256(binary).digest()
-
-    def install_clear_program(self, tile_id: int, binary: bytes) -> None:
-        """Normal-mode program install (host writes the binary directly)."""
-        if self.mode == MODE_TRUSTED:
-            raise InvalidPhase("clear program install is a normal-mode operation")
-        tile = self.tiles[tile_id]
-        tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
-        tile.program = TileProgram.unpack(binary, len(tile.memory))
-        tile.pc = 0
 
     # -- scheduler -----------------------------------------------------------
 

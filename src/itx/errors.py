@@ -44,9 +44,9 @@ class AuthenticationFailure(ItxError):
 class IvSequenceViolation(ItxError):
     """A frame's IV does not match the expected position in its stream."""
 
-    def __init__(self, position: int, message: str | None = None) -> None:
+    def __init__(self, position: int) -> None:
         self.position = position
-        super().__init__(message or f"unexpected IV at stream position {position}")
+        super().__init__(f"unexpected IV at stream position {position}")
 
 
 class InvalidLength(ItxError):

@@ -37,9 +37,9 @@ from . import pki
 from .adversary import Adversary
 from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
-from .device import DeviceConfig, IpuDevice
+from .device import BINARY_OFFSET, DeviceConfig, IpuDevice, TileProgram
 from .encoding import digest_hex
-from .errors import InvalidPhase, ItxError
+from .errors import InvalidPhase, ItxError, SecurityException
 from .eventlog import EventLog
 from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
 from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan, frame_count
@@ -188,9 +188,9 @@ class TrustedJobSession:
             halt_after_checkpoint=halt_after_checkpoint,
         )
 
-    def resume(self, halt_after_checkpoint: int | None = None) -> RunResult:
-        """Restart from the latest checkpoint.  The adversary may substitute
-        what actually lands in the ring."""
+    def resume(self) -> RunResult:
+        """Restart from the latest checkpoint and run to the end.  The
+        adversary may substitute what actually lands in the ring."""
         if not self.snapshots:
             raise InvalidPhase("no checkpoint to resume from")
         claim = self.snapshots[-1]
@@ -198,7 +198,6 @@ class TrustedJobSession:
             seed_epoch=claim.epoch,
             seed_checkpoint=claim.checkpoint_id,
             resume_from=claim,
-            halt_after_checkpoint=halt_after_checkpoint,
         )
 
     def _staged(self, stage: str, call, *args):
@@ -245,7 +244,7 @@ class TrustedJobSession:
         seed_epoch: int,
         seed_checkpoint: int,
         resume_from: CheckpointSnapshot | None,
-        halt_after_checkpoint: int | None,
+        halt_after_checkpoint: int | None = None,
     ) -> RunResult:
         mode = "resume" if resume_from is not None else "fresh"
         log.emit("run_start", mode=mode, epoch=seed_epoch, checkpoint_id=seed_checkpoint)
@@ -364,25 +363,48 @@ def decrypt_model(
 # ---------------------------------------------------------------------------
 
 
+class _ClearDevice(IpuDevice):
+    """The device of the clear reference run: each tile's binary is placed and
+    its program unpacked directly, loads are served from the plaintext inputs
+    and stores are collected: no frame meets a packet engine, a control unit
+    or the ring (sized 0: a fresh 1 MiB one would page-fault in every run)."""
+
+    def __init__(self, manifest: JobManifest, binaries: dict[int, bytes], inputs: dict[int, bytes]) -> None:
+        config = DeviceConfig.from_dict({**manifest.device_config, "ring_buffer_size": 0})
+        super().__init__(ipu_id=manifest.ipu_id, config=config)
+        self.install_boot_params(manifest, 0, 0)
+        for layout in manifest.tile_layouts:
+            tile, binary = self.tiles[layout.tile_id], binaries[layout.tile_id]
+            tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
+            tile.program = TileProgram.unpack(binary, len(tile.memory))
+        self.inputs = inputs
+        self.outputs: dict[int, bytearray] = {}
+        self.payload_size = payload_capacity(manifest.frame_size)
+
+    def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
+        if stream_id not in self.inputs:
+            raise SecurityException(f"no clear source for stream {stream_id}")
+        size = self.payload_size
+        return self.inputs[stream_id][frame_index * size : (frame_index + 1) * size].ljust(size, b"\x00")
+
+    def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
+        sink, end = self.outputs.setdefault(stream_id, bytearray()), (frame_index + 1) * self.payload_size
+        sink.extend(bytes(max(0, end - len(sink))))
+        sink[end - self.payload_size : end] = payload
+
+
 def run_clear_reference(
     manifest: JobManifest,
     binaries: dict[int, bytes],
     clear_inputs: dict[int, bytes],
 ) -> bytes:
     """Run the same job on an untrusted device with no crypto anywhere:
-    plaintext in, plaintext out.  The trusted path must match this bitwise."""
-    # No ring: a clear run never uses it, and a fresh 1 MiB one page-faults in on every run.
-    config = DeviceConfig.from_dict({**manifest.device_config, "ring_buffer_size": 0})
-    device = IpuDevice(ipu_id=manifest.ipu_id, config=config)
-    device.clear_mode = True
-    device.install_boot_params(manifest, 0, 0)
-    for layout in manifest.tile_layouts:
-        device.install_clear_program(layout.tile_id, binaries[layout.tile_id])
-    for sid, blob in clear_inputs.items():
-        device.clear_sources[sid] = blob
+    plaintext in, plaintext out.  The trusted path must match this bitwise.
+    This function and its ``_ClearDevice`` are the one place where clear mode
+    differs from trusted mode: the device itself has no plaintext stream path."""
+    device = _ClearDevice(manifest, binaries, clear_inputs)
     device.start_application()
     while device.run_interval() is not None:
         pass
     sid = manifest.stream_of_kind(OUTPUT)
-    sink = bytes(device.clear_sinks.get(sid, b""))
-    return sink[: manifest.stream_table[sid].plaintext_length]
+    return bytes(device.outputs.get(sid, b""))[: manifest.stream_table[sid].plaintext_length]

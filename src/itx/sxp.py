@@ -82,7 +82,6 @@ READ_REQUEST, READ_COMPLETION, WRITE_REQUEST = PacketKind
 class ExchangePacket:
     kind: PacketKind
     src_tile: int
-    dst_tile: int
     address: int
     payload: bytes = b""
     aes: bool = False
@@ -267,7 +266,7 @@ class PendingReadTable:
         tile, address, aes, key_index = entry.src_tile, entry.address, entry.aes, entry.key_index
         packets = [
             ExchangePacket(
-                READ_COMPLETION, tile, tile, address + off, data[off : off + step],
+                READ_COMPLETION, tile, address + off, data[off : off + step],
                 aes, off + step >= length, key_index, 0, request_id
             )
             for off in range(0, count * step, step)

@@ -185,29 +185,6 @@ class TestMeasuredBoot:
         with pytest.raises(FirmwareAuthFailure):
             Ccu.boot(flash, firmware_variant(rogue, "sb", "cce"))
 
-    def test_hardened_boot_endorses_the_platform_key(self):
-        ca = CaState()
-        flash = fresh_flash(ca)
-        firmware = firmware_variant(ca, "sb", "cce")
-
-        plain = Ccu.boot(flash, firmware)
-        assert plain.pik_endorsement is None
-
-        ccu = Ccu.boot(flash, firmware, hardened=True)
-        endorsement = ccu.pik_endorsement
-        assert endorsement is not None
-        assert endorsement["pik_public"] == ccu.cert_chain["pik"].subject_public_key
-        assert endorsement["bootloader_measurement"] == ccu.measurements["bootloader"]
-        message = endorsement["pik_public"] + bytes.fromhex(
-            endorsement["bootloader_measurement"]
-        )
-        assert crypto.verify(
-            ccu.cert_chain["cik"].subject_public_key, endorsement["signature"], message
-        )
-        # The endorsement does not transfer to a different bootloader's PIK.
-        other = Ccu.boot(flash, firmware_variant(ca, "sb2", "cce"), hardened=True)
-        assert other.pik_endorsement["pik_public"] != endorsement["pik_public"]
-
     def test_distinct_devices_have_distinct_identities(self):
         ca = CaState()
         firmware = firmware_variant(ca, "sb", "cce")

@@ -4,13 +4,15 @@ stores on ``self`` is read somewhere: in the package, the tests or the
 benchmark.  Dunder methods are exempt, since the language calls them.
 Nothing exists for the tests alone: each definition is named by the package
 or the benchmark, or is on ``TEST_FACING`` with its reason.
-Every field of an attested record is read by a module of the package other
-than the one that writes it: the manifest records (the compiler), the
+Every field of a dataclass the package defines is read somewhere, and every
+field of an attested record is read by a module of the package other than
+the one that writes it: the manifest records (the compiler), the
 attestation report (the control unit) and the key package (the parties)."""
 
 import ast
 import dataclasses
 import functools
+import importlib
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -32,20 +34,38 @@ def parsed() -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text()) for path in SOURCES}
 
 
+def words(node: ast.AST) -> list[str]:
+    """The names a dotted-name string constant such as
+    ``"itx.sxp:SxpEngine.load_key"`` spells (the benchmark wraps functions it
+    finds by name); none for any other node."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.:]+", node.value):
+        return re.split(r"[.:]", node.value)
+    return []
+
+
 def mentions(tree: ast.Module) -> list[tuple[str, int]]:
     """(name, line) of every identifier a module mentions, in code or as a
-    dotted-name string such as ``"itx.sxp:SxpEngine.load_key"`` (the
-    benchmark wraps functions it finds by name)."""
+    dotted-name string."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, node.lineno))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if re.fullmatch(r"[\w.:]+", node.value):
-                found += [(word, node.lineno) for word in re.split(r"[.:]", node.value)]
+        else:
+            found += [(word, node.lineno) for word in words(node)]
     return found
+
+
+@functools.cache
+def loaded() -> set[str]:
+    """Every attribute name a package, test or bench file loads."""
+    return {
+        node.attr
+        for tree in parsed().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def unused_definitions(scope: list[Path] = SOURCES) -> list[str]:
@@ -99,27 +119,40 @@ def test_nothing_exists_for_the_tests_alone():
 def unread_attributes() -> list[str]:
     """``self.x`` stores in the package whose attribute name is never
     loaded anywhere; a ``+=`` counts as a store, not a read."""
-    trees = parsed()
-    loaded = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
     return [
         f"{path.name}:{node.lineno} self.{node.attr}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(trees[path])
+        for node in ast.walk(parsed()[path])
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Store)
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
-        and node.attr not in loaded
+        and node.attr not in loaded()
     ]
 
 
 def test_every_stored_attribute_is_read():
     assert unread_attributes() == []
+
+
+def unread_fields() -> list[str]:
+    """Fields of the package's dataclasses that no package, test or bench
+    file loads as an attribute or names in a dotted-name string (``StreamIV``
+    reads its fields by name, through ``attrgetter``)."""
+    named = loaded() | {word for tree in parsed().values() for node in ast.walk(tree) for word in words(node)}
+    modules = [importlib.import_module(f"itx.{path.stem}") for path in sorted(PACKAGE.glob("[!_]*.py"))]
+    return [
+        f"{cls.__name__}.{f.name}"
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        for f in dataclasses.fields(cls)
+        if f.name not in named
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
 
 
 ATTESTED = {  # the module that writes each attested record, whose own reads do not count

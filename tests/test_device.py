@@ -305,7 +305,7 @@ def run_one_op(op: int, args: tuple[int, ...], writes: dict[int, list[int]], rea
     dev = IpuDevice(config=DeviceConfig(tile_count=1, ring_buffer_size=0))
     for off, ints in writes.items():
         dev.host_write_tile(0, off, struct.pack(f"<{len(ints)}i", *ints))
-    dev.install_clear_program(0, TileProgram((ComputePhase(op, args),)).pack())
+    dev.tiles[0].program = TileProgram.unpack(TileProgram((ComputePhase(op, args),)).pack())
     assert dev.run_interval() is None
     off, count = read
     return list(struct.unpack(f"<{count}i", dev.host_read_tile(0, off, 4 * count)))
@@ -456,7 +456,7 @@ class TestDmaPath:
         dev = device()
         dev.install_boot_params(manifest, epoch=0, checkpoint_id=0)
         for tile in dev.tiles:
-            dev.install_clear_program(tile.tile_id, compiled.binaries[tile.tile_id])
+            tile.program = TileProgram.unpack(compiled.binaries[tile.tile_id])
             tile.pc = next(i for i, ph in enumerate(tile.program.phases) if isinstance(ph, SyncPhase)) + 1
 
         def keyed(plan):

@@ -802,6 +802,59 @@ def test_host_changes_to_its_own_manifest_reach_neither_control_unit_nor_device(
         assert_aborted_closed(fixture, result)
 
 
+class SetDeviceAttributes(Adversary):
+    """Sets attributes on the device the host holds: ``writes`` maps a fill
+    stage to the attributes and values to set there."""
+
+    def __init__(self, writes) -> None:
+        self.writes = writes
+
+    def after_fill(self, host, stage):
+        for name, value in self.writes.get(stage, {}).items():
+            setattr(host.device, name, value)
+
+
+def output_barrier(manifest) -> int:
+    """The barrier whose plan keys the output stream: the tiles store the model after it."""
+    return next(s for s in range(len(manifest.schedule)) if manifest.plan(s)[0] is output_plan(manifest))
+
+
+def forge_inputs(fixture) -> dict:
+    """Plaintext mode from barrier 1, serving zero gradients, and off again before the model is stored."""
+    manifest = fixture.compiled.manifest
+    zeros = {
+        sid: bytes(len(blob)) for sid, blob in fixture.plaintexts.items()
+        if manifest.stream_table[sid].party in fixture.job.data_parties
+    }
+    return {1: {"clear_mode": True, "clear_sources": zeros}, output_barrier(manifest): {"clear_mode": False}}
+
+
+def divert_output(fixture) -> dict:
+    """Plaintext mode from the barrier before the model is stored."""
+    return {output_barrier(fixture.compiled.manifest): {"clear_mode": True}}
+
+
+@pytest.mark.parametrize(
+    "writes",
+    [pytest.param(forge_inputs, id="forge-inputs"), pytest.param(divert_output, id="divert-output")],
+)
+def test_a_host_cannot_switch_the_device_to_plaintext(writes):
+    """The trusted device has one stream path, through the packet engines: a
+    host that sets plaintext-mode attributes on it, to feed the tiles forged
+    gradients or to collect the model in the clear, gets an honest run or an
+    abort, and no plaintext model is left on the device."""
+    fixture = make_sgd_fixture(steps=2)
+    fixture.session.adversary = SetDeviceAttributes(writes(fixture))
+    result = fixture.session.run()
+    if result.completed:
+        assert_completed_and_exact(fixture, result)
+    else:
+        assert_aborted_closed(fixture, result)
+    model, state = clear_model(fixture), vars(fixture.deployment.device)
+    values = [*state.values(), *(v for d in state.values() if isinstance(d, dict) for v in d.values())]
+    assert not any(isinstance(v, (bytes, bytearray)) and v == model for v in values)
+
+
 class ManifestWitness(Adversary):
     """Notes, at every fill after launch, whose manifest the device runs."""
 

@@ -54,7 +54,6 @@ def write_packets(frame_plain: bytes, src_tile: int, base_addr: int, step: int =
             ExchangePacket(
                 PacketKind.WRITE_REQUEST,
                 src_tile=src_tile,
-                dst_tile=0,
                 address=base_addr + off,
                 payload=frame_plain[off : off + step],
                 aes=True,
@@ -129,14 +128,14 @@ class TestPacket:
     def test_read_request_carries_no_payload(self):
         with pytest.raises(ValueError, match="no payload"):
             ExchangePacket(
-                PacketKind.READ_REQUEST, src_tile=0, dst_tile=0,
+                PacketKind.READ_REQUEST, src_tile=0,
                 address=0x1000, payload=bytes(16), aes=True, read_length=16,
             )
 
     def test_payload_is_whole_blocks(self):
         with pytest.raises(ValueError, match="multiple of 16"):
             ExchangePacket(
-                PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+                PacketKind.WRITE_REQUEST, src_tile=0,
                 address=0x1000, payload=bytes(15), aes=True,
             )
 
@@ -170,7 +169,7 @@ class TestKeyLifecycle:
         iv = StreamIV(StreamType.DATA, stream_id=1)
         plain = iv_block(iv) + bytes(96) + bytes(16)
         first = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x1000, payload=plain[:64], aes=True, cc=False,
         )
         eng.process_egress(first)  # frame left open
@@ -220,7 +219,7 @@ class TestEgress:
         payload = bytes(i & 0xFF for i in range(96))
         plain = iv_block(iv) + payload + bytes(16)
         pkt = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=1,
             address=0x1000, payload=plain, aes=True, cc=True,
         )
         out = eng.process_egress(pkt)
@@ -230,7 +229,7 @@ class TestEgress:
     def test_aes_unset_passthrough(self):
         eng = engine()
         pkt = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x0100, payload=b"\xab" * 32, aes=False, cc=True,
         )
         assert eng.process_egress(pkt) is pkt
@@ -239,7 +238,7 @@ class TestEgress:
         eng = engine()
         eng.load_key(3, bytes(32))
         req = ExchangePacket(
-            PacketKind.READ_REQUEST, src_tile=2, dst_tile=0,
+            PacketKind.READ_REQUEST, src_tile=2,
             address=0x1100, aes=True, read_length=128, request_id=1,
         )
         out = eng.process_egress(req)
@@ -250,13 +249,13 @@ class TestEgress:
         eng.load_key(3, bytes(32))
         iv = StreamIV(StreamType.DATA, stream_id=1)
         opening = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x1000, payload=iv_block(iv) + bytes(48), aes=True, cc=False,
         )
         eng.process_egress(opening)
         # a different tile in the same exchange-block context intrudes mid-frame
         intruder = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=1,
             address=0x1040, payload=bytes(16), aes=True, cc=False,
         )
         with pytest.raises(FrameInterleavingViolation):
@@ -266,7 +265,7 @@ class TestEgress:
         eng = engine()
         eng.load_key(3, bytes(32))
         pkt = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x0100, payload=bytes(32), aes=True, cc=True,
         )
         with pytest.raises(SecurityException):
@@ -278,7 +277,7 @@ class TestEgress:
         eng.load_key(3, bytes(32))
         iv = StreamIV(StreamType.DATA, stream_id=1)
         pkt = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x1000, payload=iv_block(iv), aes=True, cc=True,
         )
         with pytest.raises(SecurityException):
@@ -296,7 +295,7 @@ def completions_for(frame_bytes: bytes, key_index: int, step: int = 64):
     for off in range(0, len(frame_bytes), step):
         packets.append(
             ExchangePacket(
-                PacketKind.READ_COMPLETION, src_tile=0, dst_tile=0,
+                PacketKind.READ_COMPLETION, src_tile=0,
                 address=0x1000 + off, payload=frame_bytes[off : off + step],
                 aes=True, cc=off + step >= len(frame_bytes), key_index=key_index,
             )
@@ -348,7 +347,7 @@ class TestIngress:
 
     def test_cleartext_passthrough(self):
         pkt = ExchangePacket(
-            PacketKind.READ_COMPLETION, src_tile=0, dst_tile=0,
+            PacketKind.READ_COMPLETION, src_tile=0,
             address=0x0040, payload=b"\x11" * 16, aes=False, cc=True,
         )
         assert self.eng.process_ingress(pkt) is pkt
@@ -367,12 +366,12 @@ class TestLatching:
             eng.select_context(0, 0x2800)
         iv = StreamIV(StreamType.DATA, stream_id=1)
         pkt = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x1000, payload=iv_block(iv) + bytes(112), aes=True, cc=True,
         )
         assert eng.process_egress(pkt) is None  # dropped
         clear_pkt = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=0,
             address=0x0010, payload=bytes(16), aes=False, cc=True,
         )
         assert eng.process_egress(clear_pkt) is clear_pkt  # cleartext still flows
@@ -389,7 +388,7 @@ class TestLatching:
         opening = write_packets(iv_block(iv) + bytes(64) + bytes(16), 0, 0x1000)[0]
         eng.process_egress(opening)
         intruder = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=1,
             address=0x1040, payload=bytes(16), aes=True, cc=False,
         )
         with pytest.raises(SecurityException):
@@ -414,7 +413,7 @@ class TestPendingReadTable:
     def test_conservation(self):
         table = PendingReadTable(completion_payload=64)
         req = ExchangePacket(
-            PacketKind.READ_REQUEST, src_tile=1, dst_tile=0,
+            PacketKind.READ_REQUEST, src_tile=1,
             address=0x1000, aes=True, read_length=128, key_index=3, request_id=9,
         )
         table.note_request(req)
@@ -433,7 +432,7 @@ class TestPendingReadTable:
     def test_wrong_packet_count_rejected(self):
         table = PendingReadTable(completion_payload=64)
         req = ExchangePacket(
-            PacketKind.READ_REQUEST, src_tile=1, dst_tile=0,
+            PacketKind.READ_REQUEST, src_tile=1,
             address=0x1000, aes=True, read_length=128, key_index=3, request_id=1,
         )
         table.note_request(req)
@@ -727,7 +726,7 @@ class TestInPlace:
         iv = StreamIV(StreamType.DATA, stream_id=1)
         eng.process_egress(write_packets(iv_block(iv) + bytes(64) + bytes(16), 0, 0x1000)[0])
         intruder = ExchangePacket(
-            PacketKind.WRITE_REQUEST, src_tile=1, dst_tile=0,
+            PacketKind.WRITE_REQUEST, src_tile=1,
             address=0x1040, payload=b"\x33" * 16, aes=True, cc=False,
         )
         untouched_by(eng.process_egress, intruder, FrameInterleavingViolation)
@@ -736,11 +735,11 @@ class TestInPlace:
     def test_an_aes_packet_aimed_at_cleartext_is_unchanged(self):
         for pkt in (
             ExchangePacket(
-                PacketKind.WRITE_REQUEST, src_tile=0, dst_tile=0,
+                PacketKind.WRITE_REQUEST, src_tile=0,
                 address=0x0100, payload=b"\x44" * 32, aes=True, cc=True,
             ),
             ExchangePacket(
-                PacketKind.READ_REQUEST, src_tile=0, dst_tile=0,
+                PacketKind.READ_REQUEST, src_tile=0,
                 address=0x0100, aes=True, read_length=128, request_id=1,
             ),
         ):
