@@ -318,8 +318,6 @@ class Ccu:
             raise InvalidPhase(
                 f"manifest targets device {manifest.ipu_id}, attached device is {device.ipu_id}"
             )
-        if manifest.device_config != device.config.to_dict():
-            raise InvalidPhase("manifest was compiled for a different device geometry")
         if sorted(layout.tile_id for layout in manifest.tile_layouts) != list(range(len(device.tiles))):
             raise InvalidPhase("manifest does not lay out each device tile exactly once")
         if manifest.bootloader_measurement != self.measurements["tile_bootloader"]:
@@ -421,7 +419,7 @@ class Ccu:
             chain = b""
             for tile in device.tiles:
                 chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
-            if chain.hex() != manifest.binary_hashes[device.ipu_id]:
+            if chain.hex() != manifest.binary_hash:
                 raise SecurityException("binary hash does not match the manifest")
             self._apply_plan(self._parked_plan())
         except Exception as exc:

@@ -36,7 +36,6 @@ from .adversary import ACTIONS, from_script
 from .attestation import AttestationReport
 from .certs import Certificate
 from .compiler import JobDescription, compile_job
-from .device import DeviceConfig
 from .encoding import decode, parse_json
 from .errors import InvalidEncoding, ItxError
 from .manifest import JobManifest
@@ -209,7 +208,6 @@ def cmd_run(args) -> int:
         return EXIT_REJECTED
     build = Path(args.build)
     manifest = _load_manifest(build)
-    config = DeviceConfig.from_dict(manifest.device_config)
 
     measurement = manifest.measurement()
     packages = {}
@@ -231,7 +229,7 @@ def cmd_run(args) -> int:
 
     adversary = from_script(_read_json(Path(args.adversary))) if args.adversary else None
 
-    deployment = make_deployment(seed=args.seed, ipu_id=manifest.ipu_id, config=config)
+    deployment = make_deployment(seed=args.seed, ipu_id=manifest.ipu_id)
     streams = {sid: frames for package in packages.values() for sid, frames in package.streams.items()}
     session = _make_session(deployment, manifest, parties, streams, adversary)
 

@@ -29,11 +29,14 @@ only the model receivers, sorted and distinct, each the owner of a stream
 (``JobManifest.validate`` refuses any other); the attestation report does
 not copy it, since the manifest measurement covers it.
 
-The planners honor the hardware contract: at most 16 key contexts, 17
-disjoint regions with region 0 cleartext, one key region per stream per
-interval, and — outside strictly serialized phases — one exchange-block
-context per key context.  Streams whose consumers span exchange blocks get
-internal-exchange moves at the next barrier instead of shared contexts.
+The planners target the one chip's geometry, fixed in silicon and stated by
+no manifest: ``TILE_COUNT`` (16) tiles in exchange blocks of
+``TILES_PER_EBC`` (4).  They honor the hardware contract: at most 16 key
+contexts, 17 disjoint regions with region 0 cleartext, one key region per
+stream per interval, and — outside strictly serialized phases — one
+exchange-block context per key context.  Streams whose consumers span
+exchange blocks get internal-exchange moves at the next barrier instead of
+shared contexts.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 from .device import (
     ComputePhase,
-    DeviceConfig,
     LoadPhase,
     LoopPhase,
     MAX_PHASES,
@@ -53,6 +54,7 @@ from .device import (
     OP_SUM,
     StorePhase,
     SyncPhase,
+    TILE_COUNT,
     TileProgram,
 )
 from .encoding import Record
@@ -72,6 +74,7 @@ from .manifest import (
     checkpoint_span,
     frame_count,
 )
+from .sxp import TILES_PER_EBC
 
 # ---------------------------------------------------------------------------
 # fixed layout constants (tile memory)
@@ -154,19 +157,11 @@ class _Plan:
     ckpt_range: tuple[int, int] = (0, 0)  # (offset, length) of the checkpointed tile memory
 
 
-def compile_job(
-    job: JobDescription,
-    config: Optional[DeviceConfig] = None,
-    bootloader_measurement: str = "",
-    ipu_id: int = 0,
-) -> CompiledJob:
-    config = config or DeviceConfig()
+def compile_job(job: JobDescription, bootloader_measurement: str = "", ipu_id: int = 0) -> CompiledJob:
     planner = {"sgd": _plan_sgd, "sum_streams": _plan_sum}.get(job.kind)
     if planner is None:
         raise ScheduleInfeasible(f"unknown job kind {job.kind!r}")
-    if config.tile_count != 16 or config.tiles_per_exchange_context != 4:
-        raise ScheduleInfeasible("the planners target 16 tiles in 4 exchange blocks")
-    plan = planner(job, config)
+    plan = planner(job)
     if sum(plan.plans[p].checkpoint for p, _ in plan.schedule) > 0x100:  # the IV's checkpoint_id is 8 bits
         raise ScheduleInfeasible("more than 256 checkpoints need checkpoint ids past 0xFF")
     for tile_id, program in plan.programs.items():
@@ -196,7 +191,7 @@ def compile_job(
 
     manifest = JobManifest(
         ipu_id=ipu_id,
-        binary_hashes={},
+        binary_hash="",
         bootloader_measurement=bootloader_measurement,
         stream_table=stream_table,
         tile_layouts=tuple(layouts),
@@ -206,14 +201,11 @@ def compile_job(
         checkpoint_plan=save_plan,
         restore_plan=restore_plan,
         stream_assignment={"model_receivers": sorted(job.model_receivers or (job.model_party,))},
-        device_config=config.to_dict(),
         frame_size=FRAME_SIZE,
         clear_region=CLEAR_REGION,
     )
     compiled = CompiledJob(manifest=manifest, programs=plan.programs, binaries=binaries)
-    compiled.manifest = dataclasses.replace(
-        manifest, binary_hashes={ipu_id: compiled.binary_hash_chain()}
-    ).validate()
+    compiled.manifest = dataclasses.replace(manifest, binary_hash=compiled.binary_hash_chain()).validate()
     return compiled
 
 
@@ -271,7 +263,7 @@ def _output_plan(sid_out: int, **rest) -> SyncPlan:
 # ---------------------------------------------------------------------------
 
 
-def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
+def _plan_sgd(job: JobDescription) -> _Plan:
     if len(job.data_parties) != 2:
         raise ScheduleInfeasible("the SGD planner expects exactly two data parties")
     steps = job.steps
@@ -282,12 +274,11 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
     if not (1 <= job.lr_den < 2**31 and -(2**31) <= job.lr_num < 2**31):
         raise ScheduleInfeasible(f"learning rate {job.lr_num}/{job.lr_den} needs int32 terms and lr_den >= 1")
 
-    n_tiles = config.tile_count
     slice_ints = 12
     slice_bytes = 4 * slice_ints
-    model_bytes = n_tiles * slice_bytes
+    model_bytes = TILE_COUNT * slice_bytes
     frames_per_pass = frame_count(model_bytes, PAYLOAD)  # a pass moves the whole model
-    frames_per_loader = frames_per_pass // config.tiles_per_exchange_context  # each loader's run
+    frames_per_loader = frames_per_pass // TILES_PER_EBC  # each loader's run
 
     sid_w0, sid_g1, sid_g2, sid_ckpt, sid_out = 2, 3, 4, 5, 6
 
@@ -305,7 +296,7 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
     end_sync = 2 * steps + 2
     programs: dict[int, TileProgram] = {}
     bindings: dict[int, tuple[BindingSpec, ...]] = {}
-    for t in range(n_tiles):
+    for t in range(TILE_COUNT):
         ebc, j = divmod(t, 4)
         grad = {1: sid_g1, 2: sid_g2}.get(ebc)
         phases: list = []
@@ -343,18 +334,18 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
         ingress_loads=((2, sid_g1), (3, sid_g2)),
     )
     w_moves = tuple(
-        (t // 4, STAGE_OFF + slice_bytes * (t % 4), t, W_OFF, slice_bytes) for t in range(n_tiles)
+        (t // 4, STAGE_OFF + slice_bytes * (t % 4), t, W_OFF, slice_bytes) for t in range(TILE_COUNT)
     )
     g_moves = tuple(
         move
-        for t in range(n_tiles)
+        for t in range(TILE_COUNT)
         for move in (
             (4 + t // 4, STAGE_OFF + slice_bytes * (t % 4), t, G1_OFF, slice_bytes),
             (8 + t // 4, STAGE_OFF + slice_bytes * (t % 4), t, G2_OFF, slice_bytes),
         )
     )
     gather_moves = tuple(
-        (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes) for t in range(n_tiles)
+        (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes) for t in range(TILE_COUNT)
     )
 
     # 0 weights, 1 first gradient load, 2 exchange, 3 output, 4 end; later
@@ -396,13 +387,13 @@ def _plan_sgd(job: JobDescription, config: DeviceConfig) -> _Plan:
 # ---------------------------------------------------------------------------
 
 
-def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
+def _plan_sum(job: JobDescription) -> _Plan:
     n = job.stream_count
     if n < 1:
         raise ScheduleInfeasible("at least one input stream")
     if 2 + n > 0xFFFF:  # the output takes id 2 + n, and programs store ids as ``<H``
         raise ScheduleInfeasible(f"{n} input streams need stream ids past 0xFFFF")
-    n_ebcs = config.tile_count // config.tiles_per_exchange_context
+    n_ebcs = TILE_COUNT // TILES_PER_EBC
 
     ints = PAYLOAD // 4
     waves = -(-n // n_ebcs)
@@ -414,7 +405,7 @@ def _plan_sum(job: JobDescription, config: DeviceConfig) -> _Plan:
     # -- programs and bindings -----------------------------------------------
     programs: dict[int, TileProgram] = {}
     bindings: dict[int, tuple[BindingSpec, ...]] = {}
-    for t in range(config.tile_count):
+    for t in range(TILE_COUNT):
         phases: list = []
         specs = []
         for w in range(waves):

@@ -5,6 +5,10 @@ the next synchronization phase, all tiles must name the same barrier, and
 barrier-side state changes (internal exchanges, register reprogramming, key
 loads, checkpoints) happen while the tiles are parked.
 
+There is one chip, its geometry fixed in silicon and stated by no manifest:
+``TILE_COUNT``, ``TILE_MEMORY`` and ``RING_BYTES`` here, and ``sxp``'s
+exchange blocks of ``TILES_PER_EBC`` tiles and packets of ``PACKET_BYTES``.
+
 In trusted mode all host access paths to tiles and device registers fail
 closed with ``AccessDenied``.  In either mode a tile's stream frames move
 only through the packet-level crypto engines: the device has no plaintext
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from .encoding import Record
 from .errors import (
     AccessDenied,
     ImageTooLarge,
@@ -46,13 +49,15 @@ from .manifest import (
     JobManifest,
     TileLayout,
 )
-from .sxp import READ_REQUEST, WRITE_REQUEST, ExchangePacket, PendingReadTable, SxpEngine, SxpRegisters
+from .sxp import PACKET_BYTES, READ_REQUEST, WRITE_REQUEST, ExchangePacket, PendingReadTable, SxpEngine, SxpRegisters
 
 # ---------------------------------------------------------------------------
 # geometry and register defaults
 # ---------------------------------------------------------------------------
 
+TILE_COUNT = 16
 TILE_MEMORY = 64 * 1024
+RING_BYTES = 1 << 20  # the host's staging ring
 BOOT_RESERVED = 1024  # autoloader target region at the bottom of each tile
 BINARY_OFFSET = BOOT_RESERVED  # tile binaries are placed right above it
 
@@ -76,15 +81,6 @@ def trusted_registers_digest() -> str:
     """The register measurement a verifier should expect from a freshly
     quiesced device: factory defaults with trusted mode raised."""
     return _registers_digest({**DEFAULT_REGISTERS, "trusted_mode": 1})
-
-
-@dataclass(frozen=True)
-class DeviceConfig(Record):
-    tile_count: int = 16
-    tile_memory: int = TILE_MEMORY
-    tiles_per_exchange_context: int = 4
-    ring_buffer_size: int = 1 << 20
-    packet_payload: int = 64
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +187,10 @@ class TileProgram:
         return b"".join(out)
 
     @classmethod
-    def unpack(cls, blob: bytes, memory: int = TILE_MEMORY) -> "TileProgram":
-        """Decode a packed program for a tile of ``memory`` bytes and expand
-        its loops; every malformed blob, every compute op whose operands
-        reach outside that memory, and every loop that nests, runs past the
+    def unpack(cls, blob: bytes) -> "TileProgram":
+        """Decode a packed program and expand its loops; every malformed blob,
+        every compute op whose operands reach outside a tile's
+        ``TILE_MEMORY``, and every loop that nests, runs past the
         program, is empty or would expand past ``MAX_PHASES`` raises
         ``ValueError``, the last before any pass is built."""
         if blob[:3] != _PROGRAM_MAGIC:
@@ -240,10 +236,10 @@ class TileProgram:
                     # args[2]; SGD reads and writes args[4] ints at
                     # args[2] and at args[3].
                     if op == OP_SUM:
-                        inside = args[1] >= 0 and 0 <= args[0] <= memory - 4 * args[1]
-                        inside = inside and 0 <= args[2] <= memory - 4
+                        inside = args[1] >= 0 and 0 <= args[0] <= TILE_MEMORY - 4 * args[1]
+                        inside = inside and 0 <= args[2] <= TILE_MEMORY - 4
                     else:
-                        end = memory - 4 * args[4]
+                        end = TILE_MEMORY - 4 * args[4]
                         inside = args[4] >= 0 and 0 <= args[2] <= end and 0 <= args[3] <= end
                     if not inside:
                         raise ValueError(f"compute op {op} reaches outside tile memory")
@@ -283,9 +279,9 @@ class TileProgram:
 class Tile:
     """One tile: private memory, program counter, and stream cursors."""
 
-    def __init__(self, tile_id: int, memory_size: int) -> None:
+    def __init__(self, tile_id: int) -> None:
         self.tile_id = tile_id
-        self.memory = bytearray(memory_size)
+        self.memory = bytearray(TILE_MEMORY)
         self.program: Optional[TileProgram] = None
         self.pc = 0
         self.epoch = 0
@@ -347,19 +343,15 @@ def _unpack_cursors(blob: bytes, off: int) -> tuple[dict[int, int], int]:
 class IpuDevice:
     """Bulk-synchronous accelerator with a packet-encrypting DMA boundary."""
 
-    def __init__(
-        self,
-        ipu_id: int = 0,
-        config: Optional[DeviceConfig] = None,
-    ) -> None:
+    ring_bytes = RING_BYTES
+
+    def __init__(self, ipu_id: int = 0) -> None:
         self.ipu_id = ipu_id
-        self.config = config or DeviceConfig()
-        self.tiles = [Tile(i, self.config.tile_memory) for i in range(self.config.tile_count)]
-        self.ring_buffer = RingBuffer(self.config.ring_buffer_size)
-        per_ebc = self.config.tiles_per_exchange_context
-        self.egress = SxpEngine("egress", tiles_per_ebc=per_ebc)
-        self.ingress = SxpEngine("ingress", tiles_per_ebc=per_ebc)
-        self.pending = PendingReadTable(self.config.packet_payload)
+        self.tiles = [Tile(i) for i in range(TILE_COUNT)]
+        self.ring_buffer = RingBuffer(self.ring_bytes)
+        self.egress = SxpEngine("egress")
+        self.ingress = SxpEngine("ingress")
+        self.pending = PendingReadTable()
         self.mode = MODE_NORMAL
         self.registers = dict(DEFAULT_REGISTERS)
         self.on_security: Optional[Callable[[str], None]] = None
@@ -401,13 +393,16 @@ class IpuDevice:
 
     def host_read_register(self, name: str) -> int:
         self._host_guard(f"read register {name}")
-        return self.registers[name]
+        return self.registers[self._register(name)]
 
     def host_write_register(self, name: str, value: int) -> None:
         self._host_guard(f"write register {name}")
+        self.registers[self._register(name)] = value
+
+    def _register(self, name: str) -> str:
         if name not in self.registers:
-            raise KeyError(f"unknown device register {name}")
-        self.registers[name] = value
+            raise IndexOutOfRange(f"unknown device register {name}")
+        return name
 
     def host_autoload(self, image: bytes) -> None:
         self._host_guard("autoload")
@@ -453,7 +448,7 @@ class IpuDevice:
         self.scrub()
         self.egress.reset()
         self.ingress.reset()
-        self.pending = PendingReadTable(self.config.packet_payload)
+        self.pending = PendingReadTable()
         self.mode = MODE_NORMAL
         self.registers = dict(DEFAULT_REGISTERS)
         self.manifest = None
@@ -504,7 +499,7 @@ class IpuDevice:
 
     def _dma_write(self, src_tile: int, address: int, frame: bytes) -> None:
         """Write one frame, sealed by the egress engine: the device makes no cleartext write."""
-        step, length = self.config.packet_payload, len(frame)
+        step, length = PACKET_BYTES, len(frame)
         for off in range(0, length, step):
             pkt = ExchangePacket(
                 WRITE_REQUEST, src_tile, address + off, frame[off : off + step], True, off + step >= length
@@ -593,7 +588,7 @@ class IpuDevice:
         binary = blob[: tile.layout.binary_length]
         tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
         try:
-            tile.program = TileProgram.unpack(binary, len(tile.memory))
+            tile.program = TileProgram.unpack(binary)
         except ValueError as exc:
             raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
         tile.pc = 0

@@ -1,12 +1,14 @@
 """Job manifest: the compiler-emitted plan that the CCU attests and enforces.
 
-The manifest binds together everything integrity-relevant about a job:
-per-device binary hashes, the bootloader measurement, the stream table,
-per-tile data layouts, and the barriers: ``plans`` states each distinct plan
-(the streams it keys, register maps, key loads) once, and ``schedule`` gives
-each sync id a plan index and stream offsets, expanded by ``plan(sync_id)``.
-Each fact is stated once: the job's frame size and cleartext region sit on
-the manifest, and a stream's owner and extent on its stream-table entry.
+The manifest binds together everything integrity-relevant about a job: the
+hash chain of its tile binaries, the bootloader measurement, the stream
+table, per-tile data layouts, and the barriers: ``plans`` states each
+distinct plan (the streams it keys, register maps, key loads) once, and
+``schedule`` gives each sync id a plan index and stream offsets, expanded by
+``plan(sync_id)``.  Each fact is stated once: the job's frame size and
+cleartext region sit on the manifest, and a stream's owner and extent on its
+stream-table entry.  The device's geometry is not a fact of the job: there is
+one chip, and its constants live in ``device`` and ``sxp``.
 Parties review a manifest before releasing keys.  Its measurement is the
 SHA-256 of its canonical bytes (``to_bytes()``); the host hands those bytes
 to the control unit, and the attestation report commits to their digest.
@@ -123,7 +125,7 @@ class SyncPlan(Record):
 @dataclass(frozen=True)
 class JobManifest(Record):
     ipu_id: int
-    binary_hashes: dict[int, str]  # per device: hex digest of the chained tile binaries
+    binary_hash: str  # hex digest of the chained tile binaries
     bootloader_measurement: str
     stream_table: dict[int, StreamTableEntry]
     tile_layouts: tuple[TileLayout, ...]
@@ -133,7 +135,6 @@ class JobManifest(Record):
     checkpoint_plan: Optional[SyncPlan]  # egress state for checkpoint saves
     restore_plan: Optional[SyncPlan]  # ingress state for checkpoint restore
     stream_assignment: dict[str, Any]  # {"model_receivers": [...]}; the stream table names owners
-    device_config: dict[str, int]
     frame_size: int  # every stream's frame size, in bytes
     clear_region: tuple[int, int]  # the ring range of region 0 in every plan's image
 

@@ -37,7 +37,7 @@ from . import pki
 from .adversary import Adversary
 from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
-from .device import BINARY_OFFSET, DeviceConfig, IpuDevice, TileProgram
+from .device import BINARY_OFFSET, IpuDevice, TileProgram
 from .encoding import digest_hex
 from .errors import InvalidPhase, ItxError, SecurityException
 from .eventlog import EventLog
@@ -369,14 +369,15 @@ class _ClearDevice(IpuDevice):
     and stores are collected: no frame meets a packet engine, a control unit
     or the ring (sized 0: a fresh 1 MiB one would page-fault in every run)."""
 
+    ring_bytes = 0
+
     def __init__(self, manifest: JobManifest, binaries: dict[int, bytes], inputs: dict[int, bytes]) -> None:
-        config = DeviceConfig.from_dict({**manifest.device_config, "ring_buffer_size": 0})
-        super().__init__(ipu_id=manifest.ipu_id, config=config)
+        super().__init__(ipu_id=manifest.ipu_id)
         self.install_boot_params(manifest, 0, 0)
         for layout in manifest.tile_layouts:
             tile, binary = self.tiles[layout.tile_id], binaries[layout.tile_id]
             tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
-            tile.program = TileProgram.unpack(binary, len(tile.memory))
+            tile.program = TileProgram.unpack(binary)
         self.inputs = inputs
         self.outputs: dict[int, bytearray] = {}
         self.payload_size = payload_capacity(manifest.frame_size)

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .ccu import Ccu, CcuFlash, FirmwareBundle
 from .compiler import CompiledJob, JobDescription, compile_job
-from .device import DeviceConfig, IpuDevice
+from .device import IpuDevice
 from .manifest import CODE, DIR_IN, JobManifest
 from .packaging import JobInputs, package_inputs
 from .pki import COMPONENT_BOOTLOADER, COMPONENT_ICU, CaState, Party, PartyIdentity
@@ -57,7 +57,6 @@ def make_firmware(ca: CaState, revision: str = "1") -> FirmwareBundle:
 def make_deployment(
     seed: int = 0,
     ipu_id: int = 0,
-    config: DeviceConfig | None = None,
     ca: CaState | None = None,
 ) -> Deployment:
     """Manufacture, provision, and rack one device end to end."""
@@ -79,7 +78,7 @@ def make_deployment(
     issued = ca.ca_provision_and_certify(
         bundle["csr"], bundle["bootloader_manifest"], flash.provisioning_nonce
     )
-    device = IpuDevice(ipu_id=ipu_id, config=config or DeviceConfig())
+    device = IpuDevice(ipu_id=ipu_id)
     return _rack(ca, firmware, flash, ccu, device, issued["cik"])
 
 
@@ -168,7 +167,6 @@ def _make_fixture(
     deployment = deployment or make_deployment()
     compiled = compile_job(
         job,
-        config=deployment.device.config,
         bootloader_measurement=deployment.firmware.tile_bootloader_measurement(),
         ipu_id=deployment.device.ipu_id,
     )

@@ -62,6 +62,8 @@ NUM_CONTEXTS = 16
 NUM_REGIONS = 17
 CLEARTEXT_REGION = 0
 BLOCK_BYTES = 16
+TILES_PER_EBC = 4  # tiles sharing one exchange-block context
+PACKET_BYTES = 64  # payload of a DMA packet, and of a read completion
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +236,7 @@ class PendingReadTable:
     trust frame boundaries even though the host generates the completions.
     """
 
-    def __init__(self, completion_payload: int = 64) -> None:
-        if completion_payload % BLOCK_BYTES:
-            raise ValueError("completion payload must be a block multiple")
-        self.completion_payload = completion_payload
+    def __init__(self) -> None:
         self._entries: dict[int, _PendingRead] = {}
         self.created = 0
         self.retired = 0
@@ -245,7 +244,7 @@ class PendingReadTable:
     def note_request(self, pkt: ExchangePacket) -> None:
         if pkt.kind is not READ_REQUEST or pkt.request_id is None:
             raise ValueError("only identified read requests are tracked")
-        packets = max(1, -(-pkt.read_length // self.completion_payload))
+        packets = max(1, -(-pkt.read_length // PACKET_BYTES))
         self._entries[pkt.request_id] = _PendingRead(
             pkt.src_tile, pkt.key_index, pkt.aes, pkt.address, packets
         )
@@ -256,7 +255,7 @@ class PendingReadTable:
         entry = self._entries.get(request_id)
         if entry is None:
             raise SecurityException(f"completion for unknown read request {request_id}")
-        step, length = self.completion_payload, len(data)
+        step, length = PACKET_BYTES, len(data)
         count = max(1, -(-length // step))
         if count != entry.packets_remaining:
             raise SecurityException(
@@ -284,9 +283,8 @@ class PendingReadTable:
 class SxpEngine:
     """One SXP lane: a sequential state machine over exchange packets."""
 
-    def __init__(self, name: str = "sxp", tiles_per_ebc: int = 4) -> None:
+    def __init__(self, name: str = "sxp") -> None:
         self.name = name
-        self.tiles_per_ebc = tiles_per_ebc
         self.registers: Optional[SxpRegisters] = None
         self.contexts = [_KeyContext(i) for i in range(NUM_CONTEXTS)]
         self.latched = False
@@ -337,10 +335,10 @@ class SxpEngine:
         start, end = regs.clear
         if start <= address < end:
             return CLEARTEXT
-        route = regs.routes.get(src_tile // self.tiles_per_ebc)
+        route = regs.routes.get(src_tile // TILES_PER_EBC)
         if route is None:
             raise self._security_exception(
-                f"tile {src_tile} (ebc {src_tile // self.tiles_per_ebc}) has no key context mapping"
+                f"tile {src_tile} (ebc {src_tile // TILES_PER_EBC}) has no key context mapping"
             )
         ctx, region_id, start, end = route
         if not start <= address < end:

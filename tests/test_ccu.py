@@ -13,7 +13,7 @@ from itx import crypto, pki
 from itx.attestation import KeyPackage
 from itx.ccu import Ccu, CcuFlash, INITIALIZED, LAUNCHED, NO_TEE, TERMINATED
 from itx.compiler import JobDescription, compile_job
-from itx.device import MODE_NORMAL, DeviceConfig
+from itx.device import MODE_NORMAL
 from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
@@ -210,7 +210,6 @@ def compiled_manifest(deployment, **overrides):
         checkpoint_period=1,
     )
     kwargs = {
-        "config": deployment.device.config,
         "bootloader_measurement": deployment.firmware.tile_bootloader_measurement(),
         "ipu_id": deployment.device.ipu_id,
     }
@@ -308,15 +307,6 @@ class TestTeeInit:
         foreign = compiled_manifest(deployment, ipu_id=deployment.device.ipu_id + 1)
         _, certs, shares, sigs = init_material(parties)
         with pytest.raises(InvalidPhase, match="targets device"):
-            deployment.ccu.tee_init(foreign.manifest.to_bytes(), certs, shares, sigs)
-        assert deployment.ccu.tee.phase == NO_TEE
-
-    def test_manifest_for_another_device_geometry_is_rejected(self, rig):
-        deployment, _, parties, _ = rig
-        config = DeviceConfig(ring_buffer_size=2 * deployment.device.config.ring_buffer_size)
-        foreign = compiled_manifest(deployment, config=config)
-        _, certs, shares, sigs = init_material(parties)
-        with pytest.raises(InvalidPhase, match="different device geometry"):
             deployment.ccu.tee_init(foreign.manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
 

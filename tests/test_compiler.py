@@ -6,7 +6,7 @@ import pytest
 
 from itx import compiler
 from itx.compiler import CompiledJob, JobDescription, compile_job
-from itx.device import DeviceConfig, TileProgram
+from itx.device import TileProgram
 from itx.encoding import canonical_bytes, jsonable
 from itx.errors import InvalidRegisterProgram, ScheduleInfeasible
 from itx.manifest import CHECKPOINT, CODE, DATA, DIR_IN, DIR_OUT, OUTPUT
@@ -83,7 +83,7 @@ class TestSgdPlanning:
                 chain + hashlib.sha256(compiled.binaries[tile_id]).digest()
             ).digest()
         assert compiled.binary_hash_chain() == chain.hex()
-        assert compiled.manifest.binary_hashes == {2: chain.hex()}
+        assert compiled.manifest.binary_hash == chain.hex()
 
         patched = CompiledJob(
             manifest=compiled.manifest,
@@ -145,8 +145,6 @@ class TestSgdPlanning:
             assert layouts[tile_id].binary_length == len(binary)
 
     def test_rejects_what_it_cannot_schedule(self):
-        with pytest.raises(ScheduleInfeasible, match="16 tiles"):
-            compile_job(sgd_job(), config=DeviceConfig(tile_count=8))
         with pytest.raises(ScheduleInfeasible, match="two data parties"):
             compile_job(sgd_job(data_parties=("alpha",)))
         with pytest.raises(ScheduleInfeasible, match="at least one step"):
@@ -299,7 +297,7 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "3a70fc8be4cda2c24dfa467a0dd43b906db753ff1845045040edba81f721913b"
+        "dc689d94e632808663909914d70b1482bb22cd64d6e4f87822257cdbbff907c6"
     )
 
 
@@ -405,14 +403,18 @@ def test_the_ring_map_fits_the_compiled_regions():
 
 def test_manifests_lost_only_the_checkpoint_record_fields():
     """The device writes no cleartext checkpoint record, so the manifest
-    places none: every grid manifest is, field for field, the one compiled
-    when it did, less the two fields (the records' base address and slot
-    size) that placed them; the digest was taken from those manifests with
-    the two keys deleted."""
+    places none, and there is one device geometry, so the manifest states
+    none: every grid manifest is, field for field, the one compiled when it
+    did, less the two fields (the records' base address and slot size) that
+    placed the records and the ``device_config`` field, and with the
+    one-entry ``binary_hashes`` map, keyed by the manifest's ``ipu_id``, as
+    the one ``binary_hash`` string.  The digest was taken from those
+    manifests with the three keys deleted and ``binary_hash`` set to
+    ``binary_hashes[str(ipu_id)]``."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             fold.update(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest.to_bytes())
     assert fold.hexdigest() == (
-        "31bc6fc9352cdf16c3aef957fc76e61e3e0895ccccf2caa3735b0f5ac6cad4f8"
+        "97e20dc685c374cad5d31f35250a8e4ac09d5abdb02b08fd8ab29ab7bd8ececc"
     )

@@ -7,7 +7,9 @@ or the benchmark, or is on ``TEST_FACING`` with its reason.
 Every field of a dataclass the package defines is read somewhere, and every
 field of an attested record is read by a module of the package other than
 the one that writes it: the manifest records (the compiler), the
-attestation report (the control unit) and the key package (the parties)."""
+attestation report (the control unit) and the key package (the parties).
+Every option, a parameter with a default, is set by some call in the
+package or the benchmark, or is on ``UNSET_OPTIONS`` with its reason."""
 
 import ast
 import dataclasses
@@ -189,3 +191,67 @@ def unread_attested_fields() -> list[str]:
 
 def test_every_attested_field_is_read():
     assert unread_attested_fields() == []
+
+
+def call_name(node: ast.Call) -> str | None:
+    """The last name of a call's callable: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def unset_options() -> list[str]:
+    """Defaulted parameters of the package's functions and methods that no
+    call in the package or the benchmark to a callable of that name passes:
+    by keyword, by a positional argument that reaches it, or by a ``*`` or
+    ``**`` argument.  ``__init__`` is called by its class's name; other dunder
+    methods and the ``TEST_FACING`` definitions are exempt."""
+    trees = parsed()
+    positional, keywords, unpacked = defaultdict(int), defaultdict(set), set()
+    for path in PROGRAM:
+        for node in ast.walk(trees[path]):
+            name = call_name(node) if isinstance(node, ast.Call) else None
+            if name is None:
+                continue
+            positional[name] = max(positional[name], sum(not isinstance(a, ast.Starred) for a in node.args))
+            keywords[name].update(k.arg for k in node.keywords if k.arg)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                unpacked.add(name)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = trees[path]
+        owners = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(node))
+            name = owner if node.name == "__init__" else node.name
+            dunder = node.name.startswith("__") and node.name != "__init__"
+            if dunder or name in TEST_FACING or name in unpacked:
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            skipped = int(owner is not None and not static)  # self or cls, which no call passes
+            args = node.args
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            options = [(p.arg, i - skipped) for i, p in enumerate(params) if i >= first]
+            options += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            unset += [
+                f"{name}({param})"
+                for param, at in options
+                if param not in keywords[name] and (at is None or at >= positional[name])
+            ]
+    return unset
+
+
+UNSET_OPTIONS = {  # options no call in the package or the benchmark passes, and why each stays
+    "tee_init(epoch)": "the host passes it, through ``TrustedJobSession._staged``'s ``*args``",
+    "tee_init(checkpoint_id)": "the host passes it, through ``TrustedJobSession._staged``'s ``*args``",
+    "main(argv)": "the console script calls ``main()`` and argparse reads ``sys.argv``; the CLI tests pass theirs",
+    "make_deployment(ca)": "a second card under one CA, which only the verifier's wrong-card row builds",
+}
+
+
+def test_every_option_is_set():
+    """A new option no caller sets fails, and so does an entry whose option
+    went or got a caller in the package or the benchmark."""
+    assert set(unset_options()) == set(UNSET_OPTIONS)

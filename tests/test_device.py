@@ -12,7 +12,6 @@ from itx.compiler import JobDescription, compile_job
 from itx.device import (
     BOOT_RESERVED,
     ComputePhase,
-    DeviceConfig,
     IpuDevice,
     LoadPhase,
     LoopPhase,
@@ -40,7 +39,7 @@ from itx.frame_codec import IV_BYTES, StreamIV, StreamType
 
 
 def device() -> IpuDevice:
-    return IpuDevice(ipu_id=0, config=DeviceConfig())
+    return IpuDevice(ipu_id=0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +90,10 @@ class TestHostAccess:
         assert dev.registers["trusted_mode"] == 0
 
     def test_unknown_register_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(IndexOutOfRange, match="unknown device register undocumented"):
             device().host_write_register("undocumented", 1)
+        with pytest.raises(IndexOutOfRange, match="unknown device register undocumented"):
+            device().host_read_register("undocumented")
 
     def test_trusted_mode_cannot_be_entered_twice(self):
         dev = device()
@@ -302,7 +303,7 @@ def wrap32(v: int) -> int:
 def run_one_op(op: int, args: tuple[int, ...], writes: dict[int, list[int]], read: tuple[int, int]) -> list[int]:
     """Run a one-phase program on tile 0 over ``writes`` (offset -> ints) and
     return the ``read[1]`` ints at offset ``read[0]``."""
-    dev = IpuDevice(config=DeviceConfig(tile_count=1, ring_buffer_size=0))
+    dev = IpuDevice()
     for off, ints in writes.items():
         dev.host_write_tile(0, off, struct.pack(f"<{len(ints)}i", *ints))
     dev.tiles[0].program = TileProgram.unpack(TileProgram((ComputePhase(op, args),)).pack())
@@ -437,14 +438,14 @@ class TestDmaPath:
 
     def test_operands_outside_tile_memory_rejected(self):
         fits = ComputePhase(OP_SGD_STEP, (1, 16, 0, 0x10000 - 48, 12))
-        assert TileProgram.unpack(TileProgram((fits,)).pack(), 0x10000).phases == (fits,)
+        assert TileProgram.unpack(TileProgram((fits,)).pack()).phases == (fits,)
         for args in ((1, 16, 70000, 0, 12), (1, 16, 0, 0x10000 - 44, 12), (1, 16, -4, 0, 1)):
             blob = TileProgram((ComputePhase(OP_SGD_STEP, args),)).pack()
             with pytest.raises(ValueError, match="outside tile memory"):
-                TileProgram.unpack(blob, 0x10000)
+                TileProgram.unpack(blob)
         blob = TileProgram((ComputePhase(OP_SUM, (0, 4, 0x10000 - 2)),)).pack()
         with pytest.raises(ValueError, match="outside tile memory"):
-            TileProgram.unpack(blob, 0x10000)
+            TileProgram.unpack(blob)
 
     def test_a_checkpoint_frame_iv_carries_the_tiles_current_counters(self):
         """Every checkpoint frame a tile writes carries its (epoch, checkpoint

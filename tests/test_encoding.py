@@ -12,7 +12,6 @@ import pytest
 
 from itx.attestation import AttestationReport, KeyPackage
 from itx.certs import Certificate
-from itx.device import DeviceConfig
 from itx.packaging import CleanRoom, save_clean_room
 from itx.pki import COMPONENT_BOOTLOADER, TcbUpdateCertificate
 from itx.sandbox import make_sgd_fixture, make_sum_fixture
@@ -46,19 +45,19 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "3b352ddfffc0655a102210f44ca5256046212d34a049b82cf7f0fd37891001a2"
+            "ab6f6572ed4465ac1e06398ca9163837d8110b8a46efd0b7b689229590db6eff"
         )
 
     def test_sum_fixture(self):
         manifest = make_sum_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "d3f8a223708cc9ed88e2497993f9963f38dbad3fdcc43cddb51e9df0b8cbf8ac"
+            "35f1f7fb800af727af6497ca7cf51831f19238b5d4a3ddf72aa27cd8dca5cf20"
         )
 
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "10922afc44cc88ee8cd30b07091fdbb59ffb67fb9b4adc9e6b2a5596375d7c38"
+            "0f749f0bc6e681264015654a768f3354d50b9c12b6349a64fce3464d1bdea4cb"
         )
 
 
@@ -106,16 +105,6 @@ class TestKeyPackage:
             b'{"prior_run_nonce":null,"run_nonce":"' + b"03" * 32 + b'",'
             b'"stream_keys":{"10":"' + b"02" * 16 + b'","3":"' + b"01" * 16 + b'"}}'
         )
-
-
-def test_device_config_dict():
-    assert DeviceConfig().to_dict() == {
-        "tile_count": 16,
-        "tile_memory": 65536,
-        "tiles_per_exchange_context": 4,
-        "ring_buffer_size": 1048576,
-        "packet_payload": 64,
-    }
 
 
 def test_clean_room_file(tmp_path):

@@ -107,7 +107,6 @@ class EvidenceFactory:
         defaults to the tile bootloader the device runs."""
         return compile_job(
             replace(self.job, **job_changes),
-            config=self.deployment.device.config,
             bootloader_measurement=bootloader_measurement
             or self.deployment.firmware.tile_bootloader_measurement(),
             ipu_id=self.deployment.device.ipu_id,
@@ -455,7 +454,6 @@ def attested_evidence(deployment):
             steps=2,
             checkpoint_period=1,
         ),
-        config=deployment.device.config,
         bootloader_measurement=deployment.firmware.tile_bootloader_measurement(),
         ipu_id=deployment.device.ipu_id,
     )

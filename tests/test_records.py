@@ -17,7 +17,6 @@ from itx import crypto
 from itx.attestation import AttestationReport, KeyPackage
 from itx.certs import Certificate, self_signed
 from itx.compiler import JobDescription, compile_job
-from itx.device import DeviceConfig
 from itx.encoding import Record
 from itx.errors import InvalidEncoding
 from itx.manifest import BindingSpec, JobManifest, StreamTableEntry, SyncPlan
@@ -63,7 +62,6 @@ SAMPLES = [
     MANIFEST.tile_layouts[0],
     MANIFEST.plans[0],
     MANIFEST,
-    DeviceConfig(),
     JobDescription(
         kind="sgd", model_party="modelco", data_parties=("alpha", "beta"), model_receivers=("beta",)
     ),

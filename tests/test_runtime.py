@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 from oracle import expected_model
+from itx import runtime
 from itx.adversary import (
     Adversary,
     Composite,
@@ -115,6 +116,21 @@ def test_honest_sum_run_with_key_rotation_matches_the_clear_reference():
     assert_completed_and_exact(fixture, fixture.session.run())
 
 
+def test_the_clear_reference_device_has_an_empty_ring(monkeypatch):
+    """No frame of the clear run meets the ring, so its device has none: a
+    fresh 1 MiB ring would page-fault in every clear run."""
+    built, start = [], IpuDevice.start_application
+
+    def record(device):
+        built.append(device)
+        start(device)
+
+    monkeypatch.setattr(runtime._ClearDevice, "start_application", record)
+    fixture = make_sgd_fixture(steps=1)
+    assert clear_model(fixture) == expected_model(fixture.job, fixture.plaintexts)
+    assert [len(device.ring_buffer.data) for device in built] == [0]
+
+
 def checkpoint_ivs(manifest, snapshot) -> list[tuple[bytes, bytes]]:
     """(found, expected) IV pairs for every tile's checkpoint frames."""
     size = manifest.frame_size
@@ -165,8 +181,8 @@ def test_a_restored_position_off_a_barrier_aborts_closed(monkeypatch):
     fixture.deployment.device.reset("sbr")
     unpack = TileProgram.unpack
 
-    def shifted(blob, memory):
-        return TileProgram((ComputePhase(OP_SGD_STEP, (1, 1, 0x2000, 0x2000, 0)),) + unpack(blob, memory).phases)
+    def shifted(blob):
+        return TileProgram((ComputePhase(OP_SGD_STEP, (1, 1, 0x2000, 0x2000, 0)),) + unpack(blob).phases)
 
     monkeypatch.setattr(TileProgram, "unpack", shifted)
     result = session.resume()
@@ -312,7 +328,6 @@ def test_other_application_under_the_code_key_aborts_closed():
         JobDescription(
             kind="sgd", model_party="modelco", data_parties=("alpha", "beta"), steps=2, lr_num=3
         ),
-        config=fixture.deployment.device.config,
         bootloader_measurement=manifest.bootloader_measurement,
         ipu_id=manifest.ipu_id,
     )
@@ -423,9 +438,7 @@ def run_with_tile_5_program(fixture, phases):
     programs = {**compiled.programs, 5: TileProgram(phases)}
     binaries = {**compiled.binaries, 5: programs[5].pack()}
     chain = CompiledJob(compiled.manifest, programs, binaries).binary_hash_chain()
-    manifest = dataclasses.replace(
-        compiled.manifest, binary_hashes={compiled.manifest.ipu_id: chain}
-    )
+    manifest = dataclasses.replace(compiled.manifest, binary_hash=chain)
     inputs = dict(fixture.inputs)
     inputs["modelco"] = package_inputs(
         "modelco", manifest, binaries=binaries, data={2: fixture.plaintexts[2]}
@@ -493,9 +506,7 @@ def test_tiles_at_an_unscheduled_barrier_abort_closed():
     }
     binaries = {tile: program.pack() for tile, program in programs.items()}
     chain = CompiledJob(compiled.manifest, programs, binaries).binary_hash_chain()
-    manifest = dataclasses.replace(
-        compiled.manifest, binary_hashes={compiled.manifest.ipu_id: chain}
-    )
+    manifest = dataclasses.replace(compiled.manifest, binary_hash=chain)
     assert manifest.plan(999) is None
     inputs = dict(fixture.inputs)
     inputs["modelco"] = package_inputs(
@@ -664,6 +675,16 @@ def test_a_register_write_at_a_barrier_aborts_closed():
     assert result.reason == "trusted mode: write register hsp_period"
 
 
+def test_a_script_writing_an_unknown_register_aborts_with_a_typed_reason():
+    """The device has no such register: the write before init raises the
+    typed ``IndexOutOfRange``, and the attempt aborts with its message."""
+    script = [{"action": "tamper_register", "register": "bogus", "value": 1}]
+    fixture = make_sgd_fixture(steps=1, adversary=from_script(script))
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result, phase=NO_TEE)
+    assert result.reason == "unknown device register bogus"
+
+
 def test_a_two_action_script_runs_both_actions_in_one_hosting():
     """Dropping barrier 3's key load alone completes bit-equal; the frame
     tampered after it aborts the run."""
@@ -767,7 +788,7 @@ def alias_gradient_streams(manifest):
 
 
 def forge_binary_hash(manifest):
-    manifest.binary_hashes[manifest.ipu_id] = "00" * 32
+    object.__setattr__(manifest, "binary_hash", "00" * 32)
 
 
 @pytest.mark.parametrize(

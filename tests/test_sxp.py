@@ -35,8 +35,8 @@ REGION_A = AddressRegion(0x1000, 0x2000)
 REGION_B = AddressRegion(0x2000, 0x3000)
 
 
-def engine(**kwargs) -> SxpEngine:
-    eng = SxpEngine(tiles_per_ebc=4, **kwargs)
+def engine() -> SxpEngine:
+    eng = SxpEngine()
     eng.program_registers(
         SxpRegisters(
             kxbctxmap={0: 3, 1: 7},
@@ -411,7 +411,7 @@ class TestLatching:
 
 class TestPendingReadTable:
     def test_conservation(self):
-        table = PendingReadTable(completion_payload=64)
+        table = PendingReadTable()
         req = ExchangePacket(
             PacketKind.READ_REQUEST, src_tile=1,
             address=0x1000, aes=True, read_length=128, key_index=3, request_id=9,
@@ -430,7 +430,7 @@ class TestPendingReadTable:
             table.make_completions(1234, bytes(64))
 
     def test_wrong_packet_count_rejected(self):
-        table = PendingReadTable(completion_payload=64)
+        table = PendingReadTable()
         req = ExchangePacket(
             PacketKind.READ_REQUEST, src_tile=1,
             address=0x1000, aes=True, read_length=128, key_index=3, request_id=1,
@@ -449,7 +449,7 @@ class TestEquivalence:
     def test_randomized_frames_across_all_contexts(self):
         """Frame-serial traffic over all 16 contexts matches the codec."""
         rng = random.Random(99)
-        eng = SxpEngine(tiles_per_ebc=1)  # tile i -> ebc i
+        eng = SxpEngine()  # tile 4i -> ebc i
         regions = {0: AddressRegion(0, 0x100)}
         kxb, kphys = {}, {}
         for ctx in range(16):
@@ -472,7 +472,7 @@ class TestEquivalence:
                 jobs.append((ctx, iv, payload))
         rng.shuffle(jobs)
         for ctx, iv, payload in jobs:
-            got = egress_frame(eng, keys[ctx], iv, payload, src_tile=ctx,
+            got = egress_frame(eng, keys[ctx], iv, payload, src_tile=4 * ctx,
                                base_addr=0x1000 * (ctx + 1))
             want = fc.encrypt_frame(keys[ctx], iv, payload)
             assert got == want
