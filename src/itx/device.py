@@ -22,7 +22,7 @@ import hashlib
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Optional
 
 from .errors import (
@@ -108,9 +108,8 @@ MAX_PHASES = 0xFFFF
 # (src, count, dst) stores the sum of ``count`` words at ``src`` at ``dst``;
 # OP_SGD_STEP (num, den, w, g, count) sets each of ``count`` words at ``w`` to
 # ``w - (num * g) // den``, with floor division, ``g`` the word at the same
-# index at ``g`` and ``den`` positive.  Results wrap to 32 bits: the kernel
-# masks them with 0xFFFFFFFF and stores unsigned words, the same bytes as the
-# two's-complement int32.
+# index at ``g`` and ``den`` positive.  Results wrap to 32 bits, stored as
+# the two's-complement int32 bytes.
 OP_SUM = 0
 OP_SGD_STEP = 2
 
@@ -160,6 +159,9 @@ class LoopPhase:
 
 
 Phase = LoadPhase | StorePhase | ComputePhase | SyncPhase | LoopPhase
+
+# One SyncPhase per sync id, shared by every program and loop pass; bounded, as ids span 32 bits.
+_sync = lru_cache(maxsize=4096)(SyncPhase)
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ class TileProgram:
                 elif kind == PHASE_SYNC:
                     (sync_id,) = struct.unpack_from("<I", blob, off)
                     off += 4
-                    phases.append(SyncPhase(sync_id))
+                    phases.append(_sync(sync_id))
                 else:
                     raise ValueError(f"unknown phase kind {kind}")
         except (struct.error, IndexError):
@@ -257,14 +259,14 @@ class TileProgram:
         if len(phases) + extra > MAX_PHASES:
             raise ValueError(f"loops expand past {MAX_PHASES} phases")
         # Later bodies first, so earlier body starts stay put; every pass
-        # shares the body's phase objects but its sync phases.
+        # shares the body's phase objects, and its sync phases come from _sync.
         for start, loop in reversed(loops):
             body = phases[start : start + loop.length]
             last = (loop.times - 1) * loop.stride
             if any(isinstance(ph, SyncPhase) and ph.sync_id + last > 0xFFFFFFFF for ph in body):
                 raise ValueError("loop carries a sync id past 32 bits")
             phases[start + loop.length : start + loop.length] = [
-                SyncPhase(ph.sync_id + p * loop.stride) if isinstance(ph, SyncPhase) else ph
+                _sync(ph.sync_id + p * loop.stride) if isinstance(ph, SyncPhase) else ph
                 for p in range(1, loop.times)
                 for ph in body
             ]
@@ -361,6 +363,7 @@ class IpuDevice:
         self.windows: dict[int, int] = {}
         self.barrier: Optional[int] = None  # where the tiles are parked; the only one keyed
         self._iv_fields: dict[tuple[int, int, int, int], bytes] = {}
+        self._ckpt_slots: Optional[dict[int, list[int]]] = None  # the job's, at first use
         self._req_id = 0
 
     # -- exception fan-out ---------------------------------------------------
@@ -469,6 +472,7 @@ class IpuDevice:
         self.windows = dict(manifest.plan(0)[1])
         self.barrier = 0
         self._iv_fields = {}
+        self._ckpt_slots = None
         for tile in self.tiles:
             tile.layout = layout = manifest.layout(tile.tile_id)
             tile.bindings = {b.stream_id: b for b in layout.bindings}
@@ -595,6 +599,11 @@ class IpuDevice:
         return hashlib.sha256(binary).digest()
 
     # -- scheduler -----------------------------------------------------------
+    #
+    # An interval costs its phases: a tile keeps its pc in a local and
+    # dispatches on each phase's exact type.  An SGD step writes signed words,
+    # as masking to unsigned ones is most of a write's cost; a result outside
+    # int32 makes the struct refuse, and the step rewrites every word masked.
 
     def run_interval(self) -> Optional[int]:
         """Advance every tile to its next barrier; returns the common sync id,
@@ -623,38 +632,40 @@ class IpuDevice:
     def _run_tile(self, tile: Tile) -> Optional[int]:
         if tile.program is None:
             return None
-        phases = tile.program.phases
-        while tile.pc < len(phases):
-            ph = phases[tile.pc]
-            if isinstance(ph, SyncPhase):
-                tile.pc += 1
-                return ph.sync_id
-            if isinstance(ph, ComputePhase):
-                self._exec_compute(tile, ph)
-            else:
-                self._exec_transfer(tile, ph)
-            tile.pc += 1
-        return None
+        phases, memory, pc = tile.program.phases, tile.memory, tile.pc
+        end = len(phases)
+        try:
+            while pc < end:
+                ph = phases[pc]
+                if type(ph) is SyncPhase:
+                    pc += 1
+                    return ph.sync_id
+                if type(ph) is ComputePhase:
+                    self._exec_compute(memory, ph)
+                else:
+                    self._exec_transfer(tile, ph)
+                pc += 1
+            return None
+        finally:
+            tile.pc = pc  # past the sync, or at the phase that raised
 
     def _exec_transfer(self, tile: Tile, ph: LoadPhase | StorePhase) -> None:
         spec = tile.bindings.get(ph.stream_id)
         if spec is None:
             raise self._security(f"tile {tile.tile_id} has no binding for stream {ph.stream_id}")
-        sid, memory, cursors = ph.stream_id, tile.memory, tile.cursors
+        sid, tile_id, memory, cursors = ph.stream_id, tile.tile_id, tile.memory, tile.cursors
         if sid not in self.manifest.stream_table:
             raise self._security(f"tile referenced unknown stream {sid}")
-        size = payload_capacity(self.manifest.frame_size)
-        load = isinstance(ph, LoadPhase)
+        size, k = payload_capacity(self.manifest.frame_size), cursors[sid]
+        load = type(ph) is LoadPhase
         for at in range(spec.buf_off, spec.buf_off + ph.frames * size, size):
-            k = cursors[sid]
             if load:
-                memory[at : at + size] = self.read_stream_frame(tile.tile_id, sid, spec.frame_index(k))
+                memory[at : at + size] = self.read_stream_frame(tile_id, sid, spec.frame_index(k))
             else:
-                self.write_stream_frame(tile.tile_id, sid, spec.frame_index(k), bytes(memory[at : at + size]))
-            cursors[sid] = k + 1
+                self.write_stream_frame(tile_id, sid, spec.frame_index(k), bytes(memory[at : at + size]))
+            cursors[sid] = k = k + 1
 
-    def _exec_compute(self, tile: Tile, ph: ComputePhase) -> None:
-        m = tile.memory
+    def _exec_compute(self, m: bytearray, ph: ComputePhase) -> None:
         if ph.op == OP_SUM:
             src, count, dst = ph.args
             total = sum(_words(count)[0].unpack_from(m, src))
@@ -662,29 +673,36 @@ class IpuDevice:
         elif ph.op == OP_SGD_STEP:
             num, den, w_off, g_off, count = ph.args
             signed, unsigned = _words(count)
-            gs = signed.unpack_from(m, g_off)
-            ws = signed.unpack_from(m, w_off)
-            unsigned.pack_into(m, w_off, *[(w - num * g // den) & 0xFFFFFFFF for w, g in zip(ws, gs)])
+            gs, ws = signed.unpack_from(m, g_off), signed.unpack_from(m, w_off)
+            out = [w - num * g // den for w, g in zip(ws, gs)]
+            try:
+                signed.pack_into(m, w_off, *out)
+            except struct.error:  # a result left int32: wrap every word
+                unsigned.pack_into(m, w_off, *[v & 0xFFFFFFFF for v in out])
         else:  # pragma: no cover - unpack() rejects unknown ops
-            raise self._security(f"tile {tile.tile_id}: unknown compute op {ph.op}")
+            raise self._security(f"unknown compute op {ph.op}")
 
     def apply_moves(self, moves: tuple[tuple[int, int, int, int, int], ...]) -> None:
-        """Internal exchange at a barrier; sources are snapshotted first so a
-        tile can appear as both source and destination."""
-        grabbed = [
-            bytes(self.tiles[src].memory[s_off : s_off + ln]) for src, s_off, _, _, ln in moves
-        ]
+        """Internal exchange at a barrier; every source is copied (a bytearray
+        slice) before any write, so a tile can be both source and destination."""
+        grabbed = [self.tiles[src].memory[s_off : s_off + ln] for src, s_off, _, _, ln in moves]
         for (_, _, dst, d_off, ln), blob in zip(moves, grabbed):
             self.tiles[dst].memory[d_off : d_off + ln] = blob
 
     # -- checkpoints ---------------------------------------------------------
+
+    def _checkpoint_slots(self) -> dict[int, list[int]]:
+        """Every tile's checkpoint frame addresses, a job constant derived once."""
+        if self._ckpt_slots is None:
+            self._ckpt_slots = self.manifest.checkpoint_addresses()
+        return self._ckpt_slots
 
     def checkpoint_save(self) -> tuple[int, int]:
         """Write every tile's restart state as an encrypted checkpoint stream;
         returns the (epoch, checkpoint id) its IVs carry, which every tile shares."""
         counters = (self.tiles[0].epoch, self.tiles[0].checkpoint_id)
         sid = self._stream_of_kind(CHECKPOINT)
-        slots = self.manifest.checkpoint_addresses()
+        slots = self._checkpoint_slots()
         size = payload_capacity(self.manifest.frame_size)
         for tile in self.tiles:
             layout, addresses = tile.layout, slots[tile.tile_id]
@@ -701,7 +719,7 @@ class IpuDevice:
         (epoch, checkpoint) counters, then re-park the tiles at the saved
         barrier; tiles verify every frame's IV."""
         sid = self._stream_of_kind(CHECKPOINT)
-        slots = self.manifest.checkpoint_addresses()
+        slots = self._checkpoint_slots()
         for tile in self.tiles:
             payload = b"".join(self._read_frame(tile, sid, a, f) for f, a in enumerate(slots[tile.tile_id]))
             (pc,) = struct.unpack_from("<I", payload, 0)

@@ -131,7 +131,8 @@ class TrustedJobSession:
         for sid in plan.fills:
             frames = self._streams[sid]
             offset = offsets.get(sid, 0)
-            placed = list(zip(self.manifest.window(sid, offset).values(), frames[offset:]))
+            window = self.manifest.window(sid, offset)
+            placed = list(zip(window.values(), frames[offset : offset + len(window)]))
             for address, frame in placed:
                 self.ring.write(address, frame)
             self.windows[sid] = offset

@@ -25,6 +25,7 @@ from itx.device import (
     RingBuffer,
     StorePhase,
     SyncPhase,
+    TILE_MEMORY,
     TileProgram,
     trusted_registers_digest,
 )
@@ -34,6 +35,7 @@ from itx.errors import (
     IndexOutOfRange,
     InvalidPhase,
     KeyNotLoaded,
+    SecurityException,
 )
 from itx.frame_codec import IV_BYTES, StreamIV, StreamType
 
@@ -357,6 +359,114 @@ class TestComputeKernels:
     @given(st.lists(int32s, max_size=64))
     def test_sum_over_drawn_values(self, ints):
         assert op_sum(ints) == wrap32(sum(ints))
+
+
+# ---------------------------------------------------------------------------
+# the interval interpreter against a per-phase reference
+# ---------------------------------------------------------------------------
+
+
+class UnscheduledDevice(IpuDevice):
+    """Parks at every barrier with no manifest, window or move: an interval
+    is only its tiles' phases."""
+
+    def _park(self, sync_id):
+        self.barrier = sync_id
+
+
+def reference_interval(memory: bytearray, phases, pc: int):
+    """One tile's interval phase by phase, as a plain loop: every SGD result
+    masked to an unsigned word.  Returns (sync id or None, pc)."""
+    while pc < len(phases):
+        ph = phases[pc]
+        if isinstance(ph, SyncPhase):
+            return ph.sync_id, pc + 1
+        if ph.op == OP_SUM:
+            src, count, dst = ph.args
+            struct.pack_into("<I", memory, dst, sum(struct.unpack_from(f"<{count}i", memory, src)) & 0xFFFFFFFF)
+        else:
+            num, den, w_off, g_off, count = ph.args
+            gs = struct.unpack_from(f"<{count}i", memory, g_off)
+            ws = struct.unpack_from(f"<{count}i", memory, w_off)
+            out = [(w - num * g // den) & 0xFFFFFFFF for w, g in zip(ws, gs)]
+            struct.pack_into(f"<{count}I", memory, w_off, *out)
+        pc += 1
+    return None, pc
+
+
+ARENA, ARENA_BYTES = 0x2000, 96  # every operand lands here, so operands alias
+
+
+@st.composite
+def operand(draw, words: int) -> int:
+    """A byte offset, aligned or not, of ``words`` words inside the arena."""
+    return ARENA + draw(st.integers(0, ARENA_BYTES - 4 * words))
+
+
+@st.composite
+def interval_phase(draw):
+    kind = draw(st.sampled_from(("sgd", "sum", "sync")))
+    if kind == "sync":
+        return SyncPhase(draw(st.integers(0, 7)))
+    count = draw(st.integers(0, 8))
+    if kind == "sum":
+        return ComputePhase(OP_SUM, (draw(operand(count)), count, draw(operand(1))))
+    num, den = draw(int32s), draw(st.integers(1, I32_MAX))
+    return ComputePhase(OP_SGD_STEP, (num, den, draw(operand(count)), draw(operand(count)), count))
+
+
+class TestIntervalInterpreter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(interval_phase(), max_size=12),
+        st.lists(int32s, min_size=ARENA_BYTES // 4, max_size=ARENA_BYTES // 4),
+    )
+    def test_every_interval_matches_the_per_phase_reference(self, phases, ints):
+        program = TileProgram.unpack(TileProgram(tuple(phases)).pack())
+        memory = bytearray(TILE_MEMORY)
+        struct.pack_into(f"<{len(ints)}i", memory, ARENA, *ints)
+        dev = UnscheduledDevice()
+        for tile in dev.tiles:
+            tile.memory[:], tile.program = memory, program
+        pc = 0
+        while True:
+            sync_id, pc = reference_interval(memory, program.phases, pc)
+            assert dev.run_interval() == sync_id
+            assert all(tile.pc == pc and tile.memory == memory for tile in dev.tiles)
+            if sync_id is None:
+                break
+
+    def test_a_raising_phase_leaves_the_pc_at_it(self):
+        phases = (ComputePhase(OP_SUM, (0, 0, 0)), SyncPhase(1), LoadPhase(9, 1))
+        dev = UnscheduledDevice()
+        for tile in dev.tiles:
+            tile.program = TileProgram(phases)
+        assert dev.run_interval() == 1
+        assert dev.tiles[0].pc == 2
+        with pytest.raises(SecurityException, match="no binding for stream 9"):
+            dev.run_interval()
+        assert dev.tiles[0].pc == 2
+
+
+class TestInternalExchange:
+    """A barrier's moves read every source as it stood before the barrier."""
+
+    def test_a_two_tile_swap(self):
+        dev = device()
+        dev.host_write_tile(0, 0x2000, b"tile 0's")
+        dev.host_write_tile(1, 0x2000, b"tile 1's")
+        dev.apply_moves(((0, 0x2000, 1, 0x2000, 8), (1, 0x2000, 0, 0x2000, 8)))
+        assert dev.host_read_tile(0, 0x2000, 8) == b"tile 1's"
+        assert dev.host_read_tile(1, 0x2000, 8) == b"tile 0's"
+
+    def test_a_chain_reads_sources_before_earlier_moves_land(self):
+        dev = device()
+        dev.host_write_tile(0, 0x2000, b"A" * 16)
+        dev.host_write_tile(1, 0x3000, b"B" * 16)
+        # the first move lands on [0x3008, 0x3018) of tile 1; the second reads [0x3000, 0x3010)
+        dev.apply_moves(((0, 0x2000, 1, 0x3008, 16), (1, 0x3000, 2, 0x4000, 16)))
+        assert dev.host_read_tile(1, 0x3000, 24) == b"B" * 8 + b"A" * 16
+        assert dev.host_read_tile(2, 0x4000, 16) == b"B" * 16
 
 
 # ---------------------------------------------------------------------------
