@@ -26,7 +26,7 @@ from typing import Any, Optional
 from . import crypto
 from .attestation import AttestationReport, KeyPackage
 from .certs import Certificate, issue, self_signed
-from .device import IpuDevice
+from .device import TILE_COUNT, TILE_MEMORY, IpuDevice
 from .encoding import canonical_bytes, digest_hex
 from .errors import (
     AlreadyProvisioned,
@@ -320,6 +320,11 @@ class Ccu:
             )
         if sorted(layout.tile_id for layout in manifest.tile_layouts) != list(range(len(device.tiles))):
             raise InvalidPhase("manifest does not lay out each device tile exactly once")
+        for i, plan in enumerate(manifest.plans):  # a barrier's internal exchange stays inside the tiles
+            for src, at, dst, to, n in plan.moves:  # n bytes at ``at`` on tile src go to ``to`` on tile dst
+                if not (0 <= src < TILE_COUNT and 0 <= dst < TILE_COUNT and 0 <= n
+                        and 0 <= at <= TILE_MEMORY - n and 0 <= to <= TILE_MEMORY - n):
+                    raise InvalidPhase(f"plan {i}: a move from tile {src} to tile {dst} leaves the device's tiles")
         if manifest.bootloader_measurement != self.measurements["tile_bootloader"]:
             raise InvalidPhase("manifest names a different tile bootloader")
         for party, cert in sorted(party_certs.items()):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Callable, Optional
 
@@ -109,7 +109,11 @@ MAX_PHASES = 0xFFFF
 # OP_SGD_STEP (num, den, w, g, count) sets each of ``count`` words at ``w`` to
 # ``w - (num * g) // den``, with floor division, ``g`` the word at the same
 # index at ``g`` and ``den`` positive.  Results wrap to 32 bits, stored as
-# the two's-complement int32 bytes.
+# the two's-complement int32 bytes.  A chain is a maximal run of consecutive
+# SGD steps with one ``w`` and ``count``, each after the first with its ``g``
+# words outside the weights, that crosses no loop boundary or pass.  Run as
+# one pass it is exact: no step writes a gradient a later one reads, and
+# wrap(w - t1 - t2) == wrap(wrap(w - t1) - t2) mod 2**32.
 OP_SUM = 0
 OP_SGD_STEP = 2
 
@@ -166,9 +170,10 @@ _sync = lru_cache(maxsize=4096)(SyncPhase)
 
 @dataclass(frozen=True)
 class TileProgram:
-    """Deterministically serializable per-tile phase list."""
+    """Deterministically serializable per-tile phase list; ``pack`` and ``==`` ignore its chains."""
 
     phases: tuple[Phase, ...]
+    chains: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict, compare=False, repr=False)
 
     def pack(self) -> bytes:
         out = [_PROGRAM_MAGIC, struct.pack("<H", len(self.phases))]
@@ -201,6 +206,7 @@ class TileProgram:
             (count,) = struct.unpack_from("<H", blob, 3)
             off = 5
             phases: list[Phase] = []
+            head, run, chains = -1, (), {}  # the last SGD step's chain (first index, args); those of 2+ steps
             loops: list[tuple[int, LoopPhase]] = []  # (index of the body in ``phases``, loop)
             extra = 0  # phases the loops add beyond one pass of their bodies
             for i in range(count):
@@ -245,6 +251,14 @@ class TileProgram:
                         inside = args[4] >= 0 and 0 <= args[2] <= end and 0 <= args[3] <= end
                     if not inside:
                         raise ValueError(f"compute op {op} reaches outside tile memory")
+                    if op == OP_SGD_STEP:
+                        n, (w, g, c) = len(phases), args[2:]
+                        if (head + len(run) == n and (run[0][2], run[0][4]) == (w, c)
+                                and not w - 4 * c < g < w + 4 * c  # the gradient is not in the weights
+                                and not (loops and n - loops[-1][0] in (0, loops[-1][1].length))):
+                            run = chains[head] = run + (args,)
+                        else:
+                            head, run = n, (args,)
                     phases.append(ComputePhase(op, tuple(args)))
                 elif kind == PHASE_SYNC:
                     (sync_id,) = struct.unpack_from("<I", blob, off)
@@ -270,7 +284,11 @@ class TileProgram:
                 for p in range(1, loop.times)
                 for ph in body
             ]
-        return cls(tuple(phases))
+            if chains:  # a chain after the body moves past its passes, and one in it repeats per pass
+                end, grow = start + loop.length, (loop.times - 1) * loop.length
+                chains = {h + (grow if h >= end else p * loop.length): steps for h, steps in chains.items()
+                          for p in range(loop.times if start <= h < end else 1)}
+        return cls(tuple(phases), chains)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +406,16 @@ class IpuDevice:
 
     def host_read_tile(self, tile_id: int, offset: int, length: int) -> bytes:
         self._host_guard(f"read tile {tile_id}")
-        return bytes(self.tiles[tile_id].memory[offset : offset + length])
+        return bytes(self._tile_memory(tile_id, offset, length)[offset : offset + length])
 
     def host_write_tile(self, tile_id: int, offset: int, blob: bytes) -> None:
         self._host_guard(f"write tile {tile_id}")
-        self.tiles[tile_id].memory[offset : offset + len(blob)] = blob
+        self._tile_memory(tile_id, offset, len(blob))[offset : offset + len(blob)] = blob
+
+    def _tile_memory(self, tile_id: int, offset: int, length: int) -> bytearray:
+        if not (0 <= tile_id < TILE_COUNT and 0 <= offset and 0 <= length and offset + length <= TILE_MEMORY):
+            raise IndexOutOfRange(f"tile {tile_id} [{offset:#x}, +{length}) is outside the device's tiles")
+        return self.tiles[tile_id].memory
 
     def host_read_register(self, name: str) -> int:
         self._host_guard(f"read register {name}")
@@ -601,9 +624,11 @@ class IpuDevice:
     # -- scheduler -----------------------------------------------------------
     #
     # An interval costs its phases: a tile keeps its pc in a local and
-    # dispatches on each phase's exact type.  An SGD step writes signed words,
-    # as masking to unsigned ones is most of a write's cost; a result outside
-    # int32 makes the struct refuse, and the step rewrites every word masked.
+    # dispatches on each phase's exact type.  A compute phase runs the chain
+    # found at its pc, or alone, and the pc moves past it; entered inside a
+    # chain, the rest runs step by step.  A chain writes signed words, as
+    # masking to unsigned ones is most of a write's cost; a result outside
+    # int32 makes the struct refuse, and the chain rewrites every word masked.
 
     def run_interval(self) -> Optional[int]:
         """Advance every tile to its next barrier; returns the common sync id,
@@ -641,7 +666,9 @@ class IpuDevice:
                     pc += 1
                     return ph.sync_id
                 if type(ph) is ComputePhase:
-                    self._exec_compute(memory, ph)
+                    steps = tile.program.chains.get(pc) or (ph.args,)
+                    self._exec_compute(memory, ph.op, steps)
+                    pc += len(steps) - 1
                 else:
                     self._exec_transfer(tile, ph)
                 pc += 1
@@ -657,6 +684,8 @@ class IpuDevice:
         if sid not in self.manifest.stream_table:
             raise self._security(f"tile referenced unknown stream {sid}")
         size, k = payload_capacity(self.manifest.frame_size), cursors[sid]
+        if not 0 <= spec.buf_off <= TILE_MEMORY - ph.frames * size:
+            raise self._security(f"tile {tile_id}: stream {sid} transfer leaves the tile's memory")
         load = type(ph) is LoadPhase
         for at in range(spec.buf_off, spec.buf_off + ph.frames * size, size):
             if load:
@@ -665,22 +694,26 @@ class IpuDevice:
                 self.write_stream_frame(tile_id, sid, spec.frame_index(k), bytes(memory[at : at + size]))
             cursors[sid] = k = k + 1
 
-    def _exec_compute(self, m: bytearray, ph: ComputePhase) -> None:
-        if ph.op == OP_SUM:
-            src, count, dst = ph.args
+    def _exec_compute(self, m: bytearray, op: int, steps: tuple[tuple[int, ...], ...]) -> None:
+        if op == OP_SUM:
+            ((src, count, dst),) = steps
             total = sum(_words(count)[0].unpack_from(m, src))
             _words(1)[1].pack_into(m, dst, total & 0xFFFFFFFF)
-        elif ph.op == OP_SGD_STEP:
-            num, den, w_off, g_off, count = ph.args
+        elif op == OP_SGD_STEP:
+            _, _, w_off, _, count = steps[0]
             signed, unsigned = _words(count)
-            gs, ws = signed.unpack_from(m, g_off), signed.unpack_from(m, w_off)
-            out = [w - num * g // den for w, g in zip(ws, gs)]
+            out, pairs, read = signed.unpack_from(m, w_off), iter(steps), signed.unpack_from
+            for (n1, d1, _, g1, _), (n2, d2, _, g2, _) in zip(pairs, pairs):  # two steps to a comprehension
+                out = [w - n1 * a // d1 - n2 * b // d2 for w, a, b in zip(out, read(m, g1), read(m, g2))]
+            if len(steps) % 2:
+                num, den, _, g_off, _ = steps[-1]
+                out = [w - num * g // den for w, g in zip(out, read(m, g_off))]
             try:
                 signed.pack_into(m, w_off, *out)
             except struct.error:  # a result left int32: wrap every word
                 unsigned.pack_into(m, w_off, *[v & 0xFFFFFFFF for v in out])
         else:  # pragma: no cover - unpack() rejects unknown ops
-            raise self._security(f"unknown compute op {ph.op}")
+            raise self._security(f"unknown compute op {op}")
 
     def apply_moves(self, moves: tuple[tuple[int, int, int, int, int], ...]) -> None:
         """Internal exchange at a barrier; every source is copied (a bytearray

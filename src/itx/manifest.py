@@ -221,6 +221,8 @@ class JobManifest(Record):
                 images[id(plan)] = self._validate_plan(where, plan)
         if not self.schedule:
             raise InvalidRegisterProgram("empty barrier schedule")
+        if any(spec.block_len < 1 for layout in self.tile_layouts for spec in layout.bindings):
+            raise InvalidRegisterProgram("a stream binding walks blocks of fewer than one frame")
         for sync_id, (index, offsets) in enumerate(self.schedule):
             if not 0 <= index < len(self.plans):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")

@@ -13,7 +13,7 @@ from itx import crypto, pki
 from itx.attestation import KeyPackage
 from itx.ccu import Ccu, CcuFlash, INITIALIZED, LAUNCHED, NO_TEE, TERMINATED
 from itx.compiler import JobDescription, compile_job
-from itx.device import MODE_NORMAL
+from itx.device import MODE_NORMAL, TILE_COUNT, TILE_MEMORY
 from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
@@ -28,6 +28,7 @@ from itx.errors import (
 )
 from itx.pki import REJECT_MANIFEST, CaState, PartyIdentity
 from itx.sandbox import make_deployment, make_firmware
+from test_compiler import SGD_GRID, SUM_GRID
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -325,6 +326,38 @@ class TestTeeInit:
             deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
         assert deployment.device.registers["trusted_mode"] == 0
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            (0, TILE_MEMORY - 6, 1, 0x2000, 16),
+            (1, 0x2000, 0, TILE_MEMORY - 6, 16),
+            (0, -16, 1, 0x2000, 16),
+            (0, 0x2000, 1, 0x2000, -16),
+            (TILE_COUNT, 0x2000, 1, 0x2000, 16),
+            (0, 0x2000, -1, 0x2000, 16),
+        ],
+        ids=["source-past-the-end", "destination-past-the-end", "negative-offset", "negative-length",
+             "tile-16", "tile-minus-1"],
+    )
+    def test_a_move_off_the_device_tiles_is_refused_before_trusted_mode(self, rig, move):
+        deployment, compiled, parties, _ = rig
+        first, *rest = compiled.manifest.plans
+        plans = (dataclasses.replace(first, moves=(*first.moves, move)), *rest)
+        manifest = dataclasses.replace(compiled.manifest, plans=plans)
+        _, certs, shares, sigs = init_material(parties)
+        with pytest.raises(InvalidPhase, match="leaves the device's tiles"):
+            deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
+        assert deployment.ccu.tee.phase == NO_TEE
+        assert deployment.device.mode == MODE_NORMAL
+
+    def test_every_compile_grid_manifest_is_accepted(self):
+        deployment = make_deployment(seed=5)
+        bootloader = deployment.firmware.tile_bootloader_measurement()
+        for job in SGD_GRID + SUM_GRID:
+            manifest = compile_job(job, bootloader_measurement=bootloader).manifest
+            deployment.ccu.tee_init(manifest.to_bytes(), {}, {}, {})  # no party: only the manifest is judged
+            deployment.device.reset("sbr")
 
     def test_manifest_with_wrong_tile_bootloader_is_rejected(self, rig):
         deployment, _, parties, _ = rig

@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itx.compiler import JobDescription, compile_job
@@ -25,6 +25,7 @@ from itx.device import (
     RingBuffer,
     StorePhase,
     SyncPhase,
+    TILE_COUNT,
     TILE_MEMORY,
     TileProgram,
     trusted_registers_digest,
@@ -96,6 +97,26 @@ class TestHostAccess:
             device().host_write_register("undocumented", 1)
         with pytest.raises(IndexOutOfRange, match="unknown device register undocumented"):
             device().host_read_register("undocumented")
+
+    @pytest.mark.parametrize(
+        "tile_id, offset, length",
+        [(3, TILE_MEMORY + 100, 4), (3, TILE_MEMORY - 2, 4), (0, -8, 8), (0, 0, -8), (-1, 0, 4), (TILE_COUNT, 0, 4)],
+        ids=["past-the-end", "across-the-end", "negative-offset", "negative-length", "tile-minus-1", "tile-16"],
+    )
+    def test_tile_accessors_stay_inside_a_tile(self, tile_id, offset, length):
+        dev = device()
+        with pytest.raises(IndexOutOfRange, match=f"tile {tile_id} "):
+            dev.host_read_tile(tile_id, offset, length)
+        if length >= 0:  # a write's length is its blob's
+            with pytest.raises(IndexOutOfRange, match=f"tile {tile_id} "):
+                dev.host_write_tile(tile_id, offset, b"grow"[:length])
+        assert all(len(tile.memory) == TILE_MEMORY and not any(tile.memory) for tile in dev.tiles)
+
+    def test_tile_accessors_reach_every_byte_of_a_tile(self):
+        dev = device()
+        dev.host_write_tile(TILE_COUNT - 1, TILE_MEMORY - 4, b"last")
+        assert dev.host_read_tile(TILE_COUNT - 1, TILE_MEMORY - 4, 4) == b"last"
+        assert dev.host_read_tile(0, TILE_MEMORY, 0) == b""
 
     def test_trusted_mode_cannot_be_entered_twice(self):
         dev = device()
@@ -446,6 +467,76 @@ class TestIntervalInterpreter:
         with pytest.raises(SecurityException, match="no binding for stream 9"):
             dev.run_interval()
         assert dev.tiles[0].pc == 2
+
+
+# ---------------------------------------------------------------------------
+# SGD chains: consecutive steps on one weight range run as one pass
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def chained_program(draw):
+    """Phases with runs of 1-4 SGD steps on one or two shared weight ranges in
+    the arena's lower half, each gradient anywhere in the arena or in its
+    upper half, outside the weights; mixed with the interval phases above and
+    with loops whose bodies hold the same."""
+    half = ARENA_BYTES // 2
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    ranges = [(ARENA + draw(st.integers(0, half - 4 * c)), c) for c in counts]
+
+    def sgd_run(draw):
+        w_off, count = draw(st.sampled_from(ranges))
+        gradient = st.one_of(operand(count), st.integers(ARENA + half, ARENA + ARENA_BYTES - 4 * count))
+        return [
+            ComputePhase(OP_SGD_STEP, (draw(int32s), draw(st.integers(1, I32_MAX)), w_off, draw(gradient), count))
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+
+    def plain(draw):
+        return sgd_run(draw) if draw(st.integers(0, 2)) else [draw(interval_phase())]
+
+    phases = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 2)):
+            phases += plain(draw)
+        else:
+            body = [ph for _ in range(draw(st.integers(1, 3))) for ph in plain(draw)]
+            phases += [LoopPhase(draw(st.integers(1, 3)), len(body), draw(st.integers(0, 3))), *body]
+    return phases
+
+
+class TestSgdChains:
+    def test_chains_stop_at_a_gradient_in_the_weights_and_at_loop_boundaries(self):
+        def sgd(w_off, g_off):
+            return ComputePhase(OP_SGD_STEP, (1, 16, w_off, g_off, 4))
+
+        assert TileProgram.unpack(TileProgram((sgd(0x100, 0x100), sgd(0x100, 0x200))).pack()).chains == {
+            0: ((1, 16, 0x100, 0x100, 4), (1, 16, 0x100, 0x200, 4))
+        }
+        assert TileProgram.unpack(TileProgram((sgd(0x100, 0x200), sgd(0x100, 0x10C))).pack()).chains == {}
+        assert TileProgram.unpack(TileProgram((sgd(0x100, 0x200), sgd(0x104, 0x300))).pack()).chains == {}
+        looped = (sgd(0x100, 0x200), LoopPhase(3, 2, 0), sgd(0x100, 0x300), sgd(0x100, 0x400), sgd(0x100, 0x500))
+        assert sorted(TileProgram.unpack(TileProgram(looped).pack()).chains) == [1, 3, 5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(chained_program(), st.lists(int32s, min_size=ARENA_BYTES // 4, max_size=ARENA_BYTES // 4))
+    @example(  # a loop's last step, then a step on the same weights: two passes, two chains of one
+        [LoopPhase(2, 1, 0), *(ComputePhase(OP_SGD_STEP, (1, 1, ARENA, g, 4)) for g in (ARENA + 48, ARENA + 64))],
+        list(range(ARENA_BYTES // 4)),
+    )
+    def test_every_entry_pc_matches_the_per_phase_reference(self, phases, ints):
+        program = TileProgram.unpack(TileProgram(tuple(phases)).pack())
+        start = bytearray(TILE_MEMORY)
+        struct.pack_into(f"<{len(ints)}i", start, ARENA, *ints)
+        dev = UnscheduledDevice()
+        dev.tiles = dev.tiles[:1]  # one tile: the entry pc is the case drawn
+        tile = dev.tiles[0]
+        for entry in range(len(program.phases)):  # each pc after a sync is an entry too
+            memory = bytearray(start)
+            tile.memory[:], tile.program, tile.pc = start, program, entry
+            sync_id, pc = reference_interval(memory, program.phases, entry)
+            assert dev.run_interval() == sync_id
+            assert tile.pc == pc and tile.memory == memory
 
 
 class TestInternalExchange:

@@ -138,6 +138,15 @@ class TestBindings:
         spec = BindingSpec(stream_id=1, buf_off=0, start_index=0)
         assert [spec.frame_index(k) for k in range(4)] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("block_len", [0, -1])
+    def test_a_binding_needs_blocks_of_at_least_one_frame(self, block_len):
+        manifest = sgd_manifest()
+        layouts = list(manifest.tile_layouts)
+        spec = layouts[5].bindings[0]
+        layouts[5] = dataclasses.replace(layouts[5], bindings=(dataclasses.replace(spec, block_len=block_len),))
+        with pytest.raises(InvalidRegisterProgram, match="fewer than one frame"):
+            dataclasses.replace(manifest, tile_layouts=tuple(layouts)).validate()
+
 
 class TestSerialization:
     def test_manifest_round_trip_preserves_measurement(self):

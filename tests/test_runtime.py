@@ -37,6 +37,7 @@ from itx.device import (
     OP_SGD_STEP,
     RingBuffer,
     SyncPhase,
+    TILE_MEMORY,
     TileProgram,
 )
 from itx.frame_codec import FRAME_OVERHEAD, IV_BYTES, StreamIV, StreamType
@@ -45,7 +46,7 @@ from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, p
 from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
-from itx.errors import InvalidPhase, ScheduleInfeasible
+from itx.errors import InvalidPhase, ScheduleInfeasible, SecurityException
 from itx.sxp import ExchangePacket, SxpEngine
 
 
@@ -71,7 +72,7 @@ def assert_torn_down(fixture, phase: str = TERMINATED) -> None:
     assert device.mode == MODE_NORMAL
     for engine in (device.ingress, device.egress):
         assert all(ctx.aead is None for ctx in engine.contexts)
-    assert all(tile.memory == bytes(len(tile.memory)) for tile in device.tiles)
+    assert all(len(tile.memory) == TILE_MEMORY and tile.memory == bytes(TILE_MEMORY) for tile in device.tiles)
 
 
 def assert_completed_and_exact(fixture, result) -> None:
@@ -459,6 +460,22 @@ def test_compute_outside_tile_memory_aborts_closed():
     result = run_with_tile_5_program(fixture, phases)
     assert_aborted_closed(fixture, result)
     assert "outside tile memory" in result.reason
+
+
+def test_a_binding_off_the_tile_aborts_closed_before_a_byte_moves():
+    """Tile 5's gradient binding starts 50 bytes short of the end of its
+    memory, so its first load would run past it: the clear run and the
+    trusted run both refuse the transfer, and no tile changes size."""
+    fixture = make_sgd_fixture(steps=2)
+    layouts = list(fixture.compiled.manifest.tile_layouts)
+    (spec,) = layouts[5].bindings
+    layouts[5] = dataclasses.replace(layouts[5], bindings=(dataclasses.replace(spec, buf_off=TILE_MEMORY - 50),))
+    manifest = dataclasses.replace(fixture.compiled.manifest, tile_layouts=tuple(layouts)).validate()
+    with pytest.raises(SecurityException, match="tile 5: stream 3 transfer leaves the tile's memory"):
+        run_clear_reference(manifest, fixture.compiled.binaries, fixture.clear_inputs())
+    result = session_with(fixture, fixture.inputs, manifest).run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason == "tile 5: stream 3 transfer leaves the tile's memory"
 
 
 def test_a_loop_over_the_phase_limit_aborts_closed():
