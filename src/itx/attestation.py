@@ -3,15 +3,30 @@
 These types cross the trust boundary between the device root of trust and
 the relying parties, so both sides serialize them with the same canonical
 encoding; signatures and digests are always computed over that encoding.
+The device's factory registers live here too: it measures them, the verifier expects them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 from .certs import Signed
 from .encoding import Record
+
+DEFAULT_REGISTERS = {"trusted_mode": 0, "link_enable": 1, "hsp_period": 1000, "exchange_window": 0}
+
+
+def _registers_digest(registers: dict[str, int]) -> str:
+    blob = b"".join(f"{k}={registers[k]};".encode() for k in sorted(registers))
+    return hashlib.sha256(blob).hexdigest()
+
+
+def trusted_registers_digest() -> str:
+    """The register measurement a verifier should expect from a freshly
+    quiesced device: factory defaults with trusted mode raised."""
+    return _registers_digest({**DEFAULT_REGISTERS, "trusted_mode": 1})
 
 
 @dataclass(frozen=True)

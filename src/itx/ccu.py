@@ -25,8 +25,8 @@ from typing import Any, Optional
 
 from . import crypto
 from .attestation import AttestationReport, KeyPackage
-from .certs import Certificate, issue, self_signed
-from .device import TILE_COUNT, TILE_MEMORY, IpuDevice
+from .certs import Certificate, SignedImage, issue, self_signed
+from .device import IpuDevice
 from .encoding import canonical_bytes, digest_hex
 from .errors import (
     AlreadyProvisioned,
@@ -51,15 +51,6 @@ TERMINATED = "terminated"
 # ---------------------------------------------------------------------------
 # firmware
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedImage:
-    image: bytes
-    signature: bytes  # by the firmware-signing CA, over the raw image
-
-    def measurement(self) -> str:
-        return hashlib.sha256(self.image).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -256,9 +247,7 @@ class Ccu:
     # -- key plumbing --------------------------------------------------------
 
     def _stream_key(self, stream_id: int, bank: str) -> bytes:
-        manifest = self.tee.manifest
-        assert manifest is not None
-        entry = manifest.stream_table[stream_id]
+        entry = self.tee.manifest.stream_table[stream_id]
         if entry.kind == CHECKPOINT:
             key = self.tee.k_load if bank == "ingress" else self.tee.k_save
             if not key:
@@ -301,11 +290,13 @@ class Ccu:
         epoch: int = 0,
         checkpoint_id: int = 0,
     ) -> AttestationReport:
-        """Attest ``manifest_bytes``: decode and validate a private copy, which the
-        control unit and the device then run from, and report the bytes' digest.
-        Malformed bytes, and counters the tiles' 8-bit IV fields cannot hold once
-        the start or the restore bumps the epoch, raise an ``ItxError`` before
-        trusted mode is entered."""
+        """Attest ``manifest_bytes``: decode a private copy, which the control
+        unit and the device then run from, and report the bytes' digest.  The
+        manifest's rule (``JobManifest.validated_images``) decides whether the
+        job may run; this checks only what needs the device or the firmware:
+        the ``ipu_id``, the tile bootloader, counters the tiles' 8-bit IV fields
+        hold once the start or the restore bumps the epoch, and party shares.
+        Any refusal raises an ``ItxError`` before trusted mode is entered."""
         if self.tee.phase != NO_TEE:
             raise InvalidPhase(f"tee_init in phase {self.tee.phase}")
         if not (0 <= epoch < 0xFF and 0 <= checkpoint_id <= 0xFF):
@@ -318,13 +309,6 @@ class Ccu:
             raise InvalidPhase(
                 f"manifest targets device {manifest.ipu_id}, attached device is {device.ipu_id}"
             )
-        if sorted(layout.tile_id for layout in manifest.tile_layouts) != list(range(len(device.tiles))):
-            raise InvalidPhase("manifest does not lay out each device tile exactly once")
-        for i, plan in enumerate(manifest.plans):  # a barrier's internal exchange stays inside the tiles
-            for src, at, dst, to, n in plan.moves:  # n bytes at ``at`` on tile src go to ``to`` on tile dst
-                if not (0 <= src < TILE_COUNT and 0 <= dst < TILE_COUNT and 0 <= n
-                        and 0 <= at <= TILE_MEMORY - n and 0 <= to <= TILE_MEMORY - n):
-                    raise InvalidPhase(f"plan {i}: a move from tile {src} to tile {dst} leaves the device's tiles")
         if manifest.bootloader_measurement != self.measurements["tile_bootloader"]:
             raise InvalidPhase("manifest names a different tile bootloader")
         for party, cert in sorted(party_certs.items()):
@@ -370,7 +354,6 @@ class Ccu:
             raise InvalidPhase(f"tee_launch in phase {self.tee.phase}")
         device = self._require_device()
         manifest = self.tee.manifest
-        assert manifest is not None
         if set(wrapped_packages) != set(self.tee.party_certs):
             raise KeyExchangeFailure("one wrapped key package required per party")
 
@@ -448,11 +431,10 @@ class Ccu:
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_checkpoint in phase {self.tee.phase}")
         device = self._require_device()
-        manifest = self.tee.manifest
-        if not self._parked_plan().checkpoint or manifest.checkpoint_plan is None:
+        if not self._parked_plan().checkpoint:
             raise InvalidSyncPoint(f"barrier {device.barrier} schedules no checkpoint")
         steady = device.egress.registers
-        self._apply_plan(manifest.checkpoint_plan)
+        self._apply_plan(self.tee.manifest.checkpoint_plan)
         counters = device.checkpoint_save()
         if steady is not None:
             device.program_registers(steady)
@@ -469,7 +451,6 @@ class Ccu:
             raise InvalidPhase("restore requires a nonzero epoch")
         device = self._require_device()
         manifest = self.tee.manifest
-        assert manifest is not None
         if manifest.restore_plan is None:
             raise InvalidSyncPoint("job has no restore plan")
         self._apply_plan(manifest.restore_plan)

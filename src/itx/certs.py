@@ -3,12 +3,13 @@
 Certificates are canonical-JSON bodies signed with Ed25519.  The fingerprint
 covers the full certificate (body plus signature) like a conventional
 certificate digest; Ed25519 signing is deterministic so fingerprints are
-stable for identical inputs.
+stable for identical inputs.  A ``SignedImage`` is a signed firmware image.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
 
@@ -52,6 +53,15 @@ class Certificate(Signed):
     @property
     def fingerprint(self) -> str:
         return digest_hex(canonical_bytes(self))
+
+
+@dataclass(frozen=True)
+class SignedImage:
+    image: bytes
+    signature: bytes  # by the firmware-signing CA, over the raw image
+
+    def measurement(self) -> str:
+        return hashlib.sha256(self.image).hexdigest()
 
 
 def issue(

@@ -29,8 +29,8 @@ only the model receivers, sorted and distinct, each the owner of a stream
 (``JobManifest.validate`` refuses any other); the attestation report does
 not copy it, since the manifest measurement covers it.
 
-The planners target the one chip's geometry, fixed in silicon and stated by
-no manifest: ``TILE_COUNT`` (16) tiles in exchange blocks of
+The planners target the one chip's geometry, fixed in silicon, stated by no
+manifest and kept in ``sxp``: ``TILE_COUNT`` (16) tiles in exchange blocks of
 ``TILES_PER_EBC`` (4).  They honor the hardware contract: at most 16 key
 contexts, 17 disjoint regions with region 0 cleartext, one key region per
 stream per interval, and — outside strictly serialized phases — one
@@ -54,7 +54,6 @@ from .device import (
     OP_SUM,
     StorePhase,
     SyncPhase,
-    TILE_COUNT,
     TileProgram,
 )
 from .encoding import Record
@@ -74,7 +73,7 @@ from .manifest import (
     checkpoint_span,
     frame_count,
 )
-from .sxp import TILES_PER_EBC
+from .sxp import TILE_COUNT, TILES_PER_EBC
 
 # ---------------------------------------------------------------------------
 # fixed layout constants (tile memory)

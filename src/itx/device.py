@@ -5,9 +5,9 @@ the next synchronization phase, all tiles must name the same barrier, and
 barrier-side state changes (internal exchanges, register reprogramming, key
 loads, checkpoints) happen while the tiles are parked.
 
-There is one chip, its geometry fixed in silicon and stated by no manifest:
-``TILE_COUNT``, ``TILE_MEMORY`` and ``RING_BYTES`` here, and ``sxp``'s
-exchange blocks of ``TILES_PER_EBC`` tiles and packets of ``PACKET_BYTES``.
+There is one chip; ``sxp`` holds its geometry, and the host's ring is sized
+here.  The device runs only a manifest that ``JobManifest``'s rule admitted,
+and does not re-check what the rule proves.
 
 In trusted mode all host access paths to tiles and device registers fail
 closed with ``AccessDenied``.  In either mode a tile's stream frames move
@@ -20,18 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Callable, Optional
 
-from .errors import (
-    AccessDenied,
-    ImageTooLarge,
-    IndexOutOfRange,
-    InvalidPhase,
-    SecurityException,
-)
+from .attestation import DEFAULT_REGISTERS, _registers_digest
+from .errors import AccessDenied, ImageTooLarge, IndexOutOfRange, InvalidPhase, SecurityException
 from .frame_codec import (
     IV_BLOCK_BYTES,
     IV_BYTES,
@@ -41,47 +35,20 @@ from .frame_codec import (
     iv_field,
     payload_capacity,
 )
-from .manifest import (
-    CHECKPOINT,
-    CODE,
-    OUTPUT,
-    BindingSpec,
-    JobManifest,
-    TileLayout,
-)
-from .sxp import PACKET_BYTES, READ_REQUEST, WRITE_REQUEST, ExchangePacket, PendingReadTable, SxpEngine, SxpRegisters
+from .manifest import CHECKPOINT, CODE, OUTPUT, BindingSpec, JobManifest, TileLayout, inside_tile
+from .sxp import (PACKET_BYTES, READ_REQUEST, TILE_COUNT, TILE_MEMORY, WRITE_REQUEST, ExchangePacket,
+                  PendingReadTable, SxpEngine, SxpRegisters)
 
 # ---------------------------------------------------------------------------
-# geometry and register defaults
+# ring and boot region
 # ---------------------------------------------------------------------------
 
-TILE_COUNT = 16
-TILE_MEMORY = 64 * 1024
 RING_BYTES = 1 << 20  # the host's staging ring
 BOOT_RESERVED = 1024  # autoloader target region at the bottom of each tile
 BINARY_OFFSET = BOOT_RESERVED  # tile binaries are placed right above it
 
 MODE_NORMAL = "normal"
 MODE_TRUSTED = "trusted"
-
-DEFAULT_REGISTERS = {
-    "trusted_mode": 0,
-    "link_enable": 1,
-    "hsp_period": 1000,
-    "exchange_window": 0,
-}
-
-
-def _registers_digest(registers: dict[str, int]) -> str:
-    blob = b"".join(f"{k}={registers[k]};".encode() for k in sorted(registers))
-    return hashlib.sha256(blob).hexdigest()
-
-
-def trusted_registers_digest() -> str:
-    """The register measurement a verifier should expect from a freshly
-    quiesced device: factory defaults with trusted mode raised."""
-    return _registers_digest({**DEFAULT_REGISTERS, "trusted_mode": 1})
-
 
 # ---------------------------------------------------------------------------
 # tile programs
@@ -244,11 +211,9 @@ class TileProgram:
                     # args[2]; SGD reads and writes args[4] ints at
                     # args[2] and at args[3].
                     if op == OP_SUM:
-                        inside = args[1] >= 0 and 0 <= args[0] <= TILE_MEMORY - 4 * args[1]
-                        inside = inside and 0 <= args[2] <= TILE_MEMORY - 4
+                        inside = inside_tile(args[0], 4 * args[1]) and inside_tile(args[2], 4)
                     else:
-                        end = TILE_MEMORY - 4 * args[4]
-                        inside = args[4] >= 0 and 0 <= args[2] <= end and 0 <= args[3] <= end
+                        inside = inside_tile(args[2], 4 * args[4]) and inside_tile(args[3], 4 * args[4])
                     if not inside:
                         raise ValueError(f"compute op {op} reaches outside tile memory")
                     if op == OP_SGD_STEP:
@@ -378,6 +343,7 @@ class IpuDevice:
         self.on_reset: Optional[Callable[[], None]] = None
 
         self.manifest: Optional[JobManifest] = None
+        self.payload = 0  # a frame's payload bytes, fixed by the installed job
         self.windows: dict[int, int] = {}
         self.barrier: Optional[int] = None  # where the tiles are parked; the only one keyed
         self._iv_fields: dict[tuple[int, int, int, int], bytes] = {}
@@ -413,7 +379,7 @@ class IpuDevice:
         self._tile_memory(tile_id, offset, len(blob))[offset : offset + len(blob)] = blob
 
     def _tile_memory(self, tile_id: int, offset: int, length: int) -> bytearray:
-        if not (0 <= tile_id < TILE_COUNT and 0 <= offset and 0 <= length and offset + length <= TILE_MEMORY):
+        if not (0 <= tile_id < TILE_COUNT and inside_tile(offset, length)):
             raise IndexOutOfRange(f"tile {tile_id} [{offset:#x}, +{length}) is outside the device's tiles")
         return self.tiles[tile_id].memory
 
@@ -492,12 +458,13 @@ class IpuDevice:
 
     def install_boot_params(self, manifest: JobManifest, epoch: int, checkpoint_id: int) -> None:
         self.manifest = manifest
+        self.payload = payload_capacity(manifest.frame_size)
         self.windows = dict(manifest.plan(0)[1])
         self.barrier = 0
         self._iv_fields = {}
         self._ckpt_slots = None
         for tile in self.tiles:
-            tile.layout = layout = manifest.layout(tile.tile_id)
+            tile.layout = layout = manifest.tile_layouts[tile.tile_id]
             tile.bindings = {b.stream_id: b for b in layout.bindings}
             tile.cursors = {b.stream_id: 0 for b in layout.bindings}
             tile.epoch = epoch
@@ -517,12 +484,6 @@ class IpuDevice:
     # check; what the job fixes is derived once: each plan's register image
     # when the control unit validates the manifest, each context's AEAD at
     # key load, and a stream's IV fixed field per (tile, epoch, checkpoint id).
-
-    def _stream_of_kind(self, kind: str) -> int:
-        if self.manifest is not None:
-            with suppress(KeyError):
-                return self.manifest.stream_of_kind(kind)
-        raise self._security(f"no {kind} stream in the installed job")
 
     def _dma_write(self, src_tile: int, address: int, frame: bytes) -> None:
         """Write one frame, sealed by the egress engine: the device makes no cleartext write."""
@@ -609,7 +570,7 @@ class IpuDevice:
     def run_bootloader(self, tile_id: int) -> bytes:
         """Fetch, authenticate, and install one tile's binary; returns its digest."""
         tile = self.tiles[tile_id]
-        sid = self._stream_of_kind(CODE)
+        sid = self.manifest.stream_of_kind(CODE)
         addresses = self.manifest.code_addresses(tile.layout)
         blob = b"".join(self._read_frame(tile, sid, a, f) for f, a in enumerate(addresses))
         binary = blob[: tile.layout.binary_length]
@@ -681,10 +642,8 @@ class IpuDevice:
         if spec is None:
             raise self._security(f"tile {tile.tile_id} has no binding for stream {ph.stream_id}")
         sid, tile_id, memory, cursors = ph.stream_id, tile.tile_id, tile.memory, tile.cursors
-        if sid not in self.manifest.stream_table:
-            raise self._security(f"tile referenced unknown stream {sid}")
-        size, k = payload_capacity(self.manifest.frame_size), cursors[sid]
-        if not 0 <= spec.buf_off <= TILE_MEMORY - ph.frames * size:
+        size, k = self.payload, cursors[sid]
+        if not inside_tile(spec.buf_off, ph.frames * size):
             raise self._security(f"tile {tile_id}: stream {sid} transfer leaves the tile's memory")
         load = type(ph) is LoadPhase
         for at in range(spec.buf_off, spec.buf_off + ph.frames * size, size):
@@ -699,7 +658,7 @@ class IpuDevice:
             ((src, count, dst),) = steps
             total = sum(_words(count)[0].unpack_from(m, src))
             _words(1)[1].pack_into(m, dst, total & 0xFFFFFFFF)
-        elif op == OP_SGD_STEP:
+        else:  # OP_SGD_STEP, the one other op unpack() admits
             _, _, w_off, _, count = steps[0]
             signed, unsigned = _words(count)
             out, pairs, read = signed.unpack_from(m, w_off), iter(steps), signed.unpack_from
@@ -712,8 +671,6 @@ class IpuDevice:
                 signed.pack_into(m, w_off, *out)
             except struct.error:  # a result left int32: wrap every word
                 unsigned.pack_into(m, w_off, *[v & 0xFFFFFFFF for v in out])
-        else:  # pragma: no cover - unpack() rejects unknown ops
-            raise self._security(f"unknown compute op {op}")
 
     def apply_moves(self, moves: tuple[tuple[int, int, int, int, int], ...]) -> None:
         """Internal exchange at a barrier; every source is copied (a bytearray
@@ -734,9 +691,8 @@ class IpuDevice:
         """Write every tile's restart state as an encrypted checkpoint stream;
         returns the (epoch, checkpoint id) its IVs carry, which every tile shares."""
         counters = (self.tiles[0].epoch, self.tiles[0].checkpoint_id)
-        sid = self._stream_of_kind(CHECKPOINT)
-        slots = self._checkpoint_slots()
-        size = payload_capacity(self.manifest.frame_size)
+        sid = self.manifest.stream_of_kind(CHECKPOINT)
+        slots, size = self._checkpoint_slots(), self.payload
         for tile in self.tiles:
             layout, addresses = tile.layout, slots[tile.tile_id]
             state = tile.memory[layout.ckpt_buf_off : layout.ckpt_buf_off + layout.ckpt_len]
@@ -751,7 +707,7 @@ class IpuDevice:
         """Rebuild tile state from the checkpoint identified by the seeded
         (epoch, checkpoint) counters, then re-park the tiles at the saved
         barrier; tiles verify every frame's IV."""
-        sid = self._stream_of_kind(CHECKPOINT)
+        sid = self.manifest.stream_of_kind(CHECKPOINT)
         slots = self._checkpoint_slots()
         for tile in self.tiles:
             payload = b"".join(self._read_frame(tile, sid, a, f) for f, a in enumerate(slots[tile.tile_id]))

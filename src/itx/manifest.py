@@ -8,7 +8,7 @@ distinct plan (the streams it keys, register maps, key loads) once, and
 ``plan(sync_id)``.  Each fact is stated once: the job's frame size and
 cleartext region sit on the manifest, and a stream's owner and extent on its
 stream-table entry.  The device's geometry is not a fact of the job: there is
-one chip, and its constants live in ``device`` and ``sxp``.
+one chip, and its constants live in ``sxp``.
 Parties review a manifest before releasing keys.  Its measurement is the
 SHA-256 of its canonical bytes (``to_bytes()``); the host hands those bytes
 to the control unit, and the attestation report commits to their digest.
@@ -21,6 +21,10 @@ read from its entry, and a plan's register image is derived:
 ``registers(plan)`` maps region 0 to the cleartext region (which no device
 write targets) and each stream the plan keys to its extent.
 
+It alone decides which jobs a device may run: the clear reference applies
+``admit``, the control unit ``validated_images``, which adds each plan's
+register image and key loads, and the device re-checks none of it.
+
 Routing note: all requests (reads and writes) are key-selected on the egress
 path, so a sync plan carries a single ``ctxmap``/``kphysmap`` register image
 shared by both directions.  Keys live in direction-specific context banks:
@@ -30,13 +34,14 @@ shared by both directions.  Keys live in direction-specific context banks:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from .encoding import Record, digest_hex
 from .errors import InvalidRegisterProgram
-from .frame_codec import FRAME_ALIGN, MAX_FRAME_BYTES, payload_capacity
-from .sxp import NUM_CONTEXTS, AddressRegion, SxpRegisters
+from .frame_codec import payload_capacity
+from .sxp import NUM_CONTEXTS, TILE_COUNT, TILE_MEMORY, AddressRegion, SxpRegisters
 
 # stream kinds
 CODE = "code"
@@ -82,6 +87,11 @@ class TileLayout(Record):
     bindings: tuple[BindingSpec, ...] = ()
     ckpt_buf_off: int = 0  # tile-memory range covered by checkpoints
     ckpt_len: int = 0
+
+
+def inside_tile(offset: int, length: int) -> bool:
+    """Whether ``length`` bytes at ``offset`` lie inside a tile's memory."""
+    return 0 <= length and 0 <= offset <= TILE_MEMORY - length
 
 
 def frame_count(length: int, payload_size: int) -> int:
@@ -148,12 +158,6 @@ class JobManifest(Record):
                 return sid
         raise KeyError(f"no {kind} stream in the manifest")
 
-    def layout(self, tile_id: int) -> TileLayout:
-        for t in self.tile_layouts:
-            if t.tile_id == tile_id:
-                return t
-        raise KeyError(f"no layout for tile {tile_id}")
-
     def plan(self, sync_id: int) -> Optional[tuple[SyncPlan, dict[int, int]]]:
         """(plan, stream offsets) of barrier ``sync_id``; barrier 0 precedes the first interval."""
         if not 0 <= sync_id < len(self.schedule):
@@ -200,29 +204,51 @@ class JobManifest(Record):
         frames = {l.tile_id: checkpoint_frames(len(l.bindings), l.ckpt_len, payload) for l in self.tile_layouts}
         return {t: [self.frame_address(sid, t * span + f) for f in range(n)] for t, n in frames.items()}
 
-    # -- validation ----------------------------------------------------------
+    # -- admission -----------------------------------------------------------
 
     def validate(self) -> "JobManifest":
         self.validated_images()
         return self
 
     def validated_images(self) -> dict[int, SxpRegisters]:
-        """Validate the manifest, and return the register image that doing so
+        """Apply the whole rule, and return the register image that doing so
         built for each plan (boot, checkpoint, restore and barrier plans),
         keyed by ``id(plan)``: the control unit programs these at barriers."""
-        size = self.frame_size
-        if size % FRAME_ALIGN or not FRAME_ALIGN <= size <= MAX_FRAME_BYTES:
-            raise InvalidRegisterProgram(f"bad frame size {size}")
-        extra = {"boot plan": self.boot_plan, "checkpoint plan": self.checkpoint_plan,
-                 "restore plan": self.restore_plan}
-        images = {}
-        for where, plan in [*extra.items(), *((f"plan {i}", p) for i, p in enumerate(self.plans))]:
-            if plan is not None:
-                images[id(plan)] = self._validate_plan(where, plan)
+        self.admit()
+        plans = {"boot plan": self.boot_plan, "checkpoint plan": self.checkpoint_plan,
+                 "restore plan": self.restore_plan, **{f"plan {i}": p for i, p in enumerate(self.plans)}}
+        return {id(plan): self._validate_plan(where, plan) for where, plan in plans.items() if plan is not None}
+
+    def admit(self) -> "JobManifest":
+        """Apply the rule but for what only a packet engine needs (each plan's
+        register image and key loads).  A bad frame size raises
+        ``InvalidFrameSize``, every other refusal ``InvalidRegisterProgram``."""
+        payload_capacity(self.frame_size)
+        kinds = Counter(entry.kind for entry in self.stream_table.values())
+        saves = kinds[CHECKPOINT] == 1
+        if kinds[CODE] != 1 or kinds[OUTPUT] != 1 or kinds[CHECKPOINT] > 1:
+            raise InvalidRegisterProgram(f"stream kinds {dict(kinds)}: not one code and one output stream")
+        if not saves == (self.checkpoint_plan is not None) == (self.restore_plan is not None):
+            raise InvalidRegisterProgram("a checkpoint stream, checkpoint plan and restore plan come only together")
+        if len(self.tile_layouts) != TILE_COUNT:
+            raise InvalidRegisterProgram("the manifest does not lay out each device tile exactly once")
+        for i, layout in enumerate(self.tile_layouts):
+            sids = {spec.stream_id for spec in layout.bindings if spec.block_len >= 1}
+            if layout.tile_id != i:
+                raise InvalidRegisterProgram(f"layout {i} is tile {layout.tile_id}, not each device tile exactly once")
+            if len(sids) != len(layout.bindings) or not self.stream_table.keys() >= sids:
+                raise InvalidRegisterProgram(f"tile {i}: a stream binding walks blocks of fewer than one frame, "
+                                             "or names a stream twice or one not in the table")
+            if not inside_tile(layout.ckpt_buf_off, layout.ckpt_len):
+                raise InvalidRegisterProgram(f"tile {i}: the checkpointed range leaves the tile's memory")
+        for i, plan in enumerate(self.plans):
+            if plan.checkpoint and not saves:
+                raise InvalidRegisterProgram(f"plan {i} checkpoints a job without checkpoints")
+            for src, at, dst, to, n in plan.moves:  # n bytes at ``at`` on tile src go to ``to`` on tile dst
+                if not (0 <= src < TILE_COUNT and 0 <= dst < TILE_COUNT and inside_tile(at, n) and inside_tile(to, n)):
+                    raise InvalidRegisterProgram(f"plan {i}: a move from tile {src} to {dst} leaves the device's tiles")
         if not self.schedule:
             raise InvalidRegisterProgram("empty barrier schedule")
-        if any(spec.block_len < 1 for layout in self.tile_layouts for spec in layout.bindings):
-            raise InvalidRegisterProgram("a stream binding walks blocks of fewer than one frame")
         for sync_id, (index, offsets) in enumerate(self.schedule):
             if not 0 <= index < len(self.plans):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")
@@ -234,7 +260,7 @@ class JobManifest(Record):
         if not (set(self.stream_assignment) == {"model_receivers"} and isinstance(receivers, list) and receivers
                 and all(r in owners for r in receivers) and receivers == sorted(set(receivers))):
             raise InvalidRegisterProgram(f"bad stream assignment {self.stream_assignment}")
-        return images
+        return self
 
     def _validate_plan(self, where: str, plan: SyncPlan) -> SxpRegisters:
         for sid, rid in plan.stream_regions.items():

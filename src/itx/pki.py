@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import crypto
-from .attestation import AttestationReport, KeyPackage, Verdict
-from .certs import Certificate, Signed, issue, self_signed
-from .ccu import SignedImage
-from .device import trusted_registers_digest
+from .attestation import AttestationReport, KeyPackage, Verdict, trusted_registers_digest
+from .certs import Certificate, Signed, SignedImage, issue, self_signed
 from .encoding import canonical_bytes, decode, digest_hex, jsonable
 from .errors import InvalidEncoding, InvalidShare, SupplyChainReject
 

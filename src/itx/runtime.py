@@ -368,31 +368,34 @@ class _ClearDevice(IpuDevice):
     """The device of the clear reference run: each tile's binary is placed and
     its program unpacked directly, loads are served from the plaintext inputs
     and stores are collected: no frame meets a packet engine, a control unit
-    or the ring (sized 0: a fresh 1 MiB one would page-fault in every run)."""
+    or the ring (sized 0: a fresh 1 MiB one would page-fault in every run).
+    A load is refused unless its frame is in the input and its ring address,
+    under the stream's current window, in the stream's region: the packet
+    engines refuse any other."""
 
     ring_bytes = 0
 
     def __init__(self, manifest: JobManifest, binaries: dict[int, bytes], inputs: dict[int, bytes]) -> None:
         super().__init__(ipu_id=manifest.ipu_id)
         self.install_boot_params(manifest, 0, 0)
-        for layout in manifest.tile_layouts:
-            tile, binary = self.tiles[layout.tile_id], binaries[layout.tile_id]
+        for tile in self.tiles:
+            binary = binaries[tile.tile_id]
             tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
             tile.program = TileProgram.unpack(binary)
         self.inputs = inputs
         self.outputs: dict[int, bytearray] = {}
-        self.payload_size = payload_capacity(manifest.frame_size)
 
     def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
-        if stream_id not in self.inputs:
-            raise SecurityException(f"no clear source for stream {stream_id}")
-        size = self.payload_size
-        return self.inputs[stream_id][frame_index * size : (frame_index + 1) * size].ljust(size, b"\x00")
+        size, first, (lo, hi) = self.payload, self.windows.get(stream_id, 0), self.manifest.extent(stream_id)
+        frame = self.inputs.get(stream_id, b"")[frame_index * size : (frame_index + 1) * size]
+        if not (frame and first <= frame_index < first + (hi - lo) // self.manifest.frame_size):
+            raise SecurityException(f"tile {tile_id}: stream {stream_id} frame {frame_index} is not in its window")
+        return frame.ljust(size, b"\x00")
 
     def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
-        sink, end = self.outputs.setdefault(stream_id, bytearray()), (frame_index + 1) * self.payload_size
+        sink, end = self.outputs.setdefault(stream_id, bytearray()), (frame_index + 1) * self.payload
         sink.extend(bytes(max(0, end - len(sink))))
-        sink[end - self.payload_size : end] = payload
+        sink[end - self.payload : end] = payload
 
 
 def run_clear_reference(
@@ -403,8 +406,10 @@ def run_clear_reference(
     """Run the same job on an untrusted device with no crypto anywhere:
     plaintext in, plaintext out.  The trusted path must match this bitwise.
     This function and its ``_ClearDevice`` are the one place where clear mode
-    differs from trusted mode: the device itself has no plaintext stream path."""
-    device = _ClearDevice(manifest, binaries, clear_inputs)
+    differs from trusted mode: the device itself has no plaintext stream path.
+    Before its device is built, the manifest's rule (``JobManifest.admit``)
+    refuses every job the control unit would, but for the packet engine's checks."""
+    device = _ClearDevice(manifest.admit(), binaries, clear_inputs)
     device.start_application()
     while device.run_interval() is not None:
         pass

@@ -34,6 +34,9 @@ region 0's bounds, and the control unit keeps the one per plan that
 validating the manifest built at ``tee_init``; a context's AEAD is built at
 key load.  A packet costs its checks and its crypto.
 
+The chip's geometry, fixed in silicon and stated by no manifest, lives here
+too: tiles, their memory, exchange blocks and packets.
+
 Counter-mode semantics follow the AES-GCM standard (initial counter block is
 IV ‖ 1, first data block uses IV ‖ 2) so engine output interoperates with
 conformant software implementations.
@@ -62,6 +65,8 @@ NUM_CONTEXTS = 16
 NUM_REGIONS = 17
 CLEARTEXT_REGION = 0
 BLOCK_BYTES = 16
+TILE_COUNT = 16
+TILE_MEMORY = 64 * 1024
 TILES_PER_EBC = 4  # tiles sharing one exchange-block context
 PACKET_BYTES = 64  # payload of a DMA packet, and of a read completion
 

@@ -322,7 +322,7 @@ class TestTeeInit:
             compiled.manifest, tile_layouts=relayout(compiled.manifest.tile_layouts)
         )
         _, certs, shares, sigs = init_material(parties)
-        with pytest.raises(InvalidPhase, match="each device tile exactly once"):
+        with pytest.raises(InvalidRegisterProgram, match="each device tile exactly once"):
             deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
         assert deployment.device.registers["trusted_mode"] == 0
@@ -346,7 +346,7 @@ class TestTeeInit:
         plans = (dataclasses.replace(first, moves=(*first.moves, move)), *rest)
         manifest = dataclasses.replace(compiled.manifest, plans=plans)
         _, certs, shares, sigs = init_material(parties)
-        with pytest.raises(InvalidPhase, match="leaves the device's tiles"):
+        with pytest.raises(InvalidRegisterProgram, match="leaves the device's tiles"):
             deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
         assert deployment.device.mode == MODE_NORMAL

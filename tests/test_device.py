@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itx.attestation import trusted_registers_digest
 from itx.compiler import JobDescription, compile_job
 from itx.device import (
     BOOT_RESERVED,
@@ -28,7 +29,6 @@ from itx.device import (
     TILE_COUNT,
     TILE_MEMORY,
     TileProgram,
-    trusted_registers_digest,
 )
 from itx.errors import (
     AccessDenied,

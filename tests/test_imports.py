@@ -83,3 +83,24 @@ def test_the_codec_copies_no_template_per_frame():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
     }
     assert "dataclasses.replace" not in {*imported_paths(tree), *attributes}
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(module, line) of every module of the package that ``tree`` imports;
+    the package imports its own modules relatively."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [(name, node.lineno) for name in names]
+    return found
+
+
+@pytest.mark.parametrize("module, forbidden", [("pki", {"ccu", "device"})])
+def test_the_party_module_imports_no_control_unit_and_no_device(module, forbidden):
+    """The parties' module keeps to its role: it reads the shared protocol
+    types (``attestation``, ``certs``) but imports neither the control unit
+    nor the device it judges."""
+    tree = ast.parse((Path(itx.__file__).parent / f"{module}.py").read_text())
+    crossings = [f"{module}.py:{line} imports {name}" for name, line in package_imports(tree) if name in forbidden]
+    assert crossings == []

@@ -6,7 +6,7 @@ import pytest
 
 from itx.compiler import JobDescription, compile_job
 from itx.encoding import canonical_bytes
-from itx.errors import InvalidEncoding, InvalidRegisterProgram
+from itx.errors import InvalidEncoding, InvalidFrameSize, InvalidRegisterProgram
 from itx.manifest import DATA, DIR_IN, BindingSpec, JobManifest, StreamTableEntry, SyncPlan
 from itx.sxp import NUM_CONTEXTS, NUM_REGIONS, AddressRegion
 
@@ -71,7 +71,7 @@ class TestStructuralLimits:
     def test_frame_sizes_must_be_128_multiples_up_to_1024(self):
         manifest = sgd_manifest()
         for bad in (1000, 64, 1152, 0):
-            with pytest.raises(InvalidRegisterProgram, match="frame size"):
+            with pytest.raises(InvalidFrameSize, match="frame size"):
                 dataclasses.replace(manifest, frame_size=bad).validate()
 
     def test_shared_context_needs_frame_serial(self):

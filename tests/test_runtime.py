@@ -46,7 +46,7 @@ from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, p
 from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
-from itx.errors import InvalidPhase, ScheduleInfeasible, SecurityException
+from itx.errors import InvalidPhase, InvalidRegisterProgram, ScheduleInfeasible, SecurityException
 from itx.sxp import ExchangePacket, SxpEngine
 
 
@@ -476,6 +476,42 @@ def test_a_binding_off_the_tile_aborts_closed_before_a_byte_moves():
     result = session_with(fixture, fixture.inputs, manifest).run()
     assert_aborted_closed(fixture, result)
     assert result.reason == "tile 5: stream 3 transfer leaves the tile's memory"
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [{"start_index": -1}, {"stride": -1}, {"start_index": 10**6}],
+    ids=["before-the-stream", "backwards", "past-the-end"],
+)
+def test_a_binding_off_its_stream_is_refused_by_the_clear_run_and_aborts_the_trusted_one(walk):
+    """Tile 5's gradient binding walks to a frame before its stream, behind
+    its window or past its end: the clear device refuses the load as the
+    packet engines refuse the trusted one, rather than read bytes from the
+    stream's end or zeros."""
+    fixture = make_sgd_fixture(steps=2)
+    layouts = list(fixture.compiled.manifest.tile_layouts)
+    (spec,) = layouts[5].bindings
+    layouts[5] = dataclasses.replace(layouts[5], bindings=(dataclasses.replace(spec, **walk),))
+    manifest = dataclasses.replace(fixture.compiled.manifest, tile_layouts=tuple(layouts))
+    with pytest.raises(SecurityException, match="tile 5: stream 3 frame -?[0-9]+ is not in its window"):
+        run_clear_reference(manifest, fixture.compiled.binaries, fixture.clear_inputs())
+    assert_aborted_closed(fixture, session_with(fixture, fixture.inputs, manifest).run())
+
+
+def test_a_checkpointed_range_off_the_tile_is_refused_before_trusted_mode():
+    """Tile 5 checkpoints 48 bytes from 10 bytes short of the end of its
+    memory: the control unit refuses the manifest before trusted mode, so no
+    checkpoint is saved or restored past the tile, and the clear run refuses
+    it too."""
+    fixture = make_sgd_fixture(steps=3)
+    layouts = list(fixture.compiled.manifest.tile_layouts)
+    layouts[5] = dataclasses.replace(layouts[5], ckpt_buf_off=TILE_MEMORY - 10)
+    manifest = dataclasses.replace(fixture.compiled.manifest, tile_layouts=tuple(layouts))
+    with pytest.raises(InvalidRegisterProgram, match="tile 5: the checkpointed range leaves the tile's memory"):
+        run_clear_reference(manifest, fixture.compiled.binaries, fixture.clear_inputs())
+    result = session_with(fixture, fixture.inputs, manifest).run(halt_after_checkpoint=1)
+    assert_aborted_closed(fixture, result, NO_TEE)
+    assert result.reason == "init: tile 5: the checkpointed range leaves the tile's memory"
 
 
 def test_a_loop_over_the_phase_limit_aborts_closed():
