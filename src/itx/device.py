@@ -78,9 +78,9 @@ MAX_PHASES = 0xFFFF
 # index at ``g`` and ``den`` positive.  Results wrap to 32 bits, stored as
 # the two's-complement int32 bytes.  A chain is a maximal run of consecutive
 # SGD steps with one ``w`` and ``count``, each after the first with its ``g``
-# words outside the weights, that crosses no loop boundary or pass.  Run as
-# one pass it is exact: no step writes a gradient a later one reads, and
-# wrap(w - t1 - t2) == wrap(wrap(w - t1) - t2) mod 2**32.
+# words outside the weights, that crosses no loop boundary or pass; its head
+# phase carries it.  Run as one pass it is exact: no step writes a gradient a
+# later one reads, and wrap(w - t1 - t2) == wrap(wrap(w - t1) - t2) mod 2**32.
 OP_SUM = 0
 OP_SGD_STEP = 2
 
@@ -111,6 +111,7 @@ class StorePhase:
 class ComputePhase:
     op: int
     args: tuple[int, ...]
+    steps: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)  # the args of the chain it heads
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,9 @@ _sync = lru_cache(maxsize=4096)(SyncPhase)
 
 @dataclass(frozen=True)
 class TileProgram:
-    """Deterministically serializable per-tile phase list; ``pack`` and ``==`` ignore its chains."""
+    """Deterministically serializable per-tile phase list; ``pack`` and ``==`` ignore its phases' chains."""
 
     phases: tuple[Phase, ...]
-    chains: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict, compare=False, repr=False)
 
     def pack(self) -> bytes:
         out = [_PROGRAM_MAGIC, struct.pack("<H", len(self.phases))]
@@ -173,7 +173,7 @@ class TileProgram:
             (count,) = struct.unpack_from("<H", blob, 3)
             off = 5
             phases: list[Phase] = []
-            head, run, chains = -1, (), {}  # the last SGD step's chain (first index, args); those of 2+ steps
+            head, run = -1, ()  # the last SGD step's chain: its head's index and its steps' args
             loops: list[tuple[int, LoopPhase]] = []  # (index of the body in ``phases``, loop)
             extra = 0  # phases the loops add beyond one pass of their bodies
             for i in range(count):
@@ -221,7 +221,7 @@ class TileProgram:
                         if (head + len(run) == n and (run[0][2], run[0][4]) == (w, c)
                                 and not w - 4 * c < g < w + 4 * c  # the gradient is not in the weights
                                 and not (loops and n - loops[-1][0] in (0, loops[-1][1].length))):
-                            run = chains[head] = run + (args,)
+                            phases[head] = ComputePhase(op, run[0], run := run + (args,))
                         else:
                             head, run = n, (args,)
                     phases.append(ComputePhase(op, tuple(args)))
@@ -249,11 +249,7 @@ class TileProgram:
                 for p in range(1, loop.times)
                 for ph in body
             ]
-            if chains:  # a chain after the body moves past its passes, and one in it repeats per pass
-                end, grow = start + loop.length, (loop.times - 1) * loop.length
-                chains = {h + (grow if h >= end else p * loop.length): steps for h, steps in chains.items()
-                          for p in range(loop.times if start <= h < end else 1)}
-        return cls(tuple(phases), chains)
+        return cls(tuple(phases))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +582,7 @@ class IpuDevice:
     #
     # An interval costs its phases: a tile keeps its pc in a local and
     # dispatches on each phase's exact type.  A compute phase runs the chain
-    # found at its pc, or alone, and the pc moves past it; entered inside a
+    # its phase carries, or alone, and the pc moves past it; entered inside a
     # chain, the rest runs step by step.  A chain writes signed words, as
     # masking to unsigned ones is most of a write's cost; a result outside
     # int32 makes the struct refuse, and the chain rewrites every word masked.
@@ -627,7 +623,7 @@ class IpuDevice:
                     pc += 1
                     return ph.sync_id
                 if type(ph) is ComputePhase:
-                    steps = tile.program.chains.get(pc) or (ph.args,)
+                    steps = ph.steps or (ph.args,)
                     self._exec_compute(memory, ph.op, steps)
                     pc += len(steps) - 1
                 else:

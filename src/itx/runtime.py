@@ -369,9 +369,8 @@ class _ClearDevice(IpuDevice):
     its program unpacked directly, loads are served from the plaintext inputs
     and stores are collected: no frame meets a packet engine, a control unit
     or the ring (sized 0: a fresh 1 MiB one would page-fault in every run).
-    A load is refused unless its frame is in the input and its ring address,
-    under the stream's current window, in the stream's region: the packet
-    engines refuse any other."""
+    A load of a frame not in the input, and a load or store outside its
+    stream's current window, is refused, as the packet engines refuse it."""
 
     ring_bytes = 0
 
@@ -385,14 +384,18 @@ class _ClearDevice(IpuDevice):
         self.inputs = inputs
         self.outputs: dict[int, bytearray] = {}
 
-    def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
-        size, first, (lo, hi) = self.payload, self.windows.get(stream_id, 0), self.manifest.extent(stream_id)
-        frame = self.inputs.get(stream_id, b"")[frame_index * size : (frame_index + 1) * size]
+    def _windowed(self, tile_id: int, stream_id: int, frame_index: int, frame: bytes) -> bytes:
+        first, (lo, hi) = self.windows.get(stream_id, 0), self.manifest.extent(stream_id)
         if not (frame and first <= frame_index < first + (hi - lo) // self.manifest.frame_size):
             raise SecurityException(f"tile {tile_id}: stream {stream_id} frame {frame_index} is not in its window")
-        return frame.ljust(size, b"\x00")
+        return frame
+
+    def read_stream_frame(self, tile_id: int, stream_id: int, frame_index: int) -> bytes:
+        frame = self.inputs.get(stream_id, b"")[frame_index * self.payload : (frame_index + 1) * self.payload]
+        return self._windowed(tile_id, stream_id, frame_index, frame).ljust(self.payload, b"\x00")
 
     def write_stream_frame(self, tile_id: int, stream_id: int, frame_index: int, payload: bytes) -> None:
+        self._windowed(tile_id, stream_id, frame_index, payload)
         sink, end = self.outputs.setdefault(stream_id, bytearray()), (frame_index + 1) * self.payload
         sink.extend(bytes(max(0, end - len(sink))))
         sink[end - self.payload : end] = payload

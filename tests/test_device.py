@@ -510,13 +510,19 @@ class TestSgdChains:
         def sgd(w_off, g_off):
             return ComputePhase(OP_SGD_STEP, (1, 16, w_off, g_off, 4))
 
-        assert TileProgram.unpack(TileProgram((sgd(0x100, 0x100), sgd(0x100, 0x200))).pack()).chains == {
+        def heads(phases):
+            """pc -> phase of every chain head in the unpacked program."""
+            return {pc: ph for pc, ph in enumerate(TileProgram.unpack(TileProgram(phases).pack()).phases)
+                    if isinstance(ph, ComputePhase) and ph.steps}
+
+        assert {pc: ph.steps for pc, ph in heads((sgd(0x100, 0x100), sgd(0x100, 0x200))).items()} == {
             0: ((1, 16, 0x100, 0x100, 4), (1, 16, 0x100, 0x200, 4))
         }
-        assert TileProgram.unpack(TileProgram((sgd(0x100, 0x200), sgd(0x100, 0x10C))).pack()).chains == {}
-        assert TileProgram.unpack(TileProgram((sgd(0x100, 0x200), sgd(0x104, 0x300))).pack()).chains == {}
-        looped = (sgd(0x100, 0x200), LoopPhase(3, 2, 0), sgd(0x100, 0x300), sgd(0x100, 0x400), sgd(0x100, 0x500))
-        assert sorted(TileProgram.unpack(TileProgram(looped).pack()).chains) == [1, 3, 5]
+        assert heads((sgd(0x100, 0x200), sgd(0x100, 0x10C))) == {}
+        assert heads((sgd(0x100, 0x200), sgd(0x104, 0x300))) == {}
+        looped = heads((sgd(0x100, 0x200), LoopPhase(3, 2, 0), sgd(0x100, 0x300), sgd(0x100, 0x400), sgd(0x100, 0x500)))
+        assert sorted(looped) == [1, 3, 5]
+        assert looped[1] is looped[3] is looped[5]  # one chain per body, shared by every pass
 
     @settings(max_examples=60, deadline=None)
     @given(chained_program(), st.lists(int32s, min_size=ARENA_BYTES // 4, max_size=ARENA_BYTES // 4))

@@ -6,6 +6,7 @@ the tiles scrubbed and the device back in normal mode."""
 import collections
 import copy
 import dataclasses
+import struct
 
 import pytest
 
@@ -45,7 +46,7 @@ from itx.manifest import CHECKPOINT, CODE, DATA, OUTPUT, JobManifest, checkpoint
 from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, package_inputs
 from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
-from itx.sandbox import _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
+from itx.sandbox import _make_fixture, _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
 from itx.errors import InvalidPhase, InvalidRegisterProgram, ScheduleInfeasible, SecurityException
 from itx.sxp import ExchangePacket, SxpEngine
 
@@ -287,6 +288,39 @@ HALT_RESUME_TRAFFIC = (
 )
 
 
+def test_an_sgd_chain_that_leaves_int32_moves_the_same_ring_bytes(monkeypatch):
+    """The SGD chain kernel writes masked words only when a result leaves
+    int32, a branch on the data: on one deployment, a 2-step job whose first
+    weight sits at INT32_MAX under negative gradients takes it, the same job
+    on the honest data does not, and the host sees the same ring accesses
+    in the same order from both."""
+    honest = make_sgd_fixture(steps=2)
+    wrapping = dict(honest.plaintexts)
+    wrapping[2] = struct.pack("<i", 2**31 - 1) + wrapping[2][4:]
+    for sid in (3, 4):  # each party's gradient of weight 0 is -160 at both steps: +10 per step
+        g = bytearray(wrapping[sid])
+        for step in range(2):
+            struct.pack_into("<i", g, step * len(wrapping[2]), -160)
+        wrapping[sid] = bytes(g)
+    wrapped = _make_fixture(honest.deployment, honest.job, lambda _: wrapping, None)
+
+    ring, traces = honest.deployment.device.ring_buffer, []
+    for name in ("read", "write"):
+        def wrapper(owner, address, arg, method=getattr(RingBuffer, name), name=name):
+            if owner is ring:
+                traces[-1].append((name, address, arg if name == "read" else len(arg)))
+            return method(owner, address, arg)
+
+        monkeypatch.setattr(RingBuffer, name, wrapper)
+    for fixture in (honest, wrapped):
+        fixture.deployment.device.reset("sbr")  # a terminated TEE starts again only after a reset
+        traces.append([])
+        result = fixture.session.run()
+        assert_completed_and_exact(fixture, result)
+    assert struct.unpack_from("<i", trusted_model(wrapped, result)) == (2**31 - 1 + 40 - 2**32,)
+    assert traces[0] == traces[1] and traces[0]
+
+
 # ---------------------------------------------------------------------------
 # host attacks
 # ---------------------------------------------------------------------------
@@ -494,6 +528,23 @@ def test_a_binding_off_its_stream_is_refused_by_the_clear_run_and_aborts_the_tru
     layouts[5] = dataclasses.replace(layouts[5], bindings=(dataclasses.replace(spec, **walk),))
     manifest = dataclasses.replace(fixture.compiled.manifest, tile_layouts=tuple(layouts))
     with pytest.raises(SecurityException, match="tile 5: stream 3 frame -?[0-9]+ is not in its window"):
+        run_clear_reference(manifest, fixture.compiled.binaries, fixture.clear_inputs())
+    assert_aborted_closed(fixture, session_with(fixture, fixture.inputs, manifest).run())
+
+
+def test_an_output_write_off_its_window_is_refused_by_the_clear_run_and_aborts_the_trusted_one():
+    """Tile 0's output binding starts a frame before the output stream: the
+    clear device refuses the store as the trusted device refuses its address,
+    rather than keep a frame no trusted run could write."""
+    fixture = make_sgd_fixture(steps=2)
+    manifest = fixture.compiled.manifest
+    sid = manifest.stream_of_kind(OUTPUT)
+    layouts = list(manifest.tile_layouts)
+    bindings = tuple(dataclasses.replace(b, start_index=-1) if b.stream_id == sid else b for b in layouts[0].bindings)
+    assert bindings != layouts[0].bindings
+    layouts[0] = dataclasses.replace(layouts[0], bindings=bindings)
+    manifest = dataclasses.replace(manifest, tile_layouts=tuple(layouts))
+    with pytest.raises(SecurityException, match=f"tile 0: stream {sid} frame -1 is not in its window"):
         run_clear_reference(manifest, fixture.compiled.binaries, fixture.clear_inputs())
     assert_aborted_closed(fixture, session_with(fixture, fixture.inputs, manifest).run())
 
