@@ -237,18 +237,18 @@ class TileProgram:
             raise ValueError("trailing bytes after tile program")
         if len(phases) + extra > MAX_PHASES:
             raise ValueError(f"loops expand past {MAX_PHASES} phases")
-        # Later bodies first, so earlier body starts stay put; every pass
-        # shares the body's phase objects, and its sync phases come from _sync.
+        # Later bodies first, so earlier body starts stay put; the passes repeat
+        # the body's phase objects, but for its sync phases, taken from _sync.
         for start, loop in reversed(loops):
             body = phases[start : start + loop.length]
             last = (loop.times - 1) * loop.stride
             if any(isinstance(ph, SyncPhase) and ph.sync_id + last > 0xFFFFFFFF for ph in body):
                 raise ValueError("loop carries a sync id past 32 bits")
-            phases[start + loop.length : start + loop.length] = [
-                _sync(ph.sync_id + p * loop.stride) if isinstance(ph, SyncPhase) else ph
-                for p in range(1, loop.times)
-                for ph in body
-            ]
+            passes = body * loop.times
+            for i, ph in enumerate(body):
+                if isinstance(ph, SyncPhase):
+                    passes[i :: loop.length] = [_sync(ph.sync_id + p * loop.stride) for p in range(loop.times)]
+            phases[start : start + loop.length] = passes
         return cls(tuple(phases))
 
 
@@ -344,6 +344,7 @@ class IpuDevice:
         self.barrier: Optional[int] = None  # where the tiles are parked; the only one keyed
         self._iv_fields: dict[tuple[int, int, int, int], bytes] = {}
         self._ckpt_slots: Optional[dict[int, list[int]]] = None  # the job's, at first use
+        self._programs: dict[bytes, TileProgram] = {}  # binary -> its decoded program, until a scrub
         self._req_id = 0
 
     # -- exception fan-out ---------------------------------------------------
@@ -424,9 +425,10 @@ class IpuDevice:
             tile.memory[0:BOOT_RESERVED] = padded
 
     def scrub(self) -> None:
-        """Zeroize all tile state (modeled on an autoloader broadcast of zeros)."""
+        """Zeroize all tile state and decoded programs (modeled on an autoloader broadcast of zeros)."""
         for tile in self.tiles:
             tile.scrub()
+        self._programs = {}
 
     def reset(self, kind: str = "sbr") -> None:
         """Any reset flavor ends trusted mode, and the ICU scrubs tile memory
@@ -562,6 +564,11 @@ class IpuDevice:
         self._write_frame(self.tiles[tile_id], stream_id, address, frame_index, payload)
 
     # -- secure bootstrap ----------------------------------------------------
+    #
+    # Each tile authenticates its own code frames, hashes its binary into the
+    # chain and keeps the bytes in its own memory.  Tiles with equal binaries
+    # share one decoded program for one install: ``scrub`` (at init, teardown
+    # and every reset) drops it, so no decoded program outlives the TEE.
 
     def run_bootloader(self, tile_id: int) -> bytes:
         """Fetch, authenticate, and install one tile's binary; returns its digest."""
@@ -570,13 +577,18 @@ class IpuDevice:
         addresses = self.manifest.code_addresses(tile.layout)
         blob = b"".join(self._read_frame(tile, sid, a, f) for f, a in enumerate(addresses))
         binary = blob[: tile.layout.binary_length]
-        tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
-        try:
-            tile.program = TileProgram.unpack(binary)
-        except ValueError as exc:
-            raise self._security(f"tile {tile_id}: binary is not a tile program: {exc}") from None
-        tile.pc = 0
+        self.install_binary(tile, binary)
         return hashlib.sha256(binary).digest()
+
+    def install_binary(self, tile: Tile, binary: bytes) -> None:
+        """Place an authenticated binary above ``tile``'s boot region and give ``tile`` its decoded program."""
+        tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
+        if binary not in self._programs:
+            try:
+                self._programs[binary] = TileProgram.unpack(binary)
+            except ValueError as exc:
+                raise self._security(f"tile {tile.tile_id}: binary is not a tile program: {exc}") from None
+        tile.program = self._programs[binary]
 
     # -- scheduler -----------------------------------------------------------
     #

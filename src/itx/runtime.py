@@ -37,7 +37,7 @@ from . import pki
 from .adversary import Adversary
 from .attestation import Verdict
 from .ccu import Ccu, INITIALIZED, LAUNCHED, TERMINATED
-from .device import BINARY_OFFSET, IpuDevice, TileProgram
+from .device import IpuDevice
 from .encoding import digest_hex
 from .errors import InvalidPhase, ItxError, SecurityException
 from .eventlog import EventLog
@@ -365,9 +365,9 @@ def decrypt_model(
 
 
 class _ClearDevice(IpuDevice):
-    """The device of the clear reference run: each tile's binary is placed and
-    its program unpacked directly, loads are served from the plaintext inputs
-    and stores are collected: no frame meets a packet engine, a control unit
+    """The device of the clear reference run: each tile's binary is installed
+    directly, loads are served from the plaintext inputs and stores are
+    collected: no frame meets a packet engine, a control unit
     or the ring (sized 0: a fresh 1 MiB one would page-fault in every run).
     A load of a frame not in the input, and a load or store outside its
     stream's current window, is refused, as the packet engines refuse it."""
@@ -378,9 +378,7 @@ class _ClearDevice(IpuDevice):
         super().__init__(ipu_id=manifest.ipu_id)
         self.install_boot_params(manifest, 0, 0)
         for tile in self.tiles:
-            binary = binaries[tile.tile_id]
-            tile.memory[BINARY_OFFSET : BINARY_OFFSET + len(binary)] = binary
-            tile.program = TileProgram.unpack(binary)
+            self.install_binary(tile, binaries[tile.tile_id])
         self.inputs = inputs
         self.outputs: dict[int, bytearray] = {}
 

@@ -259,6 +259,46 @@ class TestTileProgram:
         # Passes share the body's loads and computes.
         assert phases[1] is phases[5] is phases[9] and phases[3] is phases[7] is phases[11]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.integers(1, 70),
+        stride=st.one_of(st.just(0), st.integers(1, 8), st.integers(0xFFFFFFFF - 8, 0xFFFFFFFF)),
+        body=st.lists(
+            st.one_of(
+                st.builds(SyncPhase, st.one_of(st.integers(0, 64), st.integers(0xFFFFFFFF - 64, 0xFFFFFFFF))),
+                st.builds(LoadPhase, st.integers(0, 7), st.integers(1, 4)),
+                st.builds(StorePhase, st.integers(0, 7), st.integers(1, 4)),
+                st.builds(ComputePhase, st.just(OP_SUM), st.tuples(st.just(0x100), st.integers(1, 4), st.just(0))),
+                st.builds(  # one weight range, gradients outside it: bodies hold chains too
+                    lambda num, den, g: ComputePhase(OP_SGD_STEP, (num, den, 0x100, g, 4)),
+                    st.integers(-3, 3), st.integers(1, 4), st.sampled_from([0x200, 0x300]),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @example(times=2, stride=0xFFFFFFFF, body=[LoadPhase(1, 1)])
+    @example(times=70, stride=0, body=[SyncPhase(0xFFFFFFFF), SyncPhase(0)])
+    def test_a_drawn_loop_expands_as_the_reference_unroller_does(self, times, stride, body):
+        before, after = (SyncPhase(1), LoadPhase(2, 1)), (StorePhase(6, 1), SyncPhase(9))
+        blob = TileProgram((*before, LoopPhase(times, len(body), stride), *body, *after)).pack()
+        passes = [
+            SyncPhase(ph.sync_id + p * stride) if isinstance(ph, SyncPhase) else ph
+            for p in range(times)
+            for ph in body
+        ]
+        if any(isinstance(ph, SyncPhase) and ph.sync_id > 0xFFFFFFFF for ph in passes):
+            with pytest.raises(ValueError, match="past 32 bits"):
+                TileProgram.unpack(blob)
+            return
+        phases = TileProgram.unpack(blob).phases
+        assert phases == (*before, *passes, *after)
+        start = len(before)
+        for i, ph in enumerate(phases[start : start + len(body)]):
+            if not isinstance(ph, SyncPhase):  # every pass shares the body's phase object
+                assert all(phases[start + p * len(body) + i] is ph for p in range(times))
+
     @pytest.mark.parametrize(
         "phases, error",
         [

@@ -29,6 +29,7 @@ from itx.attestation import Verdict
 from itx.ccu import NO_TEE, TERMINATED
 from itx.compiler import SID_CODE, CompiledJob, JobDescription, compile_job
 from itx.device import (
+    BINARY_OFFSET,
     MAX_PHASES,
     MODE_NORMAL,
     ComputePhase,
@@ -66,7 +67,8 @@ def assert_torn_down(fixture, phase: str = TERMINATED) -> None:
     """How every attempt ends: the TEE terminated (or, for an attempt refused
     before the TEE was initialised, never started), no key left in the control
     unit or in any context of either packet engine, the device in normal
-    mode and every tile's memory zero."""
+    mode, every tile's memory zero and no decoded program left, on a tile or
+    in the device."""
     device, tee = fixture.deployment.device, fixture.deployment.ccu.tee
     assert tee.phase == phase
     assert not (tee.stream_keys or tee.k_m or tee.k_save or tee.k_load)
@@ -74,6 +76,8 @@ def assert_torn_down(fixture, phase: str = TERMINATED) -> None:
     for engine in (device.ingress, device.egress):
         assert all(ctx.aead is None for ctx in engine.contexts)
     assert all(len(tile.memory) == TILE_MEMORY and tile.memory == bytes(TILE_MEMORY) for tile in device.tiles)
+    assert all(tile.program is None for tile in device.tiles)
+    assert not device._programs
 
 
 def assert_completed_and_exact(fixture, result) -> None:
@@ -190,6 +194,87 @@ def test_a_restored_position_off_a_barrier_aborts_closed(monkeypatch):
     result = session.resume()
     assert_aborted_closed(fixture, result)
     assert fixture.deployment.ccu.tee.reason == "security exception: restored position is not at a barrier"
+
+
+def counted_unpacks(monkeypatch) -> list[bytes]:
+    """Every blob ``TileProgram.unpack`` decodes from here on, in order."""
+    blobs, unpack = [], TileProgram.unpack
+
+    def counted(blob):
+        blobs.append(blob)
+        return unpack(blob)
+
+    monkeypatch.setattr(TileProgram, "unpack", counted)
+    return blobs
+
+
+class ProgramWitness(Adversary):
+    """Records each tile's program and the bytes at its binary offset once
+    the launch has parked the tiles at barrier 0."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def after_fill(self, host, stage) -> None:
+        if stage == 0:
+            self.seen = [(tile.program, bytes(tile.memory[BINARY_OFFSET:])) for tile in host.device.tiles]
+
+
+def test_a_launch_decodes_each_distinct_binary_once(monkeypatch):
+    """sgd_train's 16 tiles carry 4 binaries, one per exchange block: a launch
+    decodes each once, and tiles with equal binaries hold one program while
+    each holds its own bytes.  A halt, a reset and a resume decode again, as
+    does the clear reference."""
+    witness = ProgramWitness()
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1, adversary=witness)
+    binaries = fixture.compiled.binaries
+    distinct = len(set(binaries.values()))
+    assert distinct == 4
+    blobs = counted_unpacks(monkeypatch)
+    assert_completed_and_exact(fixture, fixture.session.run())
+    assert len(blobs) == 2 * distinct  # the trusted run, then the clear reference
+    assert set(blobs) == set(binaries.values())
+    programs = {}
+    for tile_id, (program, memory) in enumerate(witness.seen):
+        assert memory.startswith(binaries[tile_id])
+        assert programs.setdefault(binaries[tile_id], program) is program
+    assert len({id(program) for program, _ in witness.seen}) == distinct
+
+    blobs.clear()
+    fixture.deployment.device.reset("sbr")
+    assert_halted(fixture, fixture.session.run(halt_after_checkpoint=2))
+    fixture.deployment.device.reset("sbr")
+    assert_completed_and_exact(fixture, fixture.session.resume())
+    assert len(blobs) == 2 * distinct + distinct  # two launches, then the clear reference
+
+    blobs.clear()
+    clear_model(fixture)
+    assert len(blobs) == distinct
+
+
+class FlipCodeByte(Adversary):
+    """Flips one ciphertext byte of ``tile``'s first code frame after the boot fill."""
+
+    def __init__(self, tile: int) -> None:
+        self.tile = tile
+
+    def after_fill(self, host, stage) -> None:
+        if stage == "boot":
+            address = host.manifest.code_addresses(host.manifest.tile_layouts[self.tile])[0] + 40
+            host.ring.write(address, bytes([host.ring.read(address, 1)[0] ^ 0x01]))
+
+
+def test_a_tile_whose_image_was_already_decoded_still_authenticates_its_code(monkeypatch):
+    """Tile 1 carries tile 0's binary, decoded when tile 0 booted; its own
+    code frame, tampered in the ring, still fails its tag."""
+    fixture = make_sgd_fixture(steps=2, adversary=FlipCodeByte(1))
+    binaries = fixture.compiled.binaries
+    assert binaries[1] == binaries[0]
+    blobs = counted_unpacks(monkeypatch)
+    result = fixture.session.run()
+    assert_aborted_closed(fixture, result)
+    assert result.reason.startswith("launch: ingress:") and result.reason.endswith("frame tag mismatch")
+    assert blobs == [binaries[0]]
 
 
 def test_the_dma_path_builds_each_packet_once(monkeypatch):
