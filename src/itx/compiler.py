@@ -24,10 +24,10 @@ plans, and assembles the one manifest that parties verify and the control
 unit enforces.
 Stream ownership is stated only in the stream table: an entry's ``party``
 is the owner that ``tee_launch`` takes the stream's key from, and
-``CompiledJob.key_streams`` reads it there.  ``stream_assignment`` names
-only the model receivers, sorted and distinct, each the owner of a stream
-(``JobManifest.validate`` refuses any other); the attestation report does
-not copy it, since the manifest measurement covers it.
+``CompiledJob.key_streams`` reads it there.  ``model_receivers`` names the
+parties that receive the model, sorted and distinct, each the owner of a
+stream (``JobManifest.validate`` refuses any other); the attestation report
+does not copy it, since the manifest measurement covers it.
 
 The planners target the one chip's geometry, fixed in silicon, stated by no
 manifest and kept in ``sxp``: ``TILE_COUNT`` (16) tiles in exchange blocks of
@@ -199,7 +199,7 @@ def compile_job(job: JobDescription, bootloader_measurement: str = "", ipu_id: i
         schedule=plan.schedule,
         checkpoint_plan=save_plan,
         restore_plan=restore_plan,
-        stream_assignment={"model_receivers": sorted(job.model_receivers or (job.model_party,))},
+        model_receivers=tuple(sorted(job.model_receivers or (job.model_party,))),
         frame_size=FRAME_SIZE,
         clear_region=CLEAR_REGION,
     )
@@ -221,27 +221,21 @@ def _slot_base(slot: int) -> int:
 def _boot_plan() -> SyncPlan:
     return SyncPlan(
         stream_regions={SID_CODE: 1},
-        fills=(SID_CODE,),
         ctxmap={0: CTX_CODE, 1: CTX_CODE, 2: CTX_CODE, 3: CTX_CODE},
-        kphysmap={CTX_CODE: 1},
         ingress_loads=((CTX_CODE, SID_CODE),),
-        frame_serial=True,
     )
 
 
 def _ckpt_plans(sid_ckpt: int) -> tuple[SyncPlan, SyncPlan]:
-    common = dict(stream_regions={sid_ckpt: 6}, frame_serial=True)
     save = SyncPlan(
+        stream_regions={sid_ckpt: 6},
         ctxmap={e: CTX_SAVE for e in range(4)},
-        kphysmap={CTX_SAVE: 6},
         egress_loads=((CTX_SAVE, sid_ckpt),),
-        **common,
     )
     restore = SyncPlan(
+        stream_regions={sid_ckpt: 6},
         ctxmap={e: CTX_RESTORE for e in range(4)},
-        kphysmap={CTX_RESTORE: 6},
         ingress_loads=((CTX_RESTORE, sid_ckpt),),
-        **common,
     )
     return save, restore
 
@@ -251,7 +245,6 @@ def _output_plan(sid_out: int, **rest) -> SyncPlan:
     return SyncPlan(
         stream_regions={sid_out: 5},
         ctxmap={0: CTX_OUT},
-        kphysmap={CTX_OUT: 5},
         egress_loads=((CTX_OUT, sid_out),),
         **rest,
     )
@@ -329,7 +322,6 @@ def _plan_sgd(job: JobDescription) -> _Plan:
     g_registers = dict(
         stream_regions={sid_g1: 3, sid_g2: 4},
         ctxmap={1: 2, 2: 3},
-        kphysmap={2: 3, 3: 4},
         ingress_loads=((2, sid_g1), (3, sid_g2)),
     )
     w_moves = tuple(
@@ -349,17 +341,14 @@ def _plan_sgd(job: JobDescription) -> _Plan:
 
     # 0 weights, 1 first gradient load, 2 exchange, 3 output, 4 end; later
     # gradient loads share one plan per checkpoint flag that some step has.
-    g_load = dict(fills=(sid_g1, sid_g2), **g_registers)
     plans = [
         SyncPlan(
             stream_regions={sid_w0: 2},
-            fills=(sid_w0,),
             ctxmap={0: 1},
-            kphysmap={1: 2},
             ingress_loads=((1, sid_w0),),
             invalidate=(CTX_CODE,),
         ),
-        SyncPlan(invalidate=(1,), moves=w_moves, **g_load),
+        SyncPlan(invalidate=(1,), moves=w_moves, **g_registers),
         SyncPlan(moves=g_moves, **g_registers),
         _output_plan(
             sid_out,
@@ -371,7 +360,7 @@ def _plan_sgd(job: JobDescription) -> _Plan:
     ]
     flags = sorted({s % job.checkpoint_period == 0 for s in range(1, steps)})
     later_load = {flag: len(plans) + i for i, flag in enumerate(flags)}
-    plans += [SyncPlan(checkpoint=flag, **g_load) for flag in flags]
+    plans += [SyncPlan(checkpoint=flag, **g_registers) for flag in flags]
 
     schedule = [(0, {sid_w0: 0})]
     for s in range(steps):
@@ -455,9 +444,7 @@ def _plan_sum(job: JobDescription) -> _Plan:
         plans.append(
             SyncPlan(
                 stream_regions={sid: 1 + e for e, sid in enumerate(sids)},
-                fills=tuple(sids),
                 ctxmap={e: slots[e] for e in range(len(sids))},
-                kphysmap={slots[e]: 1 + e for e in range(len(sids))},
                 ingress_loads=tuple((slots[e], sid) for e, sid in enumerate(sids)),
                 invalidate=invalidate,
                 moves=gather(w - 1) if w > 0 else (),

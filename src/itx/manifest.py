@@ -17,31 +17,33 @@ It is also the one reader of the ring layout: the SXP keys a DMA frame by
 its address, so every ring address (a stream's extent, frame *i* under a
 window, a tile's code and checkpoint frames) is a pure function of the
 fields below, and each role asks its own manifest.  A stream's extent is
-read from its entry, and a plan's register image is derived:
-``registers(plan)`` maps region 0 to the cleartext region (which no device
-write targets) and each stream the plan keys to its extent.
+read from its entry, whether frame *i* is in a window from ``in_window``,
+and a plan's register image is derived: ``registers(plan)`` maps region 0 to
+the cleartext region (which no device write targets), each stream the plan
+keys to its extent, and each loaded context to its stream's region.
 
 It alone decides which jobs a device may run: the clear reference applies
 ``admit``, the control unit ``validated_images``, which adds each plan's
 register image and key loads, and the device re-checks none of it.
 
 Routing note: all requests (reads and writes) are key-selected on the egress
-path, so a sync plan carries a single ``ctxmap``/``kphysmap`` register image
-shared by both directions.  Keys live in direction-specific context banks:
-``ingress_loads`` key read traffic (completions carry the stamped index),
-``egress_loads`` key write traffic.
+path, so a plan's one register image serves both directions: the plan states
+its ``ctxmap``, and the image's ``kphysmap`` maps each context the plan loads
+to the region of the stream it is loaded with.  Keys live in
+direction-specific context banks: ``ingress_loads`` key read traffic
+(completions carry the stamped index), ``egress_loads`` key write traffic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from .encoding import Record, digest_hex
 from .errors import InvalidRegisterProgram
 from .frame_codec import payload_capacity
-from .sxp import NUM_CONTEXTS, TILE_COUNT, TILE_MEMORY, AddressRegion, SxpRegisters
+from .sxp import TILE_COUNT, TILE_MEMORY, AddressRegion, SxpRegisters
 
 # stream kinds
 CODE = "code"
@@ -114,22 +116,19 @@ def checkpoint_span(layouts: Iterable[TileLayout], payload_size: int) -> int:
 class SyncPlan(Record):
     """Register state and host actions for a barrier (one plan may serve many).
 
-    ``frame_serial`` marks phases whose encrypted traffic is issued strictly
-    one frame at a time under control-unit sequencing (bootstrap, checkpoint
-    transfer); only such phases may map multiple exchange-block contexts to
-    one key context.
+    The host fills the input streams among a barrier's schedule offsets.  The
+    boot, checkpoint and restore plans are frame-serial: the control unit
+    sends their encrypted traffic strictly one frame at a time, so they
+    alone may map several exchange-block contexts to one key context.
     """
 
     stream_regions: dict[int, int] = field(default_factory=dict)  # stream id -> key region id
-    fills: tuple[int, ...] = ()  # stream ids whose window the host must (re)fill
     ctxmap: dict[int, int] = field(default_factory=dict)  # exchange-block ctx -> key ctx
-    kphysmap: dict[int, int] = field(default_factory=dict)  # key ctx -> region id
     ingress_loads: tuple[tuple[int, int], ...] = ()  # (context, stream_id), read bank
     egress_loads: tuple[tuple[int, int], ...] = ()  # (context, stream_id), write bank
     invalidate: tuple[int, ...] = ()  # contexts rotated out before loading
     checkpoint: bool = False
     moves: tuple[tuple[int, int, int, int, int], ...] = ()  # src, src_off, dst, dst_off, len
-    frame_serial: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ class JobManifest(Record):
     schedule: tuple[tuple[int, dict[int, int]], ...]  # sync id -> (plan index, stream offsets)
     checkpoint_plan: Optional[SyncPlan]  # egress state for checkpoint saves
     restore_plan: Optional[SyncPlan]  # ingress state for checkpoint restore
-    stream_assignment: dict[str, Any]  # {"model_receivers": [...]}; the stream table names owners
+    model_receivers: tuple[str, ...]  # sorted and distinct, each a stream owner
     frame_size: int  # every stream's frame size, in bytes
     clear_region: tuple[int, int]  # the ring range of region 0 in every plan's image
 
@@ -172,23 +171,28 @@ class JobManifest(Record):
         entry = self.stream_table[stream_id]
         return entry.region_base, entry.region_base + entry.region_frames * self.frame_size
 
+    def in_window(self, stream_id: int, index: int, first: int) -> bool:
+        """Whether a stream's frame ``index`` is in the window that starts at frame ``first``."""
+        return first <= index < first + self.stream_table[stream_id].region_frames
+
     def frame_address(self, stream_id: int, index: int, window: int = 0) -> int:
         """Ring address of a stream's frame ``index`` while its window starts at frame ``window``."""
         return self.stream_table[stream_id].region_base + (index - window) * self.frame_size
 
-    def window(self, stream_id: int, first: int) -> dict[int, int]:
-        """Frame index -> ring address of every frame a stream's region holds
-        while its window starts at frame ``first``."""
-        frames = range(first, first + self.stream_table[stream_id].region_frames)
-        return {i: self.frame_address(stream_id, i, first) for i in frames}
-
     def registers(self, plan: SyncPlan) -> SxpRegisters:
         """A plan's register image, validated as it is built: region 0 is the
-        cleartext region, and each stream the plan keys has its extent."""
+        cleartext region, each stream the plan keys has its extent, and each
+        context the plan loads maps to the region of the stream it is loaded with."""
         regions = {0: AddressRegion(*self.clear_region)}
         for sid, rid in plan.stream_regions.items():
             regions[rid] = AddressRegion(*self.extent(sid))
-        return SxpRegisters(kxbctxmap=plan.ctxmap, ksellimit=regions, kphysmap=plan.kphysmap)
+        kphysmap: dict[int, int] = {}
+        for ctx, sid in plan.ingress_loads + plan.egress_loads:
+            if sid not in plan.stream_regions:
+                raise InvalidRegisterProgram(f"a key load for stream {sid}, which the plan does not key")
+            if kphysmap.setdefault(ctx, plan.stream_regions[sid]) != plan.stream_regions[sid]:
+                raise InvalidRegisterProgram(f"context {ctx} is loaded for two regions")
+        return SxpRegisters(kxbctxmap=plan.ctxmap, ksellimit=regions, kphysmap=kphysmap)
 
     def code_addresses(self, layout: TileLayout) -> list[int]:
         """Ring addresses of a tile's code frames, in frame order."""
@@ -244,6 +248,9 @@ class JobManifest(Record):
         for i, plan in enumerate(self.plans):
             if plan.checkpoint and not saves:
                 raise InvalidRegisterProgram(f"plan {i} checkpoints a job without checkpoints")
+            if len(set(plan.ctxmap.values())) != len(plan.ctxmap):  # a barrier plan is never frame-serial
+                raise InvalidRegisterProgram(f"plan {i}: several exchange-block contexts share one key context "
+                                             "outside a frame-serial phase")
             for src, at, dst, to, n in plan.moves:  # n bytes at ``at`` on tile src go to ``to`` on tile dst
                 if not (0 <= src < TILE_COUNT and 0 <= dst < TILE_COUNT and inside_tile(at, n) and inside_tile(to, n)):
                     raise InvalidRegisterProgram(f"plan {i}: a move from tile {src} to {dst} leaves the device's tiles")
@@ -254,12 +261,9 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")
             if any(off < 0 or sid not in self.stream_table for sid, off in offsets.items()):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: bad stream offsets {offsets}")
-        # The model receivers: a sorted list of distinct names, each the owner of a stream.
-        receivers = self.stream_assignment.get("model_receivers")
-        owners = [entry.party for entry in self.stream_table.values() if entry.party]
-        if not (set(self.stream_assignment) == {"model_receivers"} and isinstance(receivers, list) and receivers
-                and all(r in owners for r in receivers) and receivers == sorted(set(receivers))):
-            raise InvalidRegisterProgram(f"bad stream assignment {self.stream_assignment}")
+        receivers, owners = self.model_receivers, {entry.party for entry in self.stream_table.values()} - {""}
+        if not (receivers and owners.issuperset(receivers) and receivers == tuple(sorted(set(receivers)))):
+            raise InvalidRegisterProgram(f"bad model receivers {receivers}: not sorted, distinct stream owners")
         return self
 
     def _validate_plan(self, where: str, plan: SyncPlan) -> SxpRegisters:
@@ -270,15 +274,4 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"{where}: unknown stream {sid}")
         if len(set(plan.stream_regions.values())) != len(plan.stream_regions):
             raise InvalidRegisterProgram(f"{where}: several streams share one key region")
-        image = self.registers(plan)  # building an image validates it
-        if not plan.frame_serial and len(set(plan.ctxmap.values())) != len(plan.ctxmap):
-            raise InvalidRegisterProgram(
-                f"{where}: several exchange-block contexts share one key context "
-                "outside a frame-serial phase"
-            )
-        for ctx, sid in plan.ingress_loads + plan.egress_loads:
-            if not 0 <= ctx < NUM_CONTEXTS:
-                raise InvalidRegisterProgram(f"{where}: load context {ctx} out of range")
-            if sid not in self.stream_table:
-                raise InvalidRegisterProgram(f"{where}: load for unknown stream {sid}")
-        return image
+        return self.registers(plan)  # building an image validates it

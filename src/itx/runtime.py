@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass
+from itertools import islice
 
 from . import pki
 from .adversary import Adversary
@@ -42,7 +43,7 @@ from .encoding import digest_hex
 from .errors import InvalidPhase, ItxError, SecurityException
 from .eventlog import EventLog
 from .frame_codec import StreamIV, StreamType, decrypt_stream, payload_capacity
-from .manifest import CHECKPOINT, JobManifest, OUTPUT, SyncPlan, frame_count
+from .manifest import CHECKPOINT, CODE, DIR_IN, JobManifest, OUTPUT, frame_count
 from .pki import Party, derive_model_key
 
 # Parties verify in ``PartyIdentity.release_keys``; the verifier stays importable
@@ -125,18 +126,22 @@ class TrustedJobSession:
     def frame_address(self, stream_id: int, frame_index: int) -> int | None:
         """Where a frame currently sits in the ring, if it is windowed in."""
         window = self.windows.get(stream_id)
-        return None if window is None else self.manifest.window(stream_id, window).get(frame_index)
+        if window is None or not self.manifest.in_window(stream_id, frame_index, window):
+            return None
+        return self.manifest.frame_address(stream_id, frame_index, window)
 
-    def _fill_plan(self, plan: SyncPlan, offsets: dict[int, int], log: EventLog) -> None:
-        for sid in plan.fills:
-            frames = self._streams[sid]
-            offset = offsets.get(sid, 0)
-            window = self.manifest.window(sid, offset)
-            placed = list(zip(window.values(), frames[offset : offset + len(window)]))
-            for address, frame in placed:
-                self.ring.write(address, frame)
-            self.windows[sid] = offset
-            log.emit("fill", stream=sid, offset=offset, frames=len(placed))
+    def _fill(self, offsets: dict[int, int], log: EventLog) -> None:
+        """Window in each input stream among ``offsets``, from the frame at its offset."""
+        for sid, offset in sorted(offsets.items()):
+            if self.manifest.stream_table[sid].direction != DIR_IN:
+                continue
+            self.windows[sid], placed = offset, 0
+            for index, frame in enumerate(islice(self._streams[sid], offset, None), offset):
+                if not self.manifest.in_window(sid, index, offset):
+                    break
+                self.ring.write(self.manifest.frame_address(sid, index, offset), frame)
+                placed += 1
+            log.emit("fill", stream=sid, offset=offset, frames=placed)
 
     def _fill_snapshot(self, snapshot: CheckpointSnapshot, log: EventLog) -> None:
         sid = self.manifest.stream_of_kind(CHECKPOINT)
@@ -280,7 +285,7 @@ class TrustedJobSession:
             packages[name] = wrapped
             log.emit("release_keys", party=name)
 
-        self._fill_plan(self.manifest.boot_plan, {}, log)
+        self._fill({self.manifest.stream_of_kind(CODE): 0}, log)
         self.adversary.after_fill(self, "boot")
         self._staged("launch", self.ccu.tee_launch, packages)
         log.emit("tee_launch")
@@ -291,7 +296,7 @@ class TrustedJobSession:
             self._fill_snapshot(filled, log)
             self.adversary.after_fill(self, "restore")
             parked = self._staged("restore", self.ccu.tee_restore)
-        self._fill_plan(*self.manifest.plan(parked), log)
+        self._fill(self.manifest.plan(parked)[1], log)
         self.adversary.after_fill(self, parked)
         if resume_from is not None:
             log.emit("resumed", barrier=parked)
@@ -302,8 +307,8 @@ class TrustedJobSession:
             if sync_id is None:
                 break
             log.emit("barrier", sync_id=sync_id)
-            barrier = self.manifest.plan(sync_id)
-            if barrier[0].checkpoint:
+            plan, offsets = self.manifest.plan(sync_id)
+            if plan.checkpoint:
                 counters = self._staged("checkpoint", self.ccu.tee_checkpoint)
                 snapshot = self._capture_snapshot(counters, sync_id, log)
                 saved_this_run += 1
@@ -321,7 +326,7 @@ class TrustedJobSession:
                 log.emit("adversary", action="skip_key_load", sync_id=sync_id)
             else:
                 self._staged("key load", self.ccu.tee_load_keys)
-            self._fill_plan(*barrier, log)
+            self._fill(offsets, log)
             self.adversary.after_fill(self, sync_id)
 
         output = self._collect_output()
@@ -383,8 +388,7 @@ class _ClearDevice(IpuDevice):
         self.outputs: dict[int, bytearray] = {}
 
     def _windowed(self, tile_id: int, stream_id: int, frame_index: int, frame: bytes) -> bytes:
-        first, (lo, hi) = self.windows.get(stream_id, 0), self.manifest.extent(stream_id)
-        if not (frame and first <= frame_index < first + (hi - lo) // self.manifest.frame_size):
+        if not (frame and self.manifest.in_window(stream_id, frame_index, self.windows.get(stream_id, 0))):
             raise SecurityException(f"tile {tile_id}: stream {stream_id} frame {frame_index} is not in its window")
         return frame
 

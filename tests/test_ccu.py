@@ -369,26 +369,25 @@ class TestTeeInit:
             deployment.ccu.tee_init(stale.manifest.to_bytes(), certs, shares, sigs)
 
     @pytest.mark.parametrize(
-        "assignment",
+        "receivers, error, reason",
         [
-            {"model_receivers": ["mallory"]},
-            {"model_receivers": ["beta", "beta"]},
-            {"model_receivers": ["modelco", "alpha"]},
-            {"model_receivers": []},
-            {"model_receivers": [""]},
-            {"model_receivers": "modelco"},
-            {"model_receivers": ["modelco"], "inputs": {"3": "alpha"}},
-            {},
+            (("mallory",), InvalidRegisterProgram, "bad model receivers"),
+            (("beta", "beta"), InvalidRegisterProgram, "bad model receivers"),
+            (("modelco", "alpha"), InvalidRegisterProgram, "bad model receivers"),
+            ((), InvalidRegisterProgram, "bad model receivers"),
+            (("",), InvalidRegisterProgram, "bad model receivers"),
+            ("modelco", InvalidEncoding, "JobManifest.model_receivers: expected an array"),
         ],
-        ids=["not-an-owner", "repeated", "unsorted", "empty", "the-control-unit", "not-a-list", "extra-key", "missing"],
+        ids=["not-an-owner", "repeated", "unsorted", "empty", "the-control-unit", "not-a-list"],
     )
-    def test_manifest_with_a_bad_receiver_list_is_rejected(self, rig, assignment):
+    def test_manifest_with_a_bad_receiver_list_is_rejected(self, rig, receivers, error, reason):
         """The report does not restate the receivers: the control unit checks
-        them with the rest of the manifest, before trusted mode is entered."""
+        them with the rest of the manifest, before trusted mode is entered.
+        A receiver list that is not a list of names does not decode."""
         deployment, compiled, parties, _ = rig
-        manifest = dataclasses.replace(compiled.manifest, stream_assignment=assignment)
+        manifest = dataclasses.replace(compiled.manifest, model_receivers=receivers)
         _, certs, shares, sigs = init_material(parties)
-        with pytest.raises(InvalidRegisterProgram, match="bad stream assignment"):
+        with pytest.raises(error, match=reason):
             deployment.ccu.tee_init(manifest.to_bytes(), certs, shares, sigs)
         assert deployment.ccu.tee.phase == NO_TEE
         assert deployment.device.mode == MODE_NORMAL

@@ -44,6 +44,11 @@ def barriers(manifest) -> list:
     return [manifest.plan(sync_id) for sync_id in range(len(manifest.schedule))]
 
 
+def filled(manifest, offsets) -> tuple:
+    """The streams the host fills at a barrier: the input streams among its offsets, in id order."""
+    return tuple(sid for sid in sorted(offsets) if manifest.stream_table[sid].direction == DIR_IN)
+
+
 # ---------------------------------------------------------------------------
 # SGD planning
 # ---------------------------------------------------------------------------
@@ -211,10 +216,11 @@ class TestSumPlanning:
 
     def test_rotation_reuses_and_invalidates_context_slots(self):
         compiled = compile_job(sum_job(stream_count=17), bootloader_measurement=BOOTLOADER)
+        contexts = [set(compiled.manifest.registers(plan).kphysmap) for plan, _ in barriers(compiled.manifest)]
         plans = [plan for plan, _ in barriers(compiled.manifest)]
         for wave in (3, 4):
-            reused = set(plans[wave].kphysmap)
-            previous = set(plans[wave - 3].kphysmap)
+            reused = contexts[wave]
+            previous = contexts[wave - 3]
             assert reused <= previous
             # The slot is scrubbed in the same barrier that re-keys it.
             assert set(plans[wave].invalidate) == reused
@@ -224,15 +230,17 @@ class TestSumPlanning:
         used = set()
         all_plans = [compiled.manifest.boot_plan, *compiled.manifest.plans]
         for plan in all_plans:
-            used.update(plan.kphysmap)
+            used.update(compiled.manifest.registers(plan).kphysmap)
         assert used and max(used) < NUM_CONTEXTS
 
     def test_the_128_stream_manifest_states_each_fact_once(self):
         """A stream's frame size, id and owner are not repeated per entry or
-        per plan: the 128-stream manifest fits in 41,500 bytes (50,112 while
-        they were)."""
+        per plan, and a plan states neither the streams the host fills nor
+        its key-context map: the 128-stream manifest fits in 38,000 bytes
+        (50,112 while the first were repeated, 40,273 while plans stated the
+        others)."""
         manifest = compile_job(sum_job(stream_count=128), bootloader_measurement=BOOTLOADER).manifest
-        assert len(manifest.to_bytes()) <= 41_500
+        assert len(manifest.to_bytes()) <= 38_000
 
     def test_degenerate_sizes(self):
         single = compile_job(sum_job(stream_count=1), bootloader_measurement=BOOTLOADER)
@@ -262,7 +270,7 @@ class TestSumPlanning:
     ids=["sgd-a-receiver-who-owns-no-stream", "sum-a-receiver-named-twice"],
 )
 def test_refuses_a_receiver_list_that_is_not_distinct_stream_owners(job):
-    with pytest.raises(InvalidRegisterProgram, match="bad stream assignment"):
+    with pytest.raises(InvalidRegisterProgram, match="bad model receivers"):
         compile_job(job, bootloader_measurement=BOOTLOADER)
 
 
@@ -297,7 +305,7 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "dc689d94e632808663909914d70b1482bb22cd64d6e4f87822257cdbbff907c6"
+        "36ce2c7ddc56bfeb62849e9f0ef46206e2e49c1fbeae6225b39f39009748362e"
     )
 
 
@@ -306,15 +314,22 @@ def test_schedule_expands_to_the_unrolled_barriers():
     compiles through ``plan()`` gives, byte for byte, the per-barrier plans
     (with their stream offsets, and with the key regions that plans stated
     before their register image was derived) of the unrolled format it
-    replaced.  Every plan serves some barrier, and no plan is stated twice."""
+    replaced.  Every plan serves some barrier, and no plan is stated twice.
+    A plan no longer states the streams the host fills, its key-context map
+    or whether it is frame-serial; the expansion puts back what they were:
+    the input streams among the offsets, the register image's ``kphysmap``,
+    and false, since no barrier plan is frame-serial."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             manifest = compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest
             fold.update(len(manifest.schedule).to_bytes(4, "big"))
             for plan, offsets in barriers(manifest):
-                regions = {rid: (r.start, r.end) for rid, r in manifest.registers(plan).ksellimit.items()}
-                fold.update(canonical_bytes({**jsonable(plan), "regions": regions, "stream_offsets": offsets}))
+                regs = manifest.registers(plan)
+                regions = {rid: (r.start, r.end) for rid, r in regs.ksellimit.items()}
+                derived = {"fills": filled(manifest, offsets), "kphysmap": dict(regs.kphysmap), "frame_serial": False,
+                           "regions": regions, "stream_offsets": offsets}
+                fold.update(canonical_bytes({**jsonable(plan), **derived}))
             assert sorted({index for index, _ in manifest.schedule}) == list(
                 range(len(manifest.plans))
             )
@@ -327,7 +342,10 @@ def test_schedule_expands_to_the_unrolled_barriers():
 def expanded_facts(manifest) -> bytes:
     """What the manifest states, expanded: every stream's id, owner,
     direction, kind, length, frame size and extent; every tile's walks; and
-    every barrier's register image, key loads, moves, fills and offsets."""
+    every barrier's register image, key loads, moves, fills and offsets.
+    The fills and whether a plan is frame-serial are derived: the host fills
+    the code stream at boot and the input streams among a barrier's
+    offsets, and only the boot, checkpoint and restore plans are serial."""
     streams = {
         sid: (e.party, e.direction, e.kind, e.plaintext_length, manifest.frame_size, manifest.extent(sid))
         for sid, e in manifest.stream_table.items()
@@ -337,17 +355,18 @@ def expanded_facts(manifest) -> bytes:
         for l in manifest.tile_layouts
     ]
 
-    def barrier(plan, offsets):
+    def barrier(plan, offsets, fills, serial):
         if plan is None:
             return None
         regs = manifest.registers(plan)
         image = ({rid: (r.start, r.end) for rid, r in regs.ksellimit.items()}, dict(regs.kxbctxmap), dict(regs.kphysmap))
-        return (image, plan.ingress_loads, plan.egress_loads, plan.invalidate, plan.moves, plan.fills, offsets,
-                plan.checkpoint, plan.frame_serial)
+        return (image, plan.ingress_loads, plan.egress_loads, plan.invalidate, plan.moves, fills, offsets,
+                plan.checkpoint, serial)
 
-    scheduled = [barrier(plan, offsets) for plan, offsets in barriers(manifest)]
-    extra = [barrier(plan, {}) for plan in (manifest.checkpoint_plan, manifest.restore_plan)]
-    return canonical_bytes([streams, walks, [barrier(manifest.boot_plan, {}), *scheduled, *extra]])
+    boot = barrier(manifest.boot_plan, {}, (manifest.stream_of_kind(CODE),), True)
+    scheduled = [barrier(plan, offsets, filled(manifest, offsets), False) for plan, offsets in barriers(manifest)]
+    extra = [barrier(plan, {}, (), True) for plan in (manifest.checkpoint_plan, manifest.restore_plan)]
+    return canonical_bytes([streams, walks, [boot, *scheduled, *extra]])
 
 
 def test_manifests_expand_to_the_facts_they_stated_twice():
@@ -408,13 +427,18 @@ def test_manifests_lost_only_the_checkpoint_record_fields():
     did, less the two fields (the records' base address and slot size) that
     placed the records and the ``device_config`` field, and with the
     one-entry ``binary_hashes`` map, keyed by the manifest's ``ipu_id``, as
-    the one ``binary_hash`` string.  The digest was taken from those
-    manifests with the three keys deleted and ``binary_hash`` set to
-    ``binary_hashes[str(ipu_id)]``."""
+    the one ``binary_hash`` string.  Nor does a plan state what is derived
+    from its other fields (the streams the host fills, its key-context map,
+    whether it is frame-serial), and the one-key ``stream_assignment`` map
+    is the ``model_receivers`` list it held.  The digest was taken from the
+    manifests compiled before the plans lost those three fields, with each
+    plan's ``fills``, ``kphysmap`` and ``frame_serial`` keys deleted and
+    ``stream_assignment`` replaced by ``model_receivers`` set to its
+    ``model_receivers`` entry; it was not computed from this compiler."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             fold.update(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest.to_bytes())
     assert fold.hexdigest() == (
-        "97e20dc685c374cad5d31f35250a8e4ac09d5abdb02b08fd8ab29ab7bd8ececc"
+        "a3545e15299e46741ca3f2f9660d855fc532bc6e46916d824acce445f31145e5"
     )

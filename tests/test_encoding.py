@@ -45,19 +45,19 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "ab6f6572ed4465ac1e06398ca9163837d8110b8a46efd0b7b689229590db6eff"
+            "f0e5e336cbb826b1ddd5cfc210c8a1cce846cdc9047d425ced31dfebf1a98e9b"
         )
 
     def test_sum_fixture(self):
         manifest = make_sum_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "35f1f7fb800af727af6497ca7cf51831f19238b5d4a3ddf72aa27cd8dca5cf20"
+            "4f20b59bde427a5d7d5d42683686e8d291ab1e06ce38dee6fc59660167020662"
         )
 
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "0f749f0bc6e681264015654a768f3354d50b9c12b6349a64fce3464d1bdea4cb"
+            "67046cdaca22e53a727ebb1f17ec3c30b40c2ba38eabb17923570337f6093535"
         )
 
 

@@ -64,8 +64,30 @@ class TestStructuralLimits:
 
     def test_key_context_indices_bounded(self):
         manifest = sgd_manifest()
-        plan = SyncPlan(stream_regions={2: 1}, ctxmap={0: NUM_CONTEXTS}, kphysmap={NUM_CONTEXTS: 1})
-        with pytest.raises(InvalidRegisterProgram):
+        plan = SyncPlan(stream_regions={2: 1}, ingress_loads=((NUM_CONTEXTS, 2),))
+        with pytest.raises(InvalidRegisterProgram, match=f"context {NUM_CONTEXTS} out of range"):
+            with_extra_plan(manifest, plan).validate()
+
+    @pytest.mark.parametrize("bank", ["ingress_loads", "egress_loads"])
+    def test_a_plan_loads_only_streams_it_keys(self, bank):
+        """A context's region is that of the stream it is loaded with, so a
+        load of a stream the plan maps to no region is refused."""
+        manifest = sgd_manifest()
+        plan = SyncPlan(stream_regions={2: 1}, ctxmap={0: 1}, **{bank: ((1, 2), (2, 3))})
+        with pytest.raises(InvalidRegisterProgram, match="a key load for stream 3, which the plan does not key"):
+            with_extra_plan(manifest, plan).validate()
+
+    @pytest.mark.parametrize(
+        "loads",
+        [dict(ingress_loads=((1, 2), (1, 3))), dict(ingress_loads=((1, 2),), egress_loads=((1, 3),))],
+        ids=["one-bank", "both-banks"],
+    )
+    def test_a_context_is_loaded_for_one_region(self, loads):
+        """Both banks share one register image, so a context loaded with two
+        streams would need two regions at once, and is refused."""
+        manifest = sgd_manifest()
+        plan = SyncPlan(stream_regions={2: 1, 3: 2}, ctxmap={0: 1}, **loads)
+        with pytest.raises(InvalidRegisterProgram, match="context 1 is loaded for two regions"):
             with_extra_plan(manifest, plan).validate()
 
     def test_frame_sizes_must_be_128_multiples_up_to_1024(self):
@@ -75,17 +97,19 @@ class TestStructuralLimits:
                 dataclasses.replace(manifest, frame_size=bad).validate()
 
     def test_shared_context_needs_frame_serial(self):
+        """Only the boot, checkpoint and restore plans are frame-serial: a
+        barrier plan that maps two exchange blocks to one key context is
+        refused, and the boot plan may map them so."""
         manifest = sgd_manifest()
         plan = SyncPlan(
             stream_regions={2: 1},
             ctxmap={0: 1, 1: 1},  # two exchange blocks, one key context
-            kphysmap={1: 1},
-            frame_serial=False,
+            ingress_loads=((1, 2),),
         )
-        with pytest.raises(InvalidRegisterProgram, match="frame-serial"):
+        with pytest.raises(InvalidRegisterProgram, match=f"plan {len(manifest.plans)}: .* frame-serial phase"):
             with_extra_plan(manifest, plan).validate()
-        serial = dataclasses.replace(plan, frame_serial=True)
-        with_extra_plan(manifest, serial).validate()
+        dataclasses.replace(manifest, boot_plan=plan).validate()
+        assert len(set(manifest.boot_plan.ctxmap.values())) < len(manifest.boot_plan.ctxmap)
 
     def test_overlapping_regions_rejected(self):
         """Stream 3's region moved to start inside stream 2's: a plan keying both overlaps."""
@@ -98,6 +122,12 @@ class TestStructuralLimits:
 
 
 class TestSchedule:
+    def test_a_window_holds_its_region_s_frames_from_its_first(self):
+        manifest = sgd_manifest()
+        frames = manifest.stream_table[3].region_frames
+        held = [i for i in range(4 * frames) if manifest.in_window(3, i, frames)]
+        assert held == list(range(frames, 2 * frames))
+
     def test_plan_indexes_the_schedule(self):
         manifest = sgd_manifest()
         for sync_id, (index, offsets) in enumerate(manifest.schedule):
@@ -163,6 +193,10 @@ class TestSerialization:
             ("frame_total_size", lambda d: d["stream_table"]["1"].update(frame_total_size=128)),
             ("stream_id", lambda d: d["stream_table"]["1"].update(stream_id=1)),
             ("total_frames", lambda d: d["tile_layouts"][0]["bindings"][0].update(total_frames=1)),
+            ("fills", lambda d: d["plans"][0].update(fills=[2])),
+            ("kphysmap", lambda d: d["boot_plan"].update(kphysmap={"0": 1})),
+            ("frame_serial", lambda d: d["checkpoint_plan"].update(frame_serial=True)),
+            ("stream_assignment", lambda d: d.update(stream_assignment={"model_receivers": ["modelco"]})),
         ],
     )
     def test_a_fact_stated_twice_is_refused(self, field, restate):

@@ -952,8 +952,8 @@ def output_plan(manifest):
 
 
 def key_region_zero(manifest):
-    output_plan(manifest).kphysmap.clear()
-    output_plan(manifest).kphysmap[13] = 0
+    """Key the output stream, and so its loaded context, in region 0."""
+    output_plan(manifest).stream_regions[manifest.stream_of_kind(OUTPUT)] = 0
 
 
 def remap_gradient_context(manifest):
