@@ -339,8 +339,9 @@ def _plan_sgd(job: JobDescription) -> _Plan:
         (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes) for t in range(TILE_COUNT)
     )
 
-    # 0 weights, 1 first gradient load, 2 exchange, 3 output, 4 end; later
-    # gradient loads share one plan per checkpoint flag that some step has.
+    # 0 weights, 1 first gradient load, 2 exchange (it keys nothing: the
+    # interval after it only computes), 3 output, 4 end; later gradient loads
+    # share one plan per checkpoint flag that some step has.
     plans = [
         SyncPlan(
             stream_regions={sid_w0: 2},
@@ -349,7 +350,7 @@ def _plan_sgd(job: JobDescription) -> _Plan:
             invalidate=(CTX_CODE,),
         ),
         SyncPlan(invalidate=(1,), moves=w_moves, **g_registers),
-        SyncPlan(moves=g_moves, **g_registers),
+        SyncPlan(moves=g_moves),
         _output_plan(
             sid_out,
             invalidate=(2, 3),

@@ -11,6 +11,11 @@ can pin down exactly which gate caught a mutation:
    party fingerprints and the counters against the values the relying party
    expects, and the register measurement against the one trusted register
    state, a reference value the verifier holds itself.
+
+Steps 1-3 judge the device from its chain, the CA keys, both revocation
+lists and the TCB certificates alone; step 4 reviews one report.  A party
+keeps the digest of the last device evidence it accepted, so a resumed run
+skips steps 1-3 while none of those bytes changed, and reviews each report.
 """
 
 from __future__ import annotations
@@ -180,69 +185,79 @@ def _tcb_covered(
     return False
 
 
+def _judge_device(
+    chain: dict[str, Any], ca_certs: dict[str, Any], tcb_certs: list[TcbUpdateCertificate], prints: dict[str, str]
+) -> str:
+    """Steps 1-3: the reject reason for the device evidence, or "" if it passes.
+    ``prints`` holds each chain certificate's fingerprint."""
+    cik: Certificate = chain["cik"]
+    pik: Certificate = chain["pik"]
+    ak: Certificate = chain["ak"]
+
+    # Step 1: certificate chain and revocation (lists read as the memo keys them).
+    if not cik.verify(cik.subject_public_key):
+        return REJECT_CHAIN
+    if not pik.verify(cik.subject_public_key):
+        return REJECT_CHAIN
+    if not ak.verify(pik.subject_public_key):
+        return REJECT_CHAIN
+    revoked_certs = set(jsonable(ca_certs["revoked_certs"]))
+    if any(prints[name] in revoked_certs for name in ("cik", "pik", "ak")):
+        return REJECT_REVOKED
+
+    # Step 2: the chain's card identity must match the CA-issued card cert.
+    ca_cik: Optional[Certificate] = chain.get("ca_cik")
+    if ca_cik is None or not ca_cik.verify(ca_certs["cik_ca"]):
+        return REJECT_CIK_MISMATCH
+    if prints["ca_cik"] in revoked_certs:
+        return REJECT_REVOKED
+    if ca_cik.subject_public_key != cik.subject_public_key:
+        return REJECT_CIK_MISMATCH
+
+    # Step 3: the platform cert's firmware measurements must be endorsed by
+    # valid TCB certificates.
+    revoked_tcb = {tuple(x) for x in jsonable(ca_certs["revoked_tcb"])}
+    firmware_ca = ca_certs["firmware_ca"]
+    for component, extension, reason in (
+        (COMPONENT_BOOTLOADER, "bootloader_measurement", REJECT_TCB_BOOTLOADER),
+        (COMPONENT_ICU, "icu_measurement", REJECT_TCB_ICU),
+    ):
+        if not _tcb_covered(pik.extensions.get(extension, ""), component, tcb_certs, firmware_ca, revoked_tcb):
+            return reason
+    return ""
+
+
 def verify_attestation(
     report: AttestationReport,
     device_chain: dict[str, Any],
     ca_certs: dict[str, Any],
     tcb_certs: list[TcbUpdateCertificate],
     expected: dict[str, Any],
+    memo: Optional[dict[str, bytes]] = None,
 ) -> Verdict:
     """Decide whether signed evidence authorizes releasing keys to a device.
 
     ``expected`` holds what the run must show: ``manifest_measurement`` (which
     also fixes the tile bootloader, the stream owners and the model
     receivers), ``party_fingerprints`` in party-name order, and the seeded
-    ``epoch`` and ``checkpoint_id``.  A missing key raises ``KeyError``."""
-    cik: Certificate = device_chain["cik"]
-    pik: Certificate = device_chain["pik"]
-    ak: Certificate = device_chain["ak"]
+    ``epoch`` and ``checkpoint_id``.  A missing key raises ``KeyError``.
 
-    # Step 1: certificate chain and revocation.
-    if not cik.verify(cik.subject_public_key):
-        return Verdict.reject(REJECT_CHAIN)
-    if not pik.verify(cik.subject_public_key):
-        return Verdict.reject(REJECT_CHAIN)
-    if not ak.verify(pik.subject_public_key):
-        return Verdict.reject(REJECT_CHAIN)
-    revoked_certs = set(ca_certs["revoked_certs"])
-    for cert in (cik, pik, ak):
-        if cert.fingerprint in revoked_certs:
-            return Verdict.reject(REJECT_REVOKED)
-
-    # Step 2: the chain's card identity must match the CA-issued card cert.
-    ca_cik: Optional[Certificate] = device_chain.get("ca_cik")
-    if ca_cik is None:
-        return Verdict.reject(REJECT_CIK_MISMATCH)
-    if not ca_cik.verify(ca_certs["cik_ca"]):
-        return Verdict.reject(REJECT_CIK_MISMATCH)
-    if ca_cik.fingerprint in revoked_certs:
-        return Verdict.reject(REJECT_REVOKED)
-    if ca_cik.subject_public_key != cik.subject_public_key:
-        return Verdict.reject(REJECT_CIK_MISMATCH)
-
-    # Step 3: the platform cert's firmware measurements must be endorsed by
-    # valid TCB certificates.
-    revoked_tcb = {tuple(x) for x in ca_certs["revoked_tcb"]}
-    firmware_ca = ca_certs["firmware_ca"]
-    if not _tcb_covered(
-        pik.extensions.get("bootloader_measurement", ""),
-        COMPONENT_BOOTLOADER,
-        tcb_certs,
-        firmware_ca,
-        revoked_tcb,
-    ):
-        return Verdict.reject(REJECT_TCB_BOOTLOADER)
-    if not _tcb_covered(
-        pik.extensions.get("icu_measurement", ""),
-        COMPONENT_ICU,
-        tcb_certs,
-        firmware_ca,
-        revoked_tcb,
-    ):
-        return Verdict.reject(REJECT_TCB_ICU)
+    ``memo``, a party's slot that only ``PartyIdentity`` passes, keeps the
+    SHA-256 of the last device evidence to pass steps 1-3: the chain's
+    fingerprints (which cover the signatures) and the canonical bytes of
+    ``ca_certs`` and ``tcb_certs``.  Evidence with that digest skips steps
+    1-3; step 4 always runs."""
+    prints = {name: cert.fingerprint for name, cert in device_chain.items()}
+    key = None if memo is None else hashlib.sha256(canonical_bytes((prints, ca_certs, tcb_certs))).digest()
+    if key is None or memo.get("device") != key:
+        reason = _judge_device(device_chain, ca_certs, tcb_certs, prints)
+        if reason:
+            return Verdict.reject(reason)
+        if key is not None:
+            memo["device"] = key
 
     # Step 4: review the signed report against expectations.
-    if not report.verify(ak.subject_public_key):
+    if not report.verify(device_chain["ak"].subject_public_key):
         return Verdict.reject(REJECT_REPORT_SIGNATURE)
     if report.manifest_measurement != expected["manifest_measurement"]:
         return Verdict.reject(REJECT_MANIFEST)
@@ -296,6 +311,7 @@ class PartyIdentity:
         self.name = name
         self._signing = crypto.ed25519_generate()
         self.certificate = self_signed(self._signing, name, {"role": "party", "name": name})
+        self._judged: dict[str, bytes] = {}  # ``verify_attestation``'s memo; never stored
 
     @property
     def fingerprint(self) -> str:
@@ -317,6 +333,7 @@ class PartyIdentity:
         identity.name = stored.name
         identity._signing = crypto.ed25519_from_seed(stored.signing_seed)
         identity.certificate = stored.certificate
+        identity._judged = {}
         return identity
 
     def new_session(self) -> PartySession:
@@ -339,7 +356,7 @@ class PartyIdentity:
         """Verify the report against ``evidence`` (device chain, CA keys, TCB
         certificates) and ``expected``; only on an accept, wrap ``package`` to
         the attested device share under a key bound to the expected manifest."""
-        verdict = verify_attestation(report, *evidence, expected)
+        verdict = verify_attestation(report, *evidence, expected, memo=self._judged)
         if not verdict.accepted:
             return verdict, None
         manifest_hash = bytes.fromhex(expected["manifest_measurement"])

@@ -305,7 +305,7 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "36ce2c7ddc56bfeb62849e9f0ef46206e2e49c1fbeae6225b39f39009748362e"
+        "b8ea761c74e2ec84ababc4874b1e82de6e255e0e1aa02ce1cf52caa4450a8926"
     )
 
 
@@ -318,7 +318,9 @@ def test_schedule_expands_to_the_unrolled_barriers():
     A plan no longer states the streams the host fills, its key-context map
     or whether it is frame-serial; the expansion puts back what they were:
     the input streams among the offsets, the register image's ``kphysmap``,
-    and false, since no barrier plan is frame-serial."""
+    and false, since no barrier plan is frame-serial.  The SGD exchange plan
+    keys nothing; the digest was taken from the manifests compiled while it
+    keyed the gradient streams, with its three key fields emptied."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
@@ -335,7 +337,7 @@ def test_schedule_expands_to_the_unrolled_barriers():
             )
             assert len({canonical_bytes(plan) for plan in manifest.plans}) == len(manifest.plans)
     assert fold.hexdigest() == (
-        "01c9d2884c2842be58e913fc6d7903959423d2b6b0739fd97ac6252a6af978d0"
+        "afd5769d79d42487fa117dd883d4a61dd16e55f6c7d3b8463320bcc9ee236fd2"
     )
 
 
@@ -374,13 +376,14 @@ def test_manifests_expand_to_the_facts_they_stated_twice():
     entry and the job, a plan's register image derived from the streams it
     keys), and the 128 grid compiles expand to the same streams, walks and
     barriers as when the manifest repeated them; the digest was taken from
-    the manifests that did."""
+    the manifests that did, with the SGD exchange plan's key fields emptied
+    (it keys nothing)."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             fold.update(expanded_facts(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest))
     assert fold.hexdigest() == (
-        "c03320fdae58b51acc2e43a7a598f60f9fb9b72da77cdf649a8a347bab7cb1a9"
+        "6bd425c6fc7cbb8ad83d2bc21a3caf8048f17782eeb3ba04fac68d6a06c03606"
     )
 
 
@@ -434,11 +437,13 @@ def test_manifests_lost_only_the_checkpoint_record_fields():
     manifests compiled before the plans lost those three fields, with each
     plan's ``fills``, ``kphysmap`` and ``frame_serial`` keys deleted and
     ``stream_assignment`` replaced by ``model_receivers`` set to its
-    ``model_receivers`` entry; it was not computed from this compiler."""
+    ``model_receivers`` entry, and with the SGD exchange plan's
+    ``stream_regions``, ``ctxmap`` and ``ingress_loads`` emptied, since that
+    plan keys nothing; it was not computed from this compiler."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             fold.update(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest.to_bytes())
     assert fold.hexdigest() == (
-        "a3545e15299e46741ca3f2f9660d855fc532bc6e46916d824acce445f31145e5"
+        "dccd9f47abb7b0a2fc4b5047fbe28eba32aae59d0a255b03c7fa9698e7fa9af6"
     )

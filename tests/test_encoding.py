@@ -45,7 +45,7 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "f0e5e336cbb826b1ddd5cfc210c8a1cce846cdc9047d425ced31dfebf1a98e9b"
+            "f646e35efdf8f8e9529a0fccde70adc6bf3af97c652ba0b911ac93b78c9ecfb7"
         )
 
     def test_sum_fixture(self):
@@ -57,7 +57,7 @@ class TestManifestMeasurements:
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "67046cdaca22e53a727ebb1f17ec3c30b40c2ba38eabb17923570337f6093535"
+            "ddd47d5cab18516e6a0c0cf540c6219c7ca52696905ec52b3a5a75add32ca815"
         )
 
 

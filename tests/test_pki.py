@@ -709,3 +709,141 @@ class TestParty:
         assert resumed.stream_keys == keys
         assert resumed.prior_run_nonce == first.run_nonce
         assert resumed.run_nonce == party.run_nonce != first.run_nonce
+
+
+# ---------------------------------------------------------------------------
+# a party's memo of the device evidence it accepted
+# ---------------------------------------------------------------------------
+
+
+def released(identity: PartyIdentity, e: Evidence) -> Verdict:
+    """The verdict ``identity`` reaches on ``e`` when asked to release keys."""
+    package = KeyPackage(stream_keys={}, run_nonce=bytes(32))
+    verdict, _ = identity.release_keys(identity.new_session(), e.report, (e.chain, e.ca, e.tcb), e.expected, package)
+    return verdict
+
+
+def owned_evidence(factory) -> Evidence:
+    """The pristine evidence in copies down to each certificate's
+    extensions, so that a test may edit any of its objects in place."""
+    e = factory.evidence()
+    e.chain, e.tcb = copy.deepcopy(e.chain), copy.deepcopy(e.tcb)
+    return e
+
+
+def counted_verifies(monkeypatch) -> list:
+    """One entry per Ed25519 verify from here on."""
+    calls, verify = [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    return calls
+
+
+def bad_measurement(e: Evidence) -> None:
+    e.chain["pik"].extensions["bootloader_measurement"] = hashlib.sha256(b"evil").hexdigest()
+
+
+def revoke_ak(e: Evidence) -> None:
+    e.ca["revoked_certs"].append(e.chain["ak"].fingerprint)
+
+
+def revoke_ca_cik(e: Evidence) -> None:
+    e.ca["revoked_certs"].append(e.chain["ca_cik"].fingerprint)
+
+
+def revoke_icu(e: Evidence) -> None:
+    e.ca["revoked_tcb"].append((COMPONENT_ICU, e.chain["pik"].extensions["icu_measurement"]))
+
+
+def drop_bootloader_tcb(e: Evidence) -> None:
+    e.tcb[:] = [c for c in e.tcb if c.component != COMPONENT_BOOTLOADER]
+
+
+def forge_icu_tcb(e: Evidence) -> None:
+    e.tcb[:] = [replace(c, signature=bytes(64)) if c.component == COMPONENT_ICU else c for c in e.tcb]
+
+
+def other_cik_root(e: Evidence) -> None:
+    e.ca["cik_ca"] = crypto.public_bytes(crypto.ed25519_generate())
+
+
+def other_pik(e: Evidence) -> None:
+    e.chain["pik"] = make_deployment(seed=99).device_chain["pik"]
+
+
+IN_PLACE_EDITS = [
+    pytest.param(bad_measurement, REJECT_CHAIN, id="pik-extensions-edited"),
+    pytest.param(revoke_ak, REJECT_REVOKED, id="ak-revoked"),
+    pytest.param(revoke_ca_cik, REJECT_REVOKED, id="ca-cik-revoked"),
+    pytest.param(revoke_icu, REJECT_TCB_ICU, id="icu-measurement-revoked"),
+    pytest.param(drop_bootloader_tcb, REJECT_TCB_BOOTLOADER, id="bootloader-tcb-dropped"),
+    pytest.param(forge_icu_tcb, REJECT_TCB_ICU, id="icu-tcb-forged"),
+    pytest.param(other_cik_root, REJECT_CIK_MISMATCH, id="cik-root-replaced"),
+    pytest.param(other_pik, REJECT_CHAIN, id="pik-replaced"),
+]
+
+
+class TestDeviceMemo:
+    """A party remembers the device evidence (steps 1-3) it last accepted
+    and reviews only the report (step 4) while that evidence is byte for
+    byte the same.  Against a party that has accepted the pristine evidence,
+    every corruption gets the verdict of a fresh ``verify_attestation``, and
+    so does every edit in place of the very objects it accepted.  A memo
+    keyed on the identity of those objects, or on the certificates'
+    signatures alone, accepts the in-place edits and fails here."""
+
+    def test_every_corruption_gets_the_fresh_verdict(self, factory):
+        judge = PartyIdentity("alpha")
+        assert released(judge, factory.evidence()).accepted
+        failures = []
+        for label, want, mutate in build_corpus(factory):
+            evidence = factory.evidence()
+            mutate(evidence)
+            fresh, memoized = evidence.verdict(), released(judge, evidence)
+            if memoized != fresh or fresh.reason != want:
+                failures.append(f"{label}: memoized {memoized.reason}, fresh {fresh.reason}, wanted {want}")
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("edit, reason", IN_PLACE_EDITS)
+    def test_an_accepted_object_edited_in_place_is_judged_again(self, factory, edit, reason):
+        judge, evidence = PartyIdentity("alpha"), owned_evidence(factory)
+        assert released(judge, evidence).accepted
+        edit(evidence)
+        assert released(judge, evidence) == evidence.verdict() == Verdict.reject(reason)
+
+    def test_a_party_rejudges_the_device_only_when_its_evidence_changed(self, factory, monkeypatch):
+        """A first judgement makes 7 verifies (the 4 chain certificates, the
+        2 TCB certificates and the report); the same evidence again makes 1,
+        the report's.  A new revocation list, even one that names another
+        certificate, makes all 7 again, and so does an identity restored from
+        its stored form, which does not hold the memo."""
+        judge, evidence = PartyIdentity("alpha"), owned_evidence(factory)
+        verifies = counted_verifies(monkeypatch)
+
+        def count() -> int:
+            assert released(judge, evidence).accepted
+            made = len(verifies)
+            verifies.clear()
+            return made
+
+        assert [count(), count()] == [7, 1]
+        evidence.ca["revoked_certs"].append("f" * 64)
+        assert [count(), count()] == [7, 1]
+        stored = judge.to_dict()
+        assert sorted(stored) == ["certificate", "name", "signing_seed"]
+        judge = PartyIdentity.from_dict(stored)
+        assert [count(), count()] == [7, 1]
+
+    def test_a_revocation_list_is_read_in_the_form_the_memo_keys(self, factory):
+        """A fingerprint listed as raw bytes encodes as its hex string, so it
+        revokes as that string does: no list a party accepted can encode as
+        one that would have revoked."""
+        evidence = owned_evidence(factory)
+        evidence.ca["revoked_certs"].append(bytes.fromhex(evidence.chain["ak"].fingerprint))
+        assert evidence.verdict() == Verdict.reject(REJECT_REVOKED)
+
+    def test_a_rejected_device_is_not_remembered(self, factory, monkeypatch):
+        judge, evidence = PartyIdentity("alpha"), owned_evidence(factory)
+        revoke_ak(evidence)
+        verifies = counted_verifies(monkeypatch)
+        assert [released(judge, evidence).reason for _ in range(2)] == [REJECT_REVOKED] * 2
+        assert len(verifies) == 2 * 3  # the chain's three signatures, each time

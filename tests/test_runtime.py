@@ -11,7 +11,7 @@ import struct
 import pytest
 
 from oracle import expected_model
-from itx import runtime
+from itx import crypto, runtime
 from itx.adversary import (
     Adversary,
     Composite,
@@ -175,6 +175,44 @@ def test_halt_reset_and_resume_matches_the_clear_reference():
 
     fixture.deployment.device.reset("sbr")
     assert_completed_and_exact(fixture, session.resume())
+
+
+def test_a_resumed_attempt_verifies_only_the_fresh_report(monkeypatch):
+    """A fresh attempt makes 24 Ed25519 verifies: the control unit checks the
+    3 keyshare signatures, and each of the 3 parties checks the 4 chain
+    certificates, the 2 TCB certificates and the report.  Each party keeps
+    the device evidence it accepted, so the resume makes 6: the keyshares
+    and the 3 reports."""
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+    session, calls, verify = fixture.session, [], crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(args) or verify(*args))
+    assert_halted(fixture, session.run(halt_after_checkpoint=2))
+    fresh = len(calls)
+    fixture.deployment.device.reset("sbr")
+    calls.clear()
+    assert_completed_and_exact(fixture, session.resume())
+    assert (fresh, len(calls)) == (24, 6)
+
+
+def test_a_certificate_revoked_between_halt_and_resume_is_rejected_by_every_party():
+    """The CA revokes the attestation key while the job is halted; the host
+    appends it to the very list each party accepted.  The resume's evidence
+    is new bytes, so each party judges the device again and refuses it."""
+    fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+    session = fixture.session
+    assert_halted(fixture, session.run(halt_after_checkpoint=1))
+    ak = fixture.deployment.device_chain["ak"].fingerprint
+    fixture.deployment.ca.revoked_certs.add(ak)
+    session.ca_public["revoked_certs"].append(ak)
+    fixture.deployment.device.reset("sbr")
+    result = session.resume()
+    assert_aborted_closed(fixture, result)
+    assert result.reason == "party alpha rejected: revoked"
+    assert "release_keys" not in [event.kind for event in result.log.events]
+    evidence = (session.device_chain, session.ca_public, session.tcb_certs)
+    for party in session.parties.values():
+        verdict = party.release(session.last_report, evidence, session.last_expected, resume=True)
+        assert verdict == (Verdict.reject("revoked"), None)
 
 
 def test_a_restored_position_off_a_barrier_aborts_closed(monkeypatch):
@@ -432,9 +470,11 @@ def test_host_attack_aborts_closed(adversary):
 
 
 def test_a_dropped_key_load_at_an_already_keyed_barrier_completes_bit_equal():
-    """Barrier 3 keys what barrier 2 loaded; the device moves the stream
-    windows at every barrier itself, so dropping the call changes nothing."""
-    fixture = make_sgd_fixture(steps=3, adversary=SkipKeyLoad(3))
+    """Barrier 2, an exchange, keys nothing: the interval after it only
+    computes, under the keys barrier 1 loaded, and the device moves the
+    stream windows at every barrier itself, so dropping the call changes
+    nothing."""
+    fixture = make_sgd_fixture(steps=3, adversary=SkipKeyLoad(2))
     assert_completed_and_exact(fixture, fixture.session.run())
 
 
@@ -875,10 +915,10 @@ def test_a_script_writing_an_unknown_register_aborts_with_a_typed_reason():
 
 
 def test_a_two_action_script_runs_both_actions_in_one_hosting():
-    """Dropping barrier 3's key load alone completes bit-equal; the frame
+    """Dropping barrier 2's key load alone completes bit-equal; the frame
     tampered after it aborts the run."""
     script = [
-        {"action": "skip_key_load", "sync_id": 3},
+        {"action": "skip_key_load", "sync_id": 2},
         {"action": "tamper_frame", "stream_id": 3, "frame_index": 8, "bit": 800},
     ]
     adversary = from_script(script)
@@ -886,7 +926,7 @@ def test_a_two_action_script_runs_both_actions_in_one_hosting():
     fixture = make_sgd_fixture(steps=3, adversary=adversary)
     result = fixture.session.run()
     assert_aborted_closed(fixture, result)
-    assert "adversary action=skip_key_load sync_id=3" in result.log.dump()
+    assert "adversary action=skip_key_load sync_id=2" in result.log.dump()
     assert result.reason == "ingress: context 2: frame tag mismatch"
 
 
