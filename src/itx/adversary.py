@@ -158,10 +158,15 @@ class SwapBinary(Adversary):
 
 @dataclass
 class SkipKeyLoad(Adversary):
-    """Drop the control-unit key-load call at one barrier."""
+    """Drop the control-unit key-load call at one barrier.  ``tee_launch``
+    keys barrier 0 itself, so the host meets a key-load call first at barrier 1."""
 
     sync_id: int
     name: str = "skip_key_load"
+
+    def __post_init__(self) -> None:
+        if not (type(self.sync_id) is int and self.sync_id >= 1):
+            raise InvalidEncoding(f"skip_key_load: sync_id {self.sync_id!r} names no barrier the host keys")
 
     def skip_key_load(self, host, sync_id: int) -> bool:
         return sync_id == self.sync_id

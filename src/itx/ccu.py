@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -38,7 +39,7 @@ from .errors import (
     PartyAuthFailure,
     SecurityException,
 )
-from .manifest import CHECKPOINT, DIR_IN, JobManifest, OUTPUT, SyncPlan
+from .manifest import BOOT, CHECKPOINT, DIR_IN, INGRESS, RESTORE, SAVE, JobManifest, Keyed, Loads, OUTPUT
 from .sxp import SxpRegisters
 
 # TEE phases
@@ -105,7 +106,8 @@ class TeeState:
     reason: str = ""
     manifest: Optional[JobManifest] = None  # the control unit's own decoded copy
     manifest_hash: bytes = b""  # SHA-256 of the manifest bytes it measured
-    images: dict[int, SxpRegisters] = field(default_factory=dict)  # id(plan) -> register image, for manifest's plans
+    # what an image keys (``JobManifest.keyed``) -> its register image and key loads, derived at init
+    images: dict[Keyed, tuple[SxpRegisters, Loads]] = field(default_factory=dict)
     party_certs: dict[str, Certificate] = field(default_factory=dict)
     party_shares: dict[str, bytes] = field(default_factory=dict)
     epoch: int = 0
@@ -249,7 +251,7 @@ class Ccu:
     def _stream_key(self, stream_id: int, bank: str) -> bytes:
         entry = self.tee.manifest.stream_table[stream_id]
         if entry.kind == CHECKPOINT:
-            key = self.tee.k_load if bank == "ingress" else self.tee.k_save
+            key = self.tee.k_load if bank == INGRESS else self.tee.k_save
             if not key:
                 raise KeyExchangeFailure(f"no checkpoint key for bank {bank}")
             return key
@@ -260,24 +262,32 @@ class Ccu:
             raise KeyExchangeFailure(f"no key supplied for stream {stream_id}")
         return key
 
-    def _apply_plan(self, plan: SyncPlan) -> None:
-        """Rotate out, program the plan's register image, and load keys."""
+    def _apply(self, keyed: Keyed) -> Loads:
+        """Program the register image derived for ``keyed`` and load its keys;
+        the device emptied both banks when its tiles last parked, so the
+        interval after a barrier holds these keys and no other."""
         device = self._require_device()
-        for ctx in plan.invalidate:
-            device.ingress.invalidate_key(ctx)
-            device.egress.invalidate_key(ctx)
-        device.program_registers(self.tee.images[id(plan)])
-        for ctx, sid in plan.ingress_loads:
-            device.ingress.load_key(ctx, self._stream_key(sid, "ingress"))
-        for ctx, sid in plan.egress_loads:
-            device.egress.load_key(ctx, self._stream_key(sid, "egress"))
+        image, loads = self.tee.images[keyed]
+        device.program_registers(image)
+        for bank, ctx, sid in loads:
+            getattr(device, bank).load_key(ctx, self._stream_key(sid, bank))
+        return loads
 
-    def _parked_plan(self) -> SyncPlan:
-        """The attested plan of the barrier the device's tiles are parked at."""
+    def _parked(self) -> int:
+        """The barrier the device's tiles are parked at."""
         device = self._require_device()
         if device.barrier is None:
             raise InvalidPhase("the tiles are not parked at a barrier")
-        return self.tee.manifest.plan(device.barrier)[0]
+        return device.barrier
+
+    @contextmanager
+    def _serial(self, phase: tuple[str, str]):
+        """Key a frame-serial phase for the ``with`` block, and zeroize its key after it."""
+        device = self._require_device()
+        loads = self._apply(self.tee.manifest.keyed(phase))
+        yield
+        for bank, ctx, _ in loads:
+            getattr(device, bank).invalidate_key(ctx)
 
     # -- TEE lifecycle -------------------------------------------------------
 
@@ -398,18 +408,18 @@ class Ccu:
             self.tee.k_load = crypto.derive_checkpoint_key(crypto.combine_nonces(prior_nonces))
 
         # Bootstrap: deploy the tile bootloader, install the job, key the
-        # code contexts, and pull every binary through the secure path.  Keys
+        # boot phase, and pull every binary through the secure path.  Keys
         # land from here on, so any failure must end the TEE before it escapes.
         device.autoload(self.firmware.tile_bootloader)
         device.install_boot_params(manifest, self.tee.epoch, self.tee.checkpoint_id)
         try:
-            self._apply_plan(manifest.boot_plan)
             chain = b""
-            for tile in device.tiles:
-                chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
+            with self._serial(BOOT):
+                for tile in device.tiles:
+                    chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
             if chain.hex() != manifest.binary_hash:
                 raise SecurityException("binary hash does not match the manifest")
-            self._apply_plan(self._parked_plan())
+            self._apply(manifest.keyed(self._parked()))
         except Exception as exc:
             if self.tee.phase != TERMINATED:
                 self.tee_terminate(f"launch failed: {exc}")
@@ -422,23 +432,20 @@ class Ccu:
         """Key the barrier the tiles are parked at."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_load_keys in phase {self.tee.phase}")
-        self._apply_plan(self._parked_plan())
+        self._apply(self.tee.manifest.keyed(self._parked()))
 
     def tee_checkpoint(self) -> tuple[int, int]:
-        """Save a checkpoint at a barrier that schedules one: swap in the
-        checkpoint-phase registers, stream the state out under k_save, then
-        restore.  Returns the (epoch, checkpoint id) the host resumes it by."""
+        """Save a checkpoint at a barrier that schedules one: key the save
+        phase, stream the state out under k_save, and zeroize k_save's
+        context; the barrier's own keys come with ``tee_load_keys``.  Returns
+        the (epoch, checkpoint id) the host resumes it by."""
         if self.tee.phase != LAUNCHED:
             raise InvalidPhase(f"tee_checkpoint in phase {self.tee.phase}")
         device = self._require_device()
-        if not self._parked_plan().checkpoint:
+        if not self.tee.manifest.plan(self._parked())[0].checkpoint:
             raise InvalidSyncPoint(f"barrier {device.barrier} schedules no checkpoint")
-        steady = device.egress.registers
-        self._apply_plan(self.tee.manifest.checkpoint_plan)
-        counters = device.checkpoint_save()
-        if steady is not None:
-            device.program_registers(steady)
-        return counters
+        with self._serial(SAVE):
+            return device.checkpoint_save()
 
     def tee_restore(self) -> int:
         """Restore the checkpoint named by the seeded counters.  The device
@@ -450,12 +457,11 @@ class Ccu:
         if self.tee.epoch == 0:
             raise InvalidPhase("restore requires a nonzero epoch")
         device = self._require_device()
-        manifest = self.tee.manifest
-        if manifest.restore_plan is None:
-            raise InvalidSyncPoint("job has no restore plan")
-        self._apply_plan(manifest.restore_plan)
-        device.checkpoint_restore()
-        self._apply_plan(self._parked_plan())
+        if not any(entry.kind == CHECKPOINT for entry in self.tee.manifest.stream_table.values()):
+            raise InvalidSyncPoint("job has no checkpoint stream")
+        with self._serial(RESTORE):
+            device.checkpoint_restore()
+        self._apply(self.tee.manifest.keyed(self._parked()))
         return device.barrier
 
     def tee_terminate(self, reason: str) -> None:

@@ -7,21 +7,23 @@ Two job kinds are supported:
   applies two fixed-point SGD updates per step; the final model is gathered
   and stored under the model key.
 * ``sum_streams`` — N single-frame input streams are reduced to one integer.
-  With more streams than concurrently available key contexts the compiler
-  inserts key-rotation synchronization points (waves).
+  An exchange block walks one keyed stream per interval, so with more
+  streams than exchange blocks the compiler inserts key-rotation
+  synchronization points (waves).
 
 A planner per job kind decides the tile programs, their stream bindings, the
-non-code streams, each distinct barrier plan once (``plans``) and every sync
-id's plan index and stream offsets (``schedule``); the SGD loop's plans are
-built once, not per step.  Its code is stated once too: each SGD tile program
+non-code streams and every barrier's plan and stream offsets; ``compile_job``
+states each distinct plan once (``plans``) and gives every sync id its plan
+index and offsets (``schedule``), so the SGD loop's plans appear once, not
+per step.  Its code is stated once too: each SGD tile program
 is one loop phase over one step's phases, ``steps`` passes with a sync-id
 stride of 2, so pass s meets barriers 2 + 2s and 3 + 2s and a binary's size
 does not depend on the step count.  The device expands the loop, and refuses
 one that would expand past ``MAX_PHASES`` (65,535 phases, what the unrolled
 format's ``<H`` phase count can state).  ``compile_job`` does the rest once
-for both kinds: it lays out the code, adds the code stream and the checkpoint
-plans, and assembles the one manifest that parties verify and the control
-unit enforces.
+for both kinds: it lays out the code, adds the code stream, sizes the
+checkpoint region and assembles the one manifest that parties verify and
+the control unit enforces.
 Stream ownership is stated only in the stream table: an entry's ``party``
 is the owner that ``tee_launch`` takes the stream's key from, and
 ``CompiledJob.key_streams`` reads it there.  ``model_receivers`` names the
@@ -31,12 +33,13 @@ does not copy it, since the manifest measurement covers it.
 
 The planners target the one chip's geometry, fixed in silicon, stated by no
 manifest and kept in ``sxp``: ``TILE_COUNT`` (16) tiles in exchange blocks of
-``TILES_PER_EBC`` (4).  They honor the hardware contract: at most 16 key
-contexts, 17 disjoint regions with region 0 cleartext, one key region per
-stream per interval, and — outside strictly serialized phases — one
-exchange-block context per key context.  Streams whose consumers span
-exchange blocks get internal-exchange moves at the next barrier instead of
-shared contexts.
+``TILES_PER_EBC`` (4).  They state no key context, region or key load: the
+interval after a barrier keys the streams of its offsets, and the manifest
+derives each one's context and region from them.  So they honor the
+hardware contract by what they schedule: at most 16 streams keyed at one
+barrier, with disjoint extents, each walked by the tiles of one exchange
+block that walks no other stream keyed there.  Streams whose consumers span
+exchange blocks get internal-exchange moves at the next barrier instead.
 """
 
 from __future__ import annotations
@@ -100,12 +103,6 @@ PAYLOAD = FRAME_SIZE - 32
 # stream ids
 SID_CODE = 1
 
-# key-context assignment
-CTX_CODE = 0
-CTX_OUT = 13
-CTX_RESTORE = 14
-CTX_SAVE = 15
-
 
 @dataclass(frozen=True)
 class JobDescription(Record):
@@ -151,8 +148,7 @@ class _Plan:
     programs: dict[int, TileProgram]
     bindings: dict[int, tuple[BindingSpec, ...]]  # tile -> its stream walks
     streams: dict[int, StreamTableEntry]  # every stream but the code stream
-    plans: tuple[SyncPlan, ...]
-    schedule: tuple[tuple[int, dict[int, int]], ...]
+    barriers: tuple[tuple[SyncPlan, dict[int, int]], ...]  # sync id -> (plan, stream offsets)
     ckpt_range: tuple[int, int] = (0, 0)  # (offset, length) of the checkpointed tile memory
 
 
@@ -161,7 +157,7 @@ def compile_job(job: JobDescription, bootloader_measurement: str = "", ipu_id: i
     if planner is None:
         raise ScheduleInfeasible(f"unknown job kind {job.kind!r}")
     plan = planner(job)
-    if sum(plan.plans[p].checkpoint for p, _ in plan.schedule) > 0x100:  # the IV's checkpoint_id is 8 bits
+    if sum(p.checkpoint for p, _ in plan.barriers) > 0x100:  # the IV's checkpoint_id is 8 bits
         raise ScheduleInfeasible("more than 256 checkpoints need checkpoint ids past 0xFF")
     for tile_id, program in plan.programs.items():
         # What ``TileProgram.unpack`` expands: each loop adds its other passes.
@@ -181,12 +177,12 @@ def compile_job(job: JobDescription, bootloader_measurement: str = "", ipu_id: i
     code = StreamTableEntry(job.model_party, DIR_IN, CODE, code_plain, CODE_BASE, code_bytes // FRAME_SIZE)
     stream_table = {SID_CODE: code, **plan.streams}
 
-    save_plan = restore_plan = None
     ckpt = next((sid for sid, e in plan.streams.items() if e.kind == CHECKPOINT), None)
     if ckpt is not None:  # its region holds every tile's checkpoint slot
         slots = len(layouts) * checkpoint_span(layouts, PAYLOAD)
         stream_table[ckpt] = dataclasses.replace(stream_table[ckpt], region_frames=slots)
-        save_plan, restore_plan = _ckpt_plans(ckpt)
+    plans: dict[SyncPlan, int] = {}  # each distinct plan -> its index, in the order the barriers first use it
+    schedule = tuple((plans.setdefault(p, len(plans)), offsets) for p, offsets in plan.barriers)
 
     manifest = JobManifest(
         ipu_id=ipu_id,
@@ -194,11 +190,8 @@ def compile_job(job: JobDescription, bootloader_measurement: str = "", ipu_id: i
         bootloader_measurement=bootloader_measurement,
         stream_table=stream_table,
         tile_layouts=tuple(layouts),
-        boot_plan=_boot_plan(),
-        plans=plan.plans,
-        schedule=plan.schedule,
-        checkpoint_plan=save_plan,
-        restore_plan=restore_plan,
+        plans=tuple(plans),
+        schedule=schedule,
         model_receivers=tuple(sorted(job.model_receivers or (job.model_party,))),
         frame_size=FRAME_SIZE,
         clear_region=CLEAR_REGION,
@@ -216,38 +209,6 @@ def compile_job(job: JobDescription, bootloader_measurement: str = "", ipu_id: i
 def _slot_base(slot: int) -> int:
     """Where data slot ``slot``'s ring region starts."""
     return DATA_BASE + slot * REGION_STRIDE
-
-
-def _boot_plan() -> SyncPlan:
-    return SyncPlan(
-        stream_regions={SID_CODE: 1},
-        ctxmap={0: CTX_CODE, 1: CTX_CODE, 2: CTX_CODE, 3: CTX_CODE},
-        ingress_loads=((CTX_CODE, SID_CODE),),
-    )
-
-
-def _ckpt_plans(sid_ckpt: int) -> tuple[SyncPlan, SyncPlan]:
-    save = SyncPlan(
-        stream_regions={sid_ckpt: 6},
-        ctxmap={e: CTX_SAVE for e in range(4)},
-        egress_loads=((CTX_SAVE, sid_ckpt),),
-    )
-    restore = SyncPlan(
-        stream_regions={sid_ckpt: 6},
-        ctxmap={e: CTX_RESTORE for e in range(4)},
-        ingress_loads=((CTX_RESTORE, sid_ckpt),),
-    )
-    return save, restore
-
-
-def _output_plan(sid_out: int, **rest) -> SyncPlan:
-    """The barrier that keys the output stream for tile 0's exchange block."""
-    return SyncPlan(
-        stream_regions={sid_out: 5},
-        ctxmap={0: CTX_OUT},
-        egress_loads=((CTX_OUT, sid_out),),
-        **rest,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +280,6 @@ def _plan_sgd(job: JobDescription) -> _Plan:
     }
 
     # -- sync plans ----------------------------------------------------------
-    g_registers = dict(
-        stream_regions={sid_g1: 3, sid_g2: 4},
-        ctxmap={1: 2, 2: 3},
-        ingress_loads=((2, sid_g1), (3, sid_g2)),
-    )
     w_moves = tuple(
         (t // 4, STAGE_OFF + slice_bytes * (t % 4), t, W_OFF, slice_bytes) for t in range(TILE_COUNT)
     )
@@ -339,36 +295,17 @@ def _plan_sgd(job: JobDescription) -> _Plan:
         (t, W_OFF, t // 4, OUT_STAGE_OFF + slice_bytes * (t % 4), slice_bytes) for t in range(TILE_COUNT)
     )
 
-    # 0 weights, 1 first gradient load, 2 exchange (it keys nothing: the
-    # interval after it only computes), 3 output, 4 end; later gradient loads
-    # share one plan per checkpoint flag that some step has.
-    plans = [
-        SyncPlan(
-            stream_regions={sid_w0: 2},
-            ctxmap={0: 1},
-            ingress_loads=((1, sid_w0),),
-            invalidate=(CTX_CODE,),
-        ),
-        SyncPlan(invalidate=(1,), moves=w_moves, **g_registers),
-        SyncPlan(moves=g_moves),
-        _output_plan(
-            sid_out,
-            invalidate=(2, 3),
-            checkpoint=(steps % job.checkpoint_period == 0),
-            moves=gather_moves,
-        ),
-        SyncPlan(),
-    ]
-    flags = sorted({s % job.checkpoint_period == 0 for s in range(1, steps)})
-    later_load = {flag: len(plans) + i for i, flag in enumerate(flags)}
-    plans += [SyncPlan(checkpoint=flag, **g_registers) for flag in flags]
-
-    schedule = [(0, {sid_w0: 0})]
+    # Barrier 0 keys the weights, 1 + 2s step s's gradients, 2 + 2s nothing
+    # (the interval after the exchange only computes), and the last two the
+    # output, then nothing.
+    exchange = SyncPlan(moves=g_moves)
+    barriers = [(SyncPlan(), {sid_w0: 0})]
     for s in range(steps):
-        load = later_load[s % job.checkpoint_period == 0] if s else 1
-        schedule += [(load, {sid_g1: frames_per_pass * s, sid_g2: frames_per_pass * s}), (2, {})]
-    schedule += [(3, {sid_out: 0}), (4, {})]
-    return _Plan(programs, bindings, streams, tuple(plans), tuple(schedule), ckpt_range=(W_OFF, slice_bytes))
+        load = SyncPlan(checkpoint=s % job.checkpoint_period == 0) if s else SyncPlan(moves=w_moves)
+        barriers += [(load, {sid_g1: frames_per_pass * s, sid_g2: frames_per_pass * s}), (exchange, {})]
+    out = SyncPlan(checkpoint=steps % job.checkpoint_period == 0, moves=gather_moves)
+    barriers += [(out, {sid_out: 0}), (SyncPlan(), {})]
+    return _Plan(programs, bindings, streams, tuple(barriers), ckpt_range=(W_OFF, slice_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +362,8 @@ def _plan_sum(job: JobDescription) -> _Plan:
         )
 
     # -- plans ---------------------------------------------------------------
-    def wave_slots(w: int) -> list[int]:
-        return [1 + (w % 3) * 4 + e for e in range(n_ebcs)]
-
+    # Wave w's barrier keys its streams, one per exchange block, and brings
+    # the previous wave into tile 0; the output barrier keys the output.
     def gather(w: int) -> tuple:
         """Moves that bring wave ``w``'s staged frames into tile 0."""
         return tuple(
@@ -436,28 +372,9 @@ def _plan_sum(job: JobDescription) -> _Plan:
             if 4 * w + e < n
         )
 
-    plans, schedule = [], []
-    for w in range(waves):
-        slots = wave_slots(w)
-        sids = [sid_in(4 * w + e) for e in range(n_ebcs) if 4 * w + e < n]
-        invalidate = tuple(slots[: len(sids)]) if w >= 3 else ((CTX_CODE,) if w == 0 else ())
-        schedule.append((w, {sid: 0 for sid in sids}))
-        plans.append(
-            SyncPlan(
-                stream_regions={sid: 1 + e for e, sid in enumerate(sids)},
-                ctxmap={e: slots[e] for e in range(len(sids))},
-                ingress_loads=tuple((slots[e], sid) for e, sid in enumerate(sids)),
-                invalidate=invalidate,
-                moves=gather(w - 1) if w > 0 else (),
-            )
-        )
-    plans.append(SyncPlan(moves=gather(waves - 1)))
-    plans.append(
-        _output_plan(
-            sid_out,
-            invalidate=tuple(sorted({s for w in range(min(waves, 3)) for s in wave_slots(w)})),
-        )
-    )
-    plans.append(SyncPlan())
-    schedule += [(waves, {}), (waves + 1, {sid_out: 0}), (waves + 2, {})]
-    return _Plan(programs, bindings, streams, tuple(plans), tuple(schedule))
+    barriers = [
+        (SyncPlan(moves=gather(w - 1) if w else ()), {sid_in(i): 0 for i in range(4 * w, min(4 * w + 4, n))})
+        for w in range(waves)
+    ]
+    barriers += [(SyncPlan(moves=gather(waves - 1)), {}), (SyncPlan(), {sid_out: 0}), (SyncPlan(), {})]
+    return _Plan(programs, bindings, streams, tuple(barriers))

@@ -479,7 +479,7 @@ class IpuDevice:
     # The device's one stream path: every frame a tile loads or stores goes
     # through _read_frame/_write_frame, the packet engines and the ring.  A
     # frame costs its packets, its pending read, its ring access and its IV
-    # check; what the job fixes is derived once: each plan's register image
+    # check; what the job fixes is derived once: each distinct register image
     # when the control unit validates the manifest, each context's AEAD at
     # key load, and a stream's IV fixed field per (tile, epoch, checkpoint id).
 
@@ -611,10 +611,14 @@ class IpuDevice:
         return self.barrier
 
     def _park(self, sync_id: Optional[int]) -> None:
-        """Park the tiles at barrier ``sync_id`` (None: all programs ended), move
-        its stream windows and run its internal exchange; the one place an
-        unscheduled barrier is caught."""
+        """Park the tiles at barrier ``sync_id`` (None: all programs ended):
+        empty both key banks, as the barrier signal does, so each interval
+        holds only the keys its barrier loads, then move its stream windows
+        and run its internal exchange; the one place an unscheduled barrier
+        is caught."""
         self.barrier = sync_id
+        self.egress.invalidate_all_keys()
+        self.ingress.invalidate_all_keys()
         if sync_id is None:
             return
         barrier = self.manifest.plan(sync_id) if self.manifest else None

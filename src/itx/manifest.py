@@ -3,8 +3,8 @@
 The manifest binds together everything integrity-relevant about a job: the
 hash chain of its tile binaries, the bootloader measurement, the stream
 table, per-tile data layouts, and the barriers: ``plans`` states each
-distinct plan (the streams it keys, register maps, key loads) once, and
-``schedule`` gives each sync id a plan index and stream offsets, expanded by
+distinct plan (its moves, whether it checkpoints) once, and ``schedule``
+gives each sync id a plan index and stream offsets, expanded by
 ``plan(sync_id)``.  Each fact is stated once: the job's frame size and
 cleartext region sit on the manifest, and a stream's owner and extent on its
 stream-table entry.  The device's geometry is not a fact of the job: there is
@@ -17,33 +17,39 @@ It is also the one reader of the ring layout: the SXP keys a DMA frame by
 its address, so every ring address (a stream's extent, frame *i* under a
 window, a tile's code and checkpoint frames) is a pure function of the
 fields below, and each role asks its own manifest.  A stream's extent is
-read from its entry, whether frame *i* is in a window from ``in_window``,
-and a plan's register image is derived: ``registers(plan)`` maps region 0 to
-the cleartext region (which no device write targets), each stream the plan
-keys to its extent, and each loaded context to its stream's region.
+read from its entry, and whether frame *i* is in a window from ``in_window``.
+
+No field states a key.  The interval after a barrier keys the streams of
+its schedule offsets, and each frame-serial phase (boot, checkpoint save and
+restore) the one stream of its kind; the register image and key loads of
+each follow from those streams, the tile bindings and the stream table
+(``keyed`` names them, ``validated_images`` derives them).  The device
+empties both key banks whenever its tiles park, so a key is present only in
+the interval or phase that keys its stream.
 
 It alone decides which jobs a device may run: the clear reference applies
-``admit``, the control unit ``validated_images``, which adds each plan's
-register image and key loads, and the device re-checks none of it.
+``admit``, the control unit ``validated_images``, which adds each derived
+register image, and the device re-checks none of it.
 
 Routing note: all requests (reads and writes) are key-selected on the egress
-path, so a plan's one register image serves both directions: the plan states
-its ``ctxmap``, and the image's ``kphysmap`` maps each context the plan loads
-to the region of the stream it is loaded with.  Keys live in
-direction-specific context banks: ``ingress_loads`` key read traffic
-(completions carry the stamped index), ``egress_loads`` key write traffic.
+path, by the requesting tile's exchange block, so one register image serves
+both directions, and no exchange block may walk two streams keyed at once.
+Keys live in direction-specific context banks: an input stream's key in the
+ingress bank (completions carry the stamped index), an output stream's in
+the egress bank.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .encoding import Record, digest_hex
 from .errors import InvalidRegisterProgram
 from .frame_codec import payload_capacity
-from .sxp import TILE_COUNT, TILE_MEMORY, AddressRegion, SxpRegisters
+from .sxp import TILE_COUNT, TILE_MEMORY, TILES_PER_EBC, AddressRegion, SxpRegisters
 
 # stream kinds
 CODE = "code"
@@ -53,6 +59,22 @@ OUTPUT = "output"
 
 DIR_IN = "in"
 DIR_OUT = "out"
+
+# key banks, named as the device's packet engines: read traffic's and write traffic's
+INGRESS = "ingress"
+EGRESS = "egress"
+
+# The frame-serial phases: the control unit moves their frames strictly one
+# at a time, so every exchange block may route to their one key.  Each keys
+# the stream of one kind, in one bank: boot reads the code stream, a save
+# writes the checkpoint stream and a restore reads it.
+BOOT = (CODE, INGRESS)
+SAVE = (CHECKPOINT, EGRESS)
+RESTORE = (CHECKPOINT, INGRESS)
+
+# What an image keys: its streams, and the bank of its frame-serial phase (None at a barrier).
+Keyed = tuple[frozenset[int], Optional[str]]
+Loads = tuple[tuple[str, int, int], ...]  # (bank, context, stream id)
 
 
 @dataclass(frozen=True)
@@ -114,19 +136,13 @@ def checkpoint_span(layouts: Iterable[TileLayout], payload_size: int) -> int:
 
 @dataclass(frozen=True)
 class SyncPlan(Record):
-    """Register state and host actions for a barrier (one plan may serve many).
-
-    The host fills the input streams among a barrier's schedule offsets.  The
-    boot, checkpoint and restore plans are frame-serial: the control unit
-    sends their encrypted traffic strictly one frame at a time, so they
-    alone may map several exchange-block contexts to one key context.
+    """What a barrier does while the tiles are parked (one plan may serve
+    many): its internal exchange, and whether it checkpoints.  Its keys are
+    not stated: the interval after it keys the streams of its schedule
+    offsets, which are also the input streams the host fills, and the
+    register image and key loads follow from them (``JobManifest.keyed``).
     """
 
-    stream_regions: dict[int, int] = field(default_factory=dict)  # stream id -> key region id
-    ctxmap: dict[int, int] = field(default_factory=dict)  # exchange-block ctx -> key ctx
-    ingress_loads: tuple[tuple[int, int], ...] = ()  # (context, stream_id), read bank
-    egress_loads: tuple[tuple[int, int], ...] = ()  # (context, stream_id), write bank
-    invalidate: tuple[int, ...] = ()  # contexts rotated out before loading
     checkpoint: bool = False
     moves: tuple[tuple[int, int, int, int, int], ...] = ()  # src, src_off, dst, dst_off, len
 
@@ -138,14 +154,11 @@ class JobManifest(Record):
     bootloader_measurement: str
     stream_table: dict[int, StreamTableEntry]
     tile_layouts: tuple[TileLayout, ...]
-    boot_plan: SyncPlan  # registers/keys for the secure bootstrap phase
     plans: tuple[SyncPlan, ...]  # each distinct barrier plan once
     schedule: tuple[tuple[int, dict[int, int]], ...]  # sync id -> (plan index, stream offsets)
-    checkpoint_plan: Optional[SyncPlan]  # egress state for checkpoint saves
-    restore_plan: Optional[SyncPlan]  # ingress state for checkpoint restore
     model_receivers: tuple[str, ...]  # sorted and distinct, each a stream owner
     frame_size: int  # every stream's frame size, in bytes
-    clear_region: tuple[int, int]  # the ring range of region 0 in every plan's image
+    clear_region: tuple[int, int]  # the ring range of region 0 in every derived image
 
     def measurement(self) -> str:
         return digest_hex(self.to_bytes())
@@ -179,21 +192,6 @@ class JobManifest(Record):
         """Ring address of a stream's frame ``index`` while its window starts at frame ``window``."""
         return self.stream_table[stream_id].region_base + (index - window) * self.frame_size
 
-    def registers(self, plan: SyncPlan) -> SxpRegisters:
-        """A plan's register image, validated as it is built: region 0 is the
-        cleartext region, each stream the plan keys has its extent, and each
-        context the plan loads maps to the region of the stream it is loaded with."""
-        regions = {0: AddressRegion(*self.clear_region)}
-        for sid, rid in plan.stream_regions.items():
-            regions[rid] = AddressRegion(*self.extent(sid))
-        kphysmap: dict[int, int] = {}
-        for ctx, sid in plan.ingress_loads + plan.egress_loads:
-            if sid not in plan.stream_regions:
-                raise InvalidRegisterProgram(f"a key load for stream {sid}, which the plan does not key")
-            if kphysmap.setdefault(ctx, plan.stream_regions[sid]) != plan.stream_regions[sid]:
-                raise InvalidRegisterProgram(f"context {ctx} is loaded for two regions")
-        return SxpRegisters(kxbctxmap=plan.ctxmap, ksellimit=regions, kphysmap=kphysmap)
-
     def code_addresses(self, layout: TileLayout) -> list[int]:
         """Ring addresses of a tile's code frames, in frame order."""
         sid = self.stream_of_kind(CODE)
@@ -214,26 +212,60 @@ class JobManifest(Record):
         self.validated_images()
         return self
 
-    def validated_images(self) -> dict[int, SxpRegisters]:
-        """Apply the whole rule, and return the register image that doing so
-        built for each plan (boot, checkpoint, restore and barrier plans),
-        keyed by ``id(plan)``: the control unit programs these at barriers."""
+    def keyed(self, at: int | tuple[str, str]) -> Keyed:
+        """What the interval after barrier ``at`` keys, the streams of its
+        offsets, or what the frame-serial phase ``at`` keys, the stream of its
+        kind in its bank: the key of its image in ``validated_images``."""
+        if isinstance(at, int):
+            return frozenset(self.schedule[at][1]), None
+        kind, bank = at
+        return frozenset((self.stream_of_kind(kind),)), bank
+
+    def validated_images(self) -> dict[Keyed, tuple[SxpRegisters, Loads]]:
+        """Apply the whole rule, and return the register image and key loads
+        that doing so derived for everything the job keys (boot, every
+        barrier, and the save and restore of a job with checkpoints), each
+        distinct one once, by ``keyed``: the control unit programs these."""
         self.admit()
-        plans = {"boot plan": self.boot_plan, "checkpoint plan": self.checkpoint_plan,
-                 "restore plan": self.restore_plan, **{f"plan {i}": p for i, p in enumerate(self.plans)}}
-        return {id(plan): self._validate_plan(where, plan) for where, plan in plans.items() if plan is not None}
+        phases = [BOOT, *range(len(self.schedule))]
+        if any(entry.kind == CHECKPOINT for entry in self.stream_table.values()):
+            phases += [SAVE, RESTORE]
+        walked = self._walked()
+        return {keyed: self._image(*keyed, walked) for keyed in dict.fromkeys(map(self.keyed, phases))}
+
+    def _walked(self) -> list[set[int]]:
+        """Exchange block -> the streams its tiles walk."""
+        walked: list[set[int]] = [set() for _ in range(TILE_COUNT // TILES_PER_EBC)]
+        for layout in self.tile_layouts:
+            walked[layout.tile_id // TILES_PER_EBC].update(spec.stream_id for spec in layout.bindings)
+        return walked
+
+    def _image(self, streams: frozenset[int], bank: Optional[str],
+               walked: list[set[int]]) -> tuple[SxpRegisters, Loads]:
+        """The register image and key loads that key ``streams``, validated as
+        the image is built.  The i-th stream in id order takes context i and
+        region i + 1, region 0 being the cleartext region (which no device
+        write targets), with its extent.  Each exchange block whose tiles
+        bind a keyed stream routes to that stream's context, or, in a
+        frame-serial phase, every block does.  A key is loaded in the
+        phase's ``bank``, or at a barrier in the bank of its stream's direction."""
+        regions, kphysmap, contexts, loads = {0: AddressRegion(*self.clear_region)}, {}, {}, []
+        for ctx, sid in enumerate(sorted(streams)):
+            regions[ctx + 1], kphysmap[ctx], contexts[sid] = AddressRegion(*self.extent(sid)), ctx + 1, ctx
+            loads.append((bank or (INGRESS if self.stream_table[sid].direction == DIR_IN else EGRESS), ctx, sid))
+        kxbctxmap = {ebc: contexts[sid] for ebc, sids in enumerate(walked)
+                     for sid in (streams if bank else sids & streams)}
+        return SxpRegisters(kxbctxmap=kxbctxmap, ksellimit=regions, kphysmap=kphysmap), tuple(loads)
 
     def admit(self) -> "JobManifest":
-        """Apply the rule but for what only a packet engine needs (each plan's
-        register image and key loads).  A bad frame size raises
+        """Apply the rule but for what only a packet engine needs (each
+        derived register image).  A bad frame size raises
         ``InvalidFrameSize``, every other refusal ``InvalidRegisterProgram``."""
         payload_capacity(self.frame_size)
         kinds = Counter(entry.kind for entry in self.stream_table.values())
         saves = kinds[CHECKPOINT] == 1
         if kinds[CODE] != 1 or kinds[OUTPUT] != 1 or kinds[CHECKPOINT] > 1:
             raise InvalidRegisterProgram(f"stream kinds {dict(kinds)}: not one code and one output stream")
-        if not saves == (self.checkpoint_plan is not None) == (self.restore_plan is not None):
-            raise InvalidRegisterProgram("a checkpoint stream, checkpoint plan and restore plan come only together")
         if len(self.tile_layouts) != TILE_COUNT:
             raise InvalidRegisterProgram("the manifest does not lay out each device tile exactly once")
         for i, layout in enumerate(self.tile_layouts):
@@ -248,9 +280,6 @@ class JobManifest(Record):
         for i, plan in enumerate(self.plans):
             if plan.checkpoint and not saves:
                 raise InvalidRegisterProgram(f"plan {i} checkpoints a job without checkpoints")
-            if len(set(plan.ctxmap.values())) != len(plan.ctxmap):  # a barrier plan is never frame-serial
-                raise InvalidRegisterProgram(f"plan {i}: several exchange-block contexts share one key context "
-                                             "outside a frame-serial phase")
             for src, at, dst, to, n in plan.moves:  # n bytes at ``at`` on tile src go to ``to`` on tile dst
                 if not (0 <= src < TILE_COUNT and 0 <= dst < TILE_COUNT and inside_tile(at, n) and inside_tile(to, n)):
                     raise InvalidRegisterProgram(f"plan {i}: a move from tile {src} to {dst} leaves the device's tiles")
@@ -261,17 +290,19 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")
             if any(off < 0 or sid not in self.stream_table for sid, off in offsets.items()):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: bad stream offsets {offsets}")
+        # The egress path selects a key by exchange block: a stream keyed at a
+        # barrier is walked in one block, and no block walks two keyed there.
+        walked, keysets = self._walked(), {frozenset(offsets) for _, offsets in self.schedule}
+        keyed = frozenset().union(*keysets)
+        for a, b in combinations(walked, 2):
+            if a & b & keyed:
+                raise InvalidRegisterProgram(f"stream {min(a & b & keyed)}, keyed at a barrier, "
+                                             "is bound in several exchange blocks")
+        for streams in keysets:
+            if any(len(streams & sids) > 1 for sids in walked):
+                raise InvalidRegisterProgram(f"streams {sorted(streams)}, keyed at one barrier: "
+                                             "an exchange block binds two of them")
         receivers, owners = self.model_receivers, {entry.party for entry in self.stream_table.values()} - {""}
         if not (receivers and owners.issuperset(receivers) and receivers == tuple(sorted(set(receivers)))):
             raise InvalidRegisterProgram(f"bad model receivers {receivers}: not sorted, distinct stream owners")
         return self
-
-    def _validate_plan(self, where: str, plan: SyncPlan) -> SxpRegisters:
-        for sid, rid in plan.stream_regions.items():
-            if rid == 0:
-                raise InvalidRegisterProgram(f"{where}: stream {sid} in cleartext region")
-            if sid not in self.stream_table:
-                raise InvalidRegisterProgram(f"{where}: unknown stream {sid}")
-        if len(set(plan.stream_regions.values())) != len(plan.stream_regions):
-            raise InvalidRegisterProgram(f"{where}: several streams share one key region")
-        return self.registers(plan)  # building an image validates it

@@ -30,7 +30,7 @@ regions of which region 0 always bypasses the engine in cleartext.
 
 What a job fixes is derived once, not per packet: a register image is
 validated and frozen as it is built, with each exchange block's route and
-region 0's bounds, and the control unit keeps the one per plan that
+region 0's bounds, and the control unit keeps each distinct one that
 validating the manifest built at ``tee_init``; a context's AEAD is built at
 key load.  A packet costs its checks and its crypto.
 
@@ -292,6 +292,7 @@ class SxpEngine:
         self.name = name
         self.registers: Optional[SxpRegisters] = None
         self.contexts = [_KeyContext(i) for i in range(NUM_CONTEXTS)]
+        self._keyed: set[int] = set()  # the contexts loaded since they were last zeroized
         self.latched = False
 
     # -- configuration ------------------------------------------------------
@@ -305,13 +306,18 @@ class SxpEngine:
 
     def load_key(self, ctx_index: int, key: bytes) -> None:
         self._context(ctx_index).load(key)
+        self._keyed.add(ctx_index)
 
     def invalidate_key(self, ctx_index: int) -> None:
         self._context(ctx_index).invalidate()
+        self._keyed.discard(ctx_index)
 
     def invalidate_all_keys(self) -> None:
-        for ctx in self.contexts:
-            ctx.zeroize()
+        """Zeroize every context that holds a key (a frame in flight needs
+        one); with none loaded, as at a clear run's barriers, it costs nothing."""
+        for index in self._keyed:
+            self.contexts[index].zeroize()
+        self._keyed.clear()
 
     def reset(self) -> None:
         """Device reset: clears the latch, all key material, and registers."""

@@ -9,7 +9,7 @@ from itx.compiler import CompiledJob, JobDescription, compile_job
 from itx.device import TileProgram
 from itx.encoding import canonical_bytes, jsonable
 from itx.errors import InvalidRegisterProgram, ScheduleInfeasible
-from itx.manifest import CHECKPOINT, CODE, DATA, DIR_IN, DIR_OUT, OUTPUT
+from itx.manifest import BOOT, CHECKPOINT, CODE, DATA, DIR_IN, DIR_OUT, OUTPUT, RESTORE, SAVE
 from itx.sxp import NUM_CONTEXTS
 
 
@@ -42,6 +42,11 @@ BOOTLOADER = hashlib.sha256(b"tile bootloader").hexdigest()
 def barriers(manifest) -> list:
     """Every barrier's (plan, stream offsets), in sync-id order."""
     return [manifest.plan(sync_id) for sync_id in range(len(manifest.schedule))]
+
+
+def saves(manifest) -> bool:
+    """Whether the job checkpoints: it has a checkpoint stream, which its save and restore phases key."""
+    return any(entry.kind == CHECKPOINT for entry in manifest.stream_table.values())
 
 
 def filled(manifest, offsets) -> tuple:
@@ -120,11 +125,14 @@ class TestSgdPlanning:
 
     def test_the_loop_is_stated_once(self):
         """A long job reuses its loop's plans: the manifest grows by one small
-        schedule entry per barrier, not by a plan."""
+        schedule entry per barrier, not by a plan.  Its four plans are the
+        first gradient barrier's weight moves, the exchange's gradient
+        moves, the checkpointing gather, and the empty plan of every other
+        barrier."""
         manifest = compile_job(
             sgd_job(steps=64, checkpoint_period=64), bootloader_measurement=BOOTLOADER
         ).manifest
-        assert len(manifest.plans) == 6
+        assert len(manifest.plans) == 4
         assert len(manifest.schedule) == 131
         assert len(manifest.to_bytes()) <= 12 * 1024
 
@@ -212,35 +220,25 @@ class TestSumPlanning:
         waves = 5  # ceil(17 / 4 exchange blocks)
         assert len(manifest.schedule) == waves + 3
         assert None not in barriers(manifest)
-        assert manifest.checkpoint_plan is None and manifest.restore_plan is None
-
-    def test_rotation_reuses_and_invalidates_context_slots(self):
-        compiled = compile_job(sum_job(stream_count=17), bootloader_measurement=BOOTLOADER)
-        contexts = [set(compiled.manifest.registers(plan).kphysmap) for plan, _ in barriers(compiled.manifest)]
-        plans = [plan for plan, _ in barriers(compiled.manifest)]
-        for wave in (3, 4):
-            reused = contexts[wave]
-            previous = contexts[wave - 3]
-            assert reused <= previous
-            # The slot is scrubbed in the same barrier that re-keys it.
-            assert set(plans[wave].invalidate) == reused
+        assert not saves(manifest)
 
     def test_contexts_stay_within_the_hardware_budget(self):
-        compiled = compile_job(sum_job(stream_count=29), bootloader_measurement=BOOTLOADER)
+        manifest = compile_job(sum_job(stream_count=29), bootloader_measurement=BOOTLOADER).manifest
         used = set()
-        all_plans = [compiled.manifest.boot_plan, *compiled.manifest.plans]
-        for plan in all_plans:
-            used.update(compiled.manifest.registers(plan).kphysmap)
+        for image, _ in manifest.validated_images().values():
+            used.update(image.kphysmap)
         assert used and max(used) < NUM_CONTEXTS
 
     def test_the_128_stream_manifest_states_each_fact_once(self):
         """A stream's frame size, id and owner are not repeated per entry or
-        per plan, and a plan states neither the streams the host fills nor
-        its key-context map: the 128-stream manifest fits in 38,000 bytes
-        (50,112 while the first were repeated, 40,273 while plans stated the
-        others)."""
+        per plan, a plan states neither the streams the host fills nor any
+        key context, region or key load, and no plan is stated twice: the
+        128-stream manifest is 31,352 bytes and fits in 31,900 (50,112 while
+        the first were repeated, 40,273 while plans stated the streams the
+        host fills and their key-context maps, 37,444 while they stated
+        their contexts, regions and key loads)."""
         manifest = compile_job(sum_job(stream_count=128), bootloader_measurement=BOOTLOADER).manifest
-        assert len(manifest.to_bytes()) <= 38_000
+        assert len(manifest.to_bytes()) <= 31_900
 
     def test_degenerate_sizes(self):
         single = compile_job(sum_job(stream_count=1), bootloader_measurement=BOOTLOADER)
@@ -305,49 +303,80 @@ def test_compiled_jobs_golden():
             fold.update(repr(compiled.key_streams).encode())
     assert len(SGD_GRID) + len(SUM_GRID) == 64
     assert fold.hexdigest() == (
-        "b8ea761c74e2ec84ababc4874b1e82de6e255e0e1aa02ce1cf52caa4450a8926"
+        "5834287c2c0cfe1e5b21e1aba6d065e0395bd36160f1c7ee26b5d78539383885"
     )
 
 
 def test_schedule_expands_to_the_unrolled_barriers():
     """The schedule is lossless: expanding every barrier of the 128 grid
     compiles through ``plan()`` gives, byte for byte, the per-barrier plans
-    (with their stream offsets, and with the key regions that plans stated
-    before their register image was derived) of the unrolled format it
-    replaced.  Every plan serves some barrier, and no plan is stated twice.
-    A plan no longer states the streams the host fills, its key-context map
-    or whether it is frame-serial; the expansion puts back what they were:
-    the input streams among the offsets, the register image's ``kphysmap``,
-    and false, since no barrier plan is frame-serial.  The SGD exchange plan
-    keys nothing; the digest was taken from the manifests compiled while it
-    keyed the gradient streams, with its three key fields emptied."""
+    (with their stream offsets) of the unrolled format it replaced.  Every
+    plan serves some barrier, and no plan is stated twice.  A plan no longer
+    states the streams the host fills, whether it is frame-serial, or any
+    key context, region, key load or invalidation; the expansion puts back
+    the first two: the input streams among the offsets, and false, since no
+    barrier plan is frame-serial.  The digest was taken from the manifests
+    compiled while plans stated their keys, with ``stream_regions``,
+    ``ctxmap``, ``ingress_loads``, ``egress_loads`` and ``invalidate``
+    deleted from each plan and the expansion's ``kphysmap`` and ``regions``
+    left out, since context and region numbers are no longer the
+    compiler's; ``test_every_route_is_the_one_the_plans_stated`` pins
+    where those keys lead."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             manifest = compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest
             fold.update(len(manifest.schedule).to_bytes(4, "big"))
             for plan, offsets in barriers(manifest):
-                regs = manifest.registers(plan)
-                regions = {rid: (r.start, r.end) for rid, r in regs.ksellimit.items()}
-                derived = {"fills": filled(manifest, offsets), "kphysmap": dict(regs.kphysmap), "frame_serial": False,
-                           "regions": regions, "stream_offsets": offsets}
+                derived = {"fills": filled(manifest, offsets), "frame_serial": False, "stream_offsets": offsets}
                 fold.update(canonical_bytes({**jsonable(plan), **derived}))
             assert sorted({index for index, _ in manifest.schedule}) == list(
                 range(len(manifest.plans))
             )
             assert len({canonical_bytes(plan) for plan in manifest.plans}) == len(manifest.plans)
     assert fold.hexdigest() == (
-        "afd5769d79d42487fa117dd883d4a61dd16e55f6c7d3b8463320bcc9ee236fd2"
+        "2fb07672c3003686fd370f55823db2b4272eda2d2d0acae8d0f08e18e7b89442"
+    )
+
+
+def routes(manifest, images, at) -> list:
+    """The sorted (exchange block, stream, bank, region start, region end)
+    routes of the image derived for barrier or frame-serial phase ``at``."""
+    image, loads = images[manifest.keyed(at)]
+    streams = {ctx: (sid, bank) for bank, ctx, sid in loads}
+    return sorted((ebc, *streams[ctx], start, end) for ebc, (ctx, _, start, end) in image.routes.items())
+
+
+def test_every_route_is_the_one_the_plans_stated():
+    """A key's security meaning is where it leads: over the 128 grid
+    compiles, boot, every barrier, and a checkpointing job's save and
+    restore route the same exchange blocks to the same streams, banks and
+    region extents as when plans stated their contexts, regions and key
+    loads; only context and region numbers moved.  The digest was taken
+    from the manifests that stated them, over the routes of each stated
+    register image, each to the stream and bank its context was loaded
+    with (and ``None`` for the save and restore of a job without
+    checkpoints)."""
+    fold = hashlib.sha256()
+    for job in SGD_GRID + SUM_GRID:
+        for ipu_id in (0, 3):
+            manifest = compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest
+            images = manifest.validated_images()
+            phases = [BOOT, *range(len(manifest.schedule))]
+            serial = [routes(manifest, images, phase) if saves(manifest) else None for phase in (SAVE, RESTORE)]
+            fold.update(canonical_bytes([*(routes(manifest, images, at) for at in phases), *serial]))
+    assert fold.hexdigest() == (
+        "29417bd804984e7b8f9a1c19a7503a1fe265e571e7d88f257b4e46c914f02dc1"
     )
 
 
 def expanded_facts(manifest) -> bytes:
     """What the manifest states, expanded: every stream's id, owner,
     direction, kind, length, frame size and extent; every tile's walks; and
-    every barrier's register image, key loads, moves, fills and offsets.
-    The fills and whether a plan is frame-serial are derived: the host fills
-    the code stream at boot and the input streams among a barrier's
-    offsets, and only the boot, checkpoint and restore plans are serial."""
+    every barrier's moves, fills, offsets and checkpoint flag.  The fills
+    and whether a phase is frame-serial are derived: the host fills the
+    code stream at boot and the input streams among a barrier's offsets,
+    and only boot and a checkpointing job's save and restore are serial."""
     streams = {
         sid: (e.party, e.direction, e.kind, e.plaintext_length, manifest.frame_size, manifest.extent(sid))
         for sid, e in manifest.stream_table.items()
@@ -356,34 +385,29 @@ def expanded_facts(manifest) -> bytes:
         (l.tile_id, [(b.stream_id, b.buf_off, b.start_index, b.stride, b.block_len) for b in l.bindings])
         for l in manifest.tile_layouts
     ]
-
-    def barrier(plan, offsets, fills, serial):
-        if plan is None:
-            return None
-        regs = manifest.registers(plan)
-        image = ({rid: (r.start, r.end) for rid, r in regs.ksellimit.items()}, dict(regs.kxbctxmap), dict(regs.kphysmap))
-        return (image, plan.ingress_loads, plan.egress_loads, plan.invalidate, plan.moves, fills, offsets,
-                plan.checkpoint, serial)
-
-    boot = barrier(manifest.boot_plan, {}, (manifest.stream_of_kind(CODE),), True)
-    scheduled = [barrier(plan, offsets, filled(manifest, offsets), False) for plan, offsets in barriers(manifest)]
-    extra = [barrier(plan, {}, (), True) for plan in (manifest.checkpoint_plan, manifest.restore_plan)]
+    serial = ((), (), {}, False, True)  # a frame-serial phase moves nothing, and the host fills nothing for it
+    boot = ((), (manifest.stream_of_kind(CODE),), {}, False, True)
+    scheduled = [(plan.moves, filled(manifest, offsets), offsets, plan.checkpoint, False)
+                 for plan, offsets in barriers(manifest)]
+    extra = [serial if saves(manifest) else None] * 2
     return canonical_bytes([streams, walks, [boot, *scheduled, *extra]])
 
 
 def test_manifests_expand_to_the_facts_they_stated_twice():
     """Each fact is stated once (a stream's frame size and extent in its
-    entry and the job, a plan's register image derived from the streams it
-    keys), and the 128 grid compiles expand to the same streams, walks and
-    barriers as when the manifest repeated them; the digest was taken from
-    the manifests that did, with the SGD exchange plan's key fields emptied
-    (it keys nothing)."""
+    entry and the job, a barrier's keys derived from the streams of its
+    offsets), and the 128 grid compiles expand to the same streams, walks
+    and barriers as when the manifest repeated them; the digest was taken
+    from the manifests compiled while plans stated their keys, over the
+    same expansion less each barrier's register image, key loads and
+    invalidations (``test_every_route_is_the_one_the_plans_stated`` pins
+    where the keys lead)."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             fold.update(expanded_facts(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest))
     assert fold.hexdigest() == (
-        "6bd425c6fc7cbb8ad83d2bc21a3caf8048f17782eeb3ba04fac68d6a06c03606"
+        "0786119f1d4bd09dc7aa18e3cae03456ea023a99f6fba7d3b5411c9d7307cd40"
     )
 
 
@@ -403,13 +427,12 @@ def test_binaries_expand_to_the_unrolled_programs():
 
 def test_the_ring_map_fits_the_compiled_regions():
     """Over the grid, where a job checkpoints, each tile's checkpoint frames
-    lie inside the region the checkpoint and restore plans key, and no two
+    lie inside the region its save and restore phases key, and no two
     tiles' frames overlap."""
     for job in SGD_GRID + SUM_GRID:
         manifest = compile_job(job, bootloader_measurement=BOOTLOADER).manifest
         layouts = manifest.tile_layouts
-        if manifest.checkpoint_plan is None:
-            assert all(entry.kind != CHECKPOINT for entry in manifest.stream_table.values())
+        if not saves(manifest):
             continue
         sid, size = manifest.stream_of_kind(CHECKPOINT), manifest.frame_size
         slots = manifest.checkpoint_addresses()
@@ -417,9 +440,12 @@ def test_the_ring_map_fits_the_compiled_regions():
         frames = sorted(address for addresses in slots.values() for address in addresses)
         assert len(frames) >= len(layouts)
         assert all(b - a >= size for a, b in zip(frames, frames[1:]))
-        for plan in (manifest.checkpoint_plan, manifest.restore_plan):
-            region = manifest.registers(plan).ksellimit[plan.stream_regions[sid]]
-            assert (region.start, region.end) == manifest.extent(sid)
+        images = manifest.validated_images()
+        for phase in (SAVE, RESTORE):
+            image, loads = images[manifest.keyed(phase)]
+            ((_, ctx, keyed),) = loads
+            region = image.ksellimit[image.kphysmap[ctx]]
+            assert keyed == sid and (region.start, region.end) == manifest.extent(sid)
             assert region.start <= frames[0] and frames[-1] + size <= region.end
 
 
@@ -433,17 +459,18 @@ def test_manifests_lost_only_the_checkpoint_record_fields():
     the one ``binary_hash`` string.  Nor does a plan state what is derived
     from its other fields (the streams the host fills, its key-context map,
     whether it is frame-serial), and the one-key ``stream_assignment`` map
-    is the ``model_receivers`` list it held.  The digest was taken from the
-    manifests compiled before the plans lost those three fields, with each
-    plan's ``fills``, ``kphysmap`` and ``frame_serial`` keys deleted and
-    ``stream_assignment`` replaced by ``model_receivers`` set to its
-    ``model_receivers`` entry, and with the SGD exchange plan's
-    ``stream_regions``, ``ctxmap`` and ``ingress_loads`` emptied, since that
-    plan keys nothing; it was not computed from this compiler."""
+    is the ``model_receivers`` list it held.  No field states a key either.
+    The digest was taken from the manifests compiled while plans stated
+    their keys, with ``boot_plan``, ``checkpoint_plan`` and
+    ``restore_plan`` deleted, ``stream_regions``, ``ctxmap``,
+    ``ingress_loads``, ``egress_loads`` and ``invalidate`` deleted from
+    each plan, and the plans that were then equal merged into one, listed
+    in the order the schedule first uses them; it was not computed from
+    this compiler."""
     fold = hashlib.sha256()
     for job in SGD_GRID + SUM_GRID:
         for ipu_id in (0, 3):
             fold.update(compile_job(job, bootloader_measurement=BOOTLOADER, ipu_id=ipu_id).manifest.to_bytes())
     assert fold.hexdigest() == (
-        "dccd9f47abb7b0a2fc4b5047fbe28eba32aae59d0a255b03c7fa9698e7fa9af6"
+        "2f9fe53f7f8f5a83719ffb8bfe8d975a798192494d2fa95893814e1f29747c56"
     )

@@ -39,6 +39,7 @@ from itx.errors import (
     SecurityException,
 )
 from itx.frame_codec import IV_BYTES, StreamIV, StreamType
+from itx.manifest import BOOT, RESTORE, SAVE
 
 
 def device() -> IpuDevice:
@@ -677,7 +678,8 @@ class TestDmaPath:
         seen = []
         dev.on_security = seen.append
         dev.install_boot_params(manifest, epoch=0, checkpoint_id=0)
-        dev.program_registers(manifest.registers(manifest.boot_plan))  # registers only; no key is loaded
+        image, _ = manifest.validated_images()[manifest.keyed(BOOT)]
+        dev.program_registers(image)  # registers only; no key is loaded
         with pytest.raises(KeyNotLoaded):
             dev.run_bootloader(0)
         assert dev.ingress.latched
@@ -707,12 +709,13 @@ class TestDmaPath:
             tile.program = TileProgram.unpack(compiled.binaries[tile.tile_id])
             tile.pc = next(i for i, ph in enumerate(tile.program.phases) if isinstance(ph, SyncPhase)) + 1
 
-        def keyed(plan):
-            dev.program_registers(manifest.registers(plan))
-            for ctx, _ in plan.egress_loads:
-                dev.egress.load_key(ctx, key)
-            for ctx, _ in plan.ingress_loads:
-                dev.ingress.load_key(ctx, key)
+        images = manifest.validated_images()
+
+        def keyed(phase):
+            image, loads = images[manifest.keyed(phase)]
+            dev.program_registers(image)
+            for bank, ctx, _ in loads:
+                getattr(dev, bank).load_key(ctx, key)
 
         def assert_saves_under(epoch, checkpoint_id):
             """Save a checkpoint now: every frame carries ``(epoch, checkpoint_id)``."""
@@ -724,13 +727,13 @@ class TestDmaPath:
                 for t in sorted(slots) for f in range(len(slots[t]))
             ]
 
-        keyed(manifest.checkpoint_plan)
+        keyed(SAVE)
         assert_saves_under(0, 0)
         assert_saves_under(0, 1)  # the first save bumped the id
         dev.start_application()
         assert_saves_under(1, 2)  # the start bumped the epoch
         dev.install_boot_params(manifest, epoch=1, checkpoint_id=2)  # a resume seeds the saved counters
-        keyed(manifest.restore_plan)
+        keyed(RESTORE)
         dev.checkpoint_restore()
-        keyed(manifest.checkpoint_plan)
+        keyed(SAVE)
         assert_saves_under(2, 3)  # the restore bumped both

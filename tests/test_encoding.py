@@ -45,19 +45,19 @@ class TestManifestMeasurements:
     def test_sgd_fixture(self):
         manifest = make_sgd_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "f646e35efdf8f8e9529a0fccde70adc6bf3af97c652ba0b911ac93b78c9ecfb7"
+            "a6f75ea0ab4eeaf6903e6a81d3f7f47d65e7129b9c92b28d2241913a5a5ba393"
         )
 
     def test_sum_fixture(self):
         manifest = make_sum_fixture().compiled.manifest
         assert manifest.measurement() == (
-            "4f20b59bde427a5d7d5d42683686e8d291ab1e06ce38dee6fc59660167020662"
+            "b8abd239d8c07fcbb61af61e4e4171e4d570fb73bb5f9eee80fb338c00683d17"
         )
 
     def test_long_sgd_job(self):
         manifest = make_sgd_fixture(steps=64, checkpoint_period=64).compiled.manifest
         assert manifest.measurement() == (
-            "ddd47d5cab18516e6a0c0cf540c6219c7ca52696905ec52b3a5a75add32ca815"
+            "581a2c7752b0e258a53a90344b2f97b1bdf546af65ed563b32805f35ecbe2d1a"
         )
 
 

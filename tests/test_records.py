@@ -136,7 +136,7 @@ class TestTypedErrors:
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "x"])
     def test_int_keys_are_canonical(self, key):
         with pytest.raises(InvalidEncoding, match="decimal integer"):
-            SyncPlan.from_dict({"ctxmap": {key: 1}})
+            JobManifest.from_dict({**MANIFEST.to_dict(), "stream_table": {key: MANIFEST.stream_table[3].to_dict()}})
 
     def test_fixed_tuple_length(self):
         with pytest.raises(InvalidEncoding, match="expected 5 items"):

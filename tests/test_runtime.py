@@ -48,7 +48,7 @@ from itx.packaging import JobInputs, encrypt_code_stream, encrypt_data_stream, p
 from itx.pki import Party, PartyIdentity
 from itx.runtime import TrustedJobSession, decrypt_model, run_clear_reference
 from itx.sandbox import _make_fixture, _make_session, make_deployment, make_sgd_fixture, make_sum_fixture
-from itx.errors import InvalidPhase, InvalidRegisterProgram, ScheduleInfeasible, SecurityException
+from itx.errors import InvalidEncoding, InvalidPhase, InvalidRegisterProgram, ScheduleInfeasible, SecurityException
 from itx.sxp import ExchangePacket, SxpEngine
 
 
@@ -476,6 +476,20 @@ def test_a_dropped_key_load_at_an_already_keyed_barrier_completes_bit_equal():
     nothing."""
     fixture = make_sgd_fixture(steps=3, adversary=SkipKeyLoad(2))
     assert_completed_and_exact(fixture, fixture.session.run())
+
+
+@pytest.mark.parametrize("sync_id", [0, -1, True, "1"])
+def test_a_key_load_the_host_never_makes_cannot_be_skipped(sync_id):
+    """``tee_launch`` keys barrier 0 itself, so the host's first key-load
+    call is at barrier 1: dropping barrier 0's, or one at no barrier, is not
+    an action, and would otherwise never fire while the run completed."""
+    with pytest.raises(InvalidEncoding, match="names no barrier the host keys"):
+        SkipKeyLoad(sync_id)
+
+
+def test_a_script_skipping_barrier_0_s_key_load_is_refused():
+    with pytest.raises(InvalidEncoding, match="skip_key_load: sync_id 0 names no barrier the host keys"):
+        from_script([{"action": "skip_key_load", "sync_id": 0}])
 
 
 def test_other_application_under_the_code_key_aborts_closed():
@@ -927,7 +941,7 @@ def test_a_two_action_script_runs_both_actions_in_one_hosting():
     result = fixture.session.run()
     assert_aborted_closed(fixture, result)
     assert "adversary action=skip_key_load sync_id=2" in result.log.dump()
-    assert result.reason == "ingress: context 2: frame tag mismatch"
+    assert result.reason == "ingress: context 0: frame tag mismatch"  # the first gradient stream's, the first it keys
 
 
 class TerminateAt(Adversary):
@@ -980,24 +994,17 @@ class ChangeHostManifest(Adversary):
             self.change(host.manifest)
 
 
-def plan_loading(manifest, stream_id, bank):
-    return next(
-        plan for plan in manifest.plans
-        if any(sid == stream_id for _, sid in getattr(plan, f"{bank}_loads"))
-    )
+def output_in_region_zero(manifest):
+    """Make the output stream's extent the cleartext region: an image derived from it would key no output."""
+    object.__setattr__(manifest, "clear_region", manifest.extent(manifest.stream_of_kind(OUTPUT)))
 
 
-def output_plan(manifest):
-    return plan_loading(manifest, manifest.stream_of_kind(OUTPUT), "egress")
-
-
-def key_region_zero(manifest):
-    """Key the output stream, and so its loaded context, in region 0."""
-    output_plan(manifest).stream_regions[manifest.stream_of_kind(OUTPUT)] = 0
-
-
-def remap_gradient_context(manifest):
-    plan_loading(manifest, 3, "ingress").ctxmap[1] = 3
+def gradient_bindings_moved(manifest):
+    """Have tile 4, in block 1, walk the second gradient stream: an image
+    derived from it would route block 1 to that stream's key."""
+    layouts = list(manifest.tile_layouts)
+    layouts[4] = dataclasses.replace(layouts[4], bindings=(dataclasses.replace(layouts[4].bindings[0], stream_id=4),))
+    object.__setattr__(manifest, "tile_layouts", tuple(layouts))
 
 
 def grow_output_region(manifest):
@@ -1023,8 +1030,8 @@ def forge_binary_hash(manifest):
 @pytest.mark.parametrize(
     "change, stage, completes",
     [
-        pytest.param(key_region_zero, 0, True, id="output-plan-kphysmap"),
-        pytest.param(remap_gradient_context, 0, True, id="gradient-plan-ctxmap"),
+        pytest.param(output_in_region_zero, 0, True, id="output-in-region-zero"),
+        pytest.param(gradient_bindings_moved, 0, True, id="gradient-bindings-moved"),
         pytest.param(grow_output_region, 0, True, id="grow-output-region"),
         pytest.param(forge_binary_hash, "boot", True, id="binary-hashes-before-launch"),
         pytest.param(shift_schedule_offsets, 0, False, id="schedule-offsets"),
@@ -1065,8 +1072,8 @@ class SetDeviceAttributes(Adversary):
 
 
 def output_barrier(manifest) -> int:
-    """The barrier whose plan keys the output stream: the tiles store the model after it."""
-    return next(s for s in range(len(manifest.schedule)) if manifest.plan(s)[0] is output_plan(manifest))
+    """The barrier that keys the output stream: the tiles store the model after it."""
+    return next(s for s, (_, offsets) in enumerate(manifest.schedule) if manifest.stream_of_kind(OUTPUT) in offsets)
 
 
 def forge_inputs(fixture) -> dict:
