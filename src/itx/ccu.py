@@ -14,6 +14,12 @@ the TEE when an attempt completes, halts or aborts, and any security
 exception reported by the device forces it sooner.  Terminating scrubs the
 tiles and invalidates every loaded key; only a device reset returns the TEE
 to NoTee, ready for the next one.
+
+Across TEEs the control unit keeps the manifest it last admitted (its bytes'
+SHA-256, decoded copy and register images), so a resume decodes and derives
+nothing again.  That is a read-only function of public bytes, with no key,
+nonce, share or counter (those die with ``TeeState``): it survives a device
+reset, and a firmware update boots a ``Ccu`` without it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import hashlib
 import hmac as hmac_mod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 from . import crypto
 from .attestation import AttestationReport, KeyPackage
@@ -107,7 +114,7 @@ class TeeState:
     manifest: Optional[JobManifest] = None  # the control unit's own decoded copy
     manifest_hash: bytes = b""  # SHA-256 of the manifest bytes it measured
     # what an image keys (``JobManifest.keyed``) -> its register image and key loads, derived at init
-    images: dict[Keyed, tuple[SxpRegisters, Loads]] = field(default_factory=dict)
+    images: Mapping[Keyed, tuple[SxpRegisters, Loads]] = field(default_factory=dict)
     party_certs: dict[str, Certificate] = field(default_factory=dict)
     party_shares: dict[str, bytes] = field(default_factory=dict)
     epoch: int = 0
@@ -138,6 +145,8 @@ class Ccu:
         self.device_serial = device_serial
         self.device: Optional[IpuDevice] = None
         self.tee = TeeState()
+        # the manifest last admitted: (SHA-256 of its bytes, decoded copy, images)
+        self._admitted: tuple[bytes, Optional[JobManifest], Mapping] = (b"", None, {})
 
     # -- measured boot -------------------------------------------------------
 
@@ -306,15 +315,23 @@ class Ccu:
         job may run; this checks only what needs the device or the firmware:
         the ``ipu_id``, the tile bootloader, counters the tiles' 8-bit IV fields
         hold once the start or the restore bumps the epoch, and party shares.
-        Any refusal raises an ``ItxError`` before trusted mode is entered."""
+        Any refusal raises an ``ItxError`` before trusted mode is entered.
+
+        The bytes of the manifest last admitted reuse its read-only copy and
+        images, which they would decode and derive again; every other check,
+        the quiesce and the report run on each call, and only bytes that pass
+        them all are remembered."""
         if self.tee.phase != NO_TEE:
             raise InvalidPhase(f"tee_init in phase {self.tee.phase}")
         if not (0 <= epoch < 0xFF and 0 <= checkpoint_id <= 0xFF):
             raise InvalidIvField(f"seeded counters out of range: epoch={epoch}, checkpoint_id={checkpoint_id}")
         device = self._require_device()
-        manifest = JobManifest.from_bytes(manifest_bytes)
-        images = manifest.validated_images()
         manifest_hash = hashlib.sha256(manifest_bytes).digest()
+        admitted = self._admitted
+        if admitted[0] != manifest_hash:
+            manifest = JobManifest.from_bytes(manifest_bytes)
+            admitted = (manifest_hash, manifest, MappingProxyType(manifest.validated_images()))
+        _, manifest, images = admitted
         if manifest.ipu_id != device.ipu_id:
             raise InvalidPhase(
                 f"manifest targets device {manifest.ipu_id}, attached device is {device.ipu_id}"
@@ -357,6 +374,7 @@ class Ccu:
             y_private=y_private,
             y_public=y_public,
         )
+        self._admitted = admitted
         return report
 
     def tee_launch(self, wrapped_packages: dict[str, bytes]) -> None:
@@ -419,7 +437,8 @@ class Ccu:
                     chain = hashlib.sha256(chain + device.run_bootloader(tile.tile_id)).digest()
             if chain.hex() != manifest.binary_hash:
                 raise SecurityException("binary hash does not match the manifest")
-            self._apply(manifest.keyed(self._parked()))
+            if self.tee.epoch == 0:  # a resume keys the barrier it restores instead
+                self._apply(manifest.keyed(self._parked()))
         except Exception as exc:
             if self.tee.phase != TERMINATED:
                 self.tee_terminate(f"launch failed: {exc}")

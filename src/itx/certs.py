@@ -3,14 +3,19 @@
 Certificates are canonical-JSON bodies signed with Ed25519.  The fingerprint
 covers the full certificate (body plus signature) like a conventional
 certificate digest; Ed25519 signing is deterministic so fingerprints are
-stable for identical inputs.  A ``SignedImage`` is a signed firmware image.
+stable for identical inputs.  A certificate's ``extensions`` are a read-only
+mapping over a dict of its own, so nothing can change it and its fingerprint
+is computed once; ``dataclasses.replace`` makes an edited copy.  A
+``SignedImage`` is a signed firmware image.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, TypeVar
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -50,7 +55,13 @@ class Certificate(Signed):
     extensions: dict[str, Any] = field(default_factory=dict)
     signature: bytes = b""
 
-    @property
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extensions", MappingProxyType(dict(self.extensions)))
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild it from its fields
+        return Certificate, (self.subject_public_key, self.issuer_id, dict(self.extensions), self.signature)
+
+    @functools.cached_property
     def fingerprint(self) -> str:
         return digest_hex(canonical_bytes(self))
 

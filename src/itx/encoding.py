@@ -22,13 +22,18 @@ type annotations of the target, with one cached decoder function per type:
   default, and a missing field without a default or an unknown field is an
   error;
 * ``dict[int, V]`` keys must be canonical decimal strings, ``dict[str, V]``
-  keys are kept;
+  keys are kept, and either is a read-only ``types.MappingProxyType`` (which
+  encoding reads as a dict) over a dict of its own;
 * ``tuple[X, ...]`` and fixed-length ``tuple[X, Y]`` are read from arrays;
 * ``Optional[X]`` accepts ``null``;
 * ``bytes`` are read from lowercase hex strings;
 * ``str``, ``int`` and ``bool`` are type-checked, and a ``bool`` is not an
   ``int``;
 * ``Any`` passes through unchanged.
+
+So a record of frozen dataclasses (a manifest, a certificate, a report) is
+read-only at every depth its annotations type, and one decoded copy can serve
+run after run; ``dataclasses.replace`` still makes an edited copy.
 
 Every decoding failure raises ``InvalidEncoding``.  ``Record.to_bytes`` is a
 record's ``canonical_bytes``; ``Record.from_bytes`` decodes untrusted bytes.
@@ -58,7 +63,7 @@ def jsonable(value: Any) -> Any:
     """JSON-ready copy of a value (bytes rendered as hex, records as objects)."""
     if isinstance(value, (str, int, float)) or value is None:
         return value
-    if isinstance(value, dict):
+    if isinstance(value, (dict, types.MappingProxyType)):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
@@ -116,9 +121,9 @@ def _decoder(cls: Any) -> Callable[[Any], Any]:
         return lambda value: value
     if origin is dict:
         key, item = (lambda k: k) if kinds[0] is str else _int_key, _decoder(kinds[1])
-        return lambda value: {
+        return lambda value: types.MappingProxyType({
             key(k): item(v) for k, v in _expect(value, dict, "an object").items()
-        }
+        })
     if origin is tuple and kinds[1:] == (Ellipsis,):
         item = _decoder(kinds[0])
         return lambda value: tuple(map(item, _expect(value, list, "an array")))

@@ -290,6 +290,9 @@ class JobManifest(Record):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: no plan {index}")
             if any(off < 0 or sid not in self.stream_table for sid, off in offsets.items()):
                 raise InvalidRegisterProgram(f"sync point {sync_id}: bad stream offsets {offsets}")
+        opening = self.plans[self.schedule[0][0]]  # the tiles are never parked at barrier 0
+        if opening.moves or opening.checkpoint:
+            raise InvalidRegisterProgram("barrier 0 never parks, so its plan can neither move nor checkpoint")
         # The egress path selects a key by exchange block: a stream keyed at a
         # barrier is walked in one block, and no block walks two keyed there.
         walked, keysets = self._walked(), {frozenset(offsets) for _, offsets in self.schedule}

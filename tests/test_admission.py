@@ -21,6 +21,7 @@ from itx import runtime
 from itx.ccu import INITIALIZED, NO_TEE
 from itx.device import MODE_NORMAL, TILE_COUNT, TILE_MEMORY
 from itx.errors import ItxError
+from itx.manifest import SyncPlan
 from itx.sandbox import make_deployment, make_sgd_fixture, make_sum_fixture
 
 
@@ -108,6 +109,15 @@ def flagged(draw, manifest):
     return dataclasses.replace(manifest, plans=tuple(plans))
 
 
+@st.composite
+def opened(draw, manifest):
+    """Barrier 0, where the tiles start without parking, runs a plan that moves or checkpoints."""
+    move = (draw(INDICES), 0x2000, draw(INDICES), 0x2000, 16)
+    plan = draw(st.sampled_from([SyncPlan(moves=(move,)), SyncPlan(checkpoint=True), SyncPlan(True, (move,))]))
+    (_, offsets), *rest = manifest.schedule
+    return dataclasses.replace(manifest, plans=(*manifest.plans, plan), schedule=((len(manifest.plans), offsets), *rest))
+
+
 class Built(Exception):
     """The clear run got as far as building its device: it admitted the job."""
 
@@ -136,7 +146,7 @@ def refusal(call) -> ItxError | None:
 @given(data=st.data(), kind=st.sampled_from(["sgd", "sum"]))
 def test_the_control_unit_and_the_clear_reference_refuse_the_same_manifests(data, kind):
     job = fixture(kind)
-    family = data.draw(st.sampled_from([moved, relaid, rebound, reblocked, rechecked, flagged]))
+    family = data.draw(st.sampled_from([moved, relaid, rebound, reblocked, rechecked, flagged, opened]))
     manifest = data.draw(family(job.compiled.manifest))
     dep = deployment()
     by_ccu = refusal(lambda: dep.ccu.tee_init(manifest.to_bytes(), {}, {}, {}))

@@ -13,7 +13,7 @@ from itx import crypto, pki
 from itx.attestation import KeyPackage
 from itx.ccu import Ccu, CcuFlash, INITIALIZED, LAUNCHED, NO_TEE, TERMINATED
 from itx.compiler import JobDescription, compile_job
-from itx.device import MODE_NORMAL, TILE_COUNT, TILE_MEMORY
+from itx.device import MODE_NORMAL, TILE_COUNT, TILE_MEMORY, IpuDevice
 from itx.errors import (
     AlreadyProvisioned,
     FirmwareAuthFailure,
@@ -26,8 +26,10 @@ from itx.errors import (
     KeyExchangeFailure,
     PartyAuthFailure,
 )
+from itx.manifest import CODE, JobManifest
 from itx.pki import REJECT_MANIFEST, CaState, PartyIdentity
-from itx.sandbox import make_deployment, make_firmware
+from itx.sandbox import make_deployment, make_firmware, make_sgd_fixture, update_firmware
+from itx.sxp import SxpEngine
 from test_compiler import SGD_GRID, SUM_GRID
 
 # ---------------------------------------------------------------------------
@@ -251,8 +253,6 @@ def wrap_packages(parties, sessions, inputs, report, nonces=None, prior=None):
 def fill_boot(deployment, manifest, inputs):
     """Host duty between init and launch: stage the code frames in the ring,
     back to back from the code region's base."""
-    from itx.manifest import CODE
-
     sid = manifest.stream_of_kind(CODE)
     frames = inputs[manifest.stream_table[sid].party].streams[sid]
     for i, frame in enumerate(frames):
@@ -507,6 +507,114 @@ class TestTeeInitOnUntrustedBytes:
         init_or_refuse(init_rig, init_rig[1])
 
 
+def counted_admissions(monkeypatch) -> list[str]:
+    """One entry per manifest decode (``decode``) and per image derivation
+    (``derive``) from here on, in call order."""
+    calls, from_bytes, derive = [], JobManifest.from_bytes, JobManifest.validated_images
+    monkeypatch.setattr(JobManifest, "from_bytes", staticmethod(lambda blob: calls.append("decode") or from_bytes(blob)))
+    monkeypatch.setattr(JobManifest, "validated_images", lambda self: calls.append("derive") or derive(self))
+    return calls
+
+
+def booted(deployment) -> Ccu:
+    """A control unit that has admitted nothing, on a device of its own."""
+    ccu = Ccu.boot(deployment.flash, deployment.firmware)
+    ccu.attach_device(IpuDevice(ipu_id=deployment.device.ipu_id))
+    return ccu
+
+
+@pytest.fixture(scope="module")
+def memo_rig(init_rig):
+    """The honest bytes, the three dicts ``tee_init`` consumes, and a control
+    unit that remembers what it admitted across the examples of a test."""
+    deployment, honest, parties, _ = init_rig
+    material = init_material(parties)[1:]
+    return deployment, honest, material, booted(deployment)
+
+
+def outcome(ccu: Ccu, blob: bytes, material) -> tuple:
+    """What ``tee_init`` makes of ``blob``: its typed error, or what its
+    report attests; a device reset then clears the TEE."""
+    try:
+        report = ccu.tee_init(blob, *material)
+    except ItxError as exc:
+        assert ccu.tee.phase == NO_TEE and ccu.device.mode == MODE_NORMAL
+        return type(exc), str(exc)
+    ccu.device.reset("sbr")
+    return report.manifest_measurement, report.register_measurement, report.party_fingerprints
+
+
+class TestAdmittedManifestMemo:
+    """A control unit remembers the manifest it last admitted (its bytes'
+    digest, its decoded copy and its images) and reuses them for the same
+    bytes, across device resets.  Everything else ``tee_init`` checks is
+    checked again, and nothing it remembers can be changed in place."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_after_the_honest_bytes_each_damaged_blob_gets_the_fresh_outcome(self, memo_rig, data):
+        deployment, honest, material, remembered = memo_rig
+        blob = data.draw(damaged(honest))
+        assert outcome(remembered, honest, material)[0] == hashlib.sha256(honest).hexdigest()
+        assert outcome(remembered, blob, material) == outcome(booted(deployment), blob, material)
+
+    @pytest.mark.parametrize("refusal", ["another-device", "another-bootloader", "forged-share"])
+    def test_refused_bytes_are_not_remembered(self, memo_rig, monkeypatch, refusal):
+        """Refused twice, then admitted twice, then refused and admitted
+        again: refused bytes decode each time, the honest bytes once, and a
+        refusal leaves them remembered.  A forged share is refused on the
+        honest bytes: before they are admitted it decodes them, after it
+        does not, and it is still refused."""
+        deployment, honest, material, _ = memo_rig
+        refused, refused_material, want = honest, material, InvalidPhase
+        if refusal == "forged-share":
+            certs, shares, sigs = material
+            refused_material, want = (certs, shares, {**sigs, "alpha": bytes(64)}), PartyAuthFailure
+        else:
+            overrides = {"ipu_id": 7} if refusal == "another-device" else {"bootloader_measurement": "00" * 32}
+            refused = compiled_manifest(deployment, **overrides).manifest.to_bytes()
+        ccu, calls, decodes = booted(deployment), counted_admissions(monkeypatch), []
+        for admissible in (False, False, True, True, False, True):
+            first = len(calls)
+            result = outcome(ccu, honest, material) if admissible else outcome(ccu, refused, refused_material)
+            assert (result[0] is want) != admissible, result
+            decodes.append(calls[first:].count("decode"))
+        assert decodes == [1, 1, 1, 0, int(refused != honest), 0]
+
+    def test_the_remembered_copy_cannot_be_changed_in_place(self, rig):
+        """Through the control unit's copy or the device's, which is the same."""
+        deployment, compiled = TestTeePhases().launch(rig), rig[1]
+        manifest, entry = deployment.ccu.tee.manifest, compiled.manifest.stream_table[3]
+        assert deployment.device.manifest is manifest
+        with pytest.raises(TypeError):
+            manifest.stream_table[3] = dataclasses.replace(entry, region_frames=entry.region_frames + 1)
+        with pytest.raises(TypeError):
+            manifest.schedule[0][1][3] = 1
+        with pytest.raises(TypeError):
+            deployment.ccu.tee.images[manifest.keyed(0)] = deployment.ccu.tee.images[manifest.keyed(1)]
+
+    def test_a_halted_job_resumed_on_a_reset_device_decodes_and_derives_once(self, monkeypatch):
+        fixture = make_sgd_fixture(steps=4, checkpoint_period=1)
+        calls = counted_admissions(monkeypatch)
+        assert fixture.session.run(halt_after_checkpoint=2).status == "halted"
+        fixture.deployment.device.reset("sbr")
+        assert fixture.session.resume().completed
+        assert calls == ["decode", "derive"]
+
+    def test_a_firmware_update_remembers_nothing(self, memo_rig, monkeypatch):
+        """The updated firmware's control unit decodes the bytes its
+        predecessor admitted, and refuses them for their tile bootloader."""
+        _, honest, material, _ = memo_rig
+        deployment = make_deployment(seed=11)
+        outcome(deployment.ccu, honest, material)
+        calls = counted_admissions(monkeypatch)
+        assert outcome(deployment.ccu, honest, material)[0] == hashlib.sha256(honest).hexdigest()
+        assert calls == []
+        updated = update_firmware(deployment, "2")
+        assert outcome(updated.ccu, honest, material) == (InvalidPhase, "manifest names a different tile bootloader")
+        assert calls == ["decode", "derive"]
+
+
 class TestTeeLaunchAndKeys:
     def test_launch_derives_run_keys_parties_can_recompute(self, rig):
         deployment, compiled, parties, inputs = rig
@@ -645,6 +753,44 @@ class TestTeeLaunchAndKeys:
         wrapped, _ = wrap_packages(parties, sessions, inputs, report)
         deployment.ccu.tee_launch(wrapped)
         assert deployment.ccu.tee.phase == LAUNCHED
+
+    @staticmethod
+    def halted_once():
+        """A 3-step SGD job halted after its first checkpoint, on a reset device."""
+        fixture = make_sgd_fixture(steps=3, checkpoint_period=1)
+        assert fixture.session.run(halt_after_checkpoint=1).status == "halted"
+        fixture.deployment.device.reset("sbr")
+        return fixture
+
+    def test_a_resumed_tee_holds_no_key_after_launch(self, monkeypatch):
+        """Barrier 0's interval never runs on a resume: the restore keys the
+        barrier it re-parks the tiles at instead."""
+        fixture = self.halted_once()
+        ccu, device = fixture.deployment.ccu, fixture.deployment.device
+        held, launch = [], ccu.tee_launch
+
+        def tee_launch(packages):
+            launch(packages)
+            held.append({(e.name, c.index) for e in (device.ingress, device.egress) for c in e.contexts if c.aead})
+
+        monkeypatch.setattr(ccu, "tee_launch", tee_launch)
+        assert fixture.session.resume().completed
+        assert held == [set()]
+
+    def test_a_resume_loads_the_code_the_checkpoint_and_the_restored_barrier_s_keys(self, monkeypatch):
+        fixture = self.halted_once()
+        ccu, manifest = fixture.deployment.ccu, fixture.compiled.manifest
+        owned = {key: f"stream {sid}" for inputs in fixture.inputs.values() for sid, key in inputs.keys.items()}
+        loads, restored, load_key, restore = [], [], SxpEngine.load_key, ccu.tee_restore
+        monkeypatch.setattr(SxpEngine, "load_key",
+                            lambda engine, ctx, key: loads.append(owned.get(key, "its own")) or load_key(engine, ctx, key))
+        monkeypatch.setattr(ccu, "tee_restore", lambda: restored.append((restore(), len(loads))) or restored[0][0])
+        assert fixture.session.resume().completed
+        (barrier, until_restored), = restored
+        streams = [f"stream {sid}" if f"stream {sid}" in owned.values() else "its own"
+                   for sid in sorted(manifest.schedule[barrier][1])]
+        assert loads[:until_restored] == [f"stream {manifest.stream_of_kind(CODE)}", "its own", *streams]
+        assert "stream 2" not in loads  # the weights stream, keyed at barrier 0 alone
 
 
 class TestTeePhases:

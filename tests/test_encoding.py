@@ -3,18 +3,24 @@
 Manifest measurements, signed report and certificate bodies, fingerprints and
 key packages are bytes that the root of trust and every relying party must
 compute identically.  These digests pin them, so a change to how records are
-serialized cannot silently move a measurement.
+serialized cannot silently move a measurement.  Decoding undoes each encoding
+byte for byte, into records that cannot be changed in place.
 """
 
+import dataclasses
 import hashlib
+from types import MappingProxyType
 
 import pytest
 
 from itx.attestation import AttestationReport, KeyPackage
 from itx.certs import Certificate
+from itx.compiler import compile_job
+from itx.manifest import JobManifest
 from itx.packaging import CleanRoom, save_clean_room
-from itx.pki import COMPONENT_BOOTLOADER, TcbUpdateCertificate
-from itx.sandbox import make_sgd_fixture, make_sum_fixture
+from itx.pki import COMPONENT_BOOTLOADER, PartyIdentity, TcbUpdateCertificate
+from itx.sandbox import make_deployment, make_sgd_fixture, make_sum_fixture
+from test_compiler import BOOTLOADER, SGD_GRID, SUM_GRID
 
 
 def sha(data: bytes) -> str:
@@ -115,3 +121,57 @@ def test_clean_room_file(tmp_path):
     assert sha((tmp_path / "cleanroom.json").read_bytes()) == (
         "e83e8df12713e3eef6c9f8b43285c7a1d86530ee210f4cd77d2dd913bdf1ed71"
     )
+
+
+@pytest.fixture(scope="module")
+def encoded() -> list[tuple[type, bytes]]:
+    """The canonical bytes of every compile-grid manifest, of certificates
+    (a device's chain and a party's), of key packages and of a clean room."""
+    manifests = [compile_job(job, bootloader_measurement=BOOTLOADER).manifest for job in SGD_GRID + SUM_GRID]
+    certificates = [CERT, *make_deployment(seed=2).device_chain.values(), PartyIdentity("alpha").certificate]
+    packages = [KeyPackage({3: b"\x01" * 16, 10: b"\x02" * 16}, b"\x03" * 32),
+                KeyPackage({2: b"\x04" * 16}, b"\x05" * 32, prior_run_nonce=b"\x06" * 32)]
+    room = CleanRoom("alpha", {3: bytes(range(32))}, b"\x33" * 32, b"\x44" * 32, b"\x55" * 64)
+    return [(type(record), record.to_bytes()) for record in (*manifests, *certificates, *packages, room)]
+
+
+def mappings_in(value) -> list:
+    """Every mapping in a decoded value, at every depth; a dict, list or
+    bytearray anywhere in it fails."""
+    assert not isinstance(value, (dict, list, bytearray)), type(value)
+    if isinstance(value, MappingProxyType):
+        return [value] + [m for item in (*value.keys(), *value.values()) for m in mappings_in(item)]
+    if isinstance(value, tuple):
+        return [m for item in value for m in mappings_in(item)]
+    if dataclasses.is_dataclass(value):
+        return [m for f in dataclasses.fields(value) for m in mappings_in(getattr(value, f.name))]
+    return []
+
+
+class TestDecodedRecords:
+    """Decoding undoes encoding byte for byte, and what it makes cannot be
+    changed in place, so one decoded copy can serve run after run."""
+
+    def test_decoding_then_encoding_gives_the_same_bytes(self, encoded):
+        assert len(encoded) == 64 + 6 + 2 + 1
+        for cls, blob in encoded:
+            assert cls.from_bytes(blob).to_bytes() == blob
+
+    def test_decoded_dicts_are_read_only_at_every_depth(self, encoded):
+        found = set()
+        for cls, blob in encoded:
+            for mapping in mappings_in(cls.from_bytes(blob)):
+                with pytest.raises(TypeError):
+                    mapping[next(iter(mapping), 0)] = None
+                found.add(cls)
+        assert found == {JobManifest, Certificate, KeyPackage, CleanRoom}
+
+    def test_replace_makes_an_edited_copy_of_a_decoded_record(self, encoded):
+        manifest = JobManifest.from_bytes(encoded[0][1])
+        table = {**manifest.stream_table, 3: dataclasses.replace(manifest.stream_table[3], plaintext_length=4)}
+        edited = dataclasses.replace(manifest, stream_table=table)
+        assert edited.stream_table[3].plaintext_length == 4 and manifest.to_bytes() == encoded[0][1]
+        assert JobManifest.from_bytes(edited.to_bytes()) == edited
+        cert = Certificate.from_bytes(CERT.to_bytes())
+        renamed = dataclasses.replace(cert, extensions={**cert.extensions, "name": "beta"})
+        assert renamed.extensions["name"] == "beta" and cert.fingerprint == CERT.fingerprint != renamed.fingerprint

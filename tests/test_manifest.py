@@ -202,6 +202,18 @@ class TestSchedule:
             with pytest.raises(InvalidRegisterProgram, match="no plan"):
                 dataclasses.replace(manifest, schedule=schedule).validate()
 
+    @pytest.mark.parametrize("plan", [SyncPlan(moves=((0, 0x3000, 1, 0x3800, 16),)), SyncPlan(checkpoint=True)],
+                             ids=["moves", "checkpoints"])
+    def test_barrier_zero_neither_moves_nor_checkpoints(self, plan):
+        """The tiles start at barrier 0 without parking there, so a plan it
+        runs would never run; another barrier may run that plan."""
+        manifest = sgd_manifest()
+        plans, index = (*manifest.plans, plan), len(manifest.plans)
+        (_, offsets), *rest = manifest.schedule
+        dataclasses.replace(manifest, plans=plans, schedule=((0, offsets), *rest, (index, {}))).validate()
+        with pytest.raises(InvalidRegisterProgram, match="barrier 0 never parks"):
+            dataclasses.replace(manifest, plans=plans, schedule=((index, offsets), *rest)).validate()
+
     @pytest.mark.parametrize("offsets", [{2: -1}, {99: 0}])
     def test_offsets_name_known_streams_and_are_non_negative(self, offsets):
         manifest = sgd_manifest()

@@ -739,7 +739,12 @@ def counted_verifies(monkeypatch) -> list:
 
 
 def bad_measurement(e: Evidence) -> None:
-    e.chain["pik"].extensions["bootloader_measurement"] = hashlib.sha256(b"evil").hexdigest()
+    """A certificate's extensions cannot be edited in place, so the edit
+    arrives as a replaced certificate that carries it."""
+    pik, evil = e.chain["pik"], hashlib.sha256(b"evil").hexdigest()
+    with pytest.raises(TypeError):
+        pik.extensions["bootloader_measurement"] = evil
+    e.chain["pik"] = replace(pik, extensions={**pik.extensions, "bootloader_measurement": evil})
 
 
 def revoke_ak(e: Evidence) -> None:
